@@ -3,7 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"sort"
@@ -72,6 +74,10 @@ type clusterBenchReport struct {
 // backends. Results merge into BENCH_store.json under "cluster",
 // preserving the store experiment's entries.
 func runCluster(o options) error {
+	report, err := loadStoreReport()
+	if err != nil {
+		return err
+	}
 	code, err := core.New(core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	if err != nil {
 		return err
@@ -254,7 +260,6 @@ func runCluster(o options) error {
 
 	// Merge into BENCH_store.json without clobbering the store
 	// experiment's entries.
-	report := loadStoreReport()
 	report.Cluster = &clusterBenchReport{Config: cfg, Results: results}
 	if err := writeStoreReport(report); err != nil {
 		return err
@@ -263,15 +268,23 @@ func runCluster(o options) error {
 	return nil
 }
 
-// loadStoreReport reads the existing BENCH_store.json, or returns an
-// empty report when there is none.
-func loadStoreReport() storeBenchReport {
+// loadStoreReport reads the existing BENCH_store.json. Only a missing
+// file yields an empty report: every experiment writes the whole file
+// back, so treating an unreadable or malformed one as empty would erase
+// the other experiments' sections.
+func loadStoreReport() (storeBenchReport, error) {
 	var report storeBenchReport
 	raw, err := os.ReadFile("BENCH_store.json")
-	if err == nil {
-		json.Unmarshal(raw, &report)
+	if errors.Is(err, fs.ErrNotExist) {
+		return report, nil
 	}
-	return report
+	if err != nil {
+		return report, err
+	}
+	if err := json.Unmarshal(raw, &report); err != nil {
+		return report, fmt.Errorf("BENCH_store.json: %w", err)
+	}
+	return report, nil
 }
 
 // writeStoreReport writes the merged report back.

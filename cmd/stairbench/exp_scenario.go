@@ -75,6 +75,10 @@ type scenarioBenchReport struct {
 // integrity false alarms. Results merge into BENCH_store.json under
 // "scenario", preserving the other experiments' sections.
 func runScenario(o options) error {
+	report, err := loadStoreReport()
+	if err != nil {
+		return err
+	}
 	const seed = 1
 	ctx := context.Background()
 	opts := scenario.EnvOptions{Seed: seed}
@@ -195,7 +199,6 @@ func runScenario(o options) error {
 	w.Flush()
 	fmt.Println("\nall scenarios settled clean: 0 unrecoverable stripes, 0 integrity false alarms")
 
-	report := loadStoreReport()
 	report.Scenario = &scenarioBenchReport{Config: cfg, Results: rows, Metrics: metrics}
 	if err := writeStoreReport(report); err != nil {
 		return err

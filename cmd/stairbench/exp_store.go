@@ -99,12 +99,11 @@ func measureAllocs(ops int, op func() error) (allocsPerOp, bytesPerOp float64) {
 type storeBenchReport struct {
 	Config  storeBenchConfig   `json:"config"`
 	Results []storeBenchResult `json:"results"`
-	// Cluster, EncodePath and Scenario hold the cluster, encpath and
-	// scenario experiments' sections; each experiment rewrites only its
-	// own part of BENCH_store.json.
-	Cluster    *clusterBenchReport  `json:"cluster,omitempty"`
-	EncodePath []encodePathEntry    `json:"encode_path,omitempty"`
-	Scenario   *scenarioBenchReport `json:"scenario,omitempty"`
+	// Cluster and Scenario hold the cluster and scenario experiments'
+	// sections; each experiment rewrites only its own part of
+	// BENCH_store.json.
+	Cluster  *clusterBenchReport  `json:"cluster,omitempty"`
+	Scenario *scenarioBenchReport `json:"scenario,omitempty"`
 }
 
 // runStore measures the internal/store data paths end to end — batched
@@ -112,6 +111,12 @@ type storeBenchReport struct {
 // degraded reads under 1 and m device failures, and a scrub sweep — and
 // emits the table plus a machine-readable BENCH_store.json.
 func runStore(o options) error {
+	// Loaded up front so an unreadable report fails the run before the
+	// measurements, not after.
+	prev, err := loadStoreReport()
+	if err != nil {
+		return err
+	}
 	ctx := context.Background()
 	const (
 		n, r, m       = 8, 16, 2
@@ -545,9 +550,8 @@ func runStore(o options) error {
 	}
 	w.Flush()
 
-	prev := loadStoreReport()
 	report := storeBenchReport{Config: cfg, Results: results,
-		Cluster: prev.Cluster, EncodePath: prev.EncodePath, Scenario: prev.Scenario}
+		Cluster: prev.Cluster, Scenario: prev.Scenario}
 	if err := writeStoreReport(report); err != nil {
 		return err
 	}

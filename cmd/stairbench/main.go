@@ -86,16 +86,10 @@ func main() {
 	}
 
 	// Every speed number below depends on which GF region kernel
-	// dispatch picked and which stripe data path executes the schedules;
-	// say so once, up front.
+	// dispatch picked; say so once, up front.
 	fmt.Printf("gf kernel: %s (%s/%s, available: %v)\n",
 		gf.ActiveKernelName(), runtime.GOOS, runtime.GOARCH, gf.KernelNames())
-	if dp, err := core.PlanDefaults(); err != nil {
-		fmt.Fprintln(os.Stderr, "stairbench:", err)
-		os.Exit(1)
-	} else {
-		fmt.Printf("data path: %s planner, tile %d B (STAIR_PLAN_MODE/STAIR_PLAN_TILE)\n\n", dp.Mode, dp.TileBytes)
-	}
+	fmt.Printf("data path: source-major plan, tile %d B\n\n", core.PlanDefaults().TileBytes)
 
 	run := func(e experiment) {
 		fmt.Printf("==== %s: %s ====\n", e.name, e.desc)

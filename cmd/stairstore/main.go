@@ -537,11 +537,8 @@ func cmdStats(ctx context.Context, args []string) (err error) {
 	pi := s.Code().PlanInfo()
 	fmt.Printf("volume:   %s\n", s.Code().Config())
 	fmt.Printf("gf:       w=%d, region kernel %s\n", s.Code().Field().W(), s.Code().KernelName())
-	fmt.Printf("plan:     %s data path, tile %d B", pi.Mode, pi.TileBytes)
-	if pi.Mode == "fused" {
-		fmt.Printf(" (%d stages, %d fused calls, max fan-out %d per encode)", pi.Stages, pi.FusedCalls, pi.MaxFanout)
-	}
-	fmt.Println()
+	fmt.Printf("plan:     tile %d B, %d stages, %d fused calls, max fan-out %d per encode\n",
+		pi.TileBytes, pi.Stages, pi.FusedCalls, pi.MaxFanout)
 	fmt.Printf("geometry: %d devices × %d stripes × %d sectors × %d B (%d blocks)\n",
 		n, stripes, r, sector, s.Blocks())
 	fmt.Printf("health:   failed devices %v, %d bad sectors, %d unrecoverable stripes\n",

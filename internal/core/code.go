@@ -78,10 +78,8 @@ type Code struct {
 	stdSched  *schedule
 	method    Method // resolved (never MethodAuto)
 
-	// Source-major fused plans compiled from the schedules above, plus
-	// the data-path knobs they were compiled under (see plan.go).
-	planMode planMode
-	planTile int
+	// Source-major fused plans compiled from the schedules above (see
+	// plan.go).
 	upPlan   *plan
 	downPlan *plan
 	stdPlan  *plan
@@ -133,11 +131,6 @@ func New(cfg Config) (*Code, error) {
 	c.ccol, err = rs.New(c.f, c.r+c.eMax, c.r, norm.Kind)
 	if err != nil {
 		return nil, fmt.Errorf("core: building Ccol: %w", err)
-	}
-
-	c.planMode, c.planTile, err = planConfigFromEnv()
-	if err != nil {
-		return nil, err
 	}
 
 	c.indexCells()

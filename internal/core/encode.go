@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"stair/internal/gf"
-)
-
 // env builds the canonical-cell → sector mapping for one stripe, backing
 // temporaries with pooled scratch memory. release returns the scratch to
 // the pool.
@@ -60,23 +54,6 @@ func (c *Code) releaseEnv(cells [][]byte) {
 	c.cellsPool.Put(&cells)
 }
 
-// run executes a schedule over the environment. Each op overwrites its
-// destination with a linear combination of its sources.
-func (c *Code) run(sch *schedule, cells [][]byte) {
-	for i := range sch.ops {
-		o := &sch.ops[i]
-		dst := cells[o.dst]
-		if len(o.terms) == 0 {
-			gf.Zero(dst)
-			continue
-		}
-		c.f.MultRegion(dst, cells[o.terms[0].src], o.terms[0].coeff)
-		for _, t := range o.terms[1:] {
-			c.f.MultXOR(dst, cells[t.src], t.coeff)
-		}
-	}
-}
-
 // acquireScratchStripe returns a pooled whole-stripe scratch. Contents
 // are unspecified; the caller must overwrite every cell it reads. The
 // sector size is already validated by the caller's validateStripe.
@@ -90,42 +67,14 @@ func (c *Code) acquireScratchStripe(sectorSize int) *Stripe {
 	return sc
 }
 
-// scheduleFor resolves a method to its schedule.
-func (c *Code) scheduleFor(m Method) (*schedule, error) {
-	switch m {
-	case MethodAuto:
-		return c.scheduleFor(c.method)
-	case MethodUpstairs:
-		return c.upSched, nil
-	case MethodDownstairs:
-		return c.downSched, nil
-	case MethodStandard:
-		return c.stdSched, nil
-	default:
-		return nil, fmt.Errorf("core: unknown method %v", m)
-	}
-}
-
 // Encode fills the stripe's parity cells (row parities plus inside global
 // parities, or outside Globals) from its data cells, using the
 // automatically selected cheapest method.
-func (c *Code) Encode(st *Stripe) error { return c.EncodeWith(st, MethodAuto) }
+func (c *Code) Encode(st *Stripe) error { return c.EncodeParallel(st, MethodAuto, 1) }
 
 // EncodeWith encodes with an explicit method. All three methods produce
 // identical parity values (§5.1.3); they differ only in Mult_XOR count.
-func (c *Code) EncodeWith(st *Stripe, m Method) error {
-	if err := c.validateStripe(st); err != nil {
-		return err
-	}
-	p, err := c.planFor(m)
-	if err != nil {
-		return err
-	}
-	cells, release := c.env(st)
-	defer release()
-	c.runPlan(p, cells)
-	return nil
-}
+func (c *Code) EncodeWith(st *Stripe, m Method) error { return c.EncodeParallel(st, m, 1) }
 
 // Verify re-encodes the stripe's data into pooled scratch and reports
 // whether every stored parity cell matches. It is the scrub primitive

@@ -10,8 +10,8 @@ import (
 // can be encoded or repaired by running the same plan independently
 // over disjoint sub-ranges of every sector — the multi-core
 // parallelisation the paper points at in §6.2.1. Ranges are aligned to
-// the plan tile size on the fused path (so each worker sweeps whole
-// tiles) and to the field's symbol width on the legacy path; each worker
+// the plan tile size (so each worker sweeps whole tiles), or to the
+// field's symbol width when the sector is under two tiles; each worker
 // sees an environment whose cell regions are sliced to its range, so
 // workers never touch the same bytes.
 
@@ -26,8 +26,10 @@ func sliceCells(cells [][]byte, lo, hi int) [][]byte {
 	return out
 }
 
-// splitRanges partitions [0, size) into at most workers symbol-aligned
-// ranges of similar length.
+// splitRanges partitions [0, size) into at most workers ranges of similar
+// length whose boundaries are multiples of align. The last range also
+// takes the size%align tail (non-empty only for tile alignment, where
+// the sector need not be a whole number of tiles).
 func splitRanges(size, align, workers int) [][2]int {
 	if workers < 1 {
 		workers = 1
@@ -53,19 +55,24 @@ func splitRanges(size, align, workers int) [][2]int {
 		out = append(out, [2]int{lo, hi})
 		off += n
 	}
+	out[len(out)-1][1] = size
 	return out
 }
 
-// runParallel executes a plan across workers over the environment. Fused
-// plans split on tile boundaries so every worker sweeps whole tiles and
-// the per-tile cache-residency reasoning still holds; the legacy path
-// keeps the old symbol-aligned split. When the sector is too small to
-// give every worker a tile, the split degrades gracefully toward fewer
+// runParallel executes a plan across workers over the environment. The
+// split falls on tile boundaries so every worker sweeps whole tiles and
+// the per-tile cache-residency reasoning still holds. A sector under two
+// tiles is split on symbol boundaries instead — a two-byte-symbol range
+// may never start on an odd byte — and degrades gracefully toward fewer
 // workers (splitRanges caps workers at the unit count).
 func (c *Code) runParallel(p *plan, cells [][]byte, sectorSize, workers int) {
+	if workers <= 1 {
+		c.runPlan(p, cells)
+		return
+	}
 	align := c.f.SymbolBytes()
-	if !p.legacy && sectorSize >= 2*c.planTile {
-		align = c.planTile
+	if sectorSize >= 2*defaultPlanTile {
+		align = defaultPlanTile
 	}
 	ranges := splitRanges(sectorSize, align, workers)
 	if len(ranges) == 1 {

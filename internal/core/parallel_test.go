@@ -103,6 +103,7 @@ func TestSplitRanges(t *testing.T) {
 		{8, 2, 8, 4}, // only 4 symbols available
 		{6, 2, 2, 2},
 		{2, 2, 5, 1},
+		{2*8192 + 130, 8192, 4, 2}, // ragged tail rides with the last tile
 	}
 	for _, tc := range cases {
 		got := splitRanges(tc.size, tc.align, tc.workers)
@@ -116,7 +117,7 @@ func TestSplitRanges(t *testing.T) {
 			if rg[0] != off {
 				t.Fatalf("range gap at %d: %v", off, got)
 			}
-			if rg[0]%tc.align != 0 || rg[1]%tc.align != 0 {
+			if rg[0]%tc.align != 0 || (rg[1]%tc.align != 0 && rg[1] != tc.size) {
 				t.Fatalf("unaligned range %v", rg)
 			}
 			if rg[1] <= rg[0] {

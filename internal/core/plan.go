@@ -2,22 +2,21 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"stair/internal/gf"
 )
 
 // A plan is the source-major, tiled execution form of a schedule — the
-// ISA-L ec_encode_data shape. The op-list run() walks destination by
-// destination, so every source region is streamed from memory once per
-// parity row; a plan regroups the same Mult_XORs by *source* and executes
-// one fused kernel call per source cell, updating all of its destinations
-// while the source tile is register/cache-resident. The whole stripe is
-// then swept tile-by-tile (an L1/L2-sized block of every cell at the same
-// byte range) so sources and destinations both stay cache-hot across the
-// plan — region ops are byte-wise linear, so running all stages over one
-// byte range before advancing is identical to running each op full-width.
+// ISA-L ec_encode_data shape. A schedule lists its Mult_XORs destination
+// by destination, which would stream every source region from memory once
+// per parity row; a plan regroups the same Mult_XORs by *source* and
+// executes one fused kernel call per source cell, updating all of its
+// destinations while the source tile is register/cache-resident. The
+// whole stripe is then swept tile-by-tile (an L1/L2-sized block of every
+// cell at the same byte range) so sources and destinations both stay
+// cache-hot across the plan — region ops are symbol-wise linear, so
+// running all stages over one byte range before advancing is identical
+// to running each op full-width.
 //
 // Correct regrouping must respect producer→consumer order: an op may read
 // cells written by earlier ops. Compilation levels the op DAG into
@@ -25,57 +24,17 @@ import (
 // its sources (plan inputs are stage 0) — so within a stage no op reads
 // another's destination and the fused calls of a stage can run in any
 // order. Each destination's first term runs as an overwrite (init) call
-// and the rest accumulate — equivalent to run()'s overwrite semantics
-// without zero-filling or re-reading fresh output regions.
+// and the rest accumulate, so fresh output regions are neither
+// zero-filled nor re-read.
 //
-// Plans fall back to the op-list executor (plan.legacy) when the field
-// has multi-byte symbols (w=16 has no byte-oriented split tables) or when
-// STAIR_PLAN_MODE=legacy forces the PR 5 data path for A/B comparison.
-
-// planMode selects the stripe data-path executor.
-type planMode int
-
-const (
-	planFused  planMode = iota // source-major fused kernels, tiled
-	planLegacy                 // op-by-op schedule walk (PR 5 path)
-)
-
-func (m planMode) String() string {
-	if m == planLegacy {
-		return "legacy"
-	}
-	return "fused"
-}
+// The plan is the only executor, for every field: gf.Table hides the
+// symbol width behind the coefficient tables the fused calls take.
 
 // defaultPlanTile is the per-cell tile size the stripe sweep uses. One
 // fused call touches 1 source + up-to-maxFan destination tiles, so the
 // working set is (fanout+1)·tile bytes: 8 KiB keeps a typical 4-wide
 // group inside a 48 KiB L1 and even the widest schedules inside L2.
 const defaultPlanTile = 8192
-
-// planConfigFromEnv resolves the data-path knobs: STAIR_PLAN_MODE
-// (fused|legacy) and STAIR_PLAN_TILE (bytes per cell tile). Both are
-// validated here so a typo is a constructor error, mirroring the
-// STAIR_GF_KERNEL handling in internal/gf.
-func planConfigFromEnv() (planMode, int, error) {
-	mode := planFused
-	switch v := os.Getenv("STAIR_PLAN_MODE"); v {
-	case "", "fused":
-	case "legacy":
-		mode = planLegacy
-	default:
-		return 0, 0, fmt.Errorf("core: STAIR_PLAN_MODE=%q is not a plan mode (want fused or legacy)", v)
-	}
-	tile := defaultPlanTile
-	if v := os.Getenv("STAIR_PLAN_TILE"); v != "" {
-		t, err := strconv.Atoi(v)
-		if err != nil || t < 64 || t%64 != 0 {
-			return 0, 0, fmt.Errorf("core: STAIR_PLAN_TILE=%q must be a multiple of 64 bytes ≥ 64", v)
-		}
-		tile = t
-	}
-	return mode, tile, nil
-}
 
 // fusedGroup is one fused kernel call: every destination cell the plan
 // accumulates coeff·src into within one stage, with the coefficient
@@ -93,20 +52,23 @@ type planStage struct {
 }
 
 type plan struct {
-	sch    *schedule // the schedule this plan executes (costs, legacy path)
+	sch    *schedule // the schedule this plan executes (costs, traces)
 	stages []planStage
-	legacy bool // run op-by-op through Code.run instead
-	maxFan int  // widest fused group, sizes the per-run dst scratch
-	calls  int  // fused calls per full execution (observability)
+	maxFan int // widest fused group, sizes the per-run dst scratch
+	calls  int // fused calls per full execution (observability)
+}
+
+// sourceTerms collects, during compilation, every Mult_XOR one stage
+// reads from one source cell: coeffs[i]·src accumulates into dsts[i].
+type sourceTerms struct {
+	src    int32
+	dsts   []int32
+	coeffs []uint32
 }
 
 // compilePlan lowers a schedule into its source-major plan.
 func (c *Code) compilePlan(sch *schedule) *plan {
 	p := &plan{sch: sch}
-	if c.planMode == planLegacy || c.f.SymbolBytes() != 1 {
-		p.legacy = true
-		return p
-	}
 	// Stage leveling: plan inputs sit at stage 0, an op lands one past
 	// the deepest producer it reads. Schedules are in execution order and
 	// write each cell exactly once, so one forward pass suffices.
@@ -128,92 +90,84 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 		}
 	}
 	p.stages = make([]planStage, maxStage)
-	// groupIx maps a stage's source cell to its group index in that stage.
-	groupIx := make([]map[int32]int, maxStage)
-	for i := range groupIx {
-		groupIx[i] = make(map[int32]int)
+	// bySrc holds each stage's terms regrouped per source cell, in first-
+	// use order; srcIx maps a stage's source cell to its bySrc index.
+	bySrc := make([][]sourceTerms, maxStage)
+	srcIx := make([]map[int32]int, maxStage)
+	for i := range srcIx {
+		srcIx[i] = make(map[int32]int)
 	}
 	for i := range sch.ops {
 		o := &sch.ops[i]
-		st := &p.stages[opStage[i]-1]
-		st.zero = append(st.zero, o.dst)
+		si := opStage[i] - 1
+		p.stages[si].zero = append(p.stages[si].zero, o.dst)
 		for _, t := range o.terms {
 			coeff := t.coeff & uint32(c.f.Size()-1)
 			if coeff == 0 {
 				continue
 			}
-			ix, ok := groupIx[opStage[i]-1][t.src]
+			ix, ok := srcIx[si][t.src]
 			if !ok {
-				ix = len(st.groups)
-				groupIx[opStage[i]-1][t.src] = ix
-				st.groups = append(st.groups, fusedGroup{src: t.src})
+				ix = len(bySrc[si])
+				srcIx[si][t.src] = ix
+				bySrc[si] = append(bySrc[si], sourceTerms{src: t.src})
 			}
-			g := &st.groups[ix]
+			g := &bySrc[si][ix]
 			// Merge duplicate (src,dst) terms: c1·v ^ c2·v = (c1^c2)·v.
 			// The fused kernels forbid overlapping destinations, and a
 			// merged term is cheaper anyway.
 			merged := false
 			for di, d := range g.dsts {
 				if d == o.dst {
-					// Recover the existing coefficient via the table row
-					// of 1 (Row[1] = c) and re-resolve.
-					prev := uint32(g.tabs[di].Row[1])
-					g.tabs[di] = c.f.Table(prev ^ coeff)
+					g.coeffs[di] ^= coeff
 					merged = true
 					break
 				}
 			}
 			if !merged {
 				g.dsts = append(g.dsts, o.dst)
-				g.tabs = append(g.tabs, c.f.Table(coeff))
+				g.coeffs = append(g.coeffs, coeff)
 			}
 		}
 	}
-	// Drop terms merged down to coefficient zero, then split each
-	// destination's first surviving term into an overwrite (init) group:
-	// outputs are written by their first term instead of zero-filled and
-	// accumulated, saving one write plus one read of every destination
-	// region per execution. st.zero keeps only destinations every term of
-	// which merged away — those still need the explicit clear.
+	// add appends a non-empty fused call to a stage list and counts it.
+	add := func(list *[]fusedGroup, g fusedGroup) {
+		if len(g.dsts) == 0 {
+			return
+		}
+		*list = append(*list, g)
+		p.calls++
+		if len(g.dsts) > p.maxFan {
+			p.maxFan = len(g.dsts)
+		}
+	}
+	// Drop terms merged down to coefficient zero, resolve the surviving
+	// coefficients to their kernel tables, and split each destination's
+	// first surviving term into an overwrite (init) group: outputs are
+	// written by their first term instead of zero-filled and accumulated,
+	// saving one write plus one read of every destination region per
+	// execution. st.zero keeps only destinations every term of which
+	// merged away — those still need the explicit clear.
 	for si := range p.stages {
 		st := &p.stages[si]
 		claimed := make(map[int32]bool, len(st.zero))
-		kept := st.groups[:0]
-		for _, g := range st.groups {
-			var initDsts []int32
-			var initTabs []*gf.MulTable
-			dsts, tabs := g.dsts[:0], g.tabs[:0]
-			for i := range g.dsts {
-				if g.tabs[i].Row[1] == 0 {
+		for _, g := range bySrc[si] {
+			first, rest := fusedGroup{src: g.src}, fusedGroup{src: g.src}
+			for i, d := range g.dsts {
+				if g.coeffs[i] == 0 {
 					continue
 				}
-				if !claimed[g.dsts[i]] {
-					claimed[g.dsts[i]] = true
-					initDsts = append(initDsts, g.dsts[i])
-					initTabs = append(initTabs, g.tabs[i])
-				} else {
-					dsts = append(dsts, g.dsts[i])
-					tabs = append(tabs, g.tabs[i])
+				into := &rest
+				if !claimed[d] {
+					claimed[d] = true
+					into = &first
 				}
+				into.dsts = append(into.dsts, d)
+				into.tabs = append(into.tabs, c.f.Table(g.coeffs[i]))
 			}
-			if len(initDsts) > 0 {
-				st.inits = append(st.inits, fusedGroup{src: g.src, dsts: initDsts, tabs: initTabs})
-				if len(initDsts) > p.maxFan {
-					p.maxFan = len(initDsts)
-				}
-				p.calls++
-			}
-			g.dsts, g.tabs = dsts, tabs
-			if len(g.dsts) == 0 {
-				continue
-			}
-			if len(g.dsts) > p.maxFan {
-				p.maxFan = len(g.dsts)
-			}
-			p.calls++
-			kept = append(kept, g)
+			add(&st.inits, first)
+			add(&st.groups, rest)
 		}
-		st.groups = kept
 		zero := st.zero[:0]
 		for _, d := range st.zero {
 			if !claimed[d] {
@@ -228,10 +182,6 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 // runPlan executes a plan over the environment, sweeping all stages over
 // one tile of every cell before advancing to the next tile.
 func (c *Code) runPlan(p *plan, cells [][]byte) {
-	if p.legacy {
-		c.run(p.sch, cells)
-		return
-	}
 	size := 0
 	for _, s := range cells {
 		if s != nil {
@@ -252,8 +202,8 @@ func (c *Code) runPlan(p *plan, cells [][]byte) {
 		clear(dstbuf)
 		c.fanPool.Put(&dstbuf)
 	}()
-	for lo := 0; lo < size; lo += c.planTile {
-		hi := lo + c.planTile
+	for lo := 0; lo < size; lo += defaultPlanTile {
+		hi := lo + defaultPlanTile
 		if hi > size {
 			hi = size
 		}
@@ -298,11 +248,10 @@ func (c *Code) planFor(m Method) (*plan, error) {
 	}
 }
 
-// PlanInfo describes the active stripe data path for observability
-// surfaces (stairstore stats, the stairbench banner, staird metrics).
-// Stages, FusedCalls and MaxFanout describe the auto-method encode plan.
+// PlanInfo describes the stripe data path for observability surfaces
+// (stairstore stats, the stairbench banner, staird metrics). Stages,
+// FusedCalls and MaxFanout describe the auto-method encode plan.
 type PlanInfo struct {
-	Mode       string `json:"mode"` // "fused" or "legacy"
 	Kernel     string `json:"kernel"`
 	TileBytes  int    `json:"tile_bytes"`
 	Stages     int    `json:"stages"`
@@ -311,39 +260,23 @@ type PlanInfo struct {
 }
 
 // PlanDefaults reports the data-path configuration codes built in this
-// process will use — mode, tile size and the dispatched kernel — without
+// process will use — tile size and the dispatched kernel — without
 // needing a compiled Code. Banner/startup surfaces use it; per-code shape
-// (stages, fan-out) comes from Code.PlanInfo. The error mirrors New's
-// validation of STAIR_PLAN_MODE/STAIR_PLAN_TILE.
-func PlanDefaults() (PlanInfo, error) {
-	mode, tile, err := planConfigFromEnv()
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	return PlanInfo{
-		Mode:      mode.String(),
-		Kernel:    gf.ActiveKernelName(),
-		TileBytes: tile,
-	}, nil
+// (stages, fan-out) comes from Code.PlanInfo.
+func PlanDefaults() PlanInfo {
+	return PlanInfo{Kernel: gf.ActiveKernelName(), TileBytes: defaultPlanTile}
 }
 
-// PlanInfo reports the shape of the encode data path: which executor
-// stripes run through (fused source-major vs the legacy op walk), the
-// tile size, the dispatched GF kernel, and the compiled shape of the
-// auto-method encode plan.
+// PlanInfo reports the shape of the encode data path: the tile size, the
+// GF kernel this code's field dispatches to, and the compiled shape of
+// the auto-method encode plan.
 func (c *Code) PlanInfo() PlanInfo {
 	p, _ := c.planFor(MethodAuto)
-	info := PlanInfo{
-		Mode:      planFused.String(),
-		Kernel:    c.KernelName(),
-		TileBytes: c.planTile,
+	return PlanInfo{
+		Kernel:     c.KernelName(),
+		TileBytes:  defaultPlanTile,
+		Stages:     len(p.stages),
+		FusedCalls: p.calls,
+		MaxFanout:  p.maxFan,
 	}
-	if p.legacy {
-		info.Mode = planLegacy.String()
-		return info
-	}
-	info.Stages = len(p.stages)
-	info.FusedCalls = p.calls
-	info.MaxFanout = p.maxFan
-	return info
 }

@@ -1,15 +1,85 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
+
+	"stair/internal/gf"
 )
 
-// The source-major fused plan must be byte-identical to the op-list
-// legacy executor on every public surface: encode (all methods), repair,
-// and incremental update, at sector sizes that are smaller than, equal
-// to, and ragged against the tile size.
+// The planner is the only executor, so its reference lives here: run
+// walks a schedule op by op, destination-major, through the per-region
+// Field primitives — no staging, regrouping, coefficient merging, tiling
+// or fused calls. The differential tests below hold every public surface
+// (encode with each method, repair, incremental update, and the parallel
+// forms) byte-identical to it, for every field width, at sector sizes
+// below, at and ragged past the plan tile.
+
+// run executes a schedule over the environment. Each op overwrites its
+// destination with a linear combination of its sources.
+func (c *Code) run(sch *schedule, cells [][]byte) {
+	for i := range sch.ops {
+		o := &sch.ops[i]
+		dst := cells[o.dst]
+		if len(o.terms) == 0 {
+			gf.Zero(dst)
+			continue
+		}
+		c.f.MultRegion(dst, cells[o.terms[0].src], o.terms[0].coeff)
+		for _, t := range o.terms[1:] {
+			c.f.MultXOR(dst, cells[t.src], t.coeff)
+		}
+	}
+}
+
+// oracleEncode encodes st through the schedule walk.
+func oracleEncode(t *testing.T, c *Code, st *Stripe, m Method) {
+	t.Helper()
+	p, err := c.planFor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, release := c.env(st)
+	defer release()
+	c.run(p.sch, cells)
+}
+
+// oracleRepair repairs st through the schedule walk.
+func oracleRepair(t *testing.T, c *Code, st *Stripe, lost []Cell) {
+	t.Helper()
+	idxs, err := c.checkLost(lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := c.buildDecodeSchedule(idxs)
+	if err != nil || sch == nil {
+		t.Fatalf("no decode schedule for %v: %v", lost, err)
+	}
+	cells, release := c.env(st)
+	defer release()
+	c.run(sch, cells)
+}
+
+// oracleUpdate applies the §5.2 parity relations one Mult_XOR at a time.
+func oracleUpdate(c *Code, st *Stripe, cell Cell, newData []byte) {
+	old := st.Sector(cell.Col, cell.Row)
+	delta := append([]byte(nil), old...)
+	gf.XORRegion(delta, newData)
+	for _, pr := range c.dataDeps[c.dataOrd[c.cellIdx(cell.Row, cell.Col)]] {
+		row, col := c.cellRC(int(pr.cell))
+		if l, h, ok := c.globalOf(row, col); ok {
+			c.f.MultXOR(st.Globals[c.globalOrd(l, h)], delta, pr.coeff)
+		} else {
+			c.f.MultXOR(st.Sector(col, row), delta, pr.coeff)
+		}
+	}
+	copy(old, newData)
+}
+
+// planTallConfig leaves W unset: R+e_max = 257 > 256 auto-selects
+// GF(2^16), the only way a caller who never names a field reaches it.
+var planTallConfig = Config{N: 2, R: 256, M: 1, E: []int{1}}
 
 func planTestConfigs() []Config {
 	return []Config{
@@ -19,206 +89,217 @@ func planTestConfigs() []Config {
 		{N: 5, R: 4, M: 0, E: []int{1, 2}},
 		{N: 6, R: 4, M: 1, E: []int{1, 2}, W: 4},
 		{N: 8, R: 4, M: 2, E: []int{1, 2}, W: 16},
+		{N: 6, R: 4, M: 1, E: []int{1, 2}, W: 16, Placement: Outside},
+		planTallConfig,
 	}
 }
 
-// newPlanPair builds the same code twice: once on the fused data path,
-// once forced legacy.
-func newPlanPair(t *testing.T, cfg Config) (fused, legacy *Code) {
-	t.Helper()
-	t.Setenv("STAIR_PLAN_MODE", "fused")
-	fused, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("STAIR_PLAN_MODE", "legacy")
-	legacy, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("STAIR_PLAN_MODE", "")
-	return fused, legacy
-}
+// planSectorSizes: below the tile, exactly one tile, a ragged second tile
+// (still under two tiles, so parallel runs split on symbol boundaries),
+// and two tiles plus a ragged tail (parallel runs split on tile
+// boundaries). All even, so they are valid for two-byte symbols.
+var planSectorSizes = []int{34, defaultPlanTile, defaultPlanTile + 130, 2*defaultPlanTile + 130}
 
-func TestPlanFusedMatchesLegacyEncode(t *testing.T) {
-	// Sector sizes chosen against a 256-byte tile: sub-tile, exact
-	// multiple, and ragged tail.
-	t.Setenv("STAIR_PLAN_TILE", "256")
+// planTallSectorSizes is what the 512-cell planTallConfig stripes are
+// swept at: tiling does not depend on geometry, and under -race the full
+// list costs this one config more than every other case together.
+var planTallSectorSizes = []int{34, defaultPlanTile + 130}
+
+// planWorkers are the worker counts every surface is checked at; 0 stands
+// for the serial entry point (Encode/EncodeWith/Repair).
+var planWorkers = []int{0, 1, 2, 3, 4}
+
+func forEachPlanCase(t *testing.T, fn func(t *testing.T, c *Code, sectorSize int)) {
 	for _, cfg := range planTestConfigs() {
-		t.Run(cfg.String(), func(t *testing.T) {
-			fused, legacy := newPlanPair(t, cfg)
-			sb := fused.Field().SymbolBytes()
-			for _, sectorSize := range []int{2 * sb, 64, 256, 256 + 64, 1024 + 128} {
-				for _, m := range []Method{MethodUpstairs, MethodDownstairs, MethodStandard} {
-					stF, err := fused.NewStripe(sectorSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					stL, err := legacy.NewStripe(sectorSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fillData(t, fused, stF, 7)
-					fillData(t, legacy, stL, 7)
-					if err := fused.EncodeWith(stF, m); err != nil {
-						t.Fatalf("fused EncodeWith(%v): %v", m, err)
-					}
-					if err := legacy.EncodeWith(stL, m); err != nil {
-						t.Fatalf("legacy EncodeWith(%v): %v", m, err)
-					}
-					if !stripesEqual(stF, stL) {
-						t.Fatalf("sector=%d method=%v: fused and legacy encodes differ", sectorSize, m)
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestPlanFusedMatchesLegacyRepair(t *testing.T) {
-	t.Setenv("STAIR_PLAN_TILE", "256")
-	for _, cfg := range planTestConfigs() {
-		t.Run(cfg.String(), func(t *testing.T) {
-			fused, legacy := newPlanPair(t, cfg)
-			rng := rand.New(rand.NewSource(11))
-			st, err := fused.NewStripe(256 + 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fillData(t, fused, st, 9)
-			if err := fused.Encode(st); err != nil {
-				t.Fatal(err)
-			}
-			// A handful of in-coverage patterns: single sectors, a whole
-			// chunk, chunk + extra sectors.
-			patterns := [][]Cell{
-				{{Col: 0, Row: 0}},
-				{{Col: 1, Row: 2}, {Col: 3, Row: 1}},
-			}
-			wholeChunk := make([]Cell, fused.R())
-			for row := 0; row < fused.R(); row++ {
-				wholeChunk[row] = Cell{Col: 0, Row: row}
-			}
-			patterns = append(patterns, wholeChunk)
-			for pi, lost := range patterns {
-				ok, err := fused.CanRecover(lost)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					continue
-				}
-				run := func(c *Code) *Stripe {
-					cl := st.Clone()
-					for _, cell := range lost {
-						rng.Read(cl.Sector(cell.Col, cell.Row)) // clobber
-					}
-					if err := c.Repair(cl, lost); err != nil {
-						t.Fatalf("pattern %d: %v", pi, err)
-					}
-					return cl
-				}
-				if !stripesEqual(run(fused), run(legacy)) {
-					t.Fatalf("pattern %d: fused and legacy repairs differ", pi)
-				}
-			}
-		})
-	}
-}
-
-func TestPlanFusedMatchesLegacyUpdate(t *testing.T) {
-	for _, cfg := range planTestConfigs() {
-		t.Run(cfg.String(), func(t *testing.T) {
-			fused, legacy := newPlanPair(t, cfg)
-			rng := rand.New(rand.NewSource(13))
-			sectorSize := 96 * fused.Field().SymbolBytes()
-			stF, err := fused.NewStripe(sectorSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fillData(t, fused, stF, 17)
-			if err := fused.Encode(stF); err != nil {
-				t.Fatal(err)
-			}
-			stL := stF.Clone()
-			cell := fused.DataCells()[0]
-			newData := make([]byte, sectorSize)
-			rng.Read(newData)
-			if err := fused.Update(stF, cell, newData); err != nil {
-				t.Fatal(err)
-			}
-			if err := legacy.Update(stL, cell, newData); err != nil {
-				t.Fatal(err)
-			}
-			if !stripesEqual(stF, stL) {
-				t.Fatal("fused and legacy updates differ")
-			}
-			// The updated stripe must still verify.
-			ok, err := fused.Verify(stF)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("stripe does not verify after fused update")
-			}
-		})
-	}
-}
-
-func TestPlanConfigErrors(t *testing.T) {
-	cfg := Config{N: 6, R: 4, M: 1, E: []int{2}}
-	t.Setenv("STAIR_PLAN_MODE", "turbo")
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "STAIR_PLAN_MODE") {
-		t.Errorf("bad STAIR_PLAN_MODE: got err %v", err)
-	}
-	t.Setenv("STAIR_PLAN_MODE", "")
-	for _, tile := range []string{"0", "-64", "100", "abc"} {
-		t.Setenv("STAIR_PLAN_TILE", tile)
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "STAIR_PLAN_TILE") {
-			t.Errorf("STAIR_PLAN_TILE=%q: got err %v", tile, err)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := planSectorSizes
+		if c.R() == planTallConfig.R {
+			sizes = planTallSectorSizes
+		}
+		for _, sectorSize := range sizes {
+			t.Run(fmt.Sprintf("%v/sector=%d", c.Config(), sectorSize), func(t *testing.T) {
+				fn(t, c, sectorSize)
+			})
 		}
 	}
 }
 
+func newFilledStripe(t *testing.T, c *Code, sectorSize int, seed int64) *Stripe {
+	t.Helper()
+	st, err := c.NewStripe(sectorSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillData(t, c, st, seed)
+	return st
+}
+
+func TestPlanMatchesOracleEncode(t *testing.T) {
+	forEachPlanCase(t, func(t *testing.T, c *Code, sectorSize int) {
+		for _, m := range []Method{MethodUpstairs, MethodDownstairs, MethodStandard} {
+			want := newFilledStripe(t, c, sectorSize, 7)
+			oracleEncode(t, c, want, m)
+			for _, workers := range planWorkers {
+				got := newFilledStripe(t, c, sectorSize, 7)
+				var err error
+				if workers == 0 {
+					err = c.EncodeWith(got, m)
+				} else {
+					err = c.EncodeParallel(got, m, workers)
+				}
+				if err != nil {
+					t.Fatalf("method=%v workers=%d: %v", m, workers, err)
+				}
+				if !stripesEqual(got, want) {
+					t.Fatalf("method=%v workers=%d: plan and oracle encodes differ", m, workers)
+				}
+			}
+		}
+	})
+}
+
+func TestPlanMatchesOracleRepair(t *testing.T) {
+	forEachPlanCase(t, func(t *testing.T, c *Code, sectorSize int) {
+		rng := rand.New(rand.NewSource(11))
+		st := newFilledStripe(t, c, sectorSize, 9)
+		if err := c.Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		// In-coverage patterns: a single sector, the worst case the code
+		// is built for (m chunks plus the stair), and whatever scattered
+		// pair happens to be recoverable.
+		patterns := [][]Cell{
+			{{Col: 0, Row: 0}},
+			worstCaseLost(c),
+			{{Col: 1, Row: 2}, {Col: c.N() - 1, Row: 1}},
+		}
+		for pi, lost := range patterns {
+			if ok, err := c.CanRecover(lost); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				continue
+			}
+			broken := st.Clone()
+			for _, cell := range lost {
+				rng.Read(broken.Sector(cell.Col, cell.Row))
+			}
+			want := broken.Clone()
+			oracleRepair(t, c, want, lost)
+			for _, workers := range planWorkers {
+				got := broken.Clone()
+				var err error
+				if workers == 0 {
+					err = c.Repair(got, lost)
+				} else {
+					err = c.RepairParallel(got, lost, workers)
+				}
+				if err != nil {
+					t.Fatalf("pattern %d workers=%d: %v", pi, workers, err)
+				}
+				if !stripesEqual(got, want) {
+					t.Fatalf("pattern %d workers=%d: plan and oracle repairs differ", pi, workers)
+				}
+			}
+		}
+	})
+}
+
+func TestPlanMatchesOracleUpdate(t *testing.T) {
+	forEachPlanCase(t, func(t *testing.T, c *Code, sectorSize int) {
+		rng := rand.New(rand.NewSource(13))
+		got := newFilledStripe(t, c, sectorSize, 17)
+		if err := c.Encode(got); err != nil {
+			t.Fatal(err)
+		}
+		want := got.Clone()
+		cells := c.DataCells()
+		for _, cell := range []Cell{cells[0], cells[len(cells)-1]} {
+			newData := make([]byte, sectorSize)
+			rng.Read(newData)
+			if err := c.Update(got, cell, newData); err != nil {
+				t.Fatal(err)
+			}
+			oracleUpdate(c, want, cell, newData)
+			if !stripesEqual(got, want) {
+				t.Fatalf("cell %v: fused and per-relation updates differ", cell)
+			}
+		}
+		if ok, err := c.Verify(got); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			t.Fatal("stripe does not verify after update")
+		}
+	})
+}
+
+// TestPlanInfo: every code reports a compiled plan, whatever its field.
 func TestPlanInfo(t *testing.T) {
-	c, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	for _, cfg := range planTestConfigs() {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := c.PlanInfo()
+		if info.TileBytes != defaultPlanTile {
+			t.Errorf("%v: TileBytes = %d, want %d", c.Config(), info.TileBytes, defaultPlanTile)
+		}
+		if info.Stages == 0 || info.FusedCalls == 0 || info.MaxFanout == 0 {
+			t.Errorf("%v: plan shape empty: %+v", c.Config(), info)
+		}
+		if info.Kernel != c.KernelName() {
+			t.Errorf("%v: Kernel = %q, want %q", c.Config(), info.Kernel, c.KernelName())
+		}
+	}
+	auto, err := New(planTallConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := c.PlanInfo()
-	if info.Mode != "fused" {
-		t.Errorf("Mode = %q, want fused", info.Mode)
+	if w := auto.Config().W; w != 16 {
+		t.Fatalf("R+e_max=257 resolved to w=%d, want 16", w)
 	}
-	if info.TileBytes != defaultPlanTile {
-		t.Errorf("TileBytes = %d, want %d", info.TileBytes, defaultPlanTile)
-	}
-	if info.Stages == 0 || info.FusedCalls == 0 || info.MaxFanout == 0 {
-		t.Errorf("fused plan shape empty: %+v", info)
-	}
-	if info.Kernel == "" {
-		t.Error("Kernel empty")
-	}
-
-	// w=16 has no byte split tables: the plan must report legacy.
-	c16, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 2}, W: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := c16.PlanInfo(); info.Mode != "legacy" {
-		t.Errorf("w=16 Mode = %q, want legacy", info.Mode)
-	}
-
-	t.Setenv("STAIR_PLAN_MODE", "legacy")
-	cl, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := cl.PlanInfo(); info.Mode != "legacy" || info.Stages != 0 {
-		t.Errorf("forced legacy PlanInfo = %+v", info)
+	if d := PlanDefaults(); d.TileBytes != defaultPlanTile || d.Kernel != gf.ActiveKernelName() {
+		t.Errorf("PlanDefaults() = %+v", d)
 	}
 }
 
-// TestPlanFusedCoversDecodeCache: repairing twice through the cache must
+// TestPlanMergesDuplicateTerms: duplicate (src,dst) terms merge by XOR of
+// their coefficients, and a pair merging to zero leaves the destination
+// to the explicit clear — in every field, since the planner carries the
+// coefficient itself rather than reading it back out of a table.
+func TestPlanMergesDuplicateTerms(t *testing.T) {
+	for _, w := range []int{4, 8, 16} {
+		c, err := New(Config{N: 6, R: 4, M: 1, E: []int{1, 2}, W: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dstSum, dstZero := int32(c.cellIdx(0, 0)), int32(c.cellIdx(0, 1)), int32(c.cellIdx(0, 2))
+		sch := &schedule{ops: []op{
+			{dst: dstSum, terms: []term{{src: src, coeff: 3}, {src: src, coeff: 5}}},
+			{dst: dstZero, terms: []term{{src: src, coeff: 9}, {src: src, coeff: 9}}},
+		}}
+		p := c.compilePlan(sch)
+		if p.calls != 1 || len(p.stages) != 1 || len(p.stages[0].zero) != 1 || p.stages[0].zero[0] != dstZero {
+			t.Fatalf("w=%d: plan = %+v, want one init call and %d zeroed", w, p.stages, dstZero)
+		}
+		const sectorSize = 66
+		got := newFilledStripe(t, c, sectorSize, 21)
+		want := got.Clone()
+		cells, release := c.env(got)
+		c.runPlan(p, cells)
+		release()
+		cells, release = c.env(want)
+		c.run(sch, cells)
+		release()
+		if !stripesEqual(got, want) {
+			t.Fatalf("w=%d: merged plan and schedule walk differ", w)
+		}
+	}
+}
+
+// TestPlanDecodeCacheReusesPlan: repairing twice through the cache must
 // reuse the compiled plan (same pointer) rather than recompiling.
 func TestPlanDecodeCacheReusesPlan(t *testing.T) {
 	c, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
@@ -239,8 +320,5 @@ func TestPlanDecodeCacheReusesPlan(t *testing.T) {
 	}
 	if p1 == nil || p1 != p2 {
 		t.Fatalf("decode plan not cached: %p vs %p", p1, p2)
-	}
-	if p1.legacy {
-		t.Error("w=8 decode plan compiled to legacy")
 	}
 }

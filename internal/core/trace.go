@@ -78,11 +78,11 @@ func (c *Code) traceOf(sch *schedule) []TraceStep {
 // e=(1,1,2)), EncodeTrace(MethodDownstairs) reproduces Table 3.
 // MethodStandard has no step structure and returns nil.
 func (c *Code) EncodeTrace(m Method) ([]TraceStep, error) {
-	sch, err := c.scheduleFor(m)
+	p, err := c.planFor(m)
 	if err != nil {
 		return nil, err
 	}
-	return c.traceOf(sch), nil
+	return c.traceOf(p.sch), nil
 }
 
 // UpstairsDecodeTrace returns the strict §4.2 upstairs decoding step

@@ -41,15 +41,9 @@ func (c *Code) Update(st *Stripe, cell Cell, newData []byte) error {
 		}
 		coeffs[i] = pr.coeff
 	}
-	if c.planMode == planLegacy {
-		for i := range dsts {
-			c.f.MultXOR(dsts[i], delta, coeffs[i])
-		}
-	} else {
-		// One fused pass: the delta region is read once for all affected
-		// parity sectors (§5.2 uneven parity relations, source-major).
-		c.f.MultXORFused(dsts, delta, coeffs)
-	}
+	// One fused pass: the delta region is read once for all affected
+	// parity sectors (§5.2 uneven parity relations, source-major).
+	c.f.MultXORFused(dsts, delta, coeffs)
 	copy(old, newData)
 	return nil
 }

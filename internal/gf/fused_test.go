@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -137,8 +138,8 @@ func TestKernelsMatchReferenceMulRegionFused(t *testing.T) {
 	}
 }
 
-// TestFieldMultXORFused covers the Field-level surface: zero coefficients
-// skipped, arity validation, and the w=16 per-destination fallback.
+// TestFieldMultXORFused covers the Field-level surface for every width:
+// zero coefficients skipped, arity validation.
 func TestFieldMultXORFused(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for _, w := range []int{4, 8, 16} {
@@ -171,6 +172,94 @@ func TestFieldMultXORFused(t *testing.T) {
 		}
 	}()
 	Get(8).MultXORFused(make([][]byte, 2), make([]byte, 8), []uint32{1})
+}
+
+// TestWideFusedMatchesScalar holds the GF(2^16) route of the package-level
+// fused entry points — accumulate and overwrite — to a symbol-by-symbol
+// Field.Mul loop. Symbol counts cover the sub-word tail alone, the
+// four-symbol word loop alone and both together; odd byte offsets put
+// every uint64 load and store off its natural boundary.
+func TestWideFusedMatchesScalar(t *testing.T) {
+	f := Get(16)
+	rng := rand.New(rand.NewSource(71))
+	for _, symbols := range []int{1, 3, 4, 5, 7, 8, 9, 33, 4097} {
+		for _, off := range []int{0, 1, 3, 7} {
+			for _, ndst := range []int{1, 2, 5} {
+				n := 2 * symbols
+				src := make([]byte, n+off)[off:]
+				rng.Read(src)
+				coeffs := []uint32{1, 2, uint32(f.mask), 0x1234, uint32(rng.Intn(f.size))}[:ndst]
+				tabs := make([]*MulTable, ndst)
+				acc, over := make([][]byte, ndst), make([][]byte, ndst)
+				wantAcc, wantOver := make([][]byte, ndst), make([][]byte, ndst)
+				for i, c := range coeffs {
+					tabs[i] = f.Table(c)
+					acc[i] = make([]byte, n+off)[off:]
+					rng.Read(acc[i])
+					over[i] = append([]byte(nil), acc[i]...)
+					wantAcc[i] = append([]byte(nil), acc[i]...)
+					wantOver[i] = make([]byte, n)
+					for s := 0; s < symbols; s++ {
+						prod := f.Mul(c, f.ReadSymbol(src, s))
+						f.WriteSymbol(wantOver[i], s, prod)
+						f.WriteSymbol(wantAcc[i], s, f.ReadSymbol(wantAcc[i], s)^prod)
+					}
+				}
+				MultXORFused(acc, src, tabs)
+				MulRegionFused(over, src, tabs)
+				for i := range coeffs {
+					if !bytes.Equal(acc[i], wantAcc[i]) {
+						t.Fatalf("symbols=%d off=%d c=%#x: MultXORFused disagrees with scalar Mul", symbols, off, coeffs[i])
+					}
+					if !bytes.Equal(over[i], wantOver[i]) {
+						t.Fatalf("symbols=%d off=%d c=%#x: MulRegionFused disagrees with scalar Mul", symbols, off, coeffs[i])
+					}
+				}
+			}
+		}
+	}
+	// A range that splits a two-byte symbol is a caller bug, not data.
+	defer func() {
+		if recover() == nil {
+			t.Error("odd-length w=16 fused call did not panic")
+		}
+	}()
+	MultXORFused([][]byte{make([]byte, 3)}, make([]byte, 3), []*MulTable{f.Table(2)})
+}
+
+// TestTableNeverNil: every field hands out a table for every coefficient
+// — GF(2^16) lazily, once, even when goroutines race for the first use.
+func TestTableNeverNil(t *testing.T) {
+	for _, w := range testWidths {
+		f, err := NewField(w) // private instance: its lazy slots start empty
+		if err != nil {
+			t.Fatal(err)
+		}
+		const racers = 8
+		got := make([]*MulTable, racers)
+		var wg sync.WaitGroup
+		for g := 0; g < racers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = f.Table(0x53)
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			if got[g] == nil || got[g] != got[0] {
+				t.Fatalf("w=%d: racing Table calls returned %p and %p", w, got[0], got[g])
+			}
+		}
+		for _, c := range []uint32{0, 1, uint32(f.mask), uint32(f.size) + 2} {
+			if f.Table(c) == nil {
+				t.Fatalf("w=%d: Table(%#x) is nil", w, c)
+			}
+		}
+		if f.Table(uint32(f.size)+2) != f.Table(2) {
+			t.Errorf("w=%d: Table does not reduce its coefficient to the field", w)
+		}
+	}
 }
 
 // FuzzMultXORFused: the fuzzer owns the destination count, coefficients,

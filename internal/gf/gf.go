@@ -12,14 +12,16 @@
 // overridable with STAIR_GF_KERNEL; see kernel.go. GF(2^16) and the
 // `purego` build use a widened-word portable path.
 //
-// Field values are immutable after construction and safe for concurrent
-// use.
+// Field values are safe for concurrent use: everything is fixed at
+// construction except the GF(2^16) per-coefficient tables, which are
+// built on first use and published atomically.
 package gf
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Primitive polynomials used to construct each field, expressed with the
@@ -49,6 +51,10 @@ type Field struct {
 	// the byte-oriented kernels apply unchanged). tables[c].Row is also
 	// the scalar Mul fast path for w == 8.
 	tables []MulTable
+	// wide replaces tables for w == 16: one slot per coefficient, filled
+	// the first time Table hands that coefficient out. 65 536 eager
+	// tables would cost ~83 MiB; a code's plans use a few hundred.
+	wide []atomic.Pointer[MulTable]
 }
 
 var (
@@ -160,6 +166,8 @@ func (f *Field) buildTables(poly uint32) {
 			}
 			t.Gfni = gfniMatrix(&t.Row)
 		}
+	case 16:
+		f.wide = make([]atomic.Pointer[MulTable], n)
 	}
 }
 
@@ -249,10 +257,10 @@ func (f *Field) checkRegions(dst, src []byte) {
 // the byte-symbol fields w == 4 and w == 8, and "portable" for w == 16,
 // whose two-byte symbols take the widened two-table path.
 func (f *Field) KernelName() string {
-	if f.tables != nil {
-		return ActiveKernelName()
+	if f.wide != nil {
+		return portableKernel{}.Name()
 	}
-	return portableKernel{}.Name()
+	return ActiveKernelName()
 }
 
 // MultXOR computes dst ^= c·src over the field, symbol by symbol. This is
@@ -273,42 +281,37 @@ func (f *Field) MultXOR(dst, src []byte, c uint32) {
 		activeKernel().XORRegion(dst, src)
 		return
 	}
-	if f.tables != nil { // w == 4 or 8: split-table kernel dispatch
-		activeKernel().MultXOR(dst, src, &f.tables[c])
+	if f.wide != nil {
+		mulWide(dst, src, f.wideTable(c).wide, true)
 		return
 	}
-	// w == 16: two-byte symbols via per-call low/high byte product
-	// tables, four symbols (one uint64) per iteration.
-	var lo, hi [256]uint16
-	for a := 0; a < 256; a++ {
-		lo[a] = uint16(f.Mul(c, uint32(a)))
-		hi[a] = uint16(f.Mul(c, uint32(a)<<8))
-	}
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		p := uint64(lo[src[i]]^hi[src[i+1]]) |
-			uint64(lo[src[i+2]]^hi[src[i+3]])<<16 |
-			uint64(lo[src[i+4]]^hi[src[i+5]])<<32 |
-			uint64(lo[src[i+6]]^hi[src[i+7]])<<48
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^p)
-	}
-	for ; i+1 < n; i += 2 {
-		v := lo[src[i]] ^ hi[src[i+1]]
-		dst[i] ^= byte(v)
-		dst[i+1] ^= byte(v >> 8)
-	}
+	activeKernel().MultXOR(dst, src, &f.tables[c])
 }
 
 // Table returns the region-kernel lookup state for multiplication by c,
-// for use with the package-level MultXORFused. It returns nil for
-// w == 16, whose two-byte symbols have no byte-oriented split table —
-// fused callers fall back to per-destination MultXOR there.
+// for use with the package-level MultXORFused and MulRegionFused. Callers
+// resolve it once (at plan-compile time) and reuse it across calls.
 func (f *Field) Table(c uint32) *MulTable {
-	if f.tables == nil {
-		return nil
+	if f.wide != nil {
+		return f.wideTable(c & f.mask)
 	}
 	return &f.tables[c&f.mask]
+}
+
+// wideTable returns the w == 16 table of c, building it on first use.
+// Racing builders produce identical tables; the first published one wins.
+func (f *Field) wideTable(c uint32) *MulTable {
+	slot := &f.wide[c]
+	if t := slot.Load(); t != nil {
+		return t
+	}
+	w := &wideTable{}
+	for a := uint32(0); a < 256; a++ {
+		w.lo[a] = uint16(f.Mul(c, a))
+		w.hi[a] = uint16(f.Mul(c, a<<8))
+	}
+	slot.CompareAndSwap(nil, &MulTable{wide: w})
+	return slot.Load()
 }
 
 // MultXORFused computes dsts[i] ^= coeffs[i]·src for every destination in
@@ -322,38 +325,34 @@ func (f *Field) MultXORFused(dsts [][]byte, src []byte, coeffs []uint32) {
 	if len(dsts) != len(coeffs) {
 		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d coeffs=%d", len(dsts), len(coeffs)))
 	}
-	if f.tables == nil {
-		// w == 16: no byte-oriented tables; per-destination widened path.
-		for i, d := range dsts {
-			f.MultXOR(d, src, coeffs[i])
-		}
-		return
-	}
 	live := make([][]byte, 0, len(dsts))
 	tabs := make([]*MulTable, 0, len(dsts))
 	for i, d := range dsts {
 		f.checkRegions(d, src)
 		if c := coeffs[i] & f.mask; c != 0 {
 			live = append(live, d)
-			tabs = append(tabs, &f.tables[c])
+			tabs = append(tabs, f.Table(c))
 		}
 	}
-	if len(live) == 0 || len(src) == 0 {
-		return
-	}
-	activeKernel().MultXORFused(live, src, tabs)
+	MultXORFused(live, src, tabs)
 }
 
 // MultXORFused dispatches dsts[i] ^= tables[i]·src to the active region
 // kernel in one pass over src. It is the precompiled-plan entry point:
 // callers resolve coefficient tables once via Field.Table (dropping zero
 // coefficients) and reuse them across calls. Every dsts[i] must have at
-// least len(src) bytes and every tables[i] must be non-nil.
+// least len(src) bytes, every tables[i] must be non-nil and all of them
+// must come from the same field. GF(2^16) tables take the portable wide
+// loop, one destination at a time.
 func MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
 	if len(dsts) != len(tables) {
 		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d tables=%d", len(dsts), len(tables)))
 	}
 	if len(dsts) == 0 || len(src) == 0 {
+		return
+	}
+	if tables[0].wide != nil {
+		mulWideFused(dsts, src, tables, true)
 		return
 	}
 	activeKernel().MultXORFused(dsts, src, tables)
@@ -370,6 +369,10 @@ func MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
 	if len(dsts) == 0 || len(src) == 0 {
 		return
 	}
+	if tables[0].wide != nil {
+		mulWideFused(dsts, src, tables, false)
+		return
+	}
 	activeKernel().MulRegionFused(dsts, src, tables)
 }
 
@@ -381,15 +384,25 @@ func (f *Field) MultRegion(dst, src []byte, c uint32) {
 		Zero(dst)
 		return
 	}
-	if f.tables != nil { // w == 4 or 8: split-table kernel dispatch
-		activeKernel().MulRegion(dst, src, &f.tables[c])
+	if f.wide != nil {
+		mulWide(dst, src, f.wideTable(c).wide, false)
 		return
 	}
-	var lo, hi [256]uint16
-	for a := 0; a < 256; a++ {
-		lo[a] = uint16(f.Mul(c, uint32(a)))
-		hi[a] = uint16(f.Mul(c, uint32(a)<<8))
-	}
+	activeKernel().MulRegion(dst, src, &f.tables[c])
+}
+
+// wideTable is the GF(2^16) per-coefficient lookup state: the products of
+// c with every low byte and every high byte of a two-byte symbol, so
+// c·v = lo[v&0xff] ^ hi[v>>8] by linearity.
+type wideTable struct {
+	lo, hi [256]uint16
+}
+
+// mulWide is the one GF(2^16) region loop: dst ^= c·src when acc is set,
+// dst = c·src otherwise, over little-endian two-byte symbols, four symbols
+// (one uint64) per iteration. len(src) must be even.
+func mulWide(dst, src []byte, t *wideTable, acc bool) {
+	lo, hi := &t.lo, &t.hi
 	n := len(src)
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -397,12 +410,31 @@ func (f *Field) MultRegion(dst, src []byte, c uint32) {
 			uint64(lo[src[i+2]]^hi[src[i+3]])<<16 |
 			uint64(lo[src[i+4]]^hi[src[i+5]])<<32 |
 			uint64(lo[src[i+6]]^hi[src[i+7]])<<48
+		if acc {
+			p ^= binary.LittleEndian.Uint64(dst[i:])
+		}
 		binary.LittleEndian.PutUint64(dst[i:], p)
 	}
 	for ; i+1 < n; i += 2 {
 		v := lo[src[i]] ^ hi[src[i+1]]
+		if acc {
+			v ^= uint16(dst[i]) | uint16(dst[i+1])<<8
+		}
 		dst[i] = byte(v)
 		dst[i+1] = byte(v >> 8)
+	}
+}
+
+// mulWideFused routes a fused call carrying GF(2^16) tables through
+// mulWide, one destination at a time. A byte range that splits a symbol
+// (a plan tile or worker range starting on an odd byte) is a caller bug
+// that would silently corrupt the boundary symbols, so it panics.
+func mulWideFused(dsts [][]byte, src []byte, tables []*MulTable, acc bool) {
+	if len(src)%2 != 0 {
+		panic(fmt.Sprintf("gf: region length %d is not a multiple of the 2-byte symbol size", len(src)))
+	}
+	for i, d := range dsts {
+		mulWide(d[:len(src)], src, tables[i].wide, acc)
 	}
 }
 

@@ -26,11 +26,12 @@ import (
 // table: the 256-entry row for scalar/tail work plus the 16-entry low-
 // and high-nibble split tables the SIMD paths shuffle against. GF(2^4)
 // regions reuse the same kernels (its split table has an all-zero high
-// half, see buildTables); GF(2^16) always takes the portable widened
-// two-table path in gf.go.
+// half, see buildTables); GF(2^16) tables never reach a Kernel — the
+// fused entry points in gf.go route them to the portable wide loop.
 
-// MulTable is the per-coefficient lookup state for GF(2^8)/GF(2^4) region
-// kernels: the full multiply-by-c row plus its 4-bit split tables.
+// MulTable is the per-coefficient lookup state the region ops multiply
+// through. For GF(2^8)/GF(2^4) it is the full multiply-by-c row plus its
+// 4-bit split tables; for GF(2^16) only wide is set.
 //
 // For every byte v, Row[v] == Lo[v&0x0f] ^ Hi[v>>4]; the SIMD kernels
 // exploit that identity to translate 16 or 32 bytes per shuffle while the
@@ -40,6 +41,8 @@ type MulTable struct {
 	Lo   [16]byte  // Lo[x] = c·x            (low-nibble products)
 	Hi   [16]byte  // Hi[x] = c·(x<<4)       (high-nibble products)
 	Gfni uint64    // 8×8 bit matrix of v ↦ c·v for VGF2P8AFFINEQB
+
+	wide *wideTable // two-byte-symbol products; non-nil iff w == 16
 }
 
 // The fused assembly routines (amd64, arm64) address Lo at byte offset

@@ -2,10 +2,7 @@
 
 package integrity
 
-import (
-	"hash/crc32"
-	"os"
-)
+import "hash/crc32"
 
 // Wide CRC32C via VPCLMULQDQ folding. The stdlib's castagnoli path
 // (3-way interleaved CRC32 instructions) tops out around one 8-byte
@@ -50,11 +47,6 @@ func crcCpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func crcXgetbv() (eax, edx uint32)
 
 var haveVPCLMUL = func() bool {
-	// Escape hatch mirroring STAIR_GF_KERNEL: force the stdlib path so
-	// the two implementations can be A/B'd on real hardware.
-	if os.Getenv("STAIR_CRC_KERNEL") == "portable" {
-		return false
-	}
 	const (
 		cpuidPCLMUL     = 1 << 1
 		cpuidOSXSAVE    = 1 << 27
