@@ -310,10 +310,17 @@ func BenchmarkDecodeScheduleBuild(b *testing.B) {
 
 func benchStore(b *testing.B, stripes int) *store.Store {
 	b.Helper()
+	return benchStoreWith(b, stripes, nil)
+}
+
+// benchStoreWith is benchStore with the end-to-end integrity layer on
+// when integ is non-nil.
+func benchStoreWith(b *testing.B, stripes int, integ *store.IntegrityOptions) *store.Store {
+	b.Helper()
 	c := benchCode(b, core.Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
 	sector := benchStripeBytes / (c.N() * c.R())
 	sector -= sector % c.Field().SymbolBytes()
-	s, err := store.Open(store.Config{Code: c, SectorSize: sector, Stripes: stripes})
+	s, err := store.Open(store.Config{Code: c, SectorSize: sector, Stripes: stripes, Integrity: integ})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,21 +361,27 @@ func BenchmarkStoreWriteSeq(b *testing.B) {
 }
 
 // BenchmarkStoreSubStripeWrite: a single-block overwrite flushed through
-// the §5.2 incremental-parity read–modify–write path.
+// the §5.2 incremental-parity read–modify–write path — without and with
+// the integrity layer, which verifies every cell the update reads and
+// digests every cell it writes.
 func BenchmarkStoreSubStripeWrite(b *testing.B) {
-	s := benchStore(b, 4)
-	buf := make([]byte, s.BlockSize())
-	rand.New(rand.NewSource(11)).Read(buf)
-	b.SetBytes(int64(s.BlockSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.WriteBlock(benchCtx, i%s.Blocks(), buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Flush(benchCtx); err != nil {
-			b.Fatal(err)
-		}
+	for _, integ := range []*store.IntegrityOptions{nil, {Epoch: 1}} {
+		b.Run(fmt.Sprintf("integrity=%t", integ != nil), func(b *testing.B) {
+			s := benchStoreWith(b, 4, integ)
+			buf := make([]byte, s.BlockSize())
+			rand.New(rand.NewSource(11)).Read(buf)
+			b.SetBytes(int64(s.BlockSize()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.WriteBlock(benchCtx, i%s.Blocks(), buf); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Flush(benchCtx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -143,13 +143,22 @@ func TestAPIMaintenanceAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var metrics metricsReport
-	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err == nil {
+		err = json.Unmarshal(body, &metrics)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if metrics.Store.Writes == 0 {
 		t.Fatalf("metrics report zero writes after a PUT: %+v", metrics.Store)
+	}
+	// The one-block PUT was flushed through the sub-stripe path, on its
+	// delta load: the fallback counter is exported, and reads zero on a
+	// healthy volume.
+	if metrics.Store.SubStripeFlushes == 0 || !bytes.Contains(body, []byte(`"SubStripeFallbacks":0`)) {
+		t.Fatalf("metrics want ≥1 sub-stripe flush and an exported zero SubStripeFallbacks: %s", body)
 	}
 	// The latency map carries a row per op class exercised above: one
 	// PUT (write), plus flush and scrub; /v1/sync is not timed. A GET

@@ -211,3 +211,86 @@ func TestHedgeWaitsForSamples(t *testing.T) {
 		t.Fatalf("hedge launched with no latency history: %+v", st)
 	}
 }
+
+// TestHedgedReadSubChunkExtents: the store's delta read–modify–write
+// reads sub-chunk extents — a few rows from the middle of a stripe's
+// chunk — through the hedge. A stalled column must be outrun on such an
+// extent exactly as on a whole chunk, with the device's bytes, up to
+// and including an extent that ends on the data region's last sector;
+// one sector further the extent is sidecar, which is not encoded across
+// columns, and the hedge must stand aside.
+func TestHedgedReadSubChunkExtents(t *testing.T) {
+	const sectorSize, stripes = 64, 3
+	v, fx := openIntegrityVolume(t, stripes, sectorSize, &HedgeConfig{
+		Percentile: 0.5,
+		MinDelay:   2 * time.Millisecond,
+		MaxDelay:   20 * time.Millisecond,
+		MinSamples: 4,
+		Window:     64,
+	})
+	defer v.Close()
+	fillVolume(t, v)
+	ctx := context.Background()
+	hd, ok := v.devs[0].(*hedgedColumn)
+	if !ok {
+		t.Fatalf("column 0 device is %T, want *hedgedColumn", v.devs[0])
+	}
+	for i := 0; i < 8; i++ {
+		if err := hd.ReadSectors(ctx, 0, [][]byte{make([]byte, sectorSize)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := v.Placement()[0].Name
+	const stall = 300 * time.Millisecond
+	fx.gates[victim].delay.Store(int64(stall))
+
+	r := v.code.R()
+	read := func(start, n int) (time.Duration, [][]byte) {
+		t.Helper()
+		bufs := make([][]byte, n)
+		for i := range bufs {
+			bufs[i] = make([]byte, sectorSize)
+		}
+		begin := time.Now()
+		if err := hd.ReadSectors(ctx, start, bufs); err != nil {
+			t.Fatalf("hedged read of [%d,+%d): %v", start, n, err)
+		}
+		return time.Since(begin), bufs
+	}
+	for _, ext := range []struct{ start, n int }{
+		{1*r + 1, 2},       // the middle of stripe 1's chunk
+		{stripes*r - 2, 2}, // ends on the last data sector
+		{1*r + r - 1, 2},   // straddles stripes 1 and 2
+	} {
+		launched := v.Stats().HedgesLaunched
+		took, got := read(ext.start, ext.n)
+		if took >= stall-50*time.Millisecond {
+			t.Fatalf("extent [%d,+%d) took %v: the hedge did not outrun the stall", ext.start, ext.n, took)
+		}
+		if v.Stats().HedgesLaunched == launched {
+			t.Fatalf("extent [%d,+%d): no hedge launched", ext.start, ext.n)
+		}
+		want := make([][]byte, ext.n)
+		for i := range want {
+			want[i] = make([]byte, sectorSize)
+		}
+		if err := fx.mems[victim].ReadSectors(ctx, ext.start, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("extent [%d,+%d): hedged sector %d differs from the device's", ext.start, ext.n, i)
+			}
+		}
+	}
+	// One sector into the sidecar region: served by the column itself,
+	// stall and all.
+	launched := v.Stats().HedgesLaunched
+	took, _ := read(stripes*r-1, 2)
+	if v.Stats().HedgesLaunched != launched {
+		t.Fatal("a hedge was launched for an extent reaching into the sidecar region")
+	}
+	if took < stall {
+		t.Fatalf("sidecar-reaching extent took %v, under the %v stall: not served by the column", took, stall)
+	}
+}

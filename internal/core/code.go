@@ -94,8 +94,7 @@ type Code struct {
 	tempSlot  []int32
 	tempCount int
 
-	scratch    sync.Pool // *[]byte buffers of tempCount × sectorSize
-	cellsPool  sync.Pool // *[][]byte environments of rows × cols cells
+	envPool    sync.Pool // *stripeEnv: cell mapping + temporaries scratch
 	fanPool    sync.Pool // *[][]byte fused-kernel destination vectors
 	stripePool sync.Pool // *Stripe whole-stripe scratch (Verify)
 

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // ErrUnrecoverable reports a failure pattern outside the code's coverage
@@ -18,32 +18,27 @@ var ErrUnrecoverable = errors.New("core: failure pattern is unrecoverable")
 const maxDecodeCacheEntries = 256
 
 func (c *Code) checkLost(lost []Cell) ([]int, error) {
-	seen := make(map[int]bool, len(lost))
 	idxs := make([]int, 0, len(lost))
 	for _, cell := range lost {
 		if cell.Col < 0 || cell.Col >= c.n || cell.Row < 0 || cell.Row >= c.r {
 			return nil, fmt.Errorf("core: lost cell %v out of range (n=%d, r=%d)", cell, c.n, c.r)
 		}
-		idx := c.cellIdx(cell.Row, cell.Col)
-		if seen[idx] {
-			continue
-		}
-		seen[idx] = true
-		idxs = append(idxs, idx)
+		idxs = append(idxs, c.cellIdx(cell.Row, cell.Col))
 	}
 	sort.Ints(idxs)
-	return idxs, nil
+	return slices.Compact(idxs), nil
 }
 
-func lostKey(idxs []int) string {
-	var b strings.Builder
+// appendLostKey renders a sorted lost-cell index list as the decode
+// cache's key, appended to dst.
+func appendLostKey(dst []byte, idxs []int) []byte {
 	for i, v := range idxs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.Itoa(v))
+		dst = strconv.AppendInt(dst, int64(v), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // decodePlan returns (building, compiling and caching as needed) the
@@ -52,9 +47,12 @@ func lostKey(idxs []int) string {
 // means repeated repairs of the same pattern (the scrubber draining a
 // failed chunk stripe by stripe) pay the source-major compilation once.
 func (c *Code) decodePlan(idxs []int) (*plan, error) {
-	key := lostKey(idxs)
+	// The key is built on the stack and looked up without becoming a
+	// string; only a miss pays for one.
+	var kbuf [256]byte
+	key := appendLostKey(kbuf[:0], idxs)
 	c.decodeMu.Lock()
-	pl, hit := c.decodeCache[key]
+	pl, hit := c.decodeCache[string(key)]
 	c.decodeMu.Unlock()
 	if hit {
 		return pl, nil
@@ -70,7 +68,7 @@ func (c *Code) decodePlan(idxs []int) (*plan, error) {
 	if len(c.decodeCache) >= maxDecodeCacheEntries {
 		c.decodeCache = make(map[string]*plan)
 	}
-	c.decodeCache[key] = pl
+	c.decodeCache[string(key)] = pl
 	c.decodeMu.Unlock()
 	return pl, nil
 }

@@ -1,14 +1,22 @@
 package core
 
-// env builds the canonical-cell → sector mapping for one stripe, backing
-// temporaries with pooled scratch memory. release returns the scratch to
-// the pool.
-func (c *Code) env(st *Stripe) (cells [][]byte, release func()) {
-	if v := c.cellsPool.Get(); v != nil {
-		cells = *(v.(*[][]byte))
-	} else {
-		cells = make([][]byte, c.rows*c.cols)
+// stripeEnv is the canonical-cell → sector mapping of one stripe under
+// encode or repair, with the scratch memory backing its temporaries.
+// Environments are pooled whole, so building one allocates nothing in
+// steady state.
+type stripeEnv struct {
+	cells [][]byte // rows × cols, indexed by cellIdx
+	temps []byte   // tempCount × sectorSize
+}
+
+// env builds the environment for st; the caller hands it back with
+// releaseEnv once the plan has run.
+func (c *Code) env(st *Stripe) *stripeEnv {
+	e, _ := c.envPool.Get().(*stripeEnv)
+	if e == nil {
+		e = &stripeEnv{cells: make([][]byte, c.rows*c.cols)}
 	}
+	cells := e.cells
 	for col := 0; col < c.n; col++ {
 		for row := 0; row < c.r; row++ {
 			cells[c.cellIdx(row, col)] = st.Cells[col*c.r+row]
@@ -21,37 +29,23 @@ func (c *Code) env(st *Stripe) (cells [][]byte, release func()) {
 			}
 		}
 	}
-	if c.tempCount == 0 {
-		return cells, func() { c.releaseEnv(cells) }
-	}
-	need := c.tempCount * st.SectorSize
-	var buf []byte
-	if v := c.scratch.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= need {
-			buf = b[:need]
-		}
-	}
-	if buf == nil {
-		buf = make([]byte, need)
+	if need := c.tempCount * st.SectorSize; cap(e.temps) < need {
+		e.temps = make([]byte, need)
 	}
 	for idx, slot := range c.tempSlot {
 		if slot >= 0 {
 			off := int(slot) * st.SectorSize
-			cells[idx] = buf[off : off+st.SectorSize : off+st.SectorSize]
+			cells[idx] = e.temps[off : off+st.SectorSize : off+st.SectorSize]
 		}
 	}
-	return cells, func() {
-		c.scratch.Put(&buf)
-		c.releaseEnv(cells)
-	}
+	return e
 }
 
-// releaseEnv clears the environment (so pooled slabs are not pinned)
-// and returns the cell vector to the pool.
-func (c *Code) releaseEnv(cells [][]byte) {
-	clear(cells)
-	c.cellsPool.Put(&cells)
+// releaseEnv clears the mapping (so pooled slabs are not pinned) and
+// returns the environment to the pool.
+func (c *Code) releaseEnv(e *stripeEnv) {
+	clear(e.cells)
+	c.envPool.Put(e)
 }
 
 // acquireScratchStripe returns a pooled whole-stripe scratch. Contents

@@ -108,9 +108,9 @@ func (c *Code) EncodeParallel(st *Stripe, m Method, workers int) error {
 	if workers < 1 {
 		return fmt.Errorf("core: workers=%d must be ≥ 0", workers)
 	}
-	cells, release := c.env(st)
-	defer release()
-	c.runParallel(p, cells, st.SectorSize, workers)
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.runParallel(p, e.cells, st.SectorSize, workers)
 	return nil
 }
 
@@ -140,8 +140,8 @@ func (c *Code) RepairParallel(st *Stripe, lost []Cell, workers int) error {
 	if workers < 1 {
 		return fmt.Errorf("core: workers=%d must be ≥ 0", workers)
 	}
-	cells, release := c.env(st)
-	defer release()
-	c.runParallel(pl, cells, st.SectorSize, workers)
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.runParallel(pl, e.cells, st.SectorSize, workers)
 	return nil
 }

@@ -189,18 +189,15 @@ func (c *Code) runPlan(p *plan, cells [][]byte) {
 			break
 		}
 	}
-	var dstbuf [][]byte
-	if v := c.fanPool.Get(); v != nil {
-		if b := *(v.(*[][]byte)); cap(b) >= p.maxFan {
-			dstbuf = b[:p.maxFan]
-		}
+	fan, _ := c.fanPool.Get().(*[][]byte)
+	if fan == nil || cap(*fan) < p.maxFan {
+		b := make([][]byte, p.maxFan)
+		fan = &b
 	}
-	if dstbuf == nil {
-		dstbuf = make([][]byte, p.maxFan)
-	}
+	dstbuf := (*fan)[:p.maxFan]
 	defer func() {
 		clear(dstbuf)
-		c.fanPool.Put(&dstbuf)
+		c.fanPool.Put(fan)
 	}()
 	for lo := 0; lo < size; lo += defaultPlanTile {
 		hi := lo + defaultPlanTile

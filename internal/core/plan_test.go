@@ -40,9 +40,9 @@ func oracleEncode(t *testing.T, c *Code, st *Stripe, m Method) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, release := c.env(st)
-	defer release()
-	c.run(p.sch, cells)
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.run(p.sch, e.cells)
 }
 
 // oracleRepair repairs st through the schedule walk.
@@ -56,9 +56,9 @@ func oracleRepair(t *testing.T, c *Code, st *Stripe, lost []Cell) {
 	if err != nil || sch == nil {
 		t.Fatalf("no decode schedule for %v: %v", lost, err)
 	}
-	cells, release := c.env(st)
-	defer release()
-	c.run(sch, cells)
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.run(sch, e.cells)
 }
 
 // oracleUpdate applies the §5.2 parity relations one Mult_XOR at a time.
@@ -287,12 +287,12 @@ func TestPlanMergesDuplicateTerms(t *testing.T) {
 		const sectorSize = 66
 		got := newFilledStripe(t, c, sectorSize, 21)
 		want := got.Clone()
-		cells, release := c.env(got)
-		c.runPlan(p, cells)
-		release()
-		cells, release = c.env(want)
-		c.run(sch, cells)
-		release()
+		e := c.env(got)
+		c.runPlan(p, e.cells)
+		c.releaseEnv(e)
+		e = c.env(want)
+		c.run(sch, e.cells)
+		c.releaseEnv(e)
 		if !stripesEqual(got, want) {
 			t.Fatalf("w=%d: merged plan and schedule walk differ", w)
 		}

@@ -10,7 +10,25 @@ import (
 // cell that depends on it, using the uneven parity relations of §5.2:
 // for each affected parity p with coefficient a, p ^= a·(old ^ new).
 // newData must be SectorSize bytes. Only ClassData cells can be updated.
+// Update touches the cell and its ParityDependencies and nothing else,
+// so those are the only cells of st whose contents must be valid.
 func (c *Code) Update(st *Stripe, cell Cell, newData []byte) error {
+	return c.UpdateWith(st, cell, newData, new(UpdateScratch))
+}
+
+// UpdateScratch is Update's working memory — the delta region and the
+// destination/table vectors of the fused parity patch. A caller that
+// updates in a loop keeps one and passes it to UpdateWith, which then
+// allocates nothing. The zero value is ready; a scratch must not be
+// shared between concurrent calls.
+type UpdateScratch struct {
+	delta []byte
+	dsts  [][]byte
+	tabs  []*gf.MulTable
+}
+
+// UpdateWith is Update on caller-provided scratch.
+func (c *Code) UpdateWith(st *Stripe, cell Cell, newData []byte, sc *UpdateScratch) error {
 	if err := c.validateStripe(st); err != nil {
 		return err
 	}
@@ -26,25 +44,33 @@ func (c *Code) Update(st *Stripe, cell Cell, newData []byte) error {
 	}
 	ord := c.dataOrd[c.cellIdx(cell.Row, cell.Col)]
 	old := st.Sector(cell.Col, cell.Row)
-	delta := make([]byte, st.SectorSize)
+	if cap(sc.delta) < st.SectorSize {
+		sc.delta = make([]byte, st.SectorSize)
+	}
+	delta := sc.delta[:st.SectorSize]
 	copy(delta, old)
 	gf.XORRegion(delta, newData)
 	deps := c.dataDeps[ord]
-	dsts := make([][]byte, len(deps))
-	coeffs := make([]uint32, len(deps))
-	for i, pr := range deps {
+	if cap(sc.dsts) < len(deps) {
+		sc.dsts, sc.tabs = make([][]byte, 0, len(deps)), make([]*gf.MulTable, 0, len(deps))
+	}
+	dsts, tabs := sc.dsts[:0], sc.tabs[:0]
+	for _, pr := range deps {
 		row, col := c.cellRC(int(pr.cell))
 		if l, h, ok := c.globalOf(row, col); ok {
-			dsts[i] = st.Globals[c.globalOrd(l, h)]
+			dsts = append(dsts, st.Globals[c.globalOrd(l, h)])
 		} else {
-			dsts[i] = st.Sector(col, row)
+			dsts = append(dsts, st.Sector(col, row))
 		}
-		coeffs[i] = pr.coeff
+		tabs = append(tabs, c.f.Table(pr.coeff))
 	}
 	// One fused pass: the delta region is read once for all affected
 	// parity sectors (§5.2 uneven parity relations, source-major).
-	c.f.MultXORFused(dsts, delta, coeffs)
+	gf.MultXORFused(dsts, delta, tabs)
 	copy(old, newData)
+	// Keep the grown vectors, not the stripe memory they pointed into.
+	clear(dsts)
+	sc.dsts, sc.tabs = dsts, tabs
 	return nil
 }
 

@@ -114,5 +114,6 @@ func (s *Store) releaseStripeBuf(buf *stripeBuf) {
 	clear(buf.data)
 	buf.count = 0
 	buf.stuck, buf.queued = false, false
+	buf.torn = nil
 	s.bufPool.Put(buf)
 }

@@ -56,6 +56,17 @@ func (e SectorErrors) Error() string {
 	return fmt.Sprintf("%d lost sectors (%s)", len(e), strings.Join(idx, ","))
 }
 
+// has reports whether the device sector idx is among the failed ones —
+// a scan, for the handful of sectors a partial failure lists.
+func (e SectorErrors) has(idx int) bool {
+	for _, se := range e {
+		if se.Index == idx {
+			return true
+		}
+	}
+	return false
+}
+
 // Unwrap exposes the per-sector errors to errors.Is/As (Go 1.20
 // multi-error matching: errors.Is(errs, ErrBadSector) holds when any
 // listed sector wraps it).
@@ -69,8 +80,16 @@ func (e SectorErrors) Unwrap() []error {
 
 // AsSectorErrors unpacks an error returned by a vectored device call:
 // ok reports whether it is a per-sector partial failure (as opposed to
-// a whole-call failure or nil).
+// a whole-call failure or nil). nil and an unwrapped SectorErrors — what
+// every built-in backend returns — are answered without errors.As, whose
+// target variable is heap-allocated even when there is nothing to find.
 func AsSectorErrors(err error) (SectorErrors, bool) {
+	if err == nil {
+		return nil, false
+	}
+	if se, ok := err.(SectorErrors); ok {
+		return se, true
+	}
 	var se SectorErrors
 	if errors.As(err, &se) {
 		return se, true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -127,12 +128,19 @@ func (d *blockingDevice) WriteSectors(ctx context.Context, start int, data [][]b
 
 func openBlockingStore(t *testing.T, code *core.Code, stripes int) (*Store, *blockingDevice) {
 	t.Helper()
+	return openBlockingStoreAt(t, code, stripes, 0)
+}
+
+// openBlockingStoreAt opens a store whose column col is the blocking
+// device.
+func openBlockingStoreAt(t *testing.T, code *core.Code, stripes, col int) (*Store, *blockingDevice) {
+	t.Helper()
 	devs := make([]Device, code.N())
 	blk := newBlockingDevice(stripes*code.R(), 128)
 	for i := range devs {
 		devs[i] = NewMemDevice(stripes*code.R(), 128)
 	}
-	devs[0] = blk
+	devs[col] = blk
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: stripes, Devices: devs})
 	if err != nil {
 		t.Fatal(err)
@@ -198,31 +206,34 @@ func TestCancelledFlushAborts(t *testing.T) {
 	}
 }
 
-// TestCancelledSubStripeWriteBackStaysConsistent: cancelling a
-// read–modify–write mid-write-back may leave a half-landed stripe on
-// the devices; the retry must restore full parity consistency (the
-// buffer is promoted to a full-stripe rewrite, because the incremental
-// delta no longer matches what is on disk).
-func TestCancelledSubStripeWriteBackStaysConsistent(t *testing.T) {
-	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, blk := openBlockingStore(t, code, 2)
-	fillStore(t, s)
-	// Overwrite a block that lives on the blocking device, so its
-	// write-back (device 0 comes first in the col-ordered sweep) is the
-	// call that parks. Reads stay live, so the RMW load succeeds.
-	victim := -1
+// firstOrdOn returns the first data ordinal stored on the given column.
+func firstOrdOn(t *testing.T, s *Store, col int) int {
+	t.Helper()
 	for ord, cell := range s.dataCells {
-		if cell.Col == 0 {
-			victim = ord
-			break
+		if cell.Col == col {
+			return ord
 		}
 	}
-	if victim < 0 {
-		t.Fatal("no data cell on device 0")
+	t.Fatalf("no data cell on device %d", col)
+	return -1
+}
+
+// cancelMidWriteBack overwrites the given blocks of a filled store with
+// fresh content and flushes them under a context that is cancelled
+// when the write-back reaches the blocking device, leaving the stripe
+// half-landed and the buffer retained. It returns the volume's expected
+// content.
+func cancelMidWriteBack(t *testing.T, s *Store, blk *blockingDevice, blocks ...int) [][]byte {
+	t.Helper()
+	want := make([][]byte, s.Blocks())
+	for b := range want {
+		want[b] = blockData(b, s.BlockSize())
 	}
-	want := blockData(1234, s.BlockSize())
-	if err := s.WriteBlock(bg, victim, want); err != nil {
-		t.Fatal(err)
+	for _, b := range blocks {
+		want[b] = blockData(b+1234, s.BlockSize())
+		if err := s.WriteBlock(bg, b, want[b]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	blk.blockWrites.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -232,17 +243,64 @@ func TestCancelledSubStripeWriteBackStaysConsistent(t *testing.T) {
 		t.Fatalf("cancelled flush: %v, want context.Canceled", err)
 	}
 	blk.blockWrites.Store(false)
-	if err := s.Flush(bg); err != nil {
-		t.Fatalf("retry flush: %v", err)
+	return want
+}
+
+// checkBlocksAre reads every block back and compares it with want.
+func checkBlocksAre(t *testing.T, s *Store, want [][]byte) {
+	t.Helper()
+	for b := range want {
+		got, err := s.ReadBlock(bg, b)
+		if err != nil {
+			t.Fatalf("read block %d: %v", b, err)
+		}
+		if !bytes.Equal(got, want[b]) {
+			t.Fatalf("block %d holds neither its fill nor its overwrite", b)
+		}
 	}
-	got, err := s.ReadBlock(bg, victim)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCancelledSubStripeWriteBackStaysConsistent: cancelling a
+// read–modify–write mid-write-back may leave a half-landed stripe on
+// the devices; the retry must restore full parity consistency (the
+// stripe is rewritten whole, because the incremental delta no longer
+// matches what is on disk) — and must do so without disturbing a single
+// block the flush was not about: the interrupted flush only ever held
+// the ~10 cells it touched, and a retry that took its stripe memory for
+// the whole stripe would re-encode parity over whatever the pool left
+// in the rest, consistently wrong.
+func TestCancelledSubStripeWriteBackStaysConsistent(t *testing.T) {
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	for _, tc := range []struct {
+		name      string
+		blocking  int   // the column whose write parks
+		dirtyCols []int // one dirty block on each
+	}{
+		// Device 0 comes first in the col-ordered sweep: nothing lands.
+		{"single-block", 0, []int{0}},
+		// Column 0's block lands, column 1's parks: the stripe is torn
+		// between two data writes, before any parity.
+		{"two-blocks-second-column-parks", 1, []int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, blk := openBlockingStoreAt(t, code, 2, tc.blocking)
+			fillStore(t, s)
+			var dirty []int
+			for _, col := range tc.dirtyCols {
+				dirty = append(dirty, firstOrdOn(t, s, col))
+			}
+			// Reads stay live, so the RMW load succeeds.
+			want := cancelMidWriteBack(t, s, blk, dirty...)
+			if err := s.Flush(bg); err != nil {
+				t.Fatalf("retry flush: %v", err)
+			}
+			checkBlocksAre(t, s, want)
+			checkStripesConsistent(t, s)
+			if st := s.Stats(); st.SubStripeFallbacks != 0 || st.DegradedReads != 0 {
+				t.Fatalf("healthy retry counted %d fallbacks, %d degraded reads", st.SubStripeFallbacks, st.DegradedReads)
+			}
+		})
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("overwrite lost across a cancelled write-back")
-	}
-	checkStripesConsistent(t, s)
 }
 
 // TestCancelledScrubAborts: a scrub pass wedged on a blocking device
@@ -374,5 +432,29 @@ func TestSidecarAtomicity(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"bad":[3,5]`)) {
 		t.Fatalf("sidecar %s does not record both faults", raw)
+	}
+}
+
+// TestAsSectorErrorsSuccessPathDoesNotAllocate: every vectored call's
+// result goes through AsSectorErrors, nearly always with a nil error.
+func TestAsSectorErrorsSuccessPathDoesNotAllocate(t *testing.T) {
+	partial := error(SectorErrors{{Index: 3, Err: ErrBadSector}})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := AsSectorErrors(nil); ok {
+			t.Fatal("nil reported as a partial failure")
+		}
+		if se, ok := AsSectorErrors(partial); !ok || len(se) != 1 {
+			t.Fatal("bare SectorErrors not recognised")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AsSectorErrors allocated %.1f times on nil and bare SectorErrors, want 0", allocs)
+	}
+	// Wrapped partial failures and whole-call failures still resolve.
+	if se, ok := AsSectorErrors(fmt.Errorf("column 2: %w", partial)); !ok || se[0].Index != 3 {
+		t.Fatal("wrapped SectorErrors not unwrapped")
+	}
+	if _, ok := AsSectorErrors(ErrDeviceFailed); ok {
+		t.Fatal("whole-call failure reported as partial")
 	}
 }

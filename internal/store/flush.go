@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"stair/internal/core"
@@ -117,7 +118,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 		return err
 	}
 	if s.journal != nil {
-		if err := s.journaledWriteback(ctx, stripe, st, buf, nil); err != nil {
+		if err := s.journaledWriteback(ctx, stripe, st, buf, s.sortedDataCells, s.parityCells, s.allCols); err != nil {
 			return err
 		}
 	} else {
@@ -130,7 +131,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 		if err := s.writeFullStripe(ctx, stripe, st); err != nil {
 			return err
 		}
-		if err := s.flushStripeMeta(ctx, stripe, s.allCols()); err != nil {
+		if err := s.flushStripeMeta(ctx, stripe, s.allCols); err != nil {
 			return err
 		}
 	}
@@ -146,20 +147,39 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 	return nil
 }
 
-// flushPartialLocked is the read–modify–write path: load the stripe,
-// repair any latent losses in passing, apply the §5.2 incremental
-// parity updates for the dirty blocks, and write back only the touched
-// cells.
+// flushPartialLocked is the §5.2 read–modify–write path. An update of a
+// data cell changes that cell and the parity cells that depend on it —
+// about ten of the stripe's cells — and nothing else, so that is all the
+// flush reads: the delta load brings in exactly the cells the dirty
+// blocks touch, the incremental parity relations are applied in place,
+// and the same cells are written back. When the delta load cannot
+// vouch for those cells (a read failed, a checksum disagreed, the stripe
+// is marked unrecoverable) the whole stripe is loaded instead and its
+// losses repaired and healed in passing, which stays the one place a
+// flush decodes. What the reads return picks the path; nothing else does.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
-	st, lost, _, err := s.loadStripe(ctx, stripe, true)
+	if buf.torn != nil {
+		return s.flushTornLocked(ctx, sh, stripe, buf)
+	}
+	u := &sh.upd
+	s.planUpdate(u, buf)
+	st, err := s.loadDelta(ctx, sh, stripe)
 	if err != nil {
 		return err
+	}
+	var lost []core.Cell
+	whole := st == nil
+	if whole {
+		s.c.subFallbacks.Add(1)
+		if st, lost, _, err = s.loadStripe(ctx, stripe, true); err != nil {
+			return err
+		}
 	}
 	if err := s.acquireEncode(ctx); err != nil {
 		s.releaseStripeUnlessCancelled(ctx, st)
 		return err
 	}
-	touched, err := s.applyUpdatesLocked(sh, stripe, st, lost, buf)
+	err = s.applyUpdatesLocked(sh, stripe, st, lost, buf)
 	s.releaseEncode()
 	if err != nil {
 		s.releaseStripeUnlessCancelled(ctx, st)
@@ -167,30 +187,35 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	}
 	// Write back the dirty data cells and affected parity, plus any
 	// cells just repaired (healing their bad sectors in passing).
-	for _, cell := range lost {
-		touched[cell] = true
+	if len(lost) > 0 {
+		for _, cell := range lost {
+			u.need[s.cellIdx(cell)] = true
+		}
+		s.collectUpdate(u)
 	}
-	cells := make([]core.Cell, 0, len(touched))
-	for cell := range touched {
-		cells = append(cells, cell)
-	}
-	sortCells(cells)
 	if s.journal != nil {
-		err = s.journaledWriteback(ctx, stripe, st, buf, cells)
+		err = s.journaledWriteback(ctx, stripe, st, buf, u.data, u.parity, u.cols)
 	} else {
-		_, _, err = s.writeStripeCells(ctx, stripe, st, cells)
+		_, _, err = s.writeStripeCells(ctx, stripe, st, u.cells)
 		if err == nil {
-			err = s.flushStripeMeta(ctx, stripe, colsOf(cells))
+			err = s.flushStripeMeta(ctx, stripe, u.cols)
 		}
 	}
 	if err != nil {
 		// Interrupted mid-write-back: an unknown subset of the touched
 		// cells landed, so the incremental delta against current device
-		// state is no longer applicable on retry. Promote the buffer to
-		// a full stripe (st holds every cell's updated content) — the
-		// retry rewrites the whole stripe and restores consistency.
-		s.promoteToFullLocked(buf, st)
-		s.releaseStripeUnlessCancelled(ctx, st)
+		// state is no longer applicable on retry — the retry must rewrite
+		// the whole stripe. After a whole-stripe load st holds every
+		// cell's updated content, and promoting the buffer to a full
+		// stripe is all it takes. After a delta load st holds only the
+		// touched cells: they stay attached to the buffer, and the retry
+		// completes the stripe around them (flushTornLocked).
+		if whole {
+			s.promoteToFullLocked(buf, st)
+			s.releaseStripeUnlessCancelled(ctx, st)
+		} else {
+			buf.torn = &tornUpdate{st: st, cells: append([]core.Cell(nil), u.cells...)}
+		}
 		return err
 	}
 	delete(sh.dirty, stripe)
@@ -204,65 +229,221 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	return nil
 }
 
-// applyUpdatesLocked repairs a loaded stripe's lost cells and applies
-// the buffered dirty blocks through the §5.2 incremental parity
-// relations, returning the set of cells whose content changed. The
-// caller holds the shard mutex and an encode-budget slot.
-func (s *Store) applyUpdatesLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell, buf *stripeBuf) (map[core.Cell]bool, error) {
-	if len(lost) > 0 {
-		if err := s.code.RepairParallel(st, lost, s.workers); err != nil {
-			if errors.Is(err, ErrUnrecoverable) {
-				s.markUnrecoverableLocked(sh, stripe)
-			}
-			return nil, fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
-		}
+// planUpdate fills u with the cells a flush of buf's dirty blocks
+// touches: the union of updCells over the dirty ordinals.
+func (s *Store) planUpdate(u *updateSet, buf *stripeBuf) {
+	if u.need == nil {
+		u.need = make([]bool, s.n*s.r)
 	}
-	touched := map[core.Cell]bool{}
+	clear(u.need)
 	for ord, data := range buf.data {
 		if data == nil {
 			continue
 		}
-		cell := s.dataCells[ord]
-		deps, err := s.code.ParityDependencies(cell)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.code.Update(st, cell, data); err != nil {
-			return nil, err
-		}
-		touched[cell] = true
-		for _, p := range deps {
-			touched[p] = true
+		for _, idx := range s.updCells[ord] {
+			u.need[idx] = true
 		}
 	}
-	return touched, nil
+	s.collectUpdate(u)
+}
+
+// collectUpdate rebuilds u's cell lists from its need flags. The flags
+// are chunk-major, so one sweep yields every list in (Col, Row) order.
+func (s *Store) collectUpdate(u *updateSet) {
+	u.cells, u.data, u.parity, u.cols = u.cells[:0], u.data[:0], u.parity[:0], u.cols[:0]
+	for idx, need := range u.need {
+		if !need {
+			continue
+		}
+		cell := s.cellAt(idx)
+		u.cells = append(u.cells, cell)
+		if s.isData[idx] {
+			u.data = append(u.data, cell)
+		} else {
+			u.parity = append(u.parity, cell)
+		}
+		if len(u.cols) == 0 || u.cols[len(u.cols)-1] != cell.Col {
+			u.cols = append(u.cols, cell.Col)
+		}
+	}
+}
+
+// loadDelta reads the cells sh.upd flags — and only those columns — off
+// the devices into a pooled stripe: one vectored call per touched
+// column, spanning its first to its last needed row, so that whatever
+// the dirty set the load costs no more calls and no more bytes than the
+// whole-stripe load it stands in for. Sectors inside a span that the
+// update does not need are scratch: never verified, never written back.
+// Every cell outside the flagged set is unspecified.
+//
+// It returns (nil, nil) when the caller must load the whole stripe
+// instead: the stripe is marked unrecoverable, a read failed — wholly
+// or for any one sector of a span — or a needed cell failed its
+// checksum. Nothing is decided here about such a stripe; loadStripe
+// re-reads it and names the losses. The error is non-nil only for
+// context cancellation. The caller holds the shard mutex.
+func (s *Store) loadDelta(ctx context.Context, sh *lockShard, stripe int) (*core.Stripe, error) {
+	if sh.unrecoverable[stripe] {
+		return nil, nil
+	}
+	st := s.acquireStripe()
+	verified := uint64(0)
+	for _, col := range sh.upd.cols {
+		need := sh.upd.need[col*s.r : (col+1)*s.r]
+		lo, hi := slices.Index(need, true), len(need)-1
+		for !need[hi] {
+			hi--
+		}
+		bufs := sh.rowvec(hi - lo + 1)
+		for i := range bufs {
+			bufs[i] = st.Sector(col, lo+i)
+		}
+		if rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, lo), bufs); rerr != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				// As in loadStripe: the slab is dropped, not recycled.
+				sh.dropScratchOnCancel()
+				return nil, cerr
+			}
+			s.releaseStripe(st)
+			return nil, nil
+		}
+		if s.integ == nil || !s.integVerify {
+			continue
+		}
+		for row := lo; row <= hi; row++ {
+			if !need[row] {
+				continue
+			}
+			switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
+			case integrity.OK:
+				verified++
+			case integrity.Mismatch:
+				// Counted by the whole-stripe load that follows.
+				s.releaseStripe(st)
+				return nil, nil
+			}
+		}
+	}
+	s.c.verifiedSectors.Add(verified)
+	return st, nil
+}
+
+// applyUpdatesLocked repairs a loaded stripe's lost cells and applies
+// the buffered dirty blocks through the §5.2 incremental parity
+// relations — which read and write the cells planUpdate flagged and no
+// others. The caller holds the shard mutex and an encode-budget slot.
+func (s *Store) applyUpdatesLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell, buf *stripeBuf) error {
+	if err := s.repairForFlushLocked(sh, stripe, st, lost); err != nil {
+		return err
+	}
+	for ord, data := range buf.data {
+		if data == nil {
+			continue
+		}
+		if err := s.code.UpdateWith(st, s.dataCells[ord], data, &sh.upd.codec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// repairForFlushLocked reconstructs the lost cells of a stripe a flush
+// loaded, marking the stripe when they are beyond the code's coverage.
+func (s *Store) repairForFlushLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell) error {
+	if len(lost) == 0 {
+		return nil
+	}
+	if err := s.code.RepairParallel(st, lost, s.workers); err != nil {
+		if errors.Is(err, ErrUnrecoverable) {
+			s.markUnrecoverableLocked(sh, stripe)
+		}
+		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
+	}
+	return nil
+}
+
+// tornUpdate is what an interrupted delta write-back leaves attached to
+// its stripe buffer: the cells it was writing, with their updated
+// contents in st (whose every other cell is unspecified). On the
+// devices each of those cells now holds its old or its new content, and
+// the stripe's parity relations hold for neither mix.
+type tornUpdate struct {
+	st    *core.Stripe
+	cells []core.Cell
+}
+
+// flushTornLocked retries a buffer whose delta write-back was
+// interrupted. The stripe is completed in memory — the cells the
+// interrupted write-back did not touch are intact on the devices and
+// are loaded from there, the ones it did touch are taken from the torn
+// update, never from the devices — which is the stripe exactly as the
+// interrupted flush meant to leave it, and therefore consistent: a cell
+// lost in the meantime is decoded from it soundly, where decoding from
+// the devices would solve half-updated parity into fabricated content.
+// The buffer is then promoted to a full stripe (blocks written since the
+// interruption win) and rewritten whole, re-encoding every parity cell.
+func (s *Store) flushTornLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
+	// A raw load: what the devices hold of the torn cells is neither
+	// wanted nor, with their records staged only for the writes that
+	// were seen to land, fit to be judged. The rest is verified below.
+	st, lost, _, err := s.loadStripe(ctx, stripe, false)
+	if err != nil {
+		return err
+	}
+	settled := make([]bool, s.n*s.r) // torn or lost: not to be verified
+	for _, cell := range buf.torn.cells {
+		settled[s.cellIdx(cell)] = true
+		copy(st.Sector(cell.Col, cell.Row), buf.torn.st.Sector(cell.Col, cell.Row))
+	}
+	lost = slices.DeleteFunc(lost, func(cell core.Cell) bool { return settled[s.cellIdx(cell)] })
+	for _, cell := range lost {
+		settled[s.cellIdx(cell)] = true
+	}
+	if s.integ != nil && s.integVerify {
+		for idx, done := range settled {
+			if cell := s.cellAt(idx); !done && !s.verifyCell(stripe, cell, st.Cells[idx]) {
+				lost = append(lost, cell)
+			}
+		}
+	}
+	if err := s.repairForFlushLocked(sh, stripe, st, lost); err != nil {
+		s.releaseStripe(st)
+		return err
+	}
+	s.promoteToFullLocked(buf, st)
+	s.releaseStripe(st)
+	// The torn slab may still be referenced by the device operation the
+	// interruption abandoned: it goes to the GC, not back to the pool.
+	buf.torn = nil
+	return s.flushFullLocked(ctx, sh, stripe, buf)
 }
 
 // journaledWriteback lands a flush under write-ahead protection: intent
 // append (fsynced), data sectors, parity sectors, sidecar checksum
 // records (when the integrity layer is on), in-memory commit — with
-// the crash-injection hooks between the phases. cells nil means the
-// whole stripe (the full-stripe path). The intent's on-disk record
+// the crash-injection hooks between the phases. data and parity are the
+// write-back set's two phases, each sorted for contiguous vectored
+// runs, and cols its distinct columns. The intent's on-disk record
 // outlives the commit until the next Checkpoint barrier (see the
 // journal package): the device writes made here are not yet durable.
 // With integrity on, the intent also carries each dirty block's salted
 // payload digest, so replay can re-stage the records the crash
 // interrupted instead of mistaking a lagging sidecar for corruption.
-func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Stripe, buf *stripeBuf, cells []core.Cell) error {
-	var ords []int
-	var sums []uint64
-	var isums []uint32
-	for ord, data := range buf.data {
-		if data == nil {
+func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Stripe, buf *stripeBuf, data, parity []core.Cell, cols []int) error {
+	u := &s.shard(stripe).upd
+	ords, sums, isums := u.ords[:0], u.sums[:0], u.isums[:0]
+	for ord, block := range buf.data {
+		if block == nil {
 			continue
 		}
 		ords = append(ords, ord)
-		sums = append(sums, journal.Checksum(data))
+		sums = append(sums, journal.Checksum(block))
 		if s.integ != nil {
 			cell := s.dataCells[ord]
-			isums = append(isums, integrity.Sum(s.integ.Epoch(), cell.Col, s.devSector(stripe, cell.Row), data))
+			isums = append(isums, integrity.Sum(s.integ.Epoch(), cell.Col, s.devSector(stripe, cell.Row), block))
 		}
 	}
+	u.ords, u.sums, u.isums = ords, sums, isums
 	seq, err := s.journal.Append(stripe, ords, sums, isums)
 	if err != nil {
 		return fmt.Errorf("store: journaling intent for stripe %d: %w", stripe, err)
@@ -271,7 +452,6 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 	if err := s.kill(killAfterJournalAppend); err != nil {
 		return err
 	}
-	data, parity := s.partitionCells(cells)
 	if _, _, err := s.writeStripeCells(ctx, stripe, st, data); err != nil {
 		return err
 	}
@@ -285,10 +465,6 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 		return err
 	}
 	if s.integ != nil {
-		cols := s.allCols()
-		if cells != nil {
-			cols = colsOf(cells)
-		}
 		if err := s.flushStripeMeta(ctx, stripe, cols); err != nil {
 			return err
 		}
@@ -302,28 +478,10 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 	return s.kill(killAfterCommit)
 }
 
-// partitionCells splits a write-back set into its data and parity
-// phases, each sorted for contiguous vectored runs. nil means every
-// cell of the stripe.
-func (s *Store) partitionCells(cells []core.Cell) (data, parity []core.Cell) {
-	if cells == nil {
-		return s.sortedDataCells, s.parityCells
-	}
-	for _, cell := range cells {
-		if s.isDataCell[cell] {
-			data = append(data, cell)
-		} else {
-			parity = append(parity, cell)
-		}
-	}
-	sortCells(data)
-	sortCells(parity)
-	return data, parity
-}
-
 // promoteToFullLocked fills a partial stripe buffer with every data
-// cell of st, so its next flush takes the full-stripe path. Callers
-// hold the stripe's shard mutex.
+// cell of st — which must hold every cell of the stripe — so its next
+// flush takes the full-stripe path. Callers hold the stripe's shard
+// mutex.
 func (s *Store) promoteToFullLocked(buf *stripeBuf, st *core.Stripe) {
 	for ord, cell := range s.dataCells {
 		if buf.data[ord] == nil {
@@ -364,16 +522,12 @@ func (s *Store) writeFullStripe(ctx context.Context, stripe int, st *core.Stripe
 		if s.integ != nil {
 			// Stage fresh records for the sectors that landed (all of
 			// them on success, the non-failed ones on a partial error).
-			failedAt := map[int]bool{}
-			if se, ok := AsSectorErrors(werr); ok {
-				for _, e := range se {
-					failedAt[e.Index] = true
-				}
-			} else if werr != nil {
+			se, partial := AsSectorErrors(werr)
+			if werr != nil && !partial {
 				continue
 			}
 			for row := 0; row < s.r; row++ {
-				if sec := s.devSector(stripe, row); !failedAt[sec] {
+				if sec := s.devSector(stripe, row); !se.has(sec) {
 					s.stageRecord(col, sec, st.Sector(col, row))
 				}
 			}
@@ -416,12 +570,8 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 			failed += len(se)
 			wrote += len(run) - len(se)
 			if s.integ != nil {
-				failedAt := map[int]bool{}
-				for _, e := range se {
-					failedAt[e.Index] = true
-				}
 				for k, cell := range run {
-					if sec := s.devSector(stripe, cell.Row); !failedAt[sec] {
+					if sec := s.devSector(stripe, cell.Row); !se.has(sec) {
 						s.stageRecord(cell.Col, sec, bufs[k])
 					}
 				}

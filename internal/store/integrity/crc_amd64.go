@@ -2,7 +2,10 @@
 
 package integrity
 
-import "hash/crc32"
+import (
+	"encoding/binary"
+	"hash/crc32"
+)
 
 // Wide CRC32C via VPCLMULQDQ folding. The stdlib's castagnoli path
 // (3-way interleaved CRC32 instructions) tops out around one 8-byte
@@ -82,9 +85,11 @@ func crcUpdate(crc uint32, p []byte) uint32 {
 	crcFoldVPCLMUL(&p[0], n, ^crc, &res)
 	// The residual block carries the entire folded prefix: continuing
 	// the CRC over it (from a fresh state) and then the ragged tail
-	// yields the CRC of all of p.
-	mid := crc32.Update(^uint32(0), castagnoli, res[:])
-	return crc32.Update(mid, castagnoli, p[n:])
+	// yields the CRC of all of p. The block goes through crcWord: handed
+	// to crc32.Update, res would be moved to the heap on every call.
+	raw := crcWord(0, binary.LittleEndian.Uint64(res[0:8]))
+	raw = crcWord(raw, binary.LittleEndian.Uint64(res[8:16]))
+	return crc32.Update(^raw, castagnoli, p[n:])
 }
 
 func crcKernelName() string {

@@ -56,13 +56,42 @@ type Record struct {
 // 16-byte salt (epoch, column, device sector index) followed by the
 // payload. Identical payloads at different addresses — or written
 // under different epochs — produce different digests.
+//
+// The salt never exists as bytes: crc32.Update dispatches through a
+// function variable, so a stack array handed to it is moved to the
+// heap — one allocation per verified or staged sector. Its two
+// little-endian words go through crcWord instead.
 func Sum(epoch uint32, col, sector int, data []byte) uint32 {
-	var salt [16]byte
-	binary.LittleEndian.PutUint32(salt[0:4], epoch)
-	binary.LittleEndian.PutUint32(salt[4:8], uint32(col))
-	binary.LittleEndian.PutUint64(salt[8:16], uint64(sector))
-	crc := crc32.Update(0, castagnoli, salt[:])
-	return crcUpdate(crc, data)
+	raw := crcWord(^uint32(0), uint64(epoch)|uint64(uint32(col))<<32)
+	raw = crcWord(raw, uint64(sector))
+	return crcUpdate(^raw, data)
+}
+
+// slicing8 is the slicing-by-8 expansion of the Castagnoli table:
+// slicing8[k][b] is the CRC of byte b followed by k zero bytes.
+var slicing8 = func() *[8][256]uint32 {
+	var t [8][256]uint32
+	t[0] = *castagnoli
+	for b := range t[0] {
+		crc := t[0][b]
+		for k := 1; k < 8; k++ {
+			crc = t[0][crc&0xff] ^ crc>>8
+			t[k][b] = crc
+		}
+	}
+	return &t
+}()
+
+// crcWord advances a raw (un-inverted) CRC32C state over the eight
+// little-endian bytes of w, entirely in registers and table lookups.
+// It is for the fixed 16-byte blocks this package digests around each
+// payload (the salt, the fold kernel's residual), where a call into
+// hash/crc32 would cost a heap allocation; payloads go to crcUpdate.
+func crcWord(raw uint32, w uint64) uint32 {
+	w ^= uint64(raw)
+	t := slicing8
+	return t[7][w&0xff] ^ t[6][w>>8&0xff] ^ t[5][w>>16&0xff] ^ t[4][w>>24&0xff] ^
+		t[3][w>>32&0xff] ^ t[2][w>>40&0xff] ^ t[1][w>>48&0xff] ^ t[0][w>>56]
 }
 
 // KernelName reports which payload-digest implementation Sum runs

@@ -3,7 +3,12 @@ package integrity
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
 	"testing"
+
+	"stair/internal/store/mem"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -201,5 +206,60 @@ func TestNewManagerRejectsBadSectorSize(t *testing.T) {
 	}
 	if _, err := NewManager(1, 8, 24, 1); err == nil {
 		t.Fatal("sector size not a record multiple accepted")
+	}
+}
+
+// TestSumIsTheSaltedCRC pins the digest's definition — CRC32C over the
+// 16 little-endian salt bytes (epoch, column, sector) followed by the
+// payload — against the standard library computing it the obvious way.
+// Sum itself never materialises the salt (that cost an allocation per
+// sector); records on existing volumes must keep verifying.
+func TestSumIsTheSaltedCRC(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		epoch, col, sector := rng.Uint32(), rng.Intn(1<<16), rng.Intn(1<<30)
+		data := make([]byte, []int{0, 1, 16, 128, 512, 1024, 1100, 4096}[i%8])
+		rng.Read(data)
+		var salt [16]byte
+		binary.LittleEndian.PutUint32(salt[0:4], epoch)
+		binary.LittleEndian.PutUint32(salt[4:8], uint32(col))
+		binary.LittleEndian.PutUint64(salt[8:16], uint64(sector))
+		want := crc32.Update(crc32.Update(0, castagnoli, salt[:]), castagnoli, data)
+		if got := Sum(epoch, col, sector, data); got != want {
+			t.Fatalf("Sum(%#x, %d, %d, %d bytes) = %#x, salted CRC32C is %#x", epoch, col, sector, len(data), got, want)
+		}
+	}
+}
+
+// TestDigestPathsDoNotAllocate: verifying, staging and flushing records
+// are per-sector operations on the store's hot paths.
+func TestDigestPathsDoNotAllocate(t *testing.T) {
+	if !mem.Enabled() {
+		t.Skip("buffer pool disabled (STAIR_POOL=off)")
+	}
+	m, err := NewManager(1, 64, 512, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Either side of the fold kernel's threshold.
+	for _, n := range []int{512, 4096} {
+		data := make([]byte, n)
+		m.Update(0, 3, data)
+		write := func(context.Context, int, [][]byte) error { return nil }
+		if err := m.FlushRange(context.Background(), 0, 0, 16, write); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			m.Update(0, 3, data)
+			if m.Verify(0, 3, data) != OK {
+				t.Fatal("fresh record does not verify")
+			}
+			if err := m.FlushRange(context.Background(), 0, 0, 16, write); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d-byte sector: Update+Verify+FlushRange made %.1f allocations, want 0", n, allocs)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"stair/internal/store/mem"
 )
 
 // Verdict is the outcome of verifying one sector against its record.
@@ -44,6 +46,9 @@ type Manager struct {
 	regions [][]byte
 	mu      []sync.RWMutex
 	flushMu []sync.Mutex
+	// flushVec[col] is FlushRange's reusable buffer vector, guarded by
+	// flushMu[col].
+	flushVec [][][]byte
 
 	// states/sums[col] cache each sector's record pre-decoded, so the
 	// read path's Verify is a flag check plus a digest compare instead
@@ -82,6 +87,7 @@ func NewManager(cols, dataSectors, sectorSize int, epoch uint32) (*Manager, erro
 		regions:     make([][]byte, cols),
 		mu:          make([]sync.RWMutex, cols),
 		flushMu:     make([]sync.Mutex, cols),
+		flushVec:    make([][][]byte, cols),
 	}
 	m.states = make([][]byte, cols)
 	m.sums = make([][]uint32, cols)
@@ -192,7 +198,10 @@ func (m *Manager) UpdateSum(col, sector int, sum uint32) {
 // actual vectored device write. The per-col flush lock guarantees
 // that when two flushes race on a shared meta sector, each write's
 // snapshot includes everything staged before it — the last writer
-// persists a superset.
+// persists a superset. The snapshot is pooled and bufs is reused by the
+// next flush of col: write must not retain either past its return —
+// unless it returns with ctx cancelled, in which case both are dropped
+// to the GC for whatever abandoned operation may still hold them.
 func (m *Manager) FlushRange(ctx context.Context, col, start, count int, write func(ctx context.Context, metaStart int, bufs [][]byte) error) error {
 	if count <= 0 {
 		return nil
@@ -204,16 +213,26 @@ func (m *Manager) FlushRange(ctx context.Context, col, start, count int, write f
 	m.flushMu[col].Lock()
 	defer m.flushMu[col].Unlock()
 
-	snap := make([]byte, n*m.sectorSize)
+	snap := mem.Acquire(n * m.sectorSize)
 	m.mu[col].RLock()
 	copy(snap, m.regions[col][first*m.sectorSize:(last+1)*m.sectorSize])
 	m.mu[col].RUnlock()
 
-	bufs := make([][]byte, n)
+	if cap(m.flushVec[col]) < n {
+		m.flushVec[col] = make([][]byte, n)
+	}
+	bufs := m.flushVec[col][:n]
 	for i := range bufs {
 		bufs[i] = snap[i*m.sectorSize : (i+1)*m.sectorSize]
 	}
-	return write(ctx, first, bufs)
+	err := write(ctx, first, bufs)
+	if ctx.Err() != nil {
+		m.flushVec[col] = nil
+		return err
+	}
+	clear(bufs)
+	mem.Release(snap)
+	return err
 }
 
 // Region returns a copy of col's full cached sidecar image (for a

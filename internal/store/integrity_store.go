@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"stair/internal/core"
 )
@@ -80,26 +79,15 @@ func (s *Store) flushStripeMeta(ctx context.Context, stripe int, cols []int) err
 	return nil
 }
 
-// allCols lists every column index, for whole-stripe meta flushes.
-func (s *Store) allCols() []int {
-	cols := make([]int, s.n)
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
-}
-
-// colsOf collects the distinct columns a cell set touches, ascending.
+// colsOf collects the distinct columns of a cell set sorted by (Col,
+// Row), ascending.
 func colsOf(cells []core.Cell) []int {
-	seen := make(map[int]bool, 4)
 	var cols []int
-	for _, c := range cells {
-		if !seen[c.Col] {
-			seen[c.Col] = true
+	for i, c := range cells {
+		if i == 0 || c.Col != cells[i-1].Col {
 			cols = append(cols, c.Col)
 		}
 	}
-	sort.Ints(cols)
 	return cols
 }
 

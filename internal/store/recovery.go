@@ -132,7 +132,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 	defer func() { s.releaseStripeUnlessCancelled(ctx, st) }()
 	var lostData []core.Cell
 	for _, cell := range lost {
-		if s.isDataCell[cell] {
+		if s.isData[s.cellIdx(cell)] {
 			lostData = append(lostData, cell)
 		}
 	}
@@ -247,7 +247,7 @@ func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stri
 			}
 		}
 	}
-	_ = s.flushStripeMeta(ctx, stripe, s.allCols())
+	_ = s.flushStripeMeta(ctx, stripe, s.allCols)
 }
 
 // intentDataLanded reports whether every block the intent meant to

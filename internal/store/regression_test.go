@@ -264,6 +264,22 @@ func TestEvictionFlushErrorKeepsAccounting(t *testing.T) {
 		}
 	}
 	checkStripesConsistent(t, s)
+	// Nothing but the three written blocks may have changed: a retry
+	// that rebuilt the stripe from the interrupted flush's partial
+	// stripe memory would have re-encoded over pool leftovers.
+	zero := make([]byte, s.BlockSize())
+	for b := 0; b < s.Blocks(); b++ {
+		if b%s.perStripe == 0 && b/s.perStripe < 3 {
+			continue
+		}
+		got, err := s.ReadBlock(bg, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, zero) {
+			t.Fatalf("never-written block %d is no longer zero after the failed eviction's retry", b)
+		}
+	}
 }
 
 // TestRepairQueueOrdersByRisk: the queue serves the highest-risk

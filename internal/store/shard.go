@@ -1,6 +1,10 @@
 package store
 
-import "sync"
+import (
+	"sync"
+
+	"stair/internal/core"
+)
 
 // defaultLockShards is the lock-table width when Config.LockShards is 0.
 // Wide enough that a GOMAXPROCS-sized worker set rarely collides, small
@@ -34,6 +38,30 @@ type lockShard struct {
 	// per-column verification scratch of loadStripe.
 	rows    [][]byte
 	lostRow []bool
+
+	// upd is the working set of the sub-stripe flush running under mu.
+	upd updateSet
+}
+
+// updateSet is a sub-stripe flush's working set, reused from one flush
+// of the shard to the next so the path allocates nothing: which cells
+// of the stripe the update touches, in the forms its stages want.
+type updateSet struct {
+	// need flags the touched cells, chunk-major (col·r + row): each dirty
+	// data cell and its §5.2 parity dependencies, plus — after a
+	// whole-stripe fallback — the lost cells repaired in passing.
+	need []bool
+	// cells is the flagged set ascending by (Col, Row), data and parity
+	// its two journaled write-back phases, cols its distinct columns.
+	// All are rebuilt from need by collect.
+	cells, data, parity []core.Cell
+	cols                []int
+	// codec is core.UpdateWith's scratch; ords, sums and isums build the
+	// journal intent.
+	codec core.UpdateScratch
+	ords  []int
+	sums  []uint64
+	isums []uint32
 }
 
 // rowvec returns the shard's buffer-vector scratch sized to n entries.

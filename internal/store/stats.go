@@ -18,6 +18,12 @@ type Stats struct {
 	// SubStripeFlushes counts stripes flushed through the §5.2
 	// incremental-parity-update path (read–modify–write).
 	SubStripeFlushes uint64
+	// SubStripeFallbacks counts the sub-stripe flushes that could not
+	// stay on the delta path — the stripe was marked unrecoverable, or a
+	// read of the cells the update needs failed or did not verify — and
+	// loaded, and where needed repaired, the whole stripe instead. Zero
+	// on a healthy volume.
+	SubStripeFallbacks uint64
 	// ScrubbedStripes counts stripes swept by the scrubber.
 	ScrubbedStripes uint64
 	// ScrubHits counts scrubbed stripes found holding lost sectors.
@@ -65,6 +71,7 @@ type Stats struct {
 type counters struct {
 	reads, degradedReads, writes        atomic.Uint64
 	fullFlushes, subFlushes             atomic.Uint64
+	subFallbacks                        atomic.Uint64
 	scrubbedStripes, scrubHits          atomic.Uint64
 	repairedStripes, repairedSectors    atomic.Uint64
 	repairDrops, repairRequeues         atomic.Uint64
@@ -80,6 +87,7 @@ func (c *counters) snapshot() Stats {
 		Writes:               c.writes.Load(),
 		FullStripeFlushes:    c.fullFlushes.Load(),
 		SubStripeFlushes:     c.subFlushes.Load(),
+		SubStripeFallbacks:   c.subFallbacks.Load(),
 		ScrubbedStripes:      c.scrubbedStripes.Load(),
 		ScrubHits:            c.scrubHits.Load(),
 		RepairedStripes:      c.repairedStripes.Load(),
@@ -108,6 +116,7 @@ func (s Stats) Add(o Stats) Stats {
 		Writes:               s.Writes + o.Writes,
 		FullStripeFlushes:    s.FullStripeFlushes + o.FullStripeFlushes,
 		SubStripeFlushes:     s.SubStripeFlushes + o.SubStripeFlushes,
+		SubStripeFallbacks:   s.SubStripeFallbacks + o.SubStripeFallbacks,
 		ScrubbedStripes:      s.ScrubbedStripes + o.ScrubbedStripes,
 		ScrubHits:            s.ScrubHits + o.ScrubHits,
 		RepairedStripes:      s.RepairedStripes + o.RepairedStripes,

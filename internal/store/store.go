@@ -9,8 +9,8 @@
 //     dirty stripe is flushed through a parallel full-stripe encode
 //     (internal/core's multi-core path, §6.2.1), while a partially dirty
 //     stripe takes a read–modify–write using the §5.2 uneven parity
-//     relations, rewriting only the parity sectors that actually depend
-//     on the changed cells;
+//     relations, reading and rewriting only the changed cells and the
+//     parity sectors that actually depend on them;
 //   - the read path transparently serves degraded reads: when a device
 //     is failed or a sector read errors, the lost cells are rebuilt on
 //     the fly via the upstairs decoding fast path (§4.2–4.3), cached
@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,6 +189,11 @@ type stripeBuf struct {
 	// queued marks a buffer handed to the asynchronous flush pipeline
 	// and not yet picked up by a worker; it dedupes pipeline entries.
 	queued bool
+	// torn is non-nil after a delta write-back of this buffer was
+	// interrupted; the retry completes the stripe around it instead of
+	// running another delta against the half-written devices (see
+	// flushTornLocked).
+	torn *tornUpdate
 }
 
 // Store is a STAIR-protected block store. Public methods are safe for
@@ -220,11 +226,20 @@ type Store struct {
 	integVerify bool
 	dataSectors int
 
-	// sortedDataCells/parityCells/isDataCell pre-split the stripe's
-	// cells for the journaled two-phase (data, then parity) write-back.
+	// sortedDataCells/parityCells/isData pre-split the stripe's cells
+	// for the journaled two-phase (data, then parity) write-back; isData
+	// is indexed chunk-major like a stripe's cells (cellIdx). allCols
+	// lists every column, for whole-stripe sidecar flushes.
 	sortedDataCells []core.Cell
 	parityCells     []core.Cell
-	isDataCell      map[core.Cell]bool
+	isData          []bool
+	allCols         []int
+
+	// updCells[ord] lists, as chunk-major cell indices, what an update of
+	// data ordinal ord touches: the cell itself and its §5.2 parity
+	// dependencies. A sub-stripe flush reads and writes exactly the union
+	// over its dirty ordinals (see flush.go).
+	updCells [][]int32
 
 	// shards stripe ownership: every per-stripe mutation happens under
 	// the owning shard's mutex. shardMask is len(shards)-1.
@@ -407,9 +422,22 @@ func Open(cfg Config) (*Store, error) {
 	sortCells(s.sortedDataCells)
 	s.parityCells = cfg.Code.ParityCells()
 	sortCells(s.parityCells)
-	s.isDataCell = make(map[core.Cell]bool, len(s.dataCells))
-	for _, cell := range s.dataCells {
-		s.isDataCell[cell] = true
+	s.isData = make([]bool, n*r)
+	s.updCells = make([][]int32, s.perStripe)
+	for ord, cell := range s.dataCells {
+		s.isData[s.cellIdx(cell)] = true
+		deps, err := cfg.Code.ParityDependencies(cell)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		s.updCells[ord] = append(s.updCells[ord], int32(s.cellIdx(cell)))
+		for _, p := range deps {
+			s.updCells[ord] = append(s.updCells[ord], int32(s.cellIdx(p)))
+		}
+	}
+	s.allCols = make([]int, n)
+	for col := range s.allCols {
+		s.allCols[col] = col
 	}
 	maxEncodes := cfg.MaxInflightEncodes
 	if maxEncodes == 0 {
@@ -488,6 +516,13 @@ func (s *Store) blockOf(b int) (stripe, ord int, cell core.Cell, err error) {
 	stripe, ord = b/s.perStripe, b%s.perStripe
 	return stripe, ord, s.dataCells[ord], nil
 }
+
+// cellIdx is a cell's chunk-major position within a stripe, the index
+// of core.Stripe.Cells.
+func (s *Store) cellIdx(cell core.Cell) int { return cell.Col*s.r + cell.Row }
+
+// cellAt is the inverse of cellIdx.
+func (s *Store) cellAt(idx int) core.Cell { return core.Cell{Col: idx / s.r, Row: idx % s.r} }
 
 // devSector maps (stripe, row) to the device sector index.
 func (s *Store) devSector(stripe, row int) int { return stripe*s.r + row }
@@ -713,7 +748,7 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 				// rest of the chunk is good and stays.
 				for _, e := range se {
 					row := e.Index - stripe*s.r
-					lost = append(lost, core.Cell{Col: col, Row: row})
+					lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
 					if verify {
 						lostRow[row] = true
 					}
@@ -725,7 +760,7 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 				// Whole-call failure (failed device, transport down):
 				// every cell of this chunk is lost.
 				for row := 0; row < s.r; row++ {
-					lost = append(lost, core.Cell{Col: col, Row: row})
+					lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
 				}
 				continue
 			}
@@ -737,18 +772,39 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 			if lostRow[row] {
 				continue
 			}
-			switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
-			case integrity.OK:
-				s.c.verifiedSectors.Add(1)
-			case integrity.Mismatch:
-				cell := core.Cell{Col: col, Row: row}
-				lost = append(lost, cell)
+			if cell := (core.Cell{Col: col, Row: row}); !s.verifyCell(stripe, cell, st.Sector(col, row)) {
+				lost = s.appendLost(lost, cell)
 				mismatched = append(mismatched, cell)
-				s.c.checksumMismatches.Add(1)
 			}
 		}
 	}
 	return st, lost, mismatched, nil
+}
+
+// verifyCell checks a cell as read off its device against its integrity
+// record and counts the outcome; false is a mismatch — the sector read
+// fine and is not what was written, a located erasure. A cell without a
+// record is unverifiable and passes. The integrity layer must be on.
+func (s *Store) verifyCell(stripe int, cell core.Cell, data []byte) bool {
+	switch s.integ.Verify(cell.Col, s.devSector(stripe, cell.Row), data) {
+	case integrity.OK:
+		s.c.verifiedSectors.Add(1)
+	case integrity.Mismatch:
+		s.c.checksumMismatches.Add(1)
+		return false
+	}
+	return true
+}
+
+// appendLost adds a cell to a stripe load's lost list. The first loss
+// sizes the list for m whole chunks and then some — the most a
+// recoverable stripe can have lost — so that a degraded load allocates
+// once, not once per doubling.
+func (s *Store) appendLost(lost []core.Cell, cell core.Cell) []core.Cell {
+	if lost == nil {
+		lost = make([]core.Cell, 0, (s.code.M()+1)*s.r)
+	}
+	return append(lost, cell)
 }
 
 // ReadBlock returns one logical block. Buffered (not yet flushed) writes
@@ -881,7 +937,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	// of spinning the workers. The stripe's full lost count is its
 	// queue priority — the closer to the coverage edge, the sooner a
 	// worker takes it.
-	if len(s.writableLost(lost)) > 0 {
+	if slices.ContainsFunc(lost, s.writable) {
 		s.enqueueRepairLocked(sh, stripe, len(lost))
 	}
 	if s.cache == nil {
@@ -892,15 +948,20 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	return nil
 }
 
-// writableLost filters lost cells down to those on devices that will
-// take a reconstruction write-back (i.e. not wholly failed).
+// writable reports whether a cell's device will take a write-back, i.e.
+// is not wholly failed.
+func (s *Store) writable(cell core.Cell) bool {
+	fd, ok := s.devs[cell.Col].(FaultDevice)
+	return !ok || !fd.Failed()
+}
+
+// writableLost filters lost cells down to those on writable devices.
 func (s *Store) writableLost(lost []core.Cell) []core.Cell {
 	writable := make([]core.Cell, 0, len(lost))
 	for _, cell := range lost {
-		if fd, ok := s.devs[cell.Col].(FaultDevice); ok && fd.Failed() {
-			continue
+		if s.writable(cell) {
+			writable = append(writable, cell)
 		}
-		writable = append(writable, cell)
 	}
 	return writable
 }

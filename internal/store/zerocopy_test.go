@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -99,8 +100,11 @@ func TestZeroCopyNetDevices(t *testing.T) {
 // TestAllocRegressionGuard is the allocation analogue of the GF kernel
 // speed guard: env-gated so routine runs stay unaffected by measurement
 // noise, it pins the steady-state block paths to (amortised) zero heap
-// allocations. CI runs it with STAIR_ALLOC_GUARD=1 on both the default
-// and purego legs.
+// allocations, a single-block update to single digits and a degraded
+// read to a small constant. CI runs it with STAIR_ALLOC_GUARD=1 on both
+// the default and purego legs. Every check runs with the integrity layer
+// off and on: the layer digests every sector read or written, and an
+// allocation per digest once hid behind a guard that only ran without it.
 func TestAllocRegressionGuard(t *testing.T) {
 	if os.Getenv("STAIR_ALLOC_GUARD") == "" {
 		t.Skip("set STAIR_ALLOC_GUARD=1 to run the alloc regression guard")
@@ -108,8 +112,19 @@ func TestAllocRegressionGuard(t *testing.T) {
 	if !mem.Enabled() {
 		t.Skip("buffer pool disabled (STAIR_POOL=off); nothing to guard")
 	}
+	for _, integ := range []*IntegrityOptions{nil, {Epoch: 1}} {
+		t.Run(fmt.Sprintf("integrity=%t", integ != nil), func(t *testing.T) {
+			allocGuard(t, integ)
+		})
+	}
+}
+
+func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 4})
+	// Workers is pinned: the codec's intra-stripe split starts goroutines
+	// per encode and decode, so its allocations scale with the host's
+	// core count — the guard is about the store's own paths.
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Workers: 1, Integrity: integ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,4 +159,44 @@ func TestAllocRegressionGuard(t *testing.T) {
 	if reads >= 0.5 {
 		t.Errorf("ReadBlockInto steady state: %.2f allocs/op, want < 0.5", reads)
 	}
+
+	// A single-block update made durable to the devices: the §5.2
+	// read–modify–write on its delta path. What is left is the stripe
+	// view over the pooled slab and the flush sweep's stripe list.
+	updates := testing.AllocsPerRun(2000, func() {
+		if err := s.WriteBlock(bg, (i*7)%s.Blocks(), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(bg); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if updates > 8 {
+		t.Errorf("single-block WriteBlock+Flush: %.2f allocs/op, want ≤ 8", updates)
+	}
+	if got := s.Stats().SubStripeFallbacks; got != 0 {
+		t.Errorf("%d sub-stripe flushes fell back on a healthy volume", got)
+	}
+
+	// A degraded read that misses the reconstruction cache (the reads
+	// cycle over twice the stripes it holds): whole-stripe load, decode
+	// through a cached plan, cache insert.
+	if err := s.FailDevice(0); err != nil {
+		t.Fatal(err)
+	}
+	lostOrd := firstOrdOn(t, s, 0)
+	degraded := testing.AllocsPerRun(2000, func() {
+		if err := s.ReadBlockInto(bg, (i%s.stripes)*s.perStripe+lostOrd, dst); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if degraded > 16 {
+		t.Errorf("cache-missing degraded read: %.2f allocs/op, want ≤ 16", degraded)
+	}
+	if st := s.Stats(); st.DegradedCacheHits != 0 {
+		t.Errorf("%d degraded reads hit the cache; the guard must measure misses", st.DegradedCacheHits)
+	}
+	t.Logf("allocs/op: write %.2f, read %.2f, update %.2f, degraded read %.2f", writes, reads, updates, degraded)
 }
