@@ -462,42 +462,136 @@ func TestDeltaFaults(t *testing.T) {
 	}
 }
 
-// TestTornDeltaRetryDecodesFromMemory: between an interrupted delta
+// TestTornStripeDecodesFromMemory: between an interrupted delta
 // write-back and its retry, a sector of an untouched block goes bad.
 // On the devices the stripe's parity is half-updated, so decoding the
-// lost block there would fabricate it; the retry must rebuild it from
-// the stripe as the interrupted flush completed it in memory. A block
-// written to the buffer in between must win over the torn content.
-func TestTornDeltaRetryDecodesFromMemory(t *testing.T) {
+// lost block there would fabricate it — and a repair would then write
+// the fabrication down, where the retry would take it for an intact
+// cell. Whoever loads the stripe in the meantime — a degraded read, the
+// repair it queues, a scrub, the retry itself — must see it as the
+// interrupted flush completed it in memory. A block written to the
+// buffer in between must win over the torn content.
+func TestTornStripeDecodesFromMemory(t *testing.T) {
+	code := testCode(t, smallGeometry)
+	for _, tc := range []struct {
+		name        string
+		beforeRetry func(t *testing.T, s *Store, lostBlock int, want [][]byte)
+	}{
+		{"retry", func(*testing.T, *Store, int, [][]byte) {}},
+		{"degraded-read-and-repair", func(t *testing.T, s *Store, lostBlock int, want [][]byte) {
+			got, err := s.ReadBlock(bg, lostBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[lostBlock]) {
+				t.Fatal("degraded read of a torn stripe fabricated the lost block off half-updated parity")
+			}
+			s.Quiesce() // the repair the read queued writes the block back
+		}},
+		{"scrub-and-repair", func(t *testing.T, s *Store, _ int, _ [][]byte) {
+			rep, err := s.Scrub(bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.SectorsLost != 1 || rep.StripesInconsistent != 0 || rep.StripesUnrecoverable != 0 {
+				t.Fatalf("scrub of a torn stripe: %+v, want exactly the one lost sector", rep)
+			}
+			s.Quiesce()
+		}},
+	} {
+		// The interrupted flush is a delta one, or — a sector it reads
+		// being bad — one that fell back to the whole-stripe load.
+		for _, fallback := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fallback=%v", tc.name, fallback), func(t *testing.T) {
+				s, blk := openBlockingStoreAt(t, code, 2, 1)
+				fillStore(t, s)
+				// Two dirty blocks: one in column 0, whose write lands, one in
+				// the blocking column 1, whose write parks until the
+				// cancellation.
+				dirty := []int{firstOrdOn(t, s, 0), firstOrdOn(t, s, 1)}
+				if fallback {
+					cell := s.dataCells[dirty[0]]
+					if err := s.InjectSectorError(cell.Col, s.devSector(0, cell.Row)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := cancelMidWriteBack(t, s, blk, dirty...)
+				if got := s.Stats().SubStripeFallbacks; got != map[bool]uint64{false: 0, true: 1}[fallback] {
+					t.Fatalf("SubStripeFallbacks=%d with fallback=%v", got, fallback)
+				}
+
+				// An untouched block of a third column loses its sector…
+				lostBlock := firstOrdOn(t, s, 2)
+				lost := s.dataCells[lostBlock]
+				if err := s.InjectSectorError(lost.Col, s.devSector(0, lost.Row)); err != nil {
+					t.Fatal(err)
+				}
+				tc.beforeRetry(t, s, lostBlock, want)
+				// …and the first dirty block is overwritten once more.
+				want[dirty[0]] = blockData(dirty[0]+2000, s.BlockSize())
+				if err := s.WriteBlock(bg, dirty[0], want[dirty[0]]); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Flush(bg); err != nil {
+					t.Fatalf("retry flush: %v", err)
+				}
+				degraded := s.Stats().DegradedReads
+				checkBlocksAre(t, s, want)
+				if bad := s.TotalBadSectors(); bad != 0 {
+					t.Fatalf("%d bad sectors left: the full rewrite should have healed the lost one", bad)
+				}
+				if st := s.Stats(); st.DegradedReads != degraded {
+					t.Fatalf("%d degraded reads after the retry", st.DegradedReads-degraded)
+				}
+				if got := s.UnrecoverableStripes(); len(got) != 0 {
+					t.Fatalf("unrecoverable stripes %v", got)
+				}
+				checkStripesConsistent(t, s)
+			})
+		}
+	}
+}
+
+// TestTornBufferFilledSinceReadsNothing: once the writer has filled the
+// buffer of a torn stripe, its retry is a plain full-stripe rewrite. It
+// must not load the stripe first — here the old content has meanwhile
+// fallen outside the code's coverage, and the rewrite is what resurrects
+// the stripe.
+func TestTornBufferFilledSinceReadsNothing(t *testing.T) {
 	code := testCode(t, smallGeometry)
 	s, blk := openBlockingStoreAt(t, code, 2, 1)
 	fillStore(t, s)
-	// Two dirty blocks: one in column 0, whose write lands, one in the
-	// blocking column 1, whose write parks until the cancellation.
-	dirty := []int{firstOrdOn(t, s, 0), firstOrdOn(t, s, 1)}
-	want := cancelMidWriteBack(t, s, blk, dirty...)
-
-	// An untouched block of a third column loses its sector…
-	lost := s.dataCells[firstOrdOn(t, s, 2)]
-	if err := s.InjectSectorError(lost.Col, s.devSector(0, lost.Row)); err != nil {
-		t.Fatal(err)
+	want := cancelMidWriteBack(t, s, blk, firstOrdOn(t, s, 0), firstOrdOn(t, s, 1))
+	// Every sector the torn update does not hold goes bad: more lost
+	// cells than the stripe has parity.
+	torn := s.shard(0).dirty[0].torn
+	for col := 0; col < code.N(); col++ {
+		for row := 0; row < s.r; row++ {
+			if torn.has(col*s.r + row) {
+				continue
+			}
+			if err := s.InjectSectorError(col, s.devSector(0, row)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// …and the first dirty block is overwritten once more.
-	want[dirty[0]] = blockData(dirty[0]+2000, s.BlockSize())
-	if err := s.WriteBlock(bg, dirty[0], want[dirty[0]]); err != nil {
-		t.Fatal(err)
+	if err := s.Flush(bg); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("retry over a stripe beyond coverage: %v, want ErrUnrecoverable", err)
+	}
+	for b := 0; b < s.perStripe; b++ {
+		want[b] = blockData(b+7000, s.BlockSize())
+		if err := s.WriteBlock(bg, b, want[b]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Flush(bg); err != nil {
-		t.Fatalf("retry flush: %v", err)
+		t.Fatalf("retry as a full stripe: %v", err)
 	}
 	checkBlocksAre(t, s, want)
-	if bad := s.TotalBadSectors(); bad != 0 {
-		t.Fatalf("%d bad sectors left: the full rewrite should have healed the lost one", bad)
-	}
-	if st := s.Stats(); st.DegradedReads != 0 {
-		t.Fatalf("%d degraded reads after the retry", st.DegradedReads)
-	}
 	checkStripesConsistent(t, s)
+	if bad, unrec := s.TotalBadSectors(), s.UnrecoverableStripes(); bad != 0 || len(unrec) != 0 {
+		t.Fatalf("%d bad sectors, unrecoverable stripes %v after the full rewrite", bad, unrec)
+	}
 }
 
 // TestKilledSubStripeWriteBackRetriedInProcess is the crash matrix's

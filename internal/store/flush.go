@@ -93,6 +93,11 @@ func (s *Store) flushStripeLocked(ctx context.Context, sh *lockShard, stripe int
 			buf.stuck = true
 		}
 	}()
+	if buf.torn != nil {
+		if err := s.completeTornLocked(ctx, sh, stripe, buf); err != nil {
+			return err
+		}
+	}
 	if buf.count == s.perStripe {
 		return s.flushFullLocked(ctx, sh, stripe, buf)
 	}
@@ -158,9 +163,6 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 // losses repaired and healed in passing, which stays the one place a
 // flush decodes. What the reads return picks the path; nothing else does.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
-	if buf.torn != nil {
-		return s.flushTornLocked(ctx, sh, stripe, buf)
-	}
 	u := &sh.upd
 	s.planUpdate(u, buf)
 	st, err := s.loadDelta(ctx, sh, stripe)
@@ -168,8 +170,7 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 		return err
 	}
 	var lost []core.Cell
-	whole := st == nil
-	if whole {
+	if st == nil {
 		s.c.subFallbacks.Add(1)
 		if st, lost, _, err = s.loadStripe(ctx, stripe, true); err != nil {
 			return err
@@ -204,18 +205,11 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	if err != nil {
 		// Interrupted mid-write-back: an unknown subset of the touched
 		// cells landed, so the incremental delta against current device
-		// state is no longer applicable on retry — the retry must rewrite
-		// the whole stripe. After a whole-stripe load st holds every
-		// cell's updated content, and promoting the buffer to a full
-		// stripe is all it takes. After a delta load st holds only the
-		// touched cells: they stay attached to the buffer, and the retry
-		// completes the stripe around them (flushTornLocked).
-		if whole {
-			s.promoteToFullLocked(buf, st)
-			s.releaseStripeUnlessCancelled(ctx, st)
-		} else {
-			buf.torn = &tornUpdate{st: st, cells: append([]core.Cell(nil), u.cells...)}
-		}
+		// state is no longer applicable — the retry must rewrite the
+		// whole stripe, and until it has, nobody may decode through what
+		// the devices hold. st, which has the touched cells as they were
+		// being written, stays attached to the buffer for both.
+		buf.torn = &tornUpdate{st: st, at: slices.Clone(u.need)}
 		return err
 	}
 	delete(sh.dirty, stripe)
@@ -362,60 +356,52 @@ func (s *Store) repairForFlushLocked(sh *lockShard, stripe int, st *core.Stripe,
 	return nil
 }
 
-// tornUpdate is what an interrupted delta write-back leaves attached to
-// its stripe buffer: the cells it was writing, with their updated
-// contents in st (whose every other cell is unspecified). On the
-// devices each of those cells now holds its old or its new content, and
-// the stripe's parity relations hold for neither mix.
+// tornUpdate is what an interrupted sub-stripe write-back leaves
+// attached to its stripe buffer: the cells it was writing — flagged in
+// at, chunk-major — with their updated contents in st (whose other cells
+// may be unspecified). On the devices each of those cells now holds its
+// old or its new content, so the stripe's parity relations hold for
+// neither mix, and a decode through them would solve contradictory
+// equations into fabricated content. Until the retry has rewritten the
+// stripe, loadStripe therefore takes those cells from here; the cells
+// the write-back did not touch are intact on the devices, and together
+// they are the stripe exactly as the interrupted flush meant to leave
+// it. st may still be referenced by the device operation the
+// interruption abandoned: it goes to the GC, never back to the pool.
 type tornUpdate struct {
-	st    *core.Stripe
-	cells []core.Cell
+	st *core.Stripe
+	at []bool
 }
 
-// flushTornLocked retries a buffer whose delta write-back was
-// interrupted. The stripe is completed in memory — the cells the
-// interrupted write-back did not touch are intact on the devices and
-// are loaded from there, the ones it did touch are taken from the torn
-// update, never from the devices — which is the stripe exactly as the
-// interrupted flush meant to leave it, and therefore consistent: a cell
-// lost in the meantime is decoded from it soundly, where decoding from
-// the devices would solve half-updated parity into fabricated content.
-// The buffer is then promoted to a full stripe (blocks written since the
-// interruption win) and rewritten whole, re-encoding every parity cell.
-func (s *Store) flushTornLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
-	// A raw load: what the devices hold of the torn cells is neither
-	// wanted nor, with their records staged only for the writes that
-	// were seen to land, fit to be judged. The rest is verified below.
-	st, lost, _, err := s.loadStripe(ctx, stripe, false)
+// has reports whether the cell at chunk-major index idx is one a torn
+// update holds; a stripe without a torn update holds none.
+func (t *tornUpdate) has(idx int) bool { return t != nil && t.at[idx] }
+
+// completeTornLocked prepares the retry of a buffer whose sub-stripe
+// write-back was interrupted: it loads the stripe — through the torn
+// update, so consistent, and a cell lost in the meantime decodes
+// soundly — and promotes the buffer to a full stripe (blocks written
+// since the interruption win), whose flush re-encodes every parity cell
+// and rewrites every cell. A buffer the writer has filled in the
+// meantime is that already.
+func (s *Store) completeTornLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
+	if buf.count == s.perStripe {
+		// Filled since: the full rewrite needs nothing of the old stripe,
+		// and must land even where that is beyond coverage.
+		buf.torn = nil
+		return nil
+	}
+	st, lost, _, err := s.loadStripe(ctx, stripe, true)
 	if err != nil {
 		return err
 	}
-	settled := make([]bool, s.n*s.r) // torn or lost: not to be verified
-	for _, cell := range buf.torn.cells {
-		settled[s.cellIdx(cell)] = true
-		copy(st.Sector(cell.Col, cell.Row), buf.torn.st.Sector(cell.Col, cell.Row))
-	}
-	lost = slices.DeleteFunc(lost, func(cell core.Cell) bool { return settled[s.cellIdx(cell)] })
-	for _, cell := range lost {
-		settled[s.cellIdx(cell)] = true
-	}
-	if s.integ != nil && s.integVerify {
-		for idx, done := range settled {
-			if cell := s.cellAt(idx); !done && !s.verifyCell(stripe, cell, st.Cells[idx]) {
-				lost = append(lost, cell)
-			}
-		}
-	}
+	defer s.releaseStripe(st)
 	if err := s.repairForFlushLocked(sh, stripe, st, lost); err != nil {
-		s.releaseStripe(st)
 		return err
 	}
 	s.promoteToFullLocked(buf, st)
-	s.releaseStripe(st)
-	// The torn slab may still be referenced by the device operation the
-	// interruption abandoned: it goes to the GC, not back to the pool.
 	buf.torn = nil
-	return s.flushFullLocked(ctx, sh, stripe, buf)
+	return nil
 }
 
 // journaledWriteback lands a flush under write-ahead protection: intent

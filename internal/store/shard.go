@@ -34,10 +34,10 @@ type lockShard struct {
 	// rows is the shard's reusable buffer-vector scratch for vectored
 	// device calls (stripe loads, write-back runs, single-sector reads).
 	// Only touched under mu, and abandoned — not reused — after a
-	// cancelled device call (see dropScratchOnCancel). lostRow is the
-	// per-column verification scratch of loadStripe.
+	// cancelled device call (see dropScratchOnCancel). settled is the
+	// per-column row scratch of loadStripe.
 	rows    [][]byte
-	lostRow []bool
+	settled []bool
 
 	// upd is the working set of the sub-stripe flush running under mu.
 	upd updateSet

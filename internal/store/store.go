@@ -189,10 +189,9 @@ type stripeBuf struct {
 	// queued marks a buffer handed to the asynchronous flush pipeline
 	// and not yet picked up by a worker; it dedupes pipeline entries.
 	queued bool
-	// torn is non-nil after a delta write-back of this buffer was
-	// interrupted; the retry completes the stripe around it instead of
-	// running another delta against the half-written devices (see
-	// flushTornLocked).
+	// torn is non-nil from an interrupted sub-stripe write-back of this
+	// buffer until the retry that rewrites the stripe whole; every load
+	// of the stripe in between goes through it (see tornUpdate).
 	torn *tornUpdate
 }
 
@@ -712,6 +711,14 @@ func (s *Store) flushAll(ctx context.Context) error {
 // crash, a sidecar record can legitimately lag the data it covers
 // (the crash hit between the data write and the sidecar write), and
 // replay must resolve that from the journal, not report corruption.
+//
+// While an interrupted sub-stripe write-back is pending its retry (see
+// tornUpdate), the cells it was writing are taken from memory, whatever
+// the devices hold or fail to return of them: never lost, never
+// verified. Every caller — degraded read, repair, scrub, the retry —
+// thus sees the stripe as that flush meant to leave it, the only view of
+// it whose parity relations hold and that a decode may go through.
+//
 // The returned error is non-nil only for context cancellation. The
 // caller holds the stripe's shard mutex, so the snapshot cannot
 // interleave with a same-stripe writer.
@@ -725,21 +732,20 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 	sh := s.shard(stripe)
 	bufs := sh.rowvec(s.r)
 	verify = verify && s.integ != nil && s.integVerify
-	var lostRow []bool
-	if verify {
-		if cap(sh.lostRow) < s.r {
-			sh.lostRow = make([]bool, s.r)
-		}
-		lostRow = sh.lostRow[:s.r]
+	var torn *tornUpdate
+	if buf := sh.dirty[stripe]; buf != nil {
+		torn = buf.torn
 	}
+	// settled flags the rows of the current column that need no checksum
+	// verdict: lost, or held by the torn update.
+	if cap(sh.settled) < s.r {
+		sh.settled = make([]bool, s.r)
+	}
+	settled := sh.settled[:s.r]
 	for col := 0; col < s.n; col++ {
 		for row := range bufs {
 			bufs[row] = st.Sector(col, row)
-		}
-		if verify {
-			for row := range lostRow {
-				lostRow[row] = false
-			}
+			settled[row] = torn.has(col*s.r + row)
 		}
 		rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, 0), bufs)
 		if rerr != nil {
@@ -747,10 +753,9 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 				// The vectored read names exactly the lost sectors; the
 				// rest of the chunk is good and stays.
 				for _, e := range se {
-					row := e.Index - stripe*s.r
-					lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
-					if verify {
-						lostRow[row] = true
+					if row := e.Index - stripe*s.r; !settled[row] {
+						lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
+						settled[row] = true
 					}
 				}
 			} else if cerr := ctx.Err(); cerr != nil {
@@ -759,17 +764,26 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 			} else {
 				// Whole-call failure (failed device, transport down):
 				// every cell of this chunk is lost.
-				for row := 0; row < s.r; row++ {
-					lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
+				for row := range settled {
+					if !settled[row] {
+						lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
+						settled[row] = true
+					}
 				}
-				continue
+			}
+		}
+		if torn != nil {
+			for row := range bufs {
+				if torn.has(col*s.r + row) {
+					copy(bufs[row], torn.st.Sector(col, row))
+				}
 			}
 		}
 		if !verify {
 			continue
 		}
-		for row := 0; row < s.r; row++ {
-			if lostRow[row] {
+		for row, done := range settled {
+			if done {
 				continue
 			}
 			if cell := (core.Cell{Col: col, Row: row}); !s.verifyCell(stripe, cell, st.Sector(col, row)) {
