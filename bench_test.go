@@ -305,8 +305,9 @@ func BenchmarkDecodeScheduleBuild(b *testing.B) {
 }
 
 // --- Store-level benchmarks (internal/store): the paths a deployment
-// actually drives, healthy vs degraded. cmd/stairbench -experiment store
-// emits the same scenarios as BENCH_store.json.
+// actually drives, healthy vs degraded — micro-benchmarks for working on
+// one path. The numbers that count, end to end and per layer, come from
+// bench/ (BENCHMARK.json, bash bench/run.sh).
 
 func benchStore(b *testing.B, stripes int) *store.Store {
 	b.Helper()

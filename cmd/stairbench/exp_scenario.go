@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -15,7 +16,7 @@ import (
 )
 
 func init() {
-	register("scenario", "trace-driven load + correlated-failure scenarios: p50/p99/p999 per op class, clean-end audit (updates BENCH_store.json)", runScenario)
+	register("scenario", "trace-driven load + correlated-failure scenarios: p50/p99/p999 per op class, clean-end audit (writes BENCH_scenario.json)", runScenario)
 }
 
 // scenarioBenchConfig pins the harness shape so rows are comparable
@@ -72,13 +73,9 @@ type scenarioBenchReport struct {
 // standard workload mixes against a healthy store (the baseline
 // percentile rows), then every correlated-failure scenario — erroring
 // out unless each completes with zero unrecoverable stripes and zero
-// integrity false alarms. Results merge into BENCH_store.json under
-// "scenario", preserving the other experiments' sections.
+// integrity false alarms. The report is BENCH_scenario.json, written
+// whole: this experiment is the file's only writer.
 func runScenario(o options) error {
-	report, err := loadStoreReport()
-	if err != nil {
-		return err
-	}
 	const seed = 1
 	ctx := context.Background()
 	opts := scenario.EnvOptions{Seed: seed}
@@ -199,10 +196,13 @@ func runScenario(o options) error {
 	w.Flush()
 	fmt.Println("\nall scenarios settled clean: 0 unrecoverable stripes, 0 integrity false alarms")
 
-	report.Scenario = &scenarioBenchReport{Config: cfg, Results: rows, Metrics: metrics}
-	if err := writeStoreReport(report); err != nil {
+	raw, err := json.MarshalIndent(scenarioBenchReport{Config: cfg, Results: rows, Metrics: metrics}, "", "  ")
+	if err != nil {
 		return err
 	}
-	fmt.Println("updated BENCH_store.json (scenario section)")
+	if err := os.WriteFile("BENCH_scenario.json", append(raw, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote BENCH_scenario.json")
 	return nil
 }

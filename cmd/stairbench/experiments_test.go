@@ -1,0 +1,30 @@
+package main
+
+import "testing"
+
+// TestAnalyticExperimentsRun runs every experiment that computes its
+// table instead of timing something — the paper's tables and cost,
+// update and reliability figures — through the registry entry
+// `-experiment` dispatches to, so a dropped registration or a panic in a
+// table printer fails here. The timed runs (fig11*, fig12, fig13*,
+// ablation, monte, scenario) are deliberately not on the list.
+func TestAnalyticExperimentsRun(t *testing.T) {
+	registered := map[string]func(options) error{}
+	for _, e := range experiments {
+		registered[e.name] = e.run
+	}
+	for _, name := range []string{
+		"table2", "table3", "fig9", "fig10", "fig14", "fig15",
+		"fig17", "fig18", "fig19a", "fig19b", "narr", "idr",
+	} {
+		t.Run(name, func(t *testing.T) {
+			run, ok := registered[name]
+			if !ok {
+				t.Fatal("not registered")
+			}
+			if err := run(options{stripeMiB: 4}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -1,5 +1,10 @@
 // Command stairbench regenerates every table and figure of the STAIR
-// paper's evaluation (FAST '14, §5-§7 and Appendix B) as text tables.
+// paper's evaluation (FAST '14, §5-§7 and Appendix B) as text tables,
+// and runs the correlated-failure scenarios (-experiment scenario, which
+// writes BENCH_scenario.json). It is not the store's performance
+// instrument: store- and cluster-layer throughput, latency and
+// allocation numbers come from bench/ (BENCHMARK.json, bash
+// bench/run.sh).
 //
 // Usage:
 //
@@ -13,7 +18,7 @@
 // stripes and denser parameter grids (and -stripe overrides directly).
 // Like the paper's implementation, the hot GF region loops run as SIMD
 // split-table kernels where the CPU allows (see internal/gf); every run
-// banners which kernel produced its numbers, and BENCH_store.json
+// banners which kernel produced its numbers, and BENCH_scenario.json
 // records it, so speed figures are never compared across kernels
 // unawares. STAIR_GF_KERNEL=portable forces the scalar baseline for A/B
 // runs.

@@ -22,9 +22,9 @@
 // data sectors inside the same image — plus a dev_<i>.img.faults
 // sidecar persisting injected faults; dir/journal.wal is the
 // write-ahead intent log making stripe write-back crash-consistent.
-// `corrupt -silent` flips a bit without registering any fault: with
-// integrity on the lie is caught and repaired on the next read or
-// scrub; with STAIR_INTEGRITY=off it sails through (the A/B control).
+// `corrupt -silent` flips a bit without registering any fault: the
+// integrity layer catches the lie and repairs it on the next read or
+// scrub.
 // Reads through damage are served degraded (reconstructed on the fly)
 // and heal in the background; damage beyond the code's coverage
 // surfaces as an unrecoverable error and a counter, never as corrupt

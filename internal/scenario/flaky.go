@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -15,10 +14,12 @@ import (
 // That is the grey-failure shape the cluster's failure detector and
 // hedged reads are designed around — the device is not dead (I/O still
 // completes, slowly), but probes time out. It implements the cluster
-// Pinger contract and forwards the fault plane, so it can stand in for
-// a fleet device under store- and cluster-level scenarios alike.
+// Pinger contract and, through the embedded store.Forwarder, passes
+// geometry, Close and the fault plane to the wrapped device, so it can
+// stand in for a fleet device under store- and cluster-level scenarios
+// alike.
 type FlakyDevice struct {
-	inner store.Device
+	store.Forwarder
 
 	mu         sync.Mutex
 	stallUntil time.Time
@@ -27,7 +28,7 @@ type FlakyDevice struct {
 
 // NewFlakyDevice wraps inner.
 func NewFlakyDevice(inner store.Device) *FlakyDevice {
-	return &FlakyDevice{inner: inner}
+	return &FlakyDevice{Forwarder: store.Forwarder{Inner: inner}}
 }
 
 // StallFor makes the device stall for dur starting now: probes fail
@@ -74,18 +75,12 @@ func (f *FlakyDevice) pause(ctx context.Context) error {
 	}
 }
 
-// Sectors returns the wrapped device's capacity.
-func (f *FlakyDevice) Sectors() int { return f.inner.Sectors() }
-
-// SectorSize returns the wrapped device's sector size.
-func (f *FlakyDevice) SectorSize() int { return f.inner.SectorSize() }
-
 // ReadSectors pays the stall delay, then forwards.
 func (f *FlakyDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := f.pause(ctx); err != nil {
 		return err
 	}
-	return f.inner.ReadSectors(ctx, start, bufs)
+	return f.Inner.ReadSectors(ctx, start, bufs)
 }
 
 // WriteSectors pays the stall delay, then forwards.
@@ -93,7 +88,7 @@ func (f *FlakyDevice) WriteSectors(ctx context.Context, start int, data [][]byte
 	if err := f.pause(ctx); err != nil {
 		return err
 	}
-	return f.inner.WriteSectors(ctx, start, data)
+	return f.Inner.WriteSectors(ctx, start, data)
 }
 
 // Sync pays the stall delay, then forwards the durability barrier.
@@ -101,60 +96,5 @@ func (f *FlakyDevice) Sync(ctx context.Context) error {
 	if err := f.pause(ctx); err != nil {
 		return err
 	}
-	return store.SyncDevice(ctx, f.inner)
-}
-
-// Close closes the wrapped device.
-func (f *FlakyDevice) Close() error { return f.inner.Close() }
-
-func (f *FlakyDevice) faultInner() (store.FaultDevice, error) {
-	if fd, ok := f.inner.(store.FaultDevice); ok {
-		return fd, nil
-	}
-	return nil, fmt.Errorf("scenario: wrapped device %T does not support fault injection", f.inner)
-}
-
-// Fail forwards to the wrapped device's fault plane.
-func (f *FlakyDevice) Fail() error {
-	fd, err := f.faultInner()
-	if err != nil {
-		return err
-	}
-	return fd.Fail()
-}
-
-// Failed reports the wrapped device's failure state.
-func (f *FlakyDevice) Failed() bool {
-	fd, err := f.faultInner()
-	if err != nil {
-		return false
-	}
-	return fd.Failed()
-}
-
-// Replace forwards to the wrapped device's fault plane.
-func (f *FlakyDevice) Replace() error {
-	fd, err := f.faultInner()
-	if err != nil {
-		return err
-	}
-	return fd.Replace()
-}
-
-// InjectSectorError forwards to the wrapped device's fault plane.
-func (f *FlakyDevice) InjectSectorError(idx int) error {
-	fd, err := f.faultInner()
-	if err != nil {
-		return err
-	}
-	return fd.InjectSectorError(idx)
-}
-
-// BadSectors reports the wrapped device's latent-error count.
-func (f *FlakyDevice) BadSectors() int {
-	fd, err := f.faultInner()
-	if err != nil {
-		return 0
-	}
-	return fd.BadSectors()
+	return f.Forwarder.Sync(ctx)
 }

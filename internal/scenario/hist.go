@@ -125,7 +125,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // Percentiles is the reported latency row for one op class. All values
-// are microseconds; the JSON field names are the BENCH_store.json
+// are microseconds; the JSON field names are the BENCH_scenario.json
 // schema (see README: Scenario harness & soak testing).
 type Percentiles struct {
 	Count  uint64  `json:"count"`

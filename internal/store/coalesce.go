@@ -63,9 +63,12 @@ type CoalesceStats struct {
 // promptly with ctx.Err(); the merged call continues for the other
 // members and is cancelled only when every member has abandoned it.
 //
-// Fault-injection hooks and Sync pass through to the wrapped device.
+// Geometry, Sync and the fault-injection hooks pass through to the
+// wrapped device. So does Close: in-flight batches hold their own
+// references, and callers must not Close with operations outstanding
+// (the store's shutdown drains before closing devices).
 type CoalescingDevice struct {
-	innerFaults
+	Forwarder
 	window     time.Duration
 	maxSectors int
 
@@ -88,9 +91,9 @@ func NewCoalescingDevice(inner Device, opts CoalesceOptions) *CoalescingDevice {
 		opts.MaxSectors = defaultCoalesceMaxSectors
 	}
 	d := &CoalescingDevice{
-		innerFaults: innerFaults{inner: inner},
-		window:      opts.Window,
-		maxSectors:  opts.MaxSectors,
+		Forwarder:  Forwarder{Inner: inner},
+		window:     opts.Window,
+		maxSectors: opts.MaxSectors,
 	}
 	d.reads.dev, d.writes.dev = d, d
 	d.writes.write = true
@@ -110,12 +113,6 @@ func (d *CoalescingDevice) Stats() CoalesceStats {
 	}
 }
 
-// Sectors returns the wrapped device's capacity.
-func (d *CoalescingDevice) Sectors() int { return d.inner.Sectors() }
-
-// SectorSize returns the wrapped device's sector size.
-func (d *CoalescingDevice) SectorSize() int { return d.inner.SectorSize() }
-
 // ReadSectors joins the read batch window; adjacent concurrent reads
 // share one inner call.
 func (d *CoalescingDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
@@ -129,14 +126,6 @@ func (d *CoalescingDevice) WriteSectors(ctx context.Context, start int, data [][
 	d.stats.writes.Add(1)
 	return d.writes.submit(ctx, start, data)
 }
-
-// Sync forwards the durability barrier to the wrapped device.
-func (d *CoalescingDevice) Sync(ctx context.Context) error { return SyncDevice(ctx, d.inner) }
-
-// Close closes the wrapped device. In-flight batches hold their own
-// references; callers must not Close with operations outstanding (the
-// store's shutdown drains before closing devices).
-func (d *CoalescingDevice) Close() error { return d.inner.Close() }
 
 // coalReq is one caller operation waiting in a batch window.
 type coalReq struct {
@@ -303,9 +292,9 @@ func (q *coalesceQueue) issue(members []*coalReq, start, end int) {
 	ctx, cancel := mergedContext(members)
 	var err error
 	if q.write {
-		err = d.inner.WriteSectors(ctx, start, merged)
+		err = d.Inner.WriteSectors(ctx, start, merged)
 	} else {
-		err = d.inner.ReadSectors(ctx, start, merged)
+		err = d.Inner.ReadSectors(ctx, start, merged)
 	}
 	abandoned := ctx.Err() != nil
 	cancel()

@@ -32,14 +32,8 @@ func TestDeviceConformanceFile(t *testing.T) {
 
 func TestDeviceConformanceLatency(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
-		return store.NewLatencyDevice(store.NewMemDevice(sectors, sectorSize),
-			200*time.Microsecond, 100*time.Microsecond)
-	})
-}
-
-func TestDeviceConformancePerSector(t *testing.T) {
-	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
-		return store.NewPerSectorDevice(store.NewMemDevice(sectors, sectorSize))
+		return store.NewLatencyDeviceProfile(store.NewMemDevice(sectors, sectorSize),
+			store.LatencyProfile{Latency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond})
 	})
 }
 

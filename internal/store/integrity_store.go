@@ -93,7 +93,7 @@ func colsOf(cells []core.Cell) []int {
 
 // IntegrityEnabled reports whether the checksum layer is on, and
 // whether it is actively verifying (as opposed to only maintaining
-// records, the STAIR_INTEGRITY=off mode).
+// records, IntegrityOptions.DisableVerify).
 func (s *Store) IntegrityEnabled() (on, verifying bool) {
 	return s.integ != nil, s.integ != nil && s.integVerify
 }

@@ -2,72 +2,10 @@ package store
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
-
-// innerFaults forwards the FaultDevice hooks to a wrapped device, so
-// wrapper backends (LatencyDevice, PerSectorDevice) stay transparent to
-// fault injection when the wrapped device supports it.
-type innerFaults struct {
-	inner Device
-}
-
-func (w innerFaults) faultInner() (FaultDevice, error) {
-	if fd, ok := w.inner.(FaultDevice); ok {
-		return fd, nil
-	}
-	return nil, fmt.Errorf("store: wrapped device %T does not support fault injection", w.inner)
-}
-
-// Fail forwards to the wrapped device's Fail.
-func (w innerFaults) Fail() error {
-	fd, err := w.faultInner()
-	if err != nil {
-		return err
-	}
-	return fd.Fail()
-}
-
-// Failed reports the wrapped device's failure state (false when the
-// wrapped device has no fault support).
-func (w innerFaults) Failed() bool {
-	fd, err := w.faultInner()
-	if err != nil {
-		return false
-	}
-	return fd.Failed()
-}
-
-// Replace forwards to the wrapped device's Replace.
-func (w innerFaults) Replace() error {
-	fd, err := w.faultInner()
-	if err != nil {
-		return err
-	}
-	return fd.Replace()
-}
-
-// InjectSectorError forwards to the wrapped device's InjectSectorError.
-func (w innerFaults) InjectSectorError(idx int) error {
-	fd, err := w.faultInner()
-	if err != nil {
-		return err
-	}
-	return fd.InjectSectorError(idx)
-}
-
-// BadSectors reports the wrapped device's latent-sector-error count
-// (zero when the wrapped device has no fault support).
-func (w innerFaults) BadSectors() int {
-	fd, err := w.faultInner()
-	if err != nil {
-		return 0
-	}
-	return fd.BadSectors()
-}
 
 // LatencyProfile describes the timing behaviour of a simulated remote
 // or spinning backend, charged per vectored call (not per sector).
@@ -105,32 +43,27 @@ type LatencyProfile struct {
 // pays one latency hit per device instead of R.
 //
 // The sleep honors context cancellation, so a slow simulated backend
-// cannot wedge a store operation past its deadline. Fault-injection
-// hooks pass through to the wrapped device.
+// cannot wedge a store operation past its deadline. Geometry, Close and
+// the fault-injection hooks pass through to the wrapped device.
 type LatencyDevice struct {
-	innerFaults
+	Forwarder
 	profile LatencyProfile
 
 	mu  sync.Mutex // guards rng, and spans the sleep when profile.Serial
 	rng *rand.Rand
 }
 
-// NewLatencyDevice wraps inner, delaying every data operation by
-// latency plus a uniform random addition in [0, jitter].
-func NewLatencyDevice(inner Device, latency, jitter time.Duration) *LatencyDevice {
-	return NewLatencyDeviceProfile(inner, LatencyProfile{Latency: latency, Jitter: jitter})
-}
-
-// NewLatencyDeviceProfile wraps inner with the full timing profile.
+// NewLatencyDeviceProfile wraps inner, delaying every data operation
+// and Sync by a draw from profile.
 func NewLatencyDeviceProfile(inner Device, profile LatencyProfile) *LatencyDevice {
 	seed := profile.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
 	return &LatencyDevice{
-		innerFaults: innerFaults{inner: inner},
-		profile:     profile,
-		rng:         rand.New(rand.NewSource(seed)),
+		Forwarder: Forwarder{Inner: inner},
+		profile:   profile,
+		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -173,18 +106,12 @@ func (d *LatencyDevice) delay(ctx context.Context) error {
 	}
 }
 
-// Sectors returns the wrapped device's capacity.
-func (d *LatencyDevice) Sectors() int { return d.inner.Sectors() }
-
-// SectorSize returns the wrapped device's sector size.
-func (d *LatencyDevice) SectorSize() int { return d.inner.SectorSize() }
-
 // ReadSectors charges one latency hit, then forwards the vectored read.
 func (d *LatencyDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := d.delay(ctx); err != nil {
 		return err
 	}
-	return d.inner.ReadSectors(ctx, start, bufs)
+	return d.Inner.ReadSectors(ctx, start, bufs)
 }
 
 // WriteSectors charges one latency hit, then forwards the vectored
@@ -193,7 +120,7 @@ func (d *LatencyDevice) WriteSectors(ctx context.Context, start int, data [][]by
 	if err := d.delay(ctx); err != nil {
 		return err
 	}
-	return d.inner.WriteSectors(ctx, start, data)
+	return d.Inner.WriteSectors(ctx, start, data)
 }
 
 // Sync charges one latency hit, then forwards the durability barrier to
@@ -202,77 +129,5 @@ func (d *LatencyDevice) Sync(ctx context.Context) error {
 	if err := d.delay(ctx); err != nil {
 		return err
 	}
-	return SyncDevice(ctx, d.inner)
+	return d.Forwarder.Sync(ctx)
 }
-
-// Close closes the wrapped device.
-func (d *LatencyDevice) Close() error { return d.inner.Close() }
-
-// PerSectorDevice adapts a Device by splitting every vectored call into
-// single-sector calls against the wrapped device. It serves two roles:
-// an adapter for backends that are inherently one-sector-at-a-time, and
-// the benchmark baseline quantifying what vectored I/O saves — wrap a
-// LatencyDevice in it and every sector pays the full round trip the old
-// per-sector API paid. Fault-injection hooks pass through.
-type PerSectorDevice struct {
-	innerFaults
-}
-
-// NewPerSectorDevice wraps inner with the per-sector splitter.
-func NewPerSectorDevice(inner Device) *PerSectorDevice {
-	return &PerSectorDevice{innerFaults: innerFaults{inner: inner}}
-}
-
-// Sectors returns the wrapped device's capacity.
-func (d *PerSectorDevice) Sectors() int { return d.inner.Sectors() }
-
-// SectorSize returns the wrapped device's sector size.
-func (d *PerSectorDevice) SectorSize() int { return d.inner.SectorSize() }
-
-// ReadSectors issues one single-sector read per buffer, merging the
-// per-sector losses into one SectorErrors result.
-func (d *PerSectorDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
-	var lost SectorErrors
-	for i, buf := range bufs {
-		err := d.inner.ReadSectors(ctx, start+i, [][]byte{buf})
-		if err == nil {
-			continue
-		}
-		if se, ok := AsSectorErrors(err); ok {
-			lost = append(lost, se...)
-			continue
-		}
-		return err
-	}
-	if len(lost) > 0 {
-		return lost
-	}
-	return nil
-}
-
-// WriteSectors issues one single-sector write per buffer, merging the
-// per-sector failures into one SectorErrors result.
-func (d *PerSectorDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
-	var failed SectorErrors
-	for i, buf := range data {
-		err := d.inner.WriteSectors(ctx, start+i, [][]byte{buf})
-		if err == nil {
-			continue
-		}
-		if se, ok := AsSectorErrors(err); ok {
-			failed = append(failed, se...)
-			continue
-		}
-		return err
-	}
-	if len(failed) > 0 {
-		return failed
-	}
-	return nil
-}
-
-// Sync forwards the durability barrier to the wrapped device.
-func (d *PerSectorDevice) Sync(ctx context.Context) error { return SyncDevice(ctx, d.inner) }
-
-// Close closes the wrapped device.
-func (d *PerSectorDevice) Close() error { return d.inner.Close() }

@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -148,9 +147,8 @@ type IntegrityOptions struct {
 	// volume generation; 0 is valid.
 	Epoch uint32
 	// DisableVerify keeps maintaining checksum records on writes but
-	// skips verification on reads and scrubs — the A/B escape hatch.
-	// The STAIR_INTEGRITY=off (or 0/false) environment variable forces
-	// it at Open.
+	// skips verification on reads and scrubs — the negative control the
+	// tests use to prove the layer is load-bearing.
 	DisableVerify bool
 }
 
@@ -159,16 +157,6 @@ type IntegrityOptions struct {
 // amount to add to each device's Stripes×R data sectors.
 func IntegrityMetaSectors(stripes, r, sectorSize int) int {
 	return integrity.MetaSectors(stripes*r, sectorSize)
-}
-
-// integrityEnvOff reports whether the STAIR_INTEGRITY environment
-// variable disables verification.
-func integrityEnvOff() bool {
-	switch os.Getenv("STAIR_INTEGRITY") {
-	case "off", "0", "false":
-		return true
-	}
-	return false
 }
 
 // stripeBuf accumulates dirty data blocks of one stripe, indexed by data
@@ -454,7 +442,7 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		s.integ = integ
-		s.integVerify = !cfg.Integrity.DisableVerify && !integrityEnvOff()
+		s.integVerify = !cfg.Integrity.DisableVerify
 		s.loadIntegrityRegions(context.Background())
 	}
 	// Recovery runs before any traffic — and before the flush pipeline
