@@ -13,14 +13,14 @@ import (
 )
 
 func init() {
-	register("ablation", "implementation ablations: zero-term elision and parallel workers", runAblation)
+	register("ablation", "implementation ablation: zero-term elision (model vs executed Mult_XORs)", runAblation)
 	register("monte", "Monte-Carlo validation of the Pstr model via the failure simulator", runMonteCarlo)
 }
 
-// runAblation quantifies two implementation choices beyond the paper:
-// (a) eliding Mult_XORs whose coefficient or source region is known to be
-// zero (actual vs model cost), and (b) data-parallel schedule execution.
-func runAblation(o options) error {
+// runAblation quantifies one implementation choice beyond the paper:
+// eliding Mult_XORs whose coefficient or source region is known to be
+// zero (actual vs model cost).
+func runAblation(options) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "config\tmethod\tmodel Mult_XOR\tactual\tsaved")
 	for _, cfg := range []core.Config{
@@ -39,33 +39,7 @@ func runAblation(o options) error {
 				100*float64(model-actual)/float64(model))
 		}
 	}
-	w.Flush()
-
-	fmt.Println("\nparallel encode (n=16, r=16, m=2, e=(1,1,2)):")
-	c, err := core.New(core.Config{N: 16, R: 16, M: 2, E: []int{1, 1, 2}})
-	if err != nil {
-		return err
-	}
-	stripe := o.stripeMiB << 20
-	st, err := c.NewStripe(sectorSizeFor(stripe, 16, 16, c.Field().SymbolBytes()))
-	if err != nil {
-		return err
-	}
-	fillStripe(c, st, 9)
-	actualBytes := st.SectorSize * 16 * 16
-	w2 := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w2, "workers\tMB/s")
-	for _, workers := range []int{1, 2, 4} {
-		wk := workers
-		speed, err := timeOp(actualBytes, func() error {
-			return c.EncodeParallel(st, core.MethodAuto, wk)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w2, "%d\t%.0f\n", workers, speed)
-	}
-	return w2.Flush()
+	return w.Flush()
 }
 
 // runMonteCarlo simulates the correlated sector-failure model over many

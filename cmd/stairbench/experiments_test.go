@@ -7,7 +7,7 @@ import "testing"
 // update and reliability figures — through the registry entry
 // `-experiment` dispatches to, so a dropped registration or a panic in a
 // table printer fails here. The timed runs (fig11*, fig12, fig13*,
-// ablation, monte, scenario) are deliberately not on the list.
+// monte, scenario) are deliberately not on the list.
 func TestAnalyticExperimentsRun(t *testing.T) {
 	registered := map[string]func(options) error{}
 	for _, e := range experiments {
@@ -15,7 +15,7 @@ func TestAnalyticExperimentsRun(t *testing.T) {
 	}
 	for _, name := range []string{
 		"table2", "table3", "fig9", "fig10", "fig14", "fig15",
-		"fig17", "fig18", "fig19a", "fig19b", "narr", "idr",
+		"fig17", "fig18", "fig19a", "fig19b", "narr", "idr", "ablation",
 	} {
 		t.Run(name, func(t *testing.T) {
 			run, ok := registered[name]

@@ -179,7 +179,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	eStr := fs.String("e", "1,2", "sector-failure vector, comma separated")
 	stripes := fs.Int("stripes", 64, "stripes in the volume")
 	sector := fs.Int("sector", 4096, "sector (= block) size in bytes")
-	workers := fs.Int("workers", 0, "encode/repair parallelism (0 = GOMAXPROCS)")
 	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
 	coalesce := fs.Bool("coalesce", true, "merge adjacent stripe extents per backend")
 	coalesceWindow := fs.Duration("coalesce-window", 200*time.Microsecond, "coalescer batch window")
@@ -213,7 +212,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		Code:         code,
 		SectorSize:   *sector,
 		Stripes:      *stripes,
-		Workers:      *workers,
 		FlushWorkers: *flushWorkers,
 		Monitor:      cluster.MonitorConfig{Interval: *heartbeat, FailAfter: *failAfter},
 	}

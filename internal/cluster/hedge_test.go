@@ -101,7 +101,6 @@ func TestHedgedReadOutrunsStall(t *testing.T) {
 		Code:       code,
 		SectorSize: sectorSize,
 		Stripes:    stripes,
-		Workers:    2,
 		Dial: func(ctx context.Context, server Server) (store.Device, error) {
 			mem := store.NewMemDevice(stripes*code.R(), sectorSize)
 			g := &gateDevice{FaultDevice: mem}

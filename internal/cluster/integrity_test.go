@@ -34,7 +34,6 @@ func openIntegrityVolume(t *testing.T, stripes, sectorSize int, hedge *HedgeConf
 		Code:       code,
 		SectorSize: sectorSize,
 		Stripes:    stripes,
-		Workers:    2,
 		Integrity:  &store.IntegrityOptions{Epoch: 11},
 		Dial: func(ctx context.Context, server Server) (store.Device, error) {
 			if _, ok := fx.mems[server.Name]; ok {
@@ -140,7 +139,6 @@ func TestClusterRebuildWritesFreshSidecars(t *testing.T) {
 		Code:       code,
 		SectorSize: sectorSize,
 		Stripes:    stripes,
-		Workers:    2,
 		Integrity:  &store.IntegrityOptions{Epoch: 11},
 		Dial: func(ctx context.Context, server Server) (store.Device, error) {
 			return fx.gates[server.Name], nil

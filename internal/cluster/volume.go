@@ -45,8 +45,11 @@ type Config struct {
 	// reconstruct. Every fleet server must then serve
 	// Stripes×Code.R() + store.IntegrityMetaSectors(...) sectors.
 	Integrity *store.IntegrityOptions
+	// Deprecated: has no effect; the codec runs one stripe per goroutine
+	// — parallelism is FlushWorkers / RepairWorkers / LockShards. Kept
+	// until bench/ stops setting it.
+	Workers int
 	// Store tuning passthrough; see store.Config.
-	Workers         int
 	MaxDirtyStripes int
 	FlushWorkers    int
 	RepairWorkers   int
@@ -70,7 +73,6 @@ type Volume struct {
 	n, r       int
 	sectorSize int
 	stripes    int
-	workers    int
 	name       string
 	// dataSectors is the per-column data region size (stripes×r); with
 	// integrity on, devices carry sidecar sectors past it that the
@@ -130,7 +132,6 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 		r:           cfg.Code.R(),
 		sectorSize:  cfg.SectorSize,
 		stripes:     cfg.Stripes,
-		workers:     cfg.Workers,
 		name:        name,
 		spares:      cfg.Fleet.Spares(),
 		dataSectors: cfg.Stripes * cfg.Code.R(),
@@ -176,7 +177,6 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 		// The pluggable seam: the store builds its device list from the
 		// cluster's placed, health-tracked, possibly hedged columns.
 		DeviceFactory:   func(col int) (store.Device, error) { return v.devs[col], nil },
-		Workers:         cfg.Workers,
 		MaxDirtyStripes: cfg.MaxDirtyStripes,
 		FlushWorkers:    cfg.FlushWorkers,
 		RepairWorkers:   cfg.RepairWorkers,
@@ -413,7 +413,7 @@ func (v *Volume) reconstructExtent(ctx context.Context, col, start int, dst [][]
 		if hard != nil {
 			return hard
 		}
-		if err := v.code.RepairParallel(st, lost, v.workers); err != nil {
+		if err := v.code.Repair(st, lost); err != nil {
 			return err
 		}
 		if v.verifyHedge {

@@ -150,7 +150,29 @@ func (c *Code) buildDecodeSchedule(idxs []int) (*schedule, error) {
 // current contents are ignored. It returns ErrUnrecoverable when the
 // pattern exceeds the coverage defined by m and e (and is not otherwise
 // peelable by luck).
-func (c *Code) Repair(st *Stripe, lost []Cell) error { return c.RepairParallel(st, lost, 1) }
+func (c *Code) Repair(st *Stripe, lost []Cell) error {
+	if err := c.validateStripe(st); err != nil {
+		return err
+	}
+	idxs, err := c.checkLost(lost)
+	if err != nil {
+		return err
+	}
+	if len(idxs) == 0 {
+		return nil
+	}
+	pl, err := c.decodePlan(idxs)
+	if err != nil {
+		return err
+	}
+	if pl == nil {
+		return fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(idxs))
+	}
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.runPlan(pl, e.cells)
+	return nil
+}
 
 // CanRecover reports whether a failure pattern is repairable, without
 // touching any data. The answer is exact: it builds (and caches) the

@@ -64,11 +64,23 @@ func (c *Code) acquireScratchStripe(sectorSize int) *Stripe {
 // Encode fills the stripe's parity cells (row parities plus inside global
 // parities, or outside Globals) from its data cells, using the
 // automatically selected cheapest method.
-func (c *Code) Encode(st *Stripe) error { return c.EncodeParallel(st, MethodAuto, 1) }
+func (c *Code) Encode(st *Stripe) error { return c.EncodeWith(st, MethodAuto) }
 
 // EncodeWith encodes with an explicit method. All three methods produce
 // identical parity values (§5.1.3); they differ only in Mult_XOR count.
-func (c *Code) EncodeWith(st *Stripe, m Method) error { return c.EncodeParallel(st, m, 1) }
+func (c *Code) EncodeWith(st *Stripe, m Method) error {
+	if err := c.validateStripe(st); err != nil {
+		return err
+	}
+	p, err := c.planFor(m)
+	if err != nil {
+		return err
+	}
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.runPlan(p, e.cells)
+	return nil
+}
 
 // Verify re-encodes the stripe's data into pooled scratch and reports
 // whether every stored parity cell matches. It is the scrub primitive

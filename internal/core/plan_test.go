@@ -12,9 +12,9 @@ import (
 // walks a schedule op by op, destination-major, through the per-region
 // Field primitives — no staging, regrouping, coefficient merging, tiling
 // or fused calls. The differential tests below hold every public surface
-// (encode with each method, repair, incremental update, and the parallel
-// forms) byte-identical to it, for every field width, at sector sizes
-// below, at and ragged past the plan tile.
+// (encode with each method, repair, incremental update) byte-identical
+// to it, for every field width, at sector sizes below, at and ragged
+// past the plan tile.
 
 // run executes a schedule over the environment. Each op overwrites its
 // destination with a linear combination of its sources.
@@ -94,20 +94,15 @@ func planTestConfigs() []Config {
 	}
 }
 
-// planSectorSizes: below the tile, exactly one tile, a ragged second tile
-// (still under two tiles, so parallel runs split on symbol boundaries),
-// and two tiles plus a ragged tail (parallel runs split on tile
-// boundaries). All even, so they are valid for two-byte symbols.
+// planSectorSizes: below the tile, exactly one tile, a ragged second
+// tile, and two tiles plus a ragged tail. All even, so they are valid
+// for two-byte symbols.
 var planSectorSizes = []int{34, defaultPlanTile, defaultPlanTile + 130, 2*defaultPlanTile + 130}
 
 // planTallSectorSizes is what the 512-cell planTallConfig stripes are
 // swept at: tiling does not depend on geometry, and under -race the full
 // list costs this one config more than every other case together.
 var planTallSectorSizes = []int{34, defaultPlanTile + 130}
-
-// planWorkers are the worker counts every surface is checked at; 0 stands
-// for the serial entry point (Encode/EncodeWith/Repair).
-var planWorkers = []int{0, 1, 2, 3, 4}
 
 func forEachPlanCase(t *testing.T, fn func(t *testing.T, c *Code, sectorSize int)) {
 	for _, cfg := range planTestConfigs() {
@@ -142,20 +137,12 @@ func TestPlanMatchesOracleEncode(t *testing.T) {
 		for _, m := range []Method{MethodUpstairs, MethodDownstairs, MethodStandard} {
 			want := newFilledStripe(t, c, sectorSize, 7)
 			oracleEncode(t, c, want, m)
-			for _, workers := range planWorkers {
-				got := newFilledStripe(t, c, sectorSize, 7)
-				var err error
-				if workers == 0 {
-					err = c.EncodeWith(got, m)
-				} else {
-					err = c.EncodeParallel(got, m, workers)
-				}
-				if err != nil {
-					t.Fatalf("method=%v workers=%d: %v", m, workers, err)
-				}
-				if !stripesEqual(got, want) {
-					t.Fatalf("method=%v workers=%d: plan and oracle encodes differ", m, workers)
-				}
+			got := newFilledStripe(t, c, sectorSize, 7)
+			if err := c.EncodeWith(got, m); err != nil {
+				t.Fatalf("method=%v: %v", m, err)
+			}
+			if !stripesEqual(got, want) {
+				t.Fatalf("method=%v: plan and oracle encodes differ", m)
 			}
 		}
 	})
@@ -188,20 +175,12 @@ func TestPlanMatchesOracleRepair(t *testing.T) {
 			}
 			want := broken.Clone()
 			oracleRepair(t, c, want, lost)
-			for _, workers := range planWorkers {
-				got := broken.Clone()
-				var err error
-				if workers == 0 {
-					err = c.Repair(got, lost)
-				} else {
-					err = c.RepairParallel(got, lost, workers)
-				}
-				if err != nil {
-					t.Fatalf("pattern %d workers=%d: %v", pi, workers, err)
-				}
-				if !stripesEqual(got, want) {
-					t.Fatalf("pattern %d workers=%d: plan and oracle repairs differ", pi, workers)
-				}
+			got := broken.Clone()
+			if err := c.Repair(got, lost); err != nil {
+				t.Fatalf("pattern %d: %v", pi, err)
+			}
+			if !stripesEqual(got, want) {
+				t.Fatalf("pattern %d: plan and oracle repairs differ", pi)
 			}
 		}
 	})

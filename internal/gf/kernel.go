@@ -177,17 +177,10 @@ func activeKernel() Kernel {
 // caller bypassed Init and every Field constructor) still panics; the
 // supported startup surfaces turn it into an error first.
 func chooseKernel() Kernel {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	if c := kernelActive.Load(); c != nil {
-		return c.k
-	}
-	k, err := pickKernel(os.Getenv("STAIR_GF_KERNEL"))
-	if err != nil {
+	if err := Init(); err != nil {
 		panic(err)
 	}
-	kernelActive.Store(&chosenKernel{k})
-	return k
+	return kernelActive.Load().k
 }
 
 // pickKernel resolves the dispatch choice: the highest-priority registered

@@ -682,7 +682,7 @@ func TestSyncDurabilityBarrier(t *testing.T) {
 // buffered writes throughout, and Flush drains to a consistent volume.
 func TestAsyncPipelineRoundTrip(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 5, FlushWorkers: 3, MaxInflightEncodes: 2})
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 5, FlushWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

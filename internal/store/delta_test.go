@@ -69,7 +69,7 @@ func (o deltaOpts) String() string {
 func newDeltaVolume(t *testing.T, cfg core.Config, stripes, sector int, o deltaOpts) *deltaVolume {
 	t.Helper()
 	code := testCode(t, cfg)
-	sc := Config{Code: code, SectorSize: sector, Stripes: stripes, Workers: 1}
+	sc := Config{Code: code, SectorSize: sector, Stripes: stripes}
 	sectors := stripes * code.R()
 	if o.integrity {
 		sc.Integrity = &IntegrityOptions{Epoch: 1}

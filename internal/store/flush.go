@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,34 +54,12 @@ func (s *Store) kill(p killPoint) error {
 	return nil
 }
 
-// acquireEncode takes one slot of the bounded in-flight encode budget;
-// a nil semaphore is unbounded. It keeps the CPU-heavy encode stages of
-// a wide flush pipeline from stacking up while device write-back is the
-// actual bottleneck.
-func (s *Store) acquireEncode(ctx context.Context) error {
-	if s.encodeSem == nil {
-		return ctx.Err()
-	}
-	select {
-	case s.encodeSem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *Store) releaseEncode() {
-	if s.encodeSem != nil {
-		<-s.encodeSem
-	}
-}
-
 // flushStripeLocked lands one buffered stripe on the devices; the caller
 // holds the stripe's shard mutex. A fully dirty stripe is encoded from
-// scratch in parallel; a partial one goes through read–modify–write with
-// §5.2 incremental parity updates. On error the buffer is retained so
-// the flush can be retried (e.g. after a device replacement and
-// rebuild, or with a live context after a cancellation).
+// scratch; a partial one goes through read–modify–write with §5.2
+// incremental parity updates. On error the buffer is retained so the
+// flush can be retried (e.g. after a device replacement and rebuild, or
+// with a live context after a cancellation).
 func (s *Store) flushStripeLocked(ctx context.Context, sh *lockShard, stripe int) (err error) {
 	buf := sh.dirty[stripe]
 	if buf == nil {
@@ -114,12 +91,12 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 	if err != nil {
 		return err
 	}
-	if err := s.acquireEncode(ctx); err != nil {
+	// Nothing below looks at ctx before the journal append: a caller
+	// that has already given up gets neither an encode nor an intent.
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	err = s.code.EncodeParallel(st, core.MethodAuto, s.workers)
-	s.releaseEncode()
-	if err != nil {
+	if err := s.code.Encode(st); err != nil {
 		return err
 	}
 	if s.journal != nil {
@@ -176,13 +153,7 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 			return err
 		}
 	}
-	if err := s.acquireEncode(ctx); err != nil {
-		s.releaseStripeUnlessCancelled(ctx, st)
-		return err
-	}
-	err = s.applyUpdatesLocked(sh, stripe, st, lost, buf)
-	s.releaseEncode()
-	if err != nil {
+	if err := s.applyUpdatesLocked(sh, stripe, st, lost, buf); err != nil {
 		s.releaseStripeUnlessCancelled(ctx, st)
 		return err
 	}
@@ -325,10 +296,10 @@ func (s *Store) loadDelta(ctx context.Context, sh *lockShard, stripe int) (*core
 // applyUpdatesLocked repairs a loaded stripe's lost cells and applies
 // the buffered dirty blocks through the §5.2 incremental parity
 // relations — which read and write the cells planUpdate flagged and no
-// others. The caller holds the shard mutex and an encode-budget slot.
+// others. The caller holds the shard mutex.
 func (s *Store) applyUpdatesLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell, buf *stripeBuf) error {
-	if err := s.repairForFlushLocked(sh, stripe, st, lost); err != nil {
-		return err
+	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
+		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
 	}
 	for ord, data := range buf.data {
 		if data == nil {
@@ -337,21 +308,6 @@ func (s *Store) applyUpdatesLocked(sh *lockShard, stripe int, st *core.Stripe, l
 		if err := s.code.UpdateWith(st, s.dataCells[ord], data, &sh.upd.codec); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// repairForFlushLocked reconstructs the lost cells of a stripe a flush
-// loaded, marking the stripe when they are beyond the code's coverage.
-func (s *Store) repairForFlushLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell) error {
-	if len(lost) == 0 {
-		return nil
-	}
-	if err := s.code.RepairParallel(st, lost, s.workers); err != nil {
-		if errors.Is(err, ErrUnrecoverable) {
-			s.markUnrecoverableLocked(sh, stripe)
-		}
-		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
 	}
 	return nil
 }
@@ -396,8 +352,8 @@ func (s *Store) completeTornLocked(ctx context.Context, sh *lockShard, stripe in
 		return err
 	}
 	defer s.releaseStripe(st)
-	if err := s.repairForFlushLocked(sh, stripe, st, lost); err != nil {
-		return err
+	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
+		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
 	}
 	s.promoteToFullLocked(buf, st)
 	buf.torn = nil
@@ -574,12 +530,12 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 //
 // With Config.FlushWorkers > 0, a filled or evicted stripe buffer is
 // handed to a pool of background workers instead of being flushed
-// inline: the writer keeps going while workers encode (bounded by
-// MaxInflightEncodes) and write back concurrently. On high-latency
-// media this pipelines one stripe's device round trips under another's
-// encode — the write-path analogue of what vectored I/O did for the
-// per-call count. Flush drains the pipeline; Sync adds the durability
-// barrier on top.
+// inline: the writer keeps going while workers encode and write back
+// concurrently, one stripe per worker. On high-latency media this
+// pipelines one stripe's device round trips under another's encode —
+// the write-path analogue of what vectored I/O did for the per-call
+// count. Flush drains the pipeline; Sync adds the durability barrier
+// on top.
 
 // asyncFlush reports whether the background pipeline is on.
 func (s *Store) asyncFlush() bool { return s.flushCh != nil }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"stair/internal/core"
@@ -164,10 +163,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		// Lost data can only come back through the (possibly broken)
 		// parity relations: repair, then accept only a fully verified
 		// result.
-		if err := s.code.RepairParallel(st, lost, s.workers); err != nil {
-			if errors.Is(err, ErrUnrecoverable) {
-				s.markUnrecoverableLocked(sh, stripe)
-			}
+		if err := s.repairLocked(sh, stripe, st, lost); err != nil {
 			rep.Unrecoverable++
 			return
 		}
@@ -204,7 +200,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 	// Parity sectors lost, or parity disagreeing with data: on-device
 	// data is authoritative, so re-encode every parity cell from it and
 	// rewrite the stripe.
-	if err := s.code.EncodeParallel(st, core.MethodAuto, s.workers); err != nil {
+	if err := s.code.Encode(st); err != nil {
 		rep.Unrecoverable++
 		return
 	}

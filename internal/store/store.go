@@ -6,11 +6,10 @@
 // The store owns the stripe lifecycle around the codec:
 //
 //   - the write path batches block writes in per-stripe buffers; a fully
-//     dirty stripe is flushed through a parallel full-stripe encode
-//     (internal/core's multi-core path, §6.2.1), while a partially dirty
-//     stripe takes a read–modify–write using the §5.2 uneven parity
-//     relations, reading and rewriting only the changed cells and the
-//     parity sectors that actually depend on them;
+//     dirty stripe is flushed through a full-stripe encode, while a
+//     partially dirty stripe takes a read–modify–write using the §5.2
+//     uneven parity relations, reading and rewriting only the changed
+//     cells and the parity sectors that actually depend on them;
 //   - the read path transparently serves degraded reads: when a device
 //     is failed or a sector read errors, the lost cells are rebuilt on
 //     the fly via the upstairs decoding fast path (§4.2–4.3), cached
@@ -44,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -84,8 +82,9 @@ type Config struct {
 	// hooks into without materialising a slice up front. A factory error
 	// aborts Open; devices built so far are closed.
 	DeviceFactory func(col int) (Device, error)
-	// Workers bounds the per-stripe encode/repair parallelism
-	// (internal/core's region splitting); 0 selects GOMAXPROCS.
+	// Deprecated: has no effect; the codec runs one stripe per goroutine
+	// — parallelism is FlushWorkers / RepairWorkers / LockShards. Kept
+	// until bench/ stops setting it.
 	Workers int
 	// MaxDirtyStripes bounds the write buffer: exceeding it flushes the
 	// fullest buffered stripe. 0 selects 8.
@@ -113,11 +112,6 @@ type Config struct {
 	// Flush becomes "drain the pipeline". 0 keeps the write path
 	// synchronous (a filled buffer flushes inline, as before).
 	FlushWorkers int
-	// MaxInflightEncodes bounds concurrent stripe encodes across the
-	// flush pipeline and explicit Flush callers, so a wide pipeline on
-	// slow devices cannot stack up unbounded CPU-heavy encodes. 0
-	// selects FlushWorkers (unbounded when the pipeline is off).
-	MaxInflightEncodes int
 	// Integrity, when non-nil, enables the end-to-end per-sector
 	// checksum layer (internal/store/integrity): every data and parity
 	// sector gets a CRC32C record — salted with its device address and
@@ -259,11 +253,9 @@ type Store struct {
 	recovery RecoveryReport
 
 	// The asynchronous flush pipeline (see flush.go). flushCh is nil
-	// when the pipeline is off; encodeSem (nil = unbounded) rations
-	// in-flight encodes; flushMu/flushIdle guard the in-flight count
-	// and the sticky background-flush error.
+	// when the pipeline is off; flushMu/flushIdle guard the in-flight
+	// count and the sticky background-flush error.
 	flushCh       chan int
-	encodeSem     chan struct{}
 	flushMu       sync.Mutex
 	flushIdle     *sync.Cond
 	flushInflight int
@@ -341,13 +333,6 @@ func Open(cfg Config) (*Store, error) {
 				i, d.Sectors(), d.SectorSize(), wantSectors, cfg.SectorSize)
 		}
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("store: Workers=%d must be ≥ 0", cfg.Workers)
-	}
 	maxDirty := cfg.MaxDirtyStripes
 	if maxDirty == 0 {
 		maxDirty = 8
@@ -369,9 +354,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.FlushWorkers < 0 {
 		return nil, fmt.Errorf("store: FlushWorkers=%d must be ≥ 0", cfg.FlushWorkers)
 	}
-	if cfg.MaxInflightEncodes < 0 {
-		return nil, fmt.Errorf("store: MaxInflightEncodes=%d must be ≥ 0", cfg.MaxInflightEncodes)
-	}
 	cacheStripes := cfg.DegradedCache
 	if cacheStripes == 0 {
 		cacheStripes = defaultDegradedCache
@@ -384,7 +366,6 @@ func Open(cfg Config) (*Store, error) {
 		r:          r,
 		stripes:    cfg.Stripes,
 		sectorSize: cfg.SectorSize,
-		workers:    workers,
 		maxDirty:   maxDirty,
 		dataCells:  cfg.Code.DataCells(),
 		shards:     newShards(nshards),
@@ -425,13 +406,6 @@ func Open(cfg Config) (*Store, error) {
 	s.allCols = make([]int, n)
 	for col := range s.allCols {
 		s.allCols[col] = col
-	}
-	maxEncodes := cfg.MaxInflightEncodes
-	if maxEncodes == 0 {
-		maxEncodes = cfg.FlushWorkers
-	}
-	if maxEncodes > 0 {
-		s.encodeSem = make(chan struct{}, maxEncodes)
 	}
 	// The sidecar regions load before journal replay: recovery re-stages
 	// fresh records for every stripe it touches, and verification after
@@ -920,10 +894,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := s.code.RepairParallel(st, lost, s.workers); err != nil {
-		if errors.Is(err, ErrUnrecoverable) {
-			s.markUnrecoverableLocked(sh, stripe)
-		}
+	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
 		s.releaseStripe(st)
 		return fmt.Errorf("store: degraded read of block %d (stripe %d, %d lost cells): %w",
 			b, stripe, len(lost), err)
@@ -966,6 +937,21 @@ func (s *Store) writableLost(lost []core.Cell) []core.Cell {
 		}
 	}
 	return writable
+}
+
+// repairLocked reconstructs the lost cells of a loaded stripe in place,
+// marking the stripe when they are beyond the code's coverage. It is
+// the store's one decode site; the caller holds the shard mutex and
+// adds its own context to the error.
+func (s *Store) repairLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell) error {
+	if len(lost) == 0 {
+		return nil
+	}
+	err := s.code.Repair(st, lost)
+	if errors.Is(err, ErrUnrecoverable) {
+		s.markUnrecoverableLocked(sh, stripe)
+	}
+	return err
 }
 
 // markUnrecoverableLocked records a stripe whose failure pattern fell
@@ -1108,10 +1094,7 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 	if len(writable) == 0 {
 		return false
 	}
-	if err := s.code.RepairParallel(st, lost, s.workers); err != nil {
-		if errors.Is(err, ErrUnrecoverable) {
-			s.markUnrecoverableLocked(sh, stripe)
-		}
+	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
 		return false
 	}
 	sortCells(writable)

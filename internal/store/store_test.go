@@ -243,7 +243,6 @@ func TestOpenValidation(t *testing.T) {
 		{Code: code, SectorSize: 0, Stripes: 1},
 		{Code: code, SectorSize: 128, Stripes: 0},
 		{Code: code, SectorSize: 128, Stripes: 1, Devices: []Device{NewMemDevice(4, 128)}},
-		{Code: code, SectorSize: 128, Stripes: 1, Workers: -1},
 		{Code: code, SectorSize: 128, Stripes: 1, RepairWorkers: -1},
 		{Code: code, SectorSize: 128, Stripes: 1, LockShards: -1},
 	} {

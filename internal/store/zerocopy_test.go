@@ -121,10 +121,7 @@ func TestAllocRegressionGuard(t *testing.T) {
 
 func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	// Workers is pinned: the codec's intra-stripe split starts goroutines
-	// per encode and decode, so its allocations scale with the host's
-	// core count — the guard is about the store's own paths.
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Workers: 1, Integrity: integ})
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ})
 	if err != nil {
 		t.Fatal(err)
 	}
