@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stair/internal/core"
+	"stair/internal/ec"
 	"stair/internal/sd"
 )
 
@@ -94,66 +95,90 @@ func timeOp(stripeBytes int, op func() error) (float64, error) {
 	return mib / elapsed.Seconds(), nil
 }
 
-// stairEncodeSpeed builds the worst-e STAIR code and measures Encode.
-func stairEncodeSpeed(n, r, m, s, stripeBytes int) (float64, error) {
+// newStripe allocates one stripe for the code — a single slab sliced
+// chunk-major into n·r cells, the layout core.NewStripe gives STAIR, so
+// every code is timed on the same memory layout — and fills the data
+// cells with pseudo-random bytes.
+func newStripe(c ec.Code, sectorSize int) [][]byte {
+	cells := make([][]byte, c.N()*c.R())
+	slab := make([]byte, len(cells)*sectorSize)
+	for i := range cells {
+		cells[i] = slab[i*sectorSize : (i+1)*sectorSize]
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, cell := range c.DataCells() {
+		rng.Read(cells[cell.Col*c.R()+cell.Row])
+	}
+	return cells
+}
+
+// encodeSpeed measures Encode of one stripe, in MB/s of stripe size.
+func encodeSpeed(c ec.Code, sectorSize int) (float64, error) {
+	cells := newStripe(c, sectorSize)
+	return timeOp(sectorSize*len(cells), func() error { return c.Encode(cells) })
+}
+
+// decodeSpeed measures Repair of the lost cells of one encoded stripe,
+// in MB/s of stripe size.
+func decodeSpeed(c ec.Code, sectorSize int, lost []ec.Cell) (float64, error) {
+	cells := newStripe(c, sectorSize)
+	if err := c.Encode(cells); err != nil {
+		return 0, err
+	}
+	return timeOp(sectorSize*len(cells), func() error { return c.Repair(cells, lost) })
+}
+
+// wholeChunks lists every cell of the m leftmost chunks: the device
+// failures every worst case starts from.
+func wholeChunks(m, r int) []ec.Cell {
+	var lost []ec.Cell
+	for col := 0; col < m; col++ {
+		for row := 0; row < r; row++ {
+			lost = append(lost, ec.Cell{Col: col, Row: row})
+		}
+	}
+	return lost
+}
+
+// worstStair builds the worst-e STAIR code and sizes its sectors to the
+// stripe budget.
+func worstStair(n, r, m, s, stripeBytes int) (*core.Code, int, error) {
 	e, err := worstE(n, r, m, s)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	c, err := core.New(core.Config{N: n, R: r, M: m, E: e})
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	st, err := c.NewStripe(sectorSizeFor(stripeBytes, n, r, c.Field().SymbolBytes()))
+	return c, sectorSizeFor(stripeBytes, n, r, c.Field().SymbolBytes()), nil
+}
+
+// stairEncodeSpeed measures Encode of the worst-e STAIR code.
+func stairEncodeSpeed(n, r, m, s, stripeBytes int) (float64, error) {
+	c, size, err := worstStair(n, r, m, s, stripeBytes)
 	if err != nil {
 		return 0, err
 	}
-	fillStripe(c, st, 1)
-	actual := st.SectorSize * n * r
-	return timeOp(actual, func() error { return c.Encode(st) })
+	return encodeSpeed(c.EC(), size)
 }
 
 // stairDecodeSpeed measures Repair of the §6.2.2 worst case (or of pure
 // device failures when devicesOnly is set).
 func stairDecodeSpeed(n, r, m, s, stripeBytes int, devicesOnly bool) (float64, error) {
-	e, err := worstE(n, r, m, s)
+	c, size, err := worstStair(n, r, m, s, stripeBytes)
 	if err != nil {
 		return 0, err
 	}
-	c, err := core.New(core.Config{N: n, R: r, M: m, E: e})
-	if err != nil {
-		return 0, err
-	}
-	st, err := c.NewStripe(sectorSizeFor(stripeBytes, n, r, c.Field().SymbolBytes()))
-	if err != nil {
-		return 0, err
-	}
-	fillStripe(c, st, 2)
-	if err := c.Encode(st); err != nil {
-		return 0, err
-	}
-	var lost []core.Cell
-	for col := 0; col < m; col++ {
-		for row := 0; row < r; row++ {
-			lost = append(lost, core.Cell{Col: col, Row: row})
-		}
-	}
+	lost := wholeChunks(m, r)
 	if !devicesOnly {
-		for l, el := range e {
+		for l, el := range c.E() {
 			for h := 0; h < el; h++ {
-				lost = append(lost, core.Cell{Col: m + l, Row: r - 1 - h})
+				lost = append(lost, ec.Cell{Col: m + l, Row: r - 1 - h})
 			}
 		}
 	}
-	actual := st.SectorSize * n * r
-	return timeOp(actual, func() error { return c.Repair(st, lost) })
-}
-
-func fillStripe(c *core.Code, st *core.Stripe, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for _, cell := range c.DataCells() {
-		rng.Read(st.Sector(cell.Col, cell.Row))
-	}
+	return decodeSpeed(c.EC(), size, lost)
 }
 
 // sdEncodeSpeed measures SD standard encoding.
@@ -162,10 +187,7 @@ func sdEncodeSpeed(n, r, m, s, stripeBytes int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	size := sectorSizeFor(stripeBytes, n, r, 2)
-	cells := sdStripe(c, size, 3)
-	actual := size * n * r
-	return timeOp(actual, func() error { return c.Encode(cells) })
+	return encodeSpeed(c, sectorSizeFor(stripeBytes, n, r, 2))
 }
 
 // sdDecodeSpeed measures SD repair of the worst case: m chunks + s
@@ -175,32 +197,9 @@ func sdDecodeSpeed(n, r, m, s, stripeBytes int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	size := sectorSizeFor(stripeBytes, n, r, 2)
-	cells := sdStripe(c, size, 4)
-	if err := c.Encode(cells); err != nil {
-		return 0, err
-	}
-	var lost []sd.Cell
-	for col := 0; col < m; col++ {
-		for row := 0; row < r; row++ {
-			lost = append(lost, sd.Cell{Col: col, Row: row})
-		}
-	}
+	lost := wholeChunks(m, r)
 	for k := 0; k < s; k++ {
-		lost = append(lost, sd.Cell{Col: m + k%(n-m), Row: k / (n - m)})
+		lost = append(lost, ec.Cell{Col: m + k%(n-m), Row: k / (n - m)})
 	}
-	actual := size * n * r
-	return timeOp(actual, func() error { return c.Repair(cells, lost) })
-}
-
-func sdStripe(c *sd.Code, sectorSize int, seed int64) [][]byte {
-	cells := make([][]byte, c.N()*c.R())
-	for i := range cells {
-		cells[i] = make([]byte, sectorSize)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for _, cell := range c.DataCells() {
-		rng.Read(cells[cell.Col*c.R()+cell.Row])
-	}
-	return cells
+	return decodeSpeed(c, sectorSizeFor(stripeBytes, n, r, 2), lost)
 }

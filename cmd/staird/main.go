@@ -47,8 +47,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"stair/internal/cluster"
@@ -89,20 +87,6 @@ func usage() {
   staird device -listen :9000 -sectors N -sector S [-file dev.img] [-latency d -jitter d -spike d -spike-prob p -serial]
   staird serve  -listen :8080 -fleet fleet.json -n 6 -r 4 -m 2 -e 1,2 -stripes N -sector S [flags]`)
 	os.Exit(2)
-}
-
-// parseE parses the comma-separated e vector (e.g. "1,2").
-func parseE(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad e vector %q", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // serveHTTP runs one HTTP server until ctx is cancelled, then shuts it
@@ -197,7 +181,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	e, err := parseE(*eStr)
+	e, err := core.ParseE(*eStr)
 	if err != nil {
 		return err
 	}

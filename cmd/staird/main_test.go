@@ -194,13 +194,3 @@ func TestAPIMaintenanceAndMetrics(t *testing.T) {
 		t.Fatalf("read latency row after one GET: %+v", row)
 	}
 }
-
-func TestParseE(t *testing.T) {
-	e, err := parseE("1, 2,3")
-	if err != nil || len(e) != 3 || e[0] != 1 || e[1] != 2 || e[2] != 3 {
-		t.Fatalf("parseE = %v, %v", e, err)
-	}
-	if _, err := parseE("1,x"); err == nil {
-		t.Fatal("parseE accepted garbage")
-	}
-}

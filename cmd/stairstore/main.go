@@ -100,21 +100,6 @@ func usage() {
 	os.Exit(2)
 }
 
-func parseE(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad coverage element %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func cmdCreate(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
 	var (
@@ -136,7 +121,7 @@ func cmdCreate(ctx context.Context, args []string) (err error) {
 	if *dir == "" {
 		return errors.New("create: -dir required")
 	}
-	ev, err := parseE(*e)
+	ev, err := core.ParseE(*e)
 	if err != nil {
 		return err
 	}

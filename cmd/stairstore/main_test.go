@@ -277,16 +277,3 @@ func TestCreateWithFlushWorkers(t *testing.T) {
 		t.Fatal("pipelined volume round trip corrupt")
 	}
 }
-
-func TestParseE(t *testing.T) {
-	e, err := parseE("1, 2,3")
-	if err != nil || len(e) != 3 || e[2] != 3 {
-		t.Errorf("parseE: %v %v", e, err)
-	}
-	if _, err := parseE("1,x"); err == nil {
-		t.Error("bad element accepted")
-	}
-	if e, err := parseE(""); err != nil || e != nil {
-		t.Error("empty e should be nil")
-	}
-}

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"stair"
+	"stair/internal/core"
 	"stair/internal/gf"
 )
 
@@ -128,22 +129,6 @@ func cmdFleet(args []string) error {
 	return os.WriteFile(*out, enc, 0o644)
 }
 
-func parseE(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad e element %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func codeOf(m *manifest) (*stair.Code, error) {
 	return stair.New(stair.Config{N: m.N, R: m.R, M: m.M, E: m.E})
 }
@@ -214,7 +199,7 @@ func cmdEncode(args []string) error {
 	if *in == "" || *dir == "" {
 		return errors.New("encode: -in and -dir are required")
 	}
-	e, err := parseE(*eStr)
+	e, err := core.ParseE(*eStr)
 	if err != nil {
 		return err
 	}

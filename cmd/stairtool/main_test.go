@@ -89,16 +89,3 @@ func TestRepairBeyondCoverageFails(t *testing.T) {
 		t.Fatal("repair of m+1 failed devices succeeded")
 	}
 }
-
-func TestParseE(t *testing.T) {
-	e, err := parseE("1, 2,3")
-	if err != nil || len(e) != 3 || e[2] != 3 {
-		t.Errorf("parseE: %v %v", e, err)
-	}
-	if _, err := parseE("1,x"); err == nil {
-		t.Error("bad element accepted")
-	}
-	if e, err := parseE(""); err != nil || e != nil {
-		t.Error("empty e should be nil")
-	}
-}

@@ -18,7 +18,6 @@ import (
 
 	"stair/internal/core"
 	"stair/internal/failures"
-	"stair/internal/raid"
 	"stair/internal/store"
 	"stair/internal/store/journal"
 )
@@ -127,7 +126,7 @@ func main() {
 
 	// Background scrubber on, then a latent-sector-error campaign with
 	// the paper's correlated burst model (§7.2.2), driven through the
-	// same fault driver the raid simulator uses.
+	// fault driver the store's integration tests use.
 	if err := s.StartScrubber(store.ScrubberOptions{Interval: 2 * time.Millisecond}); err != nil {
 		log.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lost, err := raid.InjectRandomBurstsOn(s, rng, 0.003, dist)
+	lost, err := failures.InjectRandomBurstsOn(s, rng, 0.003, dist)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -174,9 +174,9 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 		Code:       cfg.Code,
 		SectorSize: cfg.SectorSize,
 		Stripes:    cfg.Stripes,
-		// The pluggable seam: the store builds its device list from the
-		// cluster's placed, health-tracked, possibly hedged columns.
-		DeviceFactory:   func(col int) (store.Device, error) { return v.devs[col], nil },
+		// The store's devices are the cluster's placed, health-tracked,
+		// possibly hedged columns.
+		Devices:         v.devs,
 		MaxDirtyStripes: cfg.MaxDirtyStripes,
 		FlushWorkers:    cfg.FlushWorkers,
 		RepairWorkers:   cfg.RepairWorkers,

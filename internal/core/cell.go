@@ -1,15 +1,15 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"stair/internal/ec"
+)
 
 // Cell addresses one sector within the real stripe: chunk (device) column
-// Col in [0, N) and sector row Row in [0, R).
-type Cell struct {
-	Col int
-	Row int
-}
-
-func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.Col, c.Row) }
+// Col in [0, N) and sector row Row in [0, R). It is the repository's one
+// cell type, shared with the SD and IDR baselines.
+type Cell = ec.Cell
 
 // CellClass labels what a real stripe cell stores.
 type CellClass int

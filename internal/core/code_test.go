@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"stair/internal/rs"
@@ -61,6 +63,46 @@ func TestConfigNormalizationSortsE(t *testing.T) {
 	e := c.E()
 	if e[0] != 1 || e[1] != 1 || e[2] != 2 {
 		t.Errorf("E not sorted: %v", e)
+	}
+}
+
+// TestParseE pins the one command-line form of the coverage vector. The
+// empty string must parse to the empty vector and build the
+// Reed-Solomon degeneration: `staird serve -e ""` used to be rejected
+// while stairstore and stairtool accepted it.
+func TestParseE(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{"", nil},
+		{"1,1,2", []int{1, 1, 2}},
+		{"1, 2,3", []int{1, 2, 3}},
+	} {
+		got, err := ParseE(tc.in)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseE(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ in, bad string }{
+		{"1,x", `"x"`},
+		{"1,,2", `""`},
+		{"1,2.5", `"2.5"`},
+	} {
+		if _, err := ParseE(tc.in); err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("ParseE(%q) = %v; want an error naming the element %s", tc.in, err, tc.bad)
+		}
+	}
+	e, err := ParseE("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{N: 6, R: 4, M: 2, E: e})
+	if err != nil {
+		t.Fatalf("New with e=∅: %v", err)
+	}
+	if c.S() != 0 || c.NumDataCells() != 4*4 {
+		t.Errorf("e=∅ built s=%d with %d data cells, want Reed-Solomon (0, 16)", c.S(), c.NumDataCells())
 	}
 }
 
@@ -308,15 +350,15 @@ func TestCellClassification(t *testing.T) {
 		cell Cell
 		want CellClass
 	}{
-		{Cell{0, 0}, ClassData},
-		{Cell{5, 0}, ClassData},
-		{Cell{3, 3}, ClassGlobalParity}, // ĝ0,0
-		{Cell{4, 3}, ClassGlobalParity}, // ĝ0,1
-		{Cell{5, 2}, ClassGlobalParity}, // ĝ0,2
-		{Cell{5, 3}, ClassGlobalParity}, // ĝ1,2
-		{Cell{5, 1}, ClassData},
-		{Cell{6, 0}, ClassRowParity},
-		{Cell{7, 3}, ClassRowParity},
+		{Cell{Col: 0, Row: 0}, ClassData},
+		{Cell{Col: 5, Row: 0}, ClassData},
+		{Cell{Col: 3, Row: 3}, ClassGlobalParity}, // ĝ0,0
+		{Cell{Col: 4, Row: 3}, ClassGlobalParity}, // ĝ0,1
+		{Cell{Col: 5, Row: 2}, ClassGlobalParity}, // ĝ0,2
+		{Cell{Col: 5, Row: 3}, ClassGlobalParity}, // ĝ1,2
+		{Cell{Col: 5, Row: 1}, ClassData},
+		{Cell{Col: 6, Row: 0}, ClassRowParity},
+		{Cell{Col: 7, Row: 3}, ClassRowParity},
 	}
 	for _, tc := range cases {
 		got, err := c.Class(tc.cell)
@@ -327,12 +369,12 @@ func TestCellClassification(t *testing.T) {
 			t.Errorf("Class(%v) = %v, want %v", tc.cell, got, tc.want)
 		}
 	}
-	if _, err := c.Class(Cell{8, 0}); err == nil {
+	if _, err := c.Class(Cell{Col: 8, Row: 0}); err == nil {
 		t.Error("out-of-range cell accepted")
 	}
 	// Outside placement has no stair cells.
 	out := exemplary(t, Outside)
-	if got, _ := out.Class(Cell{5, 3}); got != ClassData {
+	if got, _ := out.Class(Cell{Col: 5, Row: 3}); got != ClassData {
 		t.Errorf("outside (5,3) = %v, want data", got)
 	}
 }
@@ -377,7 +419,7 @@ func TestStringers(t *testing.T) {
 	if cfg.String() == "" {
 		t.Error("Config.String empty")
 	}
-	if (Cell{1, 2}).String() != "(1,2)" {
+	if (Cell{Col: 1, Row: 2}).String() != "(1,2)" {
 		t.Error("Cell.String wrong")
 	}
 	for _, cc := range []CellClass{ClassData, ClassRowParity, ClassGlobalParity, CellClass(9)} {

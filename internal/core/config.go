@@ -25,6 +25,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"stair/internal/gf"
 	"stair/internal/rs"
@@ -182,3 +184,23 @@ func (cfg Config) String() string {
 
 // field returns the shared field for the resolved word size.
 func (cfg Config) field() *gf.Field { return gf.Get(cfg.W) }
+
+// ParseE parses a coverage vector written as a comma-separated list, the
+// form every command-line tool takes it in ("1,1,2"; spaces around an
+// element are ignored). The empty string is the empty vector — the
+// Reed-Solomon degeneration — and yields nil. Range checks are New's job.
+func ParseE(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	e := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("core: bad element %q in e vector %q", p, s)
+		}
+		e[i] = v
+	}
+	return e, nil
+}

@@ -406,16 +406,16 @@ func TestCoverageContainsTable(t *testing.T) {
 		want bool
 	}{
 		{"empty", nil, true},
-		{"one sector", []Cell{{0, 0}}, true},
+		{"one sector", []Cell{{Col: 0, Row: 0}}, true},
 		{"two full chunks", append(fullChunk(0), fullChunk(1)...), true},
 		{"three full chunks", append(append(fullChunk(0), fullChunk(1)...), fullChunk(2)...), false},
 		{"2 chunks + (1,1,2) sectors", append(append(fullChunk(0), fullChunk(1)...),
-			Cell{2, 0}, Cell{3, 1}, Cell{4, 2}, Cell{4, 3}), true},
+			Cell{Col: 2, Row: 0}, Cell{Col: 3, Row: 1}, Cell{Col: 4, Row: 2}, Cell{Col: 4, Row: 3}), true},
 		{"2 chunks + (2,2) sectors", append(append(fullChunk(0), fullChunk(1)...),
-			Cell{2, 0}, Cell{2, 1}, Cell{3, 2}, Cell{3, 3}), false},
-		{"(2,2) sectors no chunk failures", []Cell{{2, 0}, {2, 1}, {3, 2}, {3, 3}}, true},
+			Cell{Col: 2, Row: 0}, Cell{Col: 2, Row: 1}, Cell{Col: 3, Row: 2}, Cell{Col: 3, Row: 3}), false},
+		{"(2,2) sectors no chunk failures", []Cell{{Col: 2, Row: 0}, {Col: 2, Row: 1}, {Col: 3, Row: 2}, {Col: 3, Row: 3}}, true},
 		{"one chunk + 3 sectors in another", append(fullChunk(0),
-			Cell{2, 0}, Cell{2, 1}, Cell{2, 2}), true},
+			Cell{Col: 2, Row: 0}, Cell{Col: 2, Row: 1}, Cell{Col: 2, Row: 2}), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,18 +1,15 @@
-package raid
+package failures
 
 import (
 	"fmt"
 	"math/rand"
-
-	"stair/internal/failures"
 )
 
-// FaultTarget is the fault-injection surface shared by the array
-// simulator and higher-level storage systems (internal/store implements
-// it too): n devices of stripes×r sectors that can wholly fail or
-// suffer latent sector errors. The drivers below replay the paper's
-// failure processes (§7.1.2, §7.2.2) against any target, so integration
-// tests exercise the same patterns across layers.
+// FaultTarget is the fault-injection surface of a storage system
+// (internal/store implements it): n devices of stripes×r sectors that
+// can wholly fail or suffer latent sector errors. The drivers below
+// replay this package's failure processes (§7.1.2, §7.2.2) against any
+// target, so integration tests and examples see the same patterns.
 type FaultTarget interface {
 	// Geometry returns (devices, stripes, sectors per chunk, sector
 	// size in bytes).
@@ -41,7 +38,7 @@ type Burst struct {
 // code's coverage) or replay the planned bursts; InjectBursts applies
 // them. Devices are visited in index order, so the same rng state
 // always yields the same plan.
-func DrawBursts(t FaultTarget, rng *rand.Rand, pStart float64, dist *failures.BurstDist) []Burst {
+func DrawBursts(t FaultTarget, rng *rand.Rand, pStart float64, dist *BurstDist) []Burst {
 	n, stripes, r, _ := t.Geometry()
 	down := map[int]bool{}
 	for _, dev := range t.FailedDevices() {
@@ -54,7 +51,7 @@ func DrawBursts(t FaultTarget, rng *rand.Rand, pStart float64, dist *failures.Bu
 			continue
 		}
 		// ChunkFailures already clips bursts at the chunk end.
-		for _, b := range failures.ChunkFailures(rng, sectors, pStart, dist) {
+		for _, b := range ChunkFailures(rng, sectors, pStart, dist) {
 			out = append(out, Burst{Dev: dev, Start: b.Start, Len: b.Len})
 		}
 	}
@@ -80,7 +77,7 @@ func InjectBursts(t FaultTarget, bursts []Burst) (int, error) {
 // burst-start probability pStart (§7.2.2). It returns the number of
 // sectors lost. Draw-then-inject, so its rng consumption matches
 // DrawBursts exactly.
-func InjectRandomBurstsOn(t FaultTarget, rng *rand.Rand, pStart float64, dist *failures.BurstDist) (int, error) {
+func InjectRandomBurstsOn(t FaultTarget, rng *rand.Rand, pStart float64, dist *BurstDist) (int, error) {
 	return InjectBursts(t, DrawBursts(t, rng, pStart, dist))
 }
 
@@ -89,7 +86,7 @@ func InjectRandomBurstsOn(t FaultTarget, rng *rand.Rand, pStart float64, dist *f
 // discretised lifetime model), returning the devices it failed.
 func FailRandomDevicesOn(t FaultTarget, rng *rand.Rand, p float64) ([]int, error) {
 	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("raid: p=%v must be in [0,1]", p)
+		return nil, fmt.Errorf("failures: p=%v must be in [0,1]", p)
 	}
 	n, _, _, _ := t.Geometry()
 	down := map[int]bool{}
@@ -97,7 +94,7 @@ func FailRandomDevicesOn(t FaultTarget, rng *rand.Rand, p float64) ([]int, error
 		down[dev] = true
 	}
 	var out []int
-	for _, dev := range (failures.DeviceProcess{P: p}).Failed(rng, n) {
+	for _, dev := range (DeviceProcess{P: p}).Failed(rng, n) {
 		if down[dev] {
 			continue
 		}

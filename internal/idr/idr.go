@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"stair/internal/ec"
 	"stair/internal/gf"
 	"stair/internal/rs"
 )
@@ -21,15 +22,6 @@ import (
 // ErrUnrecoverable reports a failure pattern outside the scheme's
 // coverage.
 var ErrUnrecoverable = errors.New("idr: failure pattern is unrecoverable")
-
-// Cell addresses a sector (chunk column, sector row), matching
-// internal/core's stripe layout.
-type Cell struct {
-	Col int
-	Row int
-}
-
-func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.Col, c.Row) }
 
 // Config describes an IDR-protected stripe.
 type Config struct {
@@ -95,11 +87,11 @@ func (c *Code) RedundantSectors() int { return c.eps * (c.n - c.m) }
 
 // DataCells returns the cells a caller fills before Encode: the top
 // r−ϵ sectors of each of the n−m data chunks.
-func (c *Code) DataCells() []Cell {
-	var out []Cell
+func (c *Code) DataCells() []ec.Cell {
+	var out []ec.Cell
 	for col := 0; col < c.n-c.m; col++ {
 		for row := 0; row < c.r-c.eps; row++ {
-			out = append(out, Cell{Col: col, Row: row})
+			out = append(out, ec.Cell{Col: col, Row: row})
 		}
 	}
 	return out
@@ -107,16 +99,16 @@ func (c *Code) DataCells() []Cell {
 
 // ParityCells returns the cells Encode fills: intra-chunk parity sectors
 // and the m row-parity chunks.
-func (c *Code) ParityCells() []Cell {
-	var out []Cell
+func (c *Code) ParityCells() []ec.Cell {
+	var out []ec.Cell
 	for col := 0; col < c.n-c.m; col++ {
 		for row := c.r - c.eps; row < c.r; row++ {
-			out = append(out, Cell{Col: col, Row: row})
+			out = append(out, ec.Cell{Col: col, Row: row})
 		}
 	}
 	for col := c.n - c.m; col < c.n; col++ {
 		for row := 0; row < c.r; row++ {
-			out = append(out, Cell{Col: col, Row: row})
+			out = append(out, ec.Cell{Col: col, Row: row})
 		}
 	}
 	return out
@@ -180,7 +172,7 @@ func (c *Code) Encode(cells [][]byte) error {
 // CoverageContains reports whether a pattern lies within the IDR
 // coverage: at most m fully-failed chunks; every other chunk loses at
 // most ϵ sectors.
-func (c *Code) CoverageContains(lost []Cell) bool {
+func (c *Code) CoverageContains(lost []ec.Cell) bool {
 	perChunk := make(map[int]int)
 	for _, cell := range lost {
 		perChunk[cell.Col]++
@@ -194,10 +186,16 @@ func (c *Code) CoverageContains(lost []Cell) bool {
 	return full <= c.m
 }
 
+// CanRecover reports whether Repair would succeed on a pattern of cells
+// inside the stripe. IDR has no recovery by luck outside its coverage —
+// Repair attempts exactly the patterns CoverageContains admits — so the
+// two answers coincide.
+func (c *Code) CanRecover(lost []ec.Cell) bool { return c.CoverageContains(lost) }
+
 // Repair reconstructs lost cells in place: chunks with ≤ ϵ losses repair
 // locally via the column code; up to m worse chunks repair via row
 // parity.
-func (c *Code) Repair(cells [][]byte, lost []Cell) error {
+func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error {
 	if _, err := c.checkStripe(cells); err != nil {
 		return err
 	}

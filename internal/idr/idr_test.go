@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"stair/internal/ec"
 )
 
 func newStripe(c *Code, sectorSize int, seed int64) [][]byte {
@@ -67,17 +69,17 @@ func TestEncodeRepairRoundtrip(t *testing.T) {
 		}
 		// Fail up to m chunks fully plus ≤ ϵ sectors in the others.
 		cols := rng.Perm(c.N())
-		var lost []Cell
+		var lost []ec.Cell
 		nFull := rng.Intn(c.M() + 1)
 		for i := 0; i < nFull; i++ {
 			for row := 0; row < c.R(); row++ {
-				lost = append(lost, Cell{Col: cols[i], Row: row})
+				lost = append(lost, ec.Cell{Col: cols[i], Row: row})
 			}
 		}
 		for _, col := range cols[nFull:] {
 			k := rng.Intn(c.Epsilon() + 1)
 			for _, row := range rng.Perm(c.R())[:k] {
-				lost = append(lost, Cell{Col: col, Row: row})
+				lost = append(lost, ec.Cell{Col: col, Row: row})
 			}
 		}
 		if !c.CoverageContains(lost) {
@@ -105,7 +107,7 @@ func TestBeyondCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two chunks exceed ϵ.
-	lost := []Cell{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	lost := []ec.Cell{{Col: 0, Row: 0}, {Col: 0, Row: 1}, {Col: 1, Row: 0}, {Col: 1, Row: 1}}
 	if c.CoverageContains(lost) {
 		t.Error("two over-ϵ chunks claimed covered with m=1")
 	}

@@ -25,21 +25,13 @@ import (
 	"math/rand"
 	"sort"
 
+	"stair/internal/ec"
 	"stair/internal/gf"
 	"stair/internal/matrix"
 )
 
 // ErrUnrecoverable reports a failure pattern the code cannot repair.
 var ErrUnrecoverable = errors.New("sd: failure pattern is unrecoverable")
-
-// Cell addresses a sector: chunk column Col in [0, N), sector row Row in
-// [0, R). The layout matches internal/core's stripes.
-type Cell struct {
-	Col int
-	Row int
-}
-
-func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.Col, c.Row) }
 
 // Config describes an SD code instance.
 type Config struct {
@@ -73,8 +65,8 @@ type Code struct {
 	// to variable row*n+col (row-major, matching the SD papers).
 	h *matrix.Matrix
 
-	dataCells   []Cell
-	parityCells []Cell
+	dataCells   []ec.Cell
+	parityCells []ec.Cell
 	isParity    []bool // indexed row*n+col
 
 	// gen[p] holds the dense coefficients of parity p over data cells:
@@ -159,7 +151,7 @@ func (c *Code) indexCells() {
 	for col := c.n - c.m; col < c.n; col++ {
 		for row := 0; row < c.r; row++ {
 			c.isParity[row*c.n+col] = true
-			c.parityCells = append(c.parityCells, Cell{Col: col, Row: row})
+			c.parityCells = append(c.parityCells, ec.Cell{Col: col, Row: row})
 		}
 	}
 	// Global parities: the bottom s sectors of the last data chunk.
@@ -167,12 +159,12 @@ func (c *Code) indexCells() {
 	for k := 0; k < c.s; k++ {
 		row := c.r - 1 - k
 		c.isParity[row*c.n+gcol] = true
-		c.parityCells = append(c.parityCells, Cell{Col: gcol, Row: row})
+		c.parityCells = append(c.parityCells, ec.Cell{Col: gcol, Row: row})
 	}
 	for row := 0; row < c.r; row++ {
 		for col := 0; col < c.n; col++ {
 			if !c.isParity[row*c.n+col] {
-				c.dataCells = append(c.dataCells, Cell{Col: col, Row: row})
+				c.dataCells = append(c.dataCells, ec.Cell{Col: col, Row: row})
 			}
 		}
 	}
@@ -213,7 +205,7 @@ func (c *Code) buildH(salt int) error {
 	return nil
 }
 
-func (c *Code) varOf(cell Cell) int { return cell.Row*c.n + cell.Col }
+func (c *Code) varOf(cell ec.Cell) int { return cell.Row*c.n + cell.Col }
 
 // buildGenerator solves H for the parity positions: with H = [H_D|H_P]
 // (columns split by data/parity), parity = (H_P)^{-1}·H_D·data.
@@ -258,14 +250,14 @@ func (c *Code) verify() bool {
 		}
 		return false
 	}
-	var worst []Cell
+	var worst []ec.Cell
 	for col := 0; col < c.m; col++ {
 		for row := 0; row < c.r; row++ {
-			worst = append(worst, Cell{Col: col, Row: row})
+			worst = append(worst, ec.Cell{Col: col, Row: row})
 		}
 	}
 	for k := 0; k < c.s; k++ {
-		worst = append(worst, Cell{Col: c.m % c.n, Row: k})
+		worst = append(worst, ec.Cell{Col: c.m % c.n, Row: k})
 	}
 	if c.m+c.s > 0 && !c.patternSolvable(worst) {
 		return false
@@ -315,25 +307,25 @@ func (c *Code) verifyExhaustive() bool {
 	chunkSets := combinations(c.n, c.m)
 	for _, chunks := range chunkSets {
 		inFailed := make([]bool, c.n)
-		var base []Cell
+		var base []ec.Cell
 		for _, col := range chunks {
 			inFailed[col] = true
 			for row := 0; row < c.r; row++ {
-				base = append(base, Cell{Col: col, Row: row})
+				base = append(base, ec.Cell{Col: col, Row: row})
 			}
 		}
-		var survivors []Cell
+		var survivors []ec.Cell
 		for col := 0; col < c.n; col++ {
 			if inFailed[col] {
 				continue
 			}
 			for row := 0; row < c.r; row++ {
-				survivors = append(survivors, Cell{Col: col, Row: row})
+				survivors = append(survivors, ec.Cell{Col: col, Row: row})
 			}
 		}
 		ok := true
 		forEachCombination(len(survivors), c.s, func(idx []int) bool {
-			lost := append(append([]Cell{}, base...), pick(survivors, idx)...)
+			lost := append(append([]ec.Cell{}, base...), pick(survivors, idx)...)
 			if !c.patternSolvable(lost) {
 				ok = false
 				return false
@@ -347,8 +339,8 @@ func (c *Code) verifyExhaustive() bool {
 	return true
 }
 
-func pick(cells []Cell, idx []int) []Cell {
-	out := make([]Cell, len(idx))
+func pick(cells []ec.Cell, idx []int) []ec.Cell {
+	out := make([]ec.Cell, len(idx))
 	for i, j := range idx {
 		out[i] = cells[j]
 	}
@@ -398,17 +390,17 @@ func forEachCombination(n, k int, visit func([]int) bool) {
 	}
 }
 
-func (c *Code) randomCoveredPattern(rng *rand.Rand) []Cell {
+func (c *Code) randomCoveredPattern(rng *rand.Rand) []ec.Cell {
 	cols := rng.Perm(c.n)
-	var lost []Cell
+	var lost []ec.Cell
 	for i := 0; i < c.m; i++ {
 		for row := 0; row < c.r; row++ {
-			lost = append(lost, Cell{Col: cols[i], Row: row})
+			lost = append(lost, ec.Cell{Col: cols[i], Row: row})
 		}
 	}
-	seen := map[Cell]bool{}
+	seen := map[ec.Cell]bool{}
 	for len(seen) < c.s {
-		cell := Cell{Col: cols[c.m+rng.Intn(c.n-c.m)], Row: rng.Intn(c.r)}
+		cell := ec.Cell{Col: cols[c.m+rng.Intn(c.n-c.m)], Row: rng.Intn(c.r)}
 		if !seen[cell] {
 			seen[cell] = true
 			lost = append(lost, cell)
@@ -419,7 +411,7 @@ func (c *Code) randomCoveredPattern(rng *rand.Rand) []Cell {
 
 // patternSolvable reports whether the lost positions' parity-check
 // submatrix has full column rank.
-func (c *Code) patternSolvable(lost []Cell) bool {
+func (c *Code) patternSolvable(lost []ec.Cell) bool {
 	if len(lost) == 0 {
 		return true
 	}
@@ -453,10 +445,10 @@ func (c *Code) M() int { return c.m }
 func (c *Code) S() int { return c.s }
 
 // DataCells returns the cells the caller fills before Encode.
-func (c *Code) DataCells() []Cell { return append([]Cell{}, c.dataCells...) }
+func (c *Code) DataCells() []ec.Cell { return append([]ec.Cell{}, c.dataCells...) }
 
 // ParityCells returns the cells Encode fills.
-func (c *Code) ParityCells() []Cell { return append([]Cell{}, c.parityCells...) }
+func (c *Code) ParityCells() []ec.Cell { return append([]ec.Cell{}, c.parityCells...) }
 
 // EncodeCost returns the Mult_XOR count of the standard encoding (no
 // parity reuse): the number of nonzero generator coefficients.
@@ -486,7 +478,7 @@ func (c *Code) MeanUpdatePenalty() float64 {
 }
 
 // sector returns cells[col*r+row]; stripes use internal/core's layout.
-func (c *Code) sector(cells [][]byte, cell Cell) []byte { return cells[cell.Col*c.r+cell.Row] }
+func (c *Code) sector(cells [][]byte, cell ec.Cell) []byte { return cells[cell.Col*c.r+cell.Row] }
 
 func (c *Code) checkStripe(cells [][]byte) (int, error) {
 	if len(cells) != c.n*c.r {
@@ -533,7 +525,7 @@ func (c *Code) Encode(cells [][]byte) error {
 // Repair reconstructs the lost cells in place via a linear solve over the
 // parity-check constraints, reading every surviving sector (the
 // "decoding manner" of the SD implementation).
-func (c *Code) Repair(cells [][]byte, lost []Cell) error {
+func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error {
 	size, err := c.checkStripe(cells)
 	if err != nil {
 		return err
@@ -606,11 +598,11 @@ func (c *Code) Repair(cells [][]byte, lost []Cell) error {
 }
 
 // CanRecover reports whether the pattern is repairable.
-func (c *Code) CanRecover(lost []Cell) bool { return c.patternSolvable(dedupe(lost)) }
+func (c *Code) CanRecover(lost []ec.Cell) bool { return c.patternSolvable(dedupe(lost)) }
 
 // CoverageContains reports whether a pattern lies within the SD coverage:
 // after absorbing the m most-affected chunks, at most s sectors remain.
-func (c *Code) CoverageContains(lost []Cell) bool {
+func (c *Code) CoverageContains(lost []ec.Cell) bool {
 	lost = dedupe(lost)
 	perChunk := make([]int, c.n)
 	for _, cell := range lost {
@@ -624,8 +616,8 @@ func (c *Code) CoverageContains(lost []Cell) bool {
 	return rest <= c.s
 }
 
-func dedupe(cells []Cell) []Cell {
-	seen := make(map[Cell]bool, len(cells))
+func dedupe(cells []ec.Cell) []ec.Cell {
+	seen := make(map[ec.Cell]bool, len(cells))
 	out := cells[:0:0]
 	for _, c := range cells {
 		if !seen[c] {

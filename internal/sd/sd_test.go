@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"stair/internal/ec"
 )
 
 func newCode(t *testing.T, n, r, m, s int) *Code {
@@ -89,14 +91,14 @@ func TestEncodeRepairWorstCase(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := cloneStripe(cells)
-		var lost []Cell
+		var lost []ec.Cell
 		for col := 0; col < shape.m; col++ {
 			for row := 0; row < shape.r; row++ {
-				lost = append(lost, Cell{Col: col, Row: row})
+				lost = append(lost, ec.Cell{Col: col, Row: row})
 			}
 		}
 		for k := 0; k < shape.s; k++ {
-			lost = append(lost, Cell{Col: shape.m + k%(shape.n-shape.m), Row: k / (shape.n - shape.m)})
+			lost = append(lost, ec.Cell{Col: shape.m + k%(shape.n-shape.m), Row: k / (shape.n - shape.m)})
 		}
 		for _, cell := range lost {
 			for i := range cells[cell.Col*c.R()+cell.Row] {
@@ -140,10 +142,10 @@ func TestRepairRandomCoveredPatterns(t *testing.T) {
 func TestBeyondCoverageRejected(t *testing.T) {
 	c := newCode(t, 8, 4, 2, 2)
 	// m+1 full chunks.
-	var lost []Cell
+	var lost []ec.Cell
 	for col := 0; col < 3; col++ {
 		for row := 0; row < 4; row++ {
-			lost = append(lost, Cell{Col: col, Row: row})
+			lost = append(lost, ec.Cell{Col: col, Row: row})
 		}
 	}
 	if c.CanRecover(lost) {
@@ -163,16 +165,16 @@ func TestBeyondCoverageRejected(t *testing.T) {
 
 func TestCoverageContains(t *testing.T) {
 	c := newCode(t, 8, 4, 2, 2)
-	if !c.CoverageContains([]Cell{{0, 0}, {1, 0}}) {
+	if !c.CoverageContains([]ec.Cell{{Col: 0, Row: 0}, {Col: 1, Row: 0}}) {
 		t.Error("two sectors should be covered")
 	}
 	// Three single sectors in three chunks: the m=2 chunk slots absorb
 	// two of them, leaving 1 ≤ s — covered.
-	if !c.CoverageContains([]Cell{{0, 0}, {1, 0}, {2, 0}}) {
+	if !c.CoverageContains([]ec.Cell{{Col: 0, Row: 0}, {Col: 1, Row: 0}, {Col: 2, Row: 0}}) {
 		t.Error("three spread sectors should be covered (chunk slots absorb)")
 	}
 	// Five single sectors in five chunks: 2 absorbed, 3 > s=2.
-	if c.CoverageContains([]Cell{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}}) {
+	if c.CoverageContains([]ec.Cell{{Col: 0, Row: 0}, {Col: 1, Row: 0}, {Col: 2, Row: 0}, {Col: 3, Row: 0}, {Col: 4, Row: 0}}) {
 		t.Error("five spread sectors must exceed coverage")
 	}
 }
@@ -180,7 +182,7 @@ func TestCoverageContains(t *testing.T) {
 func TestCoverageAbsorbsChunks(t *testing.T) {
 	c := newCode(t, 8, 4, 2, 2)
 	// Sectors in 4 chunks: the two most-affected absorb into m.
-	lost := []Cell{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {3, 0}}
+	lost := []ec.Cell{{Col: 0, Row: 0}, {Col: 0, Row: 1}, {Col: 1, Row: 0}, {Col: 1, Row: 1}, {Col: 2, Row: 0}, {Col: 3, Row: 0}}
 	if !c.CoverageContains(lost) {
 		t.Error("pattern should be covered (m absorbs chunks 0,1; 2 sectors remain)")
 	}
@@ -213,7 +215,7 @@ func TestEncodeCostIsDense(t *testing.T) {
 func TestRepairValidation(t *testing.T) {
 	c := newCode(t, 8, 4, 2, 2)
 	cells := newStripe(c, 8, 3)
-	if err := c.Repair(cells, []Cell{{Col: 42, Row: 0}}); err == nil {
+	if err := c.Repair(cells, []ec.Cell{{Col: 42, Row: 0}}); err == nil {
 		t.Error("out-of-range cell accepted")
 	}
 	if err := c.Repair(cells, nil); err != nil {

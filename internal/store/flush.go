@@ -110,7 +110,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 		// per-device write failures are dropped — the stripe stays
 		// degraded there until repair or replacement, which is exactly
 		// what the code tolerates.
-		if err := s.writeFullStripe(ctx, stripe, st); err != nil {
+		if _, _, err := s.writeStripeCells(ctx, stripe, st, s.allCells); err != nil {
 			return err
 		}
 		if err := s.flushStripeMeta(ctx, stripe, s.allCols); err != nil {
@@ -444,38 +444,6 @@ func sortCells(cells []core.Cell) {
 		}
 		return cells[i].Row < cells[j].Row
 	})
-}
-
-// writeFullStripe writes every cell of a stripe, one vectored call per
-// device. Only context cancellation is reported; per-device write
-// errors leave the stripe degraded there (repair heals it later).
-func (s *Store) writeFullStripe(ctx context.Context, stripe int, st *core.Stripe) error {
-	sh := s.shard(stripe)
-	rows := sh.rowvec(s.r)
-	for col := 0; col < s.n; col++ {
-		for row := 0; row < s.r; row++ {
-			rows[row] = st.Sector(col, row)
-		}
-		werr := s.devs[col].WriteSectors(ctx, s.devSector(stripe, 0), rows)
-		if err := ctx.Err(); err != nil {
-			sh.dropScratchOnCancel()
-			return err
-		}
-		if s.integ != nil {
-			// Stage fresh records for the sectors that landed (all of
-			// them on success, the non-failed ones on a partial error).
-			se, partial := AsSectorErrors(werr)
-			if werr != nil && !partial {
-				continue
-			}
-			for row := 0; row < s.r; row++ {
-				if sec := s.devSector(stripe, row); !se.has(sec) {
-					s.stageRecord(col, sec, st.Sector(col, row))
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // writeStripeCells writes the given cells (sorted by Col, Row) of one

@@ -10,15 +10,14 @@ import (
 
 	"stair/internal/core"
 	"stair/internal/failures"
-	"stair/internal/raid"
 	"stair/internal/store"
 )
 
 var bg = context.Background()
 
-// The store satisfies raid's fault-injection contract, so the simulator's
-// failure processes drive it directly.
-var _ raid.FaultTarget = (*store.Store)(nil)
+// The store satisfies the fault-injection contract of internal/failures,
+// so that package's failure processes drive it directly.
+var _ failures.FaultTarget = (*store.Store)(nil)
 
 func writeVolume(t *testing.T, s *store.Store, rng *rand.Rand) [][]byte {
 	t.Helper()
@@ -74,13 +73,13 @@ func TestStoreUnderRaidFailurePatterns(t *testing.T) {
 
 	// Phase 1: a latent-sector-error campaign from the paper's §7.2.2
 	// burst model (b1=0.98, α=1.79, bursts ≤ 2 sectors), driven through
-	// the raid fault adapter, healed by the background scrubber.
+	// the failures fault drivers, healed by the background scrubber.
 	dist, err := failures.NewBurstDist(0.98, 1.79, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		if _, err := raid.InjectRandomBurstsOn(s, rng, 0.004, dist); err != nil {
+		if _, err := failures.InjectRandomBurstsOn(s, rng, 0.004, dist); err != nil {
 			t.Fatal(err)
 		}
 		checkVolume(t, s, blocks) // reads stay correct while degraded
@@ -204,7 +203,7 @@ func TestRandomDeviceFailureDriver(t *testing.T) {
 	blocks := writeVolume(t, s, rand.New(rand.NewSource(11)))
 	// Seed 13 deterministically draws devices {2, 6} at p=0.15 — within
 	// the code's m=2 tolerance.
-	failed, err := raid.FailRandomDevicesOn(s, rand.New(rand.NewSource(13)), 0.15)
+	failed, err := failures.FailRandomDevicesOn(s, rand.New(rand.NewSource(13)), 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}

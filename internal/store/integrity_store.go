@@ -9,9 +9,9 @@ import (
 
 // This file is the store side of the end-to-end checksum layer: sidecar
 // region load at Open, record staging on every sector write (see
-// writeStripeCells / writeFullStripe in flush.go), and the covering
-// write-back that persists staged records through the same vectored
-// WriteSectors path as data.
+// writeStripeCells in flush.go), and the covering write-back that
+// persists staged records through the same vectored WriteSectors path
+// as data.
 
 // loadIntegrityRegions reads every device's sidecar region into the
 // integrity manager at Open. Unreadable sidecar sectors (or a wholly

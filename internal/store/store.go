@@ -73,15 +73,10 @@ type Config struct {
 	// Stripes is the number of stripes in the volume.
 	Stripes int
 	// Devices supplies the Code.N() backing devices, each with
-	// Stripes×Code.R() sectors. Nil consults DeviceFactory, then falls
-	// back to in-memory devices.
+	// Stripes×Code.R() sectors — the pluggable seam the cluster layer
+	// (and any custom backend wiring: wrappers, remote dials) hooks
+	// into. Nil falls back to in-memory devices.
 	Devices []Device
-	// DeviceFactory, when non-nil and Devices is nil, builds the backing
-	// device for each stripe column — the pluggable seam the cluster
-	// layer (and any custom backend wiring: wrappers, remote dials)
-	// hooks into without materialising a slice up front. A factory error
-	// aborts Open; devices built so far are closed.
-	DeviceFactory func(col int) (Device, error)
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
 	// — parallelism is FlushWorkers / RepairWorkers / LockShards. Kept
 	// until bench/ stops setting it.
@@ -210,11 +205,14 @@ type Store struct {
 	// sortedDataCells/parityCells/isData pre-split the stripe's cells
 	// for the journaled two-phase (data, then parity) write-back; isData
 	// is indexed chunk-major like a stripe's cells (cellIdx). allCols
-	// lists every column, for whole-stripe sidecar flushes.
+	// lists every column, for whole-stripe sidecar flushes; allCells
+	// lists every cell sorted by (Col, Row), for whole-stripe write-back
+	// (the full-stripe flush and recovery's roll-forward).
 	sortedDataCells []core.Cell
 	parityCells     []core.Cell
 	isData          []bool
 	allCols         []int
+	allCells        []core.Cell
 
 	// updCells[ord] lists, as chunk-major cell indices, what an update of
 	// data ordinal ord touches: the cell itself and its §5.2 parity
@@ -305,19 +303,6 @@ func Open(cfg Config) (*Store, error) {
 		wantSectors += IntegrityMetaSectors(cfg.Stripes, r, cfg.SectorSize)
 	}
 	devs := cfg.Devices
-	if devs == nil && cfg.DeviceFactory != nil {
-		devs = make([]Device, n)
-		for i := range devs {
-			d, err := cfg.DeviceFactory(i)
-			if err != nil {
-				for _, prev := range devs[:i] {
-					prev.Close()
-				}
-				return nil, fmt.Errorf("store: device factory (column %d): %w", i, err)
-			}
-			devs[i] = d
-		}
-	}
 	if devs == nil {
 		devs = make([]Device, n)
 		for i := range devs {
@@ -404,8 +389,12 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	s.allCols = make([]int, n)
+	s.allCells = make([]core.Cell, 0, n*r)
 	for col := range s.allCols {
 		s.allCols[col] = col
+		for row := 0; row < r; row++ {
+			s.allCells = append(s.allCells, core.Cell{Col: col, Row: row})
+		}
 	}
 	// The sidecar regions load before journal replay: recovery re-stages
 	// fresh records for every stripe it touches, and verification after
@@ -448,9 +437,9 @@ func (s *Store) BlockSize() int { return s.sectorSize }
 // Blocks returns the volume capacity in logical blocks.
 func (s *Store) Blocks() int { return s.stripes * s.perStripe }
 
-// Geometry returns (devices, stripes, sectors per chunk, sector size) —
-// the same shape as raid.Array.Geometry, so the raid fault drivers can
-// target a store.
+// Geometry returns (devices, stripes, sectors per chunk, sector size),
+// the shape failures.FaultTarget asks for so the fault drivers of
+// internal/failures can target a store.
 func (s *Store) Geometry() (n, stripes, r, sectorSize int) {
 	return s.n, s.stripes, s.r, s.sectorSize
 }
@@ -1205,10 +1194,9 @@ func (s *Store) RebuildDevice(ctx context.Context, dev int) error {
 }
 
 // InjectSectorError injects a latent sector error at one device sector
-// (index stripe×R + row, matching raid.Array's layout). The stripe's
-// cached reconstruction is dropped: the injection changes its failure
-// pattern, and a read must re-evaluate coverage rather than serve
-// pre-injection state.
+// (index stripe×R + row). The stripe's cached reconstruction is dropped:
+// the injection changes its failure pattern, and a read must re-evaluate
+// coverage rather than serve pre-injection state.
 func (s *Store) InjectSectorError(dev, sector int) error {
 	fd, err := s.faultDevice(dev)
 	if err != nil {
@@ -1222,8 +1210,8 @@ func (s *Store) InjectSectorError(dev, sector int) error {
 }
 
 // InjectBurst injects a run of consecutive latent sector errors on one
-// device, clipped at the device end — the §7.2.2 failure mode. It has
-// raid.Array.InjectBurst's signature so raid's fault drivers apply.
+// device, clipped at the device end — the §7.2.2 failure mode, with
+// failures.FaultTarget's signature so the fault drivers apply.
 func (s *Store) InjectBurst(dev, start, length int) error {
 	fd, err := s.faultDevice(dev)
 	if err != nil {
