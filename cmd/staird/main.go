@@ -164,8 +164,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	stripes := fs.Int("stripes", 64, "stripes in the volume")
 	sector := fs.Int("sector", 4096, "sector (= block) size in bytes")
 	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
-	coalesce := fs.Bool("coalesce", true, "merge adjacent stripe extents per backend")
-	coalesceWindow := fs.Duration("coalesce-window", 200*time.Microsecond, "coalescer batch window")
+	coalesce := fs.Bool("coalesce", true, "merge adjacent stripe extents queued behind a backend's in-flight call (no batch window)")
 	hedge := fs.Bool("hedge", true, "hedge slow column reads via sibling reconstruction")
 	hedgePercentile := fs.Float64("hedge-percentile", 0.9, "latency percentile that launches a hedge")
 	integ := fs.Bool("integrity", false, "per-sector checksum layer (device servers need -sectors sized for the sidecar region)")
@@ -200,7 +199,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		Monitor:      cluster.MonitorConfig{Interval: *heartbeat, FailAfter: *failAfter},
 	}
 	if *coalesce {
-		cfg.Coalesce = &store.CoalesceOptions{Window: *coalesceWindow}
+		cfg.Coalesce = &store.CoalesceOptions{}
 	}
 	if *hedge {
 		cfg.Hedge = &cluster.HedgeConfig{Percentile: *hedgePercentile}

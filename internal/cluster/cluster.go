@@ -10,7 +10,7 @@
 //
 // Two latency defences ride on the same column seam. A per-backend
 // request coalescer (store.CoalescingDevice) merges adjacent stripe
-// extents from the concurrent flush pipeline into single vectored
+// extents queued behind its in-flight call into single vectored
 // calls. Hedged reads bound tail latency the "Tail at Scale" way: when
 // a column read exceeds a tracked latency percentile, the extent is
 // reconstructed from the n−1 sibling columns through the code's repair

@@ -22,7 +22,7 @@ func TestDeviceConformanceClusterColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		wrap := func(d store.Device) store.Device {
-			return store.NewCoalescingDevice(d, store.CoalesceOptions{Window: 50 * time.Microsecond})
+			return store.NewCoalescingDevice(d, store.CoalesceOptions{})
 		}
 		return newColumn(0, Server{Name: "s0", URL: srv.URL}, dev, wrap)
 	})

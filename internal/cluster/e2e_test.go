@@ -36,7 +36,7 @@ func TestClusterKillFailoverRebuild(t *testing.T) {
 		SectorSize:   sectorSize,
 		Stripes:      stripes,
 		FlushWorkers: 2,
-		Coalesce:     &store.CoalesceOptions{Window: 100 * time.Microsecond},
+		Coalesce:     &store.CoalesceOptions{},
 		Monitor:      MonitorConfig{Interval: 50 * time.Millisecond, Timeout: 40 * time.Millisecond, FailAfter: 2},
 	})
 	if err != nil {

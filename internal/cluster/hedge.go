@@ -212,8 +212,10 @@ func (h *hedgedColumn) ReadSectors(ctx context.Context, start int, bufs [][]byte
 		select {
 		case err := <-primary:
 			primDone = true
-			h.tracker.record(time.Since(begin))
 			if usable(err) {
+				// Usable outcomes only, as in the other arms: a column failing
+				// hard and slowly must not teach itself out of being hedged.
+				h.tracker.record(time.Since(begin))
 				h.v.counters.hedgeLosses.Add(1)
 				copyOut(bufs, primaryBufs)
 				if ctx.Err() == nil {

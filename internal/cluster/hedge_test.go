@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -27,21 +28,23 @@ func testCode(t testing.TB) *core.Code {
 type gateDevice struct {
 	store.FaultDevice
 	delay atomic.Int64 // nanoseconds
+	fail  atomic.Bool  // after the delay, answer ErrDeviceFailed
 }
 
 func (g *gateDevice) wait(ctx context.Context) error {
-	d := time.Duration(g.delay.Load())
-	if d <= 0 {
-		return ctx.Err()
+	if d := time.Duration(g.delay.Load()); d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-t.C:
+		}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
+	if g.fail.Load() {
+		return store.ErrDeviceFailed
 	}
+	return ctx.Err()
 }
 
 func (g *gateDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
@@ -176,6 +179,66 @@ func TestHedgedReadOutrunsStall(t *testing.T) {
 	st := v.Stats()
 	if st.HedgesLaunched == 0 || st.HedgeWins == 0 {
 		t.Fatalf("hedge counters %+v, want ≥1 launched and ≥1 win", st)
+	}
+}
+
+// A primary that fails hard after the hedge launched is not a latency
+// sample: recorded, a column failing slowly (transport retries
+// exhausted) would drag its own percentile toward MaxDelay and switch
+// hedging off for exactly the column that needs it.
+func TestHedgeTrackerIgnoresFailedPrimary(t *testing.T) {
+	code := testCode(t)
+	const sectorSize, stripes = 64, 2
+	gates := map[string]*gateDevice{}
+	var servers []Server
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("s%d", i)
+		servers = append(servers, Server{Name: name, URL: "local://" + name})
+	}
+	v, err := Open(context.Background(), Config{
+		Fleet:      &Fleet{Servers: servers},
+		Code:       code,
+		SectorSize: sectorSize,
+		Stripes:    stripes,
+		Dial: func(ctx context.Context, server Server) (store.Device, error) {
+			g := &gateDevice{FaultDevice: store.NewMemDevice(stripes*code.R(), sectorSize)}
+			gates[server.Name] = g
+			return g, nil
+		},
+		Hedge:   &HedgeConfig{MinDelay: time.Millisecond, MinSamples: 4},
+		Monitor: MonitorConfig{Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	ctx := context.Background()
+	hd := v.devs[0].(*hedgedColumn)
+	buf := [][]byte{make([]byte, sectorSize)}
+	for i := 0; i < 8; i++ {
+		if err := hd.ReadSectors(ctx, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slowest, _ := hd.tracker.percentile(1, 1)
+	launched := v.Stats().HedgesLaunched
+
+	// Column 0 fails hard 10ms in — long after the hedge launches — and
+	// m more dead siblings make the hedge fail first, so the read ends
+	// in the arm that receives the failed primary.
+	place := v.Placement()
+	gates[place[0].Name].delay.Store(int64(10 * time.Millisecond))
+	for _, srv := range place[:3] {
+		gates[srv.Name].fail.Store(true)
+	}
+	if err := hd.ReadSectors(ctx, 0, buf); !errors.Is(err, store.ErrDeviceFailed) {
+		t.Fatalf("read of a failed column behind a failed hedge: %v, want ErrDeviceFailed", err)
+	}
+	if st := v.Stats(); st.HedgesLaunched != launched+1 {
+		t.Fatalf("hedge counters %+v, want one more launch than %d", st, launched)
+	}
+	if got, _ := hd.tracker.percentile(1, 1); got != slowest {
+		t.Fatalf("tracker's slowest sample went %v → %v: the failed primary was recorded", slowest, got)
 	}
 }
 

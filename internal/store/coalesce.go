@@ -5,27 +5,16 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"stair/internal/store/mem"
 )
 
 // CoalesceOptions tunes a CoalescingDevice.
 type CoalesceOptions struct {
-	// Window is how long the first request of a batch waits for
-	// neighbours before dispatching. 0 selects 200µs. Longer windows
-	// merge more aggressively at the cost of added first-byte latency on
-	// idle devices.
-	Window time.Duration
 	// MaxSectors caps one merged inner call; a run growing past it is
 	// dispatched as multiple calls. 0 selects 4096.
 	MaxSectors int
 }
-
-const (
-	defaultCoalesceWindow     = 200 * time.Microsecond
-	defaultCoalesceMaxSectors = 4096
-)
 
 // CoalesceStats counts what the coalescer saved.
 type CoalesceStats struct {
@@ -50,14 +39,30 @@ type CoalesceStats struct {
 // one call per device per stripe; with a concurrent flush pipeline,
 // neighbouring stripes' chunks on the same backend are adjacent extents,
 // and a backend that charges per call (a disk seek, an HTTP round trip)
-// serves one merged call in a fraction of the time. Stripe write-back
-// ordering is unaffected: the journal's per-stripe intents are appended
-// (and fsynced) before the write-back call enters the coalescer, and a
-// flush does not commit until its call — merged or not — returns, so
-// crash consistency is exactly as strong as the uncoalesced path.
+// serves one merged call in a fraction of the time.
 //
-// Correctness with the store's locking: a caller blocks until the merged
-// call covering its extent completes, so the store's shard locks keep
+// There is no batch window and no clock: a request waits for neighbours
+// exactly as long as the backend is busy. One that finds its direction
+// (read or write) idle is issued at once on the caller's goroutine — a
+// lone client pays one round trip, nothing else. One that arrives while
+// a call of its direction is in flight queues behind it; whoever ends
+// that call takes what queued as the next batch and merges neighbours.
+//
+// The price is head-of-line waiting: with one call or batch in flight
+// per direction per backend, a request arriving behind a slow call waits
+// for it (≤ 2 round trips under contention; a latency spike is shared by
+// what queued behind it) — the mirror image of a timed window, which
+// charges every request the timer whether or not anything contends.
+// Reads still hedge past a stuck call (cluster's hedged column).
+//
+// Stripe write-back ordering is unaffected: the journal's per-stripe
+// intents are appended (and fsynced) before the write-back call enters
+// the coalescer, and a flush does not commit until its call — merged or
+// not — returns, so crash consistency is exactly as strong as the
+// uncoalesced path.
+//
+// Correctness with the store's locking: a caller blocks until the call
+// covering its extent completes, so the store's shard locks keep
 // same-stripe read-after-write ordering; cross-stripe merges carry no
 // ordering obligation. A caller whose context dies while batched returns
 // promptly with ctx.Err(); the merged call continues for the other
@@ -69,30 +74,19 @@ type CoalesceStats struct {
 // (the store's shutdown drains before closing devices).
 type CoalescingDevice struct {
 	Forwarder
-	window     time.Duration
 	maxSectors int
 
 	reads, writes coalesceQueue
-
-	stats struct {
-		reads, writes             atomic.Uint64
-		innerReads, innerWrites   atomic.Uint64
-		mergedReads, mergedWrites atomic.Uint64
-		scratchFlats              atomic.Uint64
-	}
+	scratchFlats  atomic.Uint64
 }
 
 // NewCoalescingDevice wraps inner with a request coalescer.
 func NewCoalescingDevice(inner Device, opts CoalesceOptions) *CoalescingDevice {
-	if opts.Window <= 0 {
-		opts.Window = defaultCoalesceWindow
-	}
 	if opts.MaxSectors <= 0 {
-		opts.MaxSectors = defaultCoalesceMaxSectors
+		opts.MaxSectors = 4096
 	}
 	d := &CoalescingDevice{
 		Forwarder:  Forwarder{Inner: inner},
-		window:     opts.Window,
 		maxSectors: opts.MaxSectors,
 	}
 	d.reads.dev, d.writes.dev = d, d
@@ -103,56 +97,57 @@ func NewCoalescingDevice(inner Device, opts CoalesceOptions) *CoalescingDevice {
 // Stats snapshots the merge counters.
 func (d *CoalescingDevice) Stats() CoalesceStats {
 	return CoalesceStats{
-		Reads:        d.stats.reads.Load(),
-		Writes:       d.stats.writes.Load(),
-		InnerReads:   d.stats.innerReads.Load(),
-		InnerWrites:  d.stats.innerWrites.Load(),
-		MergedReads:  d.stats.mergedReads.Load(),
-		MergedWrites: d.stats.mergedWrites.Load(),
-		ScratchFlats: d.stats.scratchFlats.Load(),
+		Reads:        d.reads.ops.Load(),
+		Writes:       d.writes.ops.Load(),
+		InnerReads:   d.reads.inner.Load(),
+		InnerWrites:  d.writes.inner.Load(),
+		MergedReads:  d.reads.merged.Load(),
+		MergedWrites: d.writes.merged.Load(),
+		ScratchFlats: d.scratchFlats.Load(),
 	}
 }
 
-// ReadSectors joins the read batch window; adjacent concurrent reads
-// share one inner call.
+// ReadSectors issues the read, or queues it behind the read in flight;
+// adjacent reads that queued together share one inner call.
 func (d *CoalescingDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
-	d.stats.reads.Add(1)
 	return d.reads.submit(ctx, start, bufs)
 }
 
-// WriteSectors joins the write batch window; adjacent concurrent writes
-// share one inner call.
+// WriteSectors issues the write, or queues it behind the write in
+// flight; adjacent writes that queued together share one inner call.
 func (d *CoalescingDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
-	d.stats.writes.Add(1)
 	return d.writes.submit(ctx, start, data)
 }
 
-// coalReq is one caller operation waiting in a batch window.
+// coalReq is one caller operation, in flight or queued.
 type coalReq struct {
 	ctx   context.Context
 	start int
 	bufs  [][]byte
-	done  chan error // buffered; the dispatcher never blocks on it
+	done  chan error // buffered; issue never blocks on it
 }
 
-// coalesceQueue is one direction's (read or write) batching state.
+// coalesceQueue is one direction's (read or write) state.
 type coalesceQueue struct {
-	dev   *CoalescingDevice
-	write bool
+	dev                *CoalescingDevice
+	write              bool
+	ops, inner, merged atomic.Uint64 // caller ops, inner calls, ops that shared one
 
 	mu      sync.Mutex
-	pending []*coalReq
-	open    bool // a dispatcher is sleeping out the window
+	pending []*coalReq // arrived while busy: the next batch
+	busy    bool       // a call or batch of this direction is in flight
 }
 
-// submit validates and enqueues one operation, opening a batch window if
-// none is pending, and waits for its result. An already-cancelled (or
-// cancelled-while-waiting) context returns promptly; the batch keeps the
-// request's buffers until its inner call completes, which is safe — for
-// reads the abandoned scratch is dropped, for writes the data slices are
-// immutable for the duration by the Device contract.
+// submit validates one operation, then issues it at once (idle queue: a
+// batch of one on the caller's goroutine) or queues it behind the call
+// in flight and waits for the batch that serves it. A queued caller
+// whose context dies returns promptly; the batch keeps the request's
+// buffers until its inner call completes, which is safe — for reads the
+// abandoned scratch is dropped, for writes the data slices are immutable
+// for the duration by the Device contract.
 func (q *coalesceQueue) submit(ctx context.Context, start int, bufs [][]byte) error {
 	d := q.dev
+	q.ops.Add(1)
 	if err := checkExtent(d.Sectors(), start, len(bufs)); err != nil {
 		return err
 	}
@@ -167,14 +162,16 @@ func (q *coalesceQueue) submit(ctx context.Context, start int, bufs [][]byte) er
 	}
 	req := &coalReq{ctx: ctx, start: start, bufs: bufs, done: make(chan error, 1)}
 	q.mu.Lock()
-	q.pending = append(q.pending, req)
-	lead := !q.open
-	if lead {
-		q.open = true
+	queued := q.busy
+	if queued {
+		q.pending = append(q.pending, req)
 	}
+	q.busy = true
 	q.mu.Unlock()
-	if lead {
-		go q.dispatch()
+	if !queued {
+		q.issue([]*coalReq{req}, start, start+len(bufs))
+		q.finish()
+		return <-req.done
 	}
 	select {
 	case err := <-req.done:
@@ -184,53 +181,63 @@ func (q *coalesceQueue) submit(ctx context.Context, start int, bufs [][]byte) er
 	}
 }
 
-// dispatch sleeps out the batch window, takes every pending request, and
-// issues the merged inner calls. It closes the window before issuing, so
-// requests arriving during a slow inner call start a fresh batch instead
-// of queueing behind it.
-func (q *coalesceQueue) dispatch() {
-	timer := time.NewTimer(q.dev.window)
-	<-timer.C
+// finish ends the call or batch in flight: what queued behind it goes
+// out as the next batch on a goroutine of its own (the only ones a queue
+// starts are for requests that found it busy), else the queue goes idle.
+func (q *coalesceQueue) finish() {
 	q.mu.Lock()
 	batch := q.pending
 	q.pending = nil
-	q.open = false
+	q.busy = len(batch) > 0
 	q.mu.Unlock()
-	if len(batch) == 0 {
-		return
+	if len(batch) > 0 {
+		go q.dispatch(batch)
 	}
+}
+
+// dispatch merges one batch into runs, issues them, and finishes when
+// every inner call has returned. Disjoint runs go out together: one
+// after another, unrelated extents would serialise behind this batch.
+func (q *coalesceQueue) dispatch(batch []*coalReq) {
 	// Drop members whose context already died; they have already
 	// returned ctx.Err() to their callers.
 	live := batch[:0]
 	for _, req := range batch {
-		if req.ctx.Err() != nil {
-			req.done <- req.ctx.Err()
-			continue
+		if req.ctx.Err() == nil {
+			live = append(live, req)
 		}
-		live = append(live, req)
-	}
-	if len(live) == 0 {
-		return
 	}
 	sort.SliceStable(live, func(i, j int) bool { return live[i].start < live[j].start })
 	// Split into maximal runs of overlapping-or-adjacent extents, capped
-	// at MaxSectors, and serve each run with one inner call.
+	// at MaxSectors, and serve each run with one inner call: the last on
+	// this goroutine, the others on one goroutine each.
+	var wg sync.WaitGroup
 	for i := 0; i < len(live); {
-		end := live[i].start + len(live[i].bufs)
+		start, end := live[i].start, live[i].start+len(live[i].bufs)
 		j := i + 1
 		for j < len(live) && live[j].start <= end {
 			e := live[j].start + len(live[j].bufs)
 			if e > end {
-				if e-live[i].start > q.dev.maxSectors {
+				if e-start > q.dev.maxSectors {
 					break
 				}
 				end = e
 			}
 			j++
 		}
-		q.issue(live[i:j], live[i].start, end)
-		i = j
+		run := live[i:j]
+		if i = j; i == len(live) {
+			q.issue(run, start, end)
+		} else {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q.issue(run, start, end)
+			}()
+		}
 	}
+	wg.Wait()
+	q.finish()
 }
 
 // issue serves one merged run [start, end) for its member requests.
@@ -246,16 +253,9 @@ func (q *coalesceQueue) dispatch() {
 // rule, recycled only when the inner call was not abandoned mid-flight.
 func (q *coalesceQueue) issue(members []*coalReq, start, end int) {
 	d := q.dev
-	if q.write {
-		d.stats.innerWrites.Add(1)
-		if len(members) > 1 {
-			d.stats.mergedWrites.Add(uint64(len(members)))
-		}
-	} else {
-		d.stats.innerReads.Add(1)
-		if len(members) > 1 {
-			d.stats.mergedReads.Add(uint64(len(members)))
-		}
+	q.inner.Add(1)
+	if len(members) > 1 {
+		q.merged.Add(uint64(len(members)))
 	}
 	count := end - start
 	var merged [][]byte
@@ -280,7 +280,7 @@ func (q *coalesceQueue) issue(members []*coalReq, start, end int) {
 			}
 		}
 		if overlap {
-			d.stats.scratchFlats.Add(1)
+			d.scratchFlats.Add(1)
 			flat = mem.Acquire(count * d.SectorSize())
 			// Zeroed so lost sectors copy out as zeros, not pool garbage.
 			clear(flat)
@@ -337,28 +337,27 @@ func (e SectorErrors) slice(start, end int) SectorErrors {
 // mergedContext derives the context a merged inner call runs under: it
 // is cancelled only when every member's context is done, so one caller
 // giving up cannot kill a call its batch-mates still want. A member with
-// an uncancellable context pins the call for its full duration.
+// an uncancellable context pins the call for its full duration; a run of
+// one runs under its member's own context.
 func mergedContext(members []*coalReq) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	remaining := int64(len(members))
-	var once sync.Once
-	stop := make(chan struct{})
-	release := func() { once.Do(func() { close(stop) }) }
-	for _, req := range members {
-		ch := req.ctx.Done()
-		if ch == nil {
-			// Never cancelled: the merged call runs to completion.
-			return ctx, func() { release(); cancel() }
-		}
-		go func(ch <-chan struct{}) {
-			select {
-			case <-ch:
-				if atomic.AddInt64(&remaining, -1) == 0 {
-					cancel()
-				}
-			case <-stop:
-			}
-		}(ch)
+	if len(members) == 1 {
+		return members[0].ctx, func() {}
 	}
-	return ctx, func() { release(); cancel() }
+	ctx, cancel := context.WithCancel(context.Background())
+	var remaining atomic.Int64
+	remaining.Store(int64(len(members)))
+	stops := make([]func() bool, len(members))
+	for i, req := range members {
+		stops[i] = context.AfterFunc(req.ctx, func() {
+			if remaining.Add(-1) == 0 {
+				cancel()
+			}
+		})
+	}
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+	}
 }

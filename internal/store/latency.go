@@ -23,9 +23,9 @@ type LatencyProfile struct {
 	SpikeProb float64
 	// Serial queues calls behind each other, like a single-spindle disk
 	// or a one-connection transport: two concurrent calls cost two
-	// latencies of wall clock, not one. This is the regime where
-	// coalescing adjacent extents into one call is a real win — with
-	// concurrent service, overlapped calls already hide each other.
+	// latencies of wall clock, not one. This is the regime coalescing
+	// adjacent extents exists for (measured: level with no coalescer at
+	// 2–16 flush workers, where a concurrent device loses 1.3–1.5× at 16).
 	Serial bool
 	// Seed, when non-zero, seeds the device's private jitter/spike RNG,
 	// making the simulated timing sequence reproducible run to run —
