@@ -433,24 +433,112 @@ func BenchmarkStoreReadConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreDegradedReadCached: repeated reads of blocks on a failed
-// device — after the first decode per stripe, the degraded-stripe cache
-// serves the reconstruction from memory.
-func BenchmarkStoreDegradedReadCached(b *testing.B) {
-	s := benchStore(b, 4)
-	if err := s.FailDevice(0); err != nil {
+// benchDegradedStore returns a filled store with devices 0 and 1 failed,
+// and the blocks stored on device 0 — one per (stripe, row), stripe-major.
+func benchDegradedStore(b *testing.B, stripes int) (*store.Store, []int) {
+	b.Helper()
+	s := benchStore(b, stripes)
+	for _, dev := range []int{0, 1} {
+		if err := s.FailDevice(dev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var lost []int
+	cells := s.Code().DataCells()
+	for blk := 0; blk < s.Blocks(); blk++ {
+		if cells[blk%len(cells)].Col == 0 {
+			lost = append(lost, blk)
+		}
+	}
+	return s, lost
+}
+
+// benchBreakRow puts a sector error on a live device in the row of the
+// given block, so that with two devices down the row holds m+1 losses and
+// a degraded read of the block needs the whole stripe.
+func benchBreakRow(b *testing.B, s *store.Store, blk int) {
+	b.Helper()
+	cells := s.Code().DataCells()
+	_, _, r, _ := s.Geometry()
+	sector := blk/len(cells)*r + cells[blk%len(cells)].Row
+	if err := s.InjectSectorError(2, sector); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// benchReadBlock is one timed read of the degraded-read benchmarks.
+func benchReadBlock(b *testing.B, s *store.Store, blk int, dst []byte) {
+	if err := s.ReadBlockInto(benchCtx, blk, dst); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkStoreDegradedReadCached: reads of a failed device's blocks off
+// the degraded-stripe cache — each stripe was decoded whole once, by a
+// read whose row held m+1 losses, and its reconstruction serves the rest
+// from memory. Against BenchmarkStoreDegradedReadMiss this is what the
+// cache buys.
+func BenchmarkStoreDegradedReadCached(b *testing.B) {
+	s, lost := benchDegradedStore(b, 4)
+	dst := make([]byte, s.BlockSize())
+	perStripe := len(lost) / 4
+	for stripe := 0; stripe < 4; stripe++ {
+		benchBreakRow(b, s, lost[stripe*perStripe])
+		benchReadBlock(b, s, lost[stripe*perStripe], dst)
+	}
+	before := s.Stats()
 	b.SetBytes(int64(s.BlockSize()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := s.ReadBlock(benchCtx, i%s.Blocks())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.ReleaseBlock(buf)
+		benchReadBlock(b, s, lost[i%len(lost)], dst)
 	}
+	b.StopTimer()
+	if st := s.Stats(); st.DegradedCacheHits-before.DegradedCacheHits != uint64(b.N) {
+		b.Fatalf("%d of %d reads hit the cache", st.DegradedCacheHits-before.DegradedCacheHits, b.N)
+	}
+}
+
+// BenchmarkStoreDegradedReadMiss: what a degraded read costs when no
+// cached reconstruction serves it, two devices down, cycling over twice
+// the stripes the cache holds. row-local: the block's row holds no other
+// loss, so n−m sector reads and one row solve decide it (§4.3).
+// whole-stripe: its row holds a third loss — re-injected, untimed, before
+// every read, since the repair each read queues heals it — so the read
+// loads and decodes the stripe.
+func BenchmarkStoreDegradedReadMiss(b *testing.B) {
+	b.Run("row-local", func(b *testing.B) {
+		s, lost := benchDegradedStore(b, 16)
+		dst := make([]byte, s.BlockSize())
+		b.SetBytes(int64(s.BlockSize()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchReadBlock(b, s, lost[i%len(lost)], dst)
+		}
+		b.StopTimer()
+		if st := s.Stats(); st.DegradedReads != uint64(b.N) || st.DegradedReadFallbacks != 0 || st.DegradedCacheHits != 0 {
+			b.Fatalf("%d reads: %d degraded, %d fallbacks, %d cache hits", b.N, st.DegradedReads, st.DegradedReadFallbacks, st.DegradedCacheHits)
+		}
+	})
+	b.Run("whole-stripe", func(b *testing.B) {
+		s, lost := benchDegradedStore(b, 16)
+		dst := make([]byte, s.BlockSize())
+		b.SetBytes(int64(s.BlockSize()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s.Quiesce()
+			benchBreakRow(b, s, lost[i%len(lost)])
+			b.StartTimer()
+			benchReadBlock(b, s, lost[i%len(lost)], dst)
+		}
+		b.StopTimer()
+		if st := s.Stats(); st.DegradedReadFallbacks != uint64(b.N) || st.DegradedCacheHits != 0 {
+			b.Fatalf("%d reads: %d fallbacks, %d cache hits", b.N, st.DegradedReadFallbacks, st.DegradedCacheHits)
+		}
+	})
 }
 
 // BenchmarkStoreReadBlockSteady: the healthy per-block read fast path in

@@ -156,9 +156,12 @@ func TestAPIMaintenanceAndMetrics(t *testing.T) {
 	}
 	// The one-block PUT was flushed through the sub-stripe path, on its
 	// delta load: the fallback counter is exported, and reads zero on a
-	// healthy volume.
+	// healthy volume — as does its degraded-read sibling.
 	if metrics.Store.SubStripeFlushes == 0 || !bytes.Contains(body, []byte(`"SubStripeFallbacks":0`)) {
 		t.Fatalf("metrics want ≥1 sub-stripe flush and an exported zero SubStripeFallbacks: %s", body)
+	}
+	if !bytes.Contains(body, []byte(`"DegradedReadFallbacks":0`)) {
+		t.Fatalf("metrics want an exported zero DegradedReadFallbacks: %s", body)
 	}
 	// The latency map carries a row per op class exercised above: one
 	// PUT (write), plus flush and scrub; /v1/sync is not timed. A GET

@@ -100,6 +100,11 @@ type Code struct {
 
 	decodeMu    sync.Mutex
 	decodeCache map[string]*plan // nil entry = proven unrecoverable
+
+	// rowSolves holds the row-local repairs by lost-column set (see
+	// rowlocal.go); entries are never evicted.
+	rowMu     sync.Mutex
+	rowSolves map[string]*rowSolve
 }
 
 // New compiles a STAIR code for the given configuration.
@@ -143,6 +148,7 @@ func New(cfg Config) (*Code, error) {
 	c.downPlan = c.compilePlan(c.downSched)
 	c.stdPlan = c.compilePlan(c.stdSched)
 	c.decodeCache = make(map[string]*plan)
+	c.rowSolves = make(map[string]*rowSolve)
 	return c, nil
 }
 

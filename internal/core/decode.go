@@ -174,9 +174,12 @@ func (c *Code) Repair(st *Stripe, lost []Cell) error {
 	return nil
 }
 
-// CanRecover reports whether a failure pattern is repairable, without
-// touching any data. The answer is exact: it builds (and caches) the
-// repair schedule.
+// CanRecover reports whether Repair would succeed on a failure pattern,
+// without touching any data: it builds (and caches) the repair schedule.
+// The answer is peel-based — the practical order of §4.3, then an
+// unrestricted row/column fixpoint — so true is a guarantee and covers
+// every pattern within (m, e); false for a pattern beyond the coverage
+// means peeling stalls, not that the generator's rank rules it out.
 func (c *Code) CanRecover(lost []Cell) (bool, error) {
 	idxs, err := c.checkLost(lost)
 	if err != nil {

@@ -11,13 +11,17 @@ import (
 // Config.DegradedCache is 0.
 const defaultDegradedCache = 8
 
-// stripeCache is a small LRU of reconstructed degraded stripes. Without
-// it, every read of a lost block re-runs the upstairs decode for the
-// whole stripe (§4.2–4.3) — r·n sector reads plus a matrix solve per
+// stripeCache is a small LRU of reconstructed degraded stripes. It is
+// filled by one path only: the degraded read's whole-stripe fallback,
+// taken when the wanted block's row holds more than m losses (a read
+// its own row can decide is row-local: it reads n−m sectors of that row
+// and leaves nothing here). Without the cache,
+// every read of a lost block of such a stripe re-runs the upstairs
+// decode (§4.2–4.3) — r·n sector reads plus a whole-stripe solve per
 // block — even though the stripe stays degraded until a repair or a
-// device replacement lands. With it, the first degraded read pays for
-// the reconstruction and its neighbours on the same stripe are served
-// from memory.
+// device replacement lands. With it, the first such read pays for the
+// reconstruction and its neighbours on the same stripe are served from
+// memory.
 //
 // Entries are immutable once inserted: readers copy sectors out under
 // the cache mutex, and any event that changes a stripe's logical

@@ -225,8 +225,8 @@ func TestFlushCancelledMidDrain(t *testing.T) {
 }
 
 // TestConcurrentDegradedReadsSameStripe: many readers of one degraded
-// stripe share the cached reconstruction — the decode runs a handful of
-// times, not once per read.
+// stripe whose block needs the whole-stripe decode share the cached
+// reconstruction — the decode runs a handful of times, not once per read.
 func TestConcurrentDegradedReadsSameStripe(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2, RepairWorkers: 2})
@@ -247,6 +247,12 @@ func TestConcurrentDegradedReadsSameStripe(t *testing.T) {
 	}
 	if deadBlock < 0 {
 		t.Fatal("no data cell on device 2")
+	}
+	// m more losses in the block's row, so that the row cannot decide it.
+	for _, col := range []int{0, 5} {
+		if err := s.InjectSectorError(col, s.devSector(0, s.dataCells[deadBlock].Row)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const readers, reads = 8, 50
 	var wg sync.WaitGroup

@@ -486,6 +486,11 @@ func TestTornStripeDecodesFromMemory(t *testing.T) {
 			if !bytes.Equal(got, want[lostBlock]) {
 				t.Fatal("degraded read of a torn stripe fabricated the lost block off half-updated parity")
 			}
+			// Its row alone holds one loss, but the devices hold the torn
+			// mix: the read must not have solved through them row-locally.
+			if got := s.Stats().DegradedReadFallbacks; got != 1 {
+				t.Fatalf("DegradedReadFallbacks=%d for a read of a torn stripe, want 1", got)
+			}
 			s.Quiesce() // the repair the read queued writes the block back
 		}},
 		{"scrub-and-repair", func(t *testing.T, s *Store, _ int, _ [][]byte) {

@@ -424,9 +424,10 @@ func TestRepairPrioritisesAtEdgeStripe(t *testing.T) {
 	checkStripesConsistent(t, s)
 }
 
-// TestDegradedReadCache: repeated reads of a still-degraded stripe are
-// served from the cached reconstruction instead of re-running the
-// upstairs decode per block, and writes invalidate the entry.
+// TestDegradedReadCache: repeated reads of a still-degraded stripe that
+// needs the whole-stripe decode are served from the cached
+// reconstruction instead of re-running it per block, and writes
+// invalidate the entry.
 func TestDegradedReadCache(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2})
@@ -449,6 +450,13 @@ func TestDegradedReadCache(t *testing.T) {
 	if len(deadBlocks) < 2 {
 		t.Fatalf("test needs ≥ 2 data cells on device 1, have %d", len(deadBlocks))
 	}
+	// m more losses in the first dead block's row: m+1 in all, so its row
+	// cannot decide it and the read decodes — and caches — the stripe.
+	for _, col := range []int{0, 5} {
+		if err := s.InjectSectorError(col, s.devSector(0, s.dataCells[deadBlocks[0]].Row)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, b := range deadBlocks {
 		got, err := s.ReadBlock(bg, b)
 		if err != nil {
@@ -465,6 +473,9 @@ func TestDegradedReadCache(t *testing.T) {
 	// Only the first read pays the decode; the rest hit the cache.
 	if want := uint64(len(deadBlocks) - 1); st.DegradedCacheHits != want {
 		t.Errorf("DegradedCacheHits=%d, want %d", st.DegradedCacheHits, want)
+	}
+	if st.DegradedReadFallbacks != 1 {
+		t.Errorf("DegradedReadFallbacks=%d, want 1", st.DegradedReadFallbacks)
 	}
 	if got := s.cache.size(); got != 1 {
 		t.Errorf("cache holds %d stripes, want 1", got)

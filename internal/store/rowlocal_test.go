@@ -1,0 +1,220 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"stair/internal/core"
+)
+
+// White-box tests of the row-local degraded read (readRowLocked): what
+// it reads, and that every pattern the wanted block's row cannot decide
+// ends on the whole-stripe fallback with the right bytes.
+
+// siblingReads sums, over every device but the wanted cell's, the reads
+// logged since the last take, requiring each to be the one sector of the
+// wanted cell's row.
+func siblingReads(t *testing.T, v *deltaVolume, stripe int, cell core.Cell) (calls int) {
+	t.Helper()
+	for col, reads := range v.takeReads() {
+		if col == cell.Col {
+			continue
+		}
+		for _, e := range reads {
+			if e.n != 1 || e.start != v.s.devSector(stripe, cell.Row) {
+				t.Fatalf("device %d read sectors [%d,+%d), want only sector %d (row %d of stripe %d)",
+					col, e.start, e.n, v.s.devSector(stripe, cell.Row), cell.Row, stripe)
+			}
+			calls++
+		}
+	}
+	return calls
+}
+
+// TestRowLocalReadTouchesOneRow: on the benchmark geometry, a degraded
+// read reads single sectors of the wanted block's row and nothing else —
+// n−m of them when only the block's own device is down, at most n−1 with
+// a second device down — never falls back, and leaves the stripe cache
+// empty; every block of the dead devices reads back right.
+func TestRowLocalReadTouchesOneRow(t *testing.T) {
+	for _, o := range []deltaOpts{{}, {integrity: true}} {
+		t.Run(o.String(), func(t *testing.T) {
+			v := newDeltaVolume(t, benchGeometry, 2, 64, o)
+			s := v.s
+			n, m := s.n, s.code.M()
+			if err := s.FailDevice(1); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, s.BlockSize())
+			read := func(b int) (calls int) {
+				t.Helper()
+				v.takeReads()
+				if err := s.ReadBlockInto(bg, b, dst); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(dst, v.want[b]) {
+					t.Fatalf("block %d: wrong bytes off the row-local path", b)
+				}
+				return siblingReads(t, v, b/s.perStripe, s.dataCells[b%s.perStripe])
+			}
+			b := s.perStripe + firstOrdOn(t, s, 1)
+			if calls := read(b); calls != n-m {
+				t.Errorf("one dead device: %d sibling sectors read, want n−m = %d", calls, n-m)
+			}
+			if err := s.FailDevice(2); err != nil {
+				t.Fatal(err)
+			}
+			if calls := read(b); calls > n-1 {
+				t.Errorf("two dead devices: %d sibling calls, want ≤ n−1 = %d", calls, n-1)
+			}
+			reads := 2
+			for b := 0; b < s.Blocks(); b++ {
+				if col := s.dataCells[b%s.perStripe].Col; col == 1 || col == 2 {
+					read(b)
+					reads++
+				}
+			}
+			st := s.Stats()
+			if st.DegradedReads != uint64(reads) || st.DegradedReadFallbacks != 0 || st.DegradedCacheHits != 0 {
+				t.Errorf("%d degraded reads: stats %d degraded, %d fallbacks, %d cache hits; want all row-local",
+					reads, st.DegradedReads, st.DegradedReadFallbacks, st.DegradedCacheHits)
+			}
+			if got := s.cache.size(); got != 0 {
+				t.Errorf("row-local reads cached %d stripes", got)
+			}
+			if o.integrity && st.ChecksumMismatches != 0 {
+				t.Errorf("ChecksumMismatches=%d on clean survivors", st.ChecksumMismatches)
+			}
+			if got := s.UnrecoverableStripes(); len(got) != 0 {
+				t.Errorf("unrecoverable stripes %v", got)
+			}
+		})
+	}
+}
+
+// TestRowLocalReadFallbacks: each thing that takes a degraded read off
+// the row-local path — the row holding m+1 losses by a sector error or by
+// a sibling's checksum mismatch — ends on the whole-stripe fallback,
+// counted once, with the right bytes; a stripe already marked
+// unrecoverable is refused before any sibling is read. (The remaining
+// trigger, a pending torn update, is TestTornStripeDecodesFromMemory's.)
+func TestRowLocalReadFallbacks(t *testing.T) {
+	const stripe = 1
+	for _, tc := range []struct {
+		name string
+		// fault damages the stripe beyond the two dead devices, given
+		// the wanted cell and a live column.
+		fault          func(t *testing.T, s *Store, cell core.Cell, live int)
+		fallbacks      uint64
+		mismatches     uint64 // after the queued repair has run
+		wantErr        error
+		noSiblingReads bool
+	}{
+		{name: "sector-error-in-row", fallbacks: 1,
+			fault: func(t *testing.T, s *Store, cell core.Cell, live int) {
+				if err := s.InjectSectorError(live, s.devSector(stripe, cell.Row)); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		// The read's whole-stripe load counts the mismatch — not the
+		// row-local attempt that met it first and gave up — and the
+		// repair it queues meets it once more.
+		{name: "sibling-checksum-mismatch", fallbacks: 1, mismatches: 2,
+			fault: func(t *testing.T, s *Store, cell core.Cell, live int) {
+				if err := s.CorruptSectorSilently(live, s.devSector(stripe, cell.Row)); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "marked-unrecoverable", wantErr: ErrUnrecoverable, noSiblingReads: true,
+			fault: func(_ *testing.T, s *Store, _ core.Cell, _ int) { forceWholeStripe(s, stripe) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
+			s := v.s
+			for _, dev := range []int{1, 2} {
+				if err := s.FailDevice(dev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := stripe*s.perStripe + firstOrdOn(t, s, 1)
+			cell := s.dataCells[b%s.perStripe]
+			tc.fault(t, s, cell, 5)
+			v.takeReads()
+			got, err := s.ReadBlock(bg, b)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("ReadBlock: err=%v, want %v", err, tc.wantErr)
+			}
+			if err == nil && !bytes.Equal(got, v.want[b]) {
+				t.Fatal("wrong bytes off the whole-stripe fallback")
+			}
+			if tc.noSiblingReads {
+				for col, reads := range v.takeReads() {
+					if col != cell.Col && len(reads) != 0 {
+						t.Fatalf("device %d read %v for a stripe marked unrecoverable", col, reads)
+					}
+				}
+			}
+			s.Quiesce()
+			st := s.Stats()
+			if st.DegradedReadFallbacks != tc.fallbacks {
+				t.Errorf("DegradedReadFallbacks=%d, want %d", st.DegradedReadFallbacks, tc.fallbacks)
+			}
+			if st.ChecksumMismatches != tc.mismatches {
+				t.Errorf("ChecksumMismatches=%d, want %d", st.ChecksumMismatches, tc.mismatches)
+			}
+			if tc.wantErr == nil {
+				// The fallback is the parent's path whole: the stripe is in
+				// the cache, and the live sector it found lost was repaired.
+				if got := s.cache.size(); got != 1 {
+					t.Errorf("cache holds %d stripes after a fallback, want 1", got)
+				}
+				if bad := s.TotalBadSectors(); bad != 0 {
+					t.Errorf("%d bad sectors left on live devices", bad)
+				}
+				if got := s.UnrecoverableStripes(); len(got) != 0 {
+					t.Errorf("unrecoverable stripes %v", got)
+				}
+			}
+		})
+	}
+}
+
+// TestRowLocalReadCountsMismatchOnce: a silently corrupted block within
+// m row losses is served row-locally, and its checksum mismatch is
+// counted by that read exactly once — the repair it queues then meets
+// the sector once more on its own load, and heals it.
+func TestRowLocalReadCountsMismatchOnce(t *testing.T) {
+	v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
+	s := v.s
+	if err := s.FailDevice(2); err != nil {
+		t.Fatal(err)
+	}
+	b := firstOrdOn(t, s, 1)
+	corruptBlockSilently(t, s, b)
+	got, err := s.ReadBlock(bg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v.want[b]) {
+		t.Fatal("read returned the rotten bytes")
+	}
+	s.Quiesce()
+	st := s.Stats()
+	if st.DegradedReads != 1 || st.DegradedReadFallbacks != 0 {
+		t.Errorf("%d degraded reads, %d fallbacks; want one row-local read", st.DegradedReads, st.DegradedReadFallbacks)
+	}
+	if st.ChecksumMismatches != 2 {
+		t.Errorf("ChecksumMismatches=%d, want 2 (the read, then the repair's load)", st.ChecksumMismatches)
+	}
+	if st.RepairedSectors != 1 {
+		t.Errorf("RepairedSectors=%d, want the one corrupted sector written back", st.RepairedSectors)
+	}
+	degraded := st.DegradedReads
+	if got, err := s.ReadBlock(bg, b); err != nil || !bytes.Equal(got, v.want[b]) {
+		t.Fatalf("read after the repair: %v", err)
+	}
+	if s.Stats().DegradedReads != degraded {
+		t.Error("the block still reads degraded after its repair")
+	}
+}

@@ -39,6 +39,12 @@ type lockShard struct {
 	rows    [][]byte
 	settled []bool
 
+	// row and rowLost are the row-local degraded read's scratch: the
+	// wanted cell's row indexed by column, and the columns found lost in
+	// it. row is cleared after every use so that it pins no slab.
+	row     [][]byte
+	rowLost []int
+
 	// upd is the working set of the sub-stripe flush running under mu.
 	upd updateSet
 }

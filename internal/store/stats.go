@@ -7,9 +7,15 @@ type Stats struct {
 	// Reads counts successful block reads, including degraded ones.
 	Reads uint64
 	// DegradedReads counts reads served by on-the-fly reconstruction
-	// (the §4.2–4.3 upstairs decoding path) rather than a direct
-	// device read.
+	// (§4.2–4.3: row-local first, the whole-stripe upstairs path where
+	// the row cannot decide) rather than a direct device read.
 	DegradedReads uint64
+	// DegradedReadFallbacks counts the degraded reads that could not be
+	// solved from the wanted block's own row — it held more than m lost
+	// sectors, or an interrupted write-back was pending on the stripe —
+	// and loaded and decoded the whole stripe instead. Zero while losses
+	// stay within m per row.
+	DegradedReadFallbacks uint64
 	// Writes counts block writes accepted into the stripe buffer.
 	Writes uint64
 	// FullStripeFlushes counts stripes flushed through the parallel
@@ -46,8 +52,8 @@ type Stats struct {
 	// re-marked later is never double-counted.
 	UnrecoverableStripes uint64
 	// DegradedCacheHits counts degraded reads served from the cache of
-	// reconstructed still-degraded stripes instead of re-running the
-	// upstairs decode.
+	// reconstructed still-degraded stripes (filled by the whole-stripe
+	// fallback only) instead of re-running a decode.
 	DegradedCacheHits uint64
 	// JournaledFlushes counts stripe flushes that ran under write-ahead
 	// intent protection (zero on stores opened without a journal).
@@ -70,6 +76,7 @@ type Stats struct {
 // counters is the live atomic form of Stats.
 type counters struct {
 	reads, degradedReads, writes        atomic.Uint64
+	degradedFallbacks                   atomic.Uint64
 	fullFlushes, subFlushes             atomic.Uint64
 	subFallbacks                        atomic.Uint64
 	scrubbedStripes, scrubHits          atomic.Uint64
@@ -82,23 +89,24 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Reads:                c.reads.Load(),
-		DegradedReads:        c.degradedReads.Load(),
-		Writes:               c.writes.Load(),
-		FullStripeFlushes:    c.fullFlushes.Load(),
-		SubStripeFlushes:     c.subFlushes.Load(),
-		SubStripeFallbacks:   c.subFallbacks.Load(),
-		ScrubbedStripes:      c.scrubbedStripes.Load(),
-		ScrubHits:            c.scrubHits.Load(),
-		RepairedStripes:      c.repairedStripes.Load(),
-		RepairedSectors:      c.repairedSectors.Load(),
-		RepairDrops:          c.repairDrops.Load(),
-		RepairRequeues:       c.repairRequeues.Load(),
-		UnrecoverableStripes: c.unrecoverableStripes.Load(),
-		JournaledFlushes:     c.journaledFlushes.Load(),
-		RecoveredStripes:     c.recoveredStripes.Load(),
-		VerifiedSectors:      c.verifiedSectors.Load(),
-		ChecksumMismatches:   c.checksumMismatches.Load(),
+		Reads:                 c.reads.Load(),
+		DegradedReads:         c.degradedReads.Load(),
+		DegradedReadFallbacks: c.degradedFallbacks.Load(),
+		Writes:                c.writes.Load(),
+		FullStripeFlushes:     c.fullFlushes.Load(),
+		SubStripeFlushes:      c.subFlushes.Load(),
+		SubStripeFallbacks:    c.subFallbacks.Load(),
+		ScrubbedStripes:       c.scrubbedStripes.Load(),
+		ScrubHits:             c.scrubHits.Load(),
+		RepairedStripes:       c.repairedStripes.Load(),
+		RepairedSectors:       c.repairedSectors.Load(),
+		RepairDrops:           c.repairDrops.Load(),
+		RepairRequeues:        c.repairRequeues.Load(),
+		UnrecoverableStripes:  c.unrecoverableStripes.Load(),
+		JournaledFlushes:      c.journaledFlushes.Load(),
+		RecoveredStripes:      c.recoveredStripes.Load(),
+		VerifiedSectors:       c.verifiedSectors.Load(),
+		ChecksumMismatches:    c.checksumMismatches.Load(),
 		// DegradedCacheHits lives in the cache itself; Store.Stats
 		// fills it in.
 	}
@@ -111,23 +119,24 @@ func (c *counters) snapshot() Stats {
 // same still-unrecoverable stripe once per lifetime.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
-		Reads:                s.Reads + o.Reads,
-		DegradedReads:        s.DegradedReads + o.DegradedReads,
-		Writes:               s.Writes + o.Writes,
-		FullStripeFlushes:    s.FullStripeFlushes + o.FullStripeFlushes,
-		SubStripeFlushes:     s.SubStripeFlushes + o.SubStripeFlushes,
-		SubStripeFallbacks:   s.SubStripeFallbacks + o.SubStripeFallbacks,
-		ScrubbedStripes:      s.ScrubbedStripes + o.ScrubbedStripes,
-		ScrubHits:            s.ScrubHits + o.ScrubHits,
-		RepairedStripes:      s.RepairedStripes + o.RepairedStripes,
-		RepairedSectors:      s.RepairedSectors + o.RepairedSectors,
-		RepairDrops:          s.RepairDrops + o.RepairDrops,
-		RepairRequeues:       s.RepairRequeues + o.RepairRequeues,
-		UnrecoverableStripes: max(s.UnrecoverableStripes, o.UnrecoverableStripes),
-		DegradedCacheHits:    s.DegradedCacheHits + o.DegradedCacheHits,
-		JournaledFlushes:     s.JournaledFlushes + o.JournaledFlushes,
-		RecoveredStripes:     s.RecoveredStripes + o.RecoveredStripes,
-		VerifiedSectors:      s.VerifiedSectors + o.VerifiedSectors,
-		ChecksumMismatches:   s.ChecksumMismatches + o.ChecksumMismatches,
+		Reads:                 s.Reads + o.Reads,
+		DegradedReads:         s.DegradedReads + o.DegradedReads,
+		DegradedReadFallbacks: s.DegradedReadFallbacks + o.DegradedReadFallbacks,
+		Writes:                s.Writes + o.Writes,
+		FullStripeFlushes:     s.FullStripeFlushes + o.FullStripeFlushes,
+		SubStripeFlushes:      s.SubStripeFlushes + o.SubStripeFlushes,
+		SubStripeFallbacks:    s.SubStripeFallbacks + o.SubStripeFallbacks,
+		ScrubbedStripes:       s.ScrubbedStripes + o.ScrubbedStripes,
+		ScrubHits:             s.ScrubHits + o.ScrubHits,
+		RepairedStripes:       s.RepairedStripes + o.RepairedStripes,
+		RepairedSectors:       s.RepairedSectors + o.RepairedSectors,
+		RepairDrops:           s.RepairDrops + o.RepairDrops,
+		RepairRequeues:        s.RepairRequeues + o.RepairRequeues,
+		UnrecoverableStripes:  max(s.UnrecoverableStripes, o.UnrecoverableStripes),
+		DegradedCacheHits:     s.DegradedCacheHits + o.DegradedCacheHits,
+		JournaledFlushes:      s.JournaledFlushes + o.JournaledFlushes,
+		RecoveredStripes:      s.RecoveredStripes + o.RecoveredStripes,
+		VerifiedSectors:       s.VerifiedSectors + o.VerifiedSectors,
+		ChecksumMismatches:    s.ChecksumMismatches + o.ChecksumMismatches,
 	}
 }

@@ -774,10 +774,11 @@ func (s *Store) appendLost(lost []core.Cell, cell core.Cell) []core.Cell {
 
 // ReadBlock returns one logical block. Buffered (not yet flushed) writes
 // are served from the stripe buffer; an unreadable sector is rebuilt on
-// the fly through the degraded-read path — consulting the cache of
-// still-degraded reconstructions first — and its stripe queued for
-// background repair. ctx bounds the device reads, including the
-// full-stripe load a degraded read performs.
+// the fly through the degraded-read path — from a cached reconstruction
+// of its stripe if there is one, else from n−m sectors of its own row,
+// else, the row holding more than m losses, from the whole stripe — and
+// its stripe queued for background repair. ctx bounds the device reads,
+// including those a degraded read performs.
 //
 // The returned buffer comes from the store's buffer pool; the caller
 // owns it, and may hand it back with ReleaseBlock once done (optional —
@@ -831,18 +832,18 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	vec[0] = dst
 	rerr := s.devs[cell.Col].ReadSectors(ctx, s.devSector(stripe, cell.Row), vec)
 	vec[0] = nil
+	// mismatch: the sector read fine but its checksum disagrees — silent
+	// corruption (or a misdirected/stale write), a located erasure. It is
+	// counted once, by whichever degraded path below serves the read: here
+	// for the row-local one, which does not read the sector again, and by
+	// the whole-stripe load when that meets it again.
+	mismatch := false
 	if rerr == nil {
-		mismatch := false
 		if s.integ != nil && s.integVerify {
 			switch s.integ.Verify(cell.Col, s.devSector(stripe, cell.Row), dst) {
 			case integrity.OK:
 				s.c.verifiedSectors.Add(1)
 			case integrity.Mismatch:
-				// The sector read fine but its checksum disagrees:
-				// silent corruption (or a misdirected/stale write). Fall
-				// into the degraded path below, which re-detects it as a
-				// located erasure, repairs the stripe, and queues a
-				// write-back with a fresh record.
 				mismatch = true
 			}
 		}
@@ -864,11 +865,11 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	if sh.unrecoverable[stripe] {
 		return fmt.Errorf("store: degraded read of block %d (stripe %d): %w", b, stripe, ErrUnrecoverable)
 	}
-	// A still-degraded stripe read before keeps its reconstruction
-	// cached, so neighbours on the same stripe skip the per-block
-	// decode. No repair is re-queued on a hit: the insert below already
-	// queued one if it could make progress, and a request dropped by
-	// the bounded queue is re-found by the next scrub pass — re-queuing
+	// A still-degraded stripe that a read had to decode whole keeps its
+	// reconstruction cached, so neighbours on the same stripe skip the
+	// per-block decode. No repair is re-queued on a hit: the insert below
+	// already queued one if it could make progress, and a request dropped
+	// by the bounded queue is re-found by the next scrub pass — re-queuing
 	// per read would only churn full-stripe loads that end at
 	// repairStripeLocked's nothing-writable check.
 	if s.cache.blockInto(stripe, cell, dst) {
@@ -876,8 +877,18 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		s.c.degradedReads.Add(1)
 		return nil
 	}
-	// Rebuild the lost cells of the whole stripe via the upstairs fast
-	// path and serve the request from the reconstruction.
+	// Local first (§4.3): the wanted cell's own row decides it whenever
+	// the row holds at most m losses.
+	if served, err := s.readRowLocked(ctx, sh, stripe, cell, dst); served || err != nil {
+		if served && mismatch {
+			s.c.checksumMismatches.Add(1)
+		}
+		return err
+	}
+	// The row does not: load the whole stripe, rebuild every lost cell of
+	// it through the upstairs path and serve the request from the
+	// reconstruction, which the cache keeps for the stripe's neighbours.
+	s.c.degradedFallbacks.Add(1)
 	epoch := s.cache.snapshotEpoch()
 	st, lost, _, err := s.loadStripe(ctx, stripe, true)
 	if err != nil {
@@ -908,6 +919,92 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		s.cache.putAt(stripe, st, epoch)
 	}
 	return nil
+}
+
+// readRowLocked is the degraded read's fast path, the local step of the
+// paper's practical decoding (§4.3): it reads the wanted cell's row off
+// the other columns — one sector each, lowest column first, until n−m of
+// them have been read and verified — and solves the cell from those with
+// core.RepairRow, straight into dst. The read results name the row's
+// losses; nothing is solved from a cell this call did not read and
+// verify.
+//
+// It reports served=false, having touched neither dst nor any counter,
+// when the row cannot decide the cell — more than m of its columns are
+// lost, or an interrupted sub-stripe write-back is pending on the stripe
+// (the devices then hold a mix no decode may go through, see tornUpdate)
+// — and the caller takes the whole-stripe path, which alone marks a
+// stripe unrecoverable. The error is non-nil only for context
+// cancellation. The caller holds the shard mutex.
+func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte) (served bool, err error) {
+	if buf := sh.dirty[stripe]; buf != nil && buf.torn != nil {
+		return false, nil
+	}
+	m, kappa := s.code.M(), s.n-s.code.M()
+	if cap(sh.row) < s.n {
+		sh.row = make([][]byte, s.n)
+	}
+	cells, lost := sh.row[:s.n], append(sh.rowLost[:0], cell.Col)
+	// One pooled slab holds the n−m sectors the solve reads; a sector that
+	// turns out lost leaves its slot to the next column.
+	slab := mem.Acquire(kappa * s.sectorSize)
+	sector := s.devSector(stripe, cell.Row)
+	verify := s.integ != nil && s.integVerify
+	good, verified, mismatches := 0, uint64(0), uint64(0)
+	vec := sh.rowvec(1)
+	for col := 0; col < s.n && good < kappa && len(lost) <= m; col++ {
+		if col == cell.Col {
+			continue
+		}
+		vec[0] = slab[good*s.sectorSize:][:s.sectorSize]
+		if rerr := s.devs[col].ReadSectors(ctx, sector, vec); rerr != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				// As in loadStripe: scratch and slab are dropped, not
+				// recycled.
+				sh.dropScratchOnCancel()
+				clear(cells)
+				return false, cerr
+			}
+			lost = append(lost, col)
+			continue
+		}
+		if verify {
+			switch s.integ.Verify(col, sector, vec[0]) {
+			case integrity.OK:
+				verified++
+			case integrity.Mismatch:
+				mismatches++
+				lost = append(lost, col)
+				continue
+			}
+		}
+		cells[col] = vec[0]
+		good++
+	}
+	vec[0] = nil
+	sh.rowLost = lost[:0]
+	if good == kappa {
+		cells[cell.Col] = dst
+		served = s.code.RepairRow(cells, lost, cell.Col) == nil
+	}
+	clear(cells)
+	mem.Release(slab)
+	if !served {
+		return false, nil
+	}
+	s.c.verifiedSectors.Add(verified)
+	s.c.checksumMismatches.Add(mismatches)
+	s.c.reads.Add(1)
+	s.c.degradedReads.Add(1)
+	// Queue a repair only when it can land somewhere (see the whole-stripe
+	// path); the row's losses are all this read knows of the stripe's risk.
+	for _, col := range lost {
+		if s.writable(core.Cell{Col: col, Row: cell.Row}) {
+			s.enqueueRepairLocked(sh, stripe, len(lost))
+			break
+		}
+	}
+	return true, nil
 }
 
 // writable reports whether a cell's device will take a write-back, i.e.

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"stair/internal/core"
@@ -100,8 +101,9 @@ func TestZeroCopyNetDevices(t *testing.T) {
 // TestAllocRegressionGuard is the allocation analogue of the GF kernel
 // speed guard: env-gated so routine runs stay unaffected by measurement
 // noise, it pins the steady-state block paths to (amortised) zero heap
-// allocations, a single-block update to single digits and a degraded
-// read to a small constant. CI runs it with STAIR_ALLOC_GUARD=1 on both
+// allocations — the row-local degraded read among them — a single-block
+// update to single digits and a whole-stripe degraded read to a small
+// constant. CI runs it with STAIR_ALLOC_GUARD=1 on both
 // the default and purego legs. Every check runs with the integrity layer
 // off and on: the layer digests every sector read or written, and an
 // allocation per digest once hid behind a guard that only ran without it.
@@ -176,24 +178,61 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 		t.Errorf("%d sub-stripe flushes fell back on a healthy volume", got)
 	}
 
-	// A degraded read that misses the reconstruction cache (the reads
-	// cycle over twice the stripes it holds): whole-stripe load, decode
-	// through a cached plan, cache insert.
-	if err := s.FailDevice(0); err != nil {
-		t.Fatal(err)
+	// Degraded reads with m devices down. The first one solves its column
+	// set cold — a row solve straight from C_row's generator, tens of
+	// allocations, not a full-grid peel — and from then on a read whose row
+	// holds no further loss is row-local: n−m single-sector reads into one
+	// pooled slab and a cached one-op plan.
+	for _, dev := range []int{0, 1} {
+		if err := s.FailDevice(dev); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lostOrd := firstOrdOn(t, s, 0)
-	degraded := testing.AllocsPerRun(2000, func() {
+	readLost := func() {
 		if err := s.ReadBlockInto(bg, (i%s.stripes)*s.perStripe+lostOrd, dst); err != nil {
 			t.Fatal(err)
 		}
 		i++
-	})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	readLost()
+	runtime.ReadMemStats(&after)
+	cold := after.Mallocs - before.Mallocs
+	if cold > 32 {
+		t.Errorf("degraded read solving a cold column set: %d allocs, want ≤ 32", cold)
+	}
+	// Measured 0; under -race sync.Pool drops a quarter of its puts on
+	// purpose, which reads 1 here.
+	rowLocal := testing.AllocsPerRun(2000, readLost)
+	if rowLocal > 1 {
+		t.Errorf("row-local degraded read: %.2f allocs/op, want ≤ 1", rowLocal)
+	}
+	if st := s.Stats(); st.DegradedReadFallbacks != 0 {
+		t.Errorf("%d degraded reads fell back with every row within m losses", st.DegradedReadFallbacks)
+	}
+
+	// One more loss in the wanted row of every stripe, and the row cannot
+	// decide the block: whole-stripe load, decode through a cached plan,
+	// cache insert — a miss every time, the reads cycling over twice the
+	// stripes the cache holds. The sector errors must outlast the reads, so
+	// the repairs they would queue are dropped at the queue.
+	s.repairQ.mu.Lock()
+	s.repairQ.cap = 0
+	s.repairQ.mu.Unlock()
+	for stripe := 0; stripe < s.stripes; stripe++ {
+		if err := s.InjectSectorError(2, s.devSector(stripe, s.dataCells[lostOrd].Row)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	degraded := testing.AllocsPerRun(2000, readLost)
 	if degraded > 16 {
-		t.Errorf("cache-missing degraded read: %.2f allocs/op, want ≤ 16", degraded)
+		t.Errorf("cache-missing whole-stripe degraded read: %.2f allocs/op, want ≤ 16", degraded)
 	}
-	if st := s.Stats(); st.DegradedCacheHits != 0 {
-		t.Errorf("%d degraded reads hit the cache; the guard must measure misses", st.DegradedCacheHits)
+	if st := s.Stats(); st.DegradedCacheHits != 0 || st.DegradedReadFallbacks != 2001 {
+		t.Errorf("%d cache hits, %d fallbacks; the guard must measure 2001 whole-stripe misses", st.DegradedCacheHits, st.DegradedReadFallbacks)
 	}
-	t.Logf("allocs/op: write %.2f, read %.2f, update %.2f, degraded read %.2f", writes, reads, updates, degraded)
+	t.Logf("allocs/op: write %.2f, read %.2f, update %.2f, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
+		writes, reads, updates, rowLocal, cold, degraded)
 }

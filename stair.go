@@ -86,6 +86,10 @@ const (
 // ErrUnrecoverable reports a failure pattern outside the code's coverage.
 var ErrUnrecoverable = core.ErrUnrecoverable
 
+// ErrRowNotLocal reports a row with more than m lost cells, which
+// Code.RepairRow refuses: only the whole-stripe Repair can decide it.
+var ErrRowNotLocal = core.ErrRowNotLocal
+
 // New compiles a STAIR code for the given configuration.
 func New(cfg Config) (*Code, error) { return core.New(cfg) }
 
