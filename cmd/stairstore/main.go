@@ -3,7 +3,7 @@
 // fault injection, degraded reads, scrub/repair and persistent
 // operation counters.
 //
-//	stairstore create      -dir vol -n 8 -r 4 -m 2 -e 1,1,2 -stripes 64 -sector 4096 [-integrity=false -epoch 1 -repair-workers 4 -shards 32 -cache 8 -flush-workers 4]
+//	stairstore create      -dir vol -n 8 -r 4 -m 2 -e 1,1,2 -stripes 64 -sector 4096 [-integrity=false -epoch 1 -repair-workers 4 -shards 32 -flush-workers 4]
 //	stairstore put         -dir vol -in data.bin [-block 0]
 //	stairstore get         -dir vol -out copy.bin [-block 0] [-count 8] [-bytes 30000]
 //	stairstore fail-device -dir vol -device 3
@@ -112,7 +112,6 @@ func cmdCreate(ctx context.Context, args []string) (err error) {
 		sector  = fs.Int("sector", 4096, "sector (logical block) size in bytes")
 		repair  = fs.Int("repair-workers", 0, "background repair worker pool size (0 = store default)")
 		shards  = fs.Int("shards", 0, "lock shards for parallel stripe operations (0 = store default)")
-		cache   = fs.Int("cache", 0, "degraded-stripe cache size in stripes (0 = store default, <0 disables)")
 		flush   = fs.Int("flush-workers", 0, "async flush pipeline workers (0 = synchronous flushes)")
 		integ   = fs.Bool("integrity", true, "end-to-end per-sector checksums (sidecar region per device)")
 		epoch   = fs.Uint("epoch", 1, "volume epoch salted into integrity digests")
@@ -127,9 +126,8 @@ func cmdCreate(ctx context.Context, args []string) (err error) {
 	}
 	meta := volumeMeta{
 		N: *n, R: *r, M: *m, E: ev, SectorSize: *sector, Stripes: *stripes,
-		RepairWorkers: *repair, LockShards: *shards, DegradedCache: *cache,
-		FlushWorkers: *flush,
-		Integrity:    *integ, IntegrityEpoch: uint32(*epoch),
+		RepairWorkers: *repair, LockShards: *shards, FlushWorkers: *flush,
+		Integrity: *integ, IntegrityEpoch: uint32(*epoch),
 	}
 	if _, err := core.New(core.Config{N: *n, R: *r, M: *m, E: ev}); err != nil {
 		return err
@@ -529,8 +527,8 @@ func cmdStats(ctx context.Context, args []string) (err error) {
 	fmt.Printf("health:   failed devices %v, %d bad sectors, %d unrecoverable stripes\n",
 		s.FailedDevices(), s.TotalBadSectors(), len(s.UnrecoverableStripes()))
 	t := meta.Stats.Add(s.Stats())
-	fmt.Printf("lifetime: reads=%d (degraded=%d, %d fell back to a whole-stripe decode, cache hits=%d) writes=%d flushes=%d/%d (full/sub, %d sub fell back to a whole-stripe load)\n",
-		t.Reads, t.DegradedReads, t.DegradedReadFallbacks, t.DegradedCacheHits, t.Writes, t.FullStripeFlushes, t.SubStripeFlushes, t.SubStripeFallbacks)
+	fmt.Printf("lifetime: reads=%d (degraded=%d, %d fell back to a whole-stripe decode) writes=%d flushes=%d/%d (full/sub, %d sub fell back to a whole-stripe load)\n",
+		t.Reads, t.DegradedReads, t.DegradedReadFallbacks, t.Writes, t.FullStripeFlushes, t.SubStripeFlushes, t.SubStripeFallbacks)
 	fmt.Printf("          scrubbed=%d hits=%d repaired=%d sectors (%d stripes) drops=%d unrecoverable=%d\n",
 		t.ScrubbedStripes, t.ScrubHits, t.RepairedSectors, t.RepairedStripes, t.RepairDrops, t.UnrecoverableStripes)
 	fmt.Printf("          journaled flushes=%d crash-recovered stripes=%d\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -32,7 +33,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	if err := cmdCreate(bg, []string{"-dir", vol, "-n", "6", "-r", "4", "-m", "2", "-e", "1,2", "-stripes", "8", "-sector", "512",
-		"-repair-workers", "2", "-shards", "8", "-cache", "4"}); err != nil {
+		"-repair-workers", "2", "-shards", "8"}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	if err := cmdCreate(bg, []string{"-dir", vol}); err == nil {
@@ -237,6 +238,62 @@ func TestRecoverCommand(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("data corrupt after crash recovery")
+	}
+}
+
+// TestRetiredCacheKeyIgnored: a volume.json written while the store had
+// a degraded-stripe cache carries a "degraded_cache" key; such a volume
+// still opens and serves get and stats, and the next save drops the key.
+func TestRetiredCacheKeyIgnored(t *testing.T) {
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "vol")
+	in := filepath.Join(dir, "in.bin")
+	data := make([]byte, 4000)
+	rand.New(rand.NewSource(9)).Read(data)
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCreate(bg, []string{"-dir", vol, "-n", "6", "-r", "4", "-m", "1", "-e", "1", "-stripes", "4", "-sector", "512"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdPut(bg, []string{"-dir", vol, "-in", in}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(metaPath(vol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var desc map[string]any
+	if err := json.Unmarshal(raw, &desc); err != nil {
+		t.Fatal(err)
+	}
+	desc["degraded_cache"] = 4
+	if raw, err = json.MarshalIndent(desc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath(vol), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out := filepath.Join(dir, "out.bin")
+	if err := cmdGet(bg, []string{"-dir", vol, "-out", out, "-bytes", "4000"}); err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("round trip through a descriptor with the retired key corrupt")
+	}
+	if err := cmdStats(bg, []string{"-dir", vol}); err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if raw, err = os.ReadFile(metaPath(vol)); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"degraded_cache"`)) {
+		t.Error("re-saved volume.json still carries the retired degraded_cache key")
 	}
 }
 

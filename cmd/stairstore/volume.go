@@ -22,11 +22,11 @@ type volumeMeta struct {
 	E          []int `json:"e"`
 	SectorSize int   `json:"sector_size"`
 	Stripes    int   `json:"stripes"`
-	// RepairWorkers, LockShards, DegradedCache and FlushWorkers mirror
-	// the store.Config fields of the same names.
+	// RepairWorkers, LockShards and FlushWorkers mirror the store.Config
+	// fields of the same names. (A retired "degraded_cache" key, left by
+	// older descriptors, is ignored.)
 	RepairWorkers int `json:"repair_workers,omitempty"`
 	LockShards    int `json:"lock_shards,omitempty"`
-	DegradedCache int `json:"degraded_cache,omitempty"`
 	FlushWorkers  int `json:"flush_workers,omitempty"`
 	// Integrity turns on the end-to-end per-sector checksum layer; each
 	// device image then carries a sidecar region of records past its
@@ -112,7 +112,6 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 		Devices:       devs,
 		RepairWorkers: meta.RepairWorkers,
 		LockShards:    meta.LockShards,
-		DegradedCache: meta.DegradedCache,
 		FlushWorkers:  meta.FlushWorkers,
 		Journal:       j,
 		Integrity:     iopts,

@@ -46,13 +46,12 @@ func main() {
 	}
 	defer j.Close()
 	// Stripes are independent recovery units, so the store runs them in
-	// parallel: a sharded lock table, a pool of repair workers, a cache
-	// of reconstructed still-degraded stripes — and an asynchronous
-	// flush pipeline that encodes and writes back filled stripes in the
-	// background.
+	// parallel: a sharded lock table, a pool of repair workers — and an
+	// asynchronous flush pipeline that encodes and writes back filled
+	// stripes in the background.
 	s, err := store.Open(store.Config{
 		Code: code, SectorSize: 1024, Stripes: 32,
-		RepairWorkers: 4, LockShards: 16, DegradedCache: 8,
+		RepairWorkers: 4, LockShards: 16,
 		FlushWorkers: 2, Journal: j,
 		// Per-sector end-to-end checksums: every data sector carries a
 		// self-describing record (sector address and volume epoch salted
@@ -156,8 +155,8 @@ func main() {
 	s.InjectBurst(0, 11, 2)
 	verify(s, blocks)
 	st = s.Stats()
-	fmt.Printf("every block correct; %d degraded reads total (%d served from the stripe cache), %d unrecoverable stripes\n\n",
-		st.DegradedReads, st.DegradedCacheHits, st.UnrecoverableStripes)
+	fmt.Printf("every block correct; %d degraded reads total (%d fell back to a whole-stripe decode), %d unrecoverable stripes\n\n",
+		st.DegradedReads, st.DegradedReadFallbacks, st.UnrecoverableStripes)
 
 	// Replace one dead device and rebuild it sector by sector.
 	if err := s.ReplaceDevice(2); err != nil {

@@ -92,7 +92,6 @@ func NewStoreEnv(opts EnvOptions) (*Env, error) {
 		MaxDirtyStripes: opts.MaxDirtyStripes,
 		RepairWorkers:   2,
 		FlushWorkers:    2,
-		DegradedCache:   8,
 		Integrity:       &store.IntegrityOptions{Epoch: 1},
 	})
 	if err != nil {

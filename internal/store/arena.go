@@ -74,8 +74,8 @@ func (s *Store) acquireStripe() *core.Stripe {
 }
 
 // releaseStripe returns a slab-backed stripe's memory to the pool. The
-// stripe — and anything still referencing its cells, including cache
-// entries — must not be used afterwards. Safe on nil.
+// stripe — and anything still referencing its cells — must not be used
+// afterwards. Safe on nil.
 func (s *Store) releaseStripe(st *core.Stripe) {
 	if st == nil || len(st.Cells) == 0 {
 		return

@@ -225,8 +225,10 @@ func TestFlushCancelledMidDrain(t *testing.T) {
 }
 
 // TestConcurrentDegradedReadsSameStripe: many readers of one degraded
-// stripe whose block needs the whole-stripe decode share the cached
-// reconstruction — the decode runs a handful of times, not once per read.
+// stripe whose block needs the whole-stripe decode race the repair worker
+// that the first fallback queues — every read returns the right bytes
+// whichever side of the repair it lands on, and the repair heals the
+// row's live losses.
 func TestConcurrentDegradedReadsSameStripe(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2, RepairWorkers: 2})
@@ -283,8 +285,8 @@ func TestConcurrentDegradedReadsSameStripe(t *testing.T) {
 	if st.DegradedReads != readers*reads {
 		t.Errorf("DegradedReads=%d, want %d", st.DegradedReads, readers*reads)
 	}
-	if st.DegradedCacheHits < readers*reads-1 {
-		t.Errorf("DegradedCacheHits=%d, want ≥ %d (reads serialise on the shard lock, so only the first decodes)",
-			st.DegradedCacheHits, readers*reads-1)
+	s.Quiesce()
+	if bad := s.TotalBadSectors(); bad != 0 {
+		t.Errorf("%d bad sectors left on live devices after the repair", bad)
 	}
 }

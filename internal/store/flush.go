@@ -122,7 +122,6 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 	// A full rewrite resurrects a previously unrecoverable stripe.
 	s.clearUnrecoverableLocked(sh, stripe)
 	s.c.fullFlushes.Add(1)
-	s.cache.invalidate(stripe)
 	// The write-back completed without cancellation, so no device can
 	// still reference the slab: recycle the buffer.
 	s.releaseStripeBuf(buf)
@@ -186,7 +185,6 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	delete(sh.dirty, stripe)
 	s.dirtyCount.Add(-1)
 	s.c.subFlushes.Add(1)
-	s.cache.invalidate(stripe)
 	s.releaseStripeUnlessCancelled(ctx, st)
 	// The buffer's own slab was never handed to a device (the write-back
 	// went through st), so it can always be recycled on success.

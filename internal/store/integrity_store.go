@@ -109,8 +109,8 @@ type Corrupter interface {
 
 // CorruptSectorSilently flips one bit of a device sector's payload
 // without marking the sector bad (fault injection for the silent-
-// corruption threat model). The degraded cache is deliberately NOT
-// invalidated: silence is the point — no layer is told.
+// corruption threat model). Silence is the point: no layer is told, and
+// only a checksum verification on a later read or scrub finds it.
 func (s *Store) CorruptSectorSilently(dev, sector int) error {
 	if dev < 0 || dev >= len(s.devs) {
 		return fmt.Errorf("store: device %d out of range [0,%d)", dev, len(s.devs))

@@ -153,7 +153,6 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		rep.RolledForward++
 		s.c.recoveredStripes.Add(1)
 		s.clearUnrecoverableLocked(sh, stripe)
-		s.cache.invalidate(stripe)
 		s.restageStripeMeta(ctx, stripe, st, rec)
 	}
 	if len(lostData) > 0 {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"stair/internal/core"
@@ -35,8 +36,8 @@ func siblingReads(t *testing.T, v *deltaVolume, stripe int, cell core.Cell) (cal
 // TestRowLocalReadTouchesOneRow: on the benchmark geometry, a degraded
 // read reads single sectors of the wanted block's row and nothing else —
 // n−m of them when only the block's own device is down, at most n−1 with
-// a second device down — never falls back, and leaves the stripe cache
-// empty; every block of the dead devices reads back right.
+// a second device down — and never falls back; every block of the dead
+// devices reads back right.
 func TestRowLocalReadTouchesOneRow(t *testing.T) {
 	for _, o := range []deltaOpts{{}, {integrity: true}} {
 		t.Run(o.String(), func(t *testing.T) {
@@ -76,12 +77,9 @@ func TestRowLocalReadTouchesOneRow(t *testing.T) {
 				}
 			}
 			st := s.Stats()
-			if st.DegradedReads != uint64(reads) || st.DegradedReadFallbacks != 0 || st.DegradedCacheHits != 0 {
-				t.Errorf("%d degraded reads: stats %d degraded, %d fallbacks, %d cache hits; want all row-local",
-					reads, st.DegradedReads, st.DegradedReadFallbacks, st.DegradedCacheHits)
-			}
-			if got := s.cache.size(); got != 0 {
-				t.Errorf("row-local reads cached %d stripes", got)
+			if st.DegradedReads != uint64(reads) || st.DegradedReadFallbacks != 0 {
+				t.Errorf("%d degraded reads: stats %d degraded, %d fallbacks; want all row-local",
+					reads, st.DegradedReads, st.DegradedReadFallbacks)
 			}
 			if o.integrity && st.ChecksumMismatches != 0 {
 				t.Errorf("ChecksumMismatches=%d on clean survivors", st.ChecksumMismatches)
@@ -164,11 +162,7 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 				t.Errorf("ChecksumMismatches=%d, want %d", st.ChecksumMismatches, tc.mismatches)
 			}
 			if tc.wantErr == nil {
-				// The fallback is the parent's path whole: the stripe is in
-				// the cache, and the live sector it found lost was repaired.
-				if got := s.cache.size(); got != 1 {
-					t.Errorf("cache holds %d stripes after a fallback, want 1", got)
-				}
+				// The live sector the fallback found lost was repaired.
 				if bad := s.TotalBadSectors(); bad != 0 {
 					t.Errorf("%d bad sectors left on live devices", bad)
 				}
@@ -177,6 +171,85 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRowLocalAfterFallbackRepair: the repair a whole-stripe fallback
+// queues is what makes the stripe's next degraded read cheap. With m
+// devices dead and a sector error in a row, the first read of a lost
+// block there falls back; once the queued repair has healed the sector
+// error, the row's other dead-column block is a row solve again — n−m
+// live sibling sectors, no whole-stripe load — with the right bytes.
+func TestRowLocalAfterFallbackRepair(t *testing.T) {
+	const stripe = 1
+	v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
+	s := v.s
+	n, m := s.n, s.code.M()
+	dead := []int{1, 2}
+	for _, dev := range dead {
+		if err := s.FailDevice(dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := firstOrdOn(t, s, dead[0])
+	row := s.dataCells[first].Row
+	second := -1
+	for ord, c := range s.dataCells {
+		if c == (core.Cell{Col: dead[1], Row: row}) {
+			second = ord
+		}
+	}
+	if second < 0 {
+		t.Fatalf("row %d holds no data cell on device %d", row, dead[1])
+	}
+	if err := s.InjectSectorError(5, s.devSector(stripe, row)); err != nil {
+		t.Fatal(err)
+	}
+	b := stripe*s.perStripe + first
+	if got, err := s.ReadBlock(bg, b); err != nil || !bytes.Equal(got, v.want[b]) {
+		t.Fatalf("first read (the fallback): err=%v or wrong bytes", err)
+	}
+	if got := s.Stats().DegradedReadFallbacks; got != 1 {
+		t.Fatalf("DegradedReadFallbacks=%d after the first read, want 1", got)
+	}
+	s.Quiesce()
+	if bad := s.TotalBadSectors(); bad != 0 {
+		t.Fatalf("%d bad sectors on live devices after the queued repair", bad)
+	}
+
+	b = stripe*s.perStripe + second
+	cell := s.dataCells[second]
+	v.takeReads()
+	got, err := s.ReadBlock(bg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v.want[b]) {
+		t.Fatal("wrong bytes off the row-local read after the repair")
+	}
+	if got := s.Stats().DegradedReadFallbacks; got != 1 {
+		t.Errorf("DegradedReadFallbacks=%d, want 1: the read after the repair fell back", got)
+	}
+	// The log also holds the one refused call to the other dead device,
+	// which the row read meets on its way through the columns.
+	live, refused := 0, 0
+	for col, reads := range v.takeReads() {
+		if col == cell.Col {
+			continue
+		}
+		for _, e := range reads {
+			if e.n != 1 || e.start != s.devSector(stripe, row) {
+				t.Fatalf("device %d read sectors [%d,+%d), want only sector %d", col, e.start, e.n, s.devSector(stripe, row))
+			}
+			if slices.Contains(dead, col) {
+				refused++
+			} else {
+				live++
+			}
+		}
+	}
+	if live != n-m || refused > 1 {
+		t.Errorf("%d live sibling sectors read (+%d refused), want exactly n−m = %d (+ at most 1)", live, refused, n-m)
 	}
 }
 

@@ -51,9 +51,8 @@ type Stats struct {
 	// full-stripe rewrite that clears a mark decrements it, so a stripe
 	// re-marked later is never double-counted.
 	UnrecoverableStripes uint64
-	// DegradedCacheHits counts degraded reads served from the cache of
-	// reconstructed still-degraded stripes (filled by the whole-stripe
-	// fallback only) instead of re-running a decode.
+	// Deprecated: always 0; the store keeps no cache of reconstructed
+	// stripes. Kept until bench/ stops reading it.
 	DegradedCacheHits uint64
 	// JournaledFlushes counts stripe flushes that ran under write-ahead
 	// intent protection (zero on stores opened without a journal).
@@ -107,8 +106,6 @@ func (c *counters) snapshot() Stats {
 		RecoveredStripes:      c.recoveredStripes.Load(),
 		VerifiedSectors:       c.verifiedSectors.Load(),
 		ChecksumMismatches:    c.checksumMismatches.Load(),
-		// DegradedCacheHits lives in the cache itself; Store.Stats
-		// fills it in.
 	}
 }
 
@@ -133,7 +130,6 @@ func (s Stats) Add(o Stats) Stats {
 		RepairDrops:           s.RepairDrops + o.RepairDrops,
 		RepairRequeues:        s.RepairRequeues + o.RepairRequeues,
 		UnrecoverableStripes:  max(s.UnrecoverableStripes, o.UnrecoverableStripes),
-		DegradedCacheHits:     s.DegradedCacheHits + o.DegradedCacheHits,
 		JournaledFlushes:      s.JournaledFlushes + o.JournaledFlushes,
 		RecoveredStripes:      s.RecoveredStripes + o.RecoveredStripes,
 		VerifiedSectors:       s.VerifiedSectors + o.VerifiedSectors,

@@ -12,9 +12,9 @@
 //     cells and the parity sectors that actually depend on them;
 //   - the read path transparently serves degraded reads: when a device
 //     is failed or a sector read errors, the lost cells are rebuilt on
-//     the fly via the upstairs decoding fast path (§4.2–4.3), cached
-//     while the stripe stays degraded, and the stripe is queued for
-//     background repair;
+//     the fly — from its own row when the row allows it, else via the
+//     upstairs decoding over the whole stripe (§4.2–4.3) — and the
+//     stripe is queued for background repair;
 //   - a background scrubber sweeps stripes — optionally paced to a
 //     stripes/sec budget — detects latent sector errors and feeds a
 //     bounded repair queue drained by a pool of repair workers, which
@@ -95,12 +95,6 @@ type Config struct {
 	// and operations on stripes in different shards run in parallel.
 	// 0 selects 32; the value is rounded up to a power of two.
 	LockShards int
-	// DegradedCache bounds the LRU cache of reconstructed degraded
-	// stripes, in stripes: repeated reads of a still-degraded stripe
-	// are served from the cached reconstruction instead of re-running
-	// the upstairs decode per block. 0 selects 8; negative disables
-	// the cache.
-	DegradedCache int
 	// FlushWorkers sizes the asynchronous flush pipeline: with workers,
 	// a filled or evicted stripe buffer is handed to a background pool
 	// that encodes and writes it back while the writer keeps going, and
@@ -180,7 +174,6 @@ type Store struct {
 	n, r       int
 	stripes    int
 	sectorSize int
-	workers    int
 	maxDirty   int
 
 	dataCells []core.Cell
@@ -238,8 +231,6 @@ type Store struct {
 	idle      *sync.Cond    // signaled when a repair request completes
 	scrubStop chan struct{} // closes to stop the background scrubber
 	scrubDone chan struct{} // closed by the scrubber goroutine on exit
-
-	cache *stripeCache // nil when disabled
 
 	repairQ *repairQueue
 	quit    chan struct{} // closes to stop the background workers
@@ -339,10 +330,6 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.FlushWorkers < 0 {
 		return nil, fmt.Errorf("store: FlushWorkers=%d must be ≥ 0", cfg.FlushWorkers)
 	}
-	cacheStripes := cfg.DegradedCache
-	if cacheStripes == 0 {
-		cacheStripes = defaultDegradedCache
-	}
 	nshards := shardCount(cfg.LockShards)
 	s := &Store{
 		code:       cfg.Code,
@@ -359,9 +346,6 @@ func Open(cfg Config) (*Store, error) {
 		quit:       make(chan struct{}),
 		journal:    cfg.Journal,
 	}
-	// The cache owns the slab-backed stripes handed to it; evicted and
-	// invalidated entries go back to the buffer pool.
-	s.cache = newStripeCache(cacheStripes, s.releaseStripe)
 	s.dataSectors = cfg.Stripes * r
 	s.perStripe = len(s.dataCells)
 	s.slabLen = cfg.Code.SlabSize(cfg.SectorSize)
@@ -448,15 +432,7 @@ func (s *Store) Geometry() (n, stripes, r, sectorSize int) {
 func (s *Store) Code() *core.Code { return s.code }
 
 // Stats returns a snapshot of the operation counters.
-func (s *Store) Stats() Stats {
-	st := s.c.snapshot()
-	if s.cache != nil {
-		s.cache.mu.Lock()
-		st.DegradedCacheHits = s.cache.hits
-		s.cache.mu.Unlock()
-	}
-	return st
-}
+func (s *Store) Stats() Stats { return s.c.snapshot() }
 
 // blockOf maps a logical block to its stripe and data cell.
 func (s *Store) blockOf(b int) (stripe, ord int, cell core.Cell, err error) {
@@ -774,10 +750,9 @@ func (s *Store) appendLost(lost []core.Cell, cell core.Cell) []core.Cell {
 
 // ReadBlock returns one logical block. Buffered (not yet flushed) writes
 // are served from the stripe buffer; an unreadable sector is rebuilt on
-// the fly through the degraded-read path — from a cached reconstruction
-// of its stripe if there is one, else from n−m sectors of its own row,
-// else, the row holding more than m losses, from the whole stripe — and
-// its stripe queued for background repair. ctx bounds the device reads,
+// the fly through the degraded-read path — from n−m sectors of its own
+// row, or, the row holding more than m losses, from the whole stripe —
+// and its stripe queued for background repair. ctx bounds the device reads,
 // including those a degraded read performs.
 //
 // The returned buffer comes from the store's buffer pool; the caller
@@ -865,18 +840,6 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	if sh.unrecoverable[stripe] {
 		return fmt.Errorf("store: degraded read of block %d (stripe %d): %w", b, stripe, ErrUnrecoverable)
 	}
-	// A still-degraded stripe that a read had to decode whole keeps its
-	// reconstruction cached, so neighbours on the same stripe skip the
-	// per-block decode. No repair is re-queued on a hit: the insert below
-	// already queued one if it could make progress, and a request dropped
-	// by the bounded queue is re-found by the next scrub pass — re-queuing
-	// per read would only churn full-stripe loads that end at
-	// repairStripeLocked's nothing-writable check.
-	if s.cache.blockInto(stripe, cell, dst) {
-		s.c.reads.Add(1)
-		s.c.degradedReads.Add(1)
-		return nil
-	}
 	// Local first (§4.3): the wanted cell's own row decides it whenever
 	// the row holds at most m losses.
 	if served, err := s.readRowLocked(ctx, sh, stripe, cell, dst); served || err != nil {
@@ -887,9 +850,8 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	}
 	// The row does not: load the whole stripe, rebuild every lost cell of
 	// it through the upstairs path and serve the request from the
-	// reconstruction, which the cache keeps for the stripe's neighbours.
+	// reconstruction.
 	s.c.degradedFallbacks.Add(1)
-	epoch := s.cache.snapshotEpoch()
 	st, lost, _, err := s.loadStripe(ctx, stripe, true)
 	if err != nil {
 		return err
@@ -901,22 +863,17 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	}
 	s.c.reads.Add(1)
 	s.c.degradedReads.Add(1)
-	// Copy the requested sector out BEFORE handing the reconstruction to
-	// the cache: putAt takes ownership of st and may release its slab
-	// immediately (epoch mismatch, refresh of an existing entry).
 	copy(dst, st.Sector(cell.Col, cell.Row))
+	s.releaseStripe(st)
 	// Queue a repair only when it can land somewhere: lost cells
 	// confined to wholly failed devices wait for a replacement instead
 	// of spinning the workers. The stripe's full lost count is its
 	// queue priority — the closer to the coverage edge, the sooner a
-	// worker takes it.
+	// worker takes it. Nothing of the reconstruction is kept: the repair
+	// heals the row's writable losses, and once the row is back within m
+	// losses the stripe's next read is row-local.
 	if slices.ContainsFunc(lost, s.writable) {
 		s.enqueueRepairLocked(sh, stripe, len(lost))
-	}
-	if s.cache == nil {
-		s.releaseStripe(st)
-	} else {
-		s.cache.putAt(stripe, st, epoch)
 	}
 	return nil
 }
@@ -1198,10 +1155,8 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 		return true
 	}
 	if failed == 0 && len(writable) == len(lost) {
-		// Fully healed: every lost cell is back on a device. Direct
-		// reads work again, so the cached reconstruction is dead weight.
+		// Fully healed: every lost cell is back on a device.
 		s.c.repairedStripes.Add(1)
-		s.cache.invalidate(stripe)
 		return false
 	}
 	// Still degraded. Cells skipped on failed devices have nothing to
@@ -1222,27 +1177,20 @@ func (s *Store) Quiesce() {
 }
 
 // FailDevice marks a device wholly failed (fault injection). Reads of
-// its sectors are served degraded from then on. Cached reconstructions
-// are dropped: the failure pattern of every stripe just changed, and a
-// read must re-evaluate coverage rather than serve pre-failure state.
+// its sectors are served degraded from then on.
 func (s *Store) FailDevice(dev int) error {
 	fd, err := s.faultDevice(dev)
 	if err != nil {
 		return err
 	}
-	if err := fd.Fail(); err != nil {
-		return err
-	}
-	s.cache.purge()
-	return nil
+	return fd.Fail()
 }
 
 // ReplaceDevice swaps a failed device for a fresh one whose sectors are
 // all unwritten. Rebuild (or scrub passes feeding the repair queue)
 // restores its content. Replacement changes every stripe's failure
 // pattern, so cached unrecoverable marks (and the counter mirroring
-// them) are dropped and re-evaluated on the next access, and cached
-// reconstructions are purged.
+// them) are dropped and re-evaluated on the next access.
 func (s *Store) ReplaceDevice(dev int) error {
 	fd, err := s.faultDevice(dev)
 	if err != nil {
@@ -1259,7 +1207,6 @@ func (s *Store) ReplaceDevice(dev int) error {
 		}
 		sh.mu.Unlock()
 	}
-	s.cache.purge()
 	return nil
 }
 
@@ -1291,19 +1238,13 @@ func (s *Store) RebuildDevice(ctx context.Context, dev int) error {
 }
 
 // InjectSectorError injects a latent sector error at one device sector
-// (index stripe×R + row). The stripe's cached reconstruction is dropped:
-// the injection changes its failure pattern, and a read must re-evaluate
-// coverage rather than serve pre-injection state.
+// (index stripe×R + row).
 func (s *Store) InjectSectorError(dev, sector int) error {
 	fd, err := s.faultDevice(dev)
 	if err != nil {
 		return err
 	}
-	if err := fd.InjectSectorError(sector); err != nil {
-		return err
-	}
-	s.cache.invalidateRacing(sector / s.r)
-	return nil
+	return fd.InjectSectorError(sector)
 }
 
 // InjectBurst injects a run of consecutive latent sector errors on one
@@ -1322,9 +1263,6 @@ func (s *Store) InjectBurst(dev, start, length int) error {
 		if err := fd.InjectSectorError(idx); err != nil {
 			return err
 		}
-		// As in InjectSectorError: the touched stripe's failure pattern
-		// changed, so its cached reconstruction must not be served.
-		s.cache.invalidateRacing(idx / s.r)
 	}
 	return nil
 }
