@@ -17,9 +17,10 @@ import (
 
 // gateDevice counts inner vectored calls — what the coalescer did not
 // merge away — and, when built with its channels (gatedBusy), parks each
-// one until the test lets it go. With a call parked its queue is busy,
-// so the test decides without a clock exactly what queues behind it:
-// park one lone call, submit k requests, wait for Queued() == k, release.
+// one until the test lets it go or the call's context is done. With a
+// call parked its queue is busy, so the test decides without a clock
+// exactly what queues behind it: park one lone call, submit k requests,
+// wait for Queued() == k, release.
 type gateDevice struct {
 	store.FaultDevice
 	reads, writes atomic.Int64
@@ -27,22 +28,33 @@ type gateDevice struct {
 	release       chan struct{} // one token frees one parked call
 }
 
-func (g *gateDevice) park() {
-	if g.entered != nil {
-		g.entered <- struct{}{}
-		<-g.release
+// park holds a call until the test releases it, or its caller gives up.
+func (g *gateDevice) park(ctx context.Context) error {
+	if g.entered == nil {
+		return nil
+	}
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
 func (g *gateDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	g.reads.Add(1)
-	g.park()
+	if err := g.park(ctx); err != nil {
+		return err
+	}
 	return g.FaultDevice.ReadSectors(ctx, start, bufs)
 }
 
 func (g *gateDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
 	g.writes.Add(1)
-	g.park()
+	if err := g.park(ctx); err != nil {
+		return err
+	}
 	return g.FaultDevice.WriteSectors(ctx, start, data)
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -324,7 +325,8 @@ func TestCancelledScrubAborts(t *testing.T) {
 }
 
 // TestScrubPacing: a rate-limited pass spreads its sweep over the
-// stripes/sec budget, and an unpaced pass does not slow down.
+// stripes/sec budget — the pass's, not each worker's, so two stripes in
+// flight take as long as one.
 func TestScrubPacing(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 6})
@@ -333,17 +335,22 @@ func TestScrubPacing(t *testing.T) {
 	}
 	defer s.Close()
 	fillStore(t, s)
-	// 200 stripes/sec over 6 stripes: 5 inter-stripe waits ≥ 25ms.
-	start := time.Now()
-	rep, err := s.scrub(bg, newPacer(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StripesChecked != 6 {
-		t.Fatalf("paced pass checked %d stripes, want 6", rep.StripesChecked)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("paced pass finished in %v, want ≥ ~25ms at 200 stripes/sec", elapsed)
+	for _, width := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(width)
+		// 200 stripes/sec over 6 stripes: 5 inter-stripe waits ≥ 25ms.
+		start := time.Now()
+		rep, err := s.scrub(bg, newPacer(200))
+		elapsed := time.Since(start)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.StripesChecked != 6 {
+			t.Fatalf("width %d: paced pass checked %d stripes, want 6", width, rep.StripesChecked)
+		}
+		if elapsed < 25*time.Millisecond {
+			t.Errorf("width %d: paced pass finished in %v, want ≥ 25ms at 200 stripes/sec", width, elapsed)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"stair/internal/core"
 	"stair/internal/store/integrity"
@@ -436,11 +435,11 @@ func (s *Store) promoteToFullLocked(buf *stripeBuf, st *core.Stripe) {
 // sortCells orders cells by (Col, Row) so per-device contiguous runs
 // are adjacent.
 func sortCells(cells []core.Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Col != cells[j].Col {
-			return cells[i].Col < cells[j].Col
+	slices.SortFunc(cells, func(a, b core.Cell) int {
+		if a.Col != b.Col {
+			return a.Col - b.Col
 		}
-		return cells[i].Row < cells[j].Row
+		return a.Row - b.Row
 	})
 }
 

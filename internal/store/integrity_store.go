@@ -79,16 +79,15 @@ func (s *Store) flushStripeMeta(ctx context.Context, stripe int, cols []int) err
 	return nil
 }
 
-// colsOf collects the distinct columns of a cell set sorted by (Col,
-// Row), ascending.
-func colsOf(cells []core.Cell) []int {
-	var cols []int
+// appendCols appends to dst the distinct columns of a cell set sorted by
+// (Col, Row), ascending.
+func appendCols(dst []int, cells []core.Cell) []int {
 	for i, c := range cells {
 		if i == 0 || c.Col != cells[i-1].Col {
-			cols = append(cols, c.Col)
+			dst = append(dst, c.Col)
 		}
 	}
-	return cols
+	return dst
 }
 
 // IntegrityEnabled reports whether the checksum layer is on, and

@@ -144,7 +144,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		// land there and the device's state is loudly visible); any
 		// other write failure keeps the intent pending for the next
 		// mount and marks the stripe so degraded reads refuse it.
-		_, failed, err := s.writeStripeCells(ctx, stripe, st, s.writableLost(s.allCells))
+		_, failed, err := s.writeStripeCells(ctx, stripe, st, s.appendWritable(nil, s.allCells))
 		if err != nil || failed > 0 {
 			s.markUnrecoverableLocked(sh, stripe)
 			rep.Unrecoverable++

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"stair/internal/core"
@@ -46,9 +47,12 @@ type ScrubReport struct {
 
 // pacer rations a scrub pass to a stripes/sec budget. A nil pacer is
 // unpaced. The wait happens between stripes, outside any shard lock, so
-// pacing never blocks foreground reads and writes — only the sweep.
+// pacing never blocks foreground reads and writes — only the sweep. One
+// pacer serves all of a sweep's workers: each wait reserves the next
+// slot under mu, so the budget holds for the pass, not per worker.
 type pacer struct {
 	interval time.Duration
+	mu       sync.Mutex
 	next     time.Time
 }
 
@@ -65,22 +69,10 @@ func (p *pacer) wait(ctx context.Context) error {
 	if p == nil {
 		return ctx.Err()
 	}
-	now := time.Now()
-	if p.next.IsZero() {
-		// The first stripe is free; the budget applies between stripes.
-		p.next = now.Add(p.interval)
-		return ctx.Err()
-	}
-	d := p.next.Sub(now)
+	d := p.reserve()
 	if d <= 0 {
-		// Behind schedule (e.g. a stripe stalled on a slow device):
-		// resume pacing from now instead of banking catch-up credit —
-		// a burst of unpaced sweeping is exactly what the rate limit
-		// exists to prevent.
-		p.next = now.Add(p.interval)
 		return ctx.Err()
 	}
-	p.next = p.next.Add(p.interval)
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -89,6 +81,30 @@ func (p *pacer) wait(ctx context.Context) error {
 	case <-t.C:
 		return nil
 	}
+}
+
+// reserve takes the next stripe's slot and returns how long until it is
+// due; ≤ 0 means now.
+func (p *pacer) reserve() time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	now := time.Now()
+	if p.next.IsZero() {
+		// The first stripe is free; the budget applies between stripes.
+		p.next = now.Add(p.interval)
+		return 0
+	}
+	d := p.next.Sub(now)
+	if d <= 0 {
+		// Behind schedule (e.g. a stripe stalled on a slow device):
+		// resume pacing from now instead of banking catch-up credit —
+		// a burst of unpaced sweeping is exactly what the rate limit
+		// exists to prevent.
+		p.next = now.Add(p.interval)
+		return 0
+	}
+	p.next = p.next.Add(p.interval)
+	return d
 }
 
 // Scrub sweeps every stripe once, synchronously: it loads each stripe
@@ -101,9 +117,10 @@ func (p *pacer) wait(ctx context.Context) error {
 // whose located damage exceeds coverage — or whose parity disagrees
 // while nothing is located, the unlocatable-lie case — is marked
 // unrecoverable instead of guessed at. Use Quiesce to wait for the
-// resulting repairs to converge. Each stripe is swept under its own
-// shard lock, so reads, writes and repairs on other stripes interleave
-// with a sweep over a large volume. A cancelled ctx aborts the pass
+// resulting repairs to converge. The pass runs GOMAXPROCS stripes at
+// once, each under its own shard lock, so reads, writes and repairs on
+// other stripes interleave with a sweep over a large volume; the report
+// is the same at any width. A cancelled ctx aborts the pass
 // mid-sweep — including an in-flight device wait — not just between
 // stripes.
 func (s *Store) Scrub(ctx context.Context) (ScrubReport, error) {
@@ -117,78 +134,91 @@ func (s *Store) scrub(ctx context.Context, pace *pacer) (ScrubReport, error) {
 			return rep, err
 		}
 	}
-	for stripe := 0; stripe < s.stripes; stripe++ {
-		if err := pace.wait(ctx); err != nil {
-			return rep, err
-		}
-		sh := s.shard(stripe)
-		sh.mu.Lock()
-		// Checked under the shard lock (as in ReadBlock): past Close's
-		// per-shard flush sweep the devices may already be closed.
-		if s.closed.Load() {
-			sh.mu.Unlock()
-			return rep, ErrClosed
-		}
-		st, lost, mismatched, err := s.loadStripe(ctx, stripe, true)
-		if err != nil {
-			sh.mu.Unlock()
-			return rep, err
-		}
-		rep.StripesChecked++
-		s.c.scrubbedStripes.Add(1)
-		switch {
-		case len(lost) > 0:
-			rep.StripesDamaged++
-			rep.SectorsLost += len(lost) - len(mismatched)
-			rep.ChecksumMismatches += len(mismatched)
-			s.c.scrubHits.Add(1)
-			// Located damage: coverage decides. One checksum-located liar
-			// repairs like any erasure; damage beyond coverage (e.g. two
-			// liars in a stripe protected for one) is refused rather than
-			// decoded into fabricated content.
-			if ok, cerr := s.code.CanRecover(lost); cerr == nil && !ok {
-				if !sh.unrecoverable[stripe] {
-					rep.StripesUnrecoverable++
-				}
-				s.markUnrecoverableLocked(sh, stripe)
-			} else {
-				wasPending := sh.pending[stripe] || sh.unrecoverable[stripe]
-				s.enqueueRepairLocked(sh, stripe, len(lost))
-				if !wasPending && sh.pending[stripe] {
-					rep.StripesQueued++
-				}
-			}
-		default:
-			// Nothing located: cross-check parity against data. A
-			// disagreement here is an unlocatable lie — some sector is
-			// wrong but no read error or checksum names it (integrity
-			// off, or damage in a sector whose record is absent) — so the
-			// stripe is marked, not "repaired": every choice of victim
-			// solves different equations into different garbage.
-			ok, verr := s.code.Verify(st)
-			switch {
-			case verr != nil:
-			case !ok:
-				rep.StripesInconsistent++
-				if !sh.unrecoverable[stripe] {
-					rep.StripesUnrecoverable++
-				}
-				s.markUnrecoverableLocked(sh, stripe)
-				s.c.scrubHits.Add(1)
-			case s.integ != nil:
-				// Clean stripe: re-write any absent integrity records —
-				// the stripe's content is proven good by parity, so this
-				// is how a replaced device's sidecar (or a volume
-				// predating the integrity layer) heals over passes.
-				rep.RecordsRefreshed += s.refreshStripeRecordsLocked(ctx, stripe, st)
-			}
-		}
-		// The sweep is done with this stripe's reconstruction; hand the
-		// slab back unless a cancellation mid-record-refresh left a
-		// device operation that may still reference it.
-		s.releaseStripeUnlessCancelled(ctx, st)
-		sh.mu.Unlock()
+	var mu sync.Mutex
+	err := s.sweep(ctx, pace, func(sh *lockShard, stripe int) error {
+		r, err := s.scrubStripeLocked(ctx, sh, stripe)
+		mu.Lock()
+		rep.add(r)
+		mu.Unlock()
+		return err
+	})
+	return rep, err
+}
+
+// add sums another report into r.
+func (r *ScrubReport) add(o ScrubReport) {
+	r.StripesChecked += o.StripesChecked
+	r.StripesDamaged += o.StripesDamaged
+	r.StripesQueued += o.StripesQueued
+	r.SectorsLost += o.SectorsLost
+	r.ChecksumMismatches += o.ChecksumMismatches
+	r.StripesInconsistent += o.StripesInconsistent
+	r.StripesUnrecoverable += o.StripesUnrecoverable
+	r.RecordsRefreshed += o.RecordsRefreshed
+}
+
+// scrubStripeLocked is one stripe of a scrub pass; the caller holds the
+// stripe's shard mutex. The error is non-nil only for context
+// cancellation.
+func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int) (ScrubReport, error) {
+	var rep ScrubReport
+	st, lost, mismatched, err := s.loadStripe(ctx, stripe, true)
+	if err != nil {
+		return rep, err
 	}
+	rep.StripesChecked++
+	s.c.scrubbedStripes.Add(1)
+	switch {
+	case len(lost) > 0:
+		rep.StripesDamaged++
+		rep.SectorsLost += len(lost) - len(mismatched)
+		rep.ChecksumMismatches += len(mismatched)
+		s.c.scrubHits.Add(1)
+		// Located damage: coverage decides. One checksum-located liar
+		// repairs like any erasure; damage beyond coverage (e.g. two
+		// liars in a stripe protected for one) is refused rather than
+		// decoded into fabricated content.
+		if ok, cerr := s.code.CanRecover(lost); cerr == nil && !ok {
+			if !sh.unrecoverable[stripe] {
+				rep.StripesUnrecoverable++
+			}
+			s.markUnrecoverableLocked(sh, stripe)
+		} else {
+			wasPending := sh.pending[stripe] || sh.unrecoverable[stripe]
+			s.enqueueRepairLocked(sh, stripe, len(lost))
+			if !wasPending && sh.pending[stripe] {
+				rep.StripesQueued++
+			}
+		}
+	default:
+		// Nothing located: cross-check parity against data. A
+		// disagreement here is an unlocatable lie — some sector is
+		// wrong but no read error or checksum names it (integrity
+		// off, or damage in a sector whose record is absent) — so the
+		// stripe is marked, not "repaired": every choice of victim
+		// solves different equations into different garbage.
+		ok, verr := s.code.Verify(st)
+		switch {
+		case verr != nil:
+		case !ok:
+			rep.StripesInconsistent++
+			if !sh.unrecoverable[stripe] {
+				rep.StripesUnrecoverable++
+			}
+			s.markUnrecoverableLocked(sh, stripe)
+			s.c.scrubHits.Add(1)
+		case s.integ != nil:
+			// Clean stripe: re-write any absent integrity records —
+			// the stripe's content is proven good by parity, so this
+			// is how a replaced device's sidecar (or a volume
+			// predating the integrity layer) heals over passes.
+			rep.RecordsRefreshed += s.refreshStripeRecordsLocked(ctx, sh, stripe, st)
+		}
+	}
+	// The sweep is done with this stripe's reconstruction; hand the
+	// slab back unless a cancellation mid-record-refresh left a
+	// device operation that may still reference it.
+	s.releaseStripeUnlessCancelled(ctx, st)
 	return rep, nil
 }
 
@@ -196,9 +226,9 @@ func (s *Store) scrub(ctx context.Context, pace *pacer) (ScrubReport, error) {
 // a proven-clean stripe that lacks one, persists the touched columns'
 // sidecars, and returns how many records it wrote. The caller holds the
 // stripe's shard mutex.
-func (s *Store) refreshStripeRecordsLocked(ctx context.Context, stripe int, st *core.Stripe) int {
+func (s *Store) refreshStripeRecordsLocked(ctx context.Context, sh *lockShard, stripe int, st *core.Stripe) int {
 	refreshed := 0
-	var cols []int
+	cols := sh.cols[:0]
 	for col := 0; col < s.n; col++ {
 		if fd, ok := s.devs[col].(FaultDevice); ok && fd.Failed() {
 			continue
@@ -216,6 +246,7 @@ func (s *Store) refreshStripeRecordsLocked(ctx context.Context, stripe int, st *
 			cols = append(cols, col)
 		}
 	}
+	sh.cols = cols
 	if len(cols) > 0 {
 		_ = s.flushStripeMeta(ctx, stripe, cols)
 	}
@@ -236,9 +267,11 @@ type ScrubberOptions struct {
 }
 
 // StartScrubber starts a background goroutine running a full Scrub pass
-// every interval until StopScrubber or Close. Only one scrubber can run
-// at a time. Stopping cancels an in-flight pass mid-sweep via its
-// context rather than waiting for the pass to finish.
+// every interval until StopScrubber or Close. A pass runs GOMAXPROCS
+// stripes at once, and StripesPerSec rations the pass as a whole, not
+// each of its workers. Only one scrubber can run at a time. Stopping
+// cancels an in-flight pass mid-sweep via its context rather than
+// waiting for the pass to finish.
 func (s *Store) StartScrubber(opts ScrubberOptions) error {
 	if opts.Interval <= 0 {
 		return fmt.Errorf("store: scrub interval %v must be positive", opts.Interval)

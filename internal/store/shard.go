@@ -45,6 +45,11 @@ type lockShard struct {
 	row     [][]byte
 	rowLost []int
 
+	// cells is a stripe repair's write-back set, and cols the columns
+	// whose sidecar records a repair or a record refresh persists.
+	cells []core.Cell
+	cols  []int
+
 	// upd is the working set of the sub-stripe flush running under mu.
 	upd updateSet
 }

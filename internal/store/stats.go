@@ -86,6 +86,17 @@ type counters struct {
 	verifiedSectors, checksumMismatches atomic.Uint64
 }
 
+// addVerdicts adds one operation's locally counted checksum verdicts,
+// skipping the shared cache line when there is nothing to add.
+func (c *counters) addVerdicts(verified, mismatches uint64) {
+	if verified > 0 {
+		c.verifiedSectors.Add(verified)
+	}
+	if mismatches > 0 {
+		c.checksumMismatches.Add(mismatches)
+	}
+}
+
 func (c *counters) snapshot() Stats {
 	return Stats{
 		Reads:                 c.reads.Load(),

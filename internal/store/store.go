@@ -18,7 +18,10 @@
 //   - a background scrubber sweeps stripes — optionally paced to a
 //     stripes/sec budget — detects latent sector errors and feeds a
 //     bounded repair queue drained by a pool of repair workers, which
-//     write reconstructed sectors back to writable devices.
+//     write reconstructed sectors back to writable devices;
+//   - the maintenance sweeps, Scrub and RebuildDevice, put GOMAXPROCS
+//     stripes in flight at once, each under its own shard lock (see
+//     sweep.go).
 //
 // Device I/O is vectored and context-aware: every stripe-granular path
 // (flush, load, scrub, repair) issues one ReadSectors/WriteSectors call
@@ -78,8 +81,9 @@ type Config struct {
 	// into. Nil falls back to in-memory devices.
 	Devices []Device
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
-	// — parallelism is FlushWorkers / RepairWorkers / LockShards. Kept
-	// until bench/ stops setting it.
+	// — parallelism is FlushWorkers / RepairWorkers / LockShards, and
+	// GOMAXPROCS stripes at once in RebuildDevice and Scrub. Kept until
+	// bench/ stops setting it.
 	Workers int
 	// MaxDirtyStripes bounds the write buffer: exceeding it flushes the
 	// fullest buffered stripe. 0 selects 8.
@@ -669,6 +673,10 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 		sh.settled = make([]bool, s.r)
 	}
 	settled := sh.settled[:s.r]
+	// Verdicts are counted here and added to the shared counters once per
+	// load: an atomic add per sector is a cache line every concurrent
+	// sweep worker fights over.
+	verified := uint64(0)
 	for col := 0; col < s.n; col++ {
 		for row := range bufs {
 			bufs[row] = st.Sector(col, row)
@@ -687,6 +695,7 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 				}
 			} else if cerr := ctx.Err(); cerr != nil {
 				sh.dropScratchOnCancel()
+				s.c.addVerdicts(verified, uint64(len(mismatched)))
 				return nil, nil, nil, cerr
 			} else {
 				// Whole-call failure (failed device, transport down):
@@ -713,28 +722,20 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 			if done {
 				continue
 			}
-			if cell := (core.Cell{Col: col, Row: row}); !s.verifyCell(stripe, cell, st.Sector(col, row)) {
+			// A mismatch read fine and is not what was written: a located
+			// erasure. A sector without a record is unverifiable and passes.
+			switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
+			case integrity.OK:
+				verified++
+			case integrity.Mismatch:
+				cell := core.Cell{Col: col, Row: row}
 				lost = s.appendLost(lost, cell)
 				mismatched = append(mismatched, cell)
 			}
 		}
 	}
+	s.c.addVerdicts(verified, uint64(len(mismatched)))
 	return st, lost, mismatched, nil
-}
-
-// verifyCell checks a cell as read off its device against its integrity
-// record and counts the outcome; false is a mismatch — the sector read
-// fine and is not what was written, a located erasure. A cell without a
-// record is unverifiable and passes. The integrity layer must be on.
-func (s *Store) verifyCell(stripe int, cell core.Cell, data []byte) bool {
-	switch s.integ.Verify(cell.Col, s.devSector(stripe, cell.Row), data) {
-	case integrity.OK:
-		s.c.verifiedSectors.Add(1)
-	case integrity.Mismatch:
-		s.c.checksumMismatches.Add(1)
-		return false
-	}
-	return true
 }
 
 // appendLost adds a cell to a stripe load's lost list. The first loss
@@ -949,8 +950,7 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	if !served {
 		return false, nil
 	}
-	s.c.verifiedSectors.Add(verified)
-	s.c.checksumMismatches.Add(mismatches)
+	s.c.addVerdicts(verified, mismatches)
 	s.c.reads.Add(1)
 	s.c.degradedReads.Add(1)
 	// Queue a repair only when it can land somewhere (see the whole-stripe
@@ -971,15 +971,14 @@ func (s *Store) writable(cell core.Cell) bool {
 	return !ok || !fd.Failed()
 }
 
-// writableLost filters lost cells down to those on writable devices.
-func (s *Store) writableLost(lost []core.Cell) []core.Cell {
-	writable := make([]core.Cell, 0, len(lost))
-	for _, cell := range lost {
+// appendWritable appends to dst the cells on writable devices.
+func (s *Store) appendWritable(dst, cells []core.Cell) []core.Cell {
+	for _, cell := range cells {
 		if s.writable(cell) {
-			writable = append(writable, cell)
+			dst = append(dst, cell)
 		}
 	}
-	return writable
+	return dst
 }
 
 // repairLocked reconstructs the lost cells of a loaded stripe in place,
@@ -1133,7 +1132,8 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 	if len(lost) == 0 {
 		return false
 	}
-	writable := s.writableLost(lost)
+	writable := s.appendWritable(sh.cells[:0], lost)
+	sh.cells = writable
 	if len(writable) == 0 {
 		return false
 	}
@@ -1147,7 +1147,8 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 		// The repaired sectors' fresh records (staged by the write) go
 		// durable now, so a scrub right after the repair sees a clean
 		// stripe instead of re-flagging it.
-		_ = s.flushStripeMeta(ctx, stripe, colsOf(writable))
+		sh.cols = appendCols(sh.cols[:0], writable)
+		_ = s.flushStripeMeta(ctx, stripe, sh.cols)
 	}
 	if err != nil {
 		// Cancelled mid-write-back: whatever landed is already counted;
@@ -1211,30 +1212,19 @@ func (s *Store) ReplaceDevice(dev int) error {
 }
 
 // RebuildDevice synchronously reconstructs every stripe touching the
-// given (replaced) device, bypassing the bounded queue. Stripes whose
-// write-backs fail transiently are left to the scrubber. A cancelled
-// ctx stops the sweep between stripes and aborts in-flight device
-// waits.
+// given (replaced) device, bypassing the bounded queue. It runs
+// GOMAXPROCS stripes at once, each under its own shard lock, so reads,
+// writes and repairs of other stripes interleave with it. Stripes whose
+// write-backs fail transiently are left to the scrubber. A cancelled ctx
+// stops the sweep and aborts in-flight device waits.
 func (s *Store) RebuildDevice(ctx context.Context, dev int) error {
 	if _, err := s.faultDevice(dev); err != nil {
 		return err
 	}
-	for stripe := 0; stripe < s.stripes; stripe++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sh := s.shard(stripe)
-		sh.mu.Lock()
-		// Checked under the shard lock (as in ReadBlock): past Close's
-		// per-shard flush sweep the devices may already be closed.
-		if s.closed.Load() {
-			sh.mu.Unlock()
-			return ErrClosed
-		}
+	return s.sweep(ctx, nil, func(sh *lockShard, stripe int) error {
 		s.repairStripeLocked(ctx, sh, stripe)
-		sh.mu.Unlock()
-	}
-	return ctx.Err()
+		return ctx.Err()
+	})
 }
 
 // InjectSectorError injects a latent sector error at one device sector

@@ -102,9 +102,9 @@ func TestZeroCopyNetDevices(t *testing.T) {
 // speed guard: env-gated so routine runs stay unaffected by measurement
 // noise, it pins the steady-state block paths to (amortised) zero heap
 // allocations — the row-local degraded read among them — a single-block
-// update to single digits and a whole-stripe degraded read to a small
-// constant. CI runs it with STAIR_ALLOC_GUARD=1 on both
-// the default and purego legs. Every check runs with the integrity layer
+// update and a rebuilt stripe to single digits and a whole-stripe
+// degraded read to a small constant. CI runs it with STAIR_ALLOC_GUARD=1
+// on both the default and purego legs. Every check runs with the integrity layer
 // off and on: the layer digests every sector read or written, and an
 // allocation per digest once hid behind a guard that only ran without it.
 func TestAllocRegressionGuard(t *testing.T) {
@@ -233,6 +233,42 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if st := s.Stats(); st.DegradedReadFallbacks != 2001 {
 		t.Errorf("%d fallbacks; the guard must measure 2001 whole-stripe reads", st.DegradedReadFallbacks)
 	}
-	t.Logf("allocs/op: write %.2f, read %.2f, update %.2f, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
-		writes, reads, updates, rowLocal, cold, degraded)
+
+	// A device rebuild, per stripe: a whole-stripe load into a pooled slab,
+	// a decode through a cached plan and the replaced column's write-back,
+	// whose cell set, column list and sort use shard scratch. Measured 8.4:
+	// the stripe view over the slab (2), the load's lost list (1), the
+	// codec's lost-index list (1), the blank MemDevice's sector-error list
+	// (4) and the sweep's own bookkeeping, once per call. It runs last
+	// because its garbage brings on a GC, which empties the pools the cold
+	// degraded read above is measured against. The dead devices come back
+	// first, untimed.
+	for _, dev := range []int{0, 1} {
+		if err := s.ReplaceDevice(dev); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RebuildDevice(bg, dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bad := s.TotalBadSectors(); bad != 0 {
+		t.Fatalf("%d bad sectors after rebuilding both devices", bad)
+	}
+	repaired := s.Stats().RepairedStripes
+	rebuild := testing.AllocsPerRun(100, func() {
+		if err := s.ReplaceDevice(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RebuildDevice(bg, 0); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(s.stripes)
+	if rebuild > 9 {
+		t.Errorf("RebuildDevice: %.2f allocs per stripe, want ≤ 9", rebuild)
+	}
+	if got := s.Stats().RepairedStripes - repaired; got != 101*uint64(s.stripes) {
+		t.Errorf("%d stripes rebuilt; the guard must measure %d", got, 101*s.stripes)
+	}
+	t.Logf("allocs/op: write %.2f, read %.2f, update %.2f, rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
+		writes, reads, updates, rebuild, rowLocal, cold, degraded)
 }
