@@ -162,8 +162,9 @@ func (c *column) WriteSectors(ctx context.Context, start int, data [][]byte) err
 	return err
 }
 
-// Sync forwards the durability barrier. The store skips devices whose
-// Failed() reports true, so a dead column is never asked.
+// Sync forwards the durability barrier. A dead column answers
+// ErrDeviceFailed without touching the transport, as its reads and
+// writes do, and the store's barrier skips it on that answer.
 func (c *column) Sync(ctx context.Context) error {
 	dev, err := c.snapshot()
 	if err != nil {

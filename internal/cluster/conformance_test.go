@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -28,8 +30,64 @@ func TestDeviceConformanceClusterColumn(t *testing.T) {
 	})
 }
 
+// Over a file-backed server, the column stack (coalescer, NetDevice,
+// DeviceServer) carries a failed device's Sync answer through unchanged.
+func TestDeviceConformanceClusterColumnFile(t *testing.T) {
+	devtest.RunDurable(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
+		fd, err := store.OpenFileDevice(filepath.Join(t.TempDir(), "dev.img"), sectors, sectorSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(store.NewDeviceServer(fd))
+		t.Cleanup(srv.Close)
+		dev, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrap := func(d store.Device) store.Device {
+			return store.NewCoalescingDevice(d, store.CoalesceOptions{})
+		}
+		return newColumn(0, Server{Name: "s0", URL: srv.URL}, dev, wrap)
+	})
+}
+
+// The hedged column is what the store of a hedging volume reads through:
+// its racing read path must keep the device contract too — above all,
+// answer a failed device's reads and writes with ErrDeviceFailed, the
+// answer the store learns device state from. Hedges are held off (a
+// minute's delay) so that what is tested is the primary's answer through
+// the racer, not a reconstruction of the suite's unencoded payloads.
+func TestDeviceConformanceHedgedColumn(t *testing.T) {
+	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
+		code := testCode(t)
+		if sectors%code.R() != 0 {
+			t.Fatalf("suite geometry %d sectors is not whole stripes of %d rows", sectors, code.R())
+		}
+		var servers []Server
+		for i := 0; i < code.N(); i++ {
+			servers = append(servers, Server{Name: fmt.Sprintf("s%d", i), URL: "local://"})
+		}
+		v, err := Open(context.Background(), Config{
+			Fleet:      &Fleet{Servers: servers},
+			Code:       code,
+			SectorSize: sectorSize,
+			Stripes:    sectors / code.R(),
+			Dial: func(ctx context.Context, server Server) (store.Device, error) {
+				return store.NewMemDevice(sectors, sectorSize), nil
+			},
+			Hedge:   &HedgeConfig{MinSamples: 1, MinDelay: time.Minute, MaxDelay: time.Minute},
+			Monitor: MonitorConfig{Interval: time.Hour},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { v.Close() })
+		return v.devs[0].(*hedgedColumn)
+	})
+}
+
 // A dead column answers exactly like a wholly failed device: fast
-// ErrDeviceFailed on I/O, Failed() true, no transport touched.
+// ErrDeviceFailed on I/O and Sync, Failed() true, no transport touched.
 func TestColumnDeadFastFail(t *testing.T) {
 	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
 	t.Cleanup(srv.Close)
@@ -46,6 +104,13 @@ func TestColumnDeadFastFail(t *testing.T) {
 	}
 	if took := time.Since(begin); took > 100*time.Millisecond {
 		t.Fatalf("dead column took %v to answer — did it touch the transport?", took)
+	}
+	if err := col.WriteSectors(context.Background(), 0, [][]byte{make([]byte, 64)}); err != store.ErrDeviceFailed {
+		t.Fatalf("dead column write: %v, want ErrDeviceFailed", err)
+	}
+	// The store's Sync barrier skips a device on this answer.
+	if err := col.Sync(context.Background()); err != store.ErrDeviceFailed {
+		t.Fatalf("dead column sync: %v, want ErrDeviceFailed", err)
 	}
 	if !col.Failed() {
 		t.Fatal("dead column reports healthy")

@@ -20,13 +20,17 @@ func TestDeviceConformanceMem(t *testing.T) {
 	})
 }
 
+func openFileDevice(t *testing.T, sectors, sectorSize int) *store.FileDevice {
+	d, err := store.OpenFileDevice(filepath.Join(t.TempDir(), "dev.img"), sectors, sectorSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDeviceConformanceFile(t *testing.T) {
-	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
-		d, err := store.OpenFileDevice(filepath.Join(t.TempDir(), "dev.img"), sectors, sectorSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	devtest.RunDurable(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
+		return openFileDevice(t, sectors, sectorSize)
 	})
 }
 
@@ -37,14 +41,26 @@ func TestDeviceConformanceLatency(t *testing.T) {
 	})
 }
 
+// dialServed exports dev through a DeviceServer and dials it.
+func dialServed(t *testing.T, dev store.Device) *store.NetDevice {
+	srv := httptest.NewServer(store.NewDeviceServer(dev))
+	t.Cleanup(srv.Close)
+	d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDeviceConformanceNet(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
-		srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(sectors, sectorSize)))
-		t.Cleanup(srv.Close)
-		d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return dialServed(t, store.NewMemDevice(sectors, sectorSize))
+	})
+}
+
+// Over the wire a failed FileDevice's Sync still answers ErrDeviceFailed.
+func TestDeviceConformanceNetFile(t *testing.T) {
+	devtest.RunDurable(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
+		return dialServed(t, openFileDevice(t, sectors, sectorSize))
 	})
 }

@@ -20,6 +20,14 @@ var (
 	ErrBadSector = errors.New("store: bad sector")
 )
 
+// isDown reports whether a device call's error says the device is wholly
+// failed (see FaultDevice.Failed). SectorErrors never does, and skips
+// errors.Is, whose walk of its Unwrap allocates.
+func isDown(err error) bool {
+	_, partial := err.(SectorErrors)
+	return !partial && errors.Is(err, ErrDeviceFailed)
+}
+
 // SectorError identifies one lost sector within a vectored operation:
 // Index is the absolute sector index on the device, Err the per-sector
 // cause (typically wrapping ErrBadSector).
@@ -137,7 +145,10 @@ type Device interface {
 // round trip for remote ones. The store's Sync durability barrier calls
 // it on every device that implements it; devices that do not (e.g. the
 // in-memory backend, which has no durability to offer) are skipped.
-// Wrapper backends forward Sync to the wrapped device.
+// Wrapper backends forward Sync to the wrapped device. A wholly failed
+// device answers Sync with ErrDeviceFailed, as it does reads and writes,
+// and the barrier skips it on that answer; a backend with no durability
+// to offer may answer nil instead, having nothing to lose.
 type Syncer interface {
 	Sync(ctx context.Context) error
 }
@@ -174,7 +185,12 @@ type FaultDevice interface {
 	// with ErrDeviceFailed until Replace. The failure mark is durable
 	// (for persistent backends) before the payload is destroyed.
 	Fail() error
-	// Failed reports whether the device is wholly failed.
+	// Failed reports whether the device is wholly failed. It is a status
+	// query for admin paths (Store.FailedDevices, TotalBadSectors, a
+	// device server's metrics), and on a remote backend a round trip of
+	// its own. Data paths never ask it: a wholly failed device answers
+	// every read, write and sync with ErrDeviceFailed, and the store
+	// learns device state from those answers to the I/O it does anyway.
 	Failed() bool
 	// Replace swaps in a fresh, zeroed device in place of a failed one.
 	// Every sector comes back *bad* (unwritten), so reads keep erroring

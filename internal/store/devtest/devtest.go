@@ -13,6 +13,9 @@
 //			return newFooDevice(t, sectors, sectorSize)
 //		})
 //	}
+//
+// A backend whose Sync reaches stable storage uses RunDurable instead,
+// which also holds a failed device's Sync to ErrDeviceFailed.
 package devtest
 
 import (
@@ -219,6 +222,14 @@ func Run(t *testing.T, factory Factory) {
 		if err := d.WriteSectors(ctx, 0, [][]byte{payload(0)}); !errors.Is(err, store.ErrDeviceFailed) {
 			t.Fatalf("write on failed device: %v, want ErrDeviceFailed", err)
 		}
+		// The store's Sync barrier skips a device on exactly this answer;
+		// any other error would fail the caller's Sync over a device it
+		// has already given up on.
+		if sy, ok := d.(store.Syncer); ok {
+			if err := sy.Sync(ctx); err != nil && !errors.Is(err, store.ErrDeviceFailed) {
+				t.Fatalf("sync on failed device: %v, want ErrDeviceFailed (or nil, for a backend with no durability)", err)
+			}
+		}
 	})
 
 	t.Run("ReplaceComesBackBad", func(t *testing.T) {
@@ -412,6 +423,37 @@ func Run(t *testing.T, factory Factory) {
 		// The device must remain usable with a live context.
 		if err := d.ReadSectors(ctx, 0, bufs); err != nil {
 			t.Fatalf("read after cancelled call: %v", err)
+		}
+	})
+}
+
+// RunDurable is Run for backends whose Sync reaches stable storage — a
+// FileDevice, and whatever forwards to one, over the wire included. On
+// top of Run it holds them to the answer the store's Sync barrier relies
+// on: a wholly failed device answers Sync with ErrDeviceFailed, as it
+// does reads and writes, and a replaced one syncs cleanly again.
+func RunDurable(t *testing.T, factory Factory) {
+	Run(t, factory)
+	t.Run("SyncFailed", func(t *testing.T) {
+		d := factory(t, sectors, sectorSize)
+		defer d.Close()
+		sy, ok := d.(store.Syncer)
+		if !ok {
+			t.Fatalf("%T has no Syncer capability", d)
+		}
+		ctx := context.Background()
+		fillAll(t, d)
+		if err := d.Fail(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sy.Sync(ctx); !errors.Is(err, store.ErrDeviceFailed) {
+			t.Fatalf("sync on failed device: %v, want ErrDeviceFailed", err)
+		}
+		if err := d.Replace(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sy.Sync(ctx); err != nil {
+			t.Fatalf("sync on replaced device: %v", err)
 		}
 	})
 }

@@ -331,13 +331,18 @@ func (d *FileDevice) CorruptSector(idx int) error {
 func (d *FileDevice) BadSectors() int { return d.badCount() }
 
 // Sync fsyncs the backing file, making every acknowledged write durable
-// — the FileDevice half of the store's Sync durability barrier.
+// — the FileDevice half of the store's Sync durability barrier. A
+// wholly failed device answers ErrDeviceFailed, as its reads and writes
+// do: it holds nothing to make durable.
 func (d *FileDevice) Sync(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.failed {
+		return ErrDeviceFailed
+	}
 	return d.f.Sync()
 }
 

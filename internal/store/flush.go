@@ -446,7 +446,9 @@ func sortCells(cells []core.Cell) {
 // writeStripeCells writes the given cells (sorted by Col, Row) of one
 // stripe back to their devices, grouped into one vectored call per
 // contiguous per-device run. It reports how many sectors landed and how
-// many failed; only context cancellation aborts the sweep with an
+// many failed; a run whose device answers ErrDeviceFailed is neither
+// but skipped, since a wholly failed device has no write to retry until
+// it is replaced. Only context cancellation aborts the sweep with an
 // error.
 func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Stripe, cells []core.Cell) (wrote, failed int, err error) {
 	sh := s.shard(stripe)
@@ -483,7 +485,7 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 					}
 				}
 			}
-		default:
+		case !isDown(werr):
 			failed += len(run)
 		}
 		i = j
@@ -693,14 +695,13 @@ func (s *Store) Sync(ctx context.Context) error {
 	return nil
 }
 
-// syncDevices fsyncs every Syncer device. A wholly failed device is
-// skipped — it holds nothing worth making durable.
+// syncDevices fsyncs every Syncer device. A device whose Sync answers
+// ErrDeviceFailed is skipped: it is wholly failed and holds nothing worth
+// making durable. The answer is the barrier's own, so a device that fails
+// just before its Sync is skipped the same way, not reported.
 func (s *Store) syncDevices(ctx context.Context) error {
 	for i, d := range s.devs {
-		if fd, ok := d.(FaultDevice); ok && fd.Failed() {
-			continue
-		}
-		if err := SyncDevice(ctx, d); err != nil {
+		if err := SyncDevice(ctx, d); err != nil && !isDown(err) {
 			return fmt.Errorf("store: syncing device %d: %w", i, err)
 		}
 	}

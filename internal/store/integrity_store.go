@@ -51,21 +51,18 @@ func (s *Store) stageRecord(col, sector int, data []byte) {
 
 // flushStripeMeta persists the staged records covering one stripe's
 // rows on the given columns — one vectored sidecar write per column.
-// Wholly failed devices are skipped (their records refresh on rebuild,
-// like their data). Device write errors other than context
-// cancellation are swallowed: a record that failed to land simply
-// stays stale on disk and resolves as a located mismatch → repair on a
-// later verified read, which is strictly safer than failing the
-// caller's flush over sidecar bytes.
+// Device write errors other than context cancellation are swallowed: a
+// wholly failed device answers ErrDeviceFailed, and its records refresh
+// on rebuild like its data; on a live device a record that failed to
+// land simply stays stale on disk and resolves as a located mismatch →
+// repair on a later verified read, which is strictly safer than failing
+// the caller's flush over sidecar bytes.
 func (s *Store) flushStripeMeta(ctx context.Context, stripe int, cols []int) error {
 	if s.integ == nil {
 		return nil
 	}
 	start := s.devSector(stripe, 0)
 	for _, col := range cols {
-		if fd, ok := s.devs[col].(FaultDevice); ok && fd.Failed() {
-			continue
-		}
 		dev := s.devs[col]
 		err := s.integ.FlushRange(ctx, col, start, s.r, func(ctx context.Context, metaStart int, bufs [][]byte) error {
 			return dev.WriteSectors(ctx, s.dataSectors+metaStart, bufs)

@@ -141,10 +141,11 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		// that does not fully land must NOT count as recovered: the
 		// journal would be truncated over a stripe still inconsistent on
 		// disk. Cells on wholly failed devices are exempt (nothing can
-		// land there and the device's state is loudly visible); any
-		// other write failure keeps the intent pending for the next
-		// mount and marks the stripe so degraded reads refuse it.
-		_, failed, err := s.writeStripeCells(ctx, stripe, st, s.appendWritable(nil, s.allCells))
+		// land there and the device's state is loudly visible): their
+		// runs answer ErrDeviceFailed, which writeStripeCells counts as
+		// skipped. Any other write failure keeps the intent pending for
+		// the next mount and marks the stripe so degraded reads refuse it.
+		_, failed, err := s.writeStripeCells(ctx, stripe, st, s.allCells)
 		if err != nil || failed > 0 {
 			s.markUnrecoverableLocked(sh, stripe)
 			rep.Unrecoverable++
@@ -153,7 +154,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		rep.RolledForward++
 		s.c.recoveredStripes.Add(1)
 		s.clearUnrecoverableLocked(sh, stripe)
-		s.restageStripeMeta(ctx, stripe, st, rec)
+		s.restageStripeMeta(ctx, sh, stripe, st, rec)
 	}
 	if len(lostData) > 0 {
 		// Lost data can only come back through the (possibly broken)
@@ -189,7 +190,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 			// may still predate the final (landed) writes — e.g. a crash
 			// right after the parity phase. Refresh them so the first
 			// verified read after reopen sees no false mismatch.
-			s.restageStripeMeta(ctx, stripe, st, rec)
+			s.restageStripeMeta(ctx, sh, stripe, st, rec)
 			return
 		}
 	}
@@ -207,10 +208,11 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 // a stripe that replay just proved (or made) consistent, and persists
 // them. Blocks the intent covered whose content provably landed reuse
 // the digest the V2 intent carried; everything else is recomputed from
-// the stripe's (now authoritative) content. Cells on wholly failed
-// devices are skipped — their records refresh on rebuild, like their
-// data.
-func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stripe, rec journal.Record) {
+// the stripe's (now authoritative) content. Cells on the devices the
+// stripe's load found wholly failed (lockShard.down) are skipped — their
+// records refresh on rebuild, like their data. The caller holds the
+// stripe's shard mutex.
+func (s *Store) restageStripeMeta(ctx context.Context, sh *lockShard, stripe int, st *core.Stripe, rec journal.Record) {
 	if s.integ == nil {
 		return
 	}
@@ -227,7 +229,7 @@ func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stri
 		}
 	}
 	for col := 0; col < s.n; col++ {
-		if fd, ok := s.devs[col].(FaultDevice); ok && fd.Failed() {
+		if sh.down[col] {
 			continue
 		}
 		for row := 0; row < s.r; row++ {

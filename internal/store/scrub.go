@@ -224,15 +224,14 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 
 // refreshStripeRecordsLocked stages integrity records for any sector of
 // a proven-clean stripe that lacks one, persists the touched columns'
-// sidecars, and returns how many records it wrote. The caller holds the
-// stripe's shard mutex.
+// sidecars, and returns how many records it wrote. Its stripe's load
+// found nothing lost, so every column's device has just answered with
+// data; one that has failed since refuses the sidecar write, which
+// flushStripeMeta swallows. The caller holds the stripe's shard mutex.
 func (s *Store) refreshStripeRecordsLocked(ctx context.Context, sh *lockShard, stripe int, st *core.Stripe) int {
 	refreshed := 0
 	cols := sh.cols[:0]
 	for col := 0; col < s.n; col++ {
-		if fd, ok := s.devs[col].(FaultDevice); ok && fd.Failed() {
-			continue
-		}
 		touched := false
 		for row := 0; row < s.r; row++ {
 			sec := s.devSector(stripe, row)

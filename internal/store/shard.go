@@ -38,6 +38,10 @@ type lockShard struct {
 	// per-column row scratch of loadStripe.
 	rows    [][]byte
 	settled []bool
+	// down is the last loadStripe's record, by column, of the devices
+	// whose whole read answered ErrDeviceFailed — wholly failed, so they
+	// take no write-back. It stays valid until the next load under mu.
+	down []bool
 
 	// row and rowLost are the row-local degraded read's scratch: the
 	// wanted cell's row indexed by column, and the columns found lost in
@@ -83,6 +87,18 @@ func (sh *lockShard) rowvec(n int) [][]byte {
 		sh.rows = make([][]byte, n)
 	}
 	return sh.rows[:n]
+}
+
+// writable filters cells down to those whose device answered the last
+// stripe load (see down), into the shard's cells scratch.
+func (sh *lockShard) writable(cells []core.Cell) []core.Cell {
+	sh.cells = sh.cells[:0]
+	for _, cell := range cells {
+		if !sh.down[cell.Col] {
+			sh.cells = append(sh.cells, cell)
+		}
+	}
+	return sh.cells
 }
 
 // dropScratchOnCancel abandons the shard's I/O scratch after a device

@@ -46,7 +46,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -650,6 +649,8 @@ func (s *Store) flushAll(ctx context.Context) error {
 // thus sees the stripe as that flush meant to leave it, the only view of
 // it whose parity relations hold and that a decode may go through.
 //
+// It also records the columns that answered ErrDeviceFailed in sh.down.
+//
 // The returned error is non-nil only for context cancellation. The
 // caller holds the stripe's shard mutex, so the snapshot cannot
 // interleave with a same-stripe writer.
@@ -673,6 +674,10 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 		sh.settled = make([]bool, s.r)
 	}
 	settled := sh.settled[:s.r]
+	if cap(sh.down) < s.n {
+		sh.down = make([]bool, s.n)
+	}
+	down := sh.down[:s.n]
 	// Verdicts are counted here and added to the shared counters once per
 	// load: an atomic add per sector is a cache line every concurrent
 	// sweep worker fights over.
@@ -683,6 +688,7 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 			settled[row] = torn.has(col*s.r + row)
 		}
 		rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, 0), bufs)
+		down[col] = isDown(rerr)
 		if rerr != nil {
 			if se, ok := AsSectorErrors(rerr); ok {
 				// The vectored read names exactly the lost sectors; the
@@ -843,7 +849,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	}
 	// Local first (§4.3): the wanted cell's own row decides it whenever
 	// the row holds at most m losses.
-	if served, err := s.readRowLocked(ctx, sh, stripe, cell, dst); served || err != nil {
+	if served, err := s.readRowLocked(ctx, sh, stripe, cell, dst, isDown(rerr)); served || err != nil {
 		if served && mismatch {
 			s.c.checksumMismatches.Add(1)
 		}
@@ -873,7 +879,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	// worker takes it. Nothing of the reconstruction is kept: the repair
 	// heals the row's writable losses, and once the row is back within m
 	// losses the stripe's next read is row-local.
-	if slices.ContainsFunc(lost, s.writable) {
+	if len(sh.writable(lost)) > 0 {
 		s.enqueueRepairLocked(sh, stripe, len(lost))
 	}
 	return nil
@@ -892,9 +898,11 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 // lost, or an interrupted sub-stripe write-back is pending on the stripe
 // (the devices then hold a mix no decode may go through, see tornUpdate)
 // — and the caller takes the whole-stripe path, which alone marks a
-// stripe unrecoverable. The error is non-nil only for context
+// stripe unrecoverable. down says the wanted cell's own device answered
+// ErrDeviceFailed; with the siblings' answers it decides whether a
+// repair can land anywhere. The error is non-nil only for context
 // cancellation. The caller holds the shard mutex.
-func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte) (served bool, err error) {
+func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down bool) (served bool, err error) {
 	if buf := sh.dirty[stripe]; buf != nil && buf.torn != nil {
 		return false, nil
 	}
@@ -909,6 +917,7 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	sector := s.devSector(stripe, cell.Row)
 	verify := s.integ != nil && s.integVerify
 	good, verified, mismatches := 0, uint64(0), uint64(0)
+	heal := !down // some loss of the row sits on a device that takes writes
 	vec := sh.rowvec(1)
 	for col := 0; col < s.n && good < kappa && len(lost) <= m; col++ {
 		if col == cell.Col {
@@ -923,6 +932,7 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 				clear(cells)
 				return false, cerr
 			}
+			heal = heal || !isDown(rerr)
 			lost = append(lost, col)
 			continue
 		}
@@ -932,6 +942,7 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 				verified++
 			case integrity.Mismatch:
 				mismatches++
+				heal = true
 				lost = append(lost, col)
 				continue
 			}
@@ -955,30 +966,10 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	s.c.degradedReads.Add(1)
 	// Queue a repair only when it can land somewhere (see the whole-stripe
 	// path); the row's losses are all this read knows of the stripe's risk.
-	for _, col := range lost {
-		if s.writable(core.Cell{Col: col, Row: cell.Row}) {
-			s.enqueueRepairLocked(sh, stripe, len(lost))
-			break
-		}
+	if heal {
+		s.enqueueRepairLocked(sh, stripe, len(lost))
 	}
 	return true, nil
-}
-
-// writable reports whether a cell's device will take a write-back, i.e.
-// is not wholly failed.
-func (s *Store) writable(cell core.Cell) bool {
-	fd, ok := s.devs[cell.Col].(FaultDevice)
-	return !ok || !fd.Failed()
-}
-
-// appendWritable appends to dst the cells on writable devices.
-func (s *Store) appendWritable(dst, cells []core.Cell) []core.Cell {
-	for _, cell := range cells {
-		if s.writable(cell) {
-			dst = append(dst, cell)
-		}
-	}
-	return dst
 }
 
 // repairLocked reconstructs the lost cells of a loaded stripe in place,
@@ -1132,8 +1123,7 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 	if len(lost) == 0 {
 		return false
 	}
-	writable := s.appendWritable(sh.cells[:0], lost)
-	sh.cells = writable
+	writable := sh.writable(lost)
 	if len(writable) == 0 {
 		return false
 	}
@@ -1155,7 +1145,7 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 		// retry the rest later.
 		return true
 	}
-	if failed == 0 && len(writable) == len(lost) {
+	if wrote == len(lost) {
 		// Fully healed: every lost cell is back on a device.
 		s.c.repairedStripes.Add(1)
 		return false
