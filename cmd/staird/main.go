@@ -20,9 +20,13 @@
 // With -integrity, every device carries a per-sector checksum sidecar
 // region past its data sectors; device servers must then be started
 // with -sectors ≥ stripes×r + store.IntegrityMetaSectors(stripes, r,
-// sector) — serve prints the required figure at startup. Hedged
-// reconstructions are additionally parity-verified before their bytes
-// can win a read race.
+// sector) — serve prints the required figure at startup.
+//
+// With -hedge (on by default), a client's block read that outlives its
+// column's p90 (-hedge-percentile) is solved from n−m sectors of the
+// block's own row, checksum-verified with -integrity, and the slow
+// answer is dropped. Only client reads hedge: flushes, repairs, scrubs
+// and rebuilds see what the device servers answered.
 //
 // The fleet file lists servers and spares:
 //
@@ -165,7 +169,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	sector := fs.Int("sector", 4096, "sector (= block) size in bytes")
 	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
 	coalesce := fs.Bool("coalesce", true, "merge adjacent stripe extents queued behind a backend's in-flight call (no batch window)")
-	hedge := fs.Bool("hedge", true, "hedge slow column reads via sibling reconstruction")
+	hedge := fs.Bool("hedge", true, "hedge slow client block reads with a solve from the block's own row")
 	hedgePercentile := fs.Float64("hedge-percentile", 0.9, "latency percentile that launches a hedge")
 	integ := fs.Bool("integrity", false, "per-sector checksum layer (device servers need -sectors sized for the sidecar region)")
 	epoch := fs.Uint("epoch", 1, "volume epoch salted into integrity checksums")

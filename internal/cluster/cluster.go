@@ -8,15 +8,13 @@
 // transport timeouts), a spare is dialled and swapped in, and
 // store.RebuildDevice reconstructs the column in the background.
 //
-// Two latency defences ride on the same column seam. A per-backend
-// request coalescer (store.CoalescingDevice) merges adjacent stripe
-// extents queued behind its in-flight call into single vectored
-// calls. Hedged reads bound tail latency the "Tail at Scale" way: when
-// a column read exceeds a tracked latency percentile, the extent is
-// reconstructed from the n−1 sibling columns through the code's repair
-// path, and the first usable answer wins. Hedging at the column level
-// is deliberate — the store holds a stripe's shard lock across its
-// device calls, so a store-level hedge would serialize behind the very
-// read it is trying to outrun, while sibling columns are idle and a
-// reconstruction there proceeds in parallel.
+// Two latency defences ride along. A per-backend request coalescer
+// (store.CoalescingDevice), on the column seam, merges adjacent stripe
+// extents queued behind its in-flight call into single vectored calls.
+// Hedged reads (Config.Hedge) bound tail latency the "Tail at Scale"
+// way inside the store: when a client's block read outlives its
+// column's tracked latency percentile, the block is solved from n−m
+// sectors of its own row (checksum-verified with Config.Integrity) and
+// the slow answer is dropped. Only client reads hedge, so rebuilds,
+// scrubs and repairs see exactly what the columns answered.
 package cluster

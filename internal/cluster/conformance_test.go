@@ -51,12 +51,11 @@ func TestDeviceConformanceClusterColumnFile(t *testing.T) {
 	})
 }
 
-// The hedged column is what the store of a hedging volume reads through:
-// its racing read path must keep the device contract too — above all,
-// answer a failed device's reads and writes with ErrDeviceFailed, the
-// answer the store learns device state from. Hedges are held off (a
-// minute's delay) so that what is tested is the primary's answer through
-// the racer, not a reconstruction of the suite's unencoded payloads.
+// A hedging volume hands its store the bare columns — hedging lives in
+// the store's client read, not in a device layer — so the column such a
+// store reads through keeps the device contract, above all answering a
+// failed device's reads and writes with ErrDeviceFailed, the answer the
+// store learns device state from.
 func TestDeviceConformanceHedgedColumn(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
 		code := testCode(t)
@@ -75,14 +74,14 @@ func TestDeviceConformanceHedgedColumn(t *testing.T) {
 			Dial: func(ctx context.Context, server Server) (store.Device, error) {
 				return store.NewMemDevice(sectors, sectorSize), nil
 			},
-			Hedge:   &HedgeConfig{MinSamples: 1, MinDelay: time.Minute, MaxDelay: time.Minute},
+			Hedge:   &HedgeConfig{},
 			Monitor: MonitorConfig{Interval: time.Hour},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { v.Close() })
-		return v.devs[0].(*hedgedColumn)
+		return v.cols[0]
 	})
 }
 

@@ -25,17 +25,14 @@ type Stats struct {
 	// (the scrubber re-finds what they missed).
 	Rebuilds      uint64 `json:"rebuilds"`
 	RebuildErrors uint64 `json:"rebuild_errors"`
-	// Hedge race outcomes: launched = primary blew its percentile;
-	// wins = reconstruction answered first; losses = primary answered
-	// while the hedge ran; fails = reconstruction itself failed.
+	// Hedged client read outcomes, copied from the store's counters (see
+	// store.Stats): launched = a column read blew its percentile and the
+	// block's row was solved; wins = the solve served the read; losses =
+	// the slow read served it after all; fails = neither could.
 	HedgesLaunched uint64 `json:"hedges_launched"`
 	HedgeWins      uint64 `json:"hedge_wins"`
 	HedgeLosses    uint64 `json:"hedge_losses"`
 	HedgeFails     uint64 `json:"hedge_fails"`
-	// HedgeVerifyFails counts hedged reconstructions discarded because
-	// the repaired stripe failed parity verification — a sibling fed the
-	// repair silently corrupt bytes (integrity mode only).
-	HedgeVerifyFails uint64 `json:"hedge_verify_fails"`
 	// DeadColumns and SparesLeft are gauges of the current placement:
 	// columns presently marked dead (declared but not yet failed over,
 	// or degraded with the spare pool empty) and spares still unused.
@@ -54,7 +51,4 @@ type clusterCounters struct {
 	heartbeats, missedHeartbeats      atomic.Uint64
 	deaths, failovers, spareExhausted atomic.Uint64
 	rebuilds, rebuildErrors           atomic.Uint64
-	hedgesLaunched, hedgeWins         atomic.Uint64
-	hedgeLosses, hedgeFails           atomic.Uint64
-	hedgeVerifyFails                  atomic.Uint64
 }

@@ -33,17 +33,17 @@ type Config struct {
 	// request coalescer merging adjacent stripe extents into single
 	// vectored calls.
 	Coalesce *store.CoalesceOptions
-	// Hedge, when non-nil, enables hedged column reads.
+	// Hedge, when non-nil, hedges client block reads in the wrapped store
+	// (see store.Config.Hedge).
 	Hedge *HedgeConfig
 	// Monitor tunes the failure detector (zero values select defaults).
 	Monitor MonitorConfig
 	// Integrity, when non-nil, turns on the end-to-end checksum layer in
-	// the wrapped store (see store.Config.Integrity) and hardens the
-	// cluster paths around it: hedged-read reconstructions are verified
-	// against the code's parity relations before their bytes are served,
-	// and rebuilds write fresh sidecar records for every sector they
-	// reconstruct. Every fleet server must then serve
-	// Stripes×Code.R() + store.IntegrityMetaSectors(...) sectors.
+	// the wrapped store (see store.Config.Integrity): reads, scrubs and
+	// rebuilds verify every sector against its record, and rebuilds write
+	// fresh records for every sector they reconstruct. Every fleet server
+	// must then serve Stripes×Code.R() + store.IntegrityMetaSectors(...)
+	// sectors.
 	Integrity *store.IntegrityOptions
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
 	// — parallelism is FlushWorkers / RepairWorkers / LockShards. Kept
@@ -55,6 +55,9 @@ type Config struct {
 	RepairWorkers   int
 	Journal         *journal.Journal
 }
+
+// HedgeConfig tunes hedged client reads; see store.HedgeConfig.
+type HedgeConfig = store.HedgeConfig
 
 // ColumnHealth is one column's view in Health().
 type ColumnHealth struct {
@@ -69,23 +72,13 @@ type ColumnHealth struct {
 // servers: placement, health, failover and rebuild on the outside, the
 // unchanged store.Store on the inside.
 type Volume struct {
-	code       *core.Code
-	n, r       int
-	sectorSize int
-	stripes    int
-	name       string
-	// dataSectors is the per-column data region size (stripes×r); with
-	// integrity on, devices carry sidecar sectors past it that the
-	// stripe-shaped machinery (hedging, reconstruction) must not touch.
-	dataSectors int
-	// verifyHedge gates the parity re-verification of hedged-read
-	// reconstructions (on when the integrity layer is configured).
-	verifyHedge bool
+	code    *core.Code
+	n, r    int
+	stripes int
 
 	dial func(ctx context.Context, server Server) (store.Device, error)
 
 	cols     []*column
-	devs     []store.Device // what the store sees: hedged or raw columns
 	st       *store.Store
 	mon      *monitor
 	counters clusterCounters
@@ -127,15 +120,11 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 	}
 
 	v := &Volume{
-		code:        cfg.Code,
-		n:           n,
-		r:           cfg.Code.R(),
-		sectorSize:  cfg.SectorSize,
-		stripes:     cfg.Stripes,
-		name:        name,
-		spares:      cfg.Fleet.Spares(),
-		dataSectors: cfg.Stripes * cfg.Code.R(),
-		verifyHedge: cfg.Integrity != nil,
+		code:    cfg.Code,
+		n:       n,
+		r:       cfg.Code.R(),
+		stripes: cfg.Stripes,
+		spares:  cfg.Fleet.Spares(),
 	}
 	v.rebuildCtx, v.rebuildCancel = context.WithCancel(context.Background())
 	v.dial = dial
@@ -147,7 +136,7 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 	}
 
 	v.cols = make([]*column, n)
-	v.devs = make([]store.Device, n)
+	devs := make([]store.Device, n)
 	for col := 0; col < n; col++ {
 		dev, err := dial(ctx, placed[col])
 		if err != nil {
@@ -158,11 +147,7 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 			return nil, fmt.Errorf("cluster: dialing %s (%s) for column %d: %w", placed[col].Name, placed[col].URL, col, err)
 		}
 		v.cols[col] = newColumn(col, placed[col], dev, wrap)
-		if cfg.Hedge != nil {
-			v.devs[col] = newHedgedColumn(v.cols[col], v, *cfg.Hedge)
-		} else {
-			v.devs[col] = v.cols[col]
-		}
+		devs[col] = v.cols[col]
 	}
 
 	v.mon = newMonitor(v, cfg.Monitor)
@@ -174,14 +159,15 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 		Code:       cfg.Code,
 		SectorSize: cfg.SectorSize,
 		Stripes:    cfg.Stripes,
-		// The store's devices are the cluster's placed, health-tracked,
-		// possibly hedged columns.
-		Devices:         v.devs,
+		// The store's devices are the cluster's placed, health-tracked
+		// columns.
+		Devices:         devs,
 		MaxDirtyStripes: cfg.MaxDirtyStripes,
 		FlushWorkers:    cfg.FlushWorkers,
 		RepairWorkers:   cfg.RepairWorkers,
 		Journal:         cfg.Journal,
 		Integrity:       cfg.Integrity,
+		Hedge:           cfg.Hedge,
 	})
 	if err != nil {
 		for _, c := range v.cols {
@@ -229,6 +215,7 @@ func (v *Volume) StoreStats() store.Stats { return v.st.Stats() }
 
 // Stats snapshots the cluster layer's counters.
 func (v *Volume) Stats() Stats {
+	ss := v.st.Stats()
 	s := Stats{
 		Heartbeats:       v.counters.heartbeats.Load(),
 		MissedHeartbeats: v.counters.missedHeartbeats.Load(),
@@ -237,11 +224,10 @@ func (v *Volume) Stats() Stats {
 		SpareExhausted:   v.counters.spareExhausted.Load(),
 		Rebuilds:         v.counters.rebuilds.Load(),
 		RebuildErrors:    v.counters.rebuildErrors.Load(),
-		HedgesLaunched:   v.counters.hedgesLaunched.Load(),
-		HedgeWins:        v.counters.hedgeWins.Load(),
-		HedgeLosses:      v.counters.hedgeLosses.Load(),
-		HedgeFails:       v.counters.hedgeFails.Load(),
-		HedgeVerifyFails: v.counters.hedgeVerifyFails.Load(),
+		HedgesLaunched:   ss.HedgesLaunched,
+		HedgeWins:        ss.HedgeWins,
+		HedgeLosses:      ss.HedgeLosses,
+		HedgeFails:       ss.HedgeFails,
 	}
 	v.spareMu.Lock()
 	s.SparesLeft = uint64(len(v.spares))
@@ -352,94 +338,6 @@ func (v *Volume) failover(col int) {
 		}
 		v.counters.rebuilds.Add(1)
 	}()
-}
-
-// reconstructExtent rebuilds one column's extent [start, start+len(dst))
-// from the n−1 sibling columns: for every stripe the extent touches,
-// read the siblings' rows (raw columns — no hedge recursion), feed the
-// code's repair path with the hedged column (plus any sibling losses)
-// marked lost, and copy the requested rows out. It runs under the same
-// shard lock the primary read holds, so the sibling reads cannot
-// observe a torn flush of the stripe.
-func (v *Volume) reconstructExtent(ctx context.Context, col, start int, dst [][]byte) error {
-	end := start + len(dst)
-	for stripe := start / v.r; stripe*v.r < end; stripe++ {
-		st, err := v.code.NewStripe(v.sectorSize)
-		if err != nil {
-			return err
-		}
-		lost := make([]core.Cell, 0, v.r*2)
-		for row := 0; row < v.r; row++ {
-			lost = append(lost, core.Cell{Col: col, Row: row})
-		}
-		var (
-			mu   sync.Mutex
-			hard error
-			wg   sync.WaitGroup
-		)
-		for sib := 0; sib < v.n; sib++ {
-			if sib == col {
-				continue
-			}
-			wg.Add(1)
-			go func(sib int) {
-				defer wg.Done()
-				bufs := make([][]byte, v.r)
-				for row := range bufs {
-					bufs[row] = st.Sector(sib, row)
-				}
-				err := v.cols[sib].ReadSectors(ctx, stripe*v.r, bufs)
-				if err == nil {
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if se, ok := store.AsSectorErrors(err); ok {
-					for _, s := range se {
-						lost = append(lost, core.Cell{Col: sib, Row: s.Index - stripe*v.r})
-					}
-					return
-				}
-				if errors.Is(err, store.ErrDeviceFailed) {
-					for row := 0; row < v.r; row++ {
-						lost = append(lost, core.Cell{Col: sib, Row: row})
-					}
-					return
-				}
-				hard = err
-			}(sib)
-		}
-		wg.Wait()
-		if hard != nil {
-			return hard
-		}
-		if err := v.code.Repair(st, lost); err != nil {
-			return err
-		}
-		if v.verifyHedge {
-			// End-to-end discipline: a sibling serving silently rotten
-			// bytes would make the repair solve its lie into the
-			// reconstructed extent. Re-verifying the repaired stripe
-			// against the full parity relations catches that before the
-			// bytes are handed to anyone; the hedge then simply loses the
-			// race (or the caller falls back to the primary).
-			ok, err := v.code.Verify(st)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				v.counters.hedgeVerifyFails.Add(1)
-				return fmt.Errorf("cluster: reconstructed extent for column %d stripe %d failed verification", col, stripe)
-			}
-		}
-		for row := 0; row < v.r; row++ {
-			sector := stripe*v.r + row
-			if sector >= start && sector < end {
-				copy(dst[sector-start], st.Sector(col, row))
-			}
-		}
-	}
-	return nil
 }
 
 // Quiesce waits out background store activity (tests).

@@ -83,9 +83,9 @@ func (c *Code) EncodeWith(st *Stripe, m Method) error {
 }
 
 // Verify re-encodes the stripe's data into pooled scratch and reports
-// whether every stored parity cell matches. It is the scrubber's check
-// and the hedge's cross-check; the scratch stripe is recycled across
-// calls so a volume-wide scrub does not clone every stripe it visits.
+// whether every stored parity cell matches. It is the scrubber's check;
+// the scratch stripe is recycled across calls so a volume-wide scrub
+// does not clone every stripe it visits.
 func (c *Code) Verify(st *Stripe) (bool, error) {
 	if err := c.validateStripe(st); err != nil {
 		return false, err

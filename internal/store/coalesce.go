@@ -53,7 +53,7 @@ type CoalesceStats struct {
 // for it (≤ 2 round trips under contention; a latency spike is shared by
 // what queued behind it) — the mirror image of a timed window, which
 // charges every request the timer whether or not anything contends.
-// Reads still hedge past a stuck call (cluster's hedged column).
+// A client's block read still hedges past a stuck call (Config.Hedge).
 //
 // Stripe write-back ordering is unaffected: the journal's per-stripe
 // intents are appended (and fsynced) before the write-back call enters

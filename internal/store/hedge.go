@@ -1,0 +1,201 @@
+package store
+
+import (
+	"context"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"stair/internal/core"
+	"stair/internal/store/mem"
+)
+
+// HedgeConfig enables hedged client reads, the "Tail at Scale" defence
+// against a column that answers slowly without failing: a single-block
+// read whose device outlives the column's tracked latency percentile is
+// solved from its own row instead (§4.3), as a degraded read would be,
+// and the slow answer is dropped. Only ReadBlock and ReadBlockInto
+// hedge; flushes, repairs, scrubs, rebuilds and journal replay always
+// see what the devices answered.
+type HedgeConfig struct {
+	// Percentile of the column's recent read latencies at which the
+	// hedge launches. Values outside (0, 1) select 0.9: a hedge fires on
+	// roughly the slowest tenth of reads, so the added sibling load stays
+	// marginal while the tail beyond p90 is clipped.
+	Percentile float64
+}
+
+const (
+	// hedgeMinDelay and hedgeMaxDelay clamp the hedge delay, so that a
+	// burst of fast samples cannot make hedging frantic nor a burst of
+	// slow ones switch it off.
+	hedgeMinDelay = 500 * time.Microsecond
+	hedgeMaxDelay = 100 * time.Millisecond
+	// hedgeWindow is the per-column ring of latency samples.
+	hedgeWindow = 256
+	// hedgeMinSamples is how many reads a column must have answered
+	// before its first hedge — below it there is no trustworthy
+	// percentile — and how many more between two recomputations of it.
+	hedgeMinSamples = 16
+)
+
+// latencyTracker keeps one column's recent primary-read latencies and
+// the hedge delay derived from them. The read path only loads delay;
+// recording a sample sorts the window once every hedgeMinSamples samples,
+// into a buffer the tracker owns.
+type latencyTracker struct {
+	p     float64
+	delay atomic.Int64 // the clamped percentile in ns; 0 until warm
+
+	mu             sync.Mutex
+	samples        [hedgeWindow]time.Duration
+	sorted         [hedgeWindow]time.Duration
+	next, count, n int // n counts samples since the last recomputation
+}
+
+// newLatencyTrackers returns one tracker per column, or nil when
+// hedging is off.
+func newLatencyTrackers(cfg *HedgeConfig, n int) []latencyTracker {
+	if cfg == nil {
+		return nil
+	}
+	p := cfg.Percentile
+	if p <= 0 || p >= 1 {
+		p = 0.9
+	}
+	ts := make([]latencyTracker, n)
+	for i := range ts {
+		ts[i].p = p
+	}
+	return ts
+}
+
+// observe records a primary read that began at begin. Only usable
+// answers are samples — data, or a typed partial loss: a column failing
+// hard and slowly must not teach itself out of being hedged.
+func (t *latencyTracker) observe(begin time.Time, err error) {
+	if _, partial := AsSectorErrors(err); err != nil && !partial {
+		return
+	}
+	t.record(time.Since(begin))
+}
+
+func (t *latencyTracker) record(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.samples[t.next] = d
+	t.next = (t.next + 1) % hedgeWindow
+	t.count = min(t.count+1, hedgeWindow)
+	if t.n++; t.n < hedgeMinSamples {
+		return
+	}
+	t.n = 0
+	sorted := t.sorted[:t.count]
+	copy(sorted, t.samples[:t.count])
+	slices.Sort(sorted)
+	q := sorted[min(int(t.p*float64(t.count)), t.count-1)]
+	t.delay.Store(int64(min(max(q, hedgeMinDelay), hedgeMaxDelay)))
+}
+
+// hedgedReadLocked is ReadBlockInto's device read of cell with a hedge.
+// The primary reads into pooled scratch on its own goroutine; once it
+// outlives its column's delay, the caller's goroutine solves the cell
+// from its own row straight into dst (readRowLocked). won reports that
+// the solve served dst; otherwise err is the primary's answer, and dst
+// holds its bytes when err is nil. A primary that loses is not waited
+// for: its answer is dropped and its scratch left to the GC, as after a
+// cancelled call, but its latency is still a sample — the percentile is
+// of what the column answers, slow answers included, and a column that
+// keeps stalling hedges fewer reads into its siblings. While the
+// column's tracker is cold the read goes straight into dst and teaches
+// the tracker. The caller holds the shard mutex.
+func (s *Store) hedgedReadLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte) (won bool, err error) {
+	t := &s.hedge[cell.Col]
+	dev, sector := s.devs[cell.Col], s.devSector(stripe, cell.Row)
+	delay := time.Duration(t.delay.Load())
+	begin := time.Now()
+	if delay == 0 {
+		vec := sh.rowvec(1)
+		vec[0] = dst
+		err = dev.ReadSectors(ctx, sector, vec)
+		vec[0] = nil
+		t.observe(begin, err)
+		return false, err
+	}
+	p := primaryReads.Get().(*primaryRead)
+	p.vec[0] = mem.Acquire(s.sectorSize)
+	go p.read(ctx, dev, sector, t, begin)
+	p.timer.Reset(delay)
+	select {
+	case err = <-p.done:
+		p.timer.Stop()
+		return false, p.take(ctx, err, dst)
+	case <-ctx.Done():
+		p.timer.Stop()
+		return false, ctx.Err()
+	case <-p.timer.C:
+	}
+	s.c.hedgesLaunched.Add(1)
+	served, _, err := s.readRowLocked(ctx, sh, stripe, cell, dst, false)
+	if served {
+		// No repair is queued: the column is slow, not lost, and a repair
+		// worker would wait on it under the shard lock. The next scrub
+		// owns whatever the primary would have found.
+		s.c.hedgeWins.Add(1)
+		return true, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	// The row cannot decide the cell: the primary's answer stands.
+	select {
+	case err = <-p.done:
+	case <-ctx.Done():
+		return false, ctx.Err()
+	}
+	if err == nil {
+		s.c.hedgeLosses.Add(1)
+	} else {
+		s.c.hedgeFails.Add(1)
+	}
+	return false, p.take(ctx, err, dst)
+}
+
+// primaryRead is a hedged read's call to the block's own device. It is
+// pooled, and goes back to the pool only when its answer was taken over
+// a live context: a call abandoned in flight keeps it, scratch and all.
+// Its timer is reused across reads, which go 1.23's timers allow: after
+// Stop or Reset no stale tick is left in the channel.
+type primaryRead struct {
+	vec   [][]byte // the one scratch sector
+	done  chan error
+	timer *time.Timer
+}
+
+var primaryReads = sync.Pool{New: func() any {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	return &primaryRead{vec: make([][]byte, 1), done: make(chan error, 1), timer: timer}
+}}
+
+func (p *primaryRead) read(ctx context.Context, dev Device, sector int, t *latencyTracker, begin time.Time) {
+	err := dev.ReadSectors(ctx, sector, p.vec)
+	t.observe(begin, err)
+	p.done <- err
+}
+
+// take hands the primary's answer to the caller: its bytes into dst
+// when it has any, and the call back to the pool unless the device may
+// still hold its scratch.
+func (p *primaryRead) take(ctx context.Context, err error, dst []byte) error {
+	if err == nil {
+		copy(dst, p.vec[0])
+	}
+	if ctx.Err() == nil {
+		mem.Release(p.vec[0])
+		p.vec[0] = nil
+		primaryReads.Put(p)
+	}
+	return err
+}

@@ -16,7 +16,8 @@ type LatencyProfile struct {
 	Jitter time.Duration
 	// Spike adds a large extra delay to a SpikeProb fraction of calls —
 	// the heavy-tailed "hiccup" regime (GC pause, network stall,
-	// background compaction) that tail-tolerant reads hedge against.
+	// background compaction) that the store's hedged client reads
+	// (Config.Hedge) defend against.
 	// Uniform jitter alone cannot model it: with a uniform tail the p99
 	// is barely above the median and hedging has nothing to win.
 	Spike     time.Duration

@@ -1,8 +1,8 @@
 // Package mem is the store's tiered, sync.Pool-backed buffer pool. It
 // backs the zero-copy stripe memory design: stripe slabs, device
-// scratch, network bodies and hedge buffers are acquired here, used,
-// and released back, so the steady-state hot paths recycle a small
-// working set instead of allocating per operation.
+// scratch (a hedged read's included) and network bodies are acquired
+// here, used, and released back, so the steady-state hot paths recycle
+// a small working set instead of allocating per operation.
 //
 // Ownership contract:
 //

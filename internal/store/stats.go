@@ -70,6 +70,16 @@ type Stats struct {
 	// write) caught by the checksum layer and converted into a located
 	// erasure.
 	ChecksumMismatches uint64
+	// Hedged client reads (Config.Hedge): launched = the column's read
+	// outlived its tracked percentile and the block's row was solved;
+	// wins = the solve served the read (a read, not a degraded read);
+	// losses = the row could not decide the block and the slow read
+	// served it after all; fails = neither could, and the read went on
+	// down the degraded path.
+	HedgesLaunched uint64
+	HedgeWins      uint64
+	HedgeLosses    uint64
+	HedgeFails     uint64
 }
 
 // counters is the live atomic form of Stats.
@@ -84,6 +94,8 @@ type counters struct {
 	unrecoverableStripes                atomic.Uint64
 	journaledFlushes, recoveredStripes  atomic.Uint64
 	verifiedSectors, checksumMismatches atomic.Uint64
+	hedgesLaunched, hedgeWins           atomic.Uint64
+	hedgeLosses, hedgeFails             atomic.Uint64
 }
 
 // addVerdicts adds one operation's locally counted checksum verdicts,
@@ -117,6 +129,10 @@ func (c *counters) snapshot() Stats {
 		RecoveredStripes:      c.recoveredStripes.Load(),
 		VerifiedSectors:       c.verifiedSectors.Load(),
 		ChecksumMismatches:    c.checksumMismatches.Load(),
+		HedgesLaunched:        c.hedgesLaunched.Load(),
+		HedgeWins:             c.hedgeWins.Load(),
+		HedgeLosses:           c.hedgeLosses.Load(),
+		HedgeFails:            c.hedgeFails.Load(),
 	}
 }
 
@@ -145,5 +161,9 @@ func (s Stats) Add(o Stats) Stats {
 		RecoveredStripes:      s.RecoveredStripes + o.RecoveredStripes,
 		VerifiedSectors:       s.VerifiedSectors + o.VerifiedSectors,
 		ChecksumMismatches:    s.ChecksumMismatches + o.ChecksumMismatches,
+		HedgesLaunched:        s.HedgesLaunched + o.HedgesLaunched,
+		HedgeWins:             s.HedgeWins + o.HedgeWins,
+		HedgeLosses:           s.HedgeLosses + o.HedgeLosses,
+		HedgeFails:            s.HedgeFails + o.HedgeFails,
 	}
 }

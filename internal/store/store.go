@@ -14,7 +14,9 @@
 //     is failed or a sector read errors, the lost cells are rebuilt on
 //     the fly — from its own row when the row allows it, else via the
 //     upstairs decoding over the whole stripe (§4.2–4.3) — and the
-//     stripe is queued for background repair;
+//     stripe is queued for background repair; with hedging on, a client
+//     read that outlives its column's latency percentile is solved from
+//     its own row the same way (hedge.go);
 //   - a background scrubber sweeps stripes — optionally paced to a
 //     stripes/sec budget — detects latent sector errors and feeds a
 //     bounded repair queue drained by a pool of repair workers, which
@@ -123,6 +125,9 @@ type Config struct {
 	// journal but does not close it; the caller owns its lifecycle and
 	// must close it only after Close returns.
 	Journal *journal.Journal
+	// Hedge, when non-nil, hedges client block reads against a slow
+	// column with a solve from the block's own row (see HedgeConfig).
+	Hedge *HedgeConfig
 }
 
 // IntegrityOptions configures the end-to-end checksum layer.
@@ -197,6 +202,10 @@ type Store struct {
 	integ       *integrity.Manager
 	integVerify bool
 	dataSectors int
+
+	// hedge holds each column's read-latency tracker; nil when client
+	// reads do not hedge (see hedge.go).
+	hedge []latencyTracker
 
 	// sortedDataCells/parityCells/isData pre-split the stripe's cells
 	// for the journaled two-phase (data, then parity) write-back; isData
@@ -348,6 +357,7 @@ func Open(cfg Config) (*Store, error) {
 		repairQ:    newRepairQueue(queue),
 		quit:       make(chan struct{}),
 		journal:    cfg.Journal,
+		hedge:      newLatencyTrackers(cfg.Hedge, n),
 	}
 	s.dataSectors = cfg.Stripes * r
 	s.perStripe = len(s.dataCells)
@@ -759,8 +769,10 @@ func (s *Store) appendLost(lost []core.Cell, cell core.Cell) []core.Cell {
 // are served from the stripe buffer; an unreadable sector is rebuilt on
 // the fly through the degraded-read path — from n−m sectors of its own
 // row, or, the row holding more than m losses, from the whole stripe —
-// and its stripe queued for background repair. ctx bounds the device reads,
-// including those a degraded read performs.
+// and its stripe queued for background repair. With Config.Hedge, a read
+// whose device answers slowly is solved from its row too, and nothing is
+// queued. ctx bounds the device reads, including those a degraded or
+// hedged read performs.
 //
 // The returned buffer comes from the store's buffer pool; the caller
 // owns it, and may hand it back with ReleaseBlock once done (optional —
@@ -810,10 +822,20 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		copy(dst, buf.data[ord])
 		return nil
 	}
-	vec := sh.rowvec(1)
-	vec[0] = dst
-	rerr := s.devs[cell.Col].ReadSectors(ctx, s.devSector(stripe, cell.Row), vec)
-	vec[0] = nil
+	var rerr error
+	if s.hedge != nil && !sh.unrecoverable[stripe] {
+		// A stripe marked unrecoverable is never solved (see below), so
+		// it is never hedged either.
+		var won bool
+		if won, rerr = s.hedgedReadLocked(ctx, sh, stripe, cell, dst); won {
+			return nil
+		}
+	} else {
+		vec := sh.rowvec(1)
+		vec[0] = dst
+		rerr = s.devs[cell.Col].ReadSectors(ctx, s.devSector(stripe, cell.Row), vec)
+		vec[0] = nil
+	}
 	// mismatch: the sector read fine but its checksum disagrees — silent
 	// corruption (or a misdirected/stale write), a located erasure. It is
 	// counted once, by whichever degraded path below serves the read: here
@@ -849,9 +871,18 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	}
 	// Local first (§4.3): the wanted cell's own row decides it whenever
 	// the row holds at most m losses.
-	if served, err := s.readRowLocked(ctx, sh, stripe, cell, dst, isDown(rerr)); served || err != nil {
-		if served && mismatch {
-			s.c.checksumMismatches.Add(1)
+	if served, risk, err := s.readRowLocked(ctx, sh, stripe, cell, dst, isDown(rerr)); served || err != nil {
+		if served {
+			s.c.degradedReads.Add(1)
+			if mismatch {
+				s.c.checksumMismatches.Add(1)
+			}
+			// Queue a repair only when it can land somewhere (see the
+			// whole-stripe path); the row's losses are all this read
+			// knows of the stripe's risk.
+			if risk > 0 {
+				s.enqueueRepairLocked(sh, stripe, risk)
+			}
 		}
 		return err
 	}
@@ -885,13 +916,14 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	return nil
 }
 
-// readRowLocked is the degraded read's fast path, the local step of the
-// paper's practical decoding (§4.3): it reads the wanted cell's row off
-// the other columns — one sector each, lowest column first, until n−m of
-// them have been read and verified — and solves the cell from those with
+// readRowLocked solves one cell from its own row, the local step of the
+// paper's practical decoding (§4.3) — the degraded read's fast path and
+// the hedge's racer: it reads the wanted cell's row off the other
+// columns — one sector each, lowest column first, until n−m of them
+// have been read and verified — and solves the cell from those with
 // core.RepairRow, straight into dst. The read results name the row's
 // losses; nothing is solved from a cell this call did not read and
-// verify.
+// verify. A served cell counts as a read; the caller counts what kind.
 //
 // It reports served=false, having touched neither dst nor any counter,
 // when the row cannot decide the cell — more than m of its columns are
@@ -899,12 +931,13 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 // (the devices then hold a mix no decode may go through, see tornUpdate)
 // — and the caller takes the whole-stripe path, which alone marks a
 // stripe unrecoverable. down says the wanted cell's own device answered
-// ErrDeviceFailed; with the siblings' answers it decides whether a
-// repair can land anywhere. The error is non-nil only for context
-// cancellation. The caller holds the shard mutex.
-func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down bool) (served bool, err error) {
+// ErrDeviceFailed; with the siblings' answers it decides risk, the row's
+// lost count when a repair could land one of its losses and 0 when none
+// could. The error is non-nil only for context cancellation. The caller
+// holds the shard mutex.
+func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down bool) (served bool, risk int, err error) {
 	if buf := sh.dirty[stripe]; buf != nil && buf.torn != nil {
-		return false, nil
+		return false, 0, nil
 	}
 	m, kappa := s.code.M(), s.n-s.code.M()
 	if cap(sh.row) < s.n {
@@ -930,7 +963,7 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 				// recycled.
 				sh.dropScratchOnCancel()
 				clear(cells)
-				return false, cerr
+				return false, 0, cerr
 			}
 			heal = heal || !isDown(rerr)
 			lost = append(lost, col)
@@ -959,17 +992,14 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	clear(cells)
 	mem.Release(slab)
 	if !served {
-		return false, nil
+		return false, 0, nil
 	}
 	s.c.addVerdicts(verified, mismatches)
 	s.c.reads.Add(1)
-	s.c.degradedReads.Add(1)
-	// Queue a repair only when it can land somewhere (see the whole-stripe
-	// path); the row's losses are all this read knows of the stripe's risk.
 	if heal {
-		s.enqueueRepairLocked(sh, stripe, len(lost))
+		risk = len(lost)
 	}
-	return true, nil
+	return true, risk, nil
 }
 
 // repairLocked reconstructs the lost cells of a loaded stripe in place,

@@ -159,6 +159,30 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 		t.Errorf("ReadBlockInto steady state: %.2f allocs/op, want < 0.5", reads)
 	}
 
+	// The same read with hedging on and the column's tracker warm: the
+	// device answers inside the hedge delay. The primary's channel, vector,
+	// timer and scratch are pooled; what is left is the closure of the
+	// goroutine it runs on. Measured 1.
+	hs, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ, Hedge: &HedgeConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	fillStore(t, hs)
+	readHedged := func() {
+		if err := hs.ReadBlockInto(bg, i%hs.Blocks(), dst); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range hedgeMinSamples * hs.Blocks() {
+		readHedged() // every block hedgeMinSamples times: every tracker warm
+	}
+	hedged := testing.AllocsPerRun(2000, readHedged)
+	if hedged > 1 {
+		t.Errorf("hedged ReadBlockInto steady state: %.2f allocs/op, want ≤ 1", hedged)
+	}
+
 	// A single-block update made durable to the devices: the §5.2
 	// read–modify–write on its delta path. What is left is the stripe
 	// view over the pooled slab and the flush sweep's stripe list.
@@ -269,6 +293,6 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if got := s.Stats().RepairedStripes - repaired; got != 101*uint64(s.stripes) {
 		t.Errorf("%d stripes rebuilt; the guard must measure %d", got, 101*s.stripes)
 	}
-	t.Logf("allocs/op: write %.2f, read %.2f, update %.2f, rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
-		writes, reads, updates, rebuild, rowLocal, cold, degraded)
+	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged), update %.2f, rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
+		writes, reads, hedged, updates, rebuild, rowLocal, cold, degraded)
 }
