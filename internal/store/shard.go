@@ -35,10 +35,10 @@ type lockShard struct {
 	// device calls (stripe loads, write-back runs, single-sector reads).
 	// Only touched under mu, and abandoned — not reused — after a
 	// cancelled device call (see dropScratchOnCancel). settled is the
-	// per-column row scratch of loadStripe.
+	// per-column row scratch of loadChunk.
 	rows    [][]byte
 	settled []bool
-	// down is the last loadStripe's record, by column, of the devices
+	// down is the last stripe load's record, by column, of the devices
 	// whose whole read answered ErrDeviceFailed — wholly failed, so they
 	// take no write-back. It stays valid until the next load under mu.
 	down []bool

@@ -23,7 +23,8 @@
 //     write reconstructed sectors back to writable devices;
 //   - the maintenance sweeps, Scrub and RebuildDevice, put GOMAXPROCS
 //     stripes in flight at once, each under its own shard lock (see
-//     sweep.go).
+//     sweep.go); a rebuild reads the replaced chunk first and loads the
+//     rest of a stripe only when that chunk is not whole.
 //
 // Device I/O is vectored and context-aware: every stripe-granular path
 // (flush, load, scrub, repair) issues one ReadSectors/WriteSectors call
@@ -665,93 +666,121 @@ func (s *Store) flushAll(ctx context.Context) error {
 // caller holds the stripe's shard mutex, so the snapshot cannot
 // interleave with a same-stripe writer.
 func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *core.Stripe, lost, mismatched []core.Cell, err error) {
-	// The stripe is slab-backed and pooled: on success the caller owns
-	// it and must release it (releaseStripeUnlessCancelled) once no
-	// device operation can still reference its cells. On cancellation
-	// the partially-filled stripe is dropped to the GC — an abandoned
-	// device-side operation may still be writing into it.
-	st = s.acquireStripe()
-	sh := s.shard(stripe)
-	bufs := sh.rowvec(s.r)
-	verify = verify && s.integ != nil && s.integVerify
-	var torn *tornUpdate
-	if buf := sh.dirty[stripe]; buf != nil {
-		torn = buf.torn
+	ld := s.startLoad(stripe, verify)
+	for col := 0; col < s.n; col++ {
+		if err := s.loadChunk(ctx, &ld, col); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	// settled flags the rows of the current column that need no checksum
-	// verdict: lost, or held by the torn update.
+	s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
+	return ld.st, ld.lost, ld.mismatched, nil
+}
+
+// stripeLoad is a stripe load in progress, filled one column's chunk at a
+// time by loadChunk — so that RebuildDevice can read the replaced chunk
+// first and stop there when it reads whole.
+type stripeLoad struct {
+	// st is slab-backed and pooled: once the load succeeds its caller owns
+	// it and must release it (releaseStripeUnlessCancelled) once no device
+	// operation can still reference its cells. On cancellation the
+	// partially-filled stripe is dropped to the GC — an abandoned
+	// device-side operation may still be writing into it.
+	st               *core.Stripe
+	stripe           int
+	lost, mismatched []core.Cell
+	torn             *tornUpdate
+	verify           bool
+	// verified counts checksum passes, added to the shared counters once
+	// per load: an atomic add per sector is a cache line every concurrent
+	// sweep worker fights over.
+	verified uint64
+}
+
+// startLoad begins a load of stripe, verifying as loadStripe's verify
+// says. The caller holds the stripe's shard mutex.
+func (s *Store) startLoad(stripe int, verify bool) stripeLoad {
+	sh := s.shard(stripe)
 	if cap(sh.settled) < s.r {
 		sh.settled = make([]bool, s.r)
 	}
-	settled := sh.settled[:s.r]
 	if cap(sh.down) < s.n {
 		sh.down = make([]bool, s.n)
 	}
-	down := sh.down[:s.n]
-	// Verdicts are counted here and added to the shared counters once per
-	// load: an atomic add per sector is a cache line every concurrent
-	// sweep worker fights over.
-	verified := uint64(0)
-	for col := 0; col < s.n; col++ {
-		for row := range bufs {
-			bufs[row] = st.Sector(col, row)
-			settled[row] = torn.has(col*s.r + row)
-		}
-		rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, 0), bufs)
-		down[col] = isDown(rerr)
-		if rerr != nil {
-			if se, ok := AsSectorErrors(rerr); ok {
-				// The vectored read names exactly the lost sectors; the
-				// rest of the chunk is good and stays.
-				for _, e := range se {
-					if row := e.Index - stripe*s.r; !settled[row] {
-						lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
-						settled[row] = true
-					}
-				}
-			} else if cerr := ctx.Err(); cerr != nil {
-				sh.dropScratchOnCancel()
-				s.c.addVerdicts(verified, uint64(len(mismatched)))
-				return nil, nil, nil, cerr
-			} else {
-				// Whole-call failure (failed device, transport down):
-				// every cell of this chunk is lost.
-				for row := range settled {
-					if !settled[row] {
-						lost = s.appendLost(lost, core.Cell{Col: col, Row: row})
-						settled[row] = true
-					}
+	ld := stripeLoad{st: s.acquireStripe(), stripe: stripe, verify: verify && s.integ != nil && s.integVerify}
+	if buf := sh.dirty[stripe]; buf != nil {
+		ld.torn = buf.torn
+	}
+	return ld
+}
+
+// loadChunk reads column col's chunk of ld's stripe in one vectored call
+// and adds what it finds to ld: the lost and checksum-mismatched cells,
+// the torn update's cells taken from memory, and in sh.down whether the
+// device answered ErrDeviceFailed. The error is non-nil only for context
+// cancellation, which ends the load.
+func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col int) error {
+	sh, st, stripe, torn := s.shard(ld.stripe), ld.st, ld.stripe, ld.torn
+	bufs := sh.rowvec(s.r)
+	// settled flags the rows that need no checksum verdict: lost, or held
+	// by the torn update.
+	settled := sh.settled[:s.r]
+	for row := range bufs {
+		bufs[row] = st.Sector(col, row)
+		settled[row] = torn.has(col*s.r + row)
+	}
+	rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, 0), bufs)
+	sh.down[col] = isDown(rerr)
+	if rerr != nil {
+		if se, ok := AsSectorErrors(rerr); ok {
+			// The vectored read names exactly the lost sectors; the rest
+			// of the chunk is good and stays.
+			for _, e := range se {
+				if row := e.Index - stripe*s.r; !settled[row] {
+					ld.lost = s.appendLost(ld.lost, core.Cell{Col: col, Row: row})
+					settled[row] = true
 				}
 			}
-		}
-		if torn != nil {
-			for row := range bufs {
-				if torn.has(col*s.r + row) {
-					copy(bufs[row], torn.st.Sector(col, row))
+		} else if cerr := ctx.Err(); cerr != nil {
+			sh.dropScratchOnCancel()
+			s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
+			return cerr
+		} else {
+			// Whole-call failure (failed device, transport down): every
+			// cell of this chunk is lost.
+			for row := range settled {
+				if !settled[row] {
+					ld.lost = s.appendLost(ld.lost, core.Cell{Col: col, Row: row})
+					settled[row] = true
 				}
-			}
-		}
-		if !verify {
-			continue
-		}
-		for row, done := range settled {
-			if done {
-				continue
-			}
-			// A mismatch read fine and is not what was written: a located
-			// erasure. A sector without a record is unverifiable and passes.
-			switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
-			case integrity.OK:
-				verified++
-			case integrity.Mismatch:
-				cell := core.Cell{Col: col, Row: row}
-				lost = s.appendLost(lost, cell)
-				mismatched = append(mismatched, cell)
 			}
 		}
 	}
-	s.c.addVerdicts(verified, uint64(len(mismatched)))
-	return st, lost, mismatched, nil
+	if torn != nil {
+		for row := range bufs {
+			if torn.has(col*s.r + row) {
+				copy(bufs[row], torn.st.Sector(col, row))
+			}
+		}
+	}
+	if !ld.verify {
+		return nil
+	}
+	for row, done := range settled {
+		if done {
+			continue
+		}
+		// A mismatch read fine and is not what was written: a located
+		// erasure. A sector without a record is unverifiable and passes.
+		switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
+		case integrity.OK:
+			ld.verified++
+		case integrity.Mismatch:
+			cell := core.Cell{Col: col, Row: row}
+			ld.lost = s.appendLost(ld.lost, cell)
+			ld.mismatched = append(ld.mismatched, cell)
+		}
+	}
+	return nil
 }
 
 // appendLost adds a cell to a stripe load's lost list. The first loss
@@ -1146,6 +1175,13 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 	if err != nil {
 		return false
 	}
+	return s.healLoadedLocked(ctx, sh, stripe, st, lost)
+}
+
+// healLoadedLocked is a repair past its stripe load: it decodes the
+// loaded stripe's lost cells and writes back those on devices that take
+// writes, reporting requeue as repairStripeLocked does. It owns st.
+func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell) (requeue bool) {
 	// Whatever path exits below, the loaded stripe goes back to the
 	// pool — unless the write-back was cancelled mid-flight, where an
 	// abandoned device operation may still reference the slab.
@@ -1231,20 +1267,57 @@ func (s *Store) ReplaceDevice(dev int) error {
 	return nil
 }
 
-// RebuildDevice synchronously reconstructs every stripe touching the
-// given (replaced) device, bypassing the bounded queue. It runs
-// GOMAXPROCS stripes at once, each under its own shard lock, so reads,
-// writes and repairs of other stripes interleave with it. Stripes whose
-// write-backs fail transiently are left to the scrubber. A cancelled ctx
-// stops the sweep and aborts in-flight device waits.
+// RebuildDevice synchronously restores the given (replaced) device's
+// chunk of every stripe, bypassing the bounded queue. It reads that chunk
+// first, in one vectored call checked against its integrity records; a
+// stripe where it reads whole has nothing to rebuild and costs that one
+// read. Any other stripe is loaded whole, without reading the chunk
+// again, and every loss found in it — on this device or any other that
+// takes writes — is decoded and written back. So after m replacements
+// the first rebuild restores them all, and each further one reads one
+// chunk per stripe and writes nothing. A loss elsewhere in a stripe whose
+// chunk reads whole is left to the next Scrub. Stripes with an
+// interrupted write-back pending are loaded whole, as the repair queue
+// loads them. It runs GOMAXPROCS stripes at once, each under its own
+// shard lock, so reads, writes and repairs of other stripes interleave
+// with it. Stripes whose write-backs fail transiently are left to the
+// scrubber. A cancelled ctx stops the sweep and aborts in-flight device
+// waits.
 func (s *Store) RebuildDevice(ctx context.Context, dev int) error {
 	if _, err := s.faultDevice(dev); err != nil {
 		return err
 	}
 	return s.sweep(ctx, nil, func(sh *lockShard, stripe int) error {
-		s.repairStripeLocked(ctx, sh, stripe)
+		s.rebuildStripeLocked(ctx, sh, stripe, dev)
 		return ctx.Err()
 	})
+}
+
+// rebuildStripeLocked is one stripe of RebuildDevice(dev); the caller
+// holds the stripe's shard mutex.
+func (s *Store) rebuildStripeLocked(ctx context.Context, sh *lockShard, stripe, dev int) {
+	if buf := sh.dirty[stripe]; sh.unrecoverable[stripe] || buf != nil && buf.torn != nil {
+		// A torn update's cells are read from memory, so dev's chunk
+		// reading whole says nothing of what its device holds.
+		s.repairStripeLocked(ctx, sh, stripe)
+		return
+	}
+	ld := s.startLoad(stripe, true)
+	if s.loadChunk(ctx, &ld, dev) != nil {
+		return
+	}
+	if len(ld.lost) == 0 {
+		s.c.addVerdicts(ld.verified, 0)
+		s.releaseStripe(ld.st)
+		return
+	}
+	for col := 0; col < s.n; col++ {
+		if col != dev && s.loadChunk(ctx, &ld, col) != nil {
+			return
+		}
+	}
+	s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
+	s.healLoadedLocked(ctx, sh, stripe, ld.st, ld.lost)
 }
 
 // InjectSectorError injects a latent sector error at one device sector
