@@ -91,6 +91,28 @@ func BenchmarkEncodeByKernel(b *testing.B) {
 	})
 }
 
+// BenchmarkVerify: the scrubber's parity check of one encoded stripe in
+// the benchmark geometry (n=8, r=16, m=2, e=(1,1,2)) — the encode plan
+// run into pooled parity scratch and compared with the stored parity.
+func BenchmarkVerify(b *testing.B) {
+	c := benchCode(b, core.Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
+	for _, sector := range []int{4 << 10, 32 << 10} {
+		st := benchStripe(b, c, sector*c.N()*c.R())
+		if err := c.Encode(st); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("sector=%dKiB", sector>>10), func(b *testing.B) {
+			b.SetBytes(int64(sector * c.N() * c.R()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok, err := c.Verify(st); err != nil || !ok {
+					b.Fatalf("Verify = %v, %v", ok, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig11Encode: STAIR vs SD encoding speed at representative
 // (n, m, s) points of Figure 11 (r=16).
 func BenchmarkFig11Encode(b *testing.B) {
@@ -575,5 +597,24 @@ func BenchmarkStoreScrubRepair(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Quiesce()
+	}
+}
+
+// BenchmarkStoreScrubClean: one scrub pass over a clean volume — every
+// stripe loaded and parity-checked by Verify, nothing to repair.
+func BenchmarkStoreScrubClean(b *testing.B) {
+	s := benchStore(b, 4)
+	_, stripes, _, _ := s.Geometry()
+	b.SetBytes(int64(stripes * s.Code().N() * s.Code().R() * s.BlockSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Scrub(benchCtx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.StripesChecked != stripes || rep.StripesDamaged+rep.StripesInconsistent != 0 {
+			b.Fatalf("scrub of a clean volume: %+v", rep)
+		}
 	}
 }

@@ -94,9 +94,8 @@ type Code struct {
 	tempSlot  []int32
 	tempCount int
 
-	envPool    sync.Pool // *stripeEnv: cell mapping + temporaries scratch
-	fanPool    sync.Pool // *[][]byte fused-kernel destination vectors
-	stripePool sync.Pool // *Stripe whole-stripe scratch (Verify)
+	envPool sync.Pool // *stripeEnv: cell mapping, temporaries and Verify's parity scratch
+	fanPool sync.Pool // *[][]byte fused-kernel destination vectors
 
 	decodeMu    sync.Mutex
 	decodeCache map[string]*plan // nil entry = proven unrecoverable

@@ -1,12 +1,15 @@
 package core
 
+import "bytes"
+
 // stripeEnv is the canonical-cell → sector mapping of one stripe under
-// encode or repair, with the scratch memory backing its temporaries.
-// Environments are pooled whole, so building one allocates nothing in
-// steady state.
+// encode, repair or Verify, with the scratch memory backing its
+// temporaries and, for Verify, the recomputed parity. Environments are
+// pooled whole, so building one allocates nothing in steady state.
 type stripeEnv struct {
-	cells [][]byte // rows × cols, indexed by cellIdx
-	temps []byte   // tempCount × sectorSize
+	cells  [][]byte // rows × cols, indexed by cellIdx
+	temps  []byte   // tempCount × sectorSize
+	parity []byte   // len(parityCells) × sectorSize, Verify only
 }
 
 // env builds the environment for st; the caller hands it back with
@@ -48,19 +51,6 @@ func (c *Code) releaseEnv(e *stripeEnv) {
 	c.envPool.Put(e)
 }
 
-// acquireScratchStripe returns a pooled whole-stripe scratch. Contents
-// are unspecified; the caller must overwrite every cell it reads. The
-// sector size is already validated by the caller's validateStripe.
-func (c *Code) acquireScratchStripe(sectorSize int) *Stripe {
-	if v := c.stripePool.Get(); v != nil {
-		if sc := v.(*Stripe); sc.SectorSize == sectorSize {
-			return sc
-		}
-	}
-	sc, _ := c.NewStripe(sectorSize)
-	return sc
-}
-
 // Encode fills the stripe's parity cells (row parities plus inside global
 // parities, or outside Globals) from its data cells, using the
 // automatically selected cheapest method.
@@ -82,39 +72,34 @@ func (c *Code) EncodeWith(st *Stripe, m Method) error {
 	return nil
 }
 
-// Verify re-encodes the stripe's data into pooled scratch and reports
-// whether every stored parity cell matches. It is the scrubber's check;
-// the scratch stripe is recycled across calls so a volume-wide scrub
-// does not clone every stripe it visits.
+// Verify reports whether every stored parity cell matches the parity
+// the stripe's data implies. It is the scrubber's check: the encode plan
+// runs over the stripe's own data cells with every parity cell (Outside
+// Globals included) redirected to the environment's pooled parity
+// scratch, and each recomputed cell is compared with the stored one. The
+// stripe is only read, and nothing is copied or allocated in steady
+// state.
 func (c *Code) Verify(st *Stripe) (bool, error) {
 	if err := c.validateStripe(st); err != nil {
 		return false, err
 	}
-	clone := c.acquireScratchStripe(st.SectorSize)
-	defer c.stripePool.Put(clone)
-	// Only the data cells feed the re-encode; Encode overwrites every
-	// parity cell, so stale scratch contents are harmless.
-	for _, idx := range c.dataCells {
-		row, col := c.cellRC(idx)
-		copy(clone.Sector(col, row), st.Sector(col, row))
+	p, _ := c.planFor(MethodAuto)
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	// The plan overwrites every destination before reading it, so stale
+	// scratch from an earlier stripe needs no clearing.
+	size := st.SectorSize
+	if need := len(c.parityCells) * size; cap(e.parity) < need {
+		e.parity = make([]byte, need)
 	}
-	if err := c.Encode(clone); err != nil {
-		return false, err
+	for i, idx := range c.parityCells {
+		off := i * size
+		e.cells[idx] = e.parity[off : off+size : off+size]
 	}
+	c.runPlan(p, e.cells)
 	for _, idx := range c.parityCells {
-		row, col := c.cellRC(idx)
-		var got, want []byte
-		if l, h, ok := c.globalOf(row, col); ok {
-			got = st.Globals[c.globalOrd(l, h)]
-			want = clone.Globals[c.globalOrd(l, h)]
-		} else {
-			got = st.Sector(col, row)
-			want = clone.Sector(col, row)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false, nil
-			}
+		if !bytes.Equal(c.stored(st, idx), e.cells[idx]) {
+			return false, nil
 		}
 	}
 	return true, nil

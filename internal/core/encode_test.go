@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -182,26 +183,56 @@ func TestHomomorphicProperty(t *testing.T) {
 	}
 }
 
+// TestVerify: a fresh encode verifies, and one flipped byte in the last
+// tile of any parity cell (Outside Globals included) or of a data cell
+// fails it — for every field width and placement, at sector sizes below,
+// at and ragged past the plan tile. Verify recomputes parity into scratch,
+// so it must leave the stripe byte-identical whatever it finds.
 func TestVerify(t *testing.T) {
-	for _, p := range []Placement{Inside, Outside} {
-		c := exemplary(t, p)
-		st, _ := c.NewStripe(8)
-		fillData(t, c, st, 3)
+	forEachPlanCase(t, func(t *testing.T, c *Code, sectorSize int) {
+		st := newFilledStripe(t, c, sectorSize, 3)
 		if err := c.Encode(st); err != nil {
 			t.Fatal(err)
 		}
-		ok, err := c.Verify(st)
-		if err != nil || !ok {
-			t.Fatalf("placement %v: fresh encode fails Verify: ok=%v err=%v", p, ok, err)
+		want := st.Clone()
+		verify := func(what string, wantOK bool) {
+			t.Helper()
+			ok, err := c.Verify(st)
+			if err != nil || ok != wantOK {
+				t.Fatalf("%s: Verify = %v, %v; want %v", what, ok, err, wantOK)
+			}
+			if !stripesEqual(st, want) {
+				t.Fatalf("%s: Verify changed the stripe", what)
+			}
 		}
-		// Tamper with a parity cell.
-		pc := c.ParityCells()[0]
-		st.Sector(pc.Col, pc.Row)[0] ^= 0xff
-		ok, err = c.Verify(st)
-		if err != nil || ok {
-			t.Fatalf("placement %v: tampered stripe passes Verify", p)
+		verify("fresh encode", true)
+		rng := rand.New(rand.NewSource(5))
+		lastTile := (sectorSize - 1) / defaultPlanTile * defaultPlanTile
+		idxs := slices.Clone(c.parityCells)
+		if c.R() == planTallConfig.R && sectorSize > defaultPlanTile {
+			// Each flip costs a whole-stripe encode: past the tile, the
+			// 512-cell stripe's 257 parity cells would take a minute under
+			// -race. At 34 B every one is flipped; here every 32nd is, and
+			// the global last.
+			var some []int
+			for i := 0; i < len(idxs); i += 32 {
+				some = append(some, idxs[i])
+			}
+			idxs = append(some, idxs[len(idxs)-1])
 		}
-	}
+		idxs = append(idxs, c.dataCells[0], c.dataCells[len(c.dataCells)-1])
+		for _, idx := range idxs {
+			b := lastTile + rng.Intn(sectorSize-lastTile)
+			flip := func() {
+				c.stored(st, idx)[b] ^= 0x5a
+				c.stored(want, idx)[b] ^= 0x5a
+			}
+			flip()
+			verify(fmt.Sprintf("%s byte %d flipped", c.CellName(c.cellRC(idx)), b), false)
+			flip()
+		}
+		verify("restored", true)
+	})
 }
 
 func TestEncodeValidatesStripe(t *testing.T) {

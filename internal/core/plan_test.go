@@ -67,12 +67,7 @@ func oracleUpdate(c *Code, st *Stripe, cell Cell, newData []byte) {
 	delta := append([]byte(nil), old...)
 	gf.XORRegion(delta, newData)
 	for _, pr := range c.dataDeps[c.dataOrd[c.cellIdx(cell.Row, cell.Col)]] {
-		row, col := c.cellRC(int(pr.cell))
-		if l, h, ok := c.globalOf(row, col); ok {
-			c.f.MultXOR(st.Globals[c.globalOrd(l, h)], delta, pr.coeff)
-		} else {
-			c.f.MultXOR(st.Sector(col, row), delta, pr.coeff)
-		}
+		c.f.MultXOR(c.stored(st, int(pr.cell)), delta, pr.coeff)
 	}
 	copy(old, newData)
 }

@@ -120,3 +120,13 @@ func (c *Code) globalOrd(l, h int) int {
 	}
 	return ord + h
 }
+
+// stored returns the stripe memory of a real cell or an Outside global
+// from its canonical index.
+func (c *Code) stored(st *Stripe, idx int) []byte {
+	row, col := c.cellRC(idx)
+	if l, h, ok := c.globalOf(row, col); ok {
+		return st.Globals[c.globalOrd(l, h)]
+	}
+	return st.Sector(col, row)
+}

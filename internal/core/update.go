@@ -56,12 +56,7 @@ func (c *Code) UpdateWith(st *Stripe, cell Cell, newData []byte, sc *UpdateScrat
 	}
 	dsts, tabs := sc.dsts[:0], sc.tabs[:0]
 	for _, pr := range deps {
-		row, col := c.cellRC(int(pr.cell))
-		if l, h, ok := c.globalOf(row, col); ok {
-			dsts = append(dsts, st.Globals[c.globalOrd(l, h)])
-		} else {
-			dsts = append(dsts, st.Sector(col, row))
-		}
+		dsts = append(dsts, c.stored(st, int(pr.cell)))
 		tabs = append(tabs, c.f.Table(pr.coeff))
 	}
 	// One fused pass: the delta region is read once for all affected

@@ -102,9 +102,9 @@ func TestZeroCopyNetDevices(t *testing.T) {
 // speed guard: env-gated so routine runs stay unaffected by measurement
 // noise, it pins the steady-state block paths to (amortised) zero heap
 // allocations — the row-local degraded read among them — a single-block
-// update and a rebuilt stripe to single digits and a whole-stripe
-// degraded read to a small constant. CI runs it with STAIR_ALLOC_GUARD=1
-// on both the default and purego legs. Every check runs with the integrity layer
+// update, a rebuilt stripe and a clean scrub's stripe to single digits
+// and a whole-stripe degraded read to a small constant. CI runs it with
+// STAIR_ALLOC_GUARD=1 on both the default and purego legs. Every check runs with the integrity layer
 // off and on: the layer digests every sector read or written, and an
 // allocation per digest once hid behind a guard that only ran without it.
 func TestAllocRegressionGuard(t *testing.T) {
@@ -263,10 +263,10 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	// whose cell set, column list and sort use shard scratch. Measured 8.4:
 	// the stripe view over the slab (2), the load's lost list (1), the
 	// codec's lost-index list (1), the blank MemDevice's sector-error list
-	// (4) and the sweep's own bookkeeping, once per call. It runs last
-	// because its garbage brings on a GC, which empties the pools the cold
-	// degraded read above is measured against. The dead devices come back
-	// first, untimed.
+	// (4) and the sweep's own bookkeeping, once per call. It runs after the
+	// reads because its garbage brings on a GC, which empties the pools the
+	// cold degraded read above is measured against. The dead devices come
+	// back first, untimed.
 	for _, dev := range []int{0, 1} {
 		if err := s.ReplaceDevice(dev); err != nil {
 			t.Fatal(err)
@@ -293,6 +293,24 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if got := s.Stats().RepairedStripes - repaired; got != 101*uint64(s.stripes) {
 		t.Errorf("%d stripes rebuilt; the guard must measure %d", got, 101*s.stripes)
 	}
-	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged), update %.2f, rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
-		writes, reads, hedged, updates, rebuild, rowLocal, cold, degraded)
+
+	// A scrub of the clean volume, per stripe: a whole-stripe load into a
+	// pooled slab and Verify, which runs the encode plan into the pooled
+	// environment's parity scratch and compares in place, allocating
+	// nothing. Measured 2.56: the stripe view over the slab (2) and the
+	// sweep's own bookkeeping, 9 per call.
+	scrub := testing.AllocsPerRun(100, func() {
+		rep, err := s.Scrub(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.StripesChecked != s.stripes || rep.StripesDamaged+rep.StripesInconsistent+rep.RecordsRefreshed != 0 {
+			t.Fatalf("scrub of a clean volume: %+v", rep)
+		}
+	}) / float64(s.stripes)
+	if scrub > 2.6 {
+		t.Errorf("clean Scrub: %.2f allocs per stripe, want ≤ 2.6", scrub)
+	}
+	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged), update %.2f, scrub %.2f and rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f whole-stripe",
+		writes, reads, hedged, updates, scrub, rebuild, rowLocal, cold, degraded)
 }
