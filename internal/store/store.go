@@ -641,159 +641,6 @@ func (s *Store) flushAll(ctx context.Context) error {
 	return first
 }
 
-// loadStripe reads one stripe off the devices — one vectored call per
-// device; unreadable cells are listed in lost, and their contents are
-// unspecified (the stripe is pooled, not zeroed) until the caller's
-// decode reconstructs them. With
-// verify set (and the integrity layer on), sectors that read fine but
-// fail their checksum are *also* listed in lost — and, separately, in
-// mismatched — turning silent corruption into located erasures the
-// caller's decode repairs. Recovery passes verify=false: right after a
-// crash, a sidecar record can legitimately lag the data it covers
-// (the crash hit between the data write and the sidecar write), and
-// replay must resolve that from the journal, not report corruption.
-//
-// While an interrupted sub-stripe write-back is pending its retry (see
-// tornUpdate), the cells it was writing are taken from memory, whatever
-// the devices hold or fail to return of them: never lost, never
-// verified. Every caller — degraded read, repair, scrub, the retry —
-// thus sees the stripe as that flush meant to leave it, the only view of
-// it whose parity relations hold and that a decode may go through.
-//
-// It also records the columns that answered ErrDeviceFailed in sh.down.
-//
-// The returned error is non-nil only for context cancellation. The
-// caller holds the stripe's shard mutex, so the snapshot cannot
-// interleave with a same-stripe writer.
-func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *core.Stripe, lost, mismatched []core.Cell, err error) {
-	ld := s.startLoad(stripe, verify)
-	for col := 0; col < s.n; col++ {
-		if err := s.loadChunk(ctx, &ld, col); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
-	return ld.st, ld.lost, ld.mismatched, nil
-}
-
-// stripeLoad is a stripe load in progress, filled one column's chunk at a
-// time by loadChunk — so that RebuildDevice can read the replaced chunk
-// first and stop there when it reads whole.
-type stripeLoad struct {
-	// st is slab-backed and pooled: once the load succeeds its caller owns
-	// it and must release it (releaseStripeUnlessCancelled) once no device
-	// operation can still reference its cells. On cancellation the
-	// partially-filled stripe is dropped to the GC — an abandoned
-	// device-side operation may still be writing into it.
-	st               *core.Stripe
-	stripe           int
-	lost, mismatched []core.Cell
-	torn             *tornUpdate
-	verify           bool
-	// verified counts checksum passes, added to the shared counters once
-	// per load: an atomic add per sector is a cache line every concurrent
-	// sweep worker fights over.
-	verified uint64
-}
-
-// startLoad begins a load of stripe, verifying as loadStripe's verify
-// says. The caller holds the stripe's shard mutex.
-func (s *Store) startLoad(stripe int, verify bool) stripeLoad {
-	sh := s.shard(stripe)
-	if cap(sh.settled) < s.r {
-		sh.settled = make([]bool, s.r)
-	}
-	if cap(sh.down) < s.n {
-		sh.down = make([]bool, s.n)
-	}
-	ld := stripeLoad{st: s.acquireStripe(), stripe: stripe, verify: verify && s.integ != nil && s.integVerify}
-	if buf := sh.dirty[stripe]; buf != nil {
-		ld.torn = buf.torn
-	}
-	return ld
-}
-
-// loadChunk reads column col's chunk of ld's stripe in one vectored call
-// and adds what it finds to ld: the lost and checksum-mismatched cells,
-// the torn update's cells taken from memory, and in sh.down whether the
-// device answered ErrDeviceFailed. The error is non-nil only for context
-// cancellation, which ends the load.
-func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col int) error {
-	sh, st, stripe, torn := s.shard(ld.stripe), ld.st, ld.stripe, ld.torn
-	bufs := sh.rowvec(s.r)
-	// settled flags the rows that need no checksum verdict: lost, or held
-	// by the torn update.
-	settled := sh.settled[:s.r]
-	for row := range bufs {
-		bufs[row] = st.Sector(col, row)
-		settled[row] = torn.has(col*s.r + row)
-	}
-	rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, 0), bufs)
-	sh.down[col] = isDown(rerr)
-	if rerr != nil {
-		if se, ok := AsSectorErrors(rerr); ok {
-			// The vectored read names exactly the lost sectors; the rest
-			// of the chunk is good and stays.
-			for _, e := range se {
-				if row := e.Index - stripe*s.r; !settled[row] {
-					ld.lost = s.appendLost(ld.lost, core.Cell{Col: col, Row: row})
-					settled[row] = true
-				}
-			}
-		} else if cerr := ctx.Err(); cerr != nil {
-			sh.dropScratchOnCancel()
-			s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
-			return cerr
-		} else {
-			// Whole-call failure (failed device, transport down): every
-			// cell of this chunk is lost.
-			for row := range settled {
-				if !settled[row] {
-					ld.lost = s.appendLost(ld.lost, core.Cell{Col: col, Row: row})
-					settled[row] = true
-				}
-			}
-		}
-	}
-	if torn != nil {
-		for row := range bufs {
-			if torn.has(col*s.r + row) {
-				copy(bufs[row], torn.st.Sector(col, row))
-			}
-		}
-	}
-	if !ld.verify {
-		return nil
-	}
-	for row, done := range settled {
-		if done {
-			continue
-		}
-		// A mismatch read fine and is not what was written: a located
-		// erasure. A sector without a record is unverifiable and passes.
-		switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
-		case integrity.OK:
-			ld.verified++
-		case integrity.Mismatch:
-			cell := core.Cell{Col: col, Row: row}
-			ld.lost = s.appendLost(ld.lost, cell)
-			ld.mismatched = append(ld.mismatched, cell)
-		}
-	}
-	return nil
-}
-
-// appendLost adds a cell to a stripe load's lost list. The first loss
-// sizes the list for m whole chunks and then some — the most a
-// recoverable stripe can have lost — so that a degraded load allocates
-// once, not once per doubling.
-func (s *Store) appendLost(lost []core.Cell, cell core.Cell) []core.Cell {
-	if lost == nil {
-		lost = make([]core.Cell, 0, (s.code.M()+1)*s.r)
-	}
-	return append(lost, cell)
-}
-
 // ReadBlock returns one logical block. Buffered (not yet flushed) writes
 // are served from the stripe buffer; an unreadable sector is rebuilt on
 // the fly through the degraded-read path — from n−m sectors of its own
@@ -943,92 +790,6 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		s.enqueueRepairLocked(sh, stripe, len(lost))
 	}
 	return nil
-}
-
-// readRowLocked solves one cell from its own row, the local step of the
-// paper's practical decoding (§4.3) — the degraded read's fast path and
-// the hedge's racer: it reads the wanted cell's row off the other
-// columns — one sector each, lowest column first, until n−m of them
-// have been read and verified — and solves the cell from those with
-// core.RepairRow, straight into dst. The read results name the row's
-// losses; nothing is solved from a cell this call did not read and
-// verify. A served cell counts as a read; the caller counts what kind.
-//
-// It reports served=false, having touched neither dst nor any counter,
-// when the row cannot decide the cell — more than m of its columns are
-// lost, or an interrupted sub-stripe write-back is pending on the stripe
-// (the devices then hold a mix no decode may go through, see tornUpdate)
-// — and the caller takes the whole-stripe path, which alone marks a
-// stripe unrecoverable. down says the wanted cell's own device answered
-// ErrDeviceFailed; with the siblings' answers it decides risk, the row's
-// lost count when a repair could land one of its losses and 0 when none
-// could. The error is non-nil only for context cancellation. The caller
-// holds the shard mutex.
-func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down bool) (served bool, risk int, err error) {
-	if buf := sh.dirty[stripe]; buf != nil && buf.torn != nil {
-		return false, 0, nil
-	}
-	m, kappa := s.code.M(), s.n-s.code.M()
-	if cap(sh.row) < s.n {
-		sh.row = make([][]byte, s.n)
-	}
-	cells, lost := sh.row[:s.n], append(sh.rowLost[:0], cell.Col)
-	// One pooled slab holds the n−m sectors the solve reads; a sector that
-	// turns out lost leaves its slot to the next column.
-	slab := mem.Acquire(kappa * s.sectorSize)
-	sector := s.devSector(stripe, cell.Row)
-	verify := s.integ != nil && s.integVerify
-	good, verified, mismatches := 0, uint64(0), uint64(0)
-	heal := !down // some loss of the row sits on a device that takes writes
-	vec := sh.rowvec(1)
-	for col := 0; col < s.n && good < kappa && len(lost) <= m; col++ {
-		if col == cell.Col {
-			continue
-		}
-		vec[0] = slab[good*s.sectorSize:][:s.sectorSize]
-		if rerr := s.devs[col].ReadSectors(ctx, sector, vec); rerr != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// As in loadStripe: scratch and slab are dropped, not
-				// recycled.
-				sh.dropScratchOnCancel()
-				clear(cells)
-				return false, 0, cerr
-			}
-			heal = heal || !isDown(rerr)
-			lost = append(lost, col)
-			continue
-		}
-		if verify {
-			switch s.integ.Verify(col, sector, vec[0]) {
-			case integrity.OK:
-				verified++
-			case integrity.Mismatch:
-				mismatches++
-				heal = true
-				lost = append(lost, col)
-				continue
-			}
-		}
-		cells[col] = vec[0]
-		good++
-	}
-	vec[0] = nil
-	sh.rowLost = lost[:0]
-	if good == kappa {
-		cells[cell.Col] = dst
-		served = s.code.RepairRow(cells, lost, cell.Col) == nil
-	}
-	clear(cells)
-	mem.Release(slab)
-	if !served {
-		return false, 0, nil
-	}
-	s.c.addVerdicts(verified, mismatches)
-	s.c.reads.Add(1)
-	if heal {
-		risk = len(lost)
-	}
-	return true, risk, nil
 }
 
 // repairLocked reconstructs the lost cells of a loaded stripe in place,
