@@ -414,6 +414,7 @@ func TestDeltaFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				verified := s.Stats().VerifiedSectors
 				v.update(t, 1, stripe*s.perStripe+ord)
 				st := s.Stats()
 				// What the delta load can see: any read failure in a column
@@ -427,6 +428,18 @@ func TestDeltaFaults(t *testing.T) {
 				}
 				if fault == "silent-flip" && seen && st.ChecksumMismatches != 1 {
 					t.Fatalf("ChecksumMismatches=%d, want the flip counted exactly once", st.ChecksumMismatches)
+				}
+				if fault == "silent-flip" && at == onGap {
+					// A gap sector is read but gets no verdict: the flip
+					// goes unseen, and only the needed cells are verified.
+					needed := 0
+					for _, rows := range neededCells(t, s, ord) {
+						needed += len(rows)
+					}
+					if st.ChecksumMismatches != 0 || st.VerifiedSectors-verified != uint64(needed) {
+						t.Fatalf("ChecksumMismatches=%d, %d sectors verified; want 0 and the %d needed cells",
+							st.ChecksumMismatches, st.VerifiedSectors-verified, needed)
+					}
 				}
 				if seen && fault != "failed-device" {
 					// Healed in passing: the repaired cell was written back.

@@ -130,22 +130,41 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 // flushPartialLocked is the §5.2 read–modify–write path. An update of a
 // data cell changes that cell and the parity cells that depend on it —
 // about ten of the stripe's cells — and nothing else, so that is all the
-// flush reads: the delta load brings in exactly the cells the dirty
-// blocks touch, the incremental parity relations are applied in place,
-// and the same cells are written back. When the delta load cannot
-// vouch for those cells (a read failed, a checksum disagreed, the stripe
-// is marked unrecoverable) the whole stripe is loaded instead and its
-// losses repaired and healed in passing, which stays the one place a
-// flush decodes. What the reads return picks the path; nothing else does.
+// flush reads and verifies: one loadChunk per touched column, from its
+// first to its last needed row, so the load never costs more calls or
+// bytes than the whole-stripe load it stands in for; a sector between
+// needed rows is scratch, never verified or written back. The
+// incremental parity relations are applied in place, and the same cells
+// are written back. When the load cannot vouch for those cells (a read
+// failed, a needed cell's checksum disagreed, the stripe is marked
+// unrecoverable) it stops there, counting no verdict, and the whole
+// stripe is loaded instead and its losses repaired and healed in
+// passing, which stays the one place a flush decodes. What the reads
+// return picks the path; nothing else does.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
 	u := &sh.upd
 	s.planUpdate(u, buf)
-	st, err := s.loadDelta(ctx, sh, stripe)
-	if err != nil {
-		return err
+	st := s.acquireStripe()
+	ld := s.startLoad(stripe, true)
+	ld.need = u.need
+	delta := !sh.unrecoverable[stripe]
+	for i := 0; delta && i < len(u.cols); i++ {
+		col := u.cols[i]
+		need := u.need[col*s.r : (col+1)*s.r]
+		lo, hi := slices.Index(need, true), len(need)
+		for !need[hi-1] {
+			hi--
+		}
+		if err := s.loadChunk(ctx, ld, col, lo, sh.chunkVec(st, col, lo, hi)); err != nil {
+			return err
+		}
+		delta = len(ld.lost) == 0
 	}
-	var lost []core.Cell
-	if st == nil {
+	lost, err := ld.lost, error(nil)
+	if delta {
+		s.c.addVerdicts(ld.verified, 0)
+	} else {
+		s.releaseStripe(st)
 		s.c.subFallbacks.Add(1)
 		if st, lost, _, err = s.loadStripe(ctx, stripe, true); err != nil {
 			return err
@@ -228,66 +247,6 @@ func (s *Store) collectUpdate(u *updateSet) {
 			u.cols = append(u.cols, cell.Col)
 		}
 	}
-}
-
-// loadDelta reads the cells sh.upd flags — and only those columns — off
-// the devices into a pooled stripe: one vectored call per touched
-// column, spanning its first to its last needed row, so that whatever
-// the dirty set the load costs no more calls and no more bytes than the
-// whole-stripe load it stands in for. Sectors inside a span that the
-// update does not need are scratch: never verified, never written back.
-// Every cell outside the flagged set is unspecified.
-//
-// It returns (nil, nil) when the caller must load the whole stripe
-// instead: the stripe is marked unrecoverable, a read failed — wholly
-// or for any one sector of a span — or a needed cell failed its
-// checksum. Nothing is decided here about such a stripe; loadStripe
-// re-reads it and names the losses. The error is non-nil only for
-// context cancellation. The caller holds the shard mutex.
-func (s *Store) loadDelta(ctx context.Context, sh *lockShard, stripe int) (*core.Stripe, error) {
-	if sh.unrecoverable[stripe] {
-		return nil, nil
-	}
-	st := s.acquireStripe()
-	verified := uint64(0)
-	for _, col := range sh.upd.cols {
-		need := sh.upd.need[col*s.r : (col+1)*s.r]
-		lo, hi := slices.Index(need, true), len(need)-1
-		for !need[hi] {
-			hi--
-		}
-		bufs := sh.rowvec(hi - lo + 1)
-		for i := range bufs {
-			bufs[i] = st.Sector(col, lo+i)
-		}
-		if rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, lo), bufs); rerr != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// As in loadStripe: the slab is dropped, not recycled.
-				sh.dropScratchOnCancel()
-				return nil, cerr
-			}
-			s.releaseStripe(st)
-			return nil, nil
-		}
-		if s.integ == nil || !s.integVerify {
-			continue
-		}
-		for row := lo; row <= hi; row++ {
-			if !need[row] {
-				continue
-			}
-			switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
-			case integrity.OK:
-				verified++
-			case integrity.Mismatch:
-				// Counted by the whole-stripe load that follows.
-				s.releaseStripe(st)
-				return nil, nil
-			}
-		}
-	}
-	s.c.verifiedSectors.Add(verified)
-	return st, nil
 }
 
 // applyUpdatesLocked repairs a loaded stripe's lost cells and applies

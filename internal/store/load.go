@@ -11,13 +11,13 @@ import (
 // This file is the store's read seam: the stripe loads every
 // stripe-granular path goes through, and the row-local read of one cell.
 
-// loadStripe reads one stripe off the devices — one vectored call per
-// device; unreadable cells are listed in lost, and their contents are
-// unspecified (the stripe is pooled, not zeroed) until the caller's
-// decode reconstructs them. With
+// loadStripe reads one stripe off the devices into a pooled stripe — one
+// vectored call per device; unreadable cells are listed in lost, and
+// their contents are unspecified (the stripe is pooled, not zeroed) until
+// the caller's decode reconstructs them. With
 // verify set (and the integrity layer on), sectors that read fine but
-// fail their checksum are *also* listed in lost — and, separately, in
-// mismatched — turning silent corruption into located erasures the
+// fail their checksum are *also* listed in lost — and counted in
+// mismatches — turning silent corruption into located erasures the
 // caller's decode repairs. Recovery passes verify=false: right after a
 // crash, a sidecar record can legitimately lag the data it covers
 // (the crash hit between the data write and the sidecar write), and
@@ -32,34 +32,46 @@ import (
 //
 // It also records the columns that answered ErrDeviceFailed in sh.down.
 //
-// The returned error is non-nil only for context cancellation. The
-// caller holds the stripe's shard mutex, so the snapshot cannot
-// interleave with a same-stripe writer.
-func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *core.Stripe, lost, mismatched []core.Cell, err error) {
+// The stripe is the caller's to release (releaseStripeUnlessCancelled)
+// once no device operation can still reference its cells; on
+// cancellation the partly filled stripe is dropped to the GC, since an
+// abandoned device-side operation may still be writing into it. lost is
+// shard scratch (see stripeLoad). The returned error is non-nil only for
+// context cancellation. The caller holds the stripe's shard mutex, so the
+// snapshot cannot interleave with a same-stripe writer.
+func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *core.Stripe, lost []core.Cell, mismatches int, err error) {
+	st, sh := s.acquireStripe(), s.shard(stripe)
 	ld := s.startLoad(stripe, verify)
 	for col := 0; col < s.n; col++ {
-		if err := s.loadChunk(ctx, &ld, col); err != nil {
-			return nil, nil, nil, err
+		if err := s.loadChunk(ctx, ld, col, 0, sh.chunkVec(st, col, 0, s.r)); err != nil {
+			return nil, nil, 0, err
 		}
 	}
-	s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
-	return ld.st, ld.lost, ld.mismatched, nil
+	s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
+	return st, ld.lost, ld.mismatches, nil
 }
 
-// stripeLoad is a stripe load in progress, filled one column's chunk at a
-// time by loadChunk — so that RebuildDevice can read the replaced chunk
-// first and stop there when it reads whole.
+// stripeLoad is a load of cells of one stripe in progress, filled one row
+// span of one column at a time by loadChunk: the whole stripe (loadStripe;
+// RebuildDevice, which reads the replaced chunk first and stops there when
+// it reads whole), a sub-stripe flush's update set, or one row for the
+// row-local read. It is shard scratch (lockShard.load), reset by
+// startLoad, so that a load allocates nothing: it and its lost list stay
+// valid only under the shard mutex and until the next load of the shard.
+// Every caller — degraded read, flush, repair, rebuild, scrub, replay —
+// is done with them before either happens.
 type stripeLoad struct {
-	// st is slab-backed and pooled: once the load succeeds its caller owns
-	// it and must release it (releaseStripeUnlessCancelled) once no device
-	// operation can still reference its cells. On cancellation the
-	// partially-filled stripe is dropped to the GC — an abandoned
-	// device-side operation may still be writing into it.
-	st               *core.Stripe
-	stripe           int
-	lost, mismatched []core.Cell
-	torn             *tornUpdate
-	verify           bool
+	stripe int
+	// need flags, chunk-major (col·r + row), the cells that get a
+	// checksum verdict; nil flags every cell. A row of a span outside it
+	// is still read, and lost when its read fails.
+	need []bool
+	// lost lists the cells found unreadable or checksum-mismatched, in
+	// the order found; mismatches counts the latter.
+	lost       []core.Cell
+	mismatches int
+	torn       *tornUpdate
+	verify     bool
 	// verified counts checksum passes, added to the shared counters once
 	// per load: an atomic add per sector is a cache line every concurrent
 	// sweep worker fights over.
@@ -67,8 +79,9 @@ type stripeLoad struct {
 }
 
 // startLoad begins a load of stripe, verifying as loadStripe's verify
-// says. The caller holds the stripe's shard mutex.
-func (s *Store) startLoad(stripe int, verify bool) stripeLoad {
+// says, and returns the shard's load scratch. The caller holds the
+// stripe's shard mutex.
+func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	sh := s.shard(stripe)
 	if cap(sh.settled) < s.r {
 		sh.settled = make([]bool, s.r)
@@ -76,102 +89,109 @@ func (s *Store) startLoad(stripe int, verify bool) stripeLoad {
 	if cap(sh.down) < s.n {
 		sh.down = make([]bool, s.n)
 	}
-	ld := stripeLoad{st: s.acquireStripe(), stripe: stripe, verify: verify && s.integ != nil && s.integVerify}
+	ld := &sh.load
+	*ld = stripeLoad{stripe: stripe, lost: ld.lost[:0], verify: verify && s.integ != nil && s.integVerify}
 	if buf := sh.dirty[stripe]; buf != nil {
 		ld.torn = buf.torn
 	}
 	return ld
 }
 
-// loadChunk reads column col's chunk of ld's stripe in one vectored call
-// and adds what it finds to ld: the lost and checksum-mismatched cells,
-// the torn update's cells taken from memory, and in sh.down whether the
-// device answered ErrDeviceFailed. The error is non-nil only for context
-// cancellation, which ends the load.
-func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col int) error {
-	sh, st, stripe, torn := s.shard(ld.stripe), ld.st, ld.stripe, ld.torn
-	bufs := sh.rowvec(s.r)
-	// settled flags the rows that need no checksum verdict: lost, or held
-	// by the torn update.
-	settled := sh.settled[:s.r]
-	for row := range bufs {
-		bufs[row] = st.Sector(col, row)
-		settled[row] = torn.has(col*s.r + row)
+// chunkVec points the shard's buffer-vector scratch at rows [lo, hi) of
+// column col of st.
+func (sh *lockShard) chunkVec(st *core.Stripe, col, lo, hi int) [][]byte {
+	bufs := sh.rowvec(hi - lo)
+	for i := range bufs {
+		bufs[i] = st.Sector(col, lo+i)
 	}
-	rerr := s.devs[col].ReadSectors(ctx, s.devSector(stripe, 0), bufs)
+	return bufs
+}
+
+// loadChunk reads rows lo, lo+1, … of column col of ld's stripe into
+// bufs, one sector each, in one vectored call, and adds what it finds to
+// ld: the lost and checksum-mismatched cells, the torn update's cells
+// taken from memory, and in sh.down whether the device answered
+// ErrDeviceFailed. The error is non-nil only for context cancellation,
+// which ends the load; the verdicts found so far are counted.
+func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs [][]byte) error {
+	sh, stripe, torn := s.shard(ld.stripe), ld.stripe, ld.torn
+	// settled flags the span's rows that need no checksum verdict: lost,
+	// or held by the torn update.
+	settled := sh.settled[:len(bufs)]
+	for i := range settled {
+		settled[i] = torn.has(col*s.r + lo + i)
+	}
+	start := s.devSector(stripe, lo)
+	rerr := s.devs[col].ReadSectors(ctx, start, bufs)
 	sh.down[col] = isDown(rerr)
 	if rerr != nil {
-		if se, ok := AsSectorErrors(rerr); ok {
+		se, partial := SectorErrors(nil), false
+		if !sh.down[col] {
+			// A failed device's answer names no sectors, and asking
+			// costs an allocation a degraded read would pay per load.
+			se, partial = AsSectorErrors(rerr)
+		}
+		if partial {
 			// The vectored read names exactly the lost sectors; the rest
-			// of the chunk is good and stays.
+			// of the span is good and stays.
 			for _, e := range se {
-				if row := e.Index - stripe*s.r; !settled[row] {
-					ld.lost = s.appendLost(ld.lost, core.Cell{Col: col, Row: row})
-					settled[row] = true
+				if i := e.Index - start; !settled[i] {
+					ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
+					settled[i] = true
 				}
 			}
 		} else if cerr := ctx.Err(); cerr != nil {
 			sh.dropScratchOnCancel()
-			s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
+			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
 			return cerr
 		} else {
 			// Whole-call failure (failed device, transport down): every
-			// cell of this chunk is lost.
-			for row := range settled {
-				if !settled[row] {
-					ld.lost = s.appendLost(ld.lost, core.Cell{Col: col, Row: row})
-					settled[row] = true
+			// cell of this span is lost.
+			for i := range settled {
+				if !settled[i] {
+					ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
+					settled[i] = true
 				}
 			}
 		}
 	}
 	if torn != nil {
-		for row := range bufs {
-			if torn.has(col*s.r + row) {
-				copy(bufs[row], torn.st.Sector(col, row))
+		for i := range bufs {
+			if torn.has(col*s.r + lo + i) {
+				copy(bufs[i], torn.st.Sector(col, lo+i))
 			}
 		}
 	}
 	if !ld.verify {
 		return nil
 	}
-	for row, done := range settled {
-		if done {
+	for i, done := range settled {
+		row := lo + i
+		if done || ld.need != nil && !ld.need[col*s.r+row] {
 			continue
 		}
 		// A mismatch read fine and is not what was written: a located
 		// erasure. A sector without a record is unverifiable and passes.
-		switch s.integ.Verify(col, s.devSector(stripe, row), st.Sector(col, row)) {
+		switch s.integ.Verify(col, s.devSector(stripe, row), bufs[i]) {
 		case integrity.OK:
 			ld.verified++
 		case integrity.Mismatch:
-			cell := core.Cell{Col: col, Row: row}
-			ld.lost = s.appendLost(ld.lost, cell)
-			ld.mismatched = append(ld.mismatched, cell)
+			ld.lost = append(ld.lost, core.Cell{Col: col, Row: row})
+			ld.mismatches++
 		}
 	}
 	return nil
 }
 
-// appendLost adds a cell to a stripe load's lost list. The first loss
-// sizes the list for m whole chunks and then some — the most a
-// recoverable stripe can have lost — so that a degraded load allocates
-// once, not once per doubling.
-func (s *Store) appendLost(lost []core.Cell, cell core.Cell) []core.Cell {
-	if lost == nil {
-		lost = make([]core.Cell, 0, (s.code.M()+1)*s.r)
-	}
-	return append(lost, cell)
-}
-
 // readRowLocked solves one cell from its own row, the local step of the
 // paper's practical decoding (§4.3) — the degraded read's fast path and
-// the hedge's racer: it reads the wanted cell's row off the other
+// the hedge's racer: it loads the wanted cell's row off the other
 // columns — one sector each, lowest column first, until n−m of them
 // have been read and verified — and solves the cell from those with
-// core.RepairRow, straight into dst. The read results name the row's
-// losses; nothing is solved from a cell this call did not read and
-// verify. A served cell counts as a read; the caller counts what kind.
+// core.RepairRow, straight into dst. The load names the row's losses;
+// nothing is solved from a cell this call did not read and verify. A
+// served cell counts as a read, and its load's checksum verdicts; the
+// caller counts what kind of read.
 //
 // It reports served=false, having touched neither dst nor any counter,
 // when the row cannot decide the cell — more than m of its columns are
@@ -195,9 +215,8 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	// One pooled slab holds the n−m sectors the solve reads; a sector that
 	// turns out lost leaves its slot to the next column.
 	slab := mem.Acquire(kappa * s.sectorSize)
-	sector := s.devSector(stripe, cell.Row)
-	verify := s.integ != nil && s.integVerify
-	good, verified, mismatches := 0, uint64(0), uint64(0)
+	ld := s.startLoad(stripe, true)
+	good := 0
 	heal := !down // some loss of the row sits on a device that takes writes
 	vec := sh.rowvec(1)
 	for col := 0; col < s.n && good < kappa && len(lost) <= m; col++ {
@@ -205,28 +224,16 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 			continue
 		}
 		vec[0] = slab[good*s.sectorSize:][:s.sectorSize]
-		if rerr := s.devs[col].ReadSectors(ctx, sector, vec); rerr != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// As in loadStripe: scratch and slab are dropped, not
-				// recycled.
-				sh.dropScratchOnCancel()
-				clear(cells)
-				return false, 0, cerr
-			}
-			heal = heal || !isDown(rerr)
+		had := len(ld.lost)
+		if err := s.loadChunk(ctx, ld, col, cell.Row, vec); err != nil {
+			// As in loadStripe: the slab is dropped, not recycled.
+			clear(cells)
+			return false, 0, err
+		}
+		if len(ld.lost) > had {
+			heal = heal || !sh.down[col]
 			lost = append(lost, col)
 			continue
-		}
-		if verify {
-			switch s.integ.Verify(col, sector, vec[0]) {
-			case integrity.OK:
-				verified++
-			case integrity.Mismatch:
-				mismatches++
-				heal = true
-				lost = append(lost, col)
-				continue
-			}
 		}
 		cells[col] = vec[0]
 		good++
@@ -242,7 +249,7 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	if !served {
 		return false, 0, nil
 	}
-	s.c.addVerdicts(verified, mismatches)
+	s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
 	s.c.reads.Add(1)
 	if heal {
 		risk = len(lost)

@@ -51,11 +51,17 @@ func TestRowLocalReadTouchesOneRow(t *testing.T) {
 			read := func(b int) (calls int) {
 				t.Helper()
 				v.takeReads()
+				verified := s.Stats().VerifiedSectors
 				if err := s.ReadBlockInto(bg, b, dst); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(dst, v.want[b]) {
 					t.Fatalf("block %d: wrong bytes off the row-local path", b)
+				}
+				// The solve verifies the n−m sectors it reads whole, and
+				// nothing else.
+				if got := s.Stats().VerifiedSectors - verified; o.integrity && got != uint64(n-m) {
+					t.Fatalf("block %d: %d sectors verified, want n−m = %d", b, got, n-m)
 				}
 				return siblingReads(t, v, b/s.perStripe, s.dataCells[b%s.perStripe])
 			}
@@ -139,6 +145,7 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 			cell := s.dataCells[b%s.perStripe]
 			tc.fault(t, s, cell, 5)
 			v.takeReads()
+			verified := s.Stats().VerifiedSectors
 			got, err := s.ReadBlock(bg, b)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("ReadBlock: err=%v, want %v", err, tc.wantErr)
@@ -160,6 +167,17 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 			}
 			if st.ChecksumMismatches != tc.mismatches {
 				t.Errorf("ChecksumMismatches=%d, want %d", st.ChecksumMismatches, tc.mismatches)
+			}
+			// The row-local attempt's verdicts are dropped with it. What
+			// is counted are the whole-stripe load's and the queued
+			// repair's: each verifies every sector but the two dead
+			// chunks and the faulted one.
+			wantVerified := 2 * uint64((s.n-2)*s.r-1)
+			if tc.wantErr != nil {
+				wantVerified = 0
+			}
+			if got := st.VerifiedSectors - verified; got != wantVerified {
+				t.Errorf("%d sectors verified, want %d", got, wantVerified)
 			}
 			if tc.wantErr == nil {
 				// The live sector the fallback found lost was repaired.

@@ -162,7 +162,7 @@ func (r *ScrubReport) add(o ScrubReport) {
 // cancellation.
 func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int) (ScrubReport, error) {
 	var rep ScrubReport
-	st, lost, mismatched, err := s.loadStripe(ctx, stripe, true)
+	st, lost, mismatches, err := s.loadStripe(ctx, stripe, true)
 	if err != nil {
 		return rep, err
 	}
@@ -171,8 +171,8 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 	switch {
 	case len(lost) > 0:
 		rep.StripesDamaged++
-		rep.SectorsLost += len(lost) - len(mismatched)
-		rep.ChecksumMismatches += len(mismatched)
+		rep.SectorsLost += len(lost) - mismatches
+		rep.ChecksumMismatches += mismatches
 		s.c.scrubHits.Add(1)
 		// Located damage: coverage decides. One checksum-located liar
 		// repairs like any erasure; damage beyond coverage (e.g. two

@@ -34,18 +34,25 @@ type lockShard struct {
 	// rows is the shard's reusable buffer-vector scratch for vectored
 	// device calls (stripe loads, write-back runs, single-sector reads).
 	// Only touched under mu, and abandoned — not reused — after a
-	// cancelled device call (see dropScratchOnCancel). settled is the
-	// per-column row scratch of loadChunk.
-	rows    [][]byte
+	// cancelled device call (see dropScratchOnCancel).
+	rows [][]byte
+	// load is the load in progress under mu, lost list included: every
+	// stripe load, update-set load and row-local read of the shard's
+	// stripes goes through it (see stripeLoad). settled is loadChunk's
+	// per-span row scratch.
+	load    stripeLoad
 	settled []bool
-	// down is the last stripe load's record, by column, of the devices
-	// whose whole read answered ErrDeviceFailed — wholly failed, so they
-	// take no write-back. It stays valid until the next load under mu.
+	// down is the last load's record, by column, of the devices whose
+	// whole read answered ErrDeviceFailed — wholly failed, so they take
+	// no write-back. It covers the columns that load read, and stays
+	// valid until the next load under mu; only the whole-stripe loads'
+	// callers consult it, once every column has answered.
 	down []bool
 
-	// row and rowLost are the row-local degraded read's scratch: the
-	// wanted cell's row indexed by column, and the columns found lost in
-	// it. row is cleared after every use so that it pins no slab.
+	// row and rowLost are the row-local read's scratch: the wanted cell's
+	// row indexed by column, pointing into the read's slab, and the
+	// columns found lost in it. row is cleared after every use so that it
+	// pins no slab.
 	row     [][]byte
 	rowLost []int
 

@@ -1063,22 +1063,23 @@ func (s *Store) rebuildStripeLocked(ctx context.Context, sh *lockShard, stripe, 
 		s.repairStripeLocked(ctx, sh, stripe)
 		return
 	}
+	st := s.acquireStripe()
 	ld := s.startLoad(stripe, true)
-	if s.loadChunk(ctx, &ld, dev) != nil {
+	if s.loadChunk(ctx, ld, dev, 0, sh.chunkVec(st, dev, 0, s.r)) != nil {
 		return
 	}
 	if len(ld.lost) == 0 {
 		s.c.addVerdicts(ld.verified, 0)
-		s.releaseStripe(ld.st)
+		s.releaseStripe(st)
 		return
 	}
 	for col := 0; col < s.n; col++ {
-		if col != dev && s.loadChunk(ctx, &ld, col) != nil {
+		if col != dev && s.loadChunk(ctx, ld, col, 0, sh.chunkVec(st, col, 0, s.r)) != nil {
 			return
 		}
 	}
-	s.c.addVerdicts(ld.verified, uint64(len(ld.mismatched)))
-	s.healLoadedLocked(ctx, sh, stripe, ld.st, ld.lost)
+	s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
+	s.healLoadedLocked(ctx, sh, stripe, st, ld.lost)
 }
 
 // InjectSectorError injects a latent sector error at one device sector

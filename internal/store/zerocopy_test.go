@@ -241,7 +241,11 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	// decide the block: whole-stripe load into a pooled slab, decode through
 	// a cached plan, one sector copied out. The sector errors must outlast
 	// the reads, so the repairs they would queue are dropped at the queue.
-	// Measured 10.
+	// Measured 7: the stripe view over the slab (2), the codec's lost-index
+	// list (1) and the MemDevice's sector-error answer (2), met once by the
+	// row read that gives up and once by the whole-stripe load. The loads'
+	// lost list is shard scratch, and a failed device's answer is not
+	// searched for sector errors.
 	s.repairQ.mu.Lock()
 	s.repairQ.cap = 0
 	s.repairQ.mu.Unlock()
@@ -251,8 +255,8 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 		}
 	}
 	degraded := testing.AllocsPerRun(2000, readLost)
-	if degraded > 10 {
-		t.Errorf("whole-stripe degraded read: %.2f allocs/op, want ≤ 10", degraded)
+	if degraded > 7 {
+		t.Errorf("whole-stripe degraded read: %.2f allocs/op, want ≤ 7", degraded)
 	}
 	if st := s.Stats(); st.DegradedReadFallbacks != 2001 {
 		t.Errorf("%d fallbacks; the guard must measure 2001 whole-stripe reads", st.DegradedReadFallbacks)
@@ -260,10 +264,10 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 
 	// A device rebuild, per stripe: a whole-stripe load into a pooled slab,
 	// a decode through a cached plan and the replaced column's write-back,
-	// whose cell set, column list and sort use shard scratch. Measured 8.4:
-	// the stripe view over the slab (2), the load's lost list (1), the
-	// codec's lost-index list (1), the blank MemDevice's sector-error list
-	// (4) and the sweep's own bookkeeping, once per call. It runs after the
+	// whose cell set, column list and sort use shard scratch, as does the
+	// load's lost list. Measured 7.44: the stripe view over the slab (2),
+	// the codec's lost-index list (1), the blank MemDevice's sector-error
+	// list (4) and the sweep's own bookkeeping, once per call. It runs after the
 	// reads because its garbage brings on a GC, which empties the pools the
 	// cold degraded read above is measured against. The dead devices come
 	// back first, untimed.
@@ -287,8 +291,8 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 			t.Fatal(err)
 		}
 	}) / float64(s.stripes)
-	if rebuild > 9 {
-		t.Errorf("RebuildDevice: %.2f allocs per stripe, want ≤ 9", rebuild)
+	if rebuild > 8 {
+		t.Errorf("RebuildDevice: %.2f allocs per stripe, want ≤ 8", rebuild)
 	}
 	if got := s.Stats().RepairedStripes - repaired; got != 101*uint64(s.stripes) {
 		t.Errorf("%d stripes rebuilt; the guard must measure %d", got, 101*s.stripes)
