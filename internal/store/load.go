@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"slices"
 
 	"stair/internal/core"
 	"stair/internal/store/integrity"
@@ -83,9 +84,6 @@ type stripeLoad struct {
 // stripe's shard mutex.
 func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	sh := s.shard(stripe)
-	if cap(sh.settled) < s.r {
-		sh.settled = make([]bool, s.r)
-	}
 	if cap(sh.down) < s.n {
 		sh.down = make([]bool, s.n)
 	}
@@ -114,16 +112,13 @@ func (sh *lockShard) chunkVec(st *core.Stripe, col, lo, hi int) [][]byte {
 // ErrDeviceFailed. The error is non-nil only for context cancellation,
 // which ends the load; the verdicts found so far are counted.
 func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs [][]byte) error {
-	sh, stripe, torn := s.shard(ld.stripe), ld.stripe, ld.torn
-	// settled flags the span's rows that need no checksum verdict: lost,
-	// or held by the torn update.
-	settled := sh.settled[:len(bufs)]
-	for i := range settled {
-		settled[i] = torn.has(col*s.r + lo + i)
-	}
-	start := s.devSector(stripe, lo)
+	sh, torn, at := s.shard(ld.stripe), ld.torn, col*s.r+lo
+	start := s.devSector(ld.stripe, lo)
 	rerr := s.devs[col].ReadSectors(ctx, start, bufs)
-	sh.down[col] = isDown(rerr)
+	sh.down[col] = rerr != nil && isDown(rerr)
+	// The span's lost cells are ld.lost[had:]. A cell the torn update
+	// holds is never lost.
+	had, whole := len(ld.lost), false
 	if rerr != nil {
 		se, partial := SectorErrors(nil), false
 		if !sh.down[col] {
@@ -135,9 +130,9 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 			// The vectored read names exactly the lost sectors; the rest
 			// of the span is good and stays.
 			for _, e := range se {
-				if i := e.Index - start; !settled[i] {
-					ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
-					settled[i] = true
+				cell := core.Cell{Col: col, Row: lo + e.Index - start}
+				if !torn.has(at+e.Index-start) && !slices.Contains(ld.lost[had:], cell) {
+					ld.lost = append(ld.lost, cell)
 				}
 			}
 		} else if cerr := ctx.Err(); cerr != nil {
@@ -147,36 +142,37 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 		} else {
 			// Whole-call failure (failed device, transport down): every
 			// cell of this span is lost.
-			for i := range settled {
-				if !settled[i] {
+			whole = true
+			for i := range bufs {
+				if !torn.has(at + i) {
 					ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
-					settled[i] = true
 				}
 			}
 		}
 	}
 	if torn != nil {
 		for i := range bufs {
-			if torn.has(col*s.r + lo + i) {
+			if torn.has(at + i) {
 				copy(bufs[i], torn.st.Sector(col, lo+i))
 			}
 		}
 	}
-	if !ld.verify {
+	if !ld.verify || whole {
 		return nil
 	}
-	for i, done := range settled {
-		row := lo + i
-		if done || ld.need != nil && !ld.need[col*s.r+row] {
+	for i := range bufs {
+		// Lost, held by the torn update, or not needed: no verdict.
+		if torn.has(at+i) || ld.need != nil && !ld.need[at+i] ||
+			slices.Contains(ld.lost[had:], core.Cell{Col: col, Row: lo + i}) {
 			continue
 		}
 		// A mismatch read fine and is not what was written: a located
 		// erasure. A sector without a record is unverifiable and passes.
-		switch s.integ.Verify(col, s.devSector(stripe, row), bufs[i]) {
+		switch s.integ.Verify(col, start+i, bufs[i]) {
 		case integrity.OK:
 			ld.verified++
 		case integrity.Mismatch:
-			ld.lost = append(ld.lost, core.Cell{Col: col, Row: row})
+			ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
 			ld.mismatches++
 		}
 	}
@@ -204,7 +200,8 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 // could. The error is non-nil only for context cancellation. The caller
 // holds the shard mutex.
 func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down bool) (served bool, risk int, err error) {
-	if buf := sh.dirty[stripe]; buf != nil && buf.torn != nil {
+	ld := s.startLoad(stripe, true)
+	if ld.torn != nil {
 		return false, 0, nil
 	}
 	m, kappa := s.code.M(), s.n-s.code.M()
@@ -215,7 +212,6 @@ func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, ce
 	// One pooled slab holds the n−m sectors the solve reads; a sector that
 	// turns out lost leaves its slot to the next column.
 	slab := mem.Acquire(kappa * s.sectorSize)
-	ld := s.startLoad(stripe, true)
 	good := 0
 	heal := !down // some loss of the row sits on a device that takes writes
 	vec := sh.rowvec(1)

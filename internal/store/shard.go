@@ -38,10 +38,8 @@ type lockShard struct {
 	rows [][]byte
 	// load is the load in progress under mu, lost list included: every
 	// stripe load, update-set load and row-local read of the shard's
-	// stripes goes through it (see stripeLoad). settled is loadChunk's
-	// per-span row scratch.
-	load    stripeLoad
-	settled []bool
+	// stripes goes through it (see stripeLoad).
+	load stripeLoad
 	// down is the last load's record, by column, of the devices whose
 	// whole read answered ErrDeviceFailed — wholly failed, so they take
 	// no write-back. It covers the columns that load read, and stays
