@@ -23,9 +23,9 @@
 // sector) — serve prints the required figure at startup.
 //
 // With -hedge (on by default), a client's block read that outlives its
-// column's p90 (-hedge-percentile) is solved from n−m sectors of the
-// block's own row, checksum-verified with -integrity, and the slow
-// answer is dropped. Only client reads hedge: flushes, repairs, scrubs
+// column's p90 latency is solved from n−m sectors of the block's own
+// row, checksum-verified with -integrity, and the slow answer is
+// dropped. Only client reads hedge: flushes, repairs, scrubs
 // and rebuilds see what the device servers answered.
 //
 // The fleet file lists servers and spares:
@@ -170,7 +170,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
 	coalesce := fs.Bool("coalesce", true, "merge adjacent stripe extents queued behind a backend's in-flight call (no batch window)")
 	hedge := fs.Bool("hedge", true, "hedge slow client block reads with a solve from the block's own row")
-	hedgePercentile := fs.Float64("hedge-percentile", 0.9, "latency percentile that launches a hedge")
 	integ := fs.Bool("integrity", false, "per-sector checksum layer (device servers need -sectors sized for the sidecar region)")
 	epoch := fs.Uint("epoch", 1, "volume epoch salted into integrity checksums")
 	heartbeat := fs.Duration("heartbeat", time.Second, "health sweep interval")
@@ -206,7 +205,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		cfg.Coalesce = &store.CoalesceOptions{}
 	}
 	if *hedge {
-		cfg.Hedge = &cluster.HedgeConfig{Percentile: *hedgePercentile}
+		cfg.Hedge = &cluster.HedgeConfig{}
 	}
 	if *integ {
 		cfg.Integrity = &store.IntegrityOptions{Epoch: uint32(*epoch)}

@@ -527,7 +527,7 @@ func cmdStats(ctx context.Context, args []string) (err error) {
 	fmt.Printf("health:   failed devices %v, %d bad sectors, %d unrecoverable stripes\n",
 		s.FailedDevices(), s.TotalBadSectors(), len(s.UnrecoverableStripes()))
 	t := meta.Stats.Add(s.Stats())
-	fmt.Printf("lifetime: reads=%d (degraded=%d, %d fell back to a whole-stripe decode) writes=%d flushes=%d/%d (full/sub, %d sub fell back to a whole-stripe load)\n",
+	fmt.Printf("lifetime: reads=%d (degraded=%d, %d refused beyond coverage) writes=%d flushes=%d/%d (full/sub, %d sub of a stripe beyond coverage)\n",
 		t.Reads, t.DegradedReads, t.DegradedReadFallbacks, t.Writes, t.FullStripeFlushes, t.SubStripeFlushes, t.SubStripeFallbacks)
 	fmt.Printf("          scrubbed=%d hits=%d repaired=%d sectors (%d stripes) drops=%d unrecoverable=%d\n",
 		t.ScrubbedStripes, t.ScrubHits, t.RepairedSectors, t.RepairedStripes, t.RepairDrops, t.UnrecoverableStripes)

@@ -155,7 +155,7 @@ func main() {
 	s.InjectBurst(0, 11, 2)
 	verify(s, blocks)
 	st = s.Stats()
-	fmt.Printf("every block correct; %d degraded reads total (%d fell back to a whole-stripe decode), %d unrecoverable stripes\n\n",
+	fmt.Printf("every block correct; %d degraded reads total (%d refused beyond coverage), %d unrecoverable stripes\n\n",
 		st.DegradedReads, st.DegradedReadFallbacks, st.UnrecoverableStripes)
 
 	// Replace one dead device and rebuild it sector by sector.

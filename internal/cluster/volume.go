@@ -56,8 +56,10 @@ type Config struct {
 	Journal         *journal.Journal
 }
 
-// HedgeConfig tunes hedged client reads; see store.HedgeConfig.
-type HedgeConfig = store.HedgeConfig
+// HedgeConfig turns hedged client reads on; it has no settings. Kept
+// until bench/ stops naming it: Hedge becomes a bool then, as
+// store.Config.Hedge is.
+type HedgeConfig struct{}
 
 // ColumnHealth is one column's view in Health().
 type ColumnHealth struct {
@@ -167,7 +169,7 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 		RepairWorkers:   cfg.RepairWorkers,
 		Journal:         cfg.Journal,
 		Integrity:       cfg.Integrity,
-		Hedge:           cfg.Hedge,
+		Hedge:           cfg.Hedge != nil,
 	})
 	if err != nil {
 		for _, c := range v.cols {

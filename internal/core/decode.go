@@ -17,12 +17,24 @@ var ErrUnrecoverable = errors.New("core: failure pattern is unrecoverable")
 // the bound only guards against adversarial churn.
 const maxDecodeCacheEntries = 256
 
+// checkCells reports the first cell outside the real stripe.
+func (c *Code) checkCells(cells []Cell) error {
+	for _, cell := range cells {
+		if uint(cell.Col) >= uint(c.n) || uint(cell.Row) >= uint(c.r) {
+			return fmt.Errorf("core: cell %v out of range (n=%d, r=%d)", cell, c.n, c.r)
+		}
+	}
+	return nil
+}
+
+// checkLost returns the canonical indices of the lost cells, sorted and
+// without duplicates.
 func (c *Code) checkLost(lost []Cell) ([]int, error) {
+	if err := c.checkCells(lost); err != nil {
+		return nil, err
+	}
 	idxs := make([]int, 0, len(lost))
 	for _, cell := range lost {
-		if cell.Col < 0 || cell.Col >= c.n || cell.Row < 0 || cell.Row >= c.r {
-			return nil, fmt.Errorf("core: lost cell %v out of range (n=%d, r=%d)", cell, c.n, c.r)
-		}
 		idxs = append(idxs, c.cellIdx(cell.Row, cell.Col))
 	}
 	sort.Ints(idxs)
@@ -41,28 +53,43 @@ func appendLostKey(dst []byte, idxs []int) []byte {
 	return dst
 }
 
-// decodePlan returns (building, compiling and caching as needed) the
-// repair plan for a lost-cell pattern, or nil if the pattern is
-// unrecoverable. Caching the compiled plan — not just the schedule —
+// decodePlanFor returns (building, compiling and caching as needed) the
+// plan that computes the cells of want — sorted canonical indices, a
+// subset of lost — when the cells of lost are unknown, or nil if peeling
+// cannot reach them. Caching the compiled plan — not just the schedule —
 // means repeated repairs of the same pattern (the scrubber draining a
 // failed chunk stripe by stripe) pay the source-major compilation once.
-func (c *Code) decodePlan(idxs []int) (*plan, error) {
+func (c *Code) decodePlanFor(lost, want []int) (*plan, error) {
 	// The key is built on the stack and looked up without becoming a
-	// string; only a miss pays for one.
+	// string; only a miss pays for one. A whole repair keys on lost alone.
 	var kbuf [256]byte
-	key := appendLostKey(kbuf[:0], idxs)
+	key := appendLostKey(kbuf[:0], lost)
+	if !slices.Equal(lost, want) {
+		key = appendLostKey(append(key, '|'), want)
+	}
 	c.decodeMu.Lock()
 	pl, hit := c.decodeCache[string(key)]
 	c.decodeMu.Unlock()
 	if hit {
 		return pl, nil
 	}
-	sch, err := c.buildDecodeSchedule(idxs)
+	sch, err := c.buildDecodeSchedule(lost, want)
 	if err != nil {
 		return nil, err
 	}
 	if sch != nil {
+		// The plan writes only unknown cells, so a real cell it reads and
+		// that is not lost is one of its sources.
 		pl = c.compilePlan(sch)
+		for _, st := range pl.stages {
+			for _, g := range slices.Concat(st.inits, st.groups) {
+				if row, col := c.cellRC(int(g.src)); c.isReal(row, col) && !slices.Contains(lost, int(g.src)) {
+					pl.sources = append(pl.sources, Cell{Col: col, Row: row})
+				}
+			}
+		}
+		SortCells(pl.sources)
+		pl.sources = slices.Compact(pl.sources)
 	}
 	c.decodeMu.Lock()
 	if len(c.decodeCache) >= maxDecodeCacheEntries {
@@ -116,34 +143,162 @@ func (c *Code) deferMostLost(p *peeler, idxs []int) {
 
 // buildDecodeSchedule runs the practical peeling order of §4.3 over the
 // canonical stripe: surviving real cells (and global parities) are known,
-// lost cells plus all intermediate/virtual/dummy symbols are unknown.
-// If the structured order stalls (possible only outside the constructed
-// coverage), an unrestricted generic peel is attempted as a best-effort
-// fallback. Returns nil when the pattern is unrecoverable.
-func (c *Code) buildDecodeSchedule(idxs []int) (*schedule, error) {
-	lost := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		lost[i] = true
+// the lost cells plus all intermediate/virtual/dummy symbols are unknown,
+// and the peel stops once the wanted cells are known. If the structured
+// order stalls (possible only outside the constructed coverage), an
+// unrestricted generic peel is attempted as a best-effort fallback. The
+// schedule is pruned to the ops want depends on. Returns nil when
+// peeling cannot reach want.
+func (c *Code) buildDecodeSchedule(lost, want []int) (*schedule, error) {
+	lostSet := make(map[int]bool, len(lost))
+	for _, i := range lost {
+		lostSet[i] = true
 	}
 	p := newPeeler(c)
-	c.seedDecodeKnowns(p, lost)
-	c.deferMostLost(p, idxs)
-	if err := p.practical(idxs); err != nil {
+	c.seedDecodeKnowns(p, lostSet)
+	c.deferMostLost(p, lost)
+	if err := p.practical(want); err != nil {
 		return nil, err
 	}
-	if !p.allKnown(idxs) {
+	if !p.allKnown(want) {
 		g := newPeeler(c)
-		c.seedDecodeKnowns(g, lost)
-		if err := g.generic(idxs); err != nil {
+		c.seedDecodeKnowns(g, lostSet)
+		if err := g.generic(want); err != nil {
 			return nil, err
 		}
-		if !g.allKnown(idxs) {
+		if !g.allKnown(want) {
 			return nil, nil
 		}
 		p = g
 	}
-	p.sched.prune(idxs, c.rows*c.cols)
+	p.sched.prune(want, c.rows*c.cols)
 	return p.sched, nil
+}
+
+// peelPlan returns the plan of the whole-stripe peel for the cells of
+// want that lost lists — all of lost when want is nil — or
+// ErrUnrecoverable.
+func (c *Code) peelPlan(lost, want []Cell) (*plan, error) {
+	idxs, err := c.checkLost(lost)
+	if err != nil {
+		return nil, err
+	}
+	wantIdxs := idxs
+	if want != nil {
+		var wbuf [8]int
+		wantIdxs = wbuf[:0]
+		for _, idx := range idxs {
+			if row, col := c.cellRC(idx); slices.Contains(want, Cell{Col: col, Row: row}) {
+				wantIdxs = append(wantIdxs, idx)
+			}
+		}
+	}
+	pl, err := c.decodePlanFor(idxs, wantIdxs)
+	if err == nil && pl == nil {
+		err = fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(idxs))
+	}
+	return pl, err
+}
+
+// ReadPlan is what PlanRead resolves a (lost, want) pair to: the cells to
+// read, and how Decode computes want from them.
+type ReadPlan struct {
+	// Sources lists, sorted by (Col, Row), the cells that must be read to
+	// have every cell of want when the cells of lost are unreadable:
+	// want's cells that are not lost, and the sources of the plan
+	// decoding the others. (With Outside placement that plan also reads
+	// the stripe's Globals, which are not cells.)
+	Sources []Cell
+	// The plan: the row solve of row's lost columns cols for the wanted
+	// one, cols[at], or else (row −1) the peel pl; neither when no
+	// wanted cell is lost.
+	cols    []int
+	row, at int
+	pl      *plan
+}
+
+// PlanRead resolves (lost, want) into rp, reusing its memory. One wanted
+// lost cell whose row holds at most m losses is solved from its own row —
+// the local step of §4.3: its sources are the row solve's, the n−m lowest
+// other columns of the row, which RepairRow reads, and the call allocates
+// nothing. Any other pattern takes the whole-stripe peel pruned to want's
+// lost cells. ErrUnrecoverable says the peel cannot reach them, nor can
+// it with more cells lost.
+func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
+	srcs, cols := rp.Sources[:0], rp.cols[:0]
+	rp.row, rp.pl = -1, nil
+	if err := c.checkCells(lost); err != nil {
+		return err
+	}
+	if err := c.checkCells(want); err != nil {
+		return err
+	}
+	wanted, one := 0, Cell{}
+	for _, cell := range want {
+		if slices.Contains(lost, cell) {
+			wanted, one = wanted+1, cell
+		} else {
+			srcs = append(srcs, cell)
+		}
+	}
+	had := len(srcs)
+	for _, cell := range lost {
+		if wanted == 1 && cell.Row == one.Row && !slices.Contains(cols, cell.Col) {
+			cols = append(cols, cell.Col)
+		}
+	}
+	slices.Sort(cols)
+	if wanted == 1 && len(cols) <= c.m {
+		var hbuf [16]int
+		for _, col := range c.rowHave(hbuf[:0], cols) {
+			srcs = append(srcs, Cell{Col: col, Row: one.Row})
+		}
+		rp.row, rp.at = one.Row, slices.Index(cols, one.Col)
+	} else if wanted > 0 {
+		pl, err := c.peelPlan(lost, want)
+		if err != nil {
+			return err
+		}
+		rp.pl, srcs = pl, append(srcs, pl.sources...)
+	}
+	if had > 0 {
+		SortCells(srcs)
+		srcs = slices.Compact(srcs)
+	}
+	rp.Sources, rp.cols = srcs, cols
+	return nil
+}
+
+// Decode reconstructs in place the lost cells of the want rp was planned
+// for, reading only rp.Sources: no other cell of st needs valid content.
+// It writes lost cells only — want's, and any other the peel computes on
+// the way to them — and ignores their current contents. Repair is the
+// case want = lost.
+func (c *Code) Decode(st *Stripe, rp *ReadPlan) error {
+	if rp.row >= 0 {
+		// A row solve reads and writes its row only.
+		if err := c.validateRows(st, rp.row, rp.row+1); err != nil {
+			return err
+		}
+		rs, err := c.rowSolveFor(rp.cols)
+		if err != nil {
+			return err
+		}
+		var cbuf [16][]byte
+		cells := cbuf[:0]
+		for col := 0; col < c.n; col++ {
+			cells = append(cells, st.Cells[col*c.r+rp.row])
+		}
+		c.runPlan(&rs.plans[rp.at], cells)
+		return nil
+	}
+	if err := c.validateStripe(st); err != nil || rp.pl == nil {
+		return err
+	}
+	e := c.env(st)
+	defer c.releaseEnv(e)
+	c.runPlan(rp.pl, e.cells)
+	return nil
 }
 
 // Repair reconstructs the lost cells of a stripe in place. The lost cells'
@@ -151,22 +306,12 @@ func (c *Code) buildDecodeSchedule(idxs []int) (*schedule, error) {
 // pattern exceeds the coverage defined by m and e (and is not otherwise
 // peelable by luck).
 func (c *Code) Repair(st *Stripe, lost []Cell) error {
-	if err := c.validateStripe(st); err != nil {
+	if err := c.validateStripe(st); err != nil || len(lost) == 0 {
 		return err
 	}
-	idxs, err := c.checkLost(lost)
+	pl, err := c.peelPlan(lost, nil)
 	if err != nil {
 		return err
-	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	pl, err := c.decodePlan(idxs)
-	if err != nil {
-		return err
-	}
-	if pl == nil {
-		return fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(idxs))
 	}
 	e := c.env(st)
 	defer c.releaseEnv(e)
@@ -175,36 +320,26 @@ func (c *Code) Repair(st *Stripe, lost []Cell) error {
 }
 
 // CanRecover reports whether Repair would succeed on a failure pattern,
-// without touching any data: it builds (and caches) the repair schedule.
-// The answer is peel-based — the practical order of §4.3, then an
-// unrestricted row/column fixpoint — so true is a guarantee and covers
-// every pattern within (m, e); false for a pattern beyond the coverage
-// means peeling stalls, not that the generator's rank rules it out.
+// without touching any data: it builds (and caches) the plan Repair runs,
+// the peel PlanRead plans with want = lost. The answer is peel-based —
+// the practical order of §4.3, then an unrestricted row/column fixpoint —
+// so true is a guarantee and covers every pattern within (m, e); false
+// for a pattern beyond the coverage means peeling stalls, not that the
+// generator's rank rules it out.
 func (c *Code) CanRecover(lost []Cell) (bool, error) {
-	idxs, err := c.checkLost(lost)
-	if err != nil {
-		return false, err
+	_, err := c.peelPlan(lost, nil)
+	if errors.Is(err, ErrUnrecoverable) {
+		return false, nil
 	}
-	pl, err := c.decodePlan(idxs)
-	if err != nil {
-		return false, err
-	}
-	return pl != nil, nil
+	return err == nil, err
 }
 
 // RepairCost returns the number of Mult_XORs actually executed to repair
 // the given pattern, or ErrUnrecoverable.
 func (c *Code) RepairCost(lost []Cell) (int, error) {
-	idxs, err := c.checkLost(lost)
+	pl, err := c.peelPlan(lost, nil)
 	if err != nil {
 		return 0, err
-	}
-	pl, err := c.decodePlan(idxs)
-	if err != nil {
-		return 0, err
-	}
-	if pl == nil {
-		return 0, ErrUnrecoverable
 	}
 	return pl.sch.actualCost, nil
 }
@@ -248,11 +383,4 @@ func (c *Code) CoverageContains(lost []Cell) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -472,6 +474,68 @@ func TestAllCoveredPatternsRecoverable(t *testing.T) {
 				t.Fatalf("cfg %v: covered pattern not recoverable: %v", cfg, lost)
 			}
 			repairAndCheck(t, c, lost, int64(trial))
+		}
+	}
+}
+
+// TestDecodeReadsOnlySources: for covered patterns of two
+// configurations, Decode of each single lost cell, of the whole pattern
+// and of the pattern plus surviving cells computes the wanted cells right
+// with every cell outside the plan's sources overwritten by garbage, and
+// writes no cell outside lost.
+func TestDecodeReadsOnlySources(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, cfg := range []Config{
+		{N: 8, R: 4, M: 2, E: []int{1, 1, 2}},
+		{N: 6, R: 5, M: 1, E: []int{2, 3}},
+	} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 60; trial++ {
+			var lost []Cell
+			for _, i := range rng.Perm(c.N() * c.R())[:1+rng.Intn(c.N()*c.R()/2)] {
+				lost = append(lost, Cell{Col: i / c.R(), Row: i % c.R()})
+			}
+			if ok, err := c.CoverageContains(lost); err != nil || !ok {
+				continue
+			}
+			broken, pristine := encodeAndBreak(t, c, lost, int64(trial))
+			wants := [][]Cell{lost, append(slices.Clone(lost), Cell{Col: 0, Row: 0}, Cell{Col: c.N() - 1, Row: c.R() - 1})}
+			for _, cell := range lost {
+				wants = append(wants, []Cell{cell})
+			}
+			for _, want := range wants {
+				var rp ReadPlan
+				if err := c.PlanRead(&rp, lost, want); err != nil {
+					t.Fatalf("%v: PlanRead(%v, %v): %v", cfg, lost, want, err)
+				}
+				srcs := rp.Sources
+				st := broken.Clone()
+				for col := 0; col < c.N(); col++ {
+					for row := 0; row < c.R(); row++ {
+						if cell := (Cell{Col: col, Row: row}); !slices.Contains(srcs, cell) && !slices.Contains(want, cell) {
+							rng.Read(st.Sector(col, row))
+						}
+					}
+				}
+				before := st.Clone()
+				if err := c.Decode(st, &rp); err != nil {
+					t.Fatalf("%v: Decode(%v, %v): %v", cfg, lost, want, err)
+				}
+				for col := 0; col < c.N(); col++ {
+					for row := 0; row < c.R(); row++ {
+						cell, got := Cell{Col: col, Row: row}, st.Sector(col, row)
+						switch {
+						case slices.Contains(want, cell) && !bytes.Equal(got, pristine.Sector(col, row)):
+							t.Fatalf("%v: Decode(%v, %v): cell %v wrong", cfg, lost, want, cell)
+						case !slices.Contains(lost, cell) && !bytes.Equal(got, before.Sector(col, row)):
+							t.Fatalf("%v: Decode(%v, %v) wrote cell %v, which is not lost", cfg, lost, want, cell)
+						}
+					}
+				}
+			}
 		}
 	}
 }

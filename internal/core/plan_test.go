@@ -52,7 +52,7 @@ func oracleRepair(t *testing.T, c *Code, st *Stripe, lost []Cell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := c.buildDecodeSchedule(idxs)
+	sch, err := c.buildDecodeSchedule(idxs, idxs)
 	if err != nil || sch == nil {
 		t.Fatalf("no decode schedule for %v: %v", lost, err)
 	}
@@ -284,11 +284,11 @@ func TestPlanDecodeCacheReusesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := c.decodePlan(idxs)
+	p1, err := c.decodePlanFor(idxs, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.decodePlan(idxs)
+	p2, err := c.decodePlanFor(idxs, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@ import (
 // determine the rest. A lost sector whose row holds at most m losses is
 // therefore one κ = n−m term dot product over its own row — no other
 // row, no virtual parity, no upstairs pass — which is what lets a
-// degraded read fetch n−m sectors instead of the stripe.
+// degraded read fetch n−m sectors instead of the stripe. PlanRead takes
+// this path for one wanted cell whose row allows it.
 //
 // The coefficients depend on the set of lost columns only, not on the
 // row, so there are at most Σ_{k≤m} C(n,k) distinct solves per code.
@@ -25,13 +26,26 @@ import (
 
 // ErrRowNotLocal reports a row holding more than m lost cells: its
 // surviving cells do not determine it, and the stripe's other rows (the
-// whole-stripe Repair) have to.
+// peel of Decode and Repair) have to.
 var ErrRowNotLocal = errors.New("core: row has more than m lost cells")
 
 // rowSolve is the compiled row-local repair of one set of lost columns.
 type rowSolve struct {
 	have  []int  // the n−m source columns: the lowest not lost
 	plans []plan // plans[i] computes the i-th lost column from have
+}
+
+// rowHave appends to dst the columns the row solve of a sorted set of
+// lost columns reads: the n−m lowest outside the set.
+func (c *Code) rowHave(dst, lost []int) []int {
+	for col, k := 0, 0; len(dst) < c.n-c.m; col++ {
+		if k < len(lost) && lost[k] == col {
+			k++
+		} else {
+			dst = append(dst, col)
+		}
+	}
+	return dst
 }
 
 // rowSolveFor returns (solving and compiling on first use) the row-local
@@ -51,13 +65,7 @@ func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	// Built once per column set, so out of as few allocations as the
 	// shapes allow: one backing array per kind, sliced per lost column.
 	k, kappa := len(lost), c.n-c.m
-	cols := make([]int, 0, kappa+k)
-	for col := 0; len(cols) < kappa; col++ {
-		if _, gone := slices.BinarySearch(lost, col); !gone {
-			cols = append(cols, col)
-		}
-	}
-	cols = append(cols, lost...)
+	cols := append(c.rowHave(make([]int, 0, kappa+k), lost), lost...)
 	set := cols[kappa:]
 	rs = &rowSolve{have: cols[:kappa:kappa], plans: make([]plan, k)}
 	coeffs, err := c.crow.SolveCoeffs(rs.have, set)

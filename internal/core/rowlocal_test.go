@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -241,5 +242,68 @@ func TestRepairRowConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := len(c.rowSolves); got != len(sets) {
 		t.Errorf("%d row solves cached, want %d", got, len(sets))
+	}
+}
+
+// TestPlanReadRowCase: for one wanted lost cell whose row holds at most
+// m losses, PlanRead's sources are the n−m lowest other columns of that row —
+// the cells RepairRow reads, which it is handed and nothing else, so a
+// read of any other would fault — and Decode computes the cell from them
+// as RepairRow does.
+func TestPlanReadRowCase(t *testing.T) {
+	for _, cfg := range []Config{
+		{N: 8, R: 16, M: 2, E: []int{1, 1, 2}},
+		{N: 5, R: 4, M: 1, E: []int{2}},
+	} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine := newFilledStripe(t, c, 64, 5)
+		if err := c.Encode(pristine); err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range columnSets(c.N(), c.M()) {
+			for row := 0; row < c.R(); row++ {
+				var lost []Cell
+				for _, col := range set {
+					lost = append(lost, Cell{Col: col, Row: row})
+				}
+				for _, want := range set {
+					var rp ReadPlan
+					if err := c.PlanRead(&rp, lost, []Cell{{Col: want, Row: row}}); err != nil {
+						t.Fatalf("%v: PlanRead(%v, want %d): %v", cfg, lost, want, err)
+					}
+					srcs := rp.Sources
+					if len(srcs) != c.N()-c.M() {
+						t.Fatalf("%v: sources of PlanRead(%v, want %d) = %v, want n−m = %d cells", cfg, lost, want, srcs, c.N()-c.M())
+					}
+					cells := make([][]byte, c.N())
+					for i, col := 0, 0; i < len(srcs); col++ {
+						if slices.Contains(set, col) {
+							continue
+						}
+						if srcs[i] != (Cell{Col: col, Row: row}) {
+							t.Fatalf("%v: sources of PlanRead(%v, want %d) = %v, want the n−m lowest other columns of row %d",
+								cfg, lost, want, srcs, row)
+						}
+						cells[col] = pristine.Sector(col, row)
+						i++
+					}
+					cells[want] = make([]byte, 64)
+					if err := c.RepairRow(cells, set, want); err != nil {
+						t.Fatal(err)
+					}
+					st := pristine.Clone()
+					corrupt(st, lost)
+					if err := c.Decode(st, &rp); err != nil {
+						t.Fatal(err)
+					}
+					if got := pristine.Sector(want, row); !bytes.Equal(cells[want], got) || !bytes.Equal(st.Sector(want, row), got) {
+						t.Fatalf("%v: row %d lost %v: RepairRow or Decode of column %d differs from the encoded cell", cfg, row, set, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -100,18 +100,7 @@ func (c *Code) UpstairsDecodeTrace(lost []Cell) ([]TraceStep, error) {
 		lostSet[i] = true
 	}
 	p := newPeeler(c)
-	for col := 0; col < c.n; col++ {
-		for row := 0; row < c.r; row++ {
-			if idx := c.cellIdx(row, col); !lostSet[idx] {
-				p.known[idx] = true
-			}
-		}
-	}
-	for l := 0; l < c.mPrime; l++ {
-		for h := 0; h < c.e[l]; h++ {
-			p.markKnown(c.r+h, c.n+l, c.placement == Inside)
-		}
-	}
+	c.seedDecodeKnowns(p, lostSet)
 	if err := p.upstairs(idxs); err != nil {
 		return nil, err
 	}

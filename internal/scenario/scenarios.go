@@ -145,7 +145,7 @@ func NewClusterEnv(opts EnvOptions) (*Env, error) {
 			flakyMu.Unlock()
 			return f, nil
 		},
-		Hedge:           &cluster.HedgeConfig{Percentile: 0.9},
+		Hedge:           &cluster.HedgeConfig{},
 		Monitor:         cluster.MonitorConfig{Interval: 40 * time.Millisecond, Timeout: 20 * time.Millisecond, FailAfter: 5},
 		Integrity:       &store.IntegrityOptions{Epoch: 1},
 		MaxDirtyStripes: opts.MaxDirtyStripes,

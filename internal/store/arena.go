@@ -21,8 +21,8 @@ import (
 // pure slice arithmetic, that a buffer vector tiles one backing region.
 //
 // Ownership: acquireStripe/acquireStripeBuf transfer a pooled slab to
-// the store; the matching release returns it once no device operation
-// can still reference it. An operation that ended with a context
+// the store (acquireStripe with its stripe); the matching release
+// returns it once no device operation can still reference it. An operation that ended with a context
 // cancellation may leave an abandoned inner operation (a coalesced
 // batch member, an in-flight HTTP body) holding the slab — such slabs
 // are dropped to the GC instead of recycled (releaseStripeUnlessCancelled),
@@ -62,10 +62,15 @@ func flatSpan(bufs [][]byte) ([]byte, bool) {
 	return flat, true
 }
 
-// acquireStripe returns a stripe whose cells tile one pooled slab.
-// Contents are unspecified.
+// acquireStripe returns a stripe whose cells tile one slab. Stripes are
+// pooled whole, cells already sliced over their slab, so that one costs
+// neither an allocation nor the re-slicing of its cells. Contents are
+// unspecified.
 func (s *Store) acquireStripe() *core.Stripe {
-	st, err := s.code.StripeOver(mem.Acquire(s.slabLen), s.sectorSize)
+	if st, ok := s.stripePool.Get().(*core.Stripe); ok {
+		return st
+	}
+	st, err := s.code.StripeOver(make([]byte, s.slabLen), s.sectorSize)
 	if err != nil {
 		// Geometry and sector size were validated at Open.
 		panic("store: acquireStripe: " + err.Error())
@@ -73,14 +78,15 @@ func (s *Store) acquireStripe() *core.Stripe {
 	return st
 }
 
-// releaseStripe returns a slab-backed stripe's memory to the pool. The
-// stripe — and anything still referencing its cells — must not be used
-// afterwards. Safe on nil.
+// releaseStripe returns a stripe, slab and all, to the pool (poisoned,
+// like the buffer pool's). The stripe — and anything still referencing
+// its cells — must not be used afterwards. Safe on nil.
 func (s *Store) releaseStripe(st *core.Stripe) {
-	if st == nil || len(st.Cells) == 0 {
+	if st == nil || len(st.Cells) == 0 || !mem.Enabled() {
 		return
 	}
-	mem.Release(st.Cells[0][:s.slabLen])
+	mem.Poison(st.Cells[0][:s.slabLen])
+	s.stripePool.Put(st)
 }
 
 // releaseStripeUnlessCancelled releases st's slab unless the operation

@@ -382,9 +382,10 @@ func deltaFaultSites(t *testing.T, s *Store, ord int) (needed, gap, outside core
 // whole-device failure (a) on a cell the update needs, (b) on a gap
 // sector inside a read span, (c) outside the extents it reads, and
 // requires in every case the right bytes on every block and a stripe
-// that is consistent once healed; a fault the delta load can see sends
-// the flush to the fallback, which heals it in passing, and a fault it
-// cannot see leaves the flush on the delta path.
+// that is consistent once healed. A fault the load can see joins what
+// the flush wants: it re-plans, reads what decodes the lost cell, and
+// heals it in passing. No case falls back: the stripe stays within
+// coverage.
 func TestDeltaFaults(t *testing.T) {
 	const stripe, ord = 1, 0
 	type site int
@@ -417,14 +418,11 @@ func TestDeltaFaults(t *testing.T) {
 				verified := s.Stats().VerifiedSectors
 				v.update(t, 1, stripe*s.perStripe+ord)
 				st := s.Stats()
-				// What the delta load can see: any read failure in a column
-				// it touches, and a checksum mismatch on a cell it needs.
+				// What the load can see: any read failure in a column it
+				// touches, and a checksum mismatch on a cell it needs.
 				seen := at == onNeeded || (at == onGap && fault != "silent-flip")
-				switch {
-				case seen && st.SubStripeFallbacks != 1:
-					t.Fatalf("SubStripeFallbacks=%d, want 1: the fault sits in what the delta load reads", st.SubStripeFallbacks)
-				case !seen && st.SubStripeFallbacks != 0:
-					t.Fatalf("SubStripeFallbacks=%d, want 0: the fault is invisible to the delta load", st.SubStripeFallbacks)
+				if st.SubStripeFallbacks != 0 {
+					t.Fatalf("SubStripeFallbacks=%d, want 0: the stripe is within coverage", st.SubStripeFallbacks)
 				}
 				if fault == "silent-flip" && seen && st.ChecksumMismatches != 1 {
 					t.Fatalf("ChecksumMismatches=%d, want the flip counted exactly once", st.ChecksumMismatches)
@@ -444,7 +442,7 @@ func TestDeltaFaults(t *testing.T) {
 				if seen && fault != "failed-device" {
 					// Healed in passing: the repaired cell was written back.
 					if bad := s.TotalBadSectors(); bad != 0 {
-						t.Fatalf("%d bad sectors left after the fallback", bad)
+						t.Fatalf("%d bad sectors left after the flush", bad)
 					}
 					checkStripesConsistent(t, s)
 				}
@@ -499,10 +497,10 @@ func TestTornStripeDecodesFromMemory(t *testing.T) {
 			if !bytes.Equal(got, want[lostBlock]) {
 				t.Fatal("degraded read of a torn stripe fabricated the lost block off half-updated parity")
 			}
-			// Its row alone holds one loss, but the devices hold the torn
-			// mix: the read must not have solved through them row-locally.
-			if got := s.Stats().DegradedReadFallbacks; got != 1 {
-				t.Fatalf("DegradedReadFallbacks=%d for a read of a torn stripe, want 1", got)
+			// Its row holds one loss: the read solves it from its row, the
+			// torn update's cells taken from memory, and does not fall back.
+			if got := s.Stats().DegradedReadFallbacks; got != 0 {
+				t.Fatalf("DegradedReadFallbacks=%d for a read of a torn stripe, want 0", got)
 			}
 			s.Quiesce() // the repair the read queued writes the block back
 		}},
@@ -517,8 +515,8 @@ func TestTornStripeDecodesFromMemory(t *testing.T) {
 			s.Quiesce()
 		}},
 	} {
-		// The interrupted flush is a delta one, or — a sector it reads
-		// being bad — one that fell back to the whole-stripe load.
+		// The interrupted flush met no loss, or — a sector it reads being
+		// bad — one that it re-planned around and healed in passing.
 		for _, fallback := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/fallback=%v", tc.name, fallback), func(t *testing.T) {
 				s, blk := openBlockingStoreAt(t, code, 2, 1)
@@ -534,8 +532,8 @@ func TestTornStripeDecodesFromMemory(t *testing.T) {
 					}
 				}
 				want := cancelMidWriteBack(t, s, blk, dirty...)
-				if got := s.Stats().SubStripeFallbacks; got != map[bool]uint64{false: 0, true: 1}[fallback] {
-					t.Fatalf("SubStripeFallbacks=%d with fallback=%v", got, fallback)
+				if got := s.Stats().SubStripeFallbacks; got != 0 {
+					t.Fatalf("SubStripeFallbacks=%d with fallback=%v, want 0", got, fallback)
 				}
 
 				// An untouched block of a third column loses its sector…

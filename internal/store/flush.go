@@ -129,47 +129,37 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 
 // flushPartialLocked is the §5.2 read–modify–write path. An update of a
 // data cell changes that cell and the parity cells that depend on it —
-// about ten of the stripe's cells — and nothing else, so that is all the
-// flush reads and verifies: one loadChunk per touched column, from its
-// first to its last needed row, so the load never costs more calls or
-// bytes than the whole-stripe load it stands in for; a sector between
-// needed rows is scratch, never verified or written back. The
-// incremental parity relations are applied in place, and the same cells
-// are written back. When the load cannot vouch for those cells (a read
-// failed, a needed cell's checksum disagreed, the stripe is marked
-// unrecoverable) it stops there, counting no verdict, and the whole
-// stripe is loaded instead and its losses repaired and healed in
-// passing, which stays the one place a flush decodes. What the reads
-// return picks the path; nothing else does.
+// about ten of the stripe's cells — and nothing else, so that is what the
+// flush wants of the stripe: a planned load (loadPlanned) reads and
+// verifies those cells, one loadChunk per touched column from its first
+// to its last needed row, so the load never costs more calls or bytes
+// than the whole-stripe load; a sector between needed rows is scratch,
+// never verified or written back. Every loss the load finds joins what it
+// wants, so the plan reads what decodes it and the flush repairs it and
+// writes it back, healing it in passing; that repair stays the one place
+// a flush decodes. A stripe marked unrecoverable wants every cell. The
+// incremental parity relations are applied in place, and the update set
+// and the repaired cells are written back.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
 	u := &sh.upd
 	s.planUpdate(u, buf)
 	st := s.acquireStripe()
 	ld := s.startLoad(stripe, true)
-	ld.need = u.need
-	delta := !sh.unrecoverable[stripe]
-	for i := 0; delta && i < len(u.cols); i++ {
-		col := u.cols[i]
-		need := u.need[col*s.r : (col+1)*s.r]
-		lo, hi := slices.Index(need, true), len(need)
-		for !need[hi-1] {
-			hi--
-		}
-		if err := s.loadChunk(ctx, ld, col, lo, sh.chunkVec(st, col, lo, hi)); err != nil {
-			return err
-		}
-		delta = len(ld.lost) == 0
-	}
-	lost, err := ld.lost, error(nil)
-	if delta {
-		s.c.addVerdicts(ld.verified, 0)
+	ld.heal = true
+	if sh.unrecoverable[stripe] {
+		ld.want = append(ld.want, s.allCells...)
 	} else {
-		s.releaseStripe(st)
-		s.c.subFallbacks.Add(1)
-		if st, lost, _, err = s.loadStripe(ctx, stripe, true); err != nil {
-			return err
-		}
+		ld.want = append(ld.want, u.cells...)
 	}
+	err := s.loadPlanned(ctx, ld, st)
+	if sh.unrecoverable[stripe] {
+		s.c.subFallbacks.Add(1)
+	}
+	if err != nil {
+		s.releaseStripeUnlessCancelled(ctx, st)
+		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
+	}
+	lost := ld.lost
 	if err := s.applyUpdatesLocked(sh, stripe, st, lost, buf); err != nil {
 		s.releaseStripeUnlessCancelled(ctx, st)
 		return err
@@ -389,17 +379,6 @@ func (s *Store) promoteToFullLocked(buf *stripeBuf, st *core.Stripe) {
 			buf.count++
 		}
 	}
-}
-
-// sortCells orders cells by (Col, Row) so per-device contiguous runs
-// are adjacent.
-func sortCells(cells []core.Cell) {
-	slices.SortFunc(cells, func(a, b core.Cell) int {
-		if a.Col != b.Col {
-			return a.Col - b.Col
-		}
-		return a.Row - b.Row
-	})
 }
 
 // writeStripeCells writes the given cells (sorted by Col, Row) of one

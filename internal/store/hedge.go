@@ -11,22 +11,19 @@ import (
 	"stair/internal/store/mem"
 )
 
-// HedgeConfig enables hedged client reads, the "Tail at Scale" defence
+// Hedged client reads (Config.Hedge) are the "Tail at Scale" defence
 // against a column that answers slowly without failing: a single-block
-// read whose device outlives the column's tracked latency percentile is
-// solved from its own row instead (§4.3), as a degraded read would be,
-// and the slow answer is dropped. Only ReadBlock and ReadBlockInto
-// hedge; flushes, repairs, scrubs, rebuilds and journal replay always
-// see what the devices answered.
-type HedgeConfig struct {
-	// Percentile of the column's recent read latencies at which the
-	// hedge launches. Values outside (0, 1) select 0.9: a hedge fires on
-	// roughly the slowest tenth of reads, so the added sibling load stays
-	// marginal while the tail beyond p90 is clipped.
-	Percentile float64
-}
+// read whose device outlives the column's tracked p90 latency is solved
+// from its own row instead (§4.3), as a degraded read would be, and the
+// slow answer is dropped. Only ReadBlock and ReadBlockInto hedge;
+// flushes, repairs, scrubs, rebuilds and journal replay always see what
+// the devices answered.
 
 const (
+	// hedgePercentile of the column's recent read latencies launches the
+	// hedge: it fires on roughly the slowest tenth of reads, so the added
+	// sibling load stays marginal while the tail beyond p90 is clipped.
+	hedgePercentile = 0.9
 	// hedgeMinDelay and hedgeMaxDelay clamp the hedge delay, so that a
 	// burst of fast samples cannot make hedging frantic nor a burst of
 	// slow ones switch it off.
@@ -45,30 +42,12 @@ const (
 // recording a sample sorts the window once every hedgeMinSamples samples,
 // into a buffer the tracker owns.
 type latencyTracker struct {
-	p     float64
 	delay atomic.Int64 // the clamped percentile in ns; 0 until warm
 
 	mu             sync.Mutex
 	samples        [hedgeWindow]time.Duration
 	sorted         [hedgeWindow]time.Duration
 	next, count, n int // n counts samples since the last recomputation
-}
-
-// newLatencyTrackers returns one tracker per column, or nil when
-// hedging is off.
-func newLatencyTrackers(cfg *HedgeConfig, n int) []latencyTracker {
-	if cfg == nil {
-		return nil
-	}
-	p := cfg.Percentile
-	if p <= 0 || p >= 1 {
-		p = 0.9
-	}
-	ts := make([]latencyTracker, n)
-	for i := range ts {
-		ts[i].p = p
-	}
-	return ts
 }
 
 // observe records a primary read that began at begin. Only usable
@@ -94,14 +73,14 @@ func (t *latencyTracker) record(d time.Duration) {
 	sorted := t.sorted[:t.count]
 	copy(sorted, t.samples[:t.count])
 	slices.Sort(sorted)
-	q := sorted[min(int(t.p*float64(t.count)), t.count-1)]
+	q := sorted[min(int(hedgePercentile*float64(t.count)), t.count-1)]
 	t.delay.Store(int64(min(max(q, hedgeMinDelay), hedgeMaxDelay)))
 }
 
 // hedgedReadLocked is ReadBlockInto's device read of cell with a hedge.
 // The primary reads into pooled scratch on its own goroutine; once it
 // outlives its column's delay, the caller's goroutine solves the cell
-// from its own row straight into dst (readRowLocked). won reports that
+// from its own row straight into dst (solveLocked). won reports that
 // the solve served dst; otherwise err is the primary's answer, and dst
 // holds its bytes when err is nil. A primary that loses is not waited
 // for: its answer is dropped and its scratch left to the GC, as after a
@@ -137,15 +116,15 @@ func (s *Store) hedgedReadLocked(ctx context.Context, sh *lockShard, stripe int,
 	case <-p.timer.C:
 	}
 	s.c.hedgesLaunched.Add(1)
-	served, _, err := s.readRowLocked(ctx, sh, stripe, cell, dst, false)
-	if served {
+	_, err = s.solveLocked(ctx, sh, stripe, cell, dst, false, true)
+	if err == nil {
 		// No repair is queued: the column is slow, not lost, and a repair
 		// worker would wait on it under the shard lock. The next scrub
 		// owns whatever the primary would have found.
 		s.c.hedgeWins.Add(1)
 		return true, nil
 	}
-	if err != nil {
+	if err != errBeyondRow {
 		return false, err
 	}
 	// The row cannot decide the cell: the primary's answer stands.

@@ -13,7 +13,7 @@ import (
 
 func TestLatencyTracker(t *testing.T) {
 	const ms = time.Millisecond
-	ts := newLatencyTrackers(&HedgeConfig{Percentile: 0.5}, 2)
+	ts := make([]latencyTracker, 2)
 	tr := &ts[0]
 	delay := func() time.Duration { return time.Duration(tr.delay.Load()) }
 	for i := 1; i < hedgeMinSamples; i++ {
@@ -23,20 +23,20 @@ func TestLatencyTracker(t *testing.T) {
 		t.Fatalf("tracker answered a delay after %d samples", hedgeMinSamples-1)
 	}
 	tr.record(hedgeMinSamples * ms)
-	if got := delay(); got != 9*ms {
-		t.Fatalf("p50 of 1..16ms = %v, want 9ms", got)
+	if got := delay(); got != 15*ms {
+		t.Fatalf("p90 of 1..16ms = %v, want 15ms", got)
 	}
 	// The delay is recomputed once per hedgeMinSamples samples, not per
 	// sample.
 	for i := 1; i < hedgeMinSamples; i++ {
 		tr.record(time.Second)
 	}
-	if got := delay(); got != 9*ms {
+	if got := delay(); got != 15*ms {
 		t.Fatalf("delay moved to %v between recomputations", got)
 	}
 	tr.record(time.Second)
 	if got := delay(); got != hedgeMaxDelay {
-		t.Fatalf("p50 of 16 fast and 16 one-second samples = %v, want the %v ceiling", got, hedgeMaxDelay)
+		t.Fatalf("p90 of 16 fast and 16 one-second samples = %v, want the %v ceiling", got, hedgeMaxDelay)
 	}
 	// A full window of fast samples rolls the slow ones out, down to the
 	// floor.
@@ -102,7 +102,7 @@ func openHedgedStore(t *testing.T) (*Store, *parkDevice, []int) {
 	}
 	park := &parkDevice{MemDevice: devs[0].(*MemDevice), entered: make(chan struct{}, 4), release: make(chan struct{}, 4)}
 	devs[0] = park
-	s, err := Open(Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs, Hedge: &HedgeConfig{}})
+	s, err := Open(Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs, Hedge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestHedgeWinIsARead(t *testing.T) {
 }
 
 // A row that cannot decide the block leaves the read to its primary:
-// served by it (a loss), or, when it fails too, by the degraded path (a
-// fail).
+// served by it (a loss), or, when it fails too, by the degraded read,
+// which re-plans over the stripe (a fail).
 func TestHedgeRowUndecidedWaitsForPrimary(t *testing.T) {
 	s, park, blocks := openHedgedStore(t)
 	b := blocks[2]
@@ -198,8 +198,8 @@ func TestHedgeRowUndecidedWaitsForPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	read(2)
-	if st := s.Stats(); st.HedgeFails != 1 || st.DegradedReads != 1 || st.DegradedReadFallbacks != 1 {
-		t.Fatalf("stats %+v, want one hedge fail served by a whole-stripe degraded read", st)
+	if st := s.Stats(); st.HedgeFails != 1 || st.DegradedReads != 1 || st.DegradedReadFallbacks != 0 {
+		t.Fatalf("stats %+v, want one hedge fail served by a re-planned degraded read", st)
 	}
 }
 

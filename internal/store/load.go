@@ -2,22 +2,26 @@ package store
 
 import (
 	"context"
+	"errors"
 	"slices"
 
 	"stair/internal/core"
 	"stair/internal/store/integrity"
-	"stair/internal/store/mem"
 )
 
 // This file is the store's read seam: the stripe loads every
-// stripe-granular path goes through, and the row-local read of one cell.
+// stripe-granular path goes through — the whole stripe, or the cells a
+// plan of internal/core says a set of wanted cells needs — and the
+// degraded read of one cell.
 
-// loadStripe reads one stripe off the devices into a pooled stripe — one
-// vectored call per device; unreadable cells are listed in lost, and
-// their contents are unspecified (the stripe is pooled, not zeroed) until
-// the caller's decode reconstructs them. With
-// verify set (and the integrity layer on), sectors that read fine but
-// fail their checksum are *also* listed in lost — and counted in
+// loadStripe reads one stripe off the devices into a pooled stripe, for
+// the callers that want every cell — repair, scrub, the torn retry and
+// recovery (loadPlanned loads what some cells need) — one vectored call
+// per device; unreadable cells are listed in lost, and their contents
+// are unspecified (the stripe is pooled, not zeroed) until the caller's
+// decode reconstructs them. With verify set (and the integrity layer
+// on), sectors that read fine but fail their checksum are *also* listed
+// in lost — and counted in
 // mismatches — turning silent corruption into located erasures the
 // caller's decode repairs. Recovery passes verify=false: right after a
 // crash, a sidecar record can legitimately lag the data it covers
@@ -27,9 +31,10 @@ import (
 // While an interrupted sub-stripe write-back is pending its retry (see
 // tornUpdate), the cells it was writing are taken from memory, whatever
 // the devices hold or fail to return of them: never lost, never
-// verified. Every caller — degraded read, repair, scrub, the retry —
-// thus sees the stripe as that flush meant to leave it, the only view of
-// it whose parity relations hold and that a decode may go through.
+// verified. Every load — this one, and loadChunk's for the degraded
+// read and the rebuild — thus sees the stripe as that flush meant to
+// leave it, the only view of it whose parity relations hold and that a
+// decode may go through.
 //
 // It also records the columns that answered ErrDeviceFailed in sh.down.
 //
@@ -55,12 +60,13 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 // stripeLoad is a load of cells of one stripe in progress, filled one row
 // span of one column at a time by loadChunk: the whole stripe (loadStripe;
 // RebuildDevice, which reads the replaced chunk first and stops there when
-// it reads whole), a sub-stripe flush's update set, or one row for the
-// row-local read. It is shard scratch (lockShard.load), reset by
-// startLoad, so that a load allocates nothing: it and its lost list stay
-// valid only under the shard mutex and until the next load of the shard.
-// Every caller — degraded read, flush, repair, rebuild, scrub, replay —
-// is done with them before either happens.
+// it reads whole), or what a plan says want needs (loadPlanned: a
+// sub-stripe flush's update set, one cell for the degraded read). It is
+// shard scratch (lockShard.load), reset by startLoad, so that a load
+// allocates nothing: it and its lists stay valid only under the shard
+// mutex and until the next load of the shard. Every caller — degraded
+// read, flush, repair, rebuild, scrub, replay — is done with them before
+// either happens.
 type stripeLoad struct {
 	stripe int
 	// need flags, chunk-major (col·r + row), the cells that get a
@@ -68,7 +74,8 @@ type stripeLoad struct {
 	// is still read, and lost when its read fails.
 	need []bool
 	// lost lists the cells found unreadable or checksum-mismatched, in
-	// the order found; mismatches counts the latter.
+	// the order found, after any the caller knew of; mismatches counts
+	// the checksum-mismatched ones.
 	lost       []core.Cell
 	mismatches int
 	torn       *tornUpdate
@@ -77,7 +84,18 @@ type stripeLoad struct {
 	// per load: an atomic add per sector is a cache line every concurrent
 	// sweep worker fights over.
 	verified uint64
+	// want lists the cells a planned load is for; heal adds to it every
+	// loss the load finds, and local ends the load once a plan leaves
+	// want[0]'s row. plan is the current plan, and marks backs need (see
+	// loadPlanned).
+	want        []core.Cell
+	heal, local bool
+	plan        core.ReadPlan
+	marks       []bool
 }
+
+// errBeyondRow ends a hedge's planned load whose plan leaves the row.
+var errBeyondRow = errors.New("store: plan reads beyond the row")
 
 // startLoad begins a load of stripe, verifying as loadStripe's verify
 // says, and returns the shard's load scratch. The caller holds the
@@ -88,7 +106,8 @@ func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 		sh.down = make([]bool, s.n)
 	}
 	ld := &sh.load
-	*ld = stripeLoad{stripe: stripe, lost: ld.lost[:0], verify: verify && s.integ != nil && s.integVerify}
+	*ld = stripeLoad{stripe: stripe, lost: ld.lost[:0], want: ld.want[:0], plan: ld.plan, marks: ld.marks,
+		verify: verify && s.integ != nil && s.integVerify}
 	if buf := sh.dirty[stripe]; buf != nil {
 		ld.torn = buf.torn
 	}
@@ -179,76 +198,111 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	return nil
 }
 
-// readRowLocked solves one cell from its own row, the local step of the
-// paper's practical decoding (§4.3) — the degraded read's fast path and
-// the hedge's racer: it loads the wanted cell's row off the other
-// columns — one sector each, lowest column first, until n−m of them
-// have been read and verified — and solves the cell from those with
-// core.RepairRow, straight into dst. The load names the row's losses;
-// nothing is solved from a cell this call did not read and verify. A
-// served cell counts as a read, and its load's checksum verdicts; the
-// caller counts what kind of read.
+// loadPlanned loads into st what ld.want needs of ld's stripe given the
+// cells ld.lost lists, as core.PlanRead says: it reads every source of
+// the plan not yet read or lost, each column's run of them in one
+// loadChunk call (a row between two sources is read along, unverified,
+// unless read already), and re-plans with the losses those reads found,
+// reading only the difference, until a plan meets no new loss. With
+// ld.heal each loss found joins want. Only sources get checksum
+// verdicts, counted when the load ends (on cancellation, by loadChunk).
 //
-// It reports served=false, having touched neither dst nor any counter,
-// when the row cannot decide the cell — more than m of its columns are
-// lost, or an interrupted sub-stripe write-back is pending on the stripe
-// (the devices then hold a mix no decode may go through, see tornUpdate)
-// — and the caller takes the whole-stripe path, which alone marks a
-// stripe unrecoverable. down says the wanted cell's own device answered
-// ErrDeviceFailed; with the siblings' answers it decides risk, the row's
-// lost count when a repair could land one of its losses and 0 when none
-// could. The error is non-nil only for context cancellation. The caller
-// holds the shard mutex.
-func (s *Store) readRowLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down bool) (served bool, risk int, err error) {
-	ld := s.startLoad(stripe, true)
-	if ld.torn != nil {
-		return false, 0, nil
+// A plan that cannot reach want's lost cells ends the load with
+// ErrUnrecoverable and marks the stripe — sound, since a peel that
+// stalls on a loss set stalls on every larger one. A hedge's load
+// (ld.local) marks nothing, its cell not being known lost: it ends with
+// errBeyondRow, counting no verdict, once a plan leaves the cell's row or
+// fails. The caller holds the shard mutex.
+func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe) error {
+	// need doubles as the record of the cells read or found lost: a span
+	// never reaches one, and a source gets its flag as its span is read.
+	sh, nr := s.shard(ld.stripe), s.n*s.r
+	if cap(ld.marks) < nr {
+		ld.marks = make([]bool, nr)
 	}
-	m, kappa := s.code.M(), s.n-s.code.M()
-	if cap(sh.row) < s.n {
-		sh.row = make([][]byte, s.n)
-	}
-	cells, lost := sh.row[:s.n], append(sh.rowLost[:0], cell.Col)
-	// One pooled slab holds the n−m sectors the solve reads; a sector that
-	// turns out lost leaves its slot to the next column.
-	slab := mem.Acquire(kappa * s.sectorSize)
-	good := 0
-	heal := !down // some loss of the row sits on a device that takes writes
-	vec := sh.rowvec(1)
-	for col := 0; col < s.n && good < kappa && len(lost) <= m; col++ {
-		if col == cell.Col {
-			continue
+	ld.need = ld.marks[:nr]
+	clear(ld.need)
+	for {
+		for _, cell := range ld.lost {
+			ld.need[s.cellIdx(cell)] = true
 		}
-		vec[0] = slab[good*s.sectorSize:][:s.sectorSize]
+		err := s.code.PlanRead(&ld.plan, ld.lost, ld.want)
+		srcs := ld.plan.Sources
+		if ld.local && (err != nil || slices.ContainsFunc(srcs, func(c core.Cell) bool { return c.Row != ld.want[0].Row })) {
+			return errBeyondRow
+		}
+		if err != nil {
+			if errors.Is(err, ErrUnrecoverable) {
+				s.markUnrecoverableLocked(sh, ld.stripe)
+			}
+			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
+			return err
+		}
 		had := len(ld.lost)
-		if err := s.loadChunk(ctx, ld, col, cell.Row, vec); err != nil {
-			// As in loadStripe: the slab is dropped, not recycled.
-			clear(cells)
-			return false, 0, err
+		for i := 0; i < len(srcs); {
+			src := srcs[i]
+			lo, hi, j := s.cellIdx(src), s.cellIdx(src)+1, i+1
+			if ld.need[lo] {
+				i++
+				continue
+			}
+			// The span runs down the column to the last source before
+			// the next cell read or lost.
+			for ; j < len(srcs) && srcs[j].Col == src.Col; j++ {
+				next := s.cellIdx(srcs[j]) + 1
+				if slices.Contains(ld.need[hi:next], true) {
+					break
+				}
+				hi = next
+			}
+			for _, cell := range srcs[i:j] {
+				ld.need[s.cellIdx(cell)] = true
+			}
+			if err := s.loadChunk(ctx, ld, src.Col, src.Row, sh.chunkVec(st, src.Col, src.Row, src.Row+hi-lo)); err != nil {
+				return err
+			}
+			i = j
 		}
-		if len(ld.lost) > had {
-			heal = heal || !sh.down[col]
-			lost = append(lost, col)
-			continue
+		if len(ld.lost) == had {
+			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
+			return nil
 		}
-		cells[col] = vec[0]
-		good++
+		if ld.heal {
+			ld.want = append(ld.want, ld.lost[had:]...)
+		}
 	}
-	vec[0] = nil
-	sh.rowLost = lost[:0]
-	if good == kappa {
-		cells[cell.Col] = dst
-		served = s.code.RepairRow(cells, lost, cell.Col) == nil
+}
+
+// solveLocked serves a lost cell of stripe into dst — the degraded read,
+// and with hedge set the hedge's racer. It loads what the cell needs
+// through loadPlanned, into a pooled stripe with dst standing in for the
+// cell, and decodes the cell there: from n−m cells of its own row while
+// the row holds at most m losses (§4.3), else through the whole-stripe
+// peel pruned to the cell. down says the
+// cell's own device answered ErrDeviceFailed. A served cell counts as a
+// read, and risk is the number of lost cells the load found when a repair
+// can land one of them, 0 when none can; the caller counts what kind of
+// read it was. Otherwise dst is untouched and the error is
+// ErrUnrecoverable (the stripe is now marked), errBeyondRow (a hedge
+// only) or the context's. The caller holds the shard mutex.
+func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down, hedge bool) (risk int, err error) {
+	ld := s.startLoad(stripe, true)
+	ld.want, ld.lost, ld.local = append(ld.want, cell), append(ld.lost, cell), hedge
+	sh.down[cell.Col] = down
+	st, at := s.acquireStripe(), s.cellIdx(cell)
+	own := st.Cells[at]
+	st.Cells[at] = dst
+	if err = s.loadPlanned(ctx, ld, st); err == nil {
+		err = s.code.Decode(st, &ld.plan)
 	}
-	clear(cells)
-	mem.Release(slab)
-	if !served {
-		return false, 0, nil
+	st.Cells[at] = own
+	s.releaseStripeUnlessCancelled(ctx, st)
+	if err != nil {
+		return 0, err
 	}
-	s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
 	s.c.reads.Add(1)
-	if heal {
-		risk = len(lost)
+	if len(sh.writable(ld.lost)) > 0 {
+		risk = len(ld.lost)
 	}
-	return true, risk, nil
+	return risk, nil
 }

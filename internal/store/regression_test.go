@@ -425,9 +425,10 @@ func TestRepairPrioritisesAtEdgeStripe(t *testing.T) {
 }
 
 // TestDegradedReadCache: reads of a still-degraded stripe whose first
-// lost block needs the whole-stripe decode all return the right bytes —
-// the first through the fallback, which keeps nothing for the next read
-// — and an overwrite of that block is read back through the fallback.
+// lost block needs more than its row all return the right bytes — the
+// first through a re-plan over the stripe, which keeps nothing for the
+// next read — and an overwrite of that block is read back the same way.
+// None of them falls back: the stripe stays within coverage.
 func TestDegradedReadCache(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2})
@@ -451,7 +452,7 @@ func TestDegradedReadCache(t *testing.T) {
 		t.Fatalf("test needs ≥ 2 data cells on device 1, have %d", len(deadBlocks))
 	}
 	// m more losses in the first dead block's row: m+1 in all, so its row
-	// cannot decide it and the read decodes the stripe.
+	// cannot decide it and the read re-plans over the stripe.
 	victim := deadBlocks[0]
 	breakRow := func() {
 		t.Helper()
@@ -475,14 +476,12 @@ func TestDegradedReadCache(t *testing.T) {
 	if st.DegradedReads != uint64(len(deadBlocks)) {
 		t.Errorf("DegradedReads=%d, want %d", st.DegradedReads, len(deadBlocks))
 	}
-	// Only the broken row needs the whole stripe; the other dead blocks'
-	// rows each hold one loss.
-	if st.DegradedReadFallbacks != 1 {
-		t.Errorf("DegradedReadFallbacks=%d, want 1", st.DegradedReadFallbacks)
+	if st.DegradedReadFallbacks != 0 {
+		t.Errorf("DegradedReadFallbacks=%d, want 0", st.DegradedReadFallbacks)
 	}
 	// Overwrite the block, break its row again once the overwrite has
 	// landed (the flush heals what it meets), and read it back: the
-	// fallback decodes the new content. Quiesce first, so that no queued
+	// re-planned read decodes the new content. Quiesce first, so that no queued
 	// repair heals the second break before the read.
 	if err := s.WriteBlock(bg, victim, blockData(victim+999, s.BlockSize())); err != nil {
 		t.Fatal(err)
@@ -499,7 +498,8 @@ func TestDegradedReadCache(t *testing.T) {
 	if !bytes.Equal(got, blockData(victim+999, s.BlockSize())) {
 		t.Fatal("stale content served after an overwrite")
 	}
-	if got := s.Stats().DegradedReadFallbacks; got != 2 {
-		t.Errorf("DegradedReadFallbacks=%d after the overwrite's read, want 2", got)
+	if st := s.Stats(); st.DegradedReads != uint64(len(deadBlocks))+1 || st.DegradedReadFallbacks != 0 {
+		t.Errorf("DegradedReads=%d, DegradedReadFallbacks=%d after the overwrite's read, want %d and 0",
+			st.DegradedReads, st.DegradedReadFallbacks, len(deadBlocks)+1)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"stair/internal/core"
 )
 
-// White-box tests of the row-local degraded read (readRowLocked): what
-// it reads, and that every pattern the wanted block's row cannot decide
-// ends on the whole-stripe fallback with the right bytes.
+// White-box tests of the degraded read (solveLocked): what it reads, and
+// that every pattern the wanted block's row cannot decide is re-planned
+// over the stripe, with the right bytes.
 
 // siblingReads sums, over every device but the wanted cell's, the reads
 // logged since the last take, requiring each to be the one sector of the
@@ -98,45 +98,43 @@ func TestRowLocalReadTouchesOneRow(t *testing.T) {
 }
 
 // TestRowLocalReadFallbacks: each thing that takes a degraded read off
-// the row-local path — the row holding m+1 losses by a sector error or by
-// a sibling's checksum mismatch — ends on the whole-stripe fallback,
-// counted once, with the right bytes; a stripe already marked
-// unrecoverable is refused before any sibling is read. (The remaining
-// trigger, a pending torn update, is TestTornStripeDecodesFromMemory's.)
+// its row — the row holding m+1 losses by a sector error or by a
+// sibling's checksum mismatch — makes it re-plan over the stripe and read
+// only what it has not read yet, with the right bytes and no fallback; a
+// stripe already marked unrecoverable is refused before any sibling is
+// read.
 func TestRowLocalReadFallbacks(t *testing.T) {
 	const stripe = 1
 	for _, tc := range []struct {
 		name string
 		// fault damages the stripe beyond the two dead devices, given
 		// the wanted cell and a live column.
-		fault          func(t *testing.T, s *Store, cell core.Cell, live int)
-		fallbacks      uint64
-		mismatches     uint64 // after the queued repair has run
-		wantErr        error
-		noSiblingReads bool
+		fault      func(t *testing.T, s *Store, cell core.Cell, live int)
+		mismatches uint64 // after the queued repair has run
+		wantErr    error
 	}{
-		{name: "sector-error-in-row", fallbacks: 1,
+		{name: "sector-error-in-row",
 			fault: func(t *testing.T, s *Store, cell core.Cell, live int) {
 				if err := s.InjectSectorError(live, s.devSector(stripe, cell.Row)); err != nil {
 					t.Fatal(err)
 				}
 			}},
-		// The read's whole-stripe load counts the mismatch — not the
-		// row-local attempt that met it first and gave up — and the
-		// repair it queues meets it once more.
-		{name: "sibling-checksum-mismatch", fallbacks: 1, mismatches: 2,
+		// The read's load counts the mismatch once, and the repair it
+		// queues meets it once more.
+		{name: "sibling-checksum-mismatch", mismatches: 2,
 			fault: func(t *testing.T, s *Store, cell core.Cell, live int) {
 				if err := s.CorruptSectorSilently(live, s.devSector(stripe, cell.Row)); err != nil {
 					t.Fatal(err)
 				}
 			}},
-		{name: "marked-unrecoverable", wantErr: ErrUnrecoverable, noSiblingReads: true,
+		{name: "marked-unrecoverable", wantErr: ErrUnrecoverable,
 			fault: func(_ *testing.T, s *Store, _ core.Cell, _ int) { forceWholeStripe(s, stripe) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
 			s := v.s
-			for _, dev := range []int{1, 2} {
+			dead := []int{1, 2}
+			for _, dev := range dead {
 				if err := s.FailDevice(dev); err != nil {
 					t.Fatal(err)
 				}
@@ -151,27 +149,43 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 				t.Fatalf("ReadBlock: err=%v, want %v", err, tc.wantErr)
 			}
 			if err == nil && !bytes.Equal(got, v.want[b]) {
-				t.Fatal("wrong bytes off the whole-stripe fallback")
+				t.Fatal("wrong bytes off the re-planned read")
 			}
-			if tc.noSiblingReads {
-				for col, reads := range v.takeReads() {
-					if col != cell.Col && len(reads) != 0 {
-						t.Fatalf("device %d read %v for a stripe marked unrecoverable", col, reads)
-					}
+			// Past the block's own read (one sector of the wanted column):
+			// the row's siblings, one sector each, then, re-planned with
+			// the row's m+1 losses, every sector of the stripe the row read
+			// did not, on every live column, a column's rows in at most
+			// two calls. The dead column the row read met answers one
+			// refused call. A marked stripe reads no sibling.
+			for col, reads := range v.takeReads() {
+				sectors := 0
+				for _, e := range reads {
+					sectors += e.n
+				}
+				want, calls := s.r, 2
+				switch {
+				case col == cell.Col:
+					want, calls = 1, 1
+				case tc.wantErr != nil:
+					want, calls = 0, 0
+				case slices.Contains(dead, col):
+					want, calls = 1, 1
+				}
+				if sectors != want || len(reads) > calls {
+					t.Errorf("device %d read %v: %d sectors, want %d in at most %d calls", col, reads, sectors, want, calls)
 				}
 			}
 			s.Quiesce()
 			st := s.Stats()
-			if st.DegradedReadFallbacks != tc.fallbacks {
-				t.Errorf("DegradedReadFallbacks=%d, want %d", st.DegradedReadFallbacks, tc.fallbacks)
+			if st.DegradedReadFallbacks != 0 {
+				t.Errorf("DegradedReadFallbacks=%d, want 0", st.DegradedReadFallbacks)
 			}
 			if st.ChecksumMismatches != tc.mismatches {
 				t.Errorf("ChecksumMismatches=%d, want %d", st.ChecksumMismatches, tc.mismatches)
 			}
-			// The row-local attempt's verdicts are dropped with it. What
-			// is counted are the whole-stripe load's and the queued
-			// repair's: each verifies every sector but the two dead
-			// chunks and the faulted one.
+			// The read's load verifies every sector it reads whole, as does
+			// the queued repair's: every sector but the two dead chunks and
+			// the faulted one.
 			wantVerified := 2 * uint64((s.n-2)*s.r-1)
 			if tc.wantErr != nil {
 				wantVerified = 0
@@ -180,7 +194,7 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 				t.Errorf("%d sectors verified, want %d", got, wantVerified)
 			}
 			if tc.wantErr == nil {
-				// The live sector the fallback found lost was repaired.
+				// The live sector the read found lost was repaired.
 				if bad := s.TotalBadSectors(); bad != 0 {
 					t.Errorf("%d bad sectors left on live devices", bad)
 				}
@@ -192,12 +206,13 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 	}
 }
 
-// TestRowLocalAfterFallbackRepair: the repair a whole-stripe fallback
+// TestRowLocalAfterFallbackRepair: the repair a re-planned degraded read
 // queues is what makes the stripe's next degraded read cheap. With m
 // devices dead and a sector error in a row, the first read of a lost
-// block there falls back; once the queued repair has healed the sector
-// error, the row's other dead-column block is a row solve again — n−m
-// live sibling sectors, no whole-stripe load — with the right bytes.
+// block there re-plans over the stripe; once the queued repair has
+// healed the sector error, the row's other dead-column block is a row
+// solve again — n−m live sibling sectors, nothing else of the stripe —
+// with the right bytes. Neither read falls back.
 func TestRowLocalAfterFallbackRepair(t *testing.T) {
 	const stripe = 1
 	v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
@@ -225,10 +240,10 @@ func TestRowLocalAfterFallbackRepair(t *testing.T) {
 	}
 	b := stripe*s.perStripe + first
 	if got, err := s.ReadBlock(bg, b); err != nil || !bytes.Equal(got, v.want[b]) {
-		t.Fatalf("first read (the fallback): err=%v or wrong bytes", err)
+		t.Fatalf("first read (re-planned): err=%v or wrong bytes", err)
 	}
-	if got := s.Stats().DegradedReadFallbacks; got != 1 {
-		t.Fatalf("DegradedReadFallbacks=%d after the first read, want 1", got)
+	if got := s.Stats().DegradedReadFallbacks; got != 0 {
+		t.Fatalf("DegradedReadFallbacks=%d after the first read, want 0", got)
 	}
 	s.Quiesce()
 	if bad := s.TotalBadSectors(); bad != 0 {
@@ -245,8 +260,8 @@ func TestRowLocalAfterFallbackRepair(t *testing.T) {
 	if !bytes.Equal(got, v.want[b]) {
 		t.Fatal("wrong bytes off the row-local read after the repair")
 	}
-	if got := s.Stats().DegradedReadFallbacks; got != 1 {
-		t.Errorf("DegradedReadFallbacks=%d, want 1: the read after the repair fell back", got)
+	if got := s.Stats().DegradedReadFallbacks; got != 0 {
+		t.Errorf("DegradedReadFallbacks=%d, want 0", got)
 	}
 	// The log also holds the one refused call to the other dead device,
 	// which the row read meets on its way through the columns.

@@ -37,22 +37,16 @@ type lockShard struct {
 	// cancelled device call (see dropScratchOnCancel).
 	rows [][]byte
 	// load is the load in progress under mu, lost list included: every
-	// stripe load, update-set load and row-local read of the shard's
-	// stripes goes through it (see stripeLoad).
+	// stripe load, planned load and degraded read of the shard's stripes
+	// goes through it (see stripeLoad).
 	load stripeLoad
 	// down is the last load's record, by column, of the devices whose
 	// whole read answered ErrDeviceFailed — wholly failed, so they take
 	// no write-back. It covers the columns that load read, and stays
-	// valid until the next load under mu; only the whole-stripe loads'
-	// callers consult it, once every column has answered.
+	// valid until the next load under mu; callers consult it for the
+	// cells the load found lost, whose columns it read (the degraded read
+	// records its own cell's device first).
 	down []bool
-
-	// row and rowLost are the row-local read's scratch: the wanted cell's
-	// row indexed by column, pointing into the read's slab, and the
-	// columns found lost in it. row is cleared after every use so that it
-	// pins no slab.
-	row     [][]byte
-	rowLost []int
 
 	// cells is a stripe repair's write-back set, and cols the columns
 	// whose sidecar records a repair or a record refresh persists.
@@ -68,8 +62,8 @@ type lockShard struct {
 // of the stripe the update touches, in the forms its stages want.
 type updateSet struct {
 	// need flags the touched cells, chunk-major (col·r + row): each dirty
-	// data cell and its §5.2 parity dependencies, plus — after a
-	// whole-stripe fallback — the lost cells repaired in passing.
+	// data cell and its §5.2 parity dependencies, plus the lost cells the
+	// flush's load found, repaired in passing.
 	need []bool
 	// cells is the flagged set ascending by (Col, Row), data and parity
 	// its two journaled write-back phases, cols its distinct columns.

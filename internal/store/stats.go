@@ -7,14 +7,14 @@ type Stats struct {
 	// Reads counts successful block reads, including degraded ones.
 	Reads uint64
 	// DegradedReads counts reads served by on-the-fly reconstruction
-	// (§4.2–4.3: row-local first, the whole-stripe upstairs path where
-	// the row cannot decide) rather than a direct device read.
+	// (§4.2–4.3: from the block's own row while it holds at most m
+	// losses, else through the upstairs peel pruned to the block) rather
+	// than a direct device read.
 	DegradedReads uint64
-	// DegradedReadFallbacks counts the degraded reads that could not be
-	// solved from the wanted block's own row — it held more than m lost
-	// sectors, or an interrupted write-back was pending on the stripe —
-	// and loaded and decoded the whole stripe instead. Zero while losses
-	// stay within m per row.
+	// DegradedReadFallbacks counts the degraded reads refused because the
+	// losses they found put the stripe beyond the code's coverage (which
+	// marks it unrecoverable). Zero while the stripes stay within
+	// coverage.
 	DegradedReadFallbacks uint64
 	// Writes counts block writes accepted into the stripe buffer.
 	Writes uint64
@@ -24,11 +24,11 @@ type Stats struct {
 	// SubStripeFlushes counts stripes flushed through the §5.2
 	// incremental-parity-update path (read–modify–write).
 	SubStripeFlushes uint64
-	// SubStripeFallbacks counts the sub-stripe flushes that could not
-	// stay on the delta path — the stripe was marked unrecoverable, or a
-	// read of the cells the update needs failed or did not verify — and
-	// loaded, and where needed repaired, the whole stripe instead. Zero
-	// on a healthy volume.
+	// SubStripeFallbacks counts the sub-stripe flushes of a stripe beyond
+	// the code's coverage: marked unrecoverable before the flush, which
+	// then loads the whole stripe, or found so by its load. A loss within
+	// coverage is repaired in passing and counts nothing. Zero while the
+	// stripes stay within coverage.
 	SubStripeFallbacks uint64
 	// ScrubbedStripes counts stripes swept by the scrubber.
 	ScrubbedStripes uint64

@@ -11,12 +11,14 @@
 //     uneven parity relations, reading and rewriting only the changed
 //     cells and the parity sectors that actually depend on them;
 //   - the read path transparently serves degraded reads: when a device
-//     is failed or a sector read errors, the lost cells are rebuilt on
-//     the fly — from its own row when the row allows it, else via the
-//     upstairs decoding over the whole stripe (§4.2–4.3) — and the
-//     stripe is queued for background repair; with hedging on, a client
-//     read that outlives its column's latency percentile is solved from
-//     its own row the same way (hedge.go);
+//     is failed or a sector read errors, the lost cell is rebuilt on the
+//     fly from the cells internal/core's plan for it names — n−m of its
+//     own row while the row holds at most m losses, else those the
+//     upstairs decoding (§4.2–4.3) pruned to the cell reads, re-planned
+//     whenever a read finds a further loss — and the stripe is queued
+//     for background repair; with hedging on, a client read that
+//     outlives its column's latency percentile is solved from its own
+//     row the same way (hedge.go);
 //   - a background scrubber sweeps stripes — optionally paced to a
 //     stripes/sec budget — detects latent sector errors and feeds a
 //     bounded repair queue drained by a pool of repair workers, which
@@ -126,9 +128,9 @@ type Config struct {
 	// journal but does not close it; the caller owns its lifecycle and
 	// must close it only after Close returns.
 	Journal *journal.Journal
-	// Hedge, when non-nil, hedges client block reads against a slow
-	// column with a solve from the block's own row (see HedgeConfig).
-	Hedge *HedgeConfig
+	// Hedge hedges client block reads against a slow column with a solve
+	// from the block's own row (see hedge.go).
+	Hedge bool
 }
 
 // IntegrityOptions configures the end-to-end checksum layer.
@@ -190,11 +192,12 @@ type Store struct {
 
 	// Zero-copy stripe memory (see arena.go): slabLen is the pooled
 	// slab size backing one stripe, ordOff maps a data-cell ordinal to
-	// its chunk-major byte offset within a slab, and bufPool recycles
-	// stripeBuf shells between flushes.
-	slabLen int
-	ordOff  []int
-	bufPool sync.Pool
+	// its chunk-major byte offset within a slab, bufPool recycles
+	// stripeBuf shells between flushes and stripePool loaded stripes.
+	slabLen    int
+	ordOff     []int
+	bufPool    sync.Pool
+	stripePool sync.Pool
 
 	// integ, when non-nil, is the end-to-end checksum layer; integVerify
 	// gates verification (false = maintain records, never check them).
@@ -358,7 +361,9 @@ func Open(cfg Config) (*Store, error) {
 		repairQ:    newRepairQueue(queue),
 		quit:       make(chan struct{}),
 		journal:    cfg.Journal,
-		hedge:      newLatencyTrackers(cfg.Hedge, n),
+	}
+	if cfg.Hedge {
+		s.hedge = make([]latencyTracker, n)
 	}
 	s.dataSectors = cfg.Stripes * r
 	s.perStripe = len(s.dataCells)
@@ -370,9 +375,9 @@ func Open(cfg Config) (*Store, error) {
 	s.idle = sync.NewCond(&s.stateMu)
 	s.flushIdle = sync.NewCond(&s.flushMu)
 	s.sortedDataCells = append([]core.Cell(nil), s.dataCells...)
-	sortCells(s.sortedDataCells)
+	core.SortCells(s.sortedDataCells)
 	s.parityCells = cfg.Code.ParityCells()
-	sortCells(s.parityCells)
+	core.SortCells(s.parityCells)
 	s.isData = make([]bool, n*r)
 	s.updCells = make([][]int32, s.perStripe)
 	for ord, cell := range s.dataCells {
@@ -644,8 +649,9 @@ func (s *Store) flushAll(ctx context.Context) error {
 // ReadBlock returns one logical block. Buffered (not yet flushed) writes
 // are served from the stripe buffer; an unreadable sector is rebuilt on
 // the fly through the degraded-read path — from n−m sectors of its own
-// row, or, the row holding more than m losses, from the whole stripe —
-// and its stripe queued for background repair. With Config.Hedge, a read
+// row, or, the row holding more than m losses, from what the upstairs
+// decoding pruned to the block reads — and its stripe queued for
+// background repair. With Config.Hedge, a read
 // whose device answers slowly is solved from its row too, and nothing is
 // queued. ctx bounds the device reads, including those a degraded or
 // hedged read performs.
@@ -713,10 +719,8 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		vec[0] = nil
 	}
 	// mismatch: the sector read fine but its checksum disagrees — silent
-	// corruption (or a misdirected/stale write), a located erasure. It is
-	// counted once, by whichever degraded path below serves the read: here
-	// for the row-local one, which does not read the sector again, and by
-	// the whole-stripe load when that meets it again.
+	// corruption (or a misdirected/stale write), a located erasure,
+	// counted here: the degraded read below never reads the sector again.
 	mismatch := false
 	if rerr == nil {
 		if s.integ != nil && s.integVerify {
@@ -724,6 +728,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 			case integrity.OK:
 				s.c.verifiedSectors.Add(1)
 			case integrity.Mismatch:
+				s.c.checksumMismatches.Add(1)
 				mismatch = true
 			}
 		}
@@ -745,49 +750,27 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	if sh.unrecoverable[stripe] {
 		return fmt.Errorf("store: degraded read of block %d (stripe %d): %w", b, stripe, ErrUnrecoverable)
 	}
-	// Local first (§4.3): the wanted cell's own row decides it whenever
-	// the row holds at most m losses.
-	if served, risk, err := s.readRowLocked(ctx, sh, stripe, cell, dst, isDown(rerr)); served || err != nil {
-		if served {
-			s.c.degradedReads.Add(1)
-			if mismatch {
-				s.c.checksumMismatches.Add(1)
-			}
-			// Queue a repair only when it can land somewhere (see the
-			// whole-stripe path); the row's losses are all this read
-			// knows of the stripe's risk.
-			if risk > 0 {
-				s.enqueueRepairLocked(sh, stripe, risk)
-			}
-		}
-		return err
+	// Local first (§4.3): the plan reads the wanted cell's own row while
+	// it holds at most m losses, and re-plans over the stripe when the
+	// reads find more.
+	risk, err := s.solveLocked(ctx, sh, stripe, cell, dst, isDown(rerr), false)
+	if errors.Is(err, ErrUnrecoverable) {
+		s.c.degradedFallbacks.Add(1)
+		return fmt.Errorf("store: degraded read of block %d (stripe %d): %w", b, stripe, err)
 	}
-	// The row does not: load the whole stripe, rebuild every lost cell of
-	// it through the upstairs path and serve the request from the
-	// reconstruction.
-	s.c.degradedFallbacks.Add(1)
-	st, lost, _, err := s.loadStripe(ctx, stripe, true)
 	if err != nil {
 		return err
 	}
-	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
-		s.releaseStripe(st)
-		return fmt.Errorf("store: degraded read of block %d (stripe %d, %d lost cells): %w",
-			b, stripe, len(lost), err)
-	}
-	s.c.reads.Add(1)
 	s.c.degradedReads.Add(1)
-	copy(dst, st.Sector(cell.Col, cell.Row))
-	s.releaseStripe(st)
 	// Queue a repair only when it can land somewhere: lost cells
 	// confined to wholly failed devices wait for a replacement instead
-	// of spinning the workers. The stripe's full lost count is its
-	// queue priority — the closer to the coverage edge, the sooner a
-	// worker takes it. Nothing of the reconstruction is kept: the repair
-	// heals the row's writable losses, and once the row is back within m
-	// losses the stripe's next read is row-local.
-	if len(sh.writable(lost)) > 0 {
-		s.enqueueRepairLocked(sh, stripe, len(lost))
+	// of spinning the workers. The lost count is its queue priority —
+	// the closer to the coverage edge, the sooner a worker takes it.
+	// Nothing of the reconstruction is kept: the repair heals the
+	// writable losses, and once the row is back within m losses the
+	// stripe's next read of it is row-local.
+	if risk > 0 {
+		s.enqueueRepairLocked(sh, stripe, risk)
 	}
 	return nil
 }
@@ -957,7 +940,7 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, stripe int,
 	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
 		return false
 	}
-	sortCells(writable)
+	core.SortCells(writable)
 	wrote, failed, err := s.writeStripeCells(ctx, stripe, st, writable)
 	if wrote > 0 {
 		s.c.repairedSectors.Add(uint64(wrote))

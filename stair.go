@@ -87,7 +87,7 @@ const (
 var ErrUnrecoverable = core.ErrUnrecoverable
 
 // ErrRowNotLocal reports a row with more than m lost cells, which
-// Code.RepairRow refuses: only the whole-stripe Repair can decide it.
+// Code.RepairRow refuses: only the peel of Decode and Repair can decide it.
 var ErrRowNotLocal = core.ErrRowNotLocal
 
 // New compiles a STAIR code for the given configuration.
