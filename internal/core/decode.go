@@ -249,10 +249,7 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 	}
 	slices.Sort(cols)
 	if wanted == 1 && len(cols) <= c.m {
-		var hbuf [16]int
-		for _, col := range c.rowHave(hbuf[:0], cols) {
-			srcs = append(srcs, Cell{Col: col, Row: one.Row})
-		}
+		srcs = c.rowHave(srcs, one.Row, cols)
 		rp.row, rp.at = one.Row, slices.Index(cols, one.Col)
 	} else if wanted > 0 {
 		pl, err := c.peelPlan(lost, want)
