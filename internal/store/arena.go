@@ -21,8 +21,8 @@ import (
 // pure slice arithmetic, that a buffer vector tiles one backing region.
 //
 // Ownership: acquireStripe/acquireStripeBuf transfer a pooled slab to
-// the store (acquireStripe with its stripe); the matching release
-// returns it once no device operation can still reference it. An operation that ended with a context
+// the store; the matching release returns it once no device operation
+// can still reference it. An operation that ended with a context
 // cancellation may leave an abandoned inner operation (a coalesced
 // batch member, an in-flight HTTP body) holding the slab — such slabs
 // are dropped to the GC instead of recycled (releaseStripeUnlessCancelled),
@@ -62,30 +62,37 @@ func flatSpan(bufs [][]byte) ([]byte, bool) {
 	return flat, true
 }
 
-// acquireStripe returns a stripe whose cells tile one slab. Stripes are
-// pooled whole, cells already sliced over their slab, so that one costs
-// neither an allocation nor the re-slicing of its cells. Contents are
-// unspecified.
+// acquireStripe returns a stripe whose cells tile one pooled slab.
+// Contents are unspecified. The stripe views are pooled too: one comes
+// back pointing at the slab it had, which the buffer pool mostly hands
+// back with it, and then its cells are not sliced again.
 func (s *Store) acquireStripe() *core.Stripe {
-	if st, ok := s.stripePool.Get().(*core.Stripe); ok {
+	slab := mem.Acquire(s.slabLen)
+	st, ok := s.stripePool.Get().(*core.Stripe)
+	if !ok {
+		var err error
+		if st, err = s.code.StripeOver(slab, s.sectorSize); err != nil {
+			// Geometry and sector size were validated at Open.
+			panic("store: acquireStripe: " + err.Error())
+		}
 		return st
 	}
-	st, err := s.code.StripeOver(make([]byte, s.slabLen), s.sectorSize)
-	if err != nil {
-		// Geometry and sector size were validated at Open.
-		panic("store: acquireStripe: " + err.Error())
+	if &st.Cells[0][:1][0] != &slab[0] {
+		for i := range st.Cells {
+			st.Cells[i] = slab[i*s.sectorSize : (i+1)*s.sectorSize]
+		}
 	}
 	return st
 }
 
-// releaseStripe returns a stripe, slab and all, to the pool (poisoned,
-// like the buffer pool's). The stripe — and anything still referencing
-// its cells — must not be used afterwards. Safe on nil.
+// releaseStripe returns a slab-backed stripe's memory and view to their
+// pools. The stripe — and anything still referencing its cells — must
+// not be used afterwards. Safe on nil.
 func (s *Store) releaseStripe(st *core.Stripe) {
-	if st == nil || len(st.Cells) == 0 || !mem.Enabled() {
+	if st == nil || len(st.Cells) == 0 {
 		return
 	}
-	mem.Poison(st.Cells[0][:s.slabLen])
+	mem.Release(st.Cells[0][:s.slabLen])
 	s.stripePool.Put(st)
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -423,6 +424,45 @@ func TestDeltaFaults(t *testing.T) {
 				seen := at == onNeeded || (at == onGap && fault != "silent-flip")
 				if st.SubStripeFallbacks != 0 {
 					t.Fatalf("SubStripeFallbacks=%d, want 0: the stripe is within coverage", st.SubStripeFallbacks)
+				}
+				if seen && fault != "failed-device" {
+					// The load read the update set's extents, then, re-planned
+					// with the one loss they held, each source of the final
+					// plan outside the update set.
+					need := neededCells(t, s, ord)
+					want := []core.Cell{cell}
+					for col, rows := range need {
+						for row := range rows {
+							want = append(want, core.Cell{Col: col, Row: row})
+						}
+					}
+					var rp core.ReadPlan
+					if err := s.code.PlanRead(&rp, []core.Cell{cell}, want); err != nil {
+						t.Fatal(err)
+					}
+					wantExtra, gotExtra := map[core.Cell]bool{}, map[core.Cell]bool{}
+					for _, src := range rp.Sources {
+						if !need[src.Col][src.Row] {
+							wantExtra[src] = true
+						}
+					}
+					for col, reads := range v.takeReads() {
+						if rows := need[col]; rows != nil {
+							lo, hi := span(rows)
+							if len(reads) == 0 || reads[0] != (extent{s.devSector(stripe, lo), hi - lo + 1}) {
+								t.Fatalf("column %d: reads %v, want the update set's extent first", col, reads)
+							}
+							reads = reads[1:]
+						}
+						for _, e := range reads {
+							for sec := e.start; sec < e.start+e.n; sec++ {
+								gotExtra[core.Cell{Col: col, Row: sec - s.devSector(stripe, 0)}] = true
+							}
+						}
+					}
+					if !maps.Equal(gotExtra, wantExtra) {
+						t.Fatalf("re-planned reads %v, want the plan's sources outside the update set %v", gotExtra, wantExtra)
+					}
 				}
 				if fault == "silent-flip" && seen && st.ChecksumMismatches != 1 {
 					t.Fatalf("ChecksumMismatches=%d, want the flip counted exactly once", st.ChecksumMismatches)

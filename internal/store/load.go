@@ -278,11 +278,10 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 // through loadPlanned, into a pooled stripe with dst standing in for the
 // cell, and decodes the cell there: from n−m cells of its own row while
 // the row holds at most m losses (§4.3), else through the whole-stripe
-// peel pruned to the cell. down says the
-// cell's own device answered ErrDeviceFailed. A served cell counts as a
-// read, and risk is the number of lost cells the load found when a repair
-// can land one of them, 0 when none can; the caller counts what kind of
-// read it was. Otherwise dst is untouched and the error is
+// peel pruned to the cell. down says the cell's own device answered
+// ErrDeviceFailed. A served cell counts as a read, and risk is the number
+// of lost cells the load found when a repair can land one of them, 0 when
+// none can; the caller counts what kind of read it was. Otherwise dst is untouched and the error is
 // ErrUnrecoverable (the stripe is now marked), errBeyondRow (a hedge
 // only) or the context's. The caller holds the shard mutex.
 func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down, hedge bool) (risk int, err error) {

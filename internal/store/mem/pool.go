@@ -117,23 +117,17 @@ func (p *Pool) Release(buf []byte) {
 		return
 	}
 	b := buf[:cap(buf)]
-	Poison(b)
+	if Poisoning {
+		for i := range b {
+			b[i] = PoisonByte
+		}
+	}
 	h, _ := p.hdrs.Get().(*[]byte)
 	if h == nil {
 		h = new([]byte)
 	}
 	*h = b
 	p.tiers[t].Put(h)
-}
-
-// Poison overwrites b with PoisonByte when poisoning is built in, as
-// Release does: for memory recycled outside the pool.
-func Poison(b []byte) {
-	if Poisoning {
-		for i := range b {
-			b[i] = PoisonByte
-		}
-	}
 }
 
 // Off reports whether this pool is in pass-through mode.
