@@ -249,7 +249,10 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 	}
 	slices.Sort(cols)
 	if wanted == 1 && len(cols) <= c.m {
-		srcs = c.rowHave(srcs, one.Row, cols)
+		var hbuf [16]int
+		for _, col := range c.rowHave(hbuf[:0], cols) {
+			srcs = append(srcs, Cell{Col: col, Row: one.Row})
+		}
 		rp.row, rp.at = one.Row, slices.Index(cols, one.Col)
 	} else if wanted > 0 {
 		pl, err := c.peelPlan(lost, want)

@@ -35,15 +35,14 @@ type rowSolve struct {
 	plans []plan // plans[i] computes the i-th lost column from have
 }
 
-// rowHave appends to dst the cells of row that the row solve of a
-// sorted set of lost columns reads: those of the n−m lowest columns
-// outside the set.
-func (c *Code) rowHave(dst []Cell, row int, lost []int) []Cell {
-	for col, k, end := 0, 0, len(dst)+c.n-c.m; len(dst) < end; col++ {
+// rowHave appends to dst the columns the row solve of a sorted set of
+// lost columns reads: the n−m lowest outside the set.
+func (c *Code) rowHave(dst, lost []int) []int {
+	for col, k := 0, 0; len(dst) < c.n-c.m; col++ {
 		if k < len(lost) && lost[k] == col {
 			k++
 		} else {
-			dst = append(dst, Cell{Col: col, Row: row})
+			dst = append(dst, col)
 		}
 	}
 	return dst
@@ -66,11 +65,7 @@ func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	// Built once per column set, so out of as few allocations as the
 	// shapes allow: one backing array per kind, sliced per lost column.
 	k, kappa := len(lost), c.n-c.m
-	cols := make([]int, 0, kappa+k)
-	for _, cell := range c.rowHave(nil, 0, lost) {
-		cols = append(cols, cell.Col)
-	}
-	cols = append(cols, lost...)
+	cols := append(c.rowHave(make([]int, 0, kappa+k), lost), lost...)
 	set := cols[kappa:]
 	rs = &rowSolve{have: cols[:kappa:kappa], plans: make([]plan, k)}
 	coeffs, err := c.crow.SolveCoeffs(rs.have, set)

@@ -7,11 +7,10 @@ import (
 	"stair/internal/store/mem"
 )
 
-// This file is the store's zero-copy stripe memory: slab-backed stripes
-// and stripe buffers drawn from the tiered buffer pool
-// (internal/store/mem), plus the flat-span detection that lets devices
-// serve a vectored call over one contiguous region without a scratch
-// flat.
+// This file is the store's zero-copy stripe memory: slab-backed stripes,
+// pooled with their slabs, which loads and stripe buffers both draw
+// from, plus the flat-span detection that lets devices serve a vectored
+// call over one contiguous region without a scratch flat.
 //
 // Layout: a stripe slab is core.SlabSize bytes, chunk-major — cell
 // (col, row) lives at offset (col·r+row)·sectorSize — so the r sectors
@@ -20,8 +19,8 @@ import (
 // is what makes the contiguity *detectable*: flatSpan can verify, with
 // pure slice arithmetic, that a buffer vector tiles one backing region.
 //
-// Ownership: acquireStripe/acquireStripeBuf transfer a pooled slab to
-// the store; the matching release returns it once no device operation
+// Ownership: acquireStripe/acquireStripeBuf transfer a pooled stripe to
+// the caller; the matching release returns it once no device operation
 // can still reference it. An operation that ended with a context
 // cancellation may leave an abandoned inner operation (a coalesced
 // batch member, an in-flight HTTP body) holding the slab — such slabs
@@ -62,37 +61,36 @@ func flatSpan(bufs [][]byte) ([]byte, bool) {
 	return flat, true
 }
 
-// acquireStripe returns a stripe whose cells tile one pooled slab.
-// Contents are unspecified. The stripe views are pooled too: one comes
-// back pointing at the slab it had, which the buffer pool mostly hands
-// back with it, and then its cells are not sliced again.
+// acquireStripe returns a stripe whose cells tile one slab, from the
+// store's pool of them: loads and write buffers share it, and a stripe
+// comes back with its slab, so that one costs neither an allocation nor
+// slicing its cells. Contents are unspecified.
 func (s *Store) acquireStripe() *core.Stripe {
-	slab := mem.Acquire(s.slabLen)
-	st, ok := s.stripePool.Get().(*core.Stripe)
-	if !ok {
-		var err error
-		if st, err = s.code.StripeOver(slab, s.sectorSize); err != nil {
-			// Geometry and sector size were validated at Open.
-			panic("store: acquireStripe: " + err.Error())
-		}
+	if st, ok := s.stripePool.Get().(*core.Stripe); ok {
 		return st
 	}
-	if &st.Cells[0][:1][0] != &slab[0] {
-		for i := range st.Cells {
-			st.Cells[i] = slab[i*s.sectorSize : (i+1)*s.sectorSize]
-		}
+	st, err := s.code.StripeOver(make([]byte, s.slabLen), s.sectorSize)
+	if err != nil {
+		// Geometry and sector size were validated at Open.
+		panic("store: acquireStripe: " + err.Error())
 	}
 	return st
 }
 
-// releaseStripe returns a slab-backed stripe's memory and view to their
-// pools. The stripe — and anything still referencing its cells — must
-// not be used afterwards. Safe on nil.
+// releaseStripe returns a stripe, slab and all, to the pool — poisoned
+// under the stairpoison tag, like the buffer pool's buffers. The stripe
+// — and anything still referencing its cells — must not be used
+// afterwards. Safe on nil.
 func (s *Store) releaseStripe(st *core.Stripe) {
-	if st == nil || len(st.Cells) == 0 {
+	if st == nil || len(st.Cells) == 0 || !mem.Enabled() {
 		return
 	}
-	mem.Release(st.Cells[0][:s.slabLen])
+	if mem.Poisoning {
+		slab := st.Cells[0][:s.slabLen]
+		for i := range slab {
+			slab[i] = mem.PoisonByte
+		}
+	}
 	s.stripePool.Put(st)
 }
 
@@ -106,15 +104,15 @@ func (s *Store) releaseStripeUnlessCancelled(ctx context.Context, st *core.Strip
 	}
 }
 
-// acquireStripeBuf returns a write buffer whose rows are carved from
-// one pooled slab as blocks arrive (see WriteBlock).
+// acquireStripeBuf returns a write buffer whose rows are the data cells
+// of a pooled stripe, filled as blocks arrive (see WriteBlock).
 func (s *Store) acquireStripeBuf() *stripeBuf {
-	if v := s.bufPool.Get(); v != nil {
-		buf := v.(*stripeBuf)
-		buf.slab = mem.Acquire(s.slabLen)
-		return buf
+	buf, _ := s.bufPool.Get().(*stripeBuf)
+	if buf == nil {
+		buf = &stripeBuf{data: make([][]byte, s.perStripe)}
 	}
-	return &stripeBuf{data: make([][]byte, s.perStripe), slab: mem.Acquire(s.slabLen)}
+	buf.st = s.acquireStripe()
+	return buf
 }
 
 // releaseStripeBuf recycles a flushed buffer. The caller must already
@@ -122,8 +120,8 @@ func (s *Store) acquireStripeBuf() *stripeBuf {
 // when the flush ended by cancellation (the buffer stays dirty for
 // retry in that case anyway).
 func (s *Store) releaseStripeBuf(buf *stripeBuf) {
-	mem.Release(buf.slab)
-	buf.slab = nil
+	s.releaseStripe(buf.st)
+	buf.st = nil
 	clear(buf.data)
 	buf.count = 0
 	buf.stuck, buf.queued = false, false

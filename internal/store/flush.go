@@ -82,14 +82,11 @@ func (s *Store) flushStripeLocked(ctx context.Context, sh *lockShard, stripe int
 
 // flushFullLocked is the full-stripe path: encode every parity cell
 // from the buffered data and write the whole stripe back. The buffer's
-// rows already sit at their stripe offsets in its slab, so the encode
-// computes parity in place and the write-back sends slab sub-slices —
-// no copy between the write path's buffer and the devices.
+// rows are its stripe's data cells, so the encode computes parity in
+// place and the write-back sends slab sub-slices — no copy between the
+// write path's buffer and the devices.
 func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
-	st, err := s.code.StripeOver(buf.slab, s.sectorSize)
-	if err != nil {
-		return err
-	}
+	st := buf.st
 	// Nothing below looks at ctx before the journal append: a caller
 	// that has already given up gets neither an encode nor an intent.
 	if err := ctx.Err(); err != nil {
@@ -373,8 +370,7 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 func (s *Store) promoteToFullLocked(buf *stripeBuf, st *core.Stripe) {
 	for ord, cell := range s.dataCells {
 		if buf.data[ord] == nil {
-			off := s.ordOff[ord]
-			buf.data[ord] = buf.slab[off : off+s.sectorSize]
+			buf.data[ord] = buf.st.Sector(cell.Col, cell.Row)
 			copy(buf.data[ord], st.Sector(cell.Col, cell.Row))
 			buf.count++
 		}

@@ -160,12 +160,12 @@ func IntegrityMetaSectors(stripes, r, sectorSize int) int {
 // the same error is not re-reported on every unrelated write, but
 // explicit Flush (and the filling-to-full fast path) still retry it.
 type stripeBuf struct {
-	// data[ord] is nil until block ord is written, then a sector-sized
-	// sub-slice of slab at the block's chunk-major stripe offset — so a
-	// full buffer's rows tile the slab exactly like a loaded stripe, and
-	// the full-stripe flush encodes and writes back in place, zero-copy.
+	// data[ord] is nil until block ord is written, then the cell of st
+	// the block maps to — so a full buffer is a stripe whose data cells
+	// are the blocks, and the full-stripe flush encodes and writes back
+	// in place, zero-copy.
 	data  [][]byte
-	slab  []byte
+	st    *core.Stripe
 	count int
 	stuck bool
 	// queued marks a buffer handed to the asynchronous flush pipeline
@@ -190,14 +190,12 @@ type Store struct {
 	dataCells []core.Cell
 	perStripe int
 
-	// Zero-copy stripe memory (see arena.go): slabLen is the pooled
-	// slab size backing one stripe, ordOff maps a data-cell ordinal to
-	// its chunk-major byte offset within a slab, bufPool recycles
-	// stripeBuf shells between flushes and stripePool loaded stripes.
+	// Zero-copy stripe memory (see arena.go): slabLen is the slab size
+	// backing one stripe, stripePool recycles stripes with their slabs
+	// and bufPool stripeBuf shells between flushes.
 	slabLen    int
-	ordOff     []int
-	bufPool    sync.Pool
 	stripePool sync.Pool
+	bufPool    sync.Pool
 
 	// integ, when non-nil, is the end-to-end checksum layer; integVerify
 	// gates verification (false = maintain records, never check them).
@@ -368,10 +366,6 @@ func Open(cfg Config) (*Store, error) {
 	s.dataSectors = cfg.Stripes * r
 	s.perStripe = len(s.dataCells)
 	s.slabLen = cfg.Code.SlabSize(cfg.SectorSize)
-	s.ordOff = make([]int, s.perStripe)
-	for ord, cell := range s.dataCells {
-		s.ordOff[ord] = (cell.Col*r + cell.Row) * cfg.SectorSize
-	}
 	s.idle = sync.NewCond(&s.stateMu)
 	s.flushIdle = sync.NewCond(&s.flushMu)
 	s.sortedDataCells = append([]core.Cell(nil), s.dataCells...)
@@ -483,7 +477,7 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	stripe, ord, _, err := s.blockOf(b)
+	stripe, ord, cell, err := s.blockOf(b)
 	if err != nil {
 		return err
 	}
@@ -505,8 +499,7 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	}
 	if buf.data[ord] == nil {
 		buf.count++
-		off := s.ordOff[ord]
-		buf.data[ord] = buf.slab[off : off+s.sectorSize]
+		buf.data[ord] = buf.st.Sector(cell.Col, cell.Row)
 	}
 	copy(buf.data[ord], data)
 	s.c.writes.Add(1)

@@ -184,8 +184,8 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	}
 
 	// A single-block update made durable to the devices: the §5.2
-	// read–modify–write on its delta path, its stripe pooled whole. What
-	// is left is the flush sweep's stripe list.
+	// read–modify–write on its delta path, its stripe pooled with its
+	// slab. What is left is the flush sweep's stripe list.
 	updates := testing.AllocsPerRun(2000, func() {
 		if err := s.WriteBlock(bg, (i*7)%s.Blocks(), buf); err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	// set cold — a row solve straight from C_row's generator, tens of
 	// allocations, not a full-grid peel — and from then on a read whose row
 	// holds no further loss is row-local: n−m single-sector reads into a
-	// pooled stripe and a cached one-op plan.
+	// stripe pooled with its slab and a cached one-op plan.
 	for _, dev := range []int{0, 1} {
 		if err := s.FailDevice(dev); err != nil {
 			t.Fatal(err)
