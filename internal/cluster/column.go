@@ -55,11 +55,13 @@ func newColumn(idx int, server Server, dev store.Device, wrap func(store.Device)
 	}
 }
 
-// snapshot returns the current device, or ErrDeviceFailed when dead.
+// snapshot returns the current device, or ErrDeviceFailed when dead or
+// closed: a hedged read's primary can reach its column after the volume
+// closed.
 func (c *column) snapshot() (store.Device, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.dead {
+	if c.dead || c.dev == nil {
 		return nil, store.ErrDeviceFailed
 	}
 	return c.dev, nil

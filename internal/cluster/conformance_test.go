@@ -114,6 +114,12 @@ func TestColumnDeadFastFail(t *testing.T) {
 	if !col.Failed() {
 		t.Fatal("dead column reports healthy")
 	}
+	// A closed column answers the same, not with a nil device.
+	live := newColumn(1, Server{Name: "s0", URL: srv.URL}, dev, nil)
+	live.Close()
+	if err := live.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)}); err != store.ErrDeviceFailed {
+		t.Fatalf("closed column read: %v, want ErrDeviceFailed", err)
+	}
 }
 
 // Transport errors on live I/O reach the failure detector; typed
