@@ -201,7 +201,7 @@ func (c *Code) peelPlan(lost, want []Cell) (*plan, error) {
 }
 
 // ReadPlan is what PlanRead resolves a (lost, want) pair to: the cells to
-// read, and how Decode computes want from them.
+// read, and how Decode computes want from them. The zero value is no plan.
 type ReadPlan struct {
 	// Sources lists, sorted by (Col, Row), the cells that must be read to
 	// have every cell of want when the cells of lost are unreadable:
@@ -209,12 +209,13 @@ type ReadPlan struct {
 	// decoding the others. (With Outside placement that plan also reads
 	// the stripe's Globals, which are not cells.)
 	Sources []Cell
-	// The plan: the row solve of row's lost columns cols for the wanted
-	// one, cols[at], or else (row −1) the peel pl; neither when no
-	// wanted cell is lost.
-	cols    []int
-	row, at int
-	pl      *plan
+	// The plan: with local, the row solve of row's lost columns cols for
+	// the wanted one, col; else the peel pl, nil when no wanted cell is
+	// lost. planned says PlanRead filled it.
+	cols           []int
+	row, col       int
+	pl             *plan
+	planned, local bool
 }
 
 // PlanRead resolves (lost, want) into rp, reusing its memory. One wanted
@@ -226,11 +227,8 @@ type ReadPlan struct {
 // it with more cells lost.
 func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 	srcs, cols := rp.Sources[:0], rp.cols[:0]
-	rp.row, rp.pl = -1, nil
-	if err := c.checkCells(lost); err != nil {
-		return err
-	}
-	if err := c.checkCells(want); err != nil {
+	rp.planned = false
+	if err := errors.Join(c.checkCells(lost), c.checkCells(want)); err != nil {
 		return err
 	}
 	wanted, one := 0, Cell{}
@@ -248,49 +246,44 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 		}
 	}
 	slices.Sort(cols)
-	if wanted == 1 && len(cols) <= c.m {
+	local, pl := wanted == 1 && len(cols) <= c.m, (*plan)(nil)
+	if local {
 		var hbuf [16]int
 		for _, col := range c.rowHave(hbuf[:0], cols) {
 			srcs = append(srcs, Cell{Col: col, Row: one.Row})
 		}
-		rp.row, rp.at = one.Row, slices.Index(cols, one.Col)
 	} else if wanted > 0 {
-		pl, err := c.peelPlan(lost, want)
-		if err != nil {
+		var err error
+		if pl, err = c.peelPlan(lost, want); err != nil {
 			return err
 		}
-		rp.pl, srcs = pl, append(srcs, pl.sources...)
+		srcs = append(srcs, pl.sources...)
 	}
 	if had > 0 {
 		SortCells(srcs)
 		srcs = slices.Compact(srcs)
 	}
-	rp.Sources, rp.cols = srcs, cols
+	*rp = ReadPlan{Sources: srcs, cols: cols, row: one.Row, col: one.Col, pl: pl, planned: true, local: local}
 	return nil
 }
 
 // Decode reconstructs in place the lost cells of the want rp was planned
 // for, reading only rp.Sources: no other cell of st needs valid content.
 // It writes lost cells only — want's, and any other the peel computes on
-// the way to them — and ignores their current contents. Repair is the
-// case want = lost.
+// the way to them — and ignores their current contents.
 func (c *Code) Decode(st *Stripe, rp *ReadPlan) error {
-	if rp.row >= 0 {
-		// A row solve reads and writes its row only.
-		if err := c.validateRows(st, rp.row, rp.row+1); err != nil {
-			return err
-		}
-		rs, err := c.rowSolveFor(rp.cols)
-		if err != nil {
-			return err
-		}
+	if rp == nil || !rp.planned {
+		return errors.New("core: Decode of a read PlanRead has not planned")
+	}
+	if rp.local && st != nil && len(st.Cells) == c.n*c.r {
+		// A row solve reads and writes its row only, which RepairRow
+		// checks.
 		var cbuf [16][]byte
 		cells := cbuf[:0]
 		for col := 0; col < c.n; col++ {
 			cells = append(cells, st.Cells[col*c.r+rp.row])
 		}
-		c.runPlan(&rs.plans[rp.at], cells)
-		return nil
+		return c.RepairRow(cells, rp.cols, rp.col)
 	}
 	if err := c.validateStripe(st); err != nil || rp.pl == nil {
 		return err
@@ -301,22 +294,19 @@ func (c *Code) Decode(st *Stripe, rp *ReadPlan) error {
 	return nil
 }
 
-// Repair reconstructs the lost cells of a stripe in place. The lost cells'
-// current contents are ignored. It returns ErrUnrecoverable when the
-// pattern exceeds the coverage defined by m and e (and is not otherwise
-// peelable by luck).
+// Repair reconstructs the lost cells of a stripe in place: Decode of the
+// peel planned for want = lost. The lost cells' current contents are
+// ignored. It returns ErrUnrecoverable when the pattern exceeds the
+// coverage defined by m and e (and is not otherwise peelable by luck).
 func (c *Code) Repair(st *Stripe, lost []Cell) error {
-	if err := c.validateStripe(st); err != nil || len(lost) == 0 {
-		return err
+	if len(lost) == 0 {
+		return c.validateStripe(st)
 	}
 	pl, err := c.peelPlan(lost, nil)
 	if err != nil {
 		return err
 	}
-	e := c.env(st)
-	defer c.releaseEnv(e)
-	c.runPlan(pl, e.cells)
-	return nil
+	return c.Decode(st, &ReadPlan{pl: pl, planned: true})
 }
 
 // CanRecover reports whether Repair would succeed on a failure pattern,

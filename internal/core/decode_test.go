@@ -539,3 +539,25 @@ func TestDecodeReadsOnlySources(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusesUnplanned: Decode of a nil or zero ReadPlan, or of one
+// whose PlanRead failed, is an error, not a decode or a panic.
+func TestDecodeRefusesUnplanned(t *testing.T) {
+	c, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newFilledStripe(t, c, 64, 7)
+	if err := c.Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	var failed ReadPlan
+	if err := c.PlanRead(&failed, []Cell{{Col: 0, Row: 0}}, []Cell{{Col: 8, Row: 0}}); err == nil {
+		t.Fatal("PlanRead of a cell outside the stripe succeeded")
+	}
+	for name, rp := range map[string]*ReadPlan{"nil": nil, "zero": {}, "failed": &failed} {
+		if err := c.Decode(st, rp); err == nil {
+			t.Errorf("Decode of a %s ReadPlan succeeded", name)
+		}
+	}
+}

@@ -79,11 +79,7 @@ func (st *Stripe) Clone() *Stripe {
 }
 
 // validateStripe checks a caller-supplied stripe against the code.
-func (c *Code) validateStripe(st *Stripe) error { return c.validateRows(st, 0, c.r) }
-
-// validateRows is validateStripe checking the sizes of the cells of rows
-// [lo, hi) only.
-func (c *Code) validateRows(st *Stripe, lo, hi int) error {
+func (c *Code) validateStripe(st *Stripe) error {
 	if st == nil {
 		return fmt.Errorf("core: nil stripe")
 	}
@@ -96,11 +92,9 @@ func (c *Code) validateRows(st *Stripe, lo, hi int) error {
 	if st.SectorSize <= 0 || st.SectorSize%c.f.SymbolBytes() != 0 {
 		return fmt.Errorf("core: sector size %d must be a positive multiple of %d", st.SectorSize, c.f.SymbolBytes())
 	}
-	for col := 0; col < c.n; col++ {
-		for row := lo; row < hi; row++ {
-			if s := st.Cells[col*c.r+row]; len(s) != st.SectorSize {
-				return fmt.Errorf("core: cell (%d,%d) has %d bytes, want %d", col, row, len(s), st.SectorSize)
-			}
+	for i, s := range st.Cells {
+		if len(s) != st.SectorSize {
+			return fmt.Errorf("core: cell %d has %d bytes, want %d", i, len(s), st.SectorSize)
 		}
 	}
 	if c.placement == Outside {

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -769,5 +770,99 @@ func TestTornRetryRaisesNoChecksumAlarm(t *testing.T) {
 	}
 	if st := s.Stats(); st.ChecksumMismatches != 0 || rep.ChecksumMismatches != 0 || rep.StripesDamaged != 0 {
 		t.Fatalf("false alarm: %d mismatches counted, scrub %+v", st.ChecksumMismatches, rep)
+	}
+}
+
+// TestDeltaMultiLoss: a sub-stripe flush that meets several losses —
+// two needed cells of different columns, or a failed device and both row
+// parities of the updated cell's row, so that row holds more than m —
+// re-plans until it has every loss, reads nothing beyond the update set's
+// extents but the sources of its last plan and what it found lost, and
+// decodes from what it read: the stripe it loads into is primed with
+// garbage, so a decode through a cell it did not read would write the
+// garbage down.
+func TestDeltaMultiLoss(t *testing.T) {
+	const stripe, ord = 1, 0
+	for _, tc := range []string{"two-needed-cells", "row-beyond-m"} {
+		t.Run(tc, func(t *testing.T) {
+			v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
+			s := v.s
+			need := neededCells(t, s, ord)
+			data := s.dataCells[ord]
+			_, _, out := deltaFaultSites(t, s, ord)
+			var faults []core.Cell
+			if tc == "two-needed-cells" {
+				for col := 0; col < s.n && len(faults) < 2; col++ {
+					if lo, _ := span(need[col]); col != data.Col && need[col] != nil && (len(faults) == 0 || faults[0].Row != lo) {
+						faults = append(faults, core.Cell{Col: col, Row: lo})
+					}
+				}
+			} else {
+				if err := s.FailDevice(out.Col); err != nil {
+					t.Fatal(err)
+				}
+				faults = []core.Cell{{Col: s.n - 2, Row: data.Row}, {Col: s.n - 1, Row: data.Row}}
+			}
+			for _, cell := range faults {
+				if !need[cell.Col][cell.Row] {
+					t.Fatalf("cell %v is not in the update set", cell)
+				}
+				if err := s.InjectSectorError(cell.Col, s.devSector(stripe, cell.Row)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			garbage := s.acquireStripe()
+			for _, cell := range garbage.Cells {
+				rand.Read(cell)
+			}
+			s.releaseStripe(garbage)
+			v.update(t, 1, stripe*s.perStripe+ord)
+			if got := s.Stats().SubStripeFallbacks; got != 0 {
+				t.Fatalf("SubStripeFallbacks=%d, want 0: the stripe is within coverage", got)
+			}
+			// The losses the load found: the faults, and the failed
+			// device's cells it tried.
+			lost := slices.Clone(s.shard(stripe).load.lost)
+			for _, cell := range faults {
+				if !slices.Contains(lost, cell) {
+					t.Fatalf("the flush found the losses %v, not the fault at %v", lost, cell)
+				}
+			}
+			want := slices.Clone(lost)
+			for col, rows := range need {
+				for row := range rows {
+					want = append(want, core.Cell{Col: col, Row: row})
+				}
+			}
+			var rp core.ReadPlan
+			if err := s.code.PlanRead(&rp, lost, want); err != nil {
+				t.Fatal(err)
+			}
+			for col, reads := range v.takeReads() {
+				lo, hi := span(need[col])
+				for _, e := range reads {
+					for sec := e.start; sec < e.start+e.n; sec++ {
+						cell := core.Cell{Col: col, Row: sec - s.devSector(stripe, 0)}
+						if !(cell.Row >= lo && cell.Row <= hi) && !slices.Contains(rp.Sources, cell) && !slices.Contains(lost, cell) {
+							t.Errorf("the flush read %v: outside the update set's extents, the last plan's sources and the losses", cell)
+						}
+					}
+				}
+			}
+			v.checkBlocks(t)
+			if tc == "row-beyond-m" {
+				if err := s.ReplaceDevice(out.Col); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.RebuildDevice(bg, out.Col); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if bad := s.TotalBadSectors(); bad != 0 {
+				t.Fatalf("%d bad sectors left: the flush heals the update set's losses", bad)
+			}
+			checkStripesConsistent(t, s)
+			v.checkBlocks(t)
+		})
 	}
 }

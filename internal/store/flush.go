@@ -132,11 +132,12 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 // to its last needed row, so the load never costs more calls or bytes
 // than the whole-stripe load; a sector between needed rows is scratch,
 // never verified or written back. Every loss the load finds joins what it
-// wants, so the plan reads what decodes it and the flush repairs it and
-// writes it back, healing it in passing; that repair stays the one place
-// a flush decodes. A stripe marked unrecoverable wants every cell. The
-// incremental parity relations are applied in place, and the update set
-// and the repaired cells are written back.
+// wants, so the plan the load ends with decodes it from cells the load
+// read, and the flush writes it back, healing it in passing. A stripe
+// marked unrecoverable wants every cell. The incremental parity
+// relations — which read and write the update set and no other cell —
+// are applied in place, and the update set and the repaired cells are
+// written back.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
 	u := &sh.upd
 	s.planUpdate(u, buf)
@@ -144,27 +145,28 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	ld := s.startLoad(stripe, true)
 	ld.heal = true
 	if sh.unrecoverable[stripe] {
+		s.c.subFallbacks.Add(1)
 		ld.want = append(ld.want, s.allCells...)
 	} else {
 		ld.want = append(ld.want, u.cells...)
 	}
 	err := s.loadPlanned(ctx, ld, st)
-	if sh.unrecoverable[stripe] {
-		s.c.subFallbacks.Add(1)
+	if err == nil {
+		err = s.code.Decode(st, &ld.plan)
+	}
+	for ord, data := range buf.data {
+		if err == nil && data != nil {
+			err = s.code.UpdateWith(st, s.dataCells[ord], data, &u.codec)
+		}
 	}
 	if err != nil {
 		s.releaseStripeUnlessCancelled(ctx, st)
 		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
 	}
-	lost := ld.lost
-	if err := s.applyUpdatesLocked(sh, stripe, st, lost, buf); err != nil {
-		s.releaseStripeUnlessCancelled(ctx, st)
-		return err
-	}
 	// Write back the dirty data cells and affected parity, plus any
 	// cells just repaired (healing their bad sectors in passing).
-	if len(lost) > 0 {
-		for _, cell := range lost {
+	if len(ld.lost) > 0 {
+		for _, cell := range ld.lost {
 			u.need[s.cellIdx(cell)] = true
 		}
 		s.collectUpdate(u)
@@ -234,25 +236,6 @@ func (s *Store) collectUpdate(u *updateSet) {
 			u.cols = append(u.cols, cell.Col)
 		}
 	}
-}
-
-// applyUpdatesLocked repairs a loaded stripe's lost cells and applies
-// the buffered dirty blocks through the §5.2 incremental parity
-// relations — which read and write the cells planUpdate flagged and no
-// others. The caller holds the shard mutex.
-func (s *Store) applyUpdatesLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell, buf *stripeBuf) error {
-	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
-		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
-	}
-	for ord, data := range buf.data {
-		if data == nil {
-			continue
-		}
-		if err := s.code.UpdateWith(st, s.dataCells[ord], data, &sh.upd.codec); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // tornUpdate is what an interrupted sub-stripe write-back leaves
