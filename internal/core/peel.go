@@ -58,40 +58,41 @@ func (p *peeler) markKnown(row, col int, isZero bool) {
 	p.zero[i] = isZero
 }
 
-// solveRow checks whether canonical row `row` has at least n−m known
-// symbols and, if so, emits ops recovering every unknown symbol in the
-// row. Returns true if the row was solved.
-func (p *peeler) solveRow(row int) (bool, error) {
-	c := p.c
+// solve checks whether canonical row index — with isCol, column index —
+// has at least κ known symbols (κ = n−m of Crow for a row, r of Ccol for
+// a column, whose codeword then determines the rest) and, if so, emits
+// ops recovering every unknown symbol in it. Returns true if it was
+// solved.
+func (p *peeler) solve(isCol bool, index int) (bool, error) {
+	c, code, size, kind := p.c, p.c.crow, p.c.cols, "row"
+	cell := func(i int) int { return c.cellIdx(index, i) }
+	if isCol {
+		code, size, kind = c.ccol, c.rows, "column"
+		cell = func(i int) int { return c.cellIdx(i, index) }
+	}
 	var have, want []int
-	for col := 0; col < c.cols; col++ {
-		if p.known[c.cellIdx(row, col)] {
-			have = append(have, col)
+	for i := 0; i < size; i++ {
+		if p.known[cell(i)] {
+			have = append(have, i)
 		} else {
-			want = append(want, col)
+			want = append(want, i)
 		}
 	}
-	if len(want) == 0 {
+	if len(want) == 0 || len(have) < code.Kappa() {
 		return false, nil
 	}
-	if len(have) < c.crow.Kappa() {
-		return false, nil
-	}
-	k, err := c.crow.SolveCoeffs(have, want)
+	k, err := code.SolveCoeffs(have, want)
 	if err != nil {
-		return false, fmt.Errorf("core: row %d solve: %w", row, err)
+		return false, fmt.Errorf("core: %s %d solve: %w", kind, index, err)
 	}
 	ev := int32(len(p.sched.events))
-	p.sched.events = append(p.sched.events, solveEvent{isCol: false, index: row})
-	for wi, col := range want {
-		o := op{dst: int32(c.cellIdx(row, col)), event: ev, width: int32(c.crow.Kappa())}
-		for hi := 0; hi < c.crow.Kappa(); hi++ {
-			coeff := k.At(wi, hi)
-			src := c.cellIdx(row, have[hi])
-			if coeff == 0 || p.zero[src] {
-				continue
+	p.sched.events = append(p.sched.events, solveEvent{isCol: isCol, index: index})
+	for wi, w := range want {
+		o := op{dst: int32(cell(w)), event: ev, width: int32(code.Kappa())}
+		for hi := 0; hi < code.Kappa(); hi++ {
+			if coeff, src := k.At(wi, hi), cell(have[hi]); coeff != 0 && !p.zero[src] {
+				o.terms = append(o.terms, term{src: int32(src), coeff: coeff})
 			}
-			o.terms = append(o.terms, term{src: int32(src), coeff: coeff})
 		}
 		p.sched.ops = append(p.sched.ops, o)
 		p.known[o.dst] = true
@@ -99,43 +100,22 @@ func (p *peeler) solveRow(row int) (bool, error) {
 	return true, nil
 }
 
-// solveCol is the column analogue of solveRow, using Ccol (κ = r).
-func (p *peeler) solveCol(col int) (bool, error) {
-	c := p.c
-	var have, want []int
-	for row := 0; row < c.rows; row++ {
-		if p.known[c.cellIdx(row, col)] {
-			have = append(have, row)
-		} else {
-			want = append(want, row)
+// pass solves in turn every row — with isCol every column not deferred —
+// from index from up to, or down to, index to (exclusive), and reports
+// whether it solved any.
+func (p *peeler) pass(isCol bool, from, to int) (progress bool, err error) {
+	step := 1
+	if to < from {
+		step = -1
+	}
+	for i := from; i != to && err == nil; i += step {
+		if !isCol || !p.deferred[i] {
+			var ok bool
+			ok, err = p.solve(isCol, i)
+			progress = progress || ok
 		}
 	}
-	if len(want) == 0 {
-		return false, nil
-	}
-	if len(have) < c.ccol.Kappa() {
-		return false, nil
-	}
-	k, err := c.ccol.SolveCoeffs(have, want)
-	if err != nil {
-		return false, fmt.Errorf("core: column %d solve: %w", col, err)
-	}
-	ev := int32(len(p.sched.events))
-	p.sched.events = append(p.sched.events, solveEvent{isCol: true, index: col})
-	for wi, row := range want {
-		o := op{dst: int32(c.cellIdx(row, col)), event: ev, width: int32(c.ccol.Kappa())}
-		for hi := 0; hi < c.ccol.Kappa(); hi++ {
-			coeff := k.At(wi, hi)
-			src := c.cellIdx(have[hi], col)
-			if coeff == 0 || p.zero[src] {
-				continue
-			}
-			o.terms = append(o.terms, term{src: int32(src), coeff: coeff})
-		}
-		p.sched.ops = append(p.sched.ops, o)
-		p.known[o.dst] = true
-	}
-	return true, nil
+	return progress, err
 }
 
 func (p *peeler) allKnown(cells []int) bool {
@@ -152,44 +132,19 @@ func (p *peeler) allKnown(cells []int) bool {
 // solves (top to bottom) until neither makes progress or all targets are
 // known.
 func (p *peeler) upstairsLoop(targets []int) error {
-	c := p.c
 	for {
-		progress := false
-		for col := 0; col < c.n; col++ {
-			if p.deferred[col] {
-				continue
-			}
-			ok, err := p.solveCol(col)
-			if err != nil {
-				return err
-			}
-			progress = progress || ok
+		cols, err := p.pass(true, 0, p.c.n)
+		if err != nil {
+			return err
 		}
-		for row := c.r; row < c.rows; row++ {
-			ok, err := p.solveRow(row)
-			if err != nil {
-				return err
-			}
-			progress = progress || ok
+		rows, err := p.pass(false, p.c.r, p.c.rows)
+		if err != nil {
+			return err
 		}
-		if p.allKnown(targets) || !progress {
+		if p.allKnown(targets) || !cols && !rows {
 			return nil
 		}
 	}
-}
-
-// realRowPass solves every currently solvable real row (local repair via
-// row parity symbols, §4.3). Reports whether any row was solved.
-func (p *peeler) realRowPass() (bool, error) {
-	progress := false
-	for row := 0; row < p.c.r; row++ {
-		ok, err := p.solveRow(row)
-		if err != nil {
-			return progress, err
-		}
-		progress = progress || ok
-	}
-	return progress, nil
 }
 
 // upstairs runs strict upstairs order (§4.2, Table 2): columns and
@@ -202,7 +157,7 @@ func (p *peeler) upstairs(targets []int) error {
 		if p.allKnown(targets) {
 			return nil
 		}
-		progress, err := p.realRowPass()
+		progress, err := p.pass(false, 0, p.c.r)
 		if err != nil {
 			return err
 		}
@@ -212,11 +167,12 @@ func (p *peeler) upstairs(targets []int) error {
 	}
 }
 
-// practical runs the §4.3 order: local row repair first, then the
-// upstairs machinery, then deferred row repairs, until stall.
+// practical runs the §4.3 order: local row repair (a pass over the real
+// rows, solved from their row parities) first, then the upstairs
+// machinery, then deferred row repairs, until stall.
 func (p *peeler) practical(targets []int) error {
 	for {
-		if _, err := p.realRowPass(); err != nil {
+		if _, err := p.pass(false, 0, p.c.r); err != nil {
 			return err
 		}
 		if p.allKnown(targets) {
@@ -229,7 +185,7 @@ func (p *peeler) practical(targets []int) error {
 		if p.allKnown(targets) {
 			return nil
 		}
-		progress, err := p.realRowPass()
+		progress, err := p.pass(false, 0, p.c.r)
 		if err != nil {
 			return err
 		}
@@ -246,54 +202,39 @@ func (p *peeler) practical(targets []int) error {
 // intermediate columns right→left, looped. Only valid for encoding (the
 // paper notes this order cannot decode general failure patterns).
 func (p *peeler) downstairs(targets []int) error {
-	c := p.c
 	for {
-		progress := false
-		for row := 0; row < c.r; row++ {
-			ok, err := p.solveRow(row)
-			if err != nil {
-				return err
-			}
-			progress = progress || ok
+		rows, err := p.pass(false, 0, p.c.r)
+		if err != nil {
+			return err
 		}
 		if p.allKnown(targets) {
 			return nil
 		}
-		for col := c.cols - 1; col >= c.n; col-- {
-			ok, err := p.solveCol(col)
-			if err != nil {
-				return err
-			}
-			progress = progress || ok
+		cols, err := p.pass(true, p.c.cols-1, p.c.n-1)
+		if err != nil {
+			return err
 		}
-		if p.allKnown(targets) || !progress {
+		if p.allKnown(targets) || !rows && !cols {
 			return nil
 		}
 	}
 }
 
-// generic runs an unrestricted fixpoint over every row and column. It is
-// the best-effort fallback for failure patterns outside the constructed
-// coverage that nevertheless happen to be peelable.
+// generic runs an unrestricted fixpoint over every row and column (its
+// peeler defers no chunk). It is the best-effort fallback for failure
+// patterns outside the constructed coverage that nevertheless happen to
+// be peelable.
 func (p *peeler) generic(targets []int) error {
-	c := p.c
 	for {
-		progress := false
-		for row := 0; row < c.rows; row++ {
-			ok, err := p.solveRow(row)
-			if err != nil {
-				return err
-			}
-			progress = progress || ok
+		rows, err := p.pass(false, 0, p.c.rows)
+		if err != nil {
+			return err
 		}
-		for col := 0; col < c.cols; col++ {
-			ok, err := p.solveCol(col)
-			if err != nil {
-				return err
-			}
-			progress = progress || ok
+		cols, err := p.pass(true, 0, p.c.cols)
+		if err != nil {
+			return err
 		}
-		if p.allKnown(targets) || !progress {
+		if p.allKnown(targets) || !rows && !cols {
 			return nil
 		}
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the store's zero-copy stripe memory: slab-backed stripes,
-// pooled with their slabs, which loads and stripe buffers both draw
-// from, plus the flat-span detection that lets devices serve a vectored
-// call over one contiguous region without a scratch flat.
+// pooled with their slabs for loads and write buffers alike, plus the
+// flat-span detection that lets devices serve a vectored call over one
+// contiguous region without a scratch flat.
 //
 // Layout: a stripe slab is core.SlabSize bytes, chunk-major — cell
 // (col, row) lives at offset (col·r+row)·sectorSize — so the r sectors
@@ -61,10 +61,11 @@ func flatSpan(bufs [][]byte) ([]byte, bool) {
 	return flat, true
 }
 
-// acquireStripe returns a stripe whose cells tile one slab, from the
-// store's pool of them: loads and write buffers share it, and a stripe
-// comes back with its slab, so that one costs neither an allocation nor
-// slicing its cells. Contents are unspecified.
+// acquireStripe returns a pooled stripe whose cells tile one slab. It
+// comes with its slab, so it costs neither an allocation nor slicing its
+// cells: a planned load may read any cells of the stripe, and the
+// degraded read, which reads n−m, cannot afford either. Contents are
+// unspecified.
 func (s *Store) acquireStripe() *core.Stripe {
 	if st, ok := s.stripePool.Get().(*core.Stripe); ok {
 		return st
@@ -77,21 +78,14 @@ func (s *Store) acquireStripe() *core.Stripe {
 	return st
 }
 
-// releaseStripe returns a stripe, slab and all, to the pool — poisoned
-// under the stairpoison tag, like the buffer pool's buffers. The stripe
-// — and anything still referencing its cells — must not be used
-// afterwards. Safe on nil.
+// releaseStripe returns a stripe, slab and all, to the pool, poisoned as
+// the buffer pool's are (mem.Poison). The stripe — and anything still
+// referencing its cells — must not be used afterwards. Safe on nil.
 func (s *Store) releaseStripe(st *core.Stripe) {
-	if st == nil || len(st.Cells) == 0 || !mem.Enabled() {
-		return
+	if st != nil && len(st.Cells) > 0 && mem.Enabled() {
+		mem.Poison(st.Cells[0][:s.slabLen])
+		s.stripePool.Put(st)
 	}
-	if mem.Poisoning {
-		slab := st.Cells[0][:s.slabLen]
-		for i := range slab {
-			slab[i] = mem.PoisonByte
-		}
-	}
-	s.stripePool.Put(st)
 }
 
 // releaseStripeUnlessCancelled releases st's slab unless the operation

@@ -126,18 +126,14 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 
 // flushPartialLocked is the §5.2 read–modify–write path. An update of a
 // data cell changes that cell and the parity cells that depend on it —
-// about ten of the stripe's cells — and nothing else, so that is what the
-// flush wants of the stripe: a planned load (loadPlanned) reads and
-// verifies those cells, one loadChunk per touched column from its first
-// to its last needed row, so the load never costs more calls or bytes
-// than the whole-stripe load; a sector between needed rows is scratch,
-// never verified or written back. Every loss the load finds joins what it
-// wants, so the plan the load ends with decodes it from cells the load
-// read, and the flush writes it back, healing it in passing. A stripe
-// marked unrecoverable wants every cell. The incremental parity
-// relations — which read and write the update set and no other cell —
-// are applied in place, and the update set and the repaired cells are
-// written back.
+// about ten of the stripe's cells — so that is what the flush wants of
+// the stripe (every cell, if it is marked unrecoverable): loadPlanned
+// reads and verifies them, one loadChunk per touched column from its
+// first to its last needed row; a sector between needed rows is scratch,
+// never verified or written back. Every loss the load finds joins want,
+// so the load's final plan decodes it from cells the load read, and the
+// flush writes it back, healing it in passing. The incremental parity
+// relations, which touch the update set only, are applied in place.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
 	u := &sh.upd
 	s.planUpdate(u, buf)
@@ -145,12 +141,14 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	ld := s.startLoad(stripe, true)
 	ld.heal = true
 	if sh.unrecoverable[stripe] {
-		s.c.subFallbacks.Add(1)
 		ld.want = append(ld.want, s.allCells...)
 	} else {
 		ld.want = append(ld.want, u.cells...)
 	}
 	err := s.loadPlanned(ctx, ld, st)
+	if sh.unrecoverable[stripe] {
+		s.c.subFallbacks.Add(1)
+	}
 	if err == nil {
 		err = s.code.Decode(st, &ld.plan)
 	}

@@ -10,41 +10,29 @@ import (
 )
 
 // This file is the store's read seam: the stripe loads every
-// stripe-granular path goes through — the whole stripe, or the cells a
-// plan of internal/core says a set of wanted cells needs — and the
-// degraded read of one cell.
+// stripe-granular path goes through — the whole stripe, or what a plan of
+// internal/core says some cells need — and the degraded read of a cell.
 
-// loadStripe reads one stripe off the devices into a pooled stripe, for
-// the callers that want every cell — repair, scrub, the torn retry and
-// recovery (loadPlanned loads what some cells need) — one vectored call
-// per device; unreadable cells are listed in lost, and their contents
-// are unspecified (the stripe is pooled, not zeroed) until the caller's
-// decode reconstructs them. With verify set (and the integrity layer
-// on), sectors that read fine but fail their checksum are *also* listed
-// in lost — and counted in
-// mismatches — turning silent corruption into located erasures the
-// caller's decode repairs. Recovery passes verify=false: right after a
-// crash, a sidecar record can legitimately lag the data it covers
-// (the crash hit between the data write and the sidecar write), and
-// replay must resolve that from the journal, not report corruption.
+// loadStripe reads one stripe into a pooled stripe, one vectored call per
+// device, for the callers that want every cell: repair, scrub, the torn
+// retry and recovery. Unreadable cells are listed in lost, their contents
+// unspecified until the caller's decode reconstructs them. With verify
+// set (and the integrity layer on), sectors that read fine but fail their
+// checksum are *also* listed in lost — and counted in mismatches —
+// turning silent corruption into located erasures. Recovery passes
+// verify=false: right after a crash a sidecar record can legitimately lag
+// the data it covers, and replay resolves that from the journal.
 //
 // While an interrupted sub-stripe write-back is pending its retry (see
-// tornUpdate), the cells it was writing are taken from memory, whatever
-// the devices hold or fail to return of them: never lost, never
-// verified. Every load — this one, and loadChunk's for the degraded
-// read and the rebuild — thus sees the stripe as that flush meant to
-// leave it, the only view of it whose parity relations hold and that a
-// decode may go through.
+// tornUpdate), every load takes the cells it was writing from memory:
+// never lost, never verified. So every load sees the stripe as that flush
+// meant to leave it, the only view whose parity relations hold.
 //
-// It also records the columns that answered ErrDeviceFailed in sh.down.
-//
-// The stripe is the caller's to release (releaseStripeUnlessCancelled)
-// once no device operation can still reference its cells; on
-// cancellation the partly filled stripe is dropped to the GC, since an
-// abandoned device-side operation may still be writing into it. lost is
-// shard scratch (see stripeLoad). The returned error is non-nil only for
-// context cancellation. The caller holds the stripe's shard mutex, so the
-// snapshot cannot interleave with a same-stripe writer.
+// The stripe is the caller's to release (releaseStripeUnlessCancelled);
+// on cancellation it is dropped to the GC, since an abandoned device
+// operation may still be writing into it. lost is shard scratch (see
+// stripeLoad). The error is non-nil only for context cancellation. The
+// caller holds the stripe's shard mutex.
 func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *core.Stripe, lost []core.Cell, mismatches int, err error) {
 	st, sh := s.acquireStripe(), s.shard(stripe)
 	ld := s.startLoad(stripe, verify)
@@ -58,24 +46,18 @@ func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *co
 }
 
 // stripeLoad is a load of cells of one stripe in progress, filled one row
-// span of one column at a time by loadChunk: the whole stripe (loadStripe;
-// RebuildDevice, which reads the replaced chunk first and stops there when
-// it reads whole), or what a plan says want needs (loadPlanned: a
-// sub-stripe flush's update set, one cell for the degraded read). It is
-// shard scratch (lockShard.load), reset by startLoad, so that a load
-// allocates nothing: it and its lists stay valid only under the shard
-// mutex and until the next load of the shard. Every caller — degraded
-// read, flush, repair, rebuild, scrub, replay — is done with them before
-// either happens.
+// span of one column at a time by loadChunk: the whole stripe (loadStripe,
+// RebuildDevice) or what a plan says want needs (loadPlanned). It is shard
+// scratch (lockShard.load), reset by startLoad, so that a load allocates
+// nothing; it stays valid under the shard mutex until the next load.
 type stripeLoad struct {
 	stripe int
 	// need flags, chunk-major (col·r + row), the cells that get a
 	// checksum verdict; nil flags every cell. A row of a span outside it
 	// is still read, and lost when its read fails.
 	need []bool
-	// lost lists the cells found unreadable or checksum-mismatched, in
-	// the order found, after any the caller knew of; mismatches counts
-	// the checksum-mismatched ones.
+	// lost lists the cells found unreadable or checksum-mismatched, after
+	// any the caller knew of; mismatches counts the latter.
 	lost       []core.Cell
 	mismatches int
 	torn       *tornUpdate
@@ -84,10 +66,7 @@ type stripeLoad struct {
 	// per load: an atomic add per sector is a cache line every concurrent
 	// sweep worker fights over.
 	verified uint64
-	// want lists the cells a planned load is for; heal adds to it every
-	// loss the load finds, and local ends the load once a plan leaves
-	// want[0]'s row. plan is the current plan, and marks backs need (see
-	// loadPlanned).
+	// The planned load's state (see loadPlanned); marks backs need.
 	want        []core.Cell
 	heal, local bool
 	plan        core.ReadPlan
@@ -98,8 +77,7 @@ type stripeLoad struct {
 var errBeyondRow = errors.New("store: plan reads beyond the row")
 
 // startLoad begins a load of stripe, verifying as loadStripe's verify
-// says, and returns the shard's load scratch. The caller holds the
-// stripe's shard mutex.
+// says, and returns the shard's load scratch.
 func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	sh := s.shard(stripe)
 	if cap(sh.down) < s.n {
@@ -198,20 +176,18 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	return nil
 }
 
-// loadPlanned loads into st what ld.want needs of ld's stripe given the
-// cells ld.lost lists, as core.PlanRead says: it reads every source of
-// the plan not yet read or lost, each column's run of them in one
-// loadChunk call (a row between two sources is read along, unverified,
-// unless read already), and re-plans with the losses those reads found,
-// reading only the difference, until a plan meets no new loss. With
-// ld.heal each loss found joins want. Only sources get checksum
-// verdicts, counted when the load ends (on cancellation, by loadChunk).
+// loadPlanned loads into st what ld.want needs of ld's stripe, the cells
+// in ld.lost being lost, as core.PlanRead says: each source not read yet,
+// a column's run of them in one loadChunk call (rows between two sources
+// read along, unverified), then the same again with the losses those
+// reads found, until a plan meets none; ld.plan is then the plan that
+// decodes want from what was read. With ld.heal every loss found joins
+// want. Only sources get checksum verdicts.
 //
-// A plan that cannot reach want's lost cells ends the load with
-// ErrUnrecoverable and marks the stripe — sound, since a peel that
-// stalls on a loss set stalls on every larger one. A hedge's load
-// (ld.local) marks nothing, its cell not being known lost: it ends with
-// errBeyondRow, counting no verdict, once a plan leaves the cell's row or
+// A plan that cannot reach want ends the load with ErrUnrecoverable and
+// marks the stripe — sound, since a peel that stalls on a loss set stalls
+// on every larger one. A hedge's load (ld.local) marks and counts
+// nothing: it ends with errBeyondRow once a plan leaves its cell's row or
 // fails. The caller holds the shard mutex.
 func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe) error {
 	// need doubles as the record of the cells read or found lost: a span
@@ -274,16 +250,14 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 }
 
 // solveLocked serves a lost cell of stripe into dst — the degraded read,
-// and with hedge set the hedge's racer. It loads what the cell needs
-// through loadPlanned, into a pooled stripe with dst standing in for the
-// cell, and decodes the cell there: from n−m cells of its own row while
-// the row holds at most m losses (§4.3), else through the whole-stripe
-// peel pruned to the cell. down says the cell's own device answered
-// ErrDeviceFailed. A served cell counts as a read, and risk is the number
-// of lost cells the load found when a repair can land one of them, 0 when
-// none can; the caller counts what kind of read it was. Otherwise dst is untouched and the error is
-// ErrUnrecoverable (the stripe is now marked), errBeyondRow (a hedge
-// only) or the context's. The caller holds the shard mutex.
+// and with hedge set the hedge's racer: loadPlanned loads what the cell
+// needs into a pooled stripe, with dst standing in for the cell, and the
+// plan decodes it there. down says the cell's own device answered
+// ErrDeviceFailed. A served cell counts as a read; risk is the number of
+// losses the load found when a repair can land one of them, else 0.
+// Otherwise the error is ErrUnrecoverable (the stripe is now marked),
+// errBeyondRow (a hedge only) or the context's. The caller holds the
+// shard mutex.
 func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down, hedge bool) (risk int, err error) {
 	ld := s.startLoad(stripe, true)
 	ld.want, ld.lost, ld.local = append(ld.want, cell), append(ld.lost, cell), hedge

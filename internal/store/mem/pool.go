@@ -117,17 +117,23 @@ func (p *Pool) Release(buf []byte) {
 		return
 	}
 	b := buf[:cap(buf)]
-	if Poisoning {
-		for i := range b {
-			b[i] = PoisonByte
-		}
-	}
+	Poison(b)
 	h, _ := p.hdrs.Get().(*[]byte)
 	if h == nil {
 		h = new([]byte)
 	}
 	*h = b
 	p.tiers[t].Put(h)
+}
+
+// Poison fills buf with PoisonByte under the stairpoison build tag, as
+// Release does, and is a no-op otherwise.
+func Poison(buf []byte) {
+	if Poisoning {
+		for i := range buf {
+			buf[i] = PoisonByte
+		}
+	}
 }
 
 // Off reports whether this pool is in pass-through mode.
