@@ -56,9 +56,8 @@ type Config struct {
 	Journal         *journal.Journal
 }
 
-// HedgeConfig turns hedged client reads on; it has no settings. Kept
-// until bench/ stops naming it: Hedge becomes a bool then, as
-// store.Config.Hedge is.
+// HedgeConfig turns hedged client reads on; it has no settings. Hedge
+// becomes a bool, as store.Config.Hedge is, once bench/ stops naming it.
 type HedgeConfig struct{}
 
 // ColumnHealth is one column's view in Health().

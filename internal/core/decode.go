@@ -100,22 +100,26 @@ func (c *Code) decodePlanFor(lost, want []int) (*plan, error) {
 	return pl, nil
 }
 
-// seedDecodeKnowns marks surviving real cells and the global parities as
-// known: stored values (Outside) or the zero constants fixed by the
-// extended construction (Inside).
-func (c *Code) seedDecodeKnowns(p *peeler, lost map[int]bool) {
+// decodePeeler returns a peeler for the canonical lost cells: the
+// surviving real cells and the global parities are known — stored values
+// (Outside) or the zero constants fixed by the extended construction
+// (Inside).
+func (c *Code) decodePeeler(lost []int) *peeler {
+	p := newPeeler(c)
 	for col := 0; col < c.n; col++ {
 		for row := 0; row < c.r; row++ {
-			if idx := c.cellIdx(row, col); !lost[idx] {
-				p.known[idx] = true
-			}
+			p.known[c.cellIdx(row, col)] = true
 		}
+	}
+	for _, idx := range lost {
+		p.known[idx] = false
 	}
 	for l := 0; l < c.mPrime; l++ {
 		for h := 0; h < c.e[l]; h++ {
 			p.markKnown(c.r+h, c.n+l, c.placement == Inside)
 		}
 	}
+	return p
 }
 
 // deferMostLost marks as deferred the m chunks with the most lost cells
@@ -150,19 +154,13 @@ func (c *Code) deferMostLost(p *peeler, idxs []int) {
 // schedule is pruned to the ops want depends on. Returns nil when
 // peeling cannot reach want.
 func (c *Code) buildDecodeSchedule(lost, want []int) (*schedule, error) {
-	lostSet := make(map[int]bool, len(lost))
-	for _, i := range lost {
-		lostSet[i] = true
-	}
-	p := newPeeler(c)
-	c.seedDecodeKnowns(p, lostSet)
+	p := c.decodePeeler(lost)
 	c.deferMostLost(p, lost)
 	if err := p.practical(want); err != nil {
 		return nil, err
 	}
 	if !p.allKnown(want) {
-		g := newPeeler(c)
-		c.seedDecodeKnowns(g, lostSet)
+		g := c.decodePeeler(lost)
 		if err := g.generic(want); err != nil {
 			return nil, err
 		}

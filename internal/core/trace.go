@@ -95,12 +95,7 @@ func (c *Code) UpstairsDecodeTrace(lost []Cell) ([]TraceStep, error) {
 	if err != nil {
 		return nil, err
 	}
-	lostSet := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		lostSet[i] = true
-	}
-	p := newPeeler(c)
-	c.seedDecodeKnowns(p, lostSet)
+	p := c.decodePeeler(idxs)
 	if err := p.upstairs(idxs); err != nil {
 		return nil, err
 	}

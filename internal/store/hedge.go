@@ -21,8 +21,7 @@ import (
 
 const (
 	// hedgePercentile of the column's recent read latencies launches the
-	// hedge: it fires on roughly the slowest tenth of reads, so the added
-	// sibling load stays marginal while the tail beyond p90 is clipped.
+	// hedge: the slowest tenth of reads, a marginal added sibling load.
 	hedgePercentile = 0.9
 	// hedgeMinDelay and hedgeMaxDelay clamp the hedge delay, so that a
 	// burst of fast samples cannot make hedging frantic nor a burst of

@@ -41,11 +41,9 @@ type lockShard struct {
 	// goes through it (see stripeLoad).
 	load stripeLoad
 	// down is the last load's record, by column, of the devices whose
-	// whole read answered ErrDeviceFailed — wholly failed, so they take
-	// no write-back. It covers the columns that load read, and stays
-	// valid until the next load under mu; callers consult it for the
-	// cells the load found lost, whose columns it read (the degraded read
-	// records its own cell's device first).
+	// whole read answered ErrDeviceFailed — wholly failed, so they take no
+	// write-back — for the columns it read (the degraded read records its
+	// own cell's device first); valid until the next load under mu.
 	down []bool
 
 	// cells is a stripe repair's write-back set, and cols the columns

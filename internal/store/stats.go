@@ -7,14 +7,11 @@ type Stats struct {
 	// Reads counts successful block reads, including degraded ones.
 	Reads uint64
 	// DegradedReads counts reads served by on-the-fly reconstruction
-	// (§4.2–4.3: from the block's own row while it holds at most m
-	// losses, else through the upstairs peel pruned to the block) rather
-	// than a direct device read.
+	// (§4.2–4.3) rather than a direct device read.
 	DegradedReads uint64
 	// DegradedReadFallbacks counts the degraded reads refused because the
-	// losses they found put the stripe beyond the code's coverage (which
-	// marks it unrecoverable). Zero while the stripes stay within
-	// coverage.
+	// losses they found put the stripe beyond the code's coverage, which
+	// marks it unrecoverable. Zero while stripes stay within coverage.
 	DegradedReadFallbacks uint64
 	// Writes counts block writes accepted into the stripe buffer.
 	Writes uint64
@@ -26,9 +23,8 @@ type Stats struct {
 	SubStripeFlushes uint64
 	// SubStripeFallbacks counts the sub-stripe flushes of a stripe beyond
 	// the code's coverage: marked unrecoverable before the flush, which
-	// then loads the whole stripe, or found so by its load. A loss within
-	// coverage is repaired in passing and counts nothing. Zero while the
-	// stripes stay within coverage.
+	// then loads every cell, or found so by its load. Zero while stripes
+	// stay within coverage, whose losses a flush repairs in passing.
 	SubStripeFallbacks uint64
 	// ScrubbedStripes counts stripes swept by the scrubber.
 	ScrubbedStripes uint64

@@ -12,13 +12,12 @@
 //     cells and the parity sectors that actually depend on them;
 //   - the read path transparently serves degraded reads: when a device
 //     is failed or a sector read errors, the lost cell is rebuilt on the
-//     fly from the cells internal/core's plan for it names — n−m of its
-//     own row while the row holds at most m losses, else those the
-//     upstairs decoding (§4.2–4.3) pruned to the cell reads, re-planned
-//     whenever a read finds a further loss — and the stripe is queued
-//     for background repair; with hedging on, a client read that
-//     outlives its column's latency percentile is solved from its own
-//     row the same way (hedge.go);
+//     fly from the cells internal/core's read plan names (§4.2–4.3: n−m
+//     of its own row while the row holds at most m losses), re-planned
+//     when a read finds a further loss, and the stripe is queued for
+//     background repair; with hedging on, a client read that outlives
+//     its column's latency percentile is solved from its own row the
+//     same way (hedge.go);
 //   - a background scrubber sweeps stripes — optionally paced to a
 //     stripes/sec budget — detects latent sector errors and feeds a
 //     bounded repair queue drained by a pool of repair workers, which
@@ -644,10 +643,9 @@ func (s *Store) flushAll(ctx context.Context) error {
 // the fly through the degraded-read path — from n−m sectors of its own
 // row, or, the row holding more than m losses, from what the upstairs
 // decoding pruned to the block reads — and its stripe queued for
-// background repair. With Config.Hedge, a read
-// whose device answers slowly is solved from its row too, and nothing is
-// queued. ctx bounds the device reads, including those a degraded or
-// hedged read performs.
+// background repair. With Config.Hedge, a read whose device answers
+// slowly is solved from its row too, and nothing is queued. ctx bounds
+// the device reads, including those a degraded or hedged read performs.
 //
 // The returned buffer comes from the store's buffer pool; the caller
 // owns it, and may hand it back with ReleaseBlock once done (optional —
@@ -711,24 +709,22 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		rerr = s.devs[cell.Col].ReadSectors(ctx, s.devSector(stripe, cell.Row), vec)
 		vec[0] = nil
 	}
-	// mismatch: the sector read fine but its checksum disagrees — silent
-	// corruption (or a misdirected/stale write), a located erasure,
-	// counted here: the degraded read below never reads the sector again.
-	mismatch := false
 	if rerr == nil {
+		// A sector that read fine but whose checksum disagrees — silent
+		// corruption, a misdirected or stale write — is a located erasure,
+		// served degraded below.
+		verdict := integrity.Absent
 		if s.integ != nil && s.integVerify {
-			switch s.integ.Verify(cell.Col, s.devSector(stripe, cell.Row), dst) {
-			case integrity.OK:
-				s.c.verifiedSectors.Add(1)
-			case integrity.Mismatch:
-				s.c.checksumMismatches.Add(1)
-				mismatch = true
-			}
+			verdict = s.integ.Verify(cell.Col, s.devSector(stripe, cell.Row), dst)
 		}
-		if !mismatch {
+		if verdict != integrity.Mismatch {
+			if verdict == integrity.OK {
+				s.c.verifiedSectors.Add(1)
+			}
 			s.c.reads.Add(1)
 			return nil
 		}
+		s.c.checksumMismatches.Add(1)
 	} else if cerr := ctx.Err(); cerr != nil {
 		sh.dropScratchOnCancel()
 		return cerr
@@ -755,13 +751,10 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		return err
 	}
 	s.c.degradedReads.Add(1)
-	// Queue a repair only when it can land somewhere: lost cells
-	// confined to wholly failed devices wait for a replacement instead
-	// of spinning the workers. The lost count is its queue priority —
-	// the closer to the coverage edge, the sooner a worker takes it.
-	// Nothing of the reconstruction is kept: the repair heals the
-	// writable losses, and once the row is back within m losses the
-	// stripe's next read of it is row-local.
+	// Queue a repair only when it can land somewhere: lost cells confined
+	// to wholly failed devices wait for a replacement instead of spinning
+	// the workers. The lost count is its queue priority — the closer to
+	// the coverage edge, the sooner a worker takes it.
 	if risk > 0 {
 		s.enqueueRepairLocked(sh, stripe, risk)
 	}
