@@ -239,11 +239,10 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 	}
 	had := len(srcs)
 	for _, cell := range lost {
-		if wanted == 1 && cell.Row == one.Row && !slices.Contains(cols, cell.Col) {
-			cols = append(cols, cell.Col)
+		if i, found := slices.BinarySearch(cols, cell.Col); wanted == 1 && cell.Row == one.Row && !found {
+			cols = slices.Insert(cols, i, cell.Col)
 		}
 	}
-	slices.Sort(cols)
 	local, pl := wanted == 1 && len(cols) <= c.m, (*plan)(nil)
 	if local {
 		var hbuf [16]int
@@ -261,7 +260,7 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 		SortCells(srcs)
 		srcs = slices.Compact(srcs)
 	}
-	*rp = ReadPlan{Sources: srcs, cols: cols, row: one.Row, col: one.Col, pl: pl, planned: true, local: local}
+	rp.Sources, rp.cols, rp.row, rp.col, rp.pl, rp.planned, rp.local = srcs, cols, one.Row, one.Col, pl, true, local
 	return nil
 }
 
