@@ -239,7 +239,10 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 	}
 	had := len(srcs)
 	for _, cell := range lost {
-		if i, found := slices.BinarySearch(cols, cell.Col); wanted == 1 && cell.Row == one.Row && !found {
+		if wanted != 1 || cell.Row != one.Row {
+			continue
+		}
+		if i, found := slices.BinarySearch(cols, cell.Col); !found {
 			cols = slices.Insert(cols, i, cell.Col)
 		}
 	}
@@ -270,7 +273,7 @@ func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
 // the way to them — and ignores their current contents.
 func (c *Code) Decode(st *Stripe, rp *ReadPlan) error {
 	if rp == nil || !rp.planned {
-		return errors.New("core: Decode of a read PlanRead has not planned")
+		return errors.New("core: Decode needs a ReadPlan that PlanRead filled")
 	}
 	if rp.local && st != nil && len(st.Cells) == c.n*c.r {
 		// A row solve reads and writes its row only, which RepairRow
