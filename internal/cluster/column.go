@@ -14,8 +14,9 @@ import (
 // fast with store.ErrDeviceFailed — the same answer a locally failed
 // device gives — so the store's degraded-read path takes over without
 // burning a transport timeout per request. Failover swaps a freshly
-// dialled spare in with adopt, after which the column is live again
-// and store.ReplaceDevice/RebuildDevice run their usual course.
+// dialled spare in with adopt, and store.ReplaceDevice revives the column
+// once the spare's sectors are marked lost; RebuildDevice then runs its
+// usual course.
 //
 // column implements store.FaultDevice and store.Syncer; fault-plane
 // calls forward to the current device (over the wire for NetDevice).
@@ -93,7 +94,8 @@ func (c *column) markDead() {
 	}
 }
 
-// adopt swaps in a freshly dialled replacement and revives the column.
+// adopt swaps in a freshly dialled replacement. The column stays dead
+// until Replace: a read must not take the spare's blank sectors for data.
 func (c *column) adopt(dev store.Device, server Server) {
 	raw := dev
 	if c.wrap != nil {
@@ -104,7 +106,6 @@ func (c *column) adopt(dev store.Device, server Server) {
 	c.dev = dev
 	c.raw = raw
 	c.server = server
-	c.dead = false
 	c.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -190,11 +191,14 @@ func (c *column) Close() error {
 	return dev.Close()
 }
 
-// faultDev returns the current device's fault plane.
+// faultDev returns the current device's fault plane: a dead column's
+// too, once failover has adopted a spare (see Replace).
 func (c *column) faultDev() (store.FaultDevice, error) {
-	dev, err := c.snapshot()
-	if err != nil {
-		return nil, err
+	c.mu.RLock()
+	dev := c.dev
+	c.mu.RUnlock()
+	if dev == nil {
+		return nil, store.ErrDeviceFailed
 	}
 	if fd, ok := dev.(store.FaultDevice); ok {
 		return fd, nil
@@ -223,15 +227,22 @@ func (c *column) Failed() bool {
 	return false
 }
 
-// Replace forwards to the current device's fault plane (after a
-// failover swap this is the fresh spare, so the store's
-// replace-comes-back-bad semantics apply to it).
+// Replace forwards to the current device's fault plane and then revives
+// the column. After a failover swap the device is the fresh spare, which
+// so goes live with every sector marked lost (the store's
+// replace-comes-back-bad semantics).
 func (c *column) Replace() error {
 	fd, err := c.faultDev()
 	if err != nil {
 		return err
 	}
-	return fd.Replace()
+	if err := fd.Replace(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.dead = c.dev == nil
+	c.mu.Unlock()
+	return nil
 }
 
 // InjectSectorError forwards to the current device's fault plane.

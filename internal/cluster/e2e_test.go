@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,6 +130,116 @@ func TestClusterKillFailoverRebuild(t *testing.T) {
 			t.Fatalf("post-rebuild block %d holds wrong content", b)
 		}
 	}
+}
+
+// TestClusterKillFailoverReplacesSpareFirst: failover replaces the spare
+// before its column goes live, and not again after. A read of the column
+// while the spare is being replaced is served degraded with the right
+// content, never from the spare's blank sectors, and the spare sees its
+// one Replace before any read or write.
+func TestClusterKillFailoverReplacesSpareFirst(t *testing.T) {
+	code := testCode(t)
+	const sectorSize, stripes, col = 64, 4, 2
+	ctx := context.Background()
+	var servers []Server
+	for i := 0; i <= code.N(); i++ {
+		servers = append(servers, Server{Name: fmt.Sprintf("s%d", i), URL: fmt.Sprintf("http://s%d", i), Spare: i == code.N()})
+	}
+	spare := &recordingSpare{Forwarder: store.Forwarder{Inner: store.NewMemDevice(stripes*code.R(), sectorSize)}}
+	v, err := Open(ctx, Config{
+		Fleet:      &Fleet{Servers: servers},
+		VolumeName: "spare-order",
+		Code:       code,
+		SectorSize: sectorSize,
+		Stripes:    stripes,
+		Dial: func(ctx context.Context, server Server) (store.Device, error) {
+			if server.Spare {
+				return spare, nil
+			}
+			return store.NewMemDevice(stripes*code.R(), sectorSize), nil
+		},
+		Monitor: MonitorConfig{Interval: time.Hour}, // failover is driven below
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	fillVolume(t, v)
+	blocks := colBlocks(t, v, col)
+	want := func(b int) []byte { return bytes.Repeat([]byte{byte(b + 1)}, sectorSize) }
+	var readErr error
+	spare.onReplace = func() {
+		for _, b := range blocks {
+			if got, err := v.ReadBlock(ctx, b); err != nil || !bytes.Equal(got, want(b)) {
+				readErr = fmt.Errorf("read of block %d while the spare was replaced: %v, content right %t", b, err, bytes.Equal(got, want(b)))
+				return
+			}
+		}
+	}
+
+	v.mon.declareDead(col)
+	v.WaitRebuilds()
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if st := v.Stats(); st.Failovers != 1 || st.Rebuilds != 1 {
+		t.Fatalf("stats %+v, want one failover and one rebuild", st)
+	}
+	for _, b := range blocks {
+		if err := v.WriteBlock(ctx, b, want(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := v.Scrub(ctx); err != nil || rep.SectorsLost != 0 || rep.StripesDamaged != 0 {
+		t.Fatalf("scrub after the failover: %+v, %v", rep, err)
+	}
+	ops := spare.taken()
+	if len(ops) < 3 || ops[0] != "replace" || slices.Contains(ops[1:], "replace") {
+		t.Fatalf("the spare saw %v, want one Replace before any read or write", ops)
+	}
+}
+
+// recordingSpare logs the order of the reads, writes and Replaces a spare
+// device sees; onReplace runs as a Replace arrives, before it is logged
+// and forwarded.
+type recordingSpare struct {
+	store.Forwarder
+	onReplace func()
+	mu        sync.Mutex
+	ops       []string
+}
+
+func (d *recordingSpare) log(op string) {
+	d.mu.Lock()
+	d.ops = append(d.ops, op)
+	d.mu.Unlock()
+}
+
+func (d *recordingSpare) taken() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.Clone(d.ops)
+}
+
+func (d *recordingSpare) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	d.log("read")
+	return d.Inner.ReadSectors(ctx, start, bufs)
+}
+
+func (d *recordingSpare) WriteSectors(ctx context.Context, start int, data [][]byte) error {
+	d.log("write")
+	return d.Inner.WriteSectors(ctx, start, data)
+}
+
+func (d *recordingSpare) Replace() error {
+	if d.onReplace != nil {
+		d.onReplace()
+	}
+	d.log("replace")
+	return d.Forwarder.Replace()
 }
 
 // With no spare left, a death degrades the volume but service

@@ -325,8 +325,9 @@ func (v *Volume) failover(col int) {
 	c.adopt(dev, spare)
 	v.counters.failovers.Add(1)
 	// Replace-comes-back-bad: the fresh spare holds nothing, so every
-	// sector it owns is marked lost and the unrecoverable bookkeeping
-	// is re-evaluated — then the rebuild sweep reconstructs them.
+	// sector it owns is marked lost before the column goes live (see
+	// column.Replace) and the unrecoverable bookkeeping is re-evaluated —
+	// then the rebuild sweep reconstructs them.
 	if err := v.st.ReplaceDevice(col); err != nil {
 		return
 	}

@@ -173,8 +173,8 @@ func (c *Code) buildDecodeSchedule(lost, want []int) (*schedule, error) {
 	return p.sched, nil
 }
 
-// peelPlan returns the plan of the whole-stripe peel for the cells of
-// want that lost lists — all of lost when want is nil — or
+// peelPlan returns the plan of the whole-stripe peel for want, cells of
+// lost without repeats — all of lost when nil or as many — or
 // ErrUnrecoverable.
 func (c *Code) peelPlan(lost, want []Cell) (*plan, error) {
 	idxs, err := c.checkLost(lost)
@@ -182,14 +182,13 @@ func (c *Code) peelPlan(lost, want []Cell) (*plan, error) {
 		return nil, err
 	}
 	wantIdxs := idxs
-	if want != nil {
+	if want != nil && len(want) < len(idxs) {
 		var wbuf [8]int
 		wantIdxs = wbuf[:0]
-		for _, idx := range idxs {
-			if row, col := c.cellRC(idx); slices.Contains(want, Cell{Col: col, Row: row}) {
-				wantIdxs = append(wantIdxs, idx)
-			}
+		for _, cell := range want {
+			wantIdxs = append(wantIdxs, c.cellIdx(cell.Row, cell.Col))
 		}
+		sort.Ints(wantIdxs)
 	}
 	pl, err := c.decodePlanFor(idxs, wantIdxs)
 	if err == nil && pl == nil {
@@ -214,56 +213,84 @@ type ReadPlan struct {
 	row, col       int
 	pl             *plan
 	planned, local bool
+	// PlanRead's scratch: want's lost cells, and what each cell is to
+	// the call (a cell* value), chunk-major (col·r + row), so that a call
+	// is linear in its inputs.
+	wanted []Cell
+	cells  []uint8
 }
+
+// What a cell is to a PlanRead call: lost, lost and wanted, or a source.
+const cellLost, cellWanted, cellSource = 1, 2, 3
 
 // PlanRead resolves (lost, want) into rp, reusing its memory. One wanted
 // lost cell whose row holds at most m losses is solved from its own row —
 // the local step of §4.3: its sources are the row solve's, the n−m lowest
-// other columns of the row, which RepairRow reads, and the call allocates
-// nothing. Any other pattern takes the whole-stripe peel pruned to want's
-// lost cells. ErrUnrecoverable says the peel cannot reach them, nor can
-// it with more cells lost.
+// other columns of the row, which RepairRow reads. Any other pattern takes
+// the whole-stripe peel pruned to want's lost cells. ErrUnrecoverable says
+// the peel cannot reach them, nor can it with more cells lost. Once rp has
+// grown to the pattern, only a peel that misses the plan cache allocates.
 func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
-	srcs, cols := rp.Sources[:0], rp.cols[:0]
 	rp.planned = false
 	if err := errors.Join(c.checkCells(lost), c.checkCells(want)); err != nil {
 		return err
 	}
-	wanted, one := 0, Cell{}
+	if len(rp.cells) < c.n*c.r {
+		rp.cells = make([]uint8, c.n*c.r)
+	}
+	is := rp.cells[:c.n*c.r]
+	defer clear(is)
+	for _, cell := range lost {
+		is[cell.Col*c.r+cell.Row] = cellLost
+	}
+	wanted, cols := rp.wanted[:0], rp.cols[:0]
 	for _, cell := range want {
-		if slices.Contains(lost, cell) {
-			wanted, one = wanted+1, cell
-		} else {
-			srcs = append(srcs, cell)
+		switch i := cell.Col*c.r + cell.Row; is[i] {
+		case cellLost:
+			wanted, is[i] = append(wanted, cell), cellWanted
+		case 0:
+			is[i] = cellSource
 		}
 	}
-	had := len(srcs)
+	one := Cell{Row: -1}
+	if len(wanted) == 1 {
+		one = wanted[0]
+	}
 	for _, cell := range lost {
-		if wanted != 1 || cell.Row != one.Row {
+		if cell.Row != one.Row {
 			continue
 		}
 		if i, found := slices.BinarySearch(cols, cell.Col); !found {
 			cols = slices.Insert(cols, i, cell.Col)
 		}
 	}
-	local, pl := wanted == 1 && len(cols) <= c.m, (*plan)(nil)
+	// The plan's sources come sorted; with cells of want's own, all of
+	// them are merged in (Col, Row) order through is.
+	local, pl, srcs := len(wanted) == 1 && len(cols) <= c.m, (*plan)(nil), rp.Sources[:0]
 	if local {
 		var hbuf [16]int
 		for _, col := range c.rowHave(hbuf[:0], cols) {
 			srcs = append(srcs, Cell{Col: col, Row: one.Row})
 		}
-	} else if wanted > 0 {
+	} else if len(wanted) > 0 {
 		var err error
-		if pl, err = c.peelPlan(lost, want); err != nil {
+		if pl, err = c.peelPlan(lost, wanted); err != nil {
 			return err
 		}
 		srcs = append(srcs, pl.sources...)
 	}
-	if had > 0 {
-		SortCells(srcs)
-		srcs = slices.Compact(srcs)
+	if len(wanted) < len(want) {
+		for _, cell := range srcs {
+			is[cell.Col*c.r+cell.Row] = cellSource
+		}
+		srcs = srcs[:0]
+		for i, at := range is {
+			if at == cellSource {
+				srcs = append(srcs, Cell{Col: i / c.r, Row: i % c.r})
+			}
+		}
 	}
-	rp.Sources, rp.cols, rp.row, rp.col, rp.pl, rp.planned, rp.local = srcs, cols, one.Row, one.Col, pl, true, local
+	rp.Sources, rp.cols, rp.wanted, rp.row, rp.col, rp.pl, rp.planned, rp.local = srcs, cols, wanted, one.Row, one.Col, pl, true, local
 	return nil
 }
 

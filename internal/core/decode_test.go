@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -558,6 +559,83 @@ func TestDecodeRefusesUnplanned(t *testing.T) {
 	for name, rp := range map[string]*ReadPlan{"nil": nil, "zero": {}, "failed": &failed} {
 		if err := c.Decode(st, rp); err == nil {
 			t.Errorf("Decode of a %s ReadPlan succeeded", name)
+		}
+	}
+}
+
+// TestPlanReadEveryCell: with want every cell, PlanRead's sources are
+// every cell not lost, in (Col, Row) order, and the clean stripe's plan —
+// every sweep's first — allocates nothing once rp has grown.
+func TestPlanReadEveryCell(t *testing.T) {
+	c, err := New(Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []Cell
+	for col := 0; col < c.N(); col++ {
+		for row := 0; row < c.R(); row++ {
+			all = append(all, Cell{Col: col, Row: row})
+		}
+	}
+	lost := append(slices.Clone(all[c.R():2*c.R()]), Cell{Col: 5, Row: 3}, Cell{Col: 1, Row: 2}, Cell{Col: 0, Row: 7})
+	var rp ReadPlan
+	for _, lost := range [][]Cell{nil, lost} {
+		// want in reverse, with a repeat: the order and repeats of want
+		// must not show in Sources.
+		want := append(slices.Clone(all), all[9])
+		slices.Reverse(want)
+		if err := c.PlanRead(&rp, lost, want); err != nil {
+			t.Fatalf("PlanRead(%v, every cell): %v", lost, err)
+		}
+		srcs := slices.DeleteFunc(slices.Clone(all), func(cell Cell) bool { return slices.Contains(lost, cell) })
+		if !slices.Equal(rp.Sources, srcs) {
+			t.Fatalf("PlanRead(%v, every cell): sources %v, want every cell not lost in (Col, Row) order", lost, rp.Sources)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.PlanRead(&rp, nil, all) }); allocs != 0 {
+		t.Errorf("PlanRead(nothing lost, every cell): %.1f allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkPlanRead times PlanRead on the benchmark geometry (n=8, r=16,
+// m=2, e=(1,1,2)) for the wants the store plans — one cell (a degraded
+// read), an update set (a sub-stripe flush) and every cell (scrub, repair,
+// rebuild) — with nothing lost, one dead column and m dead columns. The
+// plan cache is warm, so this is the per-call cost.
+func BenchmarkPlanRead(b *testing.B) {
+	c, err := New(Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	target := Cell{Col: 0, Row: 0}
+	deps, err := c.ParityDependencies(target)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var all, dead []Cell
+	for col := 0; col < c.N(); col++ {
+		for row := 0; row < c.R(); row++ {
+			all = append(all, Cell{Col: col, Row: row})
+		}
+	}
+	wants := []struct {
+		name string
+		want []Cell
+	}{{"one", []Cell{target}}, {"update", append([]Cell{target}, deps...)}, {"all", all}}
+	for _, w := range wants {
+		for k := 0; k <= c.M(); k++ {
+			dead = all[:k*c.R()]
+			b.Run(fmt.Sprintf("want=%s/dead=%d", w.name, k), func(b *testing.B) {
+				var rp ReadPlan
+				if err := c.PlanRead(&rp, dead, w.want); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = c.PlanRead(&rp, dead, w.want)
+				}
+			})
 		}
 	}
 }

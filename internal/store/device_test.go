@@ -69,16 +69,18 @@ func TestVectoredCallsPerDevice(t *testing.T) {
 		}
 	}
 
-	// A stripe load is one vectored read per device.
+	// A load of every cell is one vectored read per device.
 	for _, c := range counters {
 		c.reads.Store(0)
 	}
 	sh := s.shard(0)
 	sh.mu.Lock()
-	_, lost, _, err := s.loadStripe(bg, 0, false)
+	st, ld, err := s.loadAll(bg, 0, false)
+	lost := len(ld.lost)
+	s.releaseStripe(st)
 	sh.mu.Unlock()
-	if err != nil || len(lost) != 0 {
-		t.Fatalf("loadStripe: lost=%d err=%v", len(lost), err)
+	if err != nil || lost != 0 {
+		t.Fatalf("loadAll: lost=%d err=%v", lost, err)
 	}
 	for i, c := range counters {
 		if got := c.reads.Load(); got != 1 {

@@ -70,7 +70,7 @@ func (s *Store) flushStripeLocked(ctx context.Context, sh *lockShard, stripe int
 		}
 	}()
 	if buf.torn != nil {
-		if err := s.completeTornLocked(ctx, sh, stripe, buf); err != nil {
+		if err := s.completeTornLocked(ctx, stripe, buf); err != nil {
 			return err
 		}
 	}
@@ -148,9 +148,6 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	err := s.loadPlanned(ctx, ld, st)
 	if sh.unrecoverable[stripe] {
 		s.c.subFallbacks.Add(1)
-	}
-	if err == nil {
-		err = s.code.Decode(st, &ld.plan)
 	}
 	for ord, data := range buf.data {
 		if err == nil && data != nil {
@@ -243,7 +240,7 @@ func (s *Store) collectUpdate(u *updateSet) {
 // old or its new content, so the stripe's parity relations hold for
 // neither mix, and a decode through them would solve contradictory
 // equations into fabricated content. Until the retry has rewritten the
-// stripe, loadStripe therefore takes those cells from here; the cells
+// stripe, every load therefore takes those cells from here; the cells
 // the write-back did not touch are intact on the devices, and together
 // they are the stripe exactly as the interrupted flush meant to leave
 // it. st may still be referenced by the device operation the
@@ -264,21 +261,19 @@ func (t *tornUpdate) has(idx int) bool { return t != nil && t.at[idx] }
 // since the interruption win), whose flush re-encodes every parity cell
 // and rewrites every cell. A buffer the writer has filled in the
 // meantime is that already.
-func (s *Store) completeTornLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
+func (s *Store) completeTornLocked(ctx context.Context, stripe int, buf *stripeBuf) error {
 	if buf.count == s.perStripe {
 		// Filled since: the full rewrite needs nothing of the old stripe,
 		// and must land even where that is beyond coverage.
 		buf.torn = nil
 		return nil
 	}
-	st, lost, _, err := s.loadStripe(ctx, stripe, true)
+	st, _, err := s.loadAll(ctx, stripe, true)
 	if err != nil {
-		return err
-	}
-	defer s.releaseStripe(st)
-	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
+		s.releaseStripeUnlessCancelled(ctx, st)
 		return fmt.Errorf("store: flushing stripe %d: %w", stripe, err)
 	}
+	defer s.releaseStripe(st)
 	s.promoteToFullLocked(buf, st)
 	buf.torn = nil
 	return nil

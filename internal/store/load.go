@@ -9,52 +9,21 @@ import (
 	"stair/internal/store/integrity"
 )
 
-// This file is the store's read seam: the stripe loads every
-// stripe-granular path goes through — the whole stripe, or what a plan of
-// internal/core says some cells need — and the degraded read of a cell.
-
-// loadStripe reads one stripe into a pooled stripe, one vectored call per
-// device, for the callers that want every cell: repair, scrub, the torn
-// retry and recovery. Unreadable cells are listed in lost, their contents
-// unspecified until the caller's decode reconstructs them. With verify
-// set (and the integrity layer on), sectors that read fine but fail their
-// checksum are *also* listed in lost — and counted in mismatches —
-// turning silent corruption into located erasures. Recovery passes
-// verify=false: right after a crash a sidecar record can legitimately lag
-// the data it covers, and replay resolves that from the journal.
-//
-// While an interrupted sub-stripe write-back is pending its retry (see
-// tornUpdate), every load takes the cells it was writing from memory:
-// never lost, never verified. So every load sees the stripe as that flush
-// meant to leave it, the only view whose parity relations hold.
-//
-// The stripe is the caller's to release (releaseStripeUnlessCancelled);
-// on cancellation it is dropped to the GC, since an abandoned device
-// operation may still be writing into it. lost is shard scratch (see
-// stripeLoad). The error is non-nil only for context cancellation. The
-// caller holds the stripe's shard mutex.
-func (s *Store) loadStripe(ctx context.Context, stripe int, verify bool) (st *core.Stripe, lost []core.Cell, mismatches int, err error) {
-	st, sh := s.acquireStripe(), s.shard(stripe)
-	ld := s.startLoad(stripe, verify)
-	for col := 0; col < s.n; col++ {
-		if err := s.loadChunk(ctx, ld, col, 0, sh.chunkVec(st, col, 0, s.r)); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
-	return st, ld.lost, ld.mismatches, nil
-}
+// This file is the store's read seam. Every stripe read but a client's
+// read of its own block and the rebuild's first read of its chunk is a
+// planned load: loadPlanned reads what core.PlanRead says a want needs —
+// one cell, an update set, or every cell — and decodes it.
 
 // stripeLoad is a load of cells of one stripe in progress, filled one row
-// span of one column at a time by loadChunk: the whole stripe (loadStripe,
-// RebuildDevice) or what a plan says want needs (loadPlanned). It is shard
-// scratch (lockShard.load), reset by startLoad, so that a load allocates
-// nothing; it stays valid under the shard mutex until the next load.
+// span of one column at a time by loadChunk. It is shard scratch
+// (lockShard.load), reset by startLoad, so that a load allocates nothing;
+// it stays valid under the shard mutex until the next load.
 type stripeLoad struct {
 	stripe int
-	// need flags, chunk-major (col·r + row), the cells that get a
-	// checksum verdict; nil flags every cell. A row of a span outside it
-	// is still read, and lost when its read fails.
+	// need flags, chunk-major (col·r + row), the cells read or found lost
+	// so far, and so the cells that get a checksum verdict: a row of a
+	// span that is not flagged is still read, and lost when its read
+	// fails.
 	need []bool
 	// lost lists the cells found unreadable or checksum-mismatched, after
 	// any the caller knew of; mismatches counts the latter.
@@ -66,26 +35,29 @@ type stripeLoad struct {
 	// per load: an atomic add per sector is a cache line every concurrent
 	// sweep worker fights over.
 	verified uint64
-	// The planned load's state (see loadPlanned); marks backs need.
+	// The planned load's state (see loadPlanned).
 	want        []core.Cell
 	heal, local bool
 	plan        core.ReadPlan
-	marks       []bool
 }
 
 // errBeyondRow ends a hedge's planned load whose plan leaves the row.
 var errBeyondRow = errors.New("store: plan reads beyond the row")
 
-// startLoad begins a load of stripe, verifying as loadStripe's verify
-// says, and returns the shard's load scratch.
+// startLoad begins a load of stripe, no cell yet read, and returns the
+// shard's load scratch. With verify (and the integrity layer on), a
+// sector that reads fine but fails its checksum is lost too, and counted
+// in mismatches; recovery loads without, as right after a crash a sidecar
+// record can lag its data. The cells an interrupted sub-stripe write-back
+// was writing (see tornUpdate) come from memory, never lost or verified:
+// the load sees the stripe as that flush meant to leave it, the only view
+// whose parity relations hold.
 func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	sh := s.shard(stripe)
-	if cap(sh.down) < s.n {
-		sh.down = make([]bool, s.n)
-	}
 	ld := &sh.load
-	*ld = stripeLoad{stripe: stripe, lost: ld.lost[:0], want: ld.want[:0], plan: ld.plan, marks: ld.marks,
+	*ld = stripeLoad{stripe: stripe, need: ld.need, lost: ld.lost[:0], want: ld.want[:0], plan: ld.plan,
 		verify: verify && s.integ != nil && s.integVerify}
+	clear(ld.need)
 	if buf := sh.dirty[stripe]; buf != nil {
 		ld.torn = buf.torn
 	}
@@ -159,7 +131,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	}
 	for i := range bufs {
 		// Lost, held by the torn update, or not needed: no verdict.
-		if torn.has(at+i) || ld.need != nil && !ld.need[at+i] ||
+		if torn.has(at+i) || !ld.need[at+i] ||
 			slices.Contains(ld.lost[had:], core.Cell{Col: col, Row: lo + i}) {
 			continue
 		}
@@ -180,9 +152,9 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 // in ld.lost being lost, as core.PlanRead says: each source not read yet,
 // a column's run of them in one loadChunk call (rows between two sources
 // read along, unverified), then the same again with the losses those
-// reads found, until a plan meets none; ld.plan is then the plan that
-// decodes want from what was read. With ld.heal every loss found joins
-// want. Only sources get checksum verdicts.
+// reads found, until a plan meets none. That plan, ld.plan, then decodes
+// want into st from what was read: the store's one decode. With ld.heal
+// every loss found joins want. Only sources get checksum verdicts.
 //
 // A plan that cannot reach want ends the load with ErrUnrecoverable and
 // marks the stripe — sound, since a peel that stalls on a loss set stalls
@@ -190,14 +162,9 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 // nothing: it ends with errBeyondRow once a plan leaves its cell's row or
 // fails. The caller holds the shard mutex.
 func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe) error {
-	// need doubles as the record of the cells read or found lost: a span
-	// never reaches one, and a source gets its flag as its span is read.
-	sh, nr := s.shard(ld.stripe), s.n*s.r
-	if cap(ld.marks) < nr {
-		ld.marks = make([]bool, nr)
-	}
-	ld.need = ld.marks[:nr]
-	clear(ld.need)
+	// A span never reaches a cell read or found lost, and a source gets
+	// its need flag as its span is read.
+	sh := s.shard(ld.stripe)
 	for {
 		for _, cell := range ld.lost {
 			ld.need[s.cellIdx(cell)] = true
@@ -241,12 +208,22 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 		}
 		if len(ld.lost) == had {
 			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
-			return nil
+			return s.code.Decode(st, &ld.plan)
 		}
 		if ld.heal {
 			ld.want = append(ld.want, ld.lost[had:]...)
 		}
 	}
+}
+
+// loadAll is the planned load of every cell of stripe into a pooled
+// stripe, which the caller releases whatever the error: one call per
+// column, then ld.lost holds every loss, decoded in st unless the load
+// ends with ErrUnrecoverable. The caller holds the shard mutex.
+func (s *Store) loadAll(ctx context.Context, stripe int, verify bool) (*core.Stripe, *stripeLoad, error) {
+	st, ld := s.acquireStripe(), s.startLoad(stripe, verify)
+	ld.want = append(ld.want, s.allCells...)
+	return st, ld, s.loadPlanned(ctx, ld, st)
 }
 
 // solveLocked serves a lost cell of stripe into dst — the degraded read,
@@ -265,9 +242,7 @@ func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell
 	st, at := s.acquireStripe(), s.cellIdx(cell)
 	own := st.Cells[at]
 	st.Cells[at] = dst
-	if err = s.loadPlanned(ctx, ld, st); err == nil {
-		err = s.code.Decode(st, &ld.plan)
-	}
+	err = s.loadPlanned(ctx, ld, st)
 	st.Cells[at] = own
 	s.releaseStripeUnlessCancelled(ctx, st)
 	if err != nil {

@@ -14,16 +14,21 @@ import (
 // reads the sources core.PlanRead names — each exactly once, and nothing
 // else but rows between two of a column's sources — gives a checksum
 // verdict to exactly those, and decodes the wanted cells to what
-// core.Repair of the whole stripe gives.
+// core.Repair of the whole stripe gives. With the losses on the devices,
+// two more shapes are checked. A load of every cell (scrub's, repair's,
+// recovery's) reads each column in one call, verifies every live sector
+// once and decodes what Repair gives. A rebuild of a column reads its
+// chunk alone when the chunk has no loss; with a hole, it reads each other
+// column once more and not the chunk again, and writes back every loss.
 func TestPlannedLoadReadsSources(t *testing.T) {
 	v := newDeltaVolume(t, core.Config{N: 4, R: 3, M: 1, E: []int{1}}, 1, 16, deltaOpts{integrity: true})
 	s := v.s
 	sh := s.shard(0)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	whole, lost, _, err := s.loadStripe(bg, 0, true)
-	if err != nil || len(lost) != 0 {
-		t.Fatalf("loading the healthy stripe: %d lost, %v", len(lost), err)
+	whole, ld, err := s.loadAll(bg, 0, true)
+	if err != nil || len(ld.lost) != 0 {
+		t.Fatalf("loading the healthy stripe: %d lost, %v", len(ld.lost), err)
 	}
 	v.takeReads()
 	patterns := 0
@@ -99,10 +104,96 @@ func TestPlannedLoadReadsSources(t *testing.T) {
 			}
 			s.releaseStripe(st)
 		}
+		checkWholeLoads(t, v, whole, repaired, lost)
 	}
 	s.releaseStripe(whole)
 	if patterns < 100 {
 		t.Fatalf("only %d covered patterns", patterns)
 	}
 	t.Logf("%d covered patterns", patterns)
+}
+
+// checkWholeLoads puts lost on the devices of v's stripe 0 as sector
+// errors and checks the load of every cell and the rebuild of each column
+// against it (see TestPlannedLoadReadsSources); whole is the stripe's
+// content and repaired what core.Repair makes of it. The caller holds the
+// shard mutex. The rebuild heals every loss.
+func checkWholeLoads(t *testing.T, v *deltaVolume, whole, repaired *core.Stripe, lost []core.Cell) {
+	t.Helper()
+	s := v.s
+	live := s.n*s.r - len(lost)
+	for _, cell := range lost {
+		if err := v.devs[cell.Col].InjectSectorError(cell.Row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verified := s.Stats().VerifiedSectors
+	st, ld, err := s.loadAll(bg, 0, true)
+	if err != nil || !sameCells(ld.lost, lost) {
+		t.Fatalf("lost %v, want every cell: %v, found lost %v", lost, err, ld.lost)
+	}
+	for col, reads := range v.takeReads() {
+		if !slices.Equal(reads, []extent{{0, s.r}}) {
+			t.Fatalf("lost %v, want every cell: column %d read %v, want one call of its %d rows", lost, col, reads, s.r)
+		}
+	}
+	if got := s.Stats().VerifiedSectors - verified; got != uint64(live) {
+		t.Fatalf("lost %v, want every cell: %d sectors verified, want the %d live ones", lost, got, live)
+	}
+	if err := s.code.Decode(st, &ld.plan); err != nil {
+		t.Fatalf("lost %v, want every cell: Decode: %v", lost, err)
+	}
+	for _, cell := range s.allCells {
+		if !bytes.Equal(st.Sector(cell.Col, cell.Row), repaired.Sector(cell.Col, cell.Row)) {
+			t.Fatalf("lost %v, want every cell: cell %v differs from Repair's", lost, cell)
+		}
+	}
+	s.releaseStripe(st)
+
+	// Rebuild each column without a loss, then the first with one.
+	sh, hole := s.shard(0), lost[0].Col
+	for dev := 0; dev < s.n; dev++ {
+		if slices.ContainsFunc(lost, func(c core.Cell) bool { return c.Col == dev }) {
+			continue
+		}
+		verified := s.Stats().VerifiedSectors
+		s.rebuildStripeLocked(bg, sh, 0, dev)
+		for col, reads := range v.takeReads() {
+			if want := []extent{{0, s.r}}; col == dev && !slices.Equal(reads, want) || col != dev && len(reads) > 0 {
+				t.Fatalf("lost %v, rebuild of whole column %d: column %d read %v, want its chunk only", lost, dev, col, reads)
+			}
+		}
+		if got := s.Stats().VerifiedSectors - verified; got != uint64(s.r) {
+			t.Fatalf("lost %v, rebuild of whole column %d: %d sectors verified, want %d", lost, dev, got, s.r)
+		}
+	}
+	verified = s.Stats().VerifiedSectors
+	s.rebuildStripeLocked(bg, sh, 0, hole)
+	for col, reads := range v.takeReads() {
+		if !slices.Equal(reads, []extent{{0, s.r}}) {
+			t.Fatalf("lost %v, rebuild of column %d: column %d read %v, want one call of its %d rows", lost, hole, col, reads, s.r)
+		}
+	}
+	if got := s.Stats().VerifiedSectors - verified; got != uint64(live) {
+		t.Fatalf("lost %v, rebuild of column %d: %d sectors verified, want the %d live ones", lost, hole, got, live)
+	}
+	st, ld, err = s.loadAll(bg, 0, true)
+	if err != nil || len(ld.lost) != 0 {
+		t.Fatalf("lost %v, after the rebuild of column %d: %v, lost %v", lost, hole, err, ld.lost)
+	}
+	v.takeReads()
+	for _, cell := range s.allCells {
+		if !bytes.Equal(st.Sector(cell.Col, cell.Row), whole.Sector(cell.Col, cell.Row)) {
+			t.Fatalf("lost %v, after the rebuild of column %d: cell %v is wrong", lost, hole, cell)
+		}
+	}
+	s.releaseStripe(st)
+}
+
+// sameCells reports whether a and b list the same cells, in any order.
+func sameCells(a, b []core.Cell) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	core.SortCells(a)
+	core.SortCells(b)
+	return slices.Equal(a, b)
 }

@@ -121,18 +121,20 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 	// corruption and "repair" good data; instead, every successful
 	// replay outcome below re-stages fresh records for the whole stripe,
 	// resolving the lag from the journal.
-	st, lost, _, err := s.loadStripe(ctx, stripe, false)
+	// A plan that fails (and marks the stripe) has data lost: with every
+	// data cell known, the peel is an encode.
+	st, ld, err := s.loadAll(ctx, stripe, false)
+	// Replay runs before the store accepts traffic, under a background
+	// context, but the guard costs nothing and keeps the rule uniform.
+	defer func() { s.releaseStripeUnlessCancelled(ctx, st) }()
 	if err != nil {
 		rep.Unrecoverable++
 		return
 	}
-	// Replay runs before the store accepts traffic, under a background
-	// context, but the guard costs nothing and keeps the rule uniform.
-	defer func() { s.releaseStripeUnlessCancelled(ctx, st) }()
-	var lostData []core.Cell
+	lost, lostData := ld.lost, 0
 	for _, cell := range lost {
 		if s.isData[s.cellIdx(cell)] {
-			lostData = append(lostData, cell)
+			lostData++
 		}
 	}
 	rollForward := func() {
@@ -156,14 +158,10 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		s.clearUnrecoverableLocked(sh, stripe)
 		s.restageStripeMeta(ctx, sh, stripe, st, rec)
 	}
-	if len(lostData) > 0 {
+	if lostData > 0 {
 		// Lost data can only come back through the (possibly broken)
-		// parity relations: repair, then accept only a fully verified
-		// result.
-		if err := s.repairLocked(sh, stripe, st, lost); err != nil {
-			rep.Unrecoverable++
-			return
-		}
+		// parity relations: the load decoded it, and only a fully
+		// verified result is accepted.
 		if ok, err := s.code.Verify(st); err != nil || !ok {
 			s.markUnrecoverableLocked(sh, stripe)
 			rep.Unrecoverable++

@@ -93,29 +93,23 @@ func (s *Store) repairStripeLocked(ctx context.Context, sh *lockShard, stripe in
 	if sh.unrecoverable[stripe] {
 		return false
 	}
-	st, lost, _, err := s.loadStripe(ctx, stripe, true)
-	if err != nil {
-		return false
-	}
-	return s.healLoadedLocked(ctx, sh, stripe, st, lost)
+	st, ld, err := s.loadAll(ctx, stripe, true)
+	return s.healLoadedLocked(ctx, sh, st, ld, err)
 }
 
-// healLoadedLocked is a repair past its stripe load: it decodes the
-// loaded stripe's lost cells and writes back those on devices that take
-// writes, reporting requeue as repairStripeLocked does. It owns st.
-func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell) (requeue bool) {
+// healLoadedLocked is a repair past its stripe load, which ended with
+// err: it writes back the lost cells the load found and decoded, those
+// on devices that take writes, reporting requeue as repairStripeLocked
+// does. A load that failed (and marked the stripe, if beyond coverage)
+// heals nothing. It owns st.
+func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, st *core.Stripe, ld *stripeLoad, err error) (requeue bool) {
 	// Whatever path exits below, the loaded stripe goes back to the
-	// pool — unless the write-back was cancelled mid-flight, where an
-	// abandoned device operation may still reference the slab.
+	// pool — unless the load or the write-back was cancelled mid-flight,
+	// where an abandoned device operation may still reference the slab.
 	defer func() { s.releaseStripeUnlessCancelled(ctx, st) }()
-	if len(lost) == 0 {
-		return false
-	}
+	stripe, lost := ld.stripe, ld.lost
 	writable := sh.writable(lost)
-	if len(writable) == 0 {
-		return false
-	}
-	if err := s.repairLocked(sh, stripe, st, lost); err != nil {
+	if err != nil || len(writable) == 0 {
 		return false
 	}
 	core.SortCells(writable)
@@ -148,9 +142,9 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, stripe int,
 // chunk of every stripe, bypassing the bounded queue. It reads that chunk
 // first, in one vectored call checked against its integrity records; a
 // stripe where it reads whole has nothing to rebuild and costs that one
-// read. Any other stripe is loaded whole, without reading the chunk
-// again, and every loss found in it — on this device or any other that
-// takes writes — is decoded and written back. So after m replacements
+// read. Any other stripe gets the planned load of every cell, which reads
+// the other columns only, and every loss found in it — on this device or
+// any other that takes writes — is decoded and written back. So after m replacements
 // the first rebuild restores them all, and each further one reads one
 // chunk per stripe and writes nothing. A loss elsewhere in a stripe whose
 // chunk reads whole is left to the next Scrub. Stripes with an
@@ -179,8 +173,12 @@ func (s *Store) rebuildStripeLocked(ctx context.Context, sh *lockShard, stripe, 
 		s.repairStripeLocked(ctx, sh, stripe)
 		return
 	}
-	st := s.acquireStripe()
-	ld := s.startLoad(stripe, true)
+	// The chunk is flagged as read, so that it is verified and the
+	// planned load of a stripe with a hole reads only the other columns.
+	st, ld := s.acquireStripe(), s.startLoad(stripe, true)
+	for row := range s.r {
+		ld.need[dev*s.r+row] = true
+	}
 	if s.loadChunk(ctx, ld, dev, 0, sh.chunkVec(st, dev, 0, s.r)) != nil {
 		return
 	}
@@ -189,11 +187,6 @@ func (s *Store) rebuildStripeLocked(ctx context.Context, sh *lockShard, stripe, 
 		s.releaseStripe(st)
 		return
 	}
-	for col := 0; col < s.n; col++ {
-		if col != dev && s.loadChunk(ctx, ld, col, 0, sh.chunkVec(st, col, 0, s.r)) != nil {
-			return
-		}
-	}
-	s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
-	s.healLoadedLocked(ctx, sh, stripe, st, ld.lost)
+	ld.want = append(ld.want, s.allCells...)
+	s.healLoadedLocked(ctx, sh, st, ld, s.loadPlanned(ctx, ld, st))
 }

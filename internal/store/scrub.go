@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -162,10 +163,13 @@ func (r *ScrubReport) add(o ScrubReport) {
 // cancellation.
 func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int) (ScrubReport, error) {
 	var rep ScrubReport
-	st, lost, mismatches, err := s.loadStripe(ctx, stripe, true)
-	if err != nil {
+	marked := sh.unrecoverable[stripe] // before the load's own mark
+	st, ld, err := s.loadAll(ctx, stripe, true)
+	if err != nil && !errors.Is(err, ErrUnrecoverable) {
+		s.releaseStripeUnlessCancelled(ctx, st)
 		return rep, err
 	}
+	lost, mismatches := ld.lost, ld.mismatches
 	rep.StripesChecked++
 	s.c.scrubbedStripes.Add(1)
 	switch {
@@ -177,18 +181,16 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 		// Located damage: coverage decides. One checksum-located liar
 		// repairs like any erasure; damage beyond coverage (e.g. two
 		// liars in a stripe protected for one) is refused rather than
-		// decoded into fabricated content.
-		if ok, cerr := s.code.CanRecover(lost); cerr == nil && !ok {
-			if !sh.unrecoverable[stripe] {
-				rep.StripesUnrecoverable++
-			}
-			s.markUnrecoverableLocked(sh, stripe)
-		} else {
+		// decoded into fabricated content: the load's plan failed, and
+		// the stripe is marked.
+		if err == nil {
 			wasPending := sh.pending[stripe] || sh.unrecoverable[stripe]
 			s.enqueueRepairLocked(sh, stripe, len(lost))
 			if !wasPending && sh.pending[stripe] {
 				rep.StripesQueued++
 			}
+		} else if !marked {
+			rep.StripesUnrecoverable++
 		}
 	default:
 		// Nothing located: cross-check parity against data. A
@@ -202,7 +204,7 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 		case verr != nil:
 		case !ok:
 			rep.StripesInconsistent++
-			if !sh.unrecoverable[stripe] {
+			if !marked {
 				rep.StripesUnrecoverable++
 			}
 			s.markUnrecoverableLocked(sh, stripe)

@@ -121,13 +121,16 @@ func shardCount(cfg int) int {
 	return n
 }
 
-// newShards allocates an initialised shard table.
-func newShards(n int) []lockShard {
-	shards := make([]lockShard, n)
+// newShards allocates an initialised shard table, for stripes of n
+// columns of r rows.
+func newShards(count, n, r int) []lockShard {
+	shards := make([]lockShard, count)
 	for i := range shards {
 		shards[i].dirty = map[int]*stripeBuf{}
 		shards[i].pending = map[int]bool{}
 		shards[i].unrecoverable = map[int]bool{}
+		shards[i].down = make([]bool, n)
+		shards[i].load.need = make([]bool, n*r)
 	}
 	return shards
 }

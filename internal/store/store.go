@@ -27,12 +27,12 @@
 //     sweep.go); a rebuild reads the replaced chunk first and loads the
 //     rest of a stripe only when that chunk is not whole.
 //
-// Device I/O is vectored and context-aware: every stripe-granular path
-// (flush, load, scrub, repair) issues one ReadSectors/WriteSectors call
-// per device per stripe, so a remote backend pays one round trip where
-// the per-sector API would pay R, and a caller's context deadline or
-// cancellation aborts in-flight device waits instead of wedging the
-// store. Public Store methods take a context for the same reason.
+// Device I/O is vectored and context-aware: a load reads each column's
+// run of the cells its plan needs in one ReadSectors call (a whole
+// stripe, one per device), a write-back each run in one WriteSectors, so
+// a remote backend pays one round trip per run, not per sector, and a
+// caller's context deadline or cancellation aborts in-flight device waits
+// instead of wedging the store. Public Store methods take a context too.
 //
 // Stripes are independent units of encoding and recovery, and the store
 // exploits that: per-stripe state lives in a striped lock table
@@ -353,7 +353,7 @@ func Open(cfg Config) (*Store, error) {
 		sectorSize: cfg.SectorSize,
 		maxDirty:   maxDirty,
 		dataCells:  cfg.Code.DataCells(),
-		shards:     newShards(nshards),
+		shards:     newShards(nshards, n, r),
 		shardMask:  nshards - 1,
 		repairQ:    newRepairQueue(queue),
 		quit:       make(chan struct{}),
@@ -759,21 +759,6 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		s.enqueueRepairLocked(sh, stripe, risk)
 	}
 	return nil
-}
-
-// repairLocked reconstructs the lost cells of a loaded stripe in place,
-// marking the stripe when they are beyond the code's coverage. It is
-// the store's one decode site; the caller holds the shard mutex and
-// adds its own context to the error.
-func (s *Store) repairLocked(sh *lockShard, stripe int, st *core.Stripe, lost []core.Cell) error {
-	if len(lost) == 0 {
-		return nil
-	}
-	err := s.code.Repair(st, lost)
-	if errors.Is(err, ErrUnrecoverable) {
-		s.markUnrecoverableLocked(sh, stripe)
-	}
-	return err
 }
 
 // markUnrecoverableLocked records a stripe whose failure pattern fell

@@ -64,13 +64,14 @@ func checkStripesConsistent(t testing.TB, s *Store) {
 	for stripe := 0; stripe < s.stripes; stripe++ {
 		sh := s.shard(stripe)
 		sh.mu.Lock()
-		st, lost, _, err := s.loadStripe(bg, stripe, false)
+		st, ld, err := s.loadAll(bg, stripe, false)
+		lost := len(ld.lost)
 		sh.mu.Unlock()
 		if err != nil {
 			t.Fatalf("stripe %d: %v", stripe, err)
 		}
-		if len(lost) > 0 {
-			t.Fatalf("stripe %d has %d lost cells", stripe, len(lost))
+		if lost > 0 {
+			t.Fatalf("stripe %d has %d lost cells", stripe, lost)
 		}
 		ok, err := s.code.Verify(st)
 		if err != nil {
