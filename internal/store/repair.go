@@ -144,11 +144,11 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, st *core.St
 // stripe where it reads whole has nothing to rebuild and costs that one
 // read. Any other stripe gets the planned load of every cell, which reads
 // the other columns only, and every loss found in it — on this device or
-// any other that takes writes — is decoded and written back. So after m replacements
-// the first rebuild restores them all, and each further one reads one
-// chunk per stripe and writes nothing. A loss elsewhere in a stripe whose
-// chunk reads whole is left to the next Scrub. Stripes with an
-// interrupted write-back pending are loaded whole, as the repair queue
+// any other that takes writes — is decoded and written back. So after m
+// replacements the first rebuild restores them all, and each further one
+// reads one chunk per stripe and writes nothing. A loss elsewhere in a
+// stripe whose chunk reads whole is left to the next Scrub. Stripes with
+// an interrupted write-back pending are loaded whole, as the repair queue
 // loads them. It runs GOMAXPROCS stripes at once, each under its own
 // shard lock, so reads, writes and repairs of other stripes interleave
 // with it. Stripes whose write-backs fail transiently are left to the
