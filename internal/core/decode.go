@@ -1,11 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 )
 
 // ErrUnrecoverable reports a failure pattern outside the code's coverage
@@ -42,13 +42,11 @@ func (c *Code) checkLost(lost []Cell) ([]int, error) {
 }
 
 // appendLostKey renders a sorted lost-cell index list as the decode
-// cache's key, appended to dst.
+// cache's key, appended to dst: four bytes an index, so that a key of
+// two lists joined by a '|' is never as long as a key of one.
 func appendLostKey(dst []byte, idxs []int) []byte {
-	for i, v := range idxs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(dst, int64(v), 10)
+	for _, v := range idxs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
 	return dst
 }

@@ -184,22 +184,21 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 		had := len(ld.lost)
 		for i := 0; i < len(srcs); {
 			src := srcs[i]
-			lo, hi, j := s.cellIdx(src), s.cellIdx(src)+1, i+1
+			lo, j := s.cellIdx(src), i+1
 			if ld.need[lo] {
 				i++
 				continue
 			}
 			// The span runs down the column to the last source before
-			// the next cell read or lost.
+			// the next cell read or lost, flagging its sources.
+			ld.need[lo] = true
+			hi := lo + 1
 			for ; j < len(srcs) && srcs[j].Col == src.Col; j++ {
-				next := s.cellIdx(srcs[j]) + 1
-				if slices.Contains(ld.need[hi:next], true) {
+				at := s.cellIdx(srcs[j])
+				if slices.Contains(ld.need[hi:at+1], true) {
 					break
 				}
-				hi = next
-			}
-			for _, cell := range srcs[i:j] {
-				ld.need[s.cellIdx(cell)] = true
+				ld.need[at], hi = true, at+1
 			}
 			if err := s.loadChunk(ctx, ld, src.Col, src.Row, sh.chunkVec(st, src.Col, src.Row, src.Row+hi-lo)); err != nil {
 				return err
