@@ -37,8 +37,7 @@ type lockShard struct {
 	// cancelled device call (see dropScratchOnCancel).
 	rows [][]byte
 	// load is the load in progress under mu, lost list included: every
-	// stripe load, planned load and degraded read of the shard's stripes
-	// goes through it (see stripeLoad).
+	// load of the shard's stripes goes through it (see stripeLoad).
 	load stripeLoad
 	// down is the last load's record, by column, of the devices whose
 	// whole read answered ErrDeviceFailed — wholly failed, so they take no
