@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"stair/internal/ec"
 )
@@ -53,12 +51,6 @@ func (c CellClass) String() string {
 func (c *Code) cellIdx(row, col int) int { return row*c.cols + col }
 
 func (c *Code) cellRC(idx int) (row, col int) { return idx / c.cols, idx % c.cols }
-
-// SortCells orders cells by (Col, Row): chunk by chunk, so that the
-// cells one device holds contiguously are adjacent.
-func SortCells(cells []Cell) {
-	slices.SortFunc(cells, func(a, b Cell) int { return cmp.Or(a.Col-b.Col, a.Row-b.Row) })
-}
 
 // isReal reports whether the canonical cell is part of the stored stripe.
 func (c *Code) isReal(row, col int) bool { return row < c.r && col < c.n }

@@ -97,8 +97,8 @@ type Code struct {
 	envPool sync.Pool // *stripeEnv: cell mapping, temporaries and Verify's parity scratch
 	fanPool sync.Pool // *[][]byte fused-kernel destination vectors
 
-	decodeMu    sync.Mutex
-	decodeCache map[string]*plan // nil entry = proven unrecoverable
+	decodeMu               sync.Mutex
+	decodeCache, decodeOld map[string]*plan // peel plans, young and old (see cachePlan)
 
 	// rowSolves holds the row-local repairs by lost-column set (see
 	// rowlocal.go); entries are never evicted.

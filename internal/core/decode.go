@@ -1,101 +1,78 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // ErrUnrecoverable reports a failure pattern outside the code's coverage
 // that peeling cannot repair.
 var ErrUnrecoverable = errors.New("core: failure pattern is unrecoverable")
 
-// maxDecodeCacheEntries bounds the per-pattern schedule cache. Real
+// maxDecodeCacheEntries bounds the per-pattern plan cache. Real
 // deployments see few distinct patterns (scrub finds them one at a time);
 // the bound only guards against adversarial churn.
 const maxDecodeCacheEntries = 256
 
-// checkCells reports the first cell outside the real stripe.
-func (c *Code) checkCells(cells []Cell) error {
-	for _, cell := range cells {
-		if uint(cell.Col) >= uint(c.n) || uint(cell.Row) >= uint(c.r) {
-			return fmt.Errorf("core: cell %v out of range (n=%d, r=%d)", cell, c.n, c.r)
-		}
-	}
-	return nil
-}
-
-// checkLost returns the canonical indices of the lost cells, sorted and
-// without duplicates.
-func (c *Code) checkLost(lost []Cell) ([]int, error) {
-	if err := c.checkCells(lost); err != nil {
-		return nil, err
-	}
-	idxs := make([]int, 0, len(lost))
-	for _, cell := range lost {
-		idxs = append(idxs, c.cellIdx(cell.Row, cell.Col))
-	}
-	sort.Ints(idxs)
-	return slices.Compact(idxs), nil
-}
-
-// appendLostKey renders a sorted lost-cell index list as the decode
-// cache's key, appended to dst: four bytes an index, so that a key of
-// two lists joined by a '|' is never as long as a key of one.
-func appendLostKey(dst []byte, idxs []int) []byte {
-	for _, v := range idxs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
-}
-
-// decodePlanFor returns (building, compiling and caching as needed) the
-// plan that computes the cells of want — sorted canonical indices, a
-// subset of lost — when the cells of lost are unknown, or nil if peeling
-// cannot reach them. Caching the compiled plan — not just the schedule —
-// means repeated repairs of the same pattern (the scrubber draining a
-// failed chunk stripe by stripe) pay the source-major compilation once.
-func (c *Code) decodePlanFor(lost, want []int) (*plan, error) {
-	// The key is built on the stack and looked up without becoming a
-	// string; only a miss pays for one. A whole repair keys on lost alone.
+// peelPlan returns (building, compiling and caching as needed) the plan
+// of the whole-stripe peel computing want, cells of lost, when the cells
+// of lost are unknown, or ErrUnrecoverable if peeling cannot reach them.
+// Caching the compiled plan means repeated repairs of one pattern (the
+// scrubber draining a failed chunk stripe by stripe) compile it once.
+func (c *Code) peelPlan(lost, want Pattern) (*plan, error) {
+	// The key, lost's words and then want's unless it is lost, is built on
+	// the stack; only a miss, or a plan moved back young, makes a string.
 	var kbuf [256]byte
-	key := appendLostKey(kbuf[:0], lost)
-	if !slices.Equal(lost, want) {
-		key = appendLostKey(append(key, '|'), want)
+	key := lost.appendKey(kbuf[:0])
+	if !slices.Equal(lost.words, want.words) {
+		key = want.appendKey(key)
 	}
 	c.decodeMu.Lock()
 	pl, hit := c.decodeCache[string(key)]
+	if !hit {
+		if pl, hit = c.decodeOld[string(key)]; hit {
+			c.cachePlan(string(key), pl)
+		}
+	}
 	c.decodeMu.Unlock()
-	if hit {
-		return pl, nil
-	}
-	sch, err := c.buildDecodeSchedule(lost, want)
-	if err != nil {
-		return nil, err
-	}
-	if sch != nil {
-		// The plan writes only unknown cells, so a real cell it reads and
-		// that is not lost is one of its sources.
-		pl = c.compilePlan(sch)
-		for _, st := range pl.stages {
-			for _, g := range slices.Concat(st.inits, st.groups) {
-				if row, col := c.cellRC(int(g.src)); c.isReal(row, col) && !slices.Contains(lost, int(g.src)) {
-					pl.sources = append(pl.sources, Cell{Col: col, Row: row})
+	if !hit {
+		sch, err := c.buildDecodeSchedule(lost, want)
+		if err != nil {
+			return nil, err
+		}
+		if sch != nil {
+			// The plan writes only unknown cells, so a real cell it reads
+			// and that is not lost is one of its sources.
+			pl = c.compilePlan(sch)
+			pl.sources = NewPattern(c.n, c.r)
+			for _, st := range pl.stages {
+				for _, g := range slices.Concat(st.inits, st.groups) {
+					if row, col := c.cellRC(int(g.src)); c.isReal(row, col) && !lost.Has(col*c.r+row) {
+						pl.sources.Set(col*c.r + row)
+					}
 				}
 			}
 		}
-		SortCells(pl.sources)
-		pl.sources = slices.Compact(pl.sources)
+		c.decodeMu.Lock()
+		c.cachePlan(string(key), pl)
+		c.decodeMu.Unlock()
 	}
-	c.decodeMu.Lock()
-	if len(c.decodeCache) >= maxDecodeCacheEntries {
-		c.decodeCache = make(map[string]*plan)
+	if pl == nil {
+		return nil, fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, lost.Count())
 	}
-	c.decodeCache[string(key)] = pl
-	c.decodeMu.Unlock()
 	return pl, nil
+}
+
+// cachePlan files pl (nil: proven unrecoverable) under key in the young
+// generation of the plan cache. A full young generation becomes the old
+// one, dropping the old; a hit there moves a plan back young. So churn
+// evicts the patterns idle longest. The caller holds decodeMu.
+func (c *Code) cachePlan(key string, pl *plan) {
+	if len(c.decodeCache) >= maxDecodeCacheEntries/2 {
+		c.decodeOld, c.decodeCache = c.decodeCache, make(map[string]*plan)
+	}
+	c.decodeCache[key] = pl
 }
 
 // decodePeeler returns a peeler for the canonical lost cells: the
@@ -120,15 +97,19 @@ func (c *Code) decodePeeler(lost []int) *peeler {
 	return p
 }
 
+// lossesPerChunk counts the cells of lost in each chunk.
+func (c *Code) lossesPerChunk(lost Pattern) []int {
+	perChunk := make([]int, c.n)
+	for _, cell := range lost.AppendCells(nil) {
+		perChunk[cell.Col]++
+	}
+	return perChunk
+}
+
 // deferMostLost marks as deferred the m chunks with the most lost cells
 // (§4.3), breaking ties toward lower column indices. Chunks without
 // losses are never deferred.
-func (c *Code) deferMostLost(p *peeler, idxs []int) {
-	perChunk := make([]int, c.n)
-	for _, idx := range idxs {
-		_, col := c.cellRC(idx)
-		perChunk[col]++
-	}
+func (c *Code) deferMostLost(p *peeler, perChunk []int) {
 	for k := 0; k < c.m; k++ {
 		best, bestCol := 0, -1
 		for col := 0; col < c.n; col++ {
@@ -151,9 +132,10 @@ func (c *Code) deferMostLost(p *peeler, idxs []int) {
 // unrestricted generic peel is attempted as a best-effort fallback. The
 // schedule is pruned to the ops want depends on. Returns nil when
 // peeling cannot reach want.
-func (c *Code) buildDecodeSchedule(lost, want []int) (*schedule, error) {
+func (c *Code) buildDecodeSchedule(lostCells, wantCells Pattern) (*schedule, error) {
+	lost, want := c.canonical(lostCells), c.canonical(wantCells)
 	p := c.decodePeeler(lost)
-	c.deferMostLost(p, lost)
+	c.deferMostLost(p, c.lossesPerChunk(lostCells))
 	if err := p.practical(want); err != nil {
 		return nil, err
 	}
@@ -171,32 +153,9 @@ func (c *Code) buildDecodeSchedule(lost, want []int) (*schedule, error) {
 	return p.sched, nil
 }
 
-// peelPlan returns the plan of the whole-stripe peel for want, cells of
-// lost without repeats — all of lost when nil or as many — or
-// ErrUnrecoverable.
-func (c *Code) peelPlan(lost, want []Cell) (*plan, error) {
-	idxs, err := c.checkLost(lost)
-	if err != nil {
-		return nil, err
-	}
-	wantIdxs := idxs
-	if want != nil && len(want) < len(idxs) {
-		var wbuf [8]int
-		wantIdxs = wbuf[:0]
-		for _, cell := range want {
-			wantIdxs = append(wantIdxs, c.cellIdx(cell.Row, cell.Col))
-		}
-		sort.Ints(wantIdxs)
-	}
-	pl, err := c.decodePlanFor(idxs, wantIdxs)
-	if err == nil && pl == nil {
-		err = fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(idxs))
-	}
-	return pl, err
-}
-
-// ReadPlan is what PlanRead resolves a (lost, want) pair to: the cells to
-// read, and how Decode computes want from them. The zero value is no plan.
+// ReadPlan is what PlanRead resolves a (lost, want) pattern pair to: the
+// cells to read, and how Decode computes want from them. The zero value is
+// no plan.
 type ReadPlan struct {
 	// Sources lists, sorted by (Col, Row), the cells that must be read to
 	// have every cell of want when the cells of lost are unreadable:
@@ -211,84 +170,55 @@ type ReadPlan struct {
 	row, col       int
 	pl             *plan
 	planned, local bool
-	// PlanRead's scratch: want's lost cells, and what each cell is to
-	// the call (a cell* value), chunk-major (col·r + row), so that a call
-	// is linear in its inputs.
-	wanted []Cell
-	cells  []uint8
+	// PlanRead's scratch: want's lost cells, and the sources.
+	wanted, src Pattern
 }
 
-// What a cell is to a PlanRead call: lost, lost and wanted, or a source.
-const cellLost, cellWanted, cellSource = 1, 2, 3
-
-// PlanRead resolves (lost, want) into rp, reusing its memory. One wanted
-// lost cell whose row holds at most m losses is solved from its own row —
-// the local step of §4.3: its sources are the row solve's, the n−m lowest
-// other columns of the row, which RepairRow reads. Any other pattern takes
-// the whole-stripe peel pruned to want's lost cells. ErrUnrecoverable says
-// the peel cannot reach them, nor can it with more cells lost. Once rp has
-// grown to the pattern, only a peel that misses the plan cache allocates.
-func (c *Code) PlanRead(rp *ReadPlan, lost, want []Cell) error {
+// PlanRead resolves (lost, want), patterns of this code's stripe, into
+// rp, reusing its memory. One wanted lost cell whose row holds at most m
+// losses is solved from its own row — the local step of §4.3: its sources
+// are the row solve's, the n−m lowest other columns of the row, which
+// RepairRow reads. Any other pattern takes the whole-stripe peel pruned to
+// want's lost cells. ErrUnrecoverable says the peel cannot reach them, nor
+// can it with more cells lost. Once rp has grown to the pattern, only a
+// peel that misses the plan cache allocates.
+func (c *Code) PlanRead(rp *ReadPlan, lost, want Pattern) error {
 	rp.planned = false
-	if err := errors.Join(c.checkCells(lost), c.checkCells(want)); err != nil {
+	if err := errors.Join(c.checkPattern(lost), c.checkPattern(want)); err != nil {
 		return err
 	}
-	if len(rp.cells) < c.n*c.r {
-		rp.cells = make([]uint8, c.n*c.r)
+	if len(rp.src.words) != len(lost.words) || rp.src.r != c.r {
+		rp.wanted, rp.src = NewPattern(c.n, c.r), NewPattern(c.n, c.r)
 	}
-	is := rp.cells[:c.n*c.r]
-	defer clear(is)
-	for _, cell := range lost {
-		is[cell.Col*c.r+cell.Row] = cellLost
+	for k, w := range want.words {
+		rp.wanted.words[k], rp.src.words[k] = w&lost.words[k], w&^lost.words[k]
 	}
-	wanted, cols := rp.wanted[:0], rp.cols[:0]
-	for _, cell := range want {
-		switch i := cell.Col*c.r + cell.Row; is[i] {
-		case cellLost:
-			wanted, is[i] = append(wanted, cell), cellWanted
-		case 0:
-			is[i] = cellSource
-		}
-	}
-	one := Cell{Row: -1}
-	if len(wanted) == 1 {
-		one = wanted[0]
-	}
-	for _, cell := range lost {
-		if cell.Row != one.Row {
-			continue
-		}
-		if i, found := slices.BinarySearch(cols, cell.Col); !found {
-			cols = slices.Insert(cols, i, cell.Col)
-		}
-	}
-	// The plan's sources come sorted; with cells of want's own, all of
-	// them are merged in (Col, Row) order through is.
-	local, pl, srcs := len(wanted) == 1 && len(cols) <= c.m, (*plan)(nil), rp.Sources[:0]
-	if local {
-		var hbuf [16]int
-		for _, col := range c.rowHave(hbuf[:0], cols) {
-			srcs = append(srcs, Cell{Col: col, Row: one.Row})
-		}
-	} else if len(wanted) > 0 {
-		var err error
-		if pl, err = c.peelPlan(lost, wanted); err != nil {
-			return err
-		}
-		srcs = append(srcs, pl.sources...)
-	}
-	if len(wanted) < len(want) {
-		for _, cell := range srcs {
-			is[cell.Col*c.r+cell.Row] = cellSource
-		}
-		srcs = srcs[:0]
-		for i, at := range is {
-			if at == cellSource {
-				srcs = append(srcs, Cell{Col: i / c.r, Row: i % c.r})
+	wanted := rp.wanted.Count()
+	one, cols := Cell{Row: -1}, rp.cols[:0]
+	if wanted == 1 {
+		i := rp.wanted.Next(0)
+		one = Cell{Col: i / c.r, Row: i % c.r}
+		for col := range c.n {
+			if lost.Has(col*c.r + one.Row) {
+				cols = append(cols, col)
 			}
 		}
 	}
-	rp.Sources, rp.cols, rp.wanted, rp.row, rp.col, rp.pl, rp.planned, rp.local = srcs, cols, wanted, one.Row, one.Col, pl, true, local
+	local, pl := wanted == 1 && len(cols) <= c.m, (*plan)(nil)
+	if local {
+		var hbuf [16]int
+		for _, col := range c.rowHave(hbuf[:0], cols) {
+			rp.src.Set(col*c.r + one.Row)
+		}
+	} else if wanted > 0 {
+		var err error
+		if pl, err = c.peelPlan(lost, rp.wanted); err != nil {
+			return err
+		}
+		rp.src.Union(pl.sources)
+	}
+	rp.Sources = rp.src.AppendCells(rp.Sources[:0])
+	rp.cols, rp.row, rp.col, rp.pl, rp.planned, rp.local = cols, one.Row, one.Col, pl, true, local
 	return nil
 }
 
@@ -327,11 +257,21 @@ func (c *Code) Repair(st *Stripe, lost []Cell) error {
 	if len(lost) == 0 {
 		return c.validateStripe(st)
 	}
-	pl, err := c.peelPlan(lost, nil)
+	pl, err := c.repairPlan(lost)
 	if err != nil {
 		return err
 	}
 	return c.Decode(st, &ReadPlan{pl: pl, planned: true})
+}
+
+// repairPlan is the peel of every cell of lost, the plan of the []Cell
+// entry points, which convert to a pattern here.
+func (c *Code) repairPlan(lost []Cell) (*plan, error) {
+	p, err := c.patternOf(lost)
+	if err != nil {
+		return nil, err
+	}
+	return c.peelPlan(p, p)
 }
 
 // CanRecover reports whether Repair would succeed on a failure pattern,
@@ -342,7 +282,7 @@ func (c *Code) Repair(st *Stripe, lost []Cell) error {
 // for a pattern beyond the coverage means peeling stalls, not that the
 // generator's rank rules it out.
 func (c *Code) CanRecover(lost []Cell) (bool, error) {
-	_, err := c.peelPlan(lost, nil)
+	_, err := c.repairPlan(lost)
 	if errors.Is(err, ErrUnrecoverable) {
 		return false, nil
 	}
@@ -352,7 +292,7 @@ func (c *Code) CanRecover(lost []Cell) (bool, error) {
 // RepairCost returns the number of Mult_XORs actually executed to repair
 // the given pattern, or ErrUnrecoverable.
 func (c *Code) RepairCost(lost []Cell) (int, error) {
-	pl, err := c.peelPlan(lost, nil)
+	pl, err := c.repairPlan(lost)
 	if err != nil {
 		return 0, err
 	}
@@ -367,33 +307,23 @@ func (c *Code) RepairCost(lost []Cell) (int, error) {
 // the coverage are always recoverable (paper §4.2); patterns outside it
 // may still happen to peel, which CanRecover detects.
 func (c *Code) CoverageContains(lost []Cell) (bool, error) {
-	idxs, err := c.checkLost(lost)
+	p, err := c.patternOf(lost)
 	if err != nil {
 		return false, err
 	}
-	perChunk := make([]int, c.n)
-	for _, idx := range idxs {
-		_, col := c.cellRC(idx)
-		perChunk[col]++
-	}
-	counts := append([]int{}, perChunk...)
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	// The m most-affected chunks are absorbed by device-failure slots.
-	counts = counts[min(c.m, len(counts)):]
-	// Remaining non-zero counts must fit e's largest slots.
-	var nz []int
-	for _, v := range counts {
-		if v > 0 {
-			nz = append(nz, v)
-		}
+	// The m most-affected chunks are absorbed by device-failure slots;
+	// the non-zero counts of the rest must fit e's largest slots.
+	counts := c.lossesPerChunk(p)
+	slices.Sort(counts)
+	nz := counts[:len(counts)-c.m]
+	for len(nz) > 0 && nz[0] == 0 {
+		nz = nz[1:]
 	}
 	if len(nz) > c.mPrime {
 		return false, nil
 	}
-	sort.Ints(nz)
-	offset := c.mPrime - len(nz)
 	for i, v := range nz {
-		if v > c.e[offset+i] {
+		if v > c.e[c.mPrime-len(nz)+i] {
 			return false, nil
 		}
 	}

@@ -509,7 +509,7 @@ func TestDecodeReadsOnlySources(t *testing.T) {
 			}
 			for _, want := range wants {
 				var rp ReadPlan
-				if err := c.PlanRead(&rp, lost, want); err != nil {
+				if err := c.PlanRead(&rp, cellPattern(c, lost), cellPattern(c, want)); err != nil {
 					t.Fatalf("%v: PlanRead(%v, %v): %v", cfg, lost, want, err)
 				}
 				srcs := rp.Sources
@@ -553,7 +553,7 @@ func TestDecodeRefusesUnplanned(t *testing.T) {
 		t.Fatal(err)
 	}
 	var failed ReadPlan
-	if err := c.PlanRead(&failed, []Cell{{Col: 0, Row: 0}}, []Cell{{Col: 8, Row: 0}}); err == nil {
+	if err := c.PlanRead(&failed, cellPattern(c, []Cell{{Col: 0, Row: 0}}), cellPattern(c, []Cell{{Col: 8, Row: 0}})); err == nil {
 		t.Fatal("PlanRead of a cell outside the stripe succeeded")
 	}
 	for name, rp := range map[string]*ReadPlan{"nil": nil, "zero": {}, "failed": &failed} {
@@ -564,8 +564,9 @@ func TestDecodeRefusesUnplanned(t *testing.T) {
 }
 
 // TestPlanReadEveryCell: with want every cell, PlanRead's sources are
-// every cell not lost, in (Col, Row) order, and the clean stripe's plan —
-// every sweep's first — allocates nothing once rp has grown.
+// every cell not lost, in (Col, Row) order, and a warm plan — of every
+// cell or of an update set, clean or with two dead columns — allocates
+// nothing once rp has grown.
 func TestPlanReadEveryCell(t *testing.T) {
 	c, err := New(Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
 	if err != nil {
@@ -584,7 +585,7 @@ func TestPlanReadEveryCell(t *testing.T) {
 		// must not show in Sources.
 		want := append(slices.Clone(all), all[9])
 		slices.Reverse(want)
-		if err := c.PlanRead(&rp, lost, want); err != nil {
+		if err := c.PlanRead(&rp, cellPattern(c, lost), cellPattern(c, want)); err != nil {
 			t.Fatalf("PlanRead(%v, every cell): %v", lost, err)
 		}
 		srcs := slices.DeleteFunc(slices.Clone(all), func(cell Cell) bool { return slices.Contains(lost, cell) })
@@ -592,8 +593,23 @@ func TestPlanReadEveryCell(t *testing.T) {
 			t.Fatalf("PlanRead(%v, every cell): sources %v, want every cell not lost in (Col, Row) order", lost, rp.Sources)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = c.PlanRead(&rp, nil, all) }); allocs != 0 {
-		t.Errorf("PlanRead(nothing lost, every cell): %.1f allocations, want 0", allocs)
+	deps, err := c.ParityDependencies(Cell{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := all[:2*c.R()]
+	for _, tc := range []struct {
+		name       string
+		lost, want []Cell
+	}{
+		{"nothing lost, every cell", nil, all},
+		{"two dead columns, every cell", dead, all},
+		{"two dead columns, an update set", dead, append([]Cell{{}}, deps...)},
+	} {
+		lost, want := cellPattern(c, tc.lost), cellPattern(c, tc.want)
+		if allocs := testing.AllocsPerRun(100, func() { _ = c.PlanRead(&rp, lost, want) }); allocs != 0 {
+			t.Errorf("PlanRead(%s): %.1f allocations, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -627,13 +643,14 @@ func BenchmarkPlanRead(b *testing.B) {
 			dead = all[:k*c.R()]
 			b.Run(fmt.Sprintf("want=%s/dead=%d", w.name, k), func(b *testing.B) {
 				var rp ReadPlan
-				if err := c.PlanRead(&rp, dead, w.want); err != nil {
+				dead, want := cellPattern(c, dead), cellPattern(c, w.want)
+				if err := c.PlanRead(&rp, dead, want); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = c.PlanRead(&rp, dead, w.want)
+					_ = c.PlanRead(&rp, dead, want)
 				}
 			})
 		}

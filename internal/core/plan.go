@@ -56,9 +56,9 @@ type plan struct {
 	stages []planStage
 	maxFan int // widest fused group, sizes the per-run dst scratch
 	calls  int // fused calls per full execution (observability)
-	// sources lists, for a decode plan, the real cells it reads without
+	// sources holds, for a decode plan, the real cells it reads without
 	// having written them (see ReadPlan).
-	sources []Cell
+	sources Pattern
 }
 
 // sourceTerms collects, during compilation, every Mult_XOR one stage

@@ -48,11 +48,11 @@ func oracleEncode(t *testing.T, c *Code, st *Stripe, m Method) {
 // oracleRepair repairs st through the schedule walk.
 func oracleRepair(t *testing.T, c *Code, st *Stripe, lost []Cell) {
 	t.Helper()
-	idxs, err := c.checkLost(lost)
+	p, err := c.patternOf(lost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := c.buildDecodeSchedule(idxs, idxs)
+	sch, err := c.buildDecodeSchedule(p, p)
 	if err != nil || sch == nil {
 		t.Fatalf("no decode schedule for %v: %v", lost, err)
 	}
@@ -280,15 +280,12 @@ func TestPlanDecodeCacheReusesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxs, err := c.checkLost([]Cell{{Col: 2, Row: 1}})
+	lost := cellPattern(c, []Cell{{Col: 2, Row: 1}})
+	p1, err := c.peelPlan(lost, lost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := c.decodePlanFor(idxs, idxs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.decodePlanFor(idxs, idxs)
+	p2, err := c.peelPlan(lost, lost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,14 @@ func (c *Code) rowHave(dst, lost []int) []int {
 // runPlan: the first source overwrites the destination, the rest
 // accumulate into it.
 func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
-	var kbuf [64]byte
-	key := appendLostKey(kbuf[:0], lost)
+	// The key is the set as a one-row pattern, on the stack for n ≤ 256.
+	var wbuf [4]uint64
+	var kbuf [32]byte
+	row := Pattern{r: 1, words: append(wbuf[:0], make([]uint64, (c.n+63)/64)...)}
+	for _, col := range lost {
+		row.Set(col)
+	}
+	key := row.appendKey(kbuf[:0])
 	c.rowMu.Lock()
 	rs := c.rowSolves[string(key)]
 	c.rowMu.Unlock()

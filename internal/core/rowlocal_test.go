@@ -271,7 +271,7 @@ func TestPlanReadRowCase(t *testing.T) {
 				}
 				for _, want := range set {
 					var rp ReadPlan
-					if err := c.PlanRead(&rp, lost, []Cell{{Col: want, Row: row}}); err != nil {
+					if err := c.PlanRead(&rp, cellPattern(c, lost), cellPattern(c, []Cell{{Col: want, Row: row}})); err != nil {
 						t.Fatalf("%v: PlanRead(%v, want %d): %v", cfg, lost, want, err)
 					}
 					srcs := rp.Sources

@@ -91,10 +91,11 @@ func (c *Code) EncodeTrace(m Method) ([]TraceStep, error) {
 // built with the Outside-placement symbol names when the code uses
 // Outside placement.
 func (c *Code) UpstairsDecodeTrace(lost []Cell) ([]TraceStep, error) {
-	idxs, err := c.checkLost(lost)
+	lp, err := c.patternOf(lost)
 	if err != nil {
 		return nil, err
 	}
+	idxs := c.canonical(lp)
 	p := c.decodePeeler(idxs)
 	if err := p.upstairs(idxs); err != nil {
 		return nil, err

@@ -87,25 +87,13 @@ func (l *Ledger) injectedCount() int {
 
 // plannedCellsLocked returns the planned-lost cells of one stripe:
 // whole columns for planned-down devices plus individually injected
-// sectors, deduplicated.
+// sectors.
 func (l *Ledger) plannedCellsLocked(stripe int) []core.Cell {
-	seen := map[core.Cell]bool{}
 	var cells []core.Cell
-	add := func(c core.Cell) {
-		if !seen[c] {
-			seen[c] = true
-			cells = append(cells, c)
-		}
-	}
 	for dev := 0; dev < l.n; dev++ {
-		if l.downDevs[dev] {
-			for row := 0; row < l.r; row++ {
-				add(core.Cell{Col: dev, Row: row})
-			}
-		}
-		for sec := range l.injected[dev] {
-			if sec/l.r == stripe {
-				add(core.Cell{Col: dev, Row: sec % l.r})
+		for row := 0; row < l.r; row++ {
+			if l.downDevs[dev] || l.injected[dev][stripe*l.r+row] {
+				cells = append(cells, core.Cell{Col: dev, Row: row})
 			}
 		}
 	}
@@ -292,25 +280,18 @@ func LSEStorm(at time.Duration, cfg StormConfig) Event {
 }
 
 // burstCoveredLocked reports whether injecting the burst keeps every
-// stripe it touches recoverable given the planned-lost state.
+// stripe it touches recoverable given the planned-lost state. A cell
+// both planned lost and in the burst is listed twice, which CanRecover,
+// taking the list as a set, ignores.
 func (l *Ledger) burstCoveredLocked(dev, start, length int) bool {
 	for stripe := start / l.r; stripe*l.r < start+length && stripe < l.stripes; stripe++ {
 		cells := l.plannedCellsLocked(stripe)
-		seen := map[core.Cell]bool{}
-		for _, c := range cells {
-			seen[c] = true
-		}
 		for row := 0; row < l.r; row++ {
-			sec := stripe*l.r + row
-			if sec >= start && sec < start+length {
-				c := core.Cell{Col: dev, Row: row}
-				if !seen[c] {
-					cells = append(cells, c)
-				}
+			if sec := stripe*l.r + row; sec >= start && sec < start+length {
+				cells = append(cells, core.Cell{Col: dev, Row: row})
 			}
 		}
-		ok, err := l.code.CanRecover(cells)
-		if err != nil || !ok {
+		if ok, err := l.code.CanRecover(cells); err != nil || !ok {
 			return false
 		}
 	}

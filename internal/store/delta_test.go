@@ -438,7 +438,7 @@ func TestDeltaFaults(t *testing.T) {
 						}
 					}
 					var rp core.ReadPlan
-					if err := s.code.PlanRead(&rp, []core.Cell{cell}, want); err != nil {
+					if err := s.code.PlanRead(&rp, cellPattern(s, []core.Cell{cell}), cellPattern(s, want)); err != nil {
 						t.Fatal(err)
 					}
 					wantExtra, gotExtra := map[core.Cell]bool{}, map[core.Cell]bool{}
@@ -822,7 +822,7 @@ func TestDeltaMultiLoss(t *testing.T) {
 			}
 			// The losses the load found: the faults, and the failed
 			// device's cells it tried.
-			lost := slices.Clone(s.shard(stripe).load.lost)
+			lost := s.shard(stripe).load.lost.AppendCells(nil)
 			for _, cell := range faults {
 				if !slices.Contains(lost, cell) {
 					t.Fatalf("the flush found the losses %v, not the fault at %v", lost, cell)
@@ -835,7 +835,7 @@ func TestDeltaMultiLoss(t *testing.T) {
 				}
 			}
 			var rp core.ReadPlan
-			if err := s.code.PlanRead(&rp, lost, want); err != nil {
+			if err := s.code.PlanRead(&rp, cellPattern(s, lost), cellPattern(s, want)); err != nil {
 				t.Fatal(err)
 			}
 			for col, reads := range v.takeReads() {

@@ -76,7 +76,7 @@ func TestVectoredCallsPerDevice(t *testing.T) {
 	sh := s.shard(0)
 	sh.mu.Lock()
 	st, ld, err := s.loadAll(bg, 0, false)
-	lost := len(ld.lost)
+	lost := ld.lost.Count()
 	s.releaseStripe(st)
 	sh.mu.Unlock()
 	if err != nil || lost != 0 {

@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"stair/internal/core"
 	"stair/internal/store/integrity"
@@ -96,7 +95,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 		return err
 	}
 	if s.journal != nil {
-		if err := s.journaledWriteback(ctx, stripe, st, buf, s.sortedDataCells, s.parityCells, s.allCols); err != nil {
+		if err := s.journaledWriteback(ctx, stripe, st, buf, s.allCells, s.allCols); err != nil {
 			return err
 		}
 	} else {
@@ -141,9 +140,9 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	ld := s.startLoad(stripe, true)
 	ld.heal = true
 	if sh.unrecoverable[stripe] {
-		ld.want = append(ld.want, s.allCells...)
+		ld.want.Union(s.every)
 	} else {
-		ld.want = append(ld.want, u.cells...)
+		ld.want.Union(u.need)
 	}
 	err := s.loadPlanned(ctx, ld, st)
 	if sh.unrecoverable[stripe] {
@@ -160,14 +159,12 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	}
 	// Write back the dirty data cells and affected parity, plus any
 	// cells just repaired (healing their bad sectors in passing).
-	if len(ld.lost) > 0 {
-		for _, cell := range ld.lost {
-			u.need[s.cellIdx(cell)] = true
-		}
+	if ld.lost.Count() > 0 {
+		u.need.Union(ld.lost)
 		s.collectUpdate(u)
 	}
 	if s.journal != nil {
-		err = s.journaledWriteback(ctx, stripe, st, buf, u.data, u.parity, u.cols)
+		err = s.journaledWriteback(ctx, stripe, st, buf, u.cells, u.cols)
 	} else {
 		_, _, err = s.writeStripeCells(ctx, stripe, st, u.cells)
 		if err == nil {
@@ -181,7 +178,8 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 		// whole stripe, and until it has, nobody may decode through what
 		// the devices hold. st, which has the touched cells as they were
 		// being written, stays attached to the buffer for both.
-		buf.torn = &tornUpdate{st: st, at: slices.Clone(u.need)}
+		buf.torn = &tornUpdate{st: st, at: core.NewPattern(s.n, s.r)}
+		buf.torn.at.Union(u.need)
 		return err
 	}
 	delete(sh.dirty, stripe)
@@ -197,45 +195,24 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 // planUpdate fills u with the cells a flush of buf's dirty blocks
 // touches: the union of updCells over the dirty ordinals.
 func (s *Store) planUpdate(u *updateSet, buf *stripeBuf) {
-	if u.need == nil {
-		u.need = make([]bool, s.n*s.r)
-	}
-	clear(u.need)
+	u.need.Clear()
 	for ord, data := range buf.data {
-		if data == nil {
-			continue
-		}
-		for _, idx := range s.updCells[ord] {
-			u.need[idx] = true
+		if data != nil {
+			u.need.Union(s.updCells[ord])
 		}
 	}
 	s.collectUpdate(u)
 }
 
-// collectUpdate rebuilds u's cell lists from its need flags. The flags
-// are chunk-major, so one sweep yields every list in (Col, Row) order.
+// collectUpdate rebuilds u's cell and column lists from need.
 func (s *Store) collectUpdate(u *updateSet) {
-	u.cells, u.data, u.parity, u.cols = u.cells[:0], u.data[:0], u.parity[:0], u.cols[:0]
-	for idx, need := range u.need {
-		if !need {
-			continue
-		}
-		cell := s.cellAt(idx)
-		u.cells = append(u.cells, cell)
-		if s.isData[idx] {
-			u.data = append(u.data, cell)
-		} else {
-			u.parity = append(u.parity, cell)
-		}
-		if len(u.cols) == 0 || u.cols[len(u.cols)-1] != cell.Col {
-			u.cols = append(u.cols, cell.Col)
-		}
-	}
+	u.cells = u.need.AppendCells(u.cells[:0])
+	u.cols = appendCols(u.cols[:0], u.cells)
 }
 
 // tornUpdate is what an interrupted sub-stripe write-back leaves
-// attached to its stripe buffer: the cells it was writing — flagged in
-// at, chunk-major — with their updated contents in st (whose other cells
+// attached to its stripe buffer: the cells it was writing — the pattern
+// at — with their updated contents in st (whose other cells
 // may be unspecified). On the devices each of those cells now holds its
 // old or its new content, so the stripe's parity relations hold for
 // neither mix, and a decode through them would solve contradictory
@@ -247,12 +224,12 @@ func (s *Store) collectUpdate(u *updateSet) {
 // interruption abandoned: it goes to the GC, never back to the pool.
 type tornUpdate struct {
 	st *core.Stripe
-	at []bool
+	at core.Pattern
 }
 
 // has reports whether the cell at chunk-major index idx is one a torn
 // update holds; a stripe without a torn update holds none.
-func (t *tornUpdate) has(idx int) bool { return t != nil && t.at[idx] }
+func (t *tornUpdate) has(idx int) bool { return t != nil && t.at.Has(idx) }
 
 // completeTornLocked prepares the retry of a buffer whose sub-stripe
 // write-back was interrupted: it loads the stripe — through the torn
@@ -282,16 +259,25 @@ func (s *Store) completeTornLocked(ctx context.Context, stripe int, buf *stripeB
 // journaledWriteback lands a flush under write-ahead protection: intent
 // append (fsynced), data sectors, parity sectors, sidecar checksum
 // records (when the integrity layer is on), in-memory commit — with
-// the crash-injection hooks between the phases. data and parity are the
-// write-back set's two phases, each sorted for contiguous vectored
-// runs, and cols its distinct columns. The intent's on-disk record
+// the crash-injection hooks between the phases. cells is the write-back
+// set sorted for contiguous vectored runs, written as two phases — its
+// data cells, then its parity cells — and cols its distinct columns. The
+// intent's on-disk record
 // outlives the commit until the next Checkpoint barrier (see the
 // journal package): the device writes made here are not yet durable.
 // With integrity on, the intent also carries each dirty block's salted
 // payload digest, so replay can re-stage the records the crash
 // interrupted instead of mistaking a lagging sidecar for corruption.
-func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Stripe, buf *stripeBuf, data, parity []core.Cell, cols []int) error {
+func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Stripe, buf *stripeBuf, cells []core.Cell, cols []int) error {
 	u := &s.shard(stripe).upd
+	data, parity := u.data[:0], u.parity[:0]
+	for _, cell := range cells {
+		if s.isData.Has(s.cellIdx(cell)) {
+			data = append(data, cell)
+		} else {
+			parity = append(parity, cell)
+		}
+	}
 	ords, sums, isums := u.ords[:0], u.sums[:0], u.isums[:0]
 	for ord, block := range buf.data {
 		if block == nil {
@@ -304,7 +290,7 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 			isums = append(isums, integrity.Sum(s.integ.Epoch(), cell.Col, s.devSector(stripe, cell.Row), block))
 		}
 	}
-	u.ords, u.sums, u.isums = ords, sums, isums
+	u.data, u.parity, u.ords, u.sums, u.isums = data, parity, ords, sums, isums
 	seq, err := s.journal.Append(stripe, ords, sums, isums)
 	if err != nil {
 		return fmt.Errorf("store: journaling intent for stripe %d: %w", stripe, err)

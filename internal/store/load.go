@@ -12,7 +12,8 @@ import (
 // This file is the store's read seam. Every stripe read but a client's
 // read of its own block and the rebuild's first read of its chunk is a
 // planned load: loadPlanned reads what core.PlanRead says a want needs —
-// one cell, an update set, or every cell — and decodes it.
+// one cell, an update set, or every cell — and decodes it. A load's cell
+// sets are core.Patterns (indexed by cellIdx), the form PlanRead takes.
 
 // stripeLoad is a load of cells of one stripe in progress, filled one row
 // span of one column at a time by loadChunk. It is shard scratch
@@ -20,14 +21,13 @@ import (
 // it stays valid under the shard mutex until the next load.
 type stripeLoad struct {
 	stripe int
-	// need flags, chunk-major (col·r + row), the cells read or found lost
-	// so far, and so the cells that get a checksum verdict: a row of a
-	// span that is not flagged is still read, and lost when its read
-	// fails.
-	need []bool
-	// lost lists the cells found unreadable or checksum-mismatched, after
-	// any the caller knew of; mismatches counts the latter.
-	lost       []core.Cell
+	// need holds the cells read or found lost so far, and so the cells
+	// that get a checksum verdict: a row of a span that is not in it is
+	// still read, and lost when its read fails.
+	need core.Pattern
+	// lost holds the cells found unreadable or checksum-mismatched, and
+	// any the caller knew of; mismatches counts the second kind.
+	lost       core.Pattern
 	mismatches int
 	torn       *tornUpdate
 	verify     bool
@@ -36,7 +36,7 @@ type stripeLoad struct {
 	// sweep worker fights over.
 	verified uint64
 	// The planned load's state (see loadPlanned).
-	want        []core.Cell
+	want        core.Pattern
 	heal, local bool
 	plan        core.ReadPlan
 }
@@ -55,9 +55,11 @@ var errBeyondRow = errors.New("store: plan reads beyond the row")
 func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	sh := s.shard(stripe)
 	ld := &sh.load
-	*ld = stripeLoad{stripe: stripe, need: ld.need, lost: ld.lost[:0], want: ld.want[:0], plan: ld.plan,
+	*ld = stripeLoad{stripe: stripe, need: ld.need, lost: ld.lost, want: ld.want, plan: ld.plan,
 		verify: verify && s.integ != nil && s.integVerify}
-	clear(ld.need)
+	ld.need.Clear()
+	ld.lost.Clear()
+	ld.want.Clear()
 	if buf := sh.dirty[stripe]; buf != nil {
 		ld.torn = buf.torn
 	}
@@ -85,9 +87,8 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	start := s.devSector(ld.stripe, lo)
 	rerr := s.devs[col].ReadSectors(ctx, start, bufs)
 	sh.down[col] = rerr != nil && isDown(rerr)
-	// The span's lost cells are ld.lost[had:]. A cell the torn update
-	// holds is never lost.
-	had, whole := len(ld.lost), false
+	// A cell the torn update holds is never lost.
+	whole := false
 	if rerr != nil {
 		se, partial := SectorErrors(nil), false
 		if !sh.down[col] {
@@ -99,9 +100,8 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 			// The vectored read names exactly the lost sectors; the rest
 			// of the span is good and stays.
 			for _, e := range se {
-				cell := core.Cell{Col: col, Row: lo + e.Index - start}
-				if !torn.has(at+e.Index-start) && !slices.Contains(ld.lost[had:], cell) {
-					ld.lost = append(ld.lost, cell)
+				if i := at + e.Index - start; !torn.has(i) {
+					ld.lost.Set(i)
 				}
 			}
 		} else if cerr := ctx.Err(); cerr != nil {
@@ -114,7 +114,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 			whole = true
 			for i := range bufs {
 				if !torn.has(at + i) {
-					ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
+					ld.lost.Set(at + i)
 				}
 			}
 		}
@@ -131,8 +131,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	}
 	for i := range bufs {
 		// Lost, held by the torn update, or not needed: no verdict.
-		if torn.has(at+i) || !ld.need[at+i] ||
-			slices.Contains(ld.lost[had:], core.Cell{Col: col, Row: lo + i}) {
+		if torn.has(at+i) || !ld.need.Has(at+i) || ld.lost.Has(at+i) {
 			continue
 		}
 		// A mismatch read fine and is not what was written: a located
@@ -141,7 +140,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 		case integrity.OK:
 			ld.verified++
 		case integrity.Mismatch:
-			ld.lost = append(ld.lost, core.Cell{Col: col, Row: lo + i})
+			ld.lost.Set(at + i)
 			ld.mismatches++
 		}
 	}
@@ -162,16 +161,14 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 // nothing: it ends with errBeyondRow once a plan leaves its cell's row or
 // fails. The caller holds the shard mutex.
 func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe) error {
-	// A span never reaches a cell read or found lost, and a source gets
-	// its need flag as its span is read.
+	// A span never reaches a cell read or found lost, and a source joins
+	// need as its span is read.
 	sh := s.shard(ld.stripe)
 	for {
-		for _, cell := range ld.lost {
-			ld.need[s.cellIdx(cell)] = true
-		}
+		ld.need.Union(ld.lost)
 		err := s.code.PlanRead(&ld.plan, ld.lost, ld.want)
 		srcs := ld.plan.Sources
-		if ld.local && (err != nil || slices.ContainsFunc(srcs, func(c core.Cell) bool { return c.Row != ld.want[0].Row })) {
+		if ld.local && (err != nil || slices.ContainsFunc(srcs, func(c core.Cell) bool { return c.Row != ld.want.Next(0)%s.r })) {
 			return errBeyondRow
 		}
 		if err != nil {
@@ -181,36 +178,37 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
 			return err
 		}
-		had := len(ld.lost)
+		had := ld.lost.Count()
 		for i := 0; i < len(srcs); {
 			src := srcs[i]
 			lo, j := s.cellIdx(src), i+1
-			if ld.need[lo] {
+			if ld.need.Has(lo) {
 				i++
 				continue
 			}
 			// The span runs down the column to the last source before
-			// the next cell read or lost, flagging its sources.
-			ld.need[lo] = true
+			// the next cell read or lost, adding its sources to need.
+			ld.need.Set(lo)
 			hi := lo + 1
 			for ; j < len(srcs) && srcs[j].Col == src.Col; j++ {
 				at := s.cellIdx(srcs[j])
-				if slices.Contains(ld.need[hi:at+1], true) {
+				if next := ld.need.Next(hi); next >= 0 && next <= at {
 					break
 				}
-				ld.need[at], hi = true, at+1
+				ld.need.Set(at)
+				hi = at + 1
 			}
 			if err := s.loadChunk(ctx, ld, src.Col, src.Row, sh.chunkVec(st, src.Col, src.Row, src.Row+hi-lo)); err != nil {
 				return err
 			}
 			i = j
 		}
-		if len(ld.lost) == had {
+		if ld.lost.Count() == had {
 			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))
 			return s.code.Decode(st, &ld.plan)
 		}
 		if ld.heal {
-			ld.want = append(ld.want, ld.lost[had:]...)
+			ld.want.Union(ld.lost)
 		}
 	}
 }
@@ -221,7 +219,7 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 // ends with ErrUnrecoverable. The caller holds the shard mutex.
 func (s *Store) loadAll(ctx context.Context, stripe int, verify bool) (*core.Stripe, *stripeLoad, error) {
 	st, ld := s.acquireStripe(), s.startLoad(stripe, verify)
-	ld.want = append(ld.want, s.allCells...)
+	ld.want.Union(s.every)
 	return st, ld, s.loadPlanned(ctx, ld, st)
 }
 
@@ -235,10 +233,12 @@ func (s *Store) loadAll(ctx context.Context, stripe int, verify bool) (*core.Str
 // errBeyondRow (a hedge only) or the context's. The caller holds the
 // shard mutex.
 func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down, hedge bool) (risk int, err error) {
-	ld := s.startLoad(stripe, true)
-	ld.want, ld.lost, ld.local = append(ld.want, cell), append(ld.lost, cell), hedge
+	ld, at := s.startLoad(stripe, true), s.cellIdx(cell)
+	ld.want.Set(at)
+	ld.lost.Set(at)
+	ld.local = hedge
 	sh.down[cell.Col] = down
-	st, at := s.acquireStripe(), s.cellIdx(cell)
+	st := s.acquireStripe()
 	own := st.Cells[at]
 	st.Cells[at] = dst
 	err = s.loadPlanned(ctx, ld, st)
@@ -249,7 +249,7 @@ func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell
 	}
 	s.c.reads.Add(1)
 	if len(sh.writable(ld.lost)) > 0 {
-		risk = len(ld.lost)
+		risk = ld.lost.Count()
 	}
 	return risk, nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"testing"
 
@@ -27,8 +28,8 @@ func TestPlannedLoadReadsSources(t *testing.T) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	whole, ld, err := s.loadAll(bg, 0, true)
-	if err != nil || len(ld.lost) != 0 {
-		t.Fatalf("loading the healthy stripe: %d lost, %v", len(ld.lost), err)
+	if err != nil || ld.lost.Count() != 0 {
+		t.Fatalf("loading the healthy stripe: %d lost, %v", ld.lost.Count(), err)
 	}
 	v.takeReads()
 	patterns := 0
@@ -56,15 +57,15 @@ func TestPlannedLoadReadsSources(t *testing.T) {
 		}
 		for _, want := range wants {
 			ld := s.startLoad(0, true)
-			ld.lost = append(ld.lost, lost...)
-			ld.want = append(ld.want, want...)
+			ld.lost.Union(cellPattern(s, lost))
+			ld.want.Union(cellPattern(s, want))
 			st := garbageStripe(s)
 			verified := s.Stats().VerifiedSectors
-			if err := s.loadPlanned(bg, ld, st); err != nil || len(ld.lost) != len(lost) {
-				t.Fatalf("loadPlanned(%v, %v): %v, lost %v", lost, want, err, ld.lost)
+			if err := s.loadPlanned(bg, ld, st); err != nil || ld.lost.Count() != len(lost) {
+				t.Fatalf("loadPlanned(%v, %v): %v, lost %v", lost, want, err, ld.lost.AppendCells(nil))
 			}
 			var rp core.ReadPlan
-			if err := s.code.PlanRead(&rp, lost, want); err != nil {
+			if err := s.code.PlanRead(&rp, cellPattern(s, lost), cellPattern(s, want)); err != nil {
 				t.Fatalf("PlanRead(%v, %v): %v", lost, want, err)
 			}
 			srcs := rp.Sources
@@ -126,9 +127,9 @@ func checkWholeLoads(t *testing.T, v *deltaVolume, whole, repaired *core.Stripe,
 	}
 	verified := s.Stats().VerifiedSectors
 	st, ld := garbageStripe(s), s.startLoad(0, true)
-	ld.want = append(ld.want, s.allCells...)
-	if err := s.loadPlanned(bg, ld, st); err != nil || !sameCells(ld.lost, lost) {
-		t.Fatalf("lost %v, want every cell: %v, found lost %v", lost, err, ld.lost)
+	ld.want.Union(cellPattern(s, s.allCells))
+	if err := s.loadPlanned(bg, ld, st); err != nil || !sameCells(ld.lost.AppendCells(nil), lost) {
+		t.Fatalf("lost %v, want every cell: %v, found lost %v", lost, err, ld.lost.AppendCells(nil))
 	}
 	for col, reads := range v.takeReads() {
 		if !slices.Equal(reads, []extent{{0, s.r}}) {
@@ -173,8 +174,8 @@ func checkWholeLoads(t *testing.T, v *deltaVolume, whole, repaired *core.Stripe,
 		t.Fatalf("lost %v, rebuild of column %d: %d sectors verified, want the %d live ones", lost, hole, got, live)
 	}
 	st, ld, err := s.loadAll(bg, 0, true)
-	if err != nil || len(ld.lost) != 0 {
-		t.Fatalf("lost %v, after the rebuild of column %d: %v, lost %v", lost, hole, err, ld.lost)
+	if err != nil || ld.lost.Count() != 0 {
+		t.Fatalf("lost %v, after the rebuild of column %d: %v, lost %v", lost, hole, err, ld.lost.AppendCells(nil))
 	}
 	v.takeReads()
 	for _, cell := range s.allCells {
@@ -197,10 +198,17 @@ func garbageStripe(s *Store) *core.Stripe {
 	return st
 }
 
+// cellPattern is the pattern of cells in a stripe of s.
+func cellPattern(s *Store, cells []core.Cell) core.Pattern {
+	p := core.NewPattern(s.n, s.r)
+	for _, cell := range cells {
+		p.Set(s.cellIdx(cell))
+	}
+	return p
+}
+
 // sameCells reports whether a and b list the same cells, in any order.
 func sameCells(a, b []core.Cell) bool {
-	a, b = slices.Clone(a), slices.Clone(b)
-	core.SortCells(a)
-	core.SortCells(b)
-	return slices.Equal(a, b)
+	byColRow := func(x, y core.Cell) int { return cmp.Or(x.Col-y.Col, x.Row-y.Row) }
+	return slices.Equal(slices.SortedFunc(slices.Values(a), byColRow), slices.SortedFunc(slices.Values(b), byColRow))
 }

@@ -131,9 +131,9 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		rep.Unrecoverable++
 		return
 	}
-	lost, lostData := ld.lost, 0
-	for _, cell := range lost {
-		if s.isData[s.cellIdx(cell)] {
+	lost, lostData := ld.lost.Count(), 0
+	for i := ld.lost.Next(0); i >= 0; i = ld.lost.Next(i + 1) {
+		if s.isData.Has(i) {
 			lostData++
 		}
 	}
@@ -176,7 +176,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 	if s.intentDataLanded(st, rec) {
 		rep.DataComplete++
 	}
-	if len(lost) == 0 {
+	if lost == 0 {
 		ok, err := s.code.Verify(st)
 		if err != nil {
 			rep.Unrecoverable++

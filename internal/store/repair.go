@@ -107,12 +107,11 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, st *core.St
 	// pool — unless the load or the write-back was cancelled mid-flight,
 	// where an abandoned device operation may still reference the slab.
 	defer func() { s.releaseStripeUnlessCancelled(ctx, st) }()
-	stripe, lost := ld.stripe, ld.lost
-	writable := sh.writable(lost)
+	stripe, lost := ld.stripe, ld.lost.Count()
+	writable := sh.writable(ld.lost)
 	if err != nil || len(writable) == 0 {
 		return false
 	}
-	core.SortCells(writable)
 	wrote, failed, err := s.writeStripeCells(ctx, stripe, st, writable)
 	if wrote > 0 {
 		s.c.repairedSectors.Add(uint64(wrote))
@@ -127,7 +126,7 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, st *core.St
 		// retry the rest later.
 		return true
 	}
-	if wrote == len(lost) {
+	if wrote == lost {
 		// Fully healed: every lost cell is back on a device.
 		s.c.repairedStripes.Add(1)
 		return false
@@ -173,20 +172,20 @@ func (s *Store) rebuildStripeLocked(ctx context.Context, sh *lockShard, stripe, 
 		s.repairStripeLocked(ctx, sh, stripe)
 		return
 	}
-	// The chunk is flagged as read, so that it is verified and the
-	// planned load of a stripe with a hole reads only the other columns.
+	// The chunk joins need, so that it is verified and the planned load
+	// of a stripe with a hole reads only the other columns.
 	st, ld := s.acquireStripe(), s.startLoad(stripe, true)
 	for row := range s.r {
-		ld.need[dev*s.r+row] = true
+		ld.need.Set(dev*s.r + row)
 	}
 	if s.loadChunk(ctx, ld, dev, 0, sh.chunkVec(st, dev, 0, s.r)) != nil {
 		return
 	}
-	if len(ld.lost) == 0 {
+	if ld.lost.Count() == 0 {
 		s.c.addVerdicts(ld.verified, 0)
 		s.releaseStripe(st)
 		return
 	}
-	ld.want = append(ld.want, s.allCells...)
+	ld.want.Union(s.every)
 	s.healLoadedLocked(ctx, sh, st, ld, s.loadPlanned(ctx, ld, st))
 }

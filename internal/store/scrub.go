@@ -169,13 +169,13 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 		s.releaseStripeUnlessCancelled(ctx, st)
 		return rep, err
 	}
-	lost, mismatches := ld.lost, ld.mismatches
+	lost, mismatches := ld.lost.Count(), ld.mismatches
 	rep.StripesChecked++
 	s.c.scrubbedStripes.Add(1)
 	switch {
-	case len(lost) > 0:
+	case lost > 0:
 		rep.StripesDamaged++
-		rep.SectorsLost += len(lost) - mismatches
+		rep.SectorsLost += lost - mismatches
 		rep.ChecksumMismatches += mismatches
 		s.c.scrubHits.Add(1)
 		// Located damage: coverage decides. One checksum-located liar
@@ -185,7 +185,7 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 		// the stripe is marked.
 		if err == nil {
 			wasPending := sh.pending[stripe] || sh.unrecoverable[stripe]
-			s.enqueueRepairLocked(sh, stripe, len(lost))
+			s.enqueueRepairLocked(sh, stripe, lost)
 			if !wasPending && sh.pending[stripe] {
 				rep.StripesQueued++
 			}

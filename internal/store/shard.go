@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"stair/internal/core"
@@ -58,21 +59,22 @@ type lockShard struct {
 // of the shard to the next so the path allocates nothing: which cells
 // of the stripe the update touches, in the forms its stages want.
 type updateSet struct {
-	// need flags the touched cells, chunk-major (col·r + row): each dirty
-	// data cell and its §5.2 parity dependencies, plus the lost cells the
-	// flush's load found, repaired in passing.
-	need []bool
-	// cells is the flagged set ascending by (Col, Row), data and parity
-	// its two journaled write-back phases, cols its distinct columns.
-	// All are rebuilt from need by collect.
-	cells, data, parity []core.Cell
-	cols                []int
+	// need holds the touched cells: each dirty data cell and its §5.2
+	// parity dependencies, plus the lost cells the flush's load found,
+	// repaired in passing.
+	need core.Pattern
+	// cells lists need ascending by (Col, Row), and cols its distinct
+	// columns, both rebuilt from need by collectUpdate.
+	cells []core.Cell
+	cols  []int
 	// codec is core.UpdateWith's scratch; ords, sums and isums build the
 	// journal intent.
 	codec core.UpdateScratch
 	ords  []int
 	sums  []uint64
 	isums []uint32
+	// data and parity are the journaled write-back's two phases.
+	data, parity []core.Cell
 }
 
 // rowvec returns the shard's buffer-vector scratch sized to n entries.
@@ -85,15 +87,11 @@ func (sh *lockShard) rowvec(n int) [][]byte {
 	return sh.rows[:n]
 }
 
-// writable filters cells down to those whose device answered the last
-// stripe load (see down), into the shard's cells scratch.
-func (sh *lockShard) writable(cells []core.Cell) []core.Cell {
-	sh.cells = sh.cells[:0]
-	for _, cell := range cells {
-		if !sh.down[cell.Col] {
-			sh.cells = append(sh.cells, cell)
-		}
-	}
+// writable lists, in (Col, Row) order, the cells of p whose device
+// answered the last stripe load (see down), into the shard's cells
+// scratch.
+func (sh *lockShard) writable(p core.Pattern) []core.Cell {
+	sh.cells = slices.DeleteFunc(p.AppendCells(sh.cells[:0]), func(c core.Cell) bool { return sh.down[c.Col] })
 	return sh.cells
 }
 
@@ -129,7 +127,8 @@ func newShards(count, n, r int) []lockShard {
 		shards[i].pending = map[int]bool{}
 		shards[i].unrecoverable = map[int]bool{}
 		shards[i].down = make([]bool, n)
-		shards[i].load.need = make([]bool, n*r)
+		shards[i].load = stripeLoad{need: core.NewPattern(n, r), lost: core.NewPattern(n, r), want: core.NewPattern(n, r)}
+		shards[i].upd.need = core.NewPattern(n, r)
 	}
 	return shards
 }

@@ -208,23 +208,22 @@ type Store struct {
 	// reads do not hedge (see hedge.go).
 	hedge []latencyTracker
 
-	// sortedDataCells/parityCells/isData pre-split the stripe's cells
-	// for the journaled two-phase (data, then parity) write-back; isData
-	// is indexed chunk-major like a stripe's cells (cellIdx). allCols
-	// lists every column, for whole-stripe sidecar flushes; allCells
-	// lists every cell sorted by (Col, Row), for whole-stripe write-back
-	// (the full-stripe flush and recovery's roll-forward).
-	sortedDataCells []core.Cell
-	parityCells     []core.Cell
-	isData          []bool
-	allCols         []int
-	allCells        []core.Cell
+	// isData holds the stripe's data cells, which the journaled write-back
+	// writes before the parity cells. allCols lists every column, for
+	// whole-stripe sidecar flushes; allCells lists every cell sorted by
+	// (Col, Row), for whole-stripe write-back (the full-stripe flush and
+	// recovery's roll-forward), and every is its pattern, the want of a
+	// whole-stripe load.
+	isData   core.Pattern
+	allCols  []int
+	allCells []core.Cell
+	every    core.Pattern
 
-	// updCells[ord] lists, as chunk-major cell indices, what an update of
-	// data ordinal ord touches: the cell itself and its §5.2 parity
-	// dependencies. A sub-stripe flush reads and writes exactly the union
-	// over its dirty ordinals (see flush.go).
-	updCells [][]int32
+	// updCells[ord] is what an update of data ordinal ord touches: the
+	// cell itself and its §5.2 parity dependencies. A sub-stripe flush
+	// reads and writes exactly the union over its dirty ordinals (see
+	// flush.go).
+	updCells []core.Pattern
 
 	// shards stripe ownership: every per-stripe mutation happens under
 	// the owning shard's mutex. shardMask is len(shards)-1.
@@ -367,31 +366,24 @@ func Open(cfg Config) (*Store, error) {
 	s.slabLen = cfg.Code.SlabSize(cfg.SectorSize)
 	s.idle = sync.NewCond(&s.stateMu)
 	s.flushIdle = sync.NewCond(&s.flushMu)
-	s.sortedDataCells = append([]core.Cell(nil), s.dataCells...)
-	core.SortCells(s.sortedDataCells)
-	s.parityCells = cfg.Code.ParityCells()
-	core.SortCells(s.parityCells)
-	s.isData = make([]bool, n*r)
-	s.updCells = make([][]int32, s.perStripe)
+	s.isData, s.every = core.NewPattern(n, r), core.NewPattern(n, r)
+	s.updCells = make([]core.Pattern, s.perStripe)
 	for ord, cell := range s.dataCells {
-		s.isData[s.cellIdx(cell)] = true
+		s.isData.Set(s.cellIdx(cell))
 		deps, err := cfg.Code.ParityDependencies(cell)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		s.updCells[ord] = append(s.updCells[ord], int32(s.cellIdx(cell)))
-		for _, p := range deps {
-			s.updCells[ord] = append(s.updCells[ord], int32(s.cellIdx(p)))
+		s.updCells[ord] = core.NewPattern(n, r)
+		for _, c := range append(deps, cell) {
+			s.updCells[ord].Set(s.cellIdx(c))
 		}
 	}
-	s.allCols = make([]int, n)
-	s.allCells = make([]core.Cell, 0, n*r)
-	for col := range s.allCols {
-		s.allCols[col] = col
-		for row := 0; row < r; row++ {
-			s.allCells = append(s.allCells, core.Cell{Col: col, Row: row})
-		}
+	for i := range n * r {
+		s.every.Set(i)
 	}
+	s.allCells = s.every.AppendCells(nil)
+	s.allCols = appendCols(nil, s.allCells)
 	// The sidecar regions load before journal replay: recovery re-stages
 	// fresh records for every stripe it touches, and verification after
 	// reopen must see the surviving records, not blanks.
@@ -458,9 +450,6 @@ func (s *Store) blockOf(b int) (stripe, ord int, cell core.Cell, err error) {
 // cellIdx is a cell's chunk-major position within a stripe, the index
 // of core.Stripe.Cells.
 func (s *Store) cellIdx(cell core.Cell) int { return cell.Col*s.r + cell.Row }
-
-// cellAt is the inverse of cellIdx.
-func (s *Store) cellAt(idx int) core.Cell { return core.Cell{Col: idx / s.r, Row: idx % s.r} }
 
 // devSector maps (stripe, row) to the device sector index.
 func (s *Store) devSector(stripe, row int) int { return stripe*s.r + row }

@@ -65,7 +65,7 @@ func checkStripesConsistent(t testing.TB, s *Store) {
 		sh := s.shard(stripe)
 		sh.mu.Lock()
 		st, ld, err := s.loadAll(bg, stripe, false)
-		lost := len(ld.lost)
+		lost := ld.lost.Count()
 		sh.mu.Unlock()
 		if err != nil {
 			t.Fatalf("stripe %d: %v", stripe, err)
