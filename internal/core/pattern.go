@@ -98,7 +98,7 @@ func (c *Code) patternOf(cells []Cell) (Pattern, error) {
 // cell past its n·r.
 func (c *Code) checkPattern(p Pattern) error {
 	if p.r != c.r || len(p.words) != (c.n*c.r+63)/64 || p.Next(c.n*c.r) >= 0 {
-		return fmt.Errorf("core: pattern of %d-row stripes is not of this stripe's n=%d, r=%d cells", p.r, c.n, c.r)
+		return fmt.Errorf("core: pattern is not a set of cells of an n=%d, r=%d stripe", c.n, c.r)
 	}
 	return nil
 }
