@@ -93,17 +93,23 @@ func usage() {
 	os.Exit(2)
 }
 
-// serveHTTP runs one HTTP server until ctx is cancelled, then shuts it
-// down gracefully.
+// serveHTTP runs one HTTP server on listen until ctx is cancelled, then
+// shuts it down gracefully.
 func serveHTTP(ctx context.Context, listen string, handler http.Handler) error {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
+	fmt.Printf("listening on %s\n", ln.Addr())
+	return serve(ctx, ln, handler)
+}
+
+// serve runs one HTTP server on ln until ctx is cancelled, then shuts it
+// down gracefully.
+func serve(ctx context.Context, ln net.Listener, handler http.Handler) error {
 	srv := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Printf("listening on %s\n", ln.Addr())
 	select {
 	case err := <-errCh:
 		return err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -195,5 +196,36 @@ func TestAPIMaintenanceAndMetrics(t *testing.T) {
 	}
 	if row := metrics.Latency["read"]; row.Count != 1 {
 		t.Fatalf("read latency row after one GET: %+v", row)
+	}
+}
+
+// A device server's graceful stop drops its frame connections too, as a
+// process exit would: a NetDevice dialled before the stop can no longer
+// read through it.
+func TestServeShutdownClosesFrameConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, ln, store.NewDeviceServer(store.NewMemDevice(8, 64))) }()
+	d, err := store.DialNetDevice(context.Background(), "http://"+ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 1})
+	buf := [][]byte{make([]byte, 64)}
+	if err := d.ReadSectors(context.Background(), 0, buf); err != nil {
+		t.Fatalf("framed read while serving: %v", err)
+	}
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadSectors(context.Background(), 0, buf); err == nil {
+		t.Fatal("framed read succeeded after the server shut down")
 	}
 }

@@ -125,7 +125,7 @@ func TestColumnDeadFastFail(t *testing.T) {
 // Transport errors on live I/O reach the failure detector; typed
 // device answers do not.
 func TestColumnSuspicion(t *testing.T) {
-	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
+	srv := devtest.NewServer(t, store.NewDeviceServer(store.NewMemDevice(8, 64)))
 	dev, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +149,7 @@ func TestColumnSuspicion(t *testing.T) {
 	}
 
 	// Kill the server: the transport error must raise a suspicion.
-	srv.CloseClientConnections()
-	srv.Close()
+	srv.Kill()
 	if err := col.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)}); err == nil {
 		t.Fatal("read through dead transport succeeded")
 	}

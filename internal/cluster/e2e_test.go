@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"stair/internal/store"
+	"stair/internal/store/devtest"
 )
 
 // The PR's acceptance scenario: six device servers plus one spare,
@@ -21,12 +21,11 @@ func TestClusterKillFailoverRebuild(t *testing.T) {
 	code := testCode(t)
 	const sectorSize, stripes = 64, 6
 
-	srvs := map[string]*httptest.Server{}
+	srvs := map[string]*devtest.Server{}
 	var servers []Server
 	for i := 0; i < 7; i++ {
 		name := fmt.Sprintf("s%d", i)
-		hs := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(stripes*code.R(), sectorSize)))
-		t.Cleanup(hs.Close)
+		hs := devtest.NewServer(t, store.NewDeviceServer(store.NewMemDevice(stripes*code.R(), sectorSize)))
 		srvs[name] = hs
 		servers = append(servers, Server{Name: name, URL: hs.URL, Spare: i == 6})
 	}
@@ -66,8 +65,7 @@ func TestClusterKillFailoverRebuild(t *testing.T) {
 
 	// Kill the server backing column 2, abruptly.
 	victim := v.Placement()[2].Name
-	srvs[victim].CloseClientConnections()
-	srvs[victim].Close()
+	srvs[victim].Kill()
 
 	// Degraded service must continue: every block stays readable with
 	// its content, and writes keep landing.
@@ -248,12 +246,11 @@ func TestClusterSpareExhaustion(t *testing.T) {
 	code := testCode(t)
 	const sectorSize, stripes = 64, 2
 
-	srvs := map[string]*httptest.Server{}
+	srvs := map[string]*devtest.Server{}
 	var servers []Server
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("s%d", i)
-		hs := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(stripes*code.R(), sectorSize)))
-		t.Cleanup(hs.Close)
+		hs := devtest.NewServer(t, store.NewDeviceServer(store.NewMemDevice(stripes*code.R(), sectorSize)))
 		srvs[name] = hs
 		servers = append(servers, Server{Name: name, URL: hs.URL})
 	}
@@ -280,8 +277,7 @@ func TestClusterSpareExhaustion(t *testing.T) {
 	}
 
 	victim := v.Placement()[0].Name
-	srvs[victim].CloseClientConnections()
-	srvs[victim].Close()
+	srvs[victim].Kill()
 
 	deadline := time.Now().Add(15 * time.Second)
 	for v.Stats().SpareExhausted == 0 {

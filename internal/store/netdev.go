@@ -1,7 +1,7 @@
 package store
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,40 +9,43 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"stair/internal/store/mem"
 )
 
-// The NetDevice wire protocol. One vectored store operation is one HTTP
-// round trip, which is the whole point of the vectored Device API: the
-// per-sector API would cost R round trips per device per stripe.
+// The NetDevice wire protocol. Geometry, metrics and fault control are
+// HTTP requests:
 //
 //	GET  /v1/geometry            → {"sectors":N,"sector_size":S}
-//	GET  /v1/read?start=S&count=C → body C×S bytes; lost sectors zeroed
-//	                               and listed in Stair-Lost-Sectors
-//	POST /v1/write?start=S        → body len multiple of S; sectors that
-//	                               failed to land listed in
-//	                               Stair-Failed-Sectors
-//	POST /v1/sync                 → flushes the remote device to stable
-//	                               storage (no-op when the remote backend
-//	                               has no Syncer capability)
+//	GET  /v1/metrics             → DeviceServerMetrics
 //	POST /v1/fault/{fail,replace,inject?sector=N}
 //	GET  /v1/fault               → {"failed":bool,"bad_sectors":N}
 //
-// A wholly failed device answers data requests with 503 and
-// Stair-Error: device-failed. Context cancellation propagates as the
-// HTTP request's context on the client and as request-context
-// cancellation on the server.
-const (
-	lostSectorsHeader   = "Stair-Lost-Sectors"
-	failedSectorsHeader = "Stair-Failed-Sectors"
-	netErrHeader        = "Stair-Error"
-	netErrDeviceFailed  = "device-failed"
-)
+// Reads, writes and syncs are binary frames. A client opens a frame
+// connection with GET /v1/frames carrying Connection: Upgrade and
+// Upgrade: stair-frames/1; the server answers 101 Switching Protocols
+// and from then on the connection carries one call at a time, a request
+// frame and then its response frame, integers big-endian:
+//
+//	request:  op u8 | 0 u8×3 | count u32 | start u64 | body u64 | body
+//	response: status u8 | 0 u8×3 | n u32 | list | body
+//
+// op is read (1), write (2) or sync (3). A write's body is its count×S
+// bytes; reads and syncs carry none, and a sync's extent is 0, 0. The
+// response status is ok (0); sectors (1), whose list is the n absolute
+// u64 indexes of the sectors lost (a read) or not landed (a write); or
+// device-failed (2), bad-request (3) or server-error (4), whose list is
+// an n-byte message. A read answered ok or sectors carries count×S
+// bytes of body, lost sectors zeroed; no other response has a body. A
+// malformed request is answered bad-request before its body is read or
+// anything is allocated for it, and the server then closes the
+// connection. A client that closes a connection mid-call cancels the
+// context of the device call serving it once that call has run for one
+// to two ticks of the server's watchdog (watchTick).
 
 type netGeometry struct {
 	Sectors    int `json:"sectors"`
@@ -54,291 +57,13 @@ type netFaultStatus struct {
 	BadSectors int  `json:"bad_sectors"`
 }
 
-// DeviceServerMetrics is the JSON shape of a device server's
-// /v1/metrics endpoint: cumulative request counters since process
-// start, plus the device's current fault state.
-type DeviceServerMetrics struct {
-	Reads          uint64 `json:"reads"`
-	Writes         uint64 `json:"writes"`
-	Syncs          uint64 `json:"syncs"`
-	ReadSectors    uint64 `json:"read_sectors"`
-	WrittenSectors uint64 `json:"written_sectors"`
-	ReadErrors     uint64 `json:"read_errors"`
-	WriteErrors    uint64 `json:"write_errors"`
-	LostSectors    uint64 `json:"lost_sectors"`
-	Failed         bool   `json:"failed"`
-	BadSectors     int    `json:"bad_sectors"`
-}
-
-// DeviceServer exports a Device over HTTP for NetDevice clients. Fault
-// endpoints work when the wrapped device implements FaultDevice.
-type DeviceServer struct {
-	dev Device
-	mux *http.ServeMux
-
-	reads, writes, syncs        atomic.Uint64
-	readSectors, writtenSectors atomic.Uint64
-	readErrors, writeErrors     atomic.Uint64
-	lostSectors                 atomic.Uint64
-}
-
-// NewDeviceServer builds the HTTP handler exporting dev.
-func NewDeviceServer(dev Device) *DeviceServer {
-	s := &DeviceServer{dev: dev, mux: http.NewServeMux()}
-	s.mux.HandleFunc("GET /v1/geometry", s.handleGeometry)
-	s.mux.HandleFunc("GET /v1/read", s.handleRead)
-	s.mux.HandleFunc("POST /v1/write", s.handleWrite)
-	s.mux.HandleFunc("POST /v1/sync", s.handleSync)
-	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /v1/fault/fail", s.handleFaultOp)
-	s.mux.HandleFunc("POST /v1/fault/replace", s.handleFaultOp)
-	s.mux.HandleFunc("POST /v1/fault/inject", s.handleFaultOp)
-	s.mux.HandleFunc("GET /v1/fault", s.handleFaultStatus)
-	return s
-}
-
-// Metrics snapshots the server's request counters and fault state.
-func (s *DeviceServer) Metrics() DeviceServerMetrics {
-	m := DeviceServerMetrics{
-		Reads:          s.reads.Load(),
-		Writes:         s.writes.Load(),
-		Syncs:          s.syncs.Load(),
-		ReadSectors:    s.readSectors.Load(),
-		WrittenSectors: s.writtenSectors.Load(),
-		ReadErrors:     s.readErrors.Load(),
-		WriteErrors:    s.writeErrors.Load(),
-		LostSectors:    s.lostSectors.Load(),
-	}
-	if fd, ok := s.dev.(FaultDevice); ok {
-		m.Failed = fd.Failed()
-		m.BadSectors = fd.BadSectors()
-	}
-	return m
-}
-
-func (s *DeviceServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Metrics())
-}
-
-// ServeHTTP implements http.Handler.
-func (s *DeviceServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *DeviceServer) handleGeometry(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, netGeometry{Sectors: s.dev.Sectors(), SectorSize: s.dev.SectorSize()})
-}
-
-// sectorList renders absolute sector indexes for a response header.
-func sectorList(errs SectorErrors) string {
-	idx := make([]string, len(errs))
-	for i, se := range errs {
-		idx[i] = strconv.Itoa(se.Index)
-	}
-	return strings.Join(idx, ",")
-}
-
-// parseSectorList parses a Stair-*-Sectors header back into the
-// SectorErrors the remote device reported.
-func parseSectorList(header string, cause error) (SectorErrors, error) {
-	if header == "" {
-		return nil, nil
-	}
-	var out SectorErrors
-	for _, part := range strings.Split(header, ",") {
-		idx, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("store: bad sector list %q from device server", header)
-		}
-		out = append(out, SectorError{Index: idx, Err: cause})
-	}
-	return out, nil
-}
-
-func (s *DeviceServer) handleRead(w http.ResponseWriter, r *http.Request) {
-	start, err1 := strconv.Atoi(r.URL.Query().Get("start"))
-	count, err2 := strconv.Atoi(r.URL.Query().Get("count"))
-	if err1 != nil || err2 != nil {
-		http.Error(w, "bad start/count", http.StatusBadRequest)
-		return
-	}
-	// Validate the remote-supplied extent before allocating count
-	// sectors of response buffer: a hostile count must not OOM the
-	// process exporting the device.
-	if err := checkExtent(s.dev.Sectors(), start, count); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	size := s.dev.SectorSize()
-	// The response staging flat is pooled; it must be zeroed because
-	// the wire format promises lost sectors come back as zeros (the
-	// wrapped device leaves their buffers untouched). Dropped to the GC
-	// instead of recycled when the request was cancelled mid-device-call
-	// — an abandoned inner operation may still reference it.
-	flat := mem.Acquire(count * size)
-	clear(flat)
-	defer func() {
-		if r.Context().Err() == nil {
-			mem.Release(flat)
-		}
-	}()
-	bufs := make([][]byte, count)
-	for i := range bufs {
-		bufs[i] = flat[i*size : (i+1)*size]
-	}
-	s.reads.Add(1)
-	s.readSectors.Add(uint64(count))
-	err := s.dev.ReadSectors(r.Context(), start, bufs)
-	if lost, ok := AsSectorErrors(err); ok {
-		s.lostSectors.Add(uint64(len(lost)))
-		w.Header().Set(lostSectorsHeader, sectorList(lost))
-	} else if err != nil {
-		s.readErrors.Add(1)
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(flat)
-}
-
-func (s *DeviceServer) handleWrite(w http.ResponseWriter, r *http.Request) {
-	start, err := strconv.Atoi(r.URL.Query().Get("start"))
-	if err != nil {
-		http.Error(w, "bad start", http.StatusBadRequest)
-		return
-	}
-	size := s.dev.SectorSize()
-	// The device's whole capacity bounds any valid write body; reading
-	// more than that (+1 to detect overshoot) is refused, not buffered.
-	maxBody := int64(s.dev.Sectors()) * int64(size)
-	// With a declared Content-Length the body stages into a pooled flat
-	// sized exactly for it; chunked bodies (length -1) fall back to
-	// ReadAll. The flat is recycled unless the request was cancelled
-	// mid-device-call (see handleRead).
-	var flat []byte
-	var pooled bool
-	if cl := r.ContentLength; cl >= 0 && cl <= maxBody {
-		flat = mem.Acquire(int(cl))
-		pooled = true
-		if _, err := io.ReadFull(r.Body, flat); err != nil {
-			mem.Release(flat)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		var err error
-		flat, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	if pooled {
-		defer func() {
-			if r.Context().Err() == nil {
-				mem.Release(flat)
-			}
-		}()
-	}
-	if int64(len(flat)) > maxBody {
-		http.Error(w, "body exceeds device capacity", http.StatusBadRequest)
-		return
-	}
-	if len(flat)%size != 0 {
-		http.Error(w, fmt.Sprintf("body %d bytes is not a sector multiple", len(flat)), http.StatusBadRequest)
-		return
-	}
-	if err := checkExtent(s.dev.Sectors(), start, len(flat)/size); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	data := make([][]byte, len(flat)/size)
-	for i := range data {
-		data[i] = flat[i*size : (i+1)*size]
-	}
-	s.writes.Add(1)
-	s.writtenSectors.Add(uint64(len(data)))
-	err = s.dev.WriteSectors(r.Context(), start, data)
-	if failed, ok := AsSectorErrors(err); ok {
-		s.lostSectors.Add(uint64(len(failed)))
-		w.Header().Set(failedSectorsHeader, sectorList(failed))
-	} else if err != nil {
-		s.writeErrors.Add(1)
-		s.writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-// handleSync flushes the wrapped device to stable storage. A wrapped
-// device without the Syncer capability syncs trivially — the endpoint
-// still answers 200 so remote callers need not probe capabilities.
-func (s *DeviceServer) handleSync(w http.ResponseWriter, r *http.Request) {
-	s.syncs.Add(1)
-	if err := SyncDevice(r.Context(), s.dev); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (s *DeviceServer) handleFaultOp(w http.ResponseWriter, r *http.Request) {
-	fd, ok := s.dev.(FaultDevice)
-	if !ok {
-		http.Error(w, "device does not support fault injection", http.StatusNotImplemented)
-		return
-	}
-	var err error
-	switch {
-	case strings.HasSuffix(r.URL.Path, "/fail"):
-		err = fd.Fail()
-	case strings.HasSuffix(r.URL.Path, "/replace"):
-		err = fd.Replace()
-	default:
-		var sector int
-		if sector, err = strconv.Atoi(r.URL.Query().Get("sector")); err != nil {
-			http.Error(w, "bad sector", http.StatusBadRequest)
-			return
-		}
-		err = fd.InjectSectorError(sector)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (s *DeviceServer) handleFaultStatus(w http.ResponseWriter, r *http.Request) {
-	fd, ok := s.dev.(FaultDevice)
-	if !ok {
-		http.Error(w, "device does not support fault injection", http.StatusNotImplemented)
-		return
-	}
-	writeJSON(w, netFaultStatus{Failed: fd.Failed(), BadSectors: fd.BadSectors()})
-}
-
-// writeError maps device errors onto the wire: a wholly failed device
-// is 503 + Stair-Error so the client can reconstruct ErrDeviceFailed;
-// anything else is a plain 500.
-func (s *DeviceServer) writeError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrDeviceFailed) {
-		w.Header().Set(netErrHeader, netErrDeviceFailed)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 // RetryPolicy bounds the NetDevice client's retries of transient
-// failures: transport errors (connection reset, refused, EOF) and 5xx
-// responses other than the device-failed signal. 4xx responses (the
-// request itself is wrong), ErrDeviceFailed (a state, not a blip) and
-// context cancellation are never retried. Sector reads and writes are
-// idempotent, so re-issuing a request whose response was lost is safe.
+// failures: transport errors (connection reset, refused, EOF, a
+// malformed frame), server-error frames and 5xx control-plane
+// responses. Bad requests (the request itself is wrong),
+// ErrDeviceFailed (a state, not a blip) and context cancellation are
+// never retried. Sector reads and writes are idempotent, so re-issuing
+// a request whose response was lost is safe.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first call included);
 	// values < 1 mean one attempt, i.e. no retries.
@@ -369,15 +94,25 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)+1))
 }
 
-// NetDevice is an HTTP client for a DeviceServer: a Device (and
-// FaultDevice) whose every vectored call is one round trip. It is the
-// remote-backend existence proof for the vectored API — with the old
-// one-sector-at-a-time interface, a full-stripe flush against it would
-// cost R round trips per device instead of one.
+// NetDevice is the client of a DeviceServer: a Device (and FaultDevice)
+// whose every vectored call is one frame round trip on an upgraded
+// connection. It is the remote-backend existence proof for the vectored
+// API — with the old one-sector-at-a-time interface, a full-stripe
+// flush against it would cost R round trips per device instead of one.
 //
-// Transient transport errors and 5xx responses are retried with
-// exponential backoff per the device's RetryPolicy (SetRetryPolicy to
-// tune; Retries() counts what happened).
+// A connection carries one call at a time. Idle connections wait on a
+// LIFO stack, and a call upgrades another only when every one is busy,
+// so the pool follows the caller's concurrency. A call whose context
+// ends closes its connection and returns the context's error. A
+// connection goes back on the stack only after a whole, well-formed
+// answer of ok, lost sectors or device failed; any other outcome
+// closes it, so no late or partial response can reach a later call. A
+// call reads into and writes from the caller's buffers in place, and
+// nothing touches them after it returns.
+//
+// Transport errors and server-error answers are retried on a fresh
+// connection with exponential backoff per the device's RetryPolicy
+// (SetRetryPolicy to tune; Retries() counts what happened).
 type NetDevice struct {
 	base       string
 	hc         *http.Client
@@ -390,6 +125,33 @@ type NetDevice struct {
 	// region — the copy-elision tests assert it stays zero for
 	// slab-backed extents.
 	scratchFlats atomic.Uint64
+
+	mu    sync.Mutex
+	idle  []*frameConn            // LIFO
+	conns map[*frameConn]struct{} // every open connection, idle or busy
+}
+
+// frameConn is one upgraded connection.
+type frameConn struct {
+	rwc  io.ReadWriteCloser
+	br   *bufio.Reader
+	req  [reqHeaderLen]byte
+	resp [respHeaderLen]byte
+	kill func() // closes rwc; run by a call whose context ends
+}
+
+// roundTrip sends one request frame and reads its response.
+func (c *frameConn) roundTrip(op byte, start, count int, body, flat []byte, cause error) (byte, error) {
+	putRequest(&c.req, op, start, count, len(body))
+	if _, err := c.rwc.Write(c.req[:]); err != nil {
+		return statusBroken, err
+	}
+	if len(body) > 0 {
+		if _, err := c.rwc.Write(body); err != nil {
+			return statusBroken, err
+		}
+	}
+	return readResponse(c.br, &c.resp, start, count, flat, cause)
 }
 
 // ScratchFlats reports how many vectored calls fell back to an
@@ -398,13 +160,18 @@ type NetDevice struct {
 func (d *NetDevice) ScratchFlats() uint64 { return d.scratchFlats.Load() }
 
 // DialNetDevice connects to a DeviceServer at baseURL (no trailing
-// slash needed) and fetches its geometry. A nil client selects
-// http.DefaultClient.
+// slash needed), fetches its geometry and opens a first frame
+// connection. A nil client selects http.DefaultClient. Frame
+// connections are upgraded through client, so it must hand a 101
+// response's body over as an io.ReadWriteCloser: a client with Timeout
+// set does not, and DialNetDevice refuses it. Bound calls with their
+// contexts instead.
 func DialNetDevice(ctx context.Context, baseURL string, client *http.Client) (*NetDevice, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	d := &NetDevice{base: strings.TrimSuffix(baseURL, "/"), hc: client, retry: DefaultRetryPolicy}
+	d := &NetDevice{base: strings.TrimSuffix(baseURL, "/"), hc: client, retry: DefaultRetryPolicy,
+		conns: map[*frameConn]struct{}{}}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+"/v1/geometry", nil)
 	if err != nil {
 		return nil, err
@@ -422,6 +189,11 @@ func DialNetDevice(ctx context.Context, baseURL string, client *http.Client) (*N
 		return nil, fmt.Errorf("store: device server %s: bad geometry %d×%d", baseURL, geo.Sectors, geo.SectorSize)
 	}
 	d.sectors, d.sectorSize = geo.Sectors, geo.SectorSize
+	c, err, _ := d.get(ctx, true)
+	if err != nil {
+		return nil, fmt.Errorf("store: dialing device server %s: %w", baseURL, err)
+	}
+	d.put(c)
 	return d, nil
 }
 
@@ -440,76 +212,140 @@ func (d *NetDevice) SetRetryPolicy(p RetryPolicy) { d.retry = p }
 // tries) since dial.
 func (d *NetDevice) Retries() uint64 { return d.retries.Load() }
 
-// do runs one request and maps transport- and device-level failures,
-// retrying transient ones per the device's RetryPolicy.
-func (d *NetDevice) do(req *http.Request) (*http.Response, error) {
-	attempts := d.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+// backoff waits out the delay before retry attempt+1, counting the
+// retry; a caller cancelling mid-wait ends it at once.
+func (d *NetDevice) backoff(ctx context.Context, attempt int) error {
+	d.retries.Add(1)
+	wait := d.retry.delay(attempt)
+	if wait <= 0 {
+		return ctx.Err()
 	}
-	var lastErr error
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// get takes the most recently idle connection, or upgrades a new one
+// when all are busy or fresh is set; transient reports whether a failed
+// upgrade is worth retrying.
+func (d *NetDevice) get(ctx context.Context, fresh bool) (c *frameConn, err error, transient bool) {
+	d.mu.Lock()
+	if n := len(d.idle); n > 0 && !fresh {
+		c = d.idle[n-1]
+		d.idle[n-1] = nil
+		d.idle = d.idle[:n-1]
+		d.mu.Unlock()
+		return c, nil, false
+	}
+	d.mu.Unlock()
+	if c, err, transient = d.upgrade(ctx); err != nil {
+		return nil, err, transient
+	}
+	d.mu.Lock()
+	d.conns[c] = struct{}{}
+	d.mu.Unlock()
+	return c, nil, false
+}
+
+// put returns a connection to the idle stack, unless Close closed it
+// during its call.
+func (d *NetDevice) put(c *frameConn) {
+	d.mu.Lock()
+	if _, open := d.conns[c]; open {
+		d.idle = append(d.idle, c)
+	}
+	d.mu.Unlock()
+}
+
+// drop closes a connection for good.
+func (d *NetDevice) drop(c *frameConn) {
+	c.rwc.Close()
+	d.mu.Lock()
+	delete(d.conns, c)
+	d.mu.Unlock()
+}
+
+// upgrade opens a frame connection through the device's HTTP client.
+func (d *NetDevice) upgrade(ctx context.Context) (c *frameConn, err error, transient bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+framePath, nil)
+	if err != nil {
+		return nil, err, false
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", frameProtocol)
+	resp, err := d.hc.Do(req)
+	if err != nil {
+		return nil, err, true
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("store: device server answered the frame upgrade with %s: %s", resp.Status, strings.TrimSpace(string(msg))), resp.StatusCode >= 500
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if !ok {
+		resp.Body.Close()
+		return nil, fmt.Errorf("store: the HTTP client hands the upgraded connection over as %T, not an io.ReadWriteCloser (an http.Client with Timeout set does this; leave Timeout zero and bound calls with their contexts)", resp.Body), false
+	}
+	c = &frameConn{rwc: rwc, br: bufio.NewReader(rwc)}
+	c.kill = func() { rwc.Close() }
+	return c, nil, false
+}
+
+// call runs one frame round trip, retrying transient failures on a
+// fresh connection per the device's RetryPolicy: idle connections to a
+// server that went away are as dead as the one that failed. body is a
+// write's payload; flat receives a read's.
+func (d *NetDevice) call(ctx context.Context, op byte, start, count int, body, flat []byte, cause error) error {
 	for attempt := 1; ; attempt++ {
-		resp, err, transient := d.doOnce(req)
-		if err == nil {
-			return resp, nil
+		err, transient := d.callOnce(ctx, attempt > 1, op, start, count, body, flat, cause)
+		if !transient || attempt >= d.retry.MaxAttempts {
+			return err
 		}
-		lastErr = err
-		if !transient || attempt >= attempts {
-			return nil, lastErr
-		}
-		d.retries.Add(1)
-		// Context-aware backoff: a caller cancelling mid-wait aborts the
-		// retry loop immediately instead of sleeping it out.
-		if wait := d.retry.delay(attempt); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-req.Context().Done():
-				t.Stop()
-				return nil, req.Context().Err()
-			case <-t.C:
-			}
-		} else if cerr := req.Context().Err(); cerr != nil {
-			return nil, cerr
+		if err := d.backoff(ctx, attempt); err != nil {
+			return err
 		}
 	}
 }
 
-// doOnce issues one attempt; transient reports whether a retry could
-// help (transport errors and 5xx short of the device-failed signal).
-func (d *NetDevice) doOnce(req *http.Request) (resp *http.Response, err error, transient bool) {
-	attempt := req
-	if req.GetBody != nil {
-		// Rewind the body for this attempt (http.NewRequest with a
-		// *bytes.Reader installs GetBody; the first attempt may have
-		// consumed it).
-		body, berr := req.GetBody()
-		if berr != nil {
-			return nil, berr, false
-		}
-		attempt = req.Clone(req.Context())
-		attempt.Body = body
+// callOnce makes one attempt; transient reports whether a retry on a
+// fresh connection could help.
+func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, count int, body, flat []byte, cause error) (err error, transient bool) {
+	if err := ctx.Err(); err != nil {
+		return err, false
 	}
-	resp, err = d.hc.Do(attempt)
+	c, err, transient := d.get(ctx, fresh)
 	if err != nil {
-		// Transport failure. Context cancellation is the caller's
-		// decision, not a blip.
-		if cerr := req.Context().Err(); cerr != nil {
-			return nil, cerr, false
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr, false
 		}
-		return nil, err, true
+		return err, transient
 	}
-	if resp.StatusCode == http.StatusOK {
-		return resp, nil, false
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, c.kill)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	if resp.Header.Get(netErrHeader) == netErrDeviceFailed {
-		// A wholly failed device is a state the control plane must
-		// change; retrying cannot help and only delays the degraded path.
-		return nil, ErrDeviceFailed, false
+	status, err := c.roundTrip(op, start, count, body, flat, cause)
+	if stop != nil && !stop() {
+		// The context ended during the call and closed the connection.
+		d.drop(c)
+		return ctx.Err(), false
 	}
-	err = fmt.Errorf("store: device server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	return nil, err, resp.StatusCode >= 500
+	switch status {
+	case statusOK, statusSectors, statusDeviceFailed:
+		d.put(c)
+		return err, false
+	case statusBadRequest:
+		d.drop(c)
+		return err, false
+	}
+	d.drop(c)
+	return err, true
 }
 
 // ReadSectors fetches the extent in one round trip. Remotely lost
@@ -525,50 +361,26 @@ func (d *NetDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) e
 	if len(bufs) == 0 {
 		return ctx.Err()
 	}
-	url := fmt.Sprintf("%s/v1/read?start=%d&count=%d", d.base, start, len(bufs))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := d.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	// A contiguous buffer vector receives the body directly; the wire
-	// format fills every sector (lost ones come back zeroed and listed
-	// in the header), so writing straight into the caller's memory is
-	// byte-identical to the scatter path. Body reads are synchronous —
-	// the transport never retains the destination after Read returns —
-	// so a pooled fallback flat can always be recycled.
+	// A contiguous buffer vector receives the body directly; the
+	// protocol fills every sector (lost ones zeroed), so this is
+	// byte-identical to the scatter path.
 	flat, contiguous := flatSpan(bufs)
-	var pooled []byte
 	if !contiguous {
 		d.scratchFlats.Add(1)
-		pooled = mem.Acquire(len(bufs) * d.sectorSize)
-		flat = pooled
+		flat = mem.Acquire(len(bufs) * d.sectorSize)
+		defer mem.Release(flat)
 	}
-	if _, err := io.ReadFull(resp.Body, flat); err != nil {
-		if pooled != nil {
-			mem.Release(pooled)
-		}
-		return fmt.Errorf("store: short read from device server: %w", err)
-	}
-	if pooled != nil {
+	err := d.call(ctx, opRead, start, len(bufs), nil, flat, ErrBadSector)
+	if _, lost := AsSectorErrors(err); !contiguous && (err == nil || lost) {
 		for i, buf := range bufs {
-			copy(buf, pooled[i*d.sectorSize:(i+1)*d.sectorSize])
+			copy(buf, flat[i*d.sectorSize:(i+1)*d.sectorSize])
 		}
-		mem.Release(pooled)
 	}
-	lost, err := parseSectorList(resp.Header.Get(lostSectorsHeader), ErrBadSector)
-	if err != nil {
-		return err
-	}
-	if len(lost) > 0 {
-		return lost
-	}
-	return nil
+	return err
 }
+
+// errRemoteWrite is the cause of a sector a remote write did not land.
+var errRemoteWrite = errors.New("store: remote write failed")
 
 // WriteSectors stores the extent in one round trip. Sectors the remote
 // device could not land come back as SectorErrors.
@@ -582,63 +394,65 @@ func (d *NetDevice) WriteSectors(ctx context.Context, start int, data [][]byte) 
 	if len(data) == 0 {
 		return ctx.Err()
 	}
-	// A contiguous buffer vector becomes the request body directly —
-	// the transport reads it in place, no gather copy. Scattered
-	// vectors gather into a pooled flat, recycled only when the call
-	// succeeded without retries: a failed or retried attempt can leave
-	// a transport write loop still reading the flat, so those are
-	// dropped to the GC instead.
+	// A contiguous buffer vector is sent in place; a scattered one is
+	// gathered into a pooled flat.
 	flat, contiguous := flatSpan(data)
-	var pooled []byte
 	if !contiguous {
 		d.scratchFlats.Add(1)
-		pooled = mem.Acquire(len(data) * d.sectorSize)
+		flat = mem.Acquire(len(data) * d.sectorSize)
+		defer mem.Release(flat)
 		off := 0
 		for _, buf := range data {
-			off += copy(pooled[off:], buf)
+			off += copy(flat[off:], buf)
 		}
-		flat = pooled
 	}
-	url := fmt.Sprintf("%s/v1/write?start=%d", d.base, start)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(flat))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	retriesBefore := d.retries.Load()
-	resp, err := d.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if pooled != nil && d.retries.Load() == retriesBefore {
-		mem.Release(pooled)
-	}
-	failed, err := parseSectorList(resp.Header.Get(failedSectorsHeader), fmt.Errorf("store: remote write failed"))
-	if err != nil {
-		return err
-	}
-	if len(failed) > 0 {
-		return failed
-	}
-	return nil
+	return d.call(ctx, opWrite, start, len(data), flat, nil, errRemoteWrite)
 }
 
 // Sync asks the server to flush the remote device to stable storage —
 // one round trip, implementing the optional Syncer capability for the
-// remote backend.
+// remote backend. A server whose device has no Syncer capability
+// answers it at once.
 func (d *NetDevice) Sync(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, d.base+"/v1/sync", nil)
-	if err != nil {
-		return err
+	return d.call(ctx, opSync, 0, 0, nil, nil, nil)
+}
+
+// do runs one control-plane request, retrying transient failures per
+// the device's RetryPolicy.
+func (d *NetDevice) do(req *http.Request) (*http.Response, error) {
+	for attempt := 1; ; attempt++ {
+		resp, err, transient := d.doOnce(req)
+		if err == nil {
+			return resp, nil
+		}
+		if !transient || attempt >= d.retry.MaxAttempts {
+			return nil, err
+		}
+		if err := d.backoff(req.Context(), attempt); err != nil {
+			return nil, err
+		}
 	}
-	resp, err := d.do(req)
+}
+
+// doOnce issues one attempt; transient reports whether a retry could
+// help (transport errors and 5xx).
+func (d *NetDevice) doOnce(req *http.Request) (resp *http.Response, err error, transient bool) {
+	resp, err = d.hc.Do(req)
 	if err != nil {
-		return err
+		// Transport failure. Context cancellation is the caller's
+		// decision, not a blip.
+		if cerr := req.Context().Err(); cerr != nil {
+			return nil, cerr, false
+		}
+		return nil, err, true
 	}
-	resp.Body.Close()
-	return nil
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil, false
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	err = fmt.Errorf("store: device server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+	return nil, err, resp.StatusCode >= 500
 }
 
 // Ping probes the server's liveness with one unretried round trip (a
@@ -712,8 +526,17 @@ func (d *NetDevice) Failed() bool { return d.faultStatus().Failed }
 // BadSectors returns the remote latent-sector-error count.
 func (d *NetDevice) BadSectors() int { return d.faultStatus().BadSectors }
 
-// Close drops idle connections to the server.
+// Close closes every frame connection, busy ones included, and the
+// client's idle HTTP connections. A later call opens a new one.
 func (d *NetDevice) Close() error {
+	d.mu.Lock()
+	for c := range d.conns {
+		c.rwc.Close()
+	}
+	clear(d.conns)
+	clear(d.idle)
+	d.idle = d.idle[:0]
+	d.mu.Unlock()
 	d.hc.CloseIdleConnections()
 	return nil
 }

@@ -6,11 +6,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"stair/internal/core"
 	"stair/internal/store"
+	"stair/internal/store/devtest"
 )
 
 // newNetStore builds a store whose every device is a NetDevice talking
@@ -118,22 +122,24 @@ func TestNetDeviceStoreEndToEnd(t *testing.T) {
 	}
 }
 
-// hangingDeviceServer wraps a DeviceServer, parking data-plane requests
-// until the client gives up — the pathological remote backend.
-func hangingDeviceServer(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/read" || r.URL.Path == "/v1/write" {
-			<-r.Context().Done()
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
+// hangDevice parks every data-path call until its context ends — the
+// pathological backend under a device server.
+type hangDevice struct{ store.FaultDevice }
+
+func (hangDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (hangDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
+	<-ctx.Done()
+	return ctx.Err()
 }
 
 // TestNetDeviceCancellation: a hung server cannot wedge a caller — the
 // request context aborts the round trip promptly.
 func TestNetDeviceCancellation(t *testing.T) {
-	srv := httptest.NewServer(hangingDeviceServer(store.NewDeviceServer(store.NewMemDevice(8, 64))))
+	srv := httptest.NewServer(store.NewDeviceServer(hangDevice{store.NewMemDevice(8, 64)}))
 	t.Cleanup(srv.Close)
 	d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
@@ -155,6 +161,133 @@ func TestNetDeviceCancellation(t *testing.T) {
 	}
 }
 
+// sectorBytes is sector i's payload in the frame-connection tests.
+func sectorBytes(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 64) }
+
+// heldDevice parks its first read until the test releases it, whatever
+// the call's context says, so its server answers a read the client has
+// already given up on.
+type heldDevice struct {
+	store.FaultDevice
+	calls            atomic.Int64
+	entered, release chan struct{}
+}
+
+func (h *heldDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	if h.calls.Add(1) == 1 {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return h.FaultDevice.ReadSectors(context.WithoutCancel(ctx), start, bufs)
+}
+
+// A read cancelled while its response is still to come must not leave
+// that response on a connection a later call reuses: every later read
+// of the same NetDevice gets its own sector's bytes.
+func TestNetDeviceCancelledCallDoesNotPoisonConnection(t *testing.T) {
+	mem := store.NewMemDevice(8, 64)
+	for i := 0; i < 8; i++ {
+		if err := store.WriteSector(bg, mem, i, sectorBytes(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := &heldDevice{FaultDevice: mem, entered: make(chan struct{}, 1), release: make(chan struct{}, 1)}
+	srv := httptest.NewServer(store.NewDeviceServer(held))
+	t.Cleanup(srv.Close)
+	d, err := store.DialNetDevice(bg, srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error, 1)
+	go func() { done <- d.ReadSectors(ctx, 0, [][]byte{make([]byte, 64)}) }()
+	<-held.entered
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read: %v, want context.Canceled", err)
+	}
+	// The server now sends sector 0's bytes after the abandoned read.
+	held.release <- struct{}{}
+	for i := 1; i < 8; i++ {
+		buf := make([]byte, 64)
+		if err := d.ReadSectors(bg, i, [][]byte{buf}); err != nil {
+			t.Fatalf("read of sector %d after a cancelled call: %v", i, err)
+		}
+		if !bytes.Equal(buf, sectorBytes(i)) {
+			t.Fatalf("read of sector %d returned the bytes of sector %d", i, buf[0]-1)
+		}
+	}
+}
+
+// ctxDevice reports the context error each parked call ends with.
+type ctxDevice struct {
+	store.FaultDevice
+	entered chan struct{}
+	ended   chan error
+}
+
+func (c ctxDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	c.entered <- struct{}{}
+	<-ctx.Done()
+	c.ended <- ctx.Err()
+	return ctx.Err()
+}
+
+// A client that drops its connection mid-call cancels the server's
+// device call, and once the NetDevice is closed every goroutine either
+// side started for it is gone.
+func TestNetDeviceDroppedConnectionCancelsServerCall(t *testing.T) {
+	dev := ctxDevice{FaultDevice: store.NewMemDevice(8, 64), entered: make(chan struct{}, 1), ended: make(chan error, 1)}
+	srv := httptest.NewServer(store.NewDeviceServer(dev))
+	t.Cleanup(srv.Close)
+	baseline := runtime.NumGoroutine()
+	d, err := store.DialNetDevice(bg, srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	done := make(chan error, 1)
+	go func() { done <- d.ReadSectors(ctx, 0, [][]byte{make([]byte, 64)}) }()
+	<-dev.entered
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled read: %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-dev.ended:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("server's device call ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server's device call never saw its client go")
+	}
+	d.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before dial", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A client with Timeout set cannot hand over an upgraded connection;
+// dialling with one fails at once and names the cause.
+func TestDialNetDeviceRefusesClientTimeout(t *testing.T) {
+	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
+	t.Cleanup(srv.Close)
+	d, err := store.DialNetDevice(bg, srv.URL, &http.Client{Timeout: time.Minute})
+	if err == nil {
+		d.Close()
+		t.Fatal("dial with a Timeout client succeeded")
+	}
+	if !strings.Contains(err.Error(), "Timeout") {
+		t.Fatalf("dial error %q does not name the client's Timeout", err)
+	}
+}
+
 // TestNetDeviceTransportDown: a dead server reads as a whole-device
 // loss, and the store serves the data degraded from the survivors.
 func TestNetDeviceTransportDown(t *testing.T) {
@@ -167,10 +300,9 @@ func TestNetDeviceTransportDown(t *testing.T) {
 		sector  = 128
 	)
 	devs := make([]store.Device, code.N())
-	var dead *httptest.Server
+	var dead *devtest.Server
 	for i := range devs {
-		srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(stripes*code.R(), sector)))
-		t.Cleanup(srv.Close)
+		srv := devtest.NewServer(t, store.NewDeviceServer(store.NewMemDevice(stripes*code.R(), sector)))
 		d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +327,7 @@ func TestNetDeviceTransportDown(t *testing.T) {
 	if err := s.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	dead.Close() // device 3's transport goes away entirely
+	dead.Kill() // device 3's transport goes away entirely
 	for b, want := range blocks {
 		got, err := s.ReadBlock(bg, b)
 		if err != nil {
@@ -207,38 +339,5 @@ func TestNetDeviceTransportDown(t *testing.T) {
 	}
 	if st := s.Stats(); st.DegradedReads == 0 {
 		t.Fatal("dead transport did not surface as degraded reads")
-	}
-}
-
-// TestDeviceServerHostileExtents: remote-supplied extents are validated
-// before any allocation — a hostile count (or an overflowing start)
-// must come back 400, not OOM or panic the exporting process.
-func TestDeviceServerHostileExtents(t *testing.T) {
-	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
-	t.Cleanup(srv.Close)
-	for _, url := range []string{
-		srv.URL + "/v1/read?start=0&count=1073741824",
-		srv.URL + "/v1/read?start=9223372036854775807&count=1",
-		srv.URL + "/v1/read?start=-1&count=2",
-		srv.URL + "/v1/read?start=0&count=-3",
-	} {
-		resp, err := srv.Client().Get(url)
-		if err != nil {
-			t.Fatalf("%s: %v", url, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", url, resp.StatusCode)
-		}
-	}
-	// An oversized write body is refused without being buffered whole.
-	big := bytes.NewReader(make([]byte, 9*64))
-	resp, err := srv.Client().Post(srv.URL+"/v1/write?start=0", "application/octet-stream", big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized write: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,34 +12,40 @@ import (
 	"stair/internal/store"
 )
 
-// flakyHandler fails the first failN data-path requests with status,
-// then forwards to the real device server. Geometry and control-plane
-// requests always pass, so dialing is unaffected.
-type flakyHandler struct {
-	inner  http.Handler
-	status int
-	failN  int64
-	seen   atomic.Int64
+// flakyDevice fails its first failN data-path calls with a plain error,
+// which its DeviceServer answers as a server error, then serves them.
+// Geometry and the control plane always pass, so dialing is unaffected.
+type flakyDevice struct {
+	store.FaultDevice
+	failN int64
+	seen  atomic.Int64
 }
 
-func (h *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/v1/read") || strings.HasPrefix(r.URL.Path, "/v1/write") {
-		if h.seen.Add(1) <= h.failN {
-			http.Error(w, "injected flake", h.status)
-			return
-		}
+func (f *flakyDevice) flake() error {
+	if f.seen.Add(1) <= f.failN {
+		return errors.New("injected flake")
 	}
-	h.inner.ServeHTTP(w, r)
+	return nil
 }
 
-func dialFlaky(t *testing.T, status int, failN int64) (*store.NetDevice, *flakyHandler) {
+func (f *flakyDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	if err := f.flake(); err != nil {
+		return err
+	}
+	return f.FaultDevice.ReadSectors(ctx, start, bufs)
+}
+
+func (f *flakyDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
+	if err := f.flake(); err != nil {
+		return err
+	}
+	return f.FaultDevice.WriteSectors(ctx, start, data)
+}
+
+// dialServer dials a DeviceServer for dev with a fast retry policy.
+func dialServer(t *testing.T, dev store.Device) *store.NetDevice {
 	t.Helper()
-	h := &flakyHandler{
-		inner:  store.NewDeviceServer(store.NewMemDevice(8, 64)),
-		status: status,
-		failN:  failN,
-	}
-	srv := httptest.NewServer(h)
+	srv := httptest.NewServer(store.NewDeviceServer(dev))
 	t.Cleanup(srv.Close)
 	d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
@@ -49,13 +53,17 @@ func dialFlaky(t *testing.T, status int, failN int64) (*store.NetDevice, *flakyH
 	}
 	t.Cleanup(func() { d.Close() })
 	d.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
-	return d, h
+	return d
 }
 
-// A server that 500s twice then recovers must be survived by the
+func dialFlaky(t *testing.T, failN int64) *store.NetDevice {
+	return dialServer(t, &flakyDevice{FaultDevice: store.NewMemDevice(8, 64), failN: failN})
+}
+
+// A server that errs twice then recovers must be survived by the
 // default three-attempt policy, transparently to the caller.
 func TestNetDeviceRetriesTransient5xx(t *testing.T) {
-	d, _ := dialFlaky(t, http.StatusInternalServerError, 2)
+	d := dialFlaky(t, 2)
 	buf := make([]byte, 64)
 	if err := d.ReadSectors(context.Background(), 0, [][]byte{buf}); err != nil {
 		t.Fatalf("read through recovering server: %v", err)
@@ -67,7 +75,7 @@ func TestNetDeviceRetriesTransient5xx(t *testing.T) {
 
 // Writes are idempotent sector stores, so they retry too.
 func TestNetDeviceRetriesWrite(t *testing.T) {
-	d, _ := dialFlaky(t, http.StatusBadGateway, 1)
+	d := dialFlaky(t, 1)
 	if err := d.WriteSectors(context.Background(), 0, [][]byte{make([]byte, 64)}); err != nil {
 		t.Fatalf("write through recovering server: %v", err)
 	}
@@ -76,24 +84,43 @@ func TestNetDeviceRetriesWrite(t *testing.T) {
 	}
 }
 
-// A 4xx means the request itself is wrong; retrying it would just
-// repeat the mistake.
+// shrunkDevice reports a capacity of zero once shrunk, so its server
+// refuses as a bad request every extent a client dialled before that
+// still believes valid; frames counts the requests it refused.
+type shrunkDevice struct {
+	store.FaultDevice
+	shrunk atomic.Bool
+	frames atomic.Int64
+}
+
+func (s *shrunkDevice) Sectors() int {
+	if s.shrunk.Load() {
+		s.frames.Add(1)
+		return 0
+	}
+	return s.FaultDevice.Sectors()
+}
+
+// A bad request means the request itself is wrong; retrying it would
+// just repeat the mistake.
 func TestNetDeviceNeverRetries4xx(t *testing.T) {
-	d, h := dialFlaky(t, http.StatusBadRequest, 1<<30)
+	dev := &shrunkDevice{FaultDevice: store.NewMemDevice(8, 64)}
+	d := dialServer(t, dev)
+	dev.shrunk.Store(true)
 	err := d.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)})
 	if err == nil {
-		t.Fatal("read against 4xx server succeeded")
+		t.Fatal("read against a refusing server succeeded")
 	}
 	if got := d.Retries(); got != 0 {
-		t.Fatalf("client retried a 4xx %d times", got)
+		t.Fatalf("client retried a bad request %d times", got)
 	}
-	if got := h.seen.Load(); got != 1 {
+	if got := dev.frames.Load(); got != 1 {
 		t.Fatalf("server saw %d requests, want 1", got)
 	}
 }
 
-// ErrDeviceFailed is a state, not a blip: the 503 + Stair-Error answer
-// must surface immediately so the store can switch to degraded reads
+// ErrDeviceFailed is a state, not a blip: the device-failed answer must
+// surface immediately so the store can switch to degraded reads
 // instead of burning the backoff budget.
 func TestNetDeviceNeverRetriesDeviceFailed(t *testing.T) {
 	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
@@ -122,7 +149,7 @@ func TestNetDeviceNeverRetriesDeviceFailed(t *testing.T) {
 // Cancelling the caller's context mid-backoff aborts the retry loop
 // immediately instead of sleeping out the schedule.
 func TestNetDeviceCancelDuringBackoff(t *testing.T) {
-	d, _ := dialFlaky(t, http.StatusInternalServerError, 1<<30)
+	d := dialFlaky(t, 1<<30)
 	d.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -144,7 +171,7 @@ func TestNetDeviceCancelDuringBackoff(t *testing.T) {
 // Ping reports liveness, not health: any HTTP answer (even an error
 // status) proves the process is up; only transport failure is down.
 func TestNetDevicePing(t *testing.T) {
-	d, _ := dialFlaky(t, http.StatusInternalServerError, 0)
+	d := dialFlaky(t, 0)
 	if err := d.Ping(context.Background()); err != nil {
 		t.Fatalf("ping of live server: %v", err)
 	}
