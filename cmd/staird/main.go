@@ -14,7 +14,7 @@
 //
 //	staird serve -listen :8080 -fleet fleet.json -volume myvol \
 //	    -n 6 -r 4 -m 2 -e 1,2 -stripes 64 -sector 4096 \
-//	    [-flush-workers 4] [-coalesce] [-hedge] \
+//	    [-flush-workers 4] [-hedge] \
 //	    [-integrity -epoch 1] [-heartbeat 1s] [-fail-after 3]
 //
 // With -integrity, every device carries a per-sector checksum sidecar
@@ -174,7 +174,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	stripes := fs.Int("stripes", 64, "stripes in the volume")
 	sector := fs.Int("sector", 4096, "sector (= block) size in bytes")
 	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
-	coalesce := fs.Bool("coalesce", true, "merge adjacent stripe extents queued behind a backend's in-flight call (no batch window)")
 	hedge := fs.Bool("hedge", true, "hedge slow client block reads with a solve from the block's own row")
 	integ := fs.Bool("integrity", false, "per-sector checksum layer (device servers need -sectors sized for the sidecar region)")
 	epoch := fs.Uint("epoch", 1, "volume epoch salted into integrity checksums")
@@ -206,9 +205,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		Stripes:      *stripes,
 		FlushWorkers: *flushWorkers,
 		Monitor:      cluster.MonitorConfig{Interval: *heartbeat, FailAfter: *failAfter},
-	}
-	if *coalesce {
-		cfg.Coalesce = &store.CoalesceOptions{}
 	}
 	if *hedge {
 		cfg.Hedge = &cluster.HedgeConfig{}

@@ -8,13 +8,11 @@
 // transport timeouts), a spare is dialled and swapped in, and
 // store.RebuildDevice reconstructs the column in the background.
 //
-// Two latency defences ride along. A per-backend request coalescer
-// (store.CoalescingDevice), on the column seam, merges adjacent stripe
-// extents queued behind its in-flight call into single vectored calls.
-// Hedged reads (Config.Hedge) bound tail latency the "Tail at Scale"
-// way inside the store: when a client's block read outlives its
-// column's tracked latency percentile, the block is solved from n−m
-// sectors of its own row (checksum-verified with Config.Integrity) and
-// the slow answer is dropped. Only client reads hedge, so rebuilds,
-// scrubs and repairs see exactly what the columns answered.
+// One latency defence rides along. Hedged reads (Config.Hedge) bound
+// tail latency the "Tail at Scale" way inside the store: when a client's
+// block read outlives its column's tracked latency percentile, the block
+// is solved from n−m sectors of its own row (checksum-verified with
+// Config.Integrity) and the slow answer is dropped. Only client reads
+// hedge, so rebuilds, scrubs and repairs see exactly what the columns
+// answered.
 package cluster

@@ -22,9 +22,6 @@ import (
 // calls forward to the current device (over the wire for NetDevice).
 type column struct {
 	idx int
-	// wrap decorates every adopted device (the per-backend coalescer
-	// hooks in here); nil means no decoration.
-	wrap func(store.Device) store.Device
 	// onSuspect reports a transport-level error on live I/O to the
 	// failure detector. Typed results — SectorErrors, ErrDeviceFailed —
 	// are device states, not transport blips, and are not reported.
@@ -32,7 +29,6 @@ type column struct {
 
 	mu     sync.RWMutex
 	dev    store.Device
-	raw    store.Device // pre-wrap device: the transport itself (probes)
 	server Server
 	dead   bool
 
@@ -40,16 +36,10 @@ type column struct {
 	sectorSize int
 }
 
-func newColumn(idx int, server Server, dev store.Device, wrap func(store.Device) store.Device) *column {
-	raw := dev
-	if wrap != nil {
-		dev = wrap(dev)
-	}
+func newColumn(idx int, server Server, dev store.Device) *column {
 	return &column{
 		idx:        idx,
-		wrap:       wrap,
 		dev:        dev,
-		raw:        raw,
 		server:     server,
 		sectors:    dev.Sectors(),
 		sectorSize: dev.SectorSize(),
@@ -68,17 +58,6 @@ func (c *column) snapshot() (store.Device, error) {
 	return c.dev, nil
 }
 
-// rawDev returns the pre-wrap transport device (nil when dead) — the
-// monitor probes it directly, bypassing coalescing/wrapping layers.
-func (c *column) rawDev() store.Device {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.dead {
-		return nil
-	}
-	return c.raw
-}
-
 // markDead flips the column to fast-failing degraded state and drops
 // the dead transport. In-flight calls holding the old device surface
 // their own transport errors; new calls never touch the network.
@@ -87,7 +66,6 @@ func (c *column) markDead() {
 	dev := c.dev
 	c.dead = true
 	c.dev = nil
-	c.raw = nil
 	c.mu.Unlock()
 	if dev != nil {
 		dev.Close()
@@ -97,14 +75,9 @@ func (c *column) markDead() {
 // adopt swaps in a freshly dialled replacement. The column stays dead
 // until Replace: a read must not take the spare's blank sectors for data.
 func (c *column) adopt(dev store.Device, server Server) {
-	raw := dev
-	if c.wrap != nil {
-		dev = c.wrap(dev)
-	}
 	c.mu.Lock()
 	old := c.dev
 	c.dev = dev
-	c.raw = raw
 	c.server = server
 	c.mu.Unlock()
 	if old != nil {
@@ -183,7 +156,6 @@ func (c *column) Close() error {
 	c.mu.Lock()
 	dev := c.dev
 	c.dev = nil
-	c.raw = nil
 	c.mu.Unlock()
 	if dev == nil {
 		return nil

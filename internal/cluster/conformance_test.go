@@ -12,9 +12,9 @@ import (
 	"stair/internal/store/devtest"
 )
 
-// The cluster-backed device — a placement column dialled over the
-// NetDevice transport, with the per-backend coalescer in the stack —
-// must present the exact same Device contract as a local backend.
+// The cluster-backed device — a placement column over its dialled
+// NetDevice — must present the exact same Device contract as a local
+// backend.
 func TestDeviceConformanceClusterColumn(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
 		srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(sectors, sectorSize)))
@@ -23,15 +23,12 @@ func TestDeviceConformanceClusterColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrap := func(d store.Device) store.Device {
-			return store.NewCoalescingDevice(d, store.CoalesceOptions{})
-		}
-		return newColumn(0, Server{Name: "s0", URL: srv.URL}, dev, wrap)
+		return newColumn(0, Server{Name: "s0", URL: srv.URL}, dev)
 	})
 }
 
-// Over a file-backed server, the column stack (coalescer, NetDevice,
-// DeviceServer) carries a failed device's Sync answer through unchanged.
+// Over a file-backed server, the column stack (NetDevice, DeviceServer)
+// carries a failed device's Sync answer through unchanged.
 func TestDeviceConformanceClusterColumnFile(t *testing.T) {
 	devtest.RunDurable(t, func(t *testing.T, sectors, sectorSize int) store.FaultDevice {
 		fd, err := store.OpenFileDevice(filepath.Join(t.TempDir(), "dev.img"), sectors, sectorSize)
@@ -44,10 +41,7 @@ func TestDeviceConformanceClusterColumnFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrap := func(d store.Device) store.Device {
-			return store.NewCoalescingDevice(d, store.CoalesceOptions{})
-		}
-		return newColumn(0, Server{Name: "s0", URL: srv.URL}, dev, wrap)
+		return newColumn(0, Server{Name: "s0", URL: srv.URL}, dev)
 	})
 }
 
@@ -94,7 +88,7 @@ func TestColumnDeadFastFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := newColumn(0, Server{Name: "s0", URL: srv.URL}, dev, nil)
+	col := newColumn(0, Server{Name: "s0", URL: srv.URL}, dev)
 	col.markDead()
 	begin := time.Now()
 	err = col.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)})
@@ -115,7 +109,7 @@ func TestColumnDeadFastFail(t *testing.T) {
 		t.Fatal("dead column reports healthy")
 	}
 	// A closed column answers the same, not with a nil device.
-	live := newColumn(1, Server{Name: "s0", URL: srv.URL}, dev, nil)
+	live := newColumn(1, Server{Name: "s0", URL: srv.URL}, dev)
 	live.Close()
 	if err := live.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)}); err != store.ErrDeviceFailed {
 		t.Fatalf("closed column read: %v, want ErrDeviceFailed", err)
@@ -131,7 +125,7 @@ func TestColumnSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 1})
-	col := newColumn(0, Server{Name: "s0", URL: srv.URL}, dev, nil)
+	col := newColumn(0, Server{Name: "s0", URL: srv.URL}, dev)
 	suspects := make(chan int, 4)
 	col.onSuspect = func(c int, err error) { suspects <- c }
 

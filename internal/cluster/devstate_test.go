@@ -50,8 +50,8 @@ func (f *countedFleet) count(key string) int {
 }
 
 // openCountedFleet opens a volume at the benchmark's cluster geometry
-// (n=8, r=16, m=2, 9 stripes of 4 KiB sectors) with the coalescer,
-// hedging and the integrity layer at their defaults, and fills it.
+// (n=8, r=16, m=2, 9 stripes of 4 KiB sectors) with hedging and the
+// integrity layer at their defaults, and fills it.
 func openCountedFleet(t *testing.T) *countedFleet {
 	t.Helper()
 	code, err := core.New(core.Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
@@ -81,7 +81,6 @@ func openCountedFleet(t *testing.T) *countedFleet {
 		Dial: func(ctx context.Context, server Server) (store.Device, error) {
 			return store.DialNetDevice(ctx, server.URL, client)
 		},
-		Coalesce:      &store.CoalesceOptions{},
 		Hedge:         &HedgeConfig{},
 		Integrity:     &store.IntegrityOptions{Epoch: 1},
 		Monitor:       MonitorConfig{Interval: time.Hour},

@@ -37,7 +37,6 @@ func TestClusterKillFailoverRebuild(t *testing.T) {
 		SectorSize:   sectorSize,
 		Stripes:      stripes,
 		FlushWorkers: 2,
-		Coalesce:     &store.CoalesceOptions{},
 		Monitor:      MonitorConfig{Interval: 50 * time.Millisecond, Timeout: 40 * time.Millisecond, FailAfter: 2},
 	})
 	if err != nil {

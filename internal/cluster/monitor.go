@@ -124,8 +124,8 @@ func (m *monitor) sweep() {
 // FailAfter consecutive misses.
 func (m *monitor) probe(col int) {
 	c := m.v.cols[col]
-	dev := c.rawDev()
-	if dev == nil {
+	dev, err := c.snapshot()
+	if err != nil {
 		return // already dead; sweep handles failover retry
 	}
 	m.v.counters.heartbeats.Add(1)

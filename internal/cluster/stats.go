@@ -1,14 +1,10 @@
 package cluster
 
-import (
-	"sync/atomic"
-
-	"stair/internal/store"
-)
+import "sync/atomic"
 
 // Stats is a snapshot of the cluster layer's counters: the failure
-// detector's activity, failover and rebuild outcomes, and what the two
-// tail defences (hedging, coalescing) won.
+// detector's activity, failover and rebuild outcomes, and what hedged
+// reads won.
 type Stats struct {
 	// Heartbeats counts health probes issued; MissedHeartbeats counts
 	// probes that failed.
@@ -41,9 +37,9 @@ type Stats struct {
 	// the pool.
 	DeadColumns uint64 `json:"dead_columns"`
 	SparesLeft  uint64 `json:"spares_left"`
-	// Coalesce aggregates the per-column request coalescers (zero when
-	// coalescing is off).
-	Coalesce store.CoalesceStats `json:"coalesce"`
+	// Deprecated: always zero; there is no request coalescer. Kept until
+	// bench/ stops reading it.
+	Coalesce struct{ Reads, Writes, MergedReads, MergedWrites uint64 } `json:"-"`
 }
 
 // counters is the live atomic form of Stats.

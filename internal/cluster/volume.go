@@ -29,9 +29,8 @@ type Config struct {
 	// with the default HTTP client. Tests and benchmarks inject local
 	// or latency-shaped devices here.
 	Dial func(ctx context.Context, server Server) (store.Device, error)
-	// Coalesce, when non-nil, wraps every column in a per-backend
-	// request coalescer merging adjacent stripe extents into single
-	// vectored calls.
+	// Deprecated: has no effect; every column is its dialled device. Kept
+	// until bench/ stops setting it.
 	Coalesce *store.CoalesceOptions
 	// Hedge, when non-nil, hedges client block reads in the wrapped store
 	// (see store.Config.Hedge).
@@ -130,12 +129,6 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 	v.rebuildCtx, v.rebuildCancel = context.WithCancel(context.Background())
 	v.dial = dial
 
-	var wrap func(store.Device) store.Device
-	if cfg.Coalesce != nil {
-		opts := *cfg.Coalesce
-		wrap = func(d store.Device) store.Device { return store.NewCoalescingDevice(d, opts) }
-	}
-
 	v.cols = make([]*column, n)
 	devs := make([]store.Device, n)
 	for col := 0; col < n; col++ {
@@ -147,7 +140,7 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 			v.rebuildCancel()
 			return nil, fmt.Errorf("cluster: dialing %s (%s) for column %d: %w", placed[col].Name, placed[col].URL, col, err)
 		}
-		v.cols[col] = newColumn(col, placed[col], dev, wrap)
+		v.cols[col] = newColumn(col, placed[col], dev)
 		devs[col] = v.cols[col]
 	}
 
@@ -236,19 +229,6 @@ func (v *Volume) Stats() Stats {
 	for _, c := range v.cols {
 		if _, alive := c.state(); !alive {
 			s.DeadColumns++
-		}
-		dev, err := c.snapshot()
-		if err != nil {
-			continue
-		}
-		if cd, ok := dev.(*store.CoalescingDevice); ok {
-			cs := cd.Stats()
-			s.Coalesce.Reads += cs.Reads
-			s.Coalesce.Writes += cs.Writes
-			s.Coalesce.InnerReads += cs.InnerReads
-			s.Coalesce.InnerWrites += cs.InnerWrites
-			s.Coalesce.MergedReads += cs.MergedReads
-			s.Coalesce.MergedWrites += cs.MergedWrites
 		}
 	}
 	return s

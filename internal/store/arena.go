@@ -22,8 +22,8 @@ import (
 // Ownership: acquireStripe/acquireStripeBuf transfer a pooled stripe to
 // the caller; the matching release returns it once no device operation
 // can still reference it. An operation that ended with a context
-// cancellation may leave an abandoned inner operation (a coalesced
-// batch member, an in-flight HTTP body) holding the slab — such slabs
+// cancellation may leave an abandoned inner operation (a hedged read's
+// primary, an in-flight HTTP body) holding the slab — such slabs
 // are dropped to the GC instead of recycled (releaseStripeUnlessCancelled),
 // because the GC keeps them alive for the straggler while a pool reuse
 // would let it scribble over unrelated data.

@@ -703,8 +703,8 @@ func TestKilledSubStripeWriteBackRetriedInProcess(t *testing.T) {
 }
 
 // landThenCancelDevice lands one armed write in full and then reports
-// its context cancelled — a coalesced or in-flight remote write that
-// completes after its caller has given up.
+// its context cancelled — an in-flight remote write that completes
+// after its caller has given up.
 type landThenCancelDevice struct {
 	*MemDevice
 	cancel func()

@@ -8,9 +8,9 @@ import (
 // Forwarder is the pass-through part of a Device wrapper, meant to be
 // embedded: geometry, Close, the Sync durability barrier and the
 // FaultDevice hooks all go to Inner, so a wrapper (LatencyDevice,
-// CoalescingDevice, scenario.FlakyDevice) writes only ReadSectors and
-// WriteSectors plus whatever it changes, and stays transparent to fault
-// injection whenever Inner supports it.
+// scenario.FlakyDevice) writes only ReadSectors and WriteSectors plus
+// whatever it changes, and stays transparent to fault injection
+// whenever Inner supports it.
 type Forwarder struct {
 	Inner Device
 }

@@ -48,6 +48,42 @@ func checkVolume(t *testing.T, s *store.Store, blocks [][]byte) {
 	}
 }
 
+// A wide flush pipeline over slow single-queue backends: 16 flush
+// workers' stripes queue behind each other on every device, and every
+// one of them must land whole.
+func TestFlushPipelineOverSerialDevices(t *testing.T) {
+	code, err := core.New(core.Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stripes, sector = 32, 512
+	mems := make([]store.Device, code.N())
+	devs := make([]store.Device, code.N())
+	for i := range devs {
+		mems[i] = store.NewMemDevice(stripes*code.R(), sector)
+		devs[i] = store.NewLatencyDeviceProfile(mems[i],
+			store.LatencyProfile{Latency: 2 * time.Millisecond, Serial: true})
+	}
+	cfg := store.Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs, FlushWorkers: 16}
+	s, err := store.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := writeVolume(t, s, rand.New(rand.NewSource(23)))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Read everything back from the bare devices: 640 lone reads at 2ms
+	// each would only slow the test down.
+	cfg.Devices, cfg.FlushWorkers = mems, 0
+	bare, err := store.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	checkVolume(t, bare, blocks)
+}
+
 // TestStoreUnderRaidFailurePatterns is the end-to-end acceptance test:
 // a volume survives m whole-device failures plus sector errors within
 // coverage e, serving every logical block correctly through the

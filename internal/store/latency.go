@@ -24,9 +24,9 @@ type LatencyProfile struct {
 	SpikeProb float64
 	// Serial queues calls behind each other, like a single-spindle disk
 	// or a one-connection transport: two concurrent calls cost two
-	// latencies of wall clock, not one. This is the regime coalescing
-	// adjacent extents exists for (measured: level with no coalescer at
-	// 2–16 flush workers, where a concurrent device loses 1.3–1.5× at 16).
+	// latencies of wall clock, not one, so a wide flush pipeline over
+	// such devices is bounded by its calls per device, not by how many
+	// it overlaps.
 	Serial bool
 	// Seed, when non-zero, seeds the device's private jitter/spike RNG,
 	// making the simulated timing sequence reproducible run to run —
@@ -40,8 +40,8 @@ type LatencyProfile struct {
 // LatencyDevice wraps a Device and charges a per-call latency profile,
 // simulating remote media where every operation is a round trip. Because
 // the cost is per call, not per sector, it makes the value of vectored
-// I/O (and of merging adjacent extents) measurable: a full-stripe flush
-// pays one latency hit per device instead of R.
+// I/O measurable: a full-stripe flush pays one latency hit per device
+// instead of R.
 //
 // The sleep honors context cancellation, so a slow simulated backend
 // cannot wedge a store operation past its deadline. Geometry, Close and

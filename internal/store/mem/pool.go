@@ -18,7 +18,7 @@
 //     a foreign buffer is always safe, never wrong.
 //   - A buffer handed to an operation that returned a context
 //     cancellation error may still be referenced by an abandoned inner
-//     operation (a coalesced batch, an in-flight HTTP body). Such
+//     operation (a hedged read's primary, an in-flight HTTP body). Such
 //     buffers must be dropped, not Released: the GC keeps them alive
 //     for the straggler, whereas recycling would let it scribble over
 //     an unrelated operation's data.

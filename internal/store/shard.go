@@ -97,7 +97,7 @@ func (sh *lockShard) writable(p core.Pattern) []core.Cell {
 
 // dropScratchOnCancel abandons the shard's I/O scratch after a device
 // call that ended by context cancellation: an abandoned inner operation
-// (e.g. a coalesced batch member) may still hold the vector and iterate
+// (e.g. a hedged read's primary) may still hold the vector and iterate
 // it later, so the next operation must get a fresh one.
 func (sh *lockShard) dropScratchOnCancel() {
 	sh.rows = nil

@@ -145,6 +145,13 @@ type IntegrityOptions struct {
 	DisableVerify bool
 }
 
+// CoalesceOptions has no fields.
+//
+// Deprecated: has no effect; there is no request coalescer, and every
+// device call goes straight to its device. Kept until bench/ stops
+// naming it.
+type CoalesceOptions struct{}
+
 // IntegrityMetaSectors returns the per-device sidecar size, in sectors,
 // the integrity layer needs for a volume of the given geometry — the
 // amount to add to each device's Stripes×R data sectors.

@@ -20,6 +20,56 @@ const (
 	sweepRebuild = 2 // the replaced column RebuildDevice restores
 )
 
+// gateDevice, once its channels are set, parks each vectored call until
+// the test lets it go or the call's context is done, so a test sees
+// without a clock how many calls are in flight at once.
+type gateDevice struct {
+	store.FaultDevice
+	entered chan struct{} // one token per parked call
+	release chan struct{} // one token frees one parked call
+}
+
+// park holds a call until the test releases it, or its caller gives up.
+func (g *gateDevice) park(ctx context.Context) error {
+	if g.entered == nil {
+		return nil
+	}
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (g *gateDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	if err := g.park(ctx); err != nil {
+		return err
+	}
+	return g.FaultDevice.ReadSectors(ctx, start, bufs)
+}
+
+func (g *gateDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
+	if err := g.park(ctx); err != nil {
+		return err
+	}
+	return g.FaultDevice.WriteSectors(ctx, start, data)
+}
+
+// awaitParked blocks until n more calls are parked in the gate
+// together; the timeout only turns a hang into a message.
+func (g *gateDevice) awaitParked(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d calls reached the device", i, n)
+		}
+	}
+}
+
 // withProcs runs the rest of the test at GOMAXPROCS=n, which sets a
 // sweep's width.
 func withProcs(t *testing.T, n int) {
