@@ -320,8 +320,8 @@ func BenchmarkDecodeScheduleBuild(b *testing.B) {
 		// vary the pattern slightly to defeat the cache.
 		l := append([]core.Cell{}, lost...)
 		l[len(l)-1].Row = 8 + i%8
-		if _, err := c.RepairCost(l); err != nil {
-			b.Fatal(err)
+		if ok, err := c.CanRecover(l); err != nil || !ok {
+			b.Fatal(ok, err)
 		}
 	}
 }

@@ -533,13 +533,9 @@ func cmdStats(ctx context.Context, args []string) (err error) {
 		t.ScrubbedStripes, t.ScrubHits, t.RepairedSectors, t.RepairedStripes, t.RepairDrops, t.UnrecoverableStripes)
 	fmt.Printf("          journaled flushes=%d crash-recovered stripes=%d\n",
 		t.JournaledFlushes, t.RecoveredStripes)
-	on, verifying := s.IntegrityEnabled()
 	mode := "off"
-	switch {
-	case on && verifying:
+	if s.IntegrityEnabled() {
 		mode = "on"
-	case on:
-		mode = "records only (verification disabled)"
 	}
 	fmt.Printf("integrity: %s; verified sectors=%d checksum mismatches=%d\n",
 		mode, t.VerifiedSectors, t.ChecksumMismatches)

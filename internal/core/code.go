@@ -127,11 +127,11 @@ func New(cfg Config) (*Code, error) {
 	c.rows = c.r + c.eMax
 	c.cols = c.n + c.mPrime
 
-	c.crow, err = rs.New(c.f, c.n+c.mPrime, c.n-c.m, norm.Kind)
+	c.crow, err = rs.New(c.f, c.n+c.mPrime, c.n-c.m, rs.Cauchy)
 	if err != nil {
 		return nil, fmt.Errorf("core: building Crow: %w", err)
 	}
-	c.ccol, err = rs.New(c.f, c.r+c.eMax, c.r, norm.Kind)
+	c.ccol, err = rs.New(c.f, c.r+c.eMax, c.r, rs.Cauchy)
 	if err != nil {
 		return nil, fmt.Errorf("core: building Ccol: %w", err)
 	}

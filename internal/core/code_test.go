@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"stair/internal/rs"
 )
 
 // exemplary returns the paper's running example: n=8, r=4, m=2, e=(1,1,2)
@@ -426,15 +424,5 @@ func TestStringers(t *testing.T) {
 		if cc.String() == "" {
 			t.Error("CellClass.String empty")
 		}
-	}
-}
-
-func TestVandermondeKindWorks(t *testing.T) {
-	c, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}, Kind: rs.Vandermonde})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Cost(MethodUpstairs); got != costUpstairsFormula(8, 4, 2, 4, 2) {
-		t.Errorf("vandermonde upstairs cost = %d", got)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"stair/internal/gf"
-	"stair/internal/rs"
 )
 
 // Placement selects where the s global parity symbols live.
@@ -80,9 +79,6 @@ type Config struct {
 	W int
 	// Placement selects inside (default) or outside global parities.
 	Placement Placement
-	// Kind selects the MDS building block for Crow and Ccol. The
-	// default (Cauchy) matches the paper.
-	Kind rs.Kind
 }
 
 // normalized returns a validated copy of the config with E sorted

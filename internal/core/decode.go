@@ -289,16 +289,6 @@ func (c *Code) CanRecover(lost []Cell) (bool, error) {
 	return err == nil, err
 }
 
-// RepairCost returns the number of Mult_XORs actually executed to repair
-// the given pattern, or ErrUnrecoverable.
-func (c *Code) RepairCost(lost []Cell) (int, error) {
-	pl, err := c.repairPlan(lost)
-	if err != nil {
-		return 0, err
-	}
-	return pl.sch.actualCost, nil
-}
-
 // CoverageContains reports whether a failure pattern lies within the
 // coverage the code is constructed to tolerate: at most m chunks may be
 // fully failed (any number of lost sectors), and after setting those

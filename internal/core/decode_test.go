@@ -112,11 +112,11 @@ func TestRepairSingleSector(t *testing.T) {
 		for row := 0; row < c.R(); row++ {
 			lost := []Cell{{Col: col, Row: row}}
 			repairAndCheck(t, c, lost, int64(col*7+row))
-			cost, err := c.RepairCost(lost)
+			pl, err := c.repairPlan(lost)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cost > c.N()-c.M() {
+			if cost := pl.sch.actualCost; cost > c.N()-c.M() {
 				t.Errorf("single sector %v repair cost %d, want ≤ n−m=%d", lost[0], cost, c.N()-c.M())
 			}
 		}
@@ -288,10 +288,11 @@ func TestRepairStairCellLoss(t *testing.T) {
 
 func TestRepairCostWorstCaseReasonable(t *testing.T) {
 	c := exemplary(t, Inside)
-	cost, err := c.RepairCost(worstCaseLost(c))
+	pl, err := c.repairPlan(worstCaseLost(c))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost := pl.sch.actualCost
 	if cost <= 0 {
 		t.Error("worst-case repair cost should be positive")
 	}
@@ -306,7 +307,7 @@ func TestRepairCostWorstCaseReasonable(t *testing.T) {
 func TestDecodeCacheReuse(t *testing.T) {
 	c := exemplary(t, Inside)
 	lost := worstCaseLost(c)
-	if _, err := c.RepairCost(lost); err != nil {
+	if _, err := c.repairPlan(lost); err != nil {
 		t.Fatal(err)
 	}
 	c.decodeMu.Lock()
@@ -318,7 +319,7 @@ func TestDecodeCacheReuse(t *testing.T) {
 	// Same pattern in different order must hit the same entry.
 	shuffled := append([]Cell{}, lost...)
 	sort.Slice(shuffled, func(i, j int) bool { return shuffled[i].Row < shuffled[j].Row })
-	if _, err := c.RepairCost(shuffled); err != nil {
+	if _, err := c.repairPlan(shuffled); err != nil {
 		t.Fatal(err)
 	}
 	c.decodeMu.Lock()

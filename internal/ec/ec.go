@@ -1,11 +1,11 @@
 // Package ec is the neutral contract every stripe code in this
 // repository sits behind: one Cell type addressing a sector and one
 // Code interface that STAIR (internal/core, including its Reed-Solomon
-// degeneration with an empty e), SD (internal/sd) and IDR (internal/idr)
-// all satisfy, so a harness — a speed measurement, an exhaustive
-// coverage oracle, a sampled failure study — is written once against
-// the interface and handed any of them, the way the paper's §6 compares
-// the codes over one stripe shape with one methodology.
+// degeneration with an empty e) and SD (internal/sd) both satisfy, so a
+// harness — a speed measurement, an exhaustive coverage oracle, a
+// sampled failure study — is written once against the interface and
+// handed either, the way the paper's §6 compares the codes over one
+// stripe shape with one methodology.
 //
 // It is a leaf: the code packages import it, it imports none of them.
 package ec
@@ -23,9 +23,8 @@ func (c Cell) String() string { return fmt.Sprintf("(%d,%d)", c.Col, c.Row) }
 
 // Code is a systematic erasure code over a stripe of N chunks × R
 // sectors, every sector a []byte of one common length, held as a flat
-// slice indexed col*R+row. *sd.Code and *idr.Code implement it
-// directly; (*core.Code).EC adapts STAIR, whose native API takes a
-// *core.Stripe.
+// slice indexed col*R+row. *sd.Code implements it directly;
+// (*core.Code).EC adapts STAIR, whose native API takes a *core.Stripe.
 type Code interface {
 	// N and R describe the stripe geometry: N chunks of R sectors.
 	N() int
@@ -47,8 +46,6 @@ type Code interface {
 	//   - SD is rank-exact: true iff the lost cells' columns of the
 	//     parity-check matrix are independent, so patterns beyond
 	//     m chunks + s sectors that happen to be solvable are true.
-	//   - IDR is coverage-only: true iff at most m chunks lose more
-	//     than ϵ sectors, which is exactly what its Repair attempts.
 	//   - STAIR is peel-based: true iff its row/column peeling decoder
 	//     finds a repair schedule. That covers the (m, e) coverage and
 	//     the out-of-coverage patterns that peel by luck, but a pattern

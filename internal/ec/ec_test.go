@@ -7,16 +7,12 @@ import (
 
 	"stair/internal/core"
 	"stair/internal/ec"
-	"stair/internal/idr"
 	"stair/internal/sd"
 )
 
-// SD and IDR satisfy the contract directly; STAIR through the one
-// adapter, (*core.Code).EC.
-var (
-	_ ec.Code = (*sd.Code)(nil)
-	_ ec.Code = (*idr.Code)(nil)
-)
+// SD satisfies the contract directly; STAIR through the one adapter,
+// (*core.Code).EC.
+var _ ec.Code = (*sd.Code)(nil)
 
 // wholeChunks lists every cell of chunks [0, k) of a stripe with r rows.
 func wholeChunks(k, r int) []ec.Cell {
@@ -48,15 +44,6 @@ func TestConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idrCode, err := idr.New(idr.Config{N: n, R: r, M: m, Epsilon: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// IDR's allowance is ϵ sectors in every surviving chunk.
-	var idrSectors []ec.Cell
-	for col := m; col < n; col++ {
-		idrSectors = append(idrSectors, ec.Cell{Col: col, Row: col % r})
-	}
 	for _, tc := range []struct {
 		name    string
 		code    ec.Code
@@ -66,7 +53,6 @@ func TestConformance(t *testing.T) {
 			[]ec.Cell{{Col: 3, Row: 0}, {Col: 5, Row: 3}, {Col: 6, Row: 1}, {Col: 6, Row: 2}}},
 		{"STAIR e=∅ (Reed-Solomon)", stair(nil), nil},
 		{"SD s=2", sdCode, []ec.Cell{{Col: 2, Row: 0}, {Col: 7, Row: 3}}},
-		{"IDR ϵ=1", idrCode, idrSectors},
 	} {
 		code := tc.code
 		if code.N() != n || code.R() != r {

@@ -65,22 +65,6 @@ func Cauchy(f *gf.Field, xs, ys []uint32) (*Matrix, error) {
 	return m, nil
 }
 
-// Vandermonde builds the rows×cols matrix V with V[i][j] = i^j (the i-th
-// evaluation point raised to the column power), using points 0..rows-1.
-// Requires rows ≤ field size.
-func Vandermonde(f *gf.Field, rows, cols int) (*Matrix, error) {
-	if rows > f.Size() {
-		return nil, fmt.Errorf("matrix: Vandermonde needs %d distinct points but field has %d elements", rows, f.Size())
-	}
-	m := New(f, rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, f.Exp(uint32(i), j))
-		}
-	}
-	return m, nil
-}
-
 // Field returns the field the matrix is defined over.
 func (m *Matrix) Field() *gf.Field { return m.f }
 
@@ -323,76 +307,4 @@ func (m *Matrix) String() string {
 		s += "\n"
 	}
 	return s
-}
-
-// SystematicFromVandermonde builds an eta×kappa matrix whose top kappa×kappa
-// block is the identity and whose every kappa-row subset is invertible.
-// This is the classic Plank construction for systematic Reed-Solomon
-// generator matrices: start from an eta×kappa Vandermonde matrix (distinct
-// evaluation points, so every kappa×kappa submatrix is invertible) and
-// apply elementary column operations — which preserve that property — to
-// reduce the top block to the identity.
-func SystematicFromVandermonde(f *gf.Field, eta, kappa int) (*Matrix, error) {
-	if kappa <= 0 || eta < kappa {
-		return nil, fmt.Errorf("matrix: invalid code shape eta=%d kappa=%d", eta, kappa)
-	}
-	v, err := Vandermonde(f, eta, kappa)
-	if err != nil {
-		return nil, err
-	}
-	// Column-reduce the top kappa×kappa block to the identity.
-	for col := 0; col < kappa; col++ {
-		// Ensure v[col][col] != 0 by swapping columns if needed.
-		if v.At(col, col) == 0 {
-			swapped := false
-			for c2 := col + 1; c2 < kappa; c2++ {
-				if v.At(col, c2) != 0 {
-					v.swapCols(col, c2)
-					swapped = true
-					break
-				}
-			}
-			if !swapped {
-				return nil, ErrSingular
-			}
-		}
-		// Scale the column so the diagonal is 1.
-		pinv := f.Inv(v.At(col, col))
-		v.scaleCol(col, pinv)
-		// Eliminate row `col` from all other columns.
-		for c2 := 0; c2 < kappa; c2++ {
-			if c2 == col {
-				continue
-			}
-			factor := v.At(col, c2)
-			if factor != 0 {
-				v.addScaledCol(c2, col, factor)
-			}
-		}
-	}
-	return v, nil
-}
-
-func (m *Matrix) swapCols(i, j int) {
-	for r := 0; r < m.rows; r++ {
-		vi, vj := m.At(r, i), m.At(r, j)
-		m.Set(r, i, vj)
-		m.Set(r, j, vi)
-	}
-}
-
-func (m *Matrix) scaleCol(j int, c uint32) {
-	for r := 0; r < m.rows; r++ {
-		m.Set(r, j, m.f.Mul(m.At(r, j), c))
-	}
-}
-
-// addScaledCol does col[dst] ^= c·col[src].
-func (m *Matrix) addScaledCol(dst, src int, c uint32) {
-	for r := 0; r < m.rows; r++ {
-		v := m.At(r, src)
-		if v != 0 {
-			m.Set(r, dst, m.At(r, dst)^m.f.Mul(c, v))
-		}
-	}
 }

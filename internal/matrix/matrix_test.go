@@ -163,63 +163,6 @@ func TestCauchyRejectsDuplicatePoints(t *testing.T) {
 	}
 }
 
-func TestVandermondeShape(t *testing.T) {
-	f := gf.Get(8)
-	v, err := Vandermonde(f, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if v.At(i, 0) != 1 {
-			t.Errorf("V[%d][0] = %d, want 1", i, v.At(i, 0))
-		}
-		if v.At(i, 1) != uint32(i) {
-			t.Errorf("V[%d][1] = %d, want %d", i, v.At(i, 1), i)
-		}
-	}
-}
-
-func TestVandermondeTooManyPoints(t *testing.T) {
-	f := gf.Get(4)
-	if _, err := Vandermonde(f, 17, 3); err == nil {
-		t.Error("expected error for rows > field size")
-	}
-}
-
-func TestSystematicFromVandermonde(t *testing.T) {
-	for _, w := range []int{8, 16} {
-		f := gf.Get(w)
-		for _, shape := range []struct{ eta, kappa int }{
-			{6, 4}, {11, 6}, {10, 1}, {5, 5}, {20, 13},
-		} {
-			g, err := SystematicFromVandermonde(f, shape.eta, shape.kappa)
-			if err != nil {
-				t.Fatalf("w=%d shape=%v: %v", w, shape, err)
-			}
-			// Top block must be identity.
-			for i := 0; i < shape.kappa; i++ {
-				for j := 0; j < shape.kappa; j++ {
-					want := uint32(0)
-					if i == j {
-						want = 1
-					}
-					if g.At(i, j) != want {
-						t.Fatalf("w=%d shape=%v: top block not identity at (%d,%d)", w, shape, i, j)
-					}
-				}
-			}
-			// Every kappa-row subset must be invertible (spot check).
-			rng := rand.New(rand.NewSource(int64(w + shape.eta)))
-			for trial := 0; trial < 30; trial++ {
-				rows := rng.Perm(shape.eta)[:shape.kappa]
-				if _, err := g.SelectRows(rows).Invert(); err != nil {
-					t.Fatalf("w=%d shape=%v rows=%v: submatrix singular (not MDS)", w, shape, rows)
-				}
-			}
-		}
-	}
-}
-
 func TestRank(t *testing.T) {
 	f := gf.Get(8)
 	if got := Identity(f, 4).Rank(); got != 4 {

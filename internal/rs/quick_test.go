@@ -17,11 +17,7 @@ func TestQuickRoundtrip(t *testing.T) {
 		kappa := 1 + int(kappaRaw)%12
 		eta := kappa + 1 + int(etaRaw)%8
 		rng := rand.New(rand.NewSource(seed))
-		kind := Cauchy
-		if seed%2 == 0 {
-			kind = Vandermonde
-		}
-		c, err := New(f, eta, kappa, kind)
+		c, err := New(f, eta, kappa, Cauchy)
 		if err != nil {
 			return false
 		}
@@ -63,7 +59,7 @@ func TestQuickRoundtrip(t *testing.T) {
 // κ-subset gives the stored value.
 func TestQuickSolveCoeffsConsistency(t *testing.T) {
 	f := gf.Get(8)
-	c, err := NewCauchy(f, 10, 6)
+	c, err := New(f, 10, 6, Cauchy)
 	if err != nil {
 		t.Fatal(err)
 	}

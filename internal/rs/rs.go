@@ -1,6 +1,6 @@
 // Package rs implements systematic maximum-distance-separable (MDS)
-// erasure codes over GF(2^w): Cauchy Reed-Solomon codes (the paper's
-// default building block, §3) and Vandermonde-derived Reed-Solomon codes.
+// erasure codes over GF(2^w): Cauchy Reed-Solomon codes, the paper's
+// building block (§3).
 //
 // An (eta, kappa) code transforms kappa data symbols into an eta-symbol
 // codeword whose first kappa symbols are the data itself (systematic) and
@@ -16,28 +16,20 @@ import (
 	"stair/internal/matrix"
 )
 
-// Kind selects the generator-matrix construction.
+// Kind selects the generator-matrix construction. Cauchy is the only
+// one; the type stays because the benchmark module passes it to New.
 type Kind int
 
-const (
-	// Cauchy builds the parity block from a Cauchy matrix (the paper's
-	// choice: Cauchy Reed-Solomon codes have no restriction on code
-	// length or fault tolerance beyond eta ≤ 2^w).
-	Cauchy Kind = iota
-	// Vandermonde builds the generator by column-reducing a Vandermonde
-	// matrix (classic Plank systematic Reed-Solomon construction).
-	Vandermonde
-)
+// Cauchy builds the parity block from a Cauchy matrix (the paper's
+// choice: Cauchy Reed-Solomon codes have no restriction on code length
+// or fault tolerance beyond eta ≤ 2^w).
+const Cauchy Kind = 0
 
 func (k Kind) String() string {
-	switch k {
-	case Cauchy:
+	if k == Cauchy {
 		return "cauchy"
-	case Vandermonde:
-		return "vandermonde"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Code is a systematic (eta, kappa) MDS code. Codewords are indexed
@@ -47,14 +39,17 @@ type Code struct {
 	f     *gf.Field
 	eta   int
 	kappa int
-	kind  Kind
 	// gen is the eta×kappa generator: codeword = gen · data (column
 	// vector), with the top kappa×kappa block the identity.
 	gen *matrix.Matrix
 }
 
-// New constructs an (eta, kappa) systematic MDS code of the given kind.
+// New constructs an (eta, kappa) systematic Cauchy MDS code. kind must
+// be Cauchy.
 func New(f *gf.Field, eta, kappa int, kind Kind) (*Code, error) {
+	if kind != Cauchy {
+		return nil, fmt.Errorf("rs: unknown kind %v", kind)
+	}
 	if kappa < 1 {
 		return nil, fmt.Errorf("rs: kappa=%d must be ≥ 1", kappa)
 	}
@@ -64,48 +59,27 @@ func New(f *gf.Field, eta, kappa int, kind Kind) (*Code, error) {
 	if eta > f.Size() {
 		return nil, fmt.Errorf("rs: eta=%d exceeds field size 2^%d=%d; use a wider field", eta, f.W(), f.Size())
 	}
-	c := &Code{f: f, eta: eta, kappa: kappa, kind: kind}
-	switch kind {
-	case Cauchy:
-		if eta == kappa {
-			c.gen = matrix.Identity(f, kappa)
-			break
-		}
-		xs := make([]uint32, eta-kappa)
-		ys := make([]uint32, kappa)
-		for i := range xs {
-			xs[i] = uint32(kappa + i)
-		}
-		for j := range ys {
-			ys[j] = uint32(j)
-		}
-		// parity block A[i][j] = 1/(xs[i] + ys[j]); rows are parity
-		// positions, columns are data positions.
-		a, err := matrix.Cauchy(f, ys, xs) // |xs|×|ys| = rows over parity positions
-		if err != nil {
-			return nil, fmt.Errorf("rs: building Cauchy parity block: %w", err)
-		}
-		c.gen = stack(matrix.Identity(f, kappa), a)
-	case Vandermonde:
-		g, err := matrix.SystematicFromVandermonde(f, eta, kappa)
-		if err != nil {
-			return nil, fmt.Errorf("rs: building Vandermonde generator: %w", err)
-		}
-		c.gen = g
-	default:
-		return nil, fmt.Errorf("rs: unknown kind %v", kind)
+	c := &Code{f: f, eta: eta, kappa: kappa}
+	if eta == kappa {
+		c.gen = matrix.Identity(f, kappa)
+		return c, nil
 	}
+	xs := make([]uint32, eta-kappa)
+	ys := make([]uint32, kappa)
+	for i := range xs {
+		xs[i] = uint32(kappa + i)
+	}
+	for j := range ys {
+		ys[j] = uint32(j)
+	}
+	// parity block A[i][j] = 1/(xs[i] + ys[j]); rows are parity
+	// positions, columns are data positions.
+	a, err := matrix.Cauchy(f, ys, xs) // |xs|×|ys| = rows over parity positions
+	if err != nil {
+		return nil, fmt.Errorf("rs: building Cauchy parity block: %w", err)
+	}
+	c.gen = stack(matrix.Identity(f, kappa), a)
 	return c, nil
-}
-
-// NewCauchy is shorthand for New(f, eta, kappa, Cauchy).
-func NewCauchy(f *gf.Field, eta, kappa int) (*Code, error) {
-	return New(f, eta, kappa, Cauchy)
-}
-
-// NewVandermonde is shorthand for New(f, eta, kappa, Vandermonde).
-func NewVandermonde(f *gf.Field, eta, kappa int) (*Code, error) {
-	return New(f, eta, kappa, Vandermonde)
 }
 
 // stack returns the vertical concatenation [top; bottom].
@@ -136,15 +110,8 @@ func (c *Code) Eta() int { return c.eta }
 // Kappa returns the number of data symbols.
 func (c *Code) Kappa() int { return c.kappa }
 
-// Kind returns the generator construction used.
-func (c *Code) Kind() Kind { return c.kind }
-
 // Generator returns a copy of the eta×kappa generator matrix.
 func (c *Code) Generator() *matrix.Matrix { return c.gen.Clone() }
-
-// Coeff returns the generator coefficient of codeword position pos with
-// respect to data symbol j.
-func (c *Code) Coeff(pos, j int) uint32 { return c.gen.At(pos, j) }
 
 // EncodeSymbols returns the eta−kappa parity symbols for the given kappa
 // data symbols.
@@ -252,45 +219,6 @@ func (c *Code) Reconstruct(codeword []uint32, present []bool) error {
 			}
 		}
 		codeword[w] = acc
-	}
-	return nil
-}
-
-// ReconstructRegions fills in missing regions of a codeword of regions.
-// regions[i] must all share one length; present[i] marks validity. Missing
-// regions are overwritten in place.
-func (c *Code) ReconstructRegions(regions [][]byte, present []bool) error {
-	if len(regions) != c.eta || len(present) != c.eta {
-		return fmt.Errorf("rs: regions/present length must be %d", c.eta)
-	}
-	var have, want []int
-	for i, ok := range present {
-		if ok {
-			have = append(have, i)
-		} else {
-			want = append(want, i)
-		}
-	}
-	if len(want) == 0 {
-		return nil
-	}
-	k, err := c.SolveCoeffs(have, want)
-	if err != nil {
-		return err
-	}
-	// Source-major, like EncodeRegions: one fused pass per surviving
-	// region updating every missing region.
-	outs := make([][]byte, len(want))
-	for i, w := range want {
-		outs[i] = regions[w]
-		gf.Zero(regions[w])
-	}
-	coeffs := make([]uint32, len(want))
-	for j := 0; j < c.kappa; j++ {
-		for i := range want {
-			coeffs[i] = k.At(i, j)
-		}
-		c.f.MultXORFused(outs, regions[have[j]], coeffs)
 	}
 	return nil
 }

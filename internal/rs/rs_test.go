@@ -1,14 +1,11 @@
 package rs
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"stair/internal/gf"
 )
-
-var kinds = []Kind{Cauchy, Vandermonde}
 
 func TestNewValidation(t *testing.T) {
 	f := gf.Get(8)
@@ -24,18 +21,19 @@ func TestNewValidation(t *testing.T) {
 		{3, 4, false},     // eta < kappa
 		{5, 0, false},
 	}
-	for _, kind := range kinds {
-		for _, tc := range cases {
-			_, err := New(f, tc.eta, tc.kappa, kind)
-			if (err == nil) != tc.ok {
-				t.Errorf("New(%d,%d,%v): err=%v, want ok=%v", tc.eta, tc.kappa, kind, err, tc.ok)
-			}
+	for _, tc := range cases {
+		_, err := New(f, tc.eta, tc.kappa, Cauchy)
+		if (err == nil) != tc.ok {
+			t.Errorf("New(%d,%d): err=%v, want ok=%v", tc.eta, tc.kappa, err, tc.ok)
 		}
+	}
+	if _, err := New(f, 6, 4, Kind(1)); err == nil {
+		t.Error("New accepted a kind other than Cauchy")
 	}
 }
 
 func TestKindString(t *testing.T) {
-	if Cauchy.String() != "cauchy" || Vandermonde.String() != "vandermonde" {
+	if Cauchy.String() != "cauchy" {
 		t.Error("Kind.String wrong")
 	}
 	if Kind(42).String() == "" {
@@ -45,73 +43,69 @@ func TestKindString(t *testing.T) {
 
 func TestSystematicProperty(t *testing.T) {
 	f := gf.Get(8)
-	for _, kind := range kinds {
-		c, err := New(f, 9, 5, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := c.Generator()
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 5; j++ {
-				want := uint32(0)
-				if i == j {
-					want = 1
-				}
-				if g.At(i, j) != want {
-					t.Fatalf("kind=%v: generator top block not identity at (%d,%d)", kind, i, j)
-				}
+	c, err := New(f, 9, 5, Cauchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := c.Generator()
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 5; j++ {
+			want := uint32(0)
+			if i == j {
+				want = 1
+			}
+			if g.At(i, j) != want {
+				t.Fatalf("generator top block not identity at (%d,%d)", i, j)
 			}
 		}
 	}
 }
 
 // TestMDSProperty verifies the defining property: any kappa codeword
-// symbols recover the data, across both constructions and several shapes.
+// symbols recover the data, across several shapes.
 func TestMDSProperty(t *testing.T) {
 	for _, w := range []int{8, 16} {
 		f := gf.Get(w)
-		for _, kind := range kinds {
-			for _, shape := range []struct{ eta, kappa int }{
-				{6, 4}, {11, 6}, {6, 1}, {8, 7}, {18, 12},
-			} {
-				c, err := New(f, shape.eta, shape.kappa, kind)
-				if err != nil {
-					t.Fatal(err)
+		for _, shape := range []struct{ eta, kappa int }{
+			{6, 4}, {11, 6}, {6, 1}, {8, 7}, {18, 12},
+		} {
+			c, err := New(f, shape.eta, shape.kappa, Cauchy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(w*100 + shape.eta)))
+			data := make([]uint32, shape.kappa)
+			for i := range data {
+				data[i] = uint32(rng.Intn(f.Size()))
+			}
+			parity, err := c.EncodeSymbols(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := append(append([]uint32{}, data...), parity...)
+			for trial := 0; trial < 40; trial++ {
+				// Erase a random set of up to eta-kappa symbols.
+				nLost := 1 + rng.Intn(shape.eta-shape.kappa)
+				if shape.eta == shape.kappa {
+					break
 				}
-				rng := rand.New(rand.NewSource(int64(w*100 + shape.eta)))
-				data := make([]uint32, shape.kappa)
-				for i := range data {
-					data[i] = uint32(rng.Intn(f.Size()))
+				lost := rng.Perm(shape.eta)[:nLost]
+				cw := append([]uint32{}, full...)
+				present := make([]bool, shape.eta)
+				for i := range present {
+					present[i] = true
 				}
-				parity, err := c.EncodeSymbols(data)
-				if err != nil {
-					t.Fatal(err)
+				for _, l := range lost {
+					cw[l] = 0xdead & uint32(f.Size()-1)
+					present[l] = false
 				}
-				full := append(append([]uint32{}, data...), parity...)
-				for trial := 0; trial < 40; trial++ {
-					// Erase a random set of up to eta-kappa symbols.
-					nLost := 1 + rng.Intn(shape.eta-shape.kappa)
-					if shape.eta == shape.kappa {
-						break
-					}
-					lost := rng.Perm(shape.eta)[:nLost]
-					cw := append([]uint32{}, full...)
-					present := make([]bool, shape.eta)
-					for i := range present {
-						present[i] = true
-					}
-					for _, l := range lost {
-						cw[l] = 0xdead & uint32(f.Size()-1)
-						present[l] = false
-					}
-					if err := c.Reconstruct(cw, present); err != nil {
-						t.Fatalf("w=%d kind=%v shape=%v lost=%v: %v", w, kind, shape, lost, err)
-					}
-					for i := range cw {
-						if cw[i] != full[i] {
-							t.Fatalf("w=%d kind=%v shape=%v lost=%v: symbol %d = %d, want %d",
-								w, kind, shape, lost, i, cw[i], full[i])
-						}
+				if err := c.Reconstruct(cw, present); err != nil {
+					t.Fatalf("w=%d shape=%v lost=%v: %v", w, shape, lost, err)
+				}
+				for i := range cw {
+					if cw[i] != full[i] {
+						t.Fatalf("w=%d shape=%v lost=%v: symbol %d = %d, want %d",
+							w, shape, lost, i, cw[i], full[i])
 					}
 				}
 			}
@@ -121,7 +115,7 @@ func TestMDSProperty(t *testing.T) {
 
 func TestEncodeSymbolsLengthCheck(t *testing.T) {
 	f := gf.Get(8)
-	c, _ := NewCauchy(f, 6, 4)
+	c, _ := New(f, 6, 4, Cauchy)
 	if _, err := c.EncodeSymbols(make([]uint32, 3)); err == nil {
 		t.Error("expected length error")
 	}
@@ -129,83 +123,45 @@ func TestEncodeSymbolsLengthCheck(t *testing.T) {
 
 func TestEncodeRegionsMatchesSymbols(t *testing.T) {
 	f := gf.Get(8)
-	for _, kind := range kinds {
-		c, err := New(f, 7, 4, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(3))
-		const regionLen = 64
-		data := make([][]byte, 4)
-		for i := range data {
-			data[i] = make([]byte, regionLen)
-			rng.Read(data[i])
-		}
-		parity := make([][]byte, 3)
-		for i := range parity {
-			parity[i] = make([]byte, regionLen)
-		}
-		if err := c.EncodeRegions(data, parity); err != nil {
-			t.Fatal(err)
-		}
-		// Check each byte position independently as a symbol codeword.
-		for pos := 0; pos < regionLen; pos++ {
-			syms := make([]uint32, 4)
-			for i := range syms {
-				syms[i] = uint32(data[i][pos])
-			}
-			want, err := c.EncodeSymbols(syms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := range parity {
-				if uint32(parity[p][pos]) != want[p] {
-					t.Fatalf("kind=%v: region encode mismatch at parity %d pos %d", kind, p, pos)
-				}
-			}
-		}
-	}
-}
-
-func TestReconstructRegions(t *testing.T) {
-	f := gf.Get(8)
-	c, err := NewCauchy(f, 6, 4)
+	c, err := New(f, 7, 4, Cauchy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
-	const regionLen = 128
-	regions := make([][]byte, 6)
-	for i := 0; i < 4; i++ {
-		regions[i] = make([]byte, regionLen)
-		rng.Read(regions[i])
+	rng := rand.New(rand.NewSource(3))
+	const regionLen = 64
+	data := make([][]byte, 4)
+	for i := range data {
+		data[i] = make([]byte, regionLen)
+		rng.Read(data[i])
 	}
-	regions[4] = make([]byte, regionLen)
-	regions[5] = make([]byte, regionLen)
-	if err := c.EncodeRegions(regions[:4], regions[4:]); err != nil {
+	parity := make([][]byte, 3)
+	for i := range parity {
+		parity[i] = make([]byte, regionLen)
+	}
+	if err := c.EncodeRegions(data, parity); err != nil {
 		t.Fatal(err)
 	}
-	orig := make([][]byte, 6)
-	for i := range orig {
-		orig[i] = append([]byte{}, regions[i]...)
-	}
-	// Lose data region 1 and parity region 5.
-	present := []bool{true, false, true, true, true, false}
-	gf.Zero(regions[1])
-	gf.Zero(regions[5])
-	if err := c.ReconstructRegions(regions, present); err != nil {
-		t.Fatal(err)
-	}
-	for i := range regions {
-		if !bytes.Equal(regions[i], orig[i]) {
-			t.Fatalf("region %d not reconstructed", i)
+	// Check each byte position independently as a symbol codeword.
+	for pos := 0; pos < regionLen; pos++ {
+		syms := make([]uint32, 4)
+		for i := range syms {
+			syms[i] = uint32(data[i][pos])
+		}
+		want, err := c.EncodeSymbols(syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range parity {
+			if uint32(parity[p][pos]) != want[p] {
+				t.Fatalf("region encode mismatch at parity %d pos %d", p, pos)
+			}
 		}
 	}
 }
 
 func TestSolveCoeffsIdentityOnKnownPosition(t *testing.T) {
 	f := gf.Get(8)
-	c, _ := NewCauchy(f, 6, 4)
+	c, _ := New(f, 6, 4, Cauchy)
 	// Reconstructing a position we already have must give the unit map.
 	k, err := c.SolveCoeffs([]int{0, 1, 2, 3}, []int{2})
 	if err != nil {
@@ -224,7 +180,7 @@ func TestSolveCoeffsIdentityOnKnownPosition(t *testing.T) {
 
 func TestSolveCoeffsErrors(t *testing.T) {
 	f := gf.Get(8)
-	c, _ := NewCauchy(f, 6, 4)
+	c, _ := New(f, 6, 4, Cauchy)
 	if _, err := c.SolveCoeffs([]int{0, 1, 2}, []int{4}); err == nil {
 		t.Error("expected error with too few known positions")
 	}
@@ -238,7 +194,7 @@ func TestSolveCoeffsErrors(t *testing.T) {
 
 func TestReconstructTooManyErasures(t *testing.T) {
 	f := gf.Get(8)
-	c, _ := NewCauchy(f, 6, 4)
+	c, _ := New(f, 6, 4, Cauchy)
 	cw := make([]uint32, 6)
 	present := []bool{true, true, true, false, false, false}
 	if err := c.Reconstruct(cw, present); err == nil {
@@ -248,7 +204,7 @@ func TestReconstructTooManyErasures(t *testing.T) {
 
 func TestDegenerateFullRateCode(t *testing.T) {
 	f := gf.Get(8)
-	c, err := NewCauchy(f, 4, 4)
+	c, err := New(f, 4, 4, Cauchy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +221,11 @@ func TestDegenerateFullRateCode(t *testing.T) {
 // paper's exemplary configuration (§3): Crow=(11,6), Ccol=(6,4).
 func TestCrowCcolShapes(t *testing.T) {
 	f := gf.Get(8)
-	crow, err := NewCauchy(f, 11, 6)
+	crow, err := New(f, 11, 6, Cauchy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccol, err := NewCauchy(f, 6, 4)
+	ccol, err := New(f, 6, 4, Cauchy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,6 @@ type TraceSpec struct {
 	Mix Mix
 	// Blocks is the addressable key space (the target's block count).
 	Blocks int
-	// ZipfS/ZipfV shape the hot-spot key distribution (rand.NewZipf);
-	// ZipfS ≤ 1 selects the defaults (s=1.2, v=1). Zipf ranks are
-	// scattered over the block space through a seeded permutation so
-	// hot keys do not cluster on the first stripes.
-	ZipfS, ZipfV float64
 	// BurstEvery/BurstLen/BurstFactor overlay open-loop arrival bursts:
 	// within every BurstEvery window, arrivals during the first
 	// BurstLen come BurstFactor× faster. Zero BurstEvery disables.
@@ -104,10 +99,14 @@ type TraceSpec struct {
 	BurstFactor float64
 }
 
+// zipfS and zipfV shape the hot-spot key distribution (rand.NewZipf).
+const zipfS, zipfV = 1.2, 1
+
 // GenTrace expands a spec into the concrete op sequence, sorted by
 // arrival time. Arrivals are exponential (open-loop Poisson) with the
-// burst overlay; keys are Zipfian over a seeded permutation of the
-// block space.
+// burst overlay; keys are Zipfian (zipfS, zipfV) over a seeded
+// permutation of the block space, so hot keys do not cluster on the
+// first stripes.
 func GenTrace(spec TraceSpec) ([]TraceOp, error) {
 	if spec.Blocks <= 0 {
 		return nil, fmt.Errorf("scenario: trace needs a positive block space, got %d", spec.Blocks)
@@ -118,15 +117,8 @@ func GenTrace(spec TraceSpec) ([]TraceOp, error) {
 	if len(spec.Mix.Entries) == 0 {
 		return nil, fmt.Errorf("scenario: trace mix %q has no entries", spec.Mix.Name)
 	}
-	s, v := spec.ZipfS, spec.ZipfV
-	if s <= 1 {
-		s, v = 1.2, 1
-	}
-	if v < 1 {
-		v = 1
-	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	zipf := rand.NewZipf(rng, s, v, uint64(spec.Blocks-1))
+	zipf := rand.NewZipf(rng, zipfS, zipfV, uint64(spec.Blocks-1))
 	perm := rng.Perm(spec.Blocks)
 	totalWeight := 0
 	for _, e := range spec.Mix.Entries {

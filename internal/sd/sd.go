@@ -40,18 +40,21 @@ type Config struct {
 	M int // chunk (device) failures tolerated
 	S int // additional sector failures tolerated (construction verified for S ≤ 3)
 	W int // Galois field word size; 0 selects 8 or 16 automatically
-	// VerifySamples is the number of random failure patterns checked at
-	// construction beyond the canonical worst case (default 64), used
-	// when the pattern space is too large to enumerate.
-	VerifySamples int
-	// ExhaustiveLimit caps the pattern count for exhaustive coverage
-	// verification (default 200000). Geometries whose full pattern
-	// space (m-chunk subsets × s-sector subsets) fits under the limit
-	// are verified exhaustively; construction then guarantees the SD
-	// property. Larger geometries are sample-verified, matching the
-	// search-based nature of published SD constructions.
-	ExhaustiveLimit int
 }
+
+const (
+	// exhaustiveLimit caps the pattern count for exhaustive coverage
+	// verification. Geometries whose full pattern space (m-chunk
+	// subsets × s-sector subsets) fits under it are verified
+	// exhaustively; construction then guarantees the SD property.
+	// Larger geometries are sample-verified, matching the search-based
+	// nature of published SD constructions.
+	exhaustiveLimit = 200000
+	// verifySamples is the number of random failure patterns checked at
+	// construction beyond the canonical worst case, when the pattern
+	// space is too large to enumerate.
+	verifySamples = 64
+)
 
 // Code is a compiled SD code. Immutable and safe for concurrent use.
 type Code struct {
@@ -102,12 +105,6 @@ func New(cfg Config) (*Code, error) {
 		widths = []int{cfg.W}
 	default:
 		return nil, fmt.Errorf("sd: unsupported W=%d", cfg.W)
-	}
-	if cfg.VerifySamples == 0 {
-		cfg.VerifySamples = 64
-	}
-	if cfg.ExhaustiveLimit == 0 {
-		cfg.ExhaustiveLimit = 200000
 	}
 	for _, w := range widths {
 		if cfg.N*cfg.R > 1<<w {
@@ -240,10 +237,10 @@ func (c *Code) buildDeps() {
 }
 
 // verify checks the claimed coverage: exhaustively when the pattern
-// space fits under ExhaustiveLimit, otherwise on the canonical worst
+// space fits under exhaustiveLimit, otherwise on the canonical worst
 // case plus a seeded sample of random patterns.
 func (c *Code) verify() bool {
-	if count, ok := c.patternSpaceSize(); ok && count <= c.cfg.ExhaustiveLimit {
+	if count, ok := c.patternSpaceSize(); ok && count <= exhaustiveLimit {
 		if c.verifyExhaustive() {
 			c.exhausted = true
 			return true
@@ -263,7 +260,7 @@ func (c *Code) verify() bool {
 		return false
 	}
 	rng := rand.New(rand.NewSource(int64(c.n*7 + c.r*11 + c.m*13 + c.s*17)))
-	for trial := 0; trial < c.cfg.VerifySamples; trial++ {
+	for trial := 0; trial < verifySamples; trial++ {
 		lost := c.randomCoveredPattern(rng)
 		if !c.patternSolvable(lost) {
 			return false

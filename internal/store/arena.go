@@ -82,7 +82,7 @@ func (s *Store) acquireStripe() *core.Stripe {
 // the buffer pool's are (mem.Poison). The stripe — and anything still
 // referencing its cells — must not be used afterwards. Safe on nil.
 func (s *Store) releaseStripe(st *core.Stripe) {
-	if st != nil && len(st.Cells) > 0 && mem.Enabled() {
+	if st != nil && len(st.Cells) > 0 {
 		mem.Poison(st.Cells[0][:s.slabLen])
 		s.stripePool.Put(st)
 	}

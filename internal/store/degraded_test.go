@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,20 +232,35 @@ func TestUnrecoverablePattern(t *testing.T) {
 }
 
 // TestRepairQueueBound: more damaged stripes than queue slots drops the
-// overflow (counted), and a later scrub pass converges anyway.
+// overflow (counted), and a later scrub pass converges anyway. The only
+// repair worker is parked after its first repair, so the first scrub
+// fills the queue and has to drop the rest.
 func TestRepairQueueBound(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 8, RepairQueue: 2})
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: repairQueueLen + 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark()
+	s.testRepairObserve = func(int) { <-release }
 	fillStore(t, s)
 	for stripe := 0; stripe < s.stripes; stripe++ {
 		if err := s.InjectSectorError(1, s.devSector(stripe, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := s.Scrub(bg); err != nil {
+		t.Fatal(err)
+	}
+	if drops := s.Stats().RepairDrops; drops == 0 {
+		t.Fatalf("%d damaged stripes behind a %d-slot queue dropped no repair", s.stripes, repairQueueLen)
+	}
+	unpark()
+	s.Quiesce()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.TotalBadSectors() > 0 {
 		if time.Now().After(deadline) {

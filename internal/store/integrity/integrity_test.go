@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"testing"
-
-	"stair/internal/store/mem"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -234,9 +232,6 @@ func TestSumIsTheSaltedCRC(t *testing.T) {
 // TestDigestPathsDoNotAllocate: verifying, staging and flushing records
 // are per-sector operations on the store's hot paths.
 func TestDigestPathsDoNotAllocate(t *testing.T) {
-	if !mem.Enabled() {
-		t.Skip("buffer pool disabled (STAIR_POOL=off)")
-	}
 	m, err := NewManager(1, 64, 512, 1)
 	if err != nil {
 		t.Fatal(err)

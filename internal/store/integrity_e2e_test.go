@@ -123,12 +123,15 @@ func TestIntegrityDetectsSilentCorruptionOnScrub(t *testing.T) {
 }
 
 // TestIntegrityOffServesRottenBytes is the negative control proving the
-// layer is load-bearing: with verification off the same silent flip
-// sails through reads undetected.
+// layer is load-bearing: without it the same silent flip sails through
+// reads undetected.
 func TestIntegrityOffServesRottenBytes(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	t.Run("DisableVerify", func(t *testing.T) {
-		s := openIntegrityStore(t, code, 3, 128, IntegrityOptions{Epoch: 7, DisableVerify: true})
+	t.Run("NoIntegrity", func(t *testing.T) {
+		s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 3, Integrity: nil})
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer s.Close()
 		fillStore(t, s)
 		const victim = 5
@@ -138,10 +141,10 @@ func TestIntegrityOffServesRottenBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if bytes.Equal(got, blockData(victim, s.BlockSize())) {
-			t.Fatal("read returned correct data with verification off — the corruption did not land")
+			t.Fatal("read returned correct data without the integrity layer — the corruption did not land")
 		}
 		if st := s.Stats(); st.ChecksumMismatches != 0 || st.DegradedReads != 0 {
-			t.Fatalf("stats %+v: verification ran although it was disabled", st)
+			t.Fatalf("stats %+v: a store without the integrity layer verified the read", st)
 		}
 	})
 }

@@ -87,12 +87,8 @@ func appendCols(dst []int, cells []core.Cell) []int {
 	return dst
 }
 
-// IntegrityEnabled reports whether the checksum layer is on, and
-// whether it is actively verifying (as opposed to only maintaining
-// records, IntegrityOptions.DisableVerify).
-func (s *Store) IntegrityEnabled() (on, verifying bool) {
-	return s.integ != nil, s.integ != nil && s.integVerify
-}
+// IntegrityEnabled reports whether the checksum layer is on.
+func (s *Store) IntegrityEnabled() bool { return s.integ != nil }
 
 // Corrupter is the optional device capability behind silent-corruption
 // injection: flip payload bits *without* registering a fault, so the

@@ -56,7 +56,7 @@ func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	sh := s.shard(stripe)
 	ld := &sh.load
 	*ld = stripeLoad{stripe: stripe, need: ld.need, lost: ld.lost, want: ld.want, plan: ld.plan,
-		verify: verify && s.integ != nil && s.integVerify}
+		verify: verify && s.integ != nil}
 	ld.need.Clear()
 	ld.lost.Clear()
 	ld.want.Clear()

@@ -22,17 +22,10 @@
 //     buffers must be dropped, not Released: the GC keeps them alive
 //     for the straggler, whereas recycling would let it scribble over
 //     an unrelated operation's data.
-//
-// Setting STAIR_POOL=off (or 0/false) disables pooling process-wide:
-// Acquire falls back to plain make and Release becomes a no-op. This is
-// the escape hatch for bisecting suspected buffer-lifetime bugs —
-// every buffer becomes single-use, so use-after-release can no longer
-// alias fresh data.
 package mem
 
 import (
 	"math/bits"
-	"os"
 	"sync"
 )
 
@@ -52,7 +45,6 @@ const PoisonByte = 0xDB
 // Pool is a tiered buffer pool. The zero value is ready to use; the
 // package-level Acquire/Release operate on a process-wide instance.
 type Pool struct {
-	off   bool
 	tiers [numTiers]sync.Pool
 	// hdrs recycles the *[]byte header objects between Get and Put.
 	// Without it every Release heap-allocates a fresh 24-byte slice
@@ -61,9 +53,8 @@ type Pool struct {
 	hdrs sync.Pool
 }
 
-// NewPool returns a pool; off selects the pass-through mode where
-// Acquire always allocates and Release always drops.
-func NewPool(off bool) *Pool { return &Pool{off: off} }
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{} }
 
 // tierFor returns the smallest tier holding n bytes, or -1 when n is
 // out of the pooled range.
@@ -93,7 +84,7 @@ func (p *Pool) Acquire(n int) []byte {
 		panic("mem: Acquire with negative length")
 	}
 	t := tierFor(n)
-	if p.off || t < 0 {
+	if t < 0 {
 		return make([]byte, n)
 	}
 	if v := p.tiers[t].Get(); v != nil {
@@ -109,7 +100,7 @@ func (p *Pool) Acquire(n int) []byte {
 // Release returns a buffer obtained from Acquire. Buffers whose
 // capacity is not a tier size (foreign or re-sliced) are dropped.
 func (p *Pool) Release(buf []byte) {
-	if p.off || buf == nil {
+	if buf == nil {
 		return
 	}
 	t := tierOf(cap(buf))
@@ -136,19 +127,8 @@ func Poison(buf []byte) {
 	}
 }
 
-// Off reports whether this pool is in pass-through mode.
-func (p *Pool) Off() bool { return p.off }
-
-// std is the process-wide pool, configured once from STAIR_POOL.
-var std = NewPool(envOff())
-
-func envOff() bool {
-	switch os.Getenv("STAIR_POOL") {
-	case "off", "0", "false", "no":
-		return true
-	}
-	return false
-}
+// std is the process-wide pool.
+var std Pool
 
 // Acquire returns a buffer of length n from the process-wide pool.
 func Acquire(n int) []byte { return std.Acquire(n) }
@@ -156,6 +136,9 @@ func Acquire(n int) []byte { return std.Acquire(n) }
 // Release returns a buffer to the process-wide pool.
 func Release(buf []byte) { std.Release(buf) }
 
-// Enabled reports whether the process-wide pool is active (STAIR_POOL
-// not set to off).
-func Enabled() bool { return !std.off }
+// Enabled reports whether the process-wide pool is active. It always
+// is.
+//
+// Deprecated: pooling can no longer be switched off; Enabled stays only
+// for callers that still print it.
+func Enabled() bool { return true }

@@ -13,7 +13,7 @@ func TestTierSizing(t *testing.T) {
 		{1<<20 + 1, 1 << 21},
 		{1 << 26, 1 << 26},
 	}
-	p := NewPool(false)
+	p := NewPool()
 	for _, c := range cases {
 		b := p.Acquire(c.n)
 		if len(b) != c.n {
@@ -27,7 +27,7 @@ func TestTierSizing(t *testing.T) {
 }
 
 func TestOversizeFallsBackToMake(t *testing.T) {
-	p := NewPool(false)
+	p := NewPool()
 	n := 1<<maxBits + 1
 	b := p.Acquire(n)
 	if len(b) != n {
@@ -37,7 +37,7 @@ func TestOversizeFallsBackToMake(t *testing.T) {
 }
 
 func TestReuseSameTier(t *testing.T) {
-	p := NewPool(false)
+	p := NewPool()
 	b1 := p.Acquire(1000)
 	b1[0] = 0x5A
 	addr := &b1[:cap(b1)][0]
@@ -55,7 +55,7 @@ func TestReuseSameTier(t *testing.T) {
 }
 
 func TestForeignReleaseDropped(t *testing.T) {
-	p := NewPool(false)
+	p := NewPool()
 	// Not a tier capacity: must be silently dropped, not pooled.
 	p.Release(make([]byte, 700))
 	p.Release(nil)
@@ -64,25 +64,8 @@ func TestForeignReleaseDropped(t *testing.T) {
 	p.Release(b[10:20])
 }
 
-func TestOffPassThrough(t *testing.T) {
-	p := NewPool(true)
-	b := p.Acquire(1024)
-	if len(b) != 1024 || cap(b) != 1024 {
-		t.Fatalf("off-mode Acquire: len=%d cap=%d", len(b), cap(b))
-	}
-	b[0] = 0x77
-	p.Release(b)
-	if b[0] != 0x77 {
-		t.Fatal("off-mode Release touched the buffer")
-	}
-	b2 := p.Acquire(1024)
-	if &b2[0] == &b[0] {
-		t.Fatal("off-mode pool reused a buffer")
-	}
-}
-
 func TestZeroLength(t *testing.T) {
-	p := NewPool(false)
+	p := NewPool()
 	b := p.Acquire(0)
 	if len(b) != 0 {
 		t.Fatalf("Acquire(0): len=%d", len(b))

@@ -5,6 +5,10 @@ import (
 	"sync"
 )
 
+// repairQueueLen bounds the background repair queue; requests beyond it
+// are dropped (and re-found by a later scrub pass).
+const repairQueueLen = 64
+
 // repairQueue is the bounded, risk-ordered background repair queue.
 // Stripes are repaired most-at-risk first: a stripe's risk is its lost
 // sector count at enqueue time, so a stripe close to the code's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 
 	"stair/internal/core"
@@ -97,6 +98,28 @@ func TestRowLocalReadTouchesOneRow(t *testing.T) {
 	}
 }
 
+// parkRepairs queues a repair of the healthy stripe and returns once the
+// store's only repair worker has finished it and is parked, so that a
+// repair queued later cannot run (or read a device) before unpark is
+// called. Cleanup unparks it too.
+func parkRepairs(t *testing.T, s *Store, stripe int) (unpark func()) {
+	t.Helper()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var parkOnce, unparkOnce sync.Once
+	s.testRepairObserve = func(int) {
+		parkOnce.Do(func() { close(parked) })
+		<-release
+	}
+	unpark = func() { unparkOnce.Do(func() { close(release) }) }
+	t.Cleanup(unpark)
+	sh := s.shard(stripe)
+	sh.mu.Lock()
+	s.enqueueRepairLocked(sh, stripe, 1)
+	sh.mu.Unlock()
+	<-parked
+	return unpark
+}
+
 // TestRowLocalReadFallbacks: each thing that takes a degraded read off
 // its row — the row holding m+1 losses by a sector error or by a
 // sibling's checksum mismatch — makes it re-plan over the stripe and read
@@ -133,6 +156,9 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v := newDeltaVolume(t, benchGeometry, 2, 64, deltaOpts{integrity: true})
 			s := v.s
+			// The repair the read queues must not load the stripe before
+			// the read's own device reads are taken below.
+			unpark := parkRepairs(t, s, 0)
 			dead := []int{1, 2}
 			for _, dev := range dead {
 				if err := s.FailDevice(dev); err != nil {
@@ -175,6 +201,7 @@ func TestRowLocalReadFallbacks(t *testing.T) {
 					t.Errorf("device %d read %v: %d sectors, want %d in at most %d calls", col, reads, sectors, want, calls)
 				}
 			}
+			unpark()
 			s.Quiesce()
 			st := s.Stats()
 			if st.DegradedReadFallbacks != 0 {

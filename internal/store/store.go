@@ -91,9 +91,6 @@ type Config struct {
 	// MaxDirtyStripes bounds the write buffer: exceeding it flushes the
 	// fullest buffered stripe. 0 selects 8.
 	MaxDirtyStripes int
-	// RepairQueue bounds the background repair queue; requests beyond
-	// it are dropped (and re-found by a later scrub pass). 0 selects 64.
-	RepairQueue int
 	// RepairWorkers sizes the pool draining the repair queue; workers
 	// repair distinct stripes concurrently (each under its stripe's
 	// shard lock). 0 selects 1.
@@ -139,10 +136,6 @@ type IntegrityOptions struct {
 	// instead of vouching for stale data. Pick any stable value per
 	// volume generation; 0 is valid.
 	Epoch uint32
-	// DisableVerify keeps maintaining checksum records on writes but
-	// skips verification on reads and scrubs — the negative control the
-	// tests use to prove the layer is load-bearing.
-	DisableVerify bool
 }
 
 // CoalesceOptions has no fields.
@@ -203,12 +196,10 @@ type Store struct {
 	stripePool sync.Pool
 	bufPool    sync.Pool
 
-	// integ, when non-nil, is the end-to-end checksum layer; integVerify
-	// gates verification (false = maintain records, never check them).
+	// integ, when non-nil, is the end-to-end checksum layer.
 	// dataSectors is the per-device data region size (stripes×r) — the
 	// sidecar region starts there.
 	integ       *integrity.Manager
-	integVerify bool
 	dataSectors int
 
 	// hedge holds each column's read-latency tracker; nil when client
@@ -332,10 +323,6 @@ func Open(cfg Config) (*Store, error) {
 	if maxDirty == 0 {
 		maxDirty = 8
 	}
-	queue := cfg.RepairQueue
-	if queue == 0 {
-		queue = 64
-	}
 	repairWorkers := cfg.RepairWorkers
 	if repairWorkers == 0 {
 		repairWorkers = 1
@@ -361,7 +348,7 @@ func Open(cfg Config) (*Store, error) {
 		dataCells:  cfg.Code.DataCells(),
 		shards:     newShards(nshards, n, r),
 		shardMask:  nshards - 1,
-		repairQ:    newRepairQueue(queue),
+		repairQ:    newRepairQueue(repairQueueLen),
 		quit:       make(chan struct{}),
 		journal:    cfg.Journal,
 	}
@@ -400,7 +387,6 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		s.integ = integ
-		s.integVerify = !cfg.Integrity.DisableVerify
 		s.loadIntegrityRegions(context.Background())
 	}
 	// Recovery runs before any traffic — and before the flush pipeline
@@ -710,7 +696,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		// corruption, a misdirected or stale write — is a located erasure,
 		// served degraded below.
 		verdict := integrity.Absent
-		if s.integ != nil && s.integVerify {
+		if s.integ != nil {
 			verdict = s.integ.Verify(cell.Col, s.devSector(stripe, cell.Row), dst)
 		}
 		if verdict != integrity.Mismatch {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"stair/internal/core"
-	"stair/internal/store/mem"
 )
 
 // TestZeroCopyFileDevices proves the copy-elision claim for the
@@ -110,9 +109,6 @@ func TestZeroCopyNetDevices(t *testing.T) {
 func TestAllocRegressionGuard(t *testing.T) {
 	if os.Getenv("STAIR_ALLOC_GUARD") == "" {
 		t.Skip("set STAIR_ALLOC_GUARD=1 to run the alloc regression guard")
-	}
-	if !mem.Enabled() {
-		t.Skip("buffer pool disabled (STAIR_POOL=off); nothing to guard")
 	}
 	for _, integ := range []*IntegrityOptions{nil, {Epoch: 1}} {
 		t.Run(fmt.Sprintf("integrity=%t", integ != nil), func(t *testing.T) {

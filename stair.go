@@ -41,9 +41,9 @@ import (
 )
 
 // Config describes a STAIR code instance; see core.Config for field
-// documentation. The zero values of W, Placement and Kind select the
-// paper's defaults (auto-sized GF(2^w), inside global parities, Cauchy
-// Reed-Solomon building blocks).
+// documentation. The zero values of W and Placement select the paper's
+// defaults (auto-sized GF(2^w), inside global parities); the building
+// blocks are always Cauchy Reed-Solomon codes, as in the paper.
 type Config = core.Config
 
 // Code is a compiled STAIR code, safe for concurrent use.
