@@ -105,7 +105,8 @@ func serveHTTP(ctx context.Context, listen string, handler http.Handler) error {
 }
 
 // serve runs one HTTP server on ln until ctx is cancelled, then shuts it
-// down gracefully.
+// down gracefully, and a DeviceServer handler's frame connections with
+// it.
 func serve(ctx context.Context, ln net.Listener, handler http.Handler) error {
 	srv := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
@@ -119,6 +120,11 @@ func serve(ctx context.Context, ln net.Listener, handler http.Handler) error {
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		return err
+	}
+	if ds, ok := handler.(*store.DeviceServer); ok {
+		if err := ds.Shutdown(shutCtx); err != nil {
+			return err
+		}
 	}
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

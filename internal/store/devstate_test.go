@@ -24,9 +24,15 @@ type answerDevice struct {
 	syncErr   error
 	writeDown atomic.Bool
 	writes    atomic.Int64
+	reads     atomic.Int64
 }
 
 func (d *answerDevice) Failed() bool { return false }
+
+func (d *answerDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	d.reads.Add(1)
+	return d.MemDevice.ReadSectors(ctx, start, bufs)
+}
 
 func (d *answerDevice) Sync(ctx context.Context) error { return d.syncErr }
 

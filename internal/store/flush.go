@@ -113,6 +113,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 		}
 	}
 	delete(sh.dirty, stripe)
+	sh.buffered.Add(-1)
 	s.dirtyCount.Add(-1)
 	// A full rewrite resurrects a previously unrecoverable stripe.
 	s.clearUnrecoverableLocked(sh, stripe)
@@ -183,6 +184,7 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 		return err
 	}
 	delete(sh.dirty, stripe)
+	sh.buffered.Add(-1)
 	s.dirtyCount.Add(-1)
 	s.c.subFlushes.Add(1)
 	s.releaseStripeUnlessCancelled(ctx, st)

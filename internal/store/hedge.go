@@ -79,31 +79,33 @@ func (t *latencyTracker) record(d time.Duration) {
 // hedgedReadLocked is ReadBlockInto's device read of cell with a hedge.
 // The primary reads into pooled scratch on its own goroutine; once it
 // outlives its column's delay, the caller's goroutine solves the cell
-// from its own row straight into dst (solveLocked). won reports that
-// the solve served dst; otherwise err is the primary's answer, and dst
-// holds its bytes when err is nil. A primary that loses is not waited
-// for: its answer is dropped and its scratch left to the GC, as after a
-// cancelled call, but its latency is still a sample — the percentile is
-// of what the column answers, slow answers included, and a column that
-// keeps stalling hedges fewer reads into its siblings. While the
-// column's tracker is cold the read goes straight into dst and teaches
-// the tracker. The caller holds the shard mutex.
+// from its own row straight into dst (solveLocked, seeded with the
+// known-down columns). won reports that the solve served dst; otherwise
+// err is the primary's answer, and dst holds its bytes when err is nil.
+// A primary that loses is not waited for: its answer is dropped and its
+// scratch left to the GC, as after a cancelled call, but its latency is
+// still a sample — the percentile is of what the column answers, slow
+// answers included, and a column that keeps stalling hedges fewer reads
+// into its siblings. While the column's tracker is cold the read goes
+// straight into dst and teaches the tracker. The caller holds the shard
+// mutex.
 func (s *Store) hedgedReadLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte) (won bool, err error) {
 	t := &s.hedge[cell.Col]
-	dev, sector := s.devs[cell.Col], s.devSector(stripe, cell.Row)
+	sector := s.devSector(stripe, cell.Row)
 	delay := time.Duration(t.delay.Load())
 	begin := time.Now()
 	if delay == 0 {
 		vec := sh.rowvec(1)
 		vec[0] = dst
-		err = dev.ReadSectors(ctx, sector, vec)
+		err = s.devs[cell.Col].ReadSectors(ctx, sector, vec)
 		vec[0] = nil
+		s.noteRead(ctx, cell.Col, err)
 		t.observe(begin, err)
 		return false, err
 	}
 	p := primaryReads.Get().(*primaryRead)
 	p.vec[0] = mem.Acquire(s.sectorSize)
-	go p.read(ctx, dev, sector, t, begin)
+	go p.read(ctx, s, cell.Col, sector, t, begin)
 	p.timer.Reset(delay)
 	select {
 	case err = <-p.done:
@@ -115,7 +117,7 @@ func (s *Store) hedgedReadLocked(ctx context.Context, sh *lockShard, stripe int,
 	case <-p.timer.C:
 	}
 	s.c.hedgesLaunched.Add(1)
-	_, err = s.solveLocked(ctx, sh, stripe, cell, dst, false, true)
+	_, err = s.solveLocked(ctx, sh, stripe, cell, dst, true, true)
 	if err == nil {
 		// No repair is queued: the column is slow, not lost, and a repair
 		// worker would wait on it under the shard lock. The next scrub
@@ -157,8 +159,9 @@ var primaryReads = sync.Pool{New: func() any {
 	return &primaryRead{vec: make([][]byte, 1), done: make(chan error, 1), timer: timer}
 }}
 
-func (p *primaryRead) read(ctx context.Context, dev Device, sector int, t *latencyTracker, begin time.Time) {
-	err := dev.ReadSectors(ctx, sector, p.vec)
+func (p *primaryRead) read(ctx context.Context, s *Store, col, sector int, t *latencyTracker, begin time.Time) {
+	err := s.devs[col].ReadSectors(ctx, sector, p.vec)
+	s.noteRead(ctx, col, err)
 	t.observe(begin, err)
 	p.done <- err
 }

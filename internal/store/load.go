@@ -35,14 +35,19 @@ type stripeLoad struct {
 	// per load: an atomic add per sector is a cache line every concurrent
 	// sweep worker fights over.
 	verified uint64
-	// The planned load's state (see loadPlanned).
-	want        core.Pattern
-	heal, local bool
-	plan        core.ReadPlan
+	// The planned load's state (see loadPlanned). seeded says lost
+	// started with cells of known-down columns (see solveLocked).
+	want                core.Pattern
+	heal, local, seeded bool
+	plan                core.ReadPlan
 }
 
 // errBeyondRow ends a hedge's planned load whose plan leaves the row.
 var errBeyondRow = errors.New("store: plan reads beyond the row")
+
+// errSeeded ends a seeded load whose plan fails: a known-down bit may be
+// stale, so the stripe is not marked and the caller reads again unseeded.
+var errSeeded = errors.New("store: plan from the known-down columns failed")
 
 // startLoad begins a load of stripe, no cell yet read, and returns the
 // shard's load scratch. With verify (and the integrity layer on), a
@@ -78,20 +83,20 @@ func (sh *lockShard) chunkVec(st *core.Stripe, col, lo, hi int) [][]byte {
 
 // loadChunk reads rows lo, lo+1, … of column col of ld's stripe into
 // bufs, one sector each, in one vectored call, and adds what it finds to
-// ld: the lost and checksum-mismatched cells, the torn update's cells
-// taken from memory, and in sh.down whether the device answered
-// ErrDeviceFailed. The error is non-nil only for context cancellation,
-// which ends the load; the verdicts found so far are counted.
+// ld: the lost and checksum-mismatched cells and the torn update's cells
+// taken from memory; the answer goes to s.down (noteRead). The error is
+// non-nil only for context cancellation, which ends the load; the
+// verdicts found so far are counted.
 func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs [][]byte) error {
 	sh, torn, at := s.shard(ld.stripe), ld.torn, col*s.r+lo
 	start := s.devSector(ld.stripe, lo)
 	rerr := s.devs[col].ReadSectors(ctx, start, bufs)
-	sh.down[col] = rerr != nil && isDown(rerr)
+	down := s.noteRead(ctx, col, rerr)
 	// A cell the torn update holds is never lost.
 	whole := false
 	if rerr != nil {
 		se, partial := SectorErrors(nil), false
-		if !sh.down[col] {
+		if !down {
 			// A failed device's answer names no sectors, and asking
 			// costs an allocation a degraded read would pay per load.
 			se, partial = AsSectorErrors(rerr)
@@ -147,6 +152,16 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	return nil
 }
 
+// noteRead records column col's read answer in s.down (an error after
+// ctx ended says nothing) and reports whether it was ErrDeviceFailed.
+func (s *Store) noteRead(ctx context.Context, col int, err error) bool {
+	down := err != nil && isDown(err)
+	if (down || err == nil || ctx.Err() == nil) && s.down[col].Load() != down {
+		s.down[col].Store(down)
+	}
+	return down
+}
+
 // loadPlanned loads into st what ld.want needs of ld's stripe, the cells
 // in ld.lost being lost, as core.PlanRead says: each source not read yet,
 // a column's run of them in one loadChunk call (rows between two sources
@@ -159,7 +174,9 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 // marks the stripe — sound, since a peel that stalls on a loss set stalls
 // on every larger one. A hedge's load (ld.local) marks and counts
 // nothing: it ends with errBeyondRow once a plan leaves its cell's row or
-// fails. The caller holds the shard mutex.
+// fails. Nor does a seeded load (ld.seeded), as a stale known-down bit
+// may fail its plan: it ends with errSeeded, and the caller reads again
+// unseeded. The caller holds the shard mutex.
 func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe) error {
 	// A span never reaches a cell read or found lost, and a source joins
 	// need as its span is read.
@@ -172,6 +189,9 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 			return errBeyondRow
 		}
 		if err != nil {
+			if ld.seeded && errors.Is(err, ErrUnrecoverable) {
+				return errSeeded
+			}
 			if errors.Is(err, ErrUnrecoverable) {
 				s.markUnrecoverableLocked(sh, ld.stripe)
 			}
@@ -226,18 +246,25 @@ func (s *Store) loadAll(ctx context.Context, stripe int, verify bool) (*core.Str
 // solveLocked serves a lost cell of stripe into dst — the degraded read,
 // and with hedge set the hedge's racer: loadPlanned loads what the cell
 // needs into a pooled stripe, with dst standing in for the cell, and the
-// plan decodes it there. down says the cell's own device answered
-// ErrDeviceFailed. A served cell counts as a read; risk is the number of
-// losses the load found when a repair can land one of them, else 0.
-// Otherwise the error is ErrUnrecoverable (the stripe is now marked),
-// errBeyondRow (a hedge only) or the context's. The caller holds the
-// shard mutex.
-func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, down, hedge bool) (risk int, err error) {
+// plan decodes it there. With seed, the load starts with the cell's row
+// lost on every known-down column (see Store.down), so that with m
+// devices down one plan names the n−m live sources; such a load ends
+// with errSeeded rather than marking the stripe. A served cell counts as
+// a read; risk is the number of losses the load found when a repair can
+// land one of them, else 0. Otherwise the error is ErrUnrecoverable (the
+// stripe is now marked), errSeeded, errBeyondRow (a hedge only) or the
+// context's. The caller holds the shard mutex.
+func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte, seed, hedge bool) (risk int, err error) {
 	ld, at := s.startLoad(stripe, true), s.cellIdx(cell)
 	ld.want.Set(at)
 	ld.lost.Set(at)
 	ld.local = hedge
-	sh.down[cell.Col] = down
+	for col := 0; seed && col < s.n; col++ {
+		if s.down[col].Load() {
+			ld.lost.Set(col*s.r + cell.Row)
+			ld.seeded = true
+		}
+	}
 	st := s.acquireStripe()
 	own := st.Cells[at]
 	st.Cells[at] = dst
@@ -248,7 +275,7 @@ func (s *Store) solveLocked(ctx context.Context, sh *lockShard, stripe int, cell
 		return 0, err
 	}
 	s.c.reads.Add(1)
-	if len(sh.writable(ld.lost)) > 0 {
+	if len(s.writable(sh, ld.lost)) > 0 {
 		risk = ld.lost.Count()
 	}
 	return risk, nil

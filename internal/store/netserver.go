@@ -47,21 +47,21 @@ type DeviceServer struct {
 	readErrors, writeErrors     atomic.Uint64
 	lostSectors                 atomic.Uint64
 
-	// Open frame sessions, whether the watchdog runs, and the servers
-	// whose shutdown hook is registered (true once it ran).
+	// Open frame sessions, whether the watchdog runs, and whether
+	// Shutdown has begun. wg counts the sessions' goroutines and the
+	// watchdog.
 	mu       sync.Mutex
 	sessions map[*frameSession]struct{}
 	watching bool
-	servers  map[*http.Server]bool
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // NewDeviceServer builds the HTTP handler exporting dev. Frame
 // connections are hijacked, so net/http neither closes nor waits for
-// them; the DeviceServer closes those of an http.Server when that
-// server's Shutdown runs. http.Server.Close leaves them open.
+// them: Shutdown does.
 func NewDeviceServer(dev Device) *DeviceServer {
-	s := &DeviceServer{dev: dev, mux: http.NewServeMux(),
-		sessions: map[*frameSession]struct{}{}, servers: map[*http.Server]bool{}}
+	s := &DeviceServer{dev: dev, mux: http.NewServeMux(), sessions: map[*frameSession]struct{}{}}
 	s.mux.HandleFunc("GET /v1/geometry", s.handleGeometry)
 	s.mux.HandleFunc("GET "+framePath, s.handleFrames)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -103,8 +103,8 @@ func (s *DeviceServer) handleGeometry(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFrames upgrades the connection to frames and serves it until
-// the client closes it, sends a malformed request, or the http.Server
-// that accepted it shuts down.
+// the client closes it, sends a malformed request, or the DeviceServer
+// shuts down.
 func (s *DeviceServer) handleFrames(w http.ResponseWriter, r *http.Request) {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), frameProtocol) {
 		w.Header().Set("Upgrade", frameProtocol)
@@ -131,7 +131,6 @@ func (s *DeviceServer) handleFrames(w http.ResponseWriter, r *http.Request) {
 // frameSession is the server side of one frame connection.
 type frameSession struct {
 	conn   net.Conn
-	hs     *http.Server // the server that accepted conn
 	cancel context.CancelFunc
 	// state is a call counter << 2 | watched << 1 | in a call. The
 	// watchdog starts a watch by a compare-and-swap on the state of the
@@ -143,26 +142,20 @@ type frameSession struct {
 	got   bool
 }
 
-// track registers a frame session and starts the server's watchdog if
-// it is not running. The first session an http.Server hands over also
-// registers a hook closing that server's sessions on its Shutdown. It
-// reports false, and the caller drops the connection, when that server
-// has already shut down.
+// track registers a frame session, counted in wg until untrack, and
+// starts the server's watchdog if it is not running. It reports false,
+// and the caller drops the connection, once Shutdown has begun.
 func (s *DeviceServer) track(fs *frameSession) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	down, hooked := s.servers[fs.hs]
-	if down {
+	if s.closed {
 		return false
 	}
-	if !hooked && fs.hs != nil {
-		s.servers[fs.hs] = false
-		hs := fs.hs
-		hs.RegisterOnShutdown(func() { s.shutdown(hs) })
-	}
 	s.sessions[fs] = struct{}{}
+	s.wg.Add(1)
 	if !s.watching {
 		s.watching = true
+		s.wg.Add(1)
 		go s.watchdog()
 	}
 	return true
@@ -172,18 +165,32 @@ func (s *DeviceServer) untrack(fs *frameSession) {
 	s.mu.Lock()
 	delete(s.sessions, fs)
 	s.mu.Unlock()
+	s.wg.Done()
 }
 
-// shutdown closes the frame connections hs accepted.
-func (s *DeviceServer) shutdown(hs *http.Server) {
+// Shutdown refuses new frame upgrades, closes every frame connection and
+// cancels its device call, and returns once the sessions' goroutines and
+// the watchdog have exited, or with ctx's error. Call it after the
+// http.Server's own Shutdown, which neither closes nor waits for the
+// connections it hijacked for frames.
+func (s *DeviceServer) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.servers[hs] = true
+	s.closed = true
 	for fs := range s.sessions {
-		if fs.hs == hs {
-			fs.conn.Close()
-			delete(s.sessions, fs)
-		}
+		fs.cancel()
+		fs.conn.Close()
+	}
+	s.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -198,6 +205,7 @@ const watchTick = 10 * time.Millisecond
 // to a fast device costs, so only calls that outlive a tick are
 // watched.
 func (s *DeviceServer) watchdog() {
+	defer s.wg.Done()
 	t := time.NewTicker(watchTick)
 	defer t.Stop()
 	for range t.C {
@@ -249,7 +257,6 @@ func (s *DeviceServer) serveFrames(ctx context.Context, conn net.Conn, br *bufio
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	fs := &frameSession{conn: conn, cancel: cancel, done: make(chan error, 1)}
-	fs.hs, _ = ctx.Value(http.ServerContextKey).(*http.Server)
 	if !s.track(fs) {
 		return
 	}

@@ -156,7 +156,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		rep.RolledForward++
 		s.c.recoveredStripes.Add(1)
 		s.clearUnrecoverableLocked(sh, stripe)
-		s.restageStripeMeta(ctx, sh, stripe, st, rec)
+		s.restageStripeMeta(ctx, stripe, st, rec)
 	}
 	if lostData > 0 {
 		// Lost data can only come back through the (possibly broken)
@@ -188,7 +188,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 			// may still predate the final (landed) writes — e.g. a crash
 			// right after the parity phase. Refresh them so the first
 			// verified read after reopen sees no false mismatch.
-			s.restageStripeMeta(ctx, sh, stripe, st, rec)
+			s.restageStripeMeta(ctx, stripe, st, rec)
 			return
 		}
 	}
@@ -207,10 +207,10 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 // them. Blocks the intent covered whose content provably landed reuse
 // the digest the V2 intent carried; everything else is recomputed from
 // the stripe's (now authoritative) content. Cells on the devices the
-// stripe's load found wholly failed (lockShard.down) are skipped — their
+// stripe's load found wholly failed (Store.down) are skipped — their
 // records refresh on rebuild, like their data. The caller holds the
 // stripe's shard mutex.
-func (s *Store) restageStripeMeta(ctx context.Context, sh *lockShard, stripe int, st *core.Stripe, rec journal.Record) {
+func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stripe, rec journal.Record) {
 	if s.integ == nil {
 		return
 	}
@@ -227,7 +227,7 @@ func (s *Store) restageStripeMeta(ctx context.Context, sh *lockShard, stripe int
 		}
 	}
 	for col := 0; col < s.n; col++ {
-		if sh.down[col] {
+		if s.down[col].Load() {
 			continue
 		}
 		for row := 0; row < s.r; row++ {

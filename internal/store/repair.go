@@ -108,7 +108,7 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, st *core.St
 	// where an abandoned device operation may still reference the slab.
 	defer func() { s.releaseStripeUnlessCancelled(ctx, st) }()
 	stripe, lost := ld.stripe, ld.lost.Count()
-	writable := sh.writable(ld.lost)
+	writable := s.writable(sh, ld.lost)
 	if err != nil || len(writable) == 0 {
 		return false
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"stair/internal/core"
 )
@@ -27,8 +28,11 @@ const defaultLockShards = 32
 // one after another, and the store's stateMu (scrubber lifecycle,
 // Quiesce) is never taken while a shard mutex is held.
 type lockShard struct {
-	mu            sync.Mutex
-	dirty         map[int]*stripeBuf
+	mu    sync.Mutex
+	dirty map[int]*stripeBuf
+	// buffered is len(dirty), written under mu and read without it, so
+	// that Flush skips the shards with nothing buffered unlocked.
+	buffered      atomic.Int32
 	pending       map[int]bool // stripes queued or being repaired
 	unrecoverable map[int]bool
 
@@ -40,11 +44,6 @@ type lockShard struct {
 	// load is the load in progress under mu, lost list included: every
 	// load of the shard's stripes goes through it (see stripeLoad).
 	load stripeLoad
-	// down is the last load's record, by column, of the devices whose
-	// whole read answered ErrDeviceFailed — wholly failed, so they take no
-	// write-back — for the columns it read (the degraded read records its
-	// own cell's device first); valid until the next load under mu.
-	down []bool
 
 	// cells is a stripe repair's write-back set, and cols the columns
 	// whose sidecar records a repair or a record refresh persists.
@@ -87,11 +86,10 @@ func (sh *lockShard) rowvec(n int) [][]byte {
 	return sh.rows[:n]
 }
 
-// writable lists, in (Col, Row) order, the cells of p whose device
-// answered the last stripe load (see down), into the shard's cells
-// scratch.
-func (sh *lockShard) writable(p core.Pattern) []core.Cell {
-	sh.cells = slices.DeleteFunc(p.AppendCells(sh.cells[:0]), func(c core.Cell) bool { return sh.down[c.Col] })
+// writable lists, in (Col, Row) order, the cells of p whose column is
+// not known down (see Store.down), into sh's cells scratch.
+func (s *Store) writable(sh *lockShard, p core.Pattern) []core.Cell {
+	sh.cells = slices.DeleteFunc(p.AppendCells(sh.cells[:0]), func(c core.Cell) bool { return s.down[c.Col].Load() })
 	return sh.cells
 }
 
@@ -126,7 +124,6 @@ func newShards(count, n, r int) []lockShard {
 		shards[i].dirty = map[int]*stripeBuf{}
 		shards[i].pending = map[int]bool{}
 		shards[i].unrecoverable = map[int]bool{}
-		shards[i].down = make([]bool, n)
 		shards[i].load = stripeLoad{need: core.NewPattern(n, r), lost: core.NewPattern(n, r), want: core.NewPattern(n, r)}
 		shards[i].upd.need = core.NewPattern(n, r)
 	}

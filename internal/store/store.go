@@ -50,6 +50,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,6 +207,15 @@ type Store struct {
 	// reads do not hedge (see hedge.go).
 	hedge []latencyTracker
 
+	// down has a bit per column, set while the column's last read
+	// answered ErrDeviceFailed, as a failed device does until replaced;
+	// the store never asks Failed(). Other answers (noteRead) and
+	// ReplaceDevice clear it. Write-backs skip its columns, and client
+	// reads skip them and seed their plans with them (solveLocked), so a
+	// set bit is refreshed by the flushes, repairs, scrubs and rebuilds,
+	// which read every column they plan.
+	down []atomic.Bool
+
 	// isData holds the stripe's data cells, which the journaled write-back
 	// writes before the parity cells. allCols lists every column, for
 	// whole-stripe sidecar flushes; allCells lists every cell sorted by
@@ -348,6 +358,7 @@ func Open(cfg Config) (*Store, error) {
 		dataCells:  cfg.Code.DataCells(),
 		shards:     newShards(nshards, n, r),
 		shardMask:  nshards - 1,
+		down:       make([]atomic.Bool, n),
 		repairQ:    newRepairQueue(repairQueueLen),
 		quit:       make(chan struct{}),
 		journal:    cfg.Journal,
@@ -476,6 +487,7 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	if buf == nil {
 		buf = s.acquireStripeBuf()
 		sh.dirty[stripe] = buf
+		sh.buffered.Add(1)
 		s.dirtyCount.Add(1)
 	}
 	if buf.data[ord] == nil {
@@ -591,16 +603,22 @@ func (s *Store) Flush(ctx context.Context) error {
 // Buffers queued to the pipeline are swept too (the worker that later
 // dequeues a flushed stripe finds no buffer and no-ops).
 func (s *Store) flushAll(ctx context.Context) error {
-	var stripes []int
+	// A flush mostly finds a stripe or two buffered: it locks only the
+	// shards that hold one, and lists them on the stack.
+	var scratch [64]int
+	stripes := scratch[:0]
 	for i := range s.shards {
 		sh := &s.shards[i]
+		if sh.buffered.Load() == 0 {
+			continue
+		}
 		sh.mu.Lock()
 		for stripe := range sh.dirty {
 			stripes = append(stripes, stripe)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Ints(stripes)
+	slices.Sort(stripes)
 	var first error
 	for _, stripe := range stripes {
 		if err := ctx.Err(); err != nil {
@@ -625,9 +643,14 @@ func (s *Store) flushAll(ctx context.Context) error {
 // the fly through the degraded-read path — from n−m sectors of its own
 // row, or, the row holding more than m losses, from what the upstairs
 // decoding pruned to the block reads — and its stripe queued for
-// background repair. With Config.Hedge, a read whose device answers
-// slowly is solved from its row too, and nothing is queued. ctx bounds
-// the device reads, including those a degraded or hedged read performs.
+// background repair. A block on a column whose last read answered
+// ErrDeviceFailed is not read: the degraded read's plan starts with the
+// row lost on every such column, so with m devices down it makes n−m
+// device calls. Flushes, repairs, scrubs, rebuilds and ReplaceDevice
+// refresh that record (Store.down). With Config.Hedge, a read whose
+// device answers slowly is solved from its row too, and nothing is
+// queued. ctx bounds the device reads, including those a degraded or
+// hedged read performs.
 //
 // The returned buffer comes from the store's buffer pool; the caller
 // owns it, and may hand it back with ReleaseBlock once done (optional —
@@ -677,19 +700,39 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 		copy(dst, buf.data[ord])
 		return nil
 	}
+	err = s.readLocked(ctx, sh, b, stripe, cell, dst, true)
+	if err == errSeeded {
+		// A plan that started from the known-down columns failed, and one
+		// of their bits may be stale: read again knowing nothing, as if
+		// every column were up, so that only real losses mark the stripe.
+		err = s.readLocked(ctx, sh, b, stripe, cell, dst, false)
+	}
+	return err
+}
+
+// readLocked is ReadBlockInto's read of block b, at cell of stripe, from
+// the devices into dst. With known, a cell on a known-down column is not
+// read, and the degraded read starts from the known-down columns (see
+// solveLocked); its error is then errSeeded when that start fails. The
+// caller holds the shard mutex.
+func (s *Store) readLocked(ctx context.Context, sh *lockShard, b, stripe int, cell core.Cell, dst []byte, known bool) error {
 	var rerr error
-	if s.hedge != nil && !sh.unrecoverable[stripe] {
+	switch {
+	case known && s.down[cell.Col].Load():
+		rerr = ErrDeviceFailed
+	case s.hedge != nil && !sh.unrecoverable[stripe]:
 		// A stripe marked unrecoverable is never solved (see below), so
 		// it is never hedged either.
 		var won bool
 		if won, rerr = s.hedgedReadLocked(ctx, sh, stripe, cell, dst); won {
 			return nil
 		}
-	} else {
+	default:
 		vec := sh.rowvec(1)
 		vec[0] = dst
 		rerr = s.devs[cell.Col].ReadSectors(ctx, s.devSector(stripe, cell.Row), vec)
 		vec[0] = nil
+		s.noteRead(ctx, cell.Col, rerr)
 	}
 	if rerr == nil {
 		// A sector that read fine but whose checksum disagrees — silent
@@ -724,7 +767,7 @@ func (s *Store) ReadBlockInto(ctx context.Context, b int, dst []byte) error {
 	// Local first (§4.3): the plan reads the wanted cell's own row while
 	// it holds at most m losses, and re-plans over the stripe when the
 	// reads find more.
-	risk, err := s.solveLocked(ctx, sh, stripe, cell, dst, isDown(rerr), false)
+	risk, err := s.solveLocked(ctx, sh, stripe, cell, dst, known, false)
 	if errors.Is(err, ErrUnrecoverable) {
 		s.c.degradedFallbacks.Add(1)
 		return fmt.Errorf("store: degraded read of block %d (stripe %d): %w", b, stripe, err)
@@ -815,6 +858,7 @@ func (s *Store) ReplaceDevice(dev int) error {
 	if err := fd.Replace(); err != nil {
 		return err
 	}
+	s.down[dev].Store(false)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
