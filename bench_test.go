@@ -91,22 +91,63 @@ func BenchmarkEncodeByKernel(b *testing.B) {
 	})
 }
 
+// sweepSectors are the sector sizes of the per-stripe sweep benchmarks,
+// spanning the paper's §6.2 sweep: 512 B is the small-I/O geometry, where
+// fixed per-call costs dominate, and 32 KiB the bulk one.
+var sweepSectors = []int{512, 2 << 10, 4 << 10, 8 << 10, 32 << 10}
+
+// sectorName labels a sweep benchmark row: sector=512B, sector=8KiB.
+func sectorName(sector int) string {
+	if sector%(1<<10) == 0 {
+		return fmt.Sprintf("sector=%dKiB", sector>>10)
+	}
+	return fmt.Sprintf("sector=%dB", sector)
+}
+
 // BenchmarkVerify: the scrubber's parity check of one encoded stripe in
 // the benchmark geometry (n=8, r=16, m=2, e=(1,1,2)) — the encode plan
 // run into pooled parity scratch and compared with the stored parity.
 func BenchmarkVerify(b *testing.B) {
 	c := benchCode(b, core.Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
-	for _, sector := range []int{4 << 10, 32 << 10} {
+	for _, sector := range sweepSectors {
 		st := benchStripe(b, c, sector*c.N()*c.R())
 		if err := c.Encode(st); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("sector=%dKiB", sector>>10), func(b *testing.B) {
+		b.Run(sectorName(sector), func(b *testing.B) {
 			b.SetBytes(int64(sector * c.N() * c.R()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if ok, err := c.Verify(st); err != nil || !ok {
 					b.Fatalf("Verify = %v, %v", ok, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRepairTwoColumns: a rebuild's decode of one stripe in the
+// BenchmarkVerify geometry with its first two columns dead, at the same
+// sector sizes.
+func BenchmarkRepairTwoColumns(b *testing.B) {
+	c := benchCode(b, core.Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
+	var lost []core.Cell
+	for col := 0; col < 2; col++ {
+		for row := 0; row < c.R(); row++ {
+			lost = append(lost, core.Cell{Col: col, Row: row})
+		}
+	}
+	for _, sector := range sweepSectors {
+		st := benchStripe(b, c, sector*c.N()*c.R())
+		if err := c.Encode(st); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sectorName(sector), func(b *testing.B) {
+			b.SetBytes(int64(sector * c.N() * c.R()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.Repair(st, lost); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -202,6 +202,11 @@ func (c *Code) runPlan(p *plan, cells [][]byte) {
 		clear(dstbuf)
 		c.fanPool.Put(fan)
 	}()
+	// Compilation fixed every group's arity and the field, so the kernel
+	// is resolved once here rather than re-checked on each fused call:
+	// at 512-byte sectors a call moves a few vectors, and the package
+	// entry points' checks were a measurable share of it.
+	k := c.f.Kernel()
 	for lo := 0; lo < size; lo += defaultPlanTile {
 		hi := lo + defaultPlanTile
 		if hi > size {
@@ -218,7 +223,7 @@ func (c *Code) runPlan(p *plan, cells [][]byte) {
 				for i, d := range g.dsts {
 					dsts[i] = cells[d][lo:hi]
 				}
-				gf.MulRegionFused(dsts, cells[g.src][lo:hi], g.tabs)
+				k.MulRegionFused(dsts, cells[g.src][lo:hi], g.tabs)
 			}
 			for gi := range st.groups {
 				g := &st.groups[gi]
@@ -226,7 +231,7 @@ func (c *Code) runPlan(p *plan, cells [][]byte) {
 				for i, d := range g.dsts {
 					dsts[i] = cells[d][lo:hi]
 				}
-				gf.MultXORFused(dsts, cells[g.src][lo:hi], g.tabs)
+				k.MultXORFused(dsts, cells[g.src][lo:hi], g.tabs)
 			}
 		}
 	}

@@ -256,11 +256,20 @@ func (f *Field) checkRegions(dst, src []byte) {
 // dispatch to: the CPU-selected (or STAIR_GF_KERNEL-forced) kernel for
 // the byte-symbol fields w == 4 and w == 8, and "portable" for w == 16,
 // whose two-byte symbols take the widened two-table path.
-func (f *Field) KernelName() string {
+func (f *Field) KernelName() string { return f.Kernel().Name() }
+
+// Kernel returns the region kernel this field's tables run on: the
+// dispatched kernel for w == 4 and w == 8, the portable wide loop for
+// w == 16. A caller making many fused calls over one field's tables (a
+// plan run) resolves it once and calls it directly, skipping the per-call
+// arity, field-width and dispatch checks of the package-level MultXORFused
+// and MulRegionFused; it must then keep their contract itself — one table
+// per destination, at least one destination, a non-empty source.
+func (f *Field) Kernel() Kernel {
 	if f.wide != nil {
-		return portableKernel{}.Name()
+		return wideKernel{}
 	}
-	return ActiveKernelName()
+	return activeKernel()
 }
 
 // MultXOR computes dst ^= c·src over the field, symbol by symbol. This is
@@ -352,7 +361,7 @@ func MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
 		return
 	}
 	if tables[0].wide != nil {
-		mulWideFused(dsts, src, tables, true)
+		wideKernel{}.MultXORFused(dsts, src, tables)
 		return
 	}
 	activeKernel().MultXORFused(dsts, src, tables)
@@ -370,7 +379,7 @@ func MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
 		return
 	}
 	if tables[0].wide != nil {
-		mulWideFused(dsts, src, tables, false)
+		wideKernel{}.MulRegionFused(dsts, src, tables)
 		return
 	}
 	activeKernel().MulRegionFused(dsts, src, tables)
@@ -423,6 +432,29 @@ func mulWide(dst, src []byte, t *wideTable, acc bool) {
 		dst[i] = byte(v)
 		dst[i+1] = byte(v >> 8)
 	}
+}
+
+// wideKernel is the Kernel face of the GF(2^16) region loop, for
+// Field.Kernel: its tables carry only the wide products, so every
+// coefficient op goes through mulWide. XOR is field-independent and stays
+// on the dispatched kernel. It is never registered: byte-symbol tables
+// have no wide products to run on.
+type wideKernel struct{}
+
+func (wideKernel) Name() string { return portableKernel{}.Name() }
+
+func (wideKernel) MultXOR(dst, src []byte, t *MulTable) { mulWide(dst, src, t.wide, true) }
+
+func (wideKernel) MulRegion(dst, src []byte, t *MulTable) { mulWide(dst, src, t.wide, false) }
+
+func (wideKernel) XORRegion(dst, src []byte) { activeKernel().XORRegion(dst, src) }
+
+func (wideKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
+	mulWideFused(dsts, src, tables, true)
+}
+
+func (wideKernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
+	mulWideFused(dsts, src, tables, false)
 }
 
 // mulWideFused routes a fused call carrying GF(2^16) tables through

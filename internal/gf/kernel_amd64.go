@@ -11,7 +11,10 @@ package gf
 //
 // The assembly handles only whole vectors; every wrapper finishes the
 // ragged remainder through the shared scalar tails in kernel.go so all
-// kernels agree byte-for-byte on every length.
+// kernels agree byte-for-byte on every length. A region of whole vectors
+// returns before the tail path: with 512-byte sectors a fused call is a
+// few vector iterations, and walking the empty tails for every
+// destination cost more than the arithmetic.
 
 // Assembly routines (kernel_amd64.s). n must be a positive multiple of
 // the vector width: 16 for the SSSE3/SSE2 routines, 32 for AVX2.
@@ -110,6 +113,9 @@ func (ssse3Kernel) MultXOR(dst, src []byte, t *MulTable) {
 	if n > 0 {
 		multXORSSSE3(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
 	}
+	if n == len(src) {
+		return
+	}
 	multXORTail(dst[n:], src[n:], t)
 }
 
@@ -117,6 +123,9 @@ func (ssse3Kernel) MulRegion(dst, src []byte, t *MulTable) {
 	n := len(src) &^ 15
 	if n > 0 {
 		mulRegionSSSE3(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
+	}
+	if n == len(src) {
+		return
 	}
 	mulRegionTail(dst[n:], src[n:], t)
 }
@@ -126,6 +135,9 @@ func (ssse3Kernel) XORRegion(dst, src []byte) {
 	if n > 0 {
 		xorRegionSSE2(&dst[0], &src[0], n)
 	}
+	if n == len(src) {
+		return
+	}
 	xorTail(dst[n:], src[n:])
 }
 
@@ -133,6 +145,9 @@ func (k ssse3Kernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable)
 	n := len(src) &^ 31
 	if n > 0 && len(dsts) > 0 {
 		multXORFusedSSSE3(dsts, tables, src[:n])
+	}
+	if n == len(src) {
+		return
 	}
 	for i, d := range dsts {
 		k.MultXOR(d[n:len(src)], src[n:], tables[i])
@@ -152,6 +167,9 @@ func (avx2Kernel) MultXOR(dst, src []byte, t *MulTable) {
 	if n > 0 {
 		multXORAVX2(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
 	}
+	if n == len(src) {
+		return
+	}
 	multXORTail(dst[n:], src[n:], t)
 }
 
@@ -160,6 +178,9 @@ func (avx2Kernel) MulRegion(dst, src []byte, t *MulTable) {
 	if n > 0 {
 		mulRegionAVX2(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
 	}
+	if n == len(src) {
+		return
+	}
 	mulRegionTail(dst[n:], src[n:], t)
 }
 
@@ -167,6 +188,9 @@ func (avx2Kernel) XORRegion(dst, src []byte) {
 	n := len(src) &^ 31
 	if n > 0 {
 		xorRegionAVX2(&dst[0], &src[0], n)
+	}
+	if n == len(src) {
+		return
 	}
 	xorTail(dst[n:], src[n:])
 }
@@ -189,6 +213,9 @@ func (k avx2Kernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) 
 		if i < len(dsts) {
 			multXORAVX2(&dsts[i][0], &src[0], n, &tables[i].Lo[0], &tables[i].Hi[0])
 		}
+	}
+	if n == len(src) {
+		return
 	}
 	for i, d := range dsts {
 		k.MultXOR(d[n:len(src)], src[n:], tables[i])
@@ -213,6 +240,9 @@ func (gfniKernel) MultXOR(dst, src []byte, t *MulTable) {
 	if n > 0 {
 		multXORGFNI(&dst[0], &src[0], n, t.Gfni)
 	}
+	if n == len(src) {
+		return
+	}
 	multXORTail(dst[n:], src[n:], t)
 }
 
@@ -220,6 +250,9 @@ func (gfniKernel) MulRegion(dst, src []byte, t *MulTable) {
 	n := len(src) &^ 31
 	if n > 0 {
 		mulRegionGFNI(&dst[0], &src[0], n, t.Gfni)
+	}
+	if n == len(src) {
+		return
 	}
 	mulRegionTail(dst[n:], src[n:], t)
 }
@@ -235,6 +268,9 @@ func (k gfniKernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable
 		for ; i < len(dsts); i++ {
 			mulRegionGFNI(&dsts[i][0], &src[0], n, tables[i].Gfni)
 		}
+	}
+	if n == len(src) {
+		return
 	}
 	for i, d := range dsts {
 		k.MulRegion(d[n:len(src)], src[n:], tables[i])
@@ -257,6 +293,9 @@ func (k gfniKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) 
 			multXORGFNI(&dsts[i][0], &src[0], n, tables[i].Gfni)
 		}
 	}
+	if n == len(src) {
+		return
+	}
 	for i, d := range dsts {
 		k.MultXOR(d[n:len(src)], src[n:], tables[i])
 	}
@@ -275,6 +314,9 @@ func (k gfni512Kernel) MultXOR(dst, src []byte, t *MulTable) {
 	if n > 0 {
 		multXORGFNI512(&dst[0], &src[0], n, t.Gfni)
 	}
+	if n == len(src) {
+		return
+	}
 	k.gfniKernel.MultXOR(dst[n:len(src)], src[n:], t)
 }
 
@@ -282,6 +324,9 @@ func (k gfni512Kernel) MulRegion(dst, src []byte, t *MulTable) {
 	n := len(src) &^ 63
 	if n > 0 {
 		mulRegionGFNI512(&dst[0], &src[0], n, t.Gfni)
+	}
+	if n == len(src) {
+		return
 	}
 	k.gfniKernel.MulRegion(dst[n:len(src)], src[n:], t)
 }
@@ -302,6 +347,9 @@ func (k gfni512Kernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTabl
 			multXORGFNI512(&dsts[i][0], &src[0], n, tables[i].Gfni)
 		}
 	}
+	if n == len(src) {
+		return
+	}
 	for i, d := range dsts {
 		k.gfniKernel.MultXOR(d[n:len(src)], src[n:], tables[i])
 	}
@@ -318,6 +366,9 @@ func (k gfni512Kernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTa
 		for ; i < len(dsts); i++ {
 			mulRegionGFNI512(&dsts[i][0], &src[0], n, tables[i].Gfni)
 		}
+	}
+	if n == len(src) {
+		return
 	}
 	for i, d := range dsts {
 		k.gfniKernel.MulRegion(d[n:len(src)], src[n:], tables[i])

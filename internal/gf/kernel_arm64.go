@@ -6,7 +6,8 @@ package gf
 // PSHUFB kernels, using TBL — AdvSIMD's 16-byte table lookup — which is
 // baseline on every arm64 core, so registration is unconditional.
 // Assembly handles whole 16-byte vectors; the wrappers finish ragged
-// tails through the shared scalar helpers in kernel.go.
+// tails through the shared scalar helpers in kernel.go, and return
+// before them when the region is a whole number of vectors.
 
 // Assembly routines (kernel_arm64.s). n must be a positive multiple
 // of 16.
@@ -40,6 +41,9 @@ func (neonKernel) MultXOR(dst, src []byte, t *MulTable) {
 	if n > 0 {
 		multXORNEON(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
 	}
+	if n == len(src) {
+		return
+	}
 	multXORTail(dst[n:], src[n:], t)
 }
 
@@ -47,6 +51,9 @@ func (neonKernel) MulRegion(dst, src []byte, t *MulTable) {
 	n := len(src) &^ 15
 	if n > 0 {
 		mulRegionNEON(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
+	}
+	if n == len(src) {
+		return
 	}
 	mulRegionTail(dst[n:], src[n:], t)
 }
@@ -56,6 +63,9 @@ func (neonKernel) XORRegion(dst, src []byte) {
 	if n > 0 {
 		xorRegionNEON(&dst[0], &src[0], n)
 	}
+	if n == len(src) {
+		return
+	}
 	xorTail(dst[n:], src[n:])
 }
 
@@ -63,6 +73,9 @@ func (k neonKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) 
 	n := len(src) &^ 31
 	if n > 0 && len(dsts) > 0 {
 		multXORFusedNEON(dsts, tables, src[:n])
+	}
+	if n == len(src) {
+		return
 	}
 	for i, d := range dsts {
 		k.MultXOR(d[n:len(src)], src[n:], tables[i])

@@ -50,8 +50,12 @@ func allKernels() []Kernel {
 }
 
 // kernelLengths exercises sub-vector regions, exact vector multiples,
-// and ragged tails across the SSE (16), AVX (32) and word (8) widths.
-var kernelLengths = []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 255, 256, 1000, 4096, 4097}
+// and ragged tails across the SSE/NEON (16), AVX (32), ZMM and fused
+// (64) and word (8) widths: each of those widths at one, two or more
+// vectors, and one byte either side, so both the whole-vector early
+// return and the tail path run on every kernel.
+var kernelLengths = []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65,
+	95, 96, 97, 127, 128, 129, 255, 256, 511, 512, 513, 1000, 4096, 4097}
 
 // TestKernelsMatchReference differential-tests every registered kernel
 // against the byte-loop reference over random coefficients, all length
@@ -261,19 +265,25 @@ func TestKernelSpeedGuard(t *testing.T) {
 
 	// Fused-path guard: one fused call over 4 destinations must not run
 	// slower than composing the per-op kernel — the whole point of the
-	// source-major planner. 0.9 leaves noise headroom; a real regression
-	// (fused falling back to something dumb) shows up as far worse.
+	// source-major planner. 0.9 leaves noise headroom at 4 KiB, where a
+	// real regression (fused falling back to something dumb) shows up as
+	// far worse. At 512 bytes — the small-sector geometry — a call is a
+	// few vector iterations, so per-call overhead dominates: the fused
+	// call pays it once against four times for the composition. Every
+	// amd64 SIMD kernel measured 1.4–2.8x there (2 vCPUs of a Xeon); a
+	// fused wrapper that walks its empty tail path again costs about what
+	// the composition does, and fails the 1.2 floor.
 	const fusedDsts = 4
 	tabs := make([]*MulTable, fusedDsts)
 	for i := range tabs {
 		tabs[i] = &f.tables[0x35+i]
 	}
-	measureFused := func(k Kernel, fused bool) float64 {
-		src := make([]byte, 4096)
+	measureFused := func(k Kernel, size int, fused bool) float64 {
+		src := make([]byte, size)
 		rand.New(rand.NewSource(5)).Read(src)
 		dsts := make([][]byte, fusedDsts)
 		for i := range dsts {
-			dsts[i] = make([]byte, 4096)
+			dsts[i] = make([]byte, size)
 		}
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -288,13 +298,22 @@ func TestKernelSpeedGuard(t *testing.T) {
 		})
 		return float64(res.T.Nanoseconds()) / float64(res.N)
 	}
-	perop := measureFused(active, false)
-	fused := measureFused(active, true)
-	fusedSpeedup := perop / fused
-	t.Logf("kernel %s fused: %.0f ns/op vs per-op %.0f ns/op (%.2fx) on %dx4 KiB MultXORFused",
-		active.Name(), fused, perop, fusedSpeedup, fusedDsts)
-	if fusedSpeedup < 0.9 {
-		t.Fatalf("kernel %s MultXORFused is slower than its per-op composition: %.2fx", active.Name(), fusedSpeedup)
+	for _, row := range []struct {
+		size  int
+		floor float64
+	}{{4096, 0.9}, {512, 1.2}} {
+		if runtime.GOARCH != "amd64" {
+			row.floor = 0.9 // the 512-byte figures are amd64 measurements
+		}
+		perop := measureFused(active, row.size, false)
+		fused := measureFused(active, row.size, true)
+		fusedSpeedup := perop / fused
+		t.Logf("kernel %s fused: %.0f ns/op vs per-op %.0f ns/op (%.2fx) on %dx%s MultXORFused",
+			active.Name(), fused, perop, fusedSpeedup, fusedDsts, byteSizeName(row.size))
+		if fusedSpeedup < row.floor {
+			t.Fatalf("kernel %s MultXORFused on %dx%s: %.2fx its per-op composition, want >= %.1fx",
+				active.Name(), fusedDsts, byteSizeName(row.size), fusedSpeedup, row.floor)
+		}
 	}
 }
 

@@ -368,21 +368,17 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 		switch se, ok := AsSectorErrors(werr); {
 		case werr == nil:
 			wrote += len(run)
-			if s.integ != nil {
-				for k, cell := range run {
-					s.stageRecord(cell.Col, s.devSector(stripe, cell.Row), bufs[k])
-				}
-			}
+			s.stageRecords(run[0].Col, s.devSector(stripe, run[0].Row), bufs)
 		case ok:
 			failed += len(se)
 			wrote += len(run) - len(se)
-			if s.integ != nil {
-				for k, cell := range run {
-					if sec := s.devSector(stripe, cell.Row); !se.has(sec) {
-						s.stageRecord(cell.Col, sec, bufs[k])
-					}
+			// The sectors that failed keep their old records.
+			for k, cell := range run {
+				if se.has(s.devSector(stripe, cell.Row)) {
+					bufs[k] = nil
 				}
 			}
+			s.stageRecords(run[0].Col, s.devSector(stripe, run[0].Row), bufs)
 		case !isDown(werr):
 			failed += len(run)
 		}

@@ -258,3 +258,92 @@ func TestDigestPathsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanFormsMatchPerSector: the span verifier and UpdateSpan give
+// the verdicts and stage the records that Verify and Update give sector
+// by sector — over OK, mismatched, absent and stale-epoch records,
+// skipped (nil) entries, spans that cross sidecar-sector boundaries (32
+// records per 512-byte sector) and a span longer than UpdateSpan's
+// digest scratch.
+func TestSpanFormsMatchPerSector(t *testing.T) {
+	const sectors, size, epoch = 200, 512, 7
+	per, err := NewManager(1, sectors, size, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, err := NewManager(1, sectors, size, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	data := make([][]byte, sectors)
+	for i := range data {
+		data[i] = make([]byte, size)
+		rng.Read(data[i])
+	}
+	// Sectors 10..19 carry records of an older epoch.
+	old, err := NewManager(1, sectors, size, epoch-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 10; i < 20; i++ {
+		old.Update(0, i, data[i])
+	}
+	per.InstallRegion(0, old.Region(0))
+	span.InstallRegion(0, old.Region(0))
+
+	// Stage 20..119 (across the 32-, 64- and 96-record boundaries and
+	// past one snapshot), skipping every seventh sector.
+	const lo, hi = 20, 120
+	bufs := make([][]byte, hi-lo)
+	for i := range bufs {
+		if (lo+i)%7 != 0 {
+			bufs[i] = data[lo+i]
+			per.Update(0, lo+i, data[lo+i])
+		}
+	}
+	span.UpdateSpan(0, lo, bufs)
+	if !bytes.Equal(per.Region(0), span.Region(0)) {
+		t.Fatal("UpdateSpan staged different records than Update per sector")
+	}
+
+	// Corrupt every fifth payload, then verify the whole column as one
+	// span — past the stale, staged and never-written sectors and across
+	// every sidecar-sector boundary — against Verify sector by sector.
+	for i := 0; i < sectors; i += 5 {
+		data[i][i%size] ^= 0x40
+	}
+	seen := map[Verdict]int{}
+	v := span.VerifySpan(0)
+	for i := range data {
+		got, want := v.Verify(i, data[i]), per.Verify(0, i, data[i])
+		if got != want {
+			v.Done()
+			t.Fatalf("sector %d: the span verifier says %v, Verify says %v", i, got, want)
+		}
+		seen[got]++
+		// Stale records read as Mismatch even for the payload they cover.
+		if i >= 10 && i < 20 && got != Mismatch {
+			v.Done()
+			t.Fatalf("stale-epoch sector %d: verdict %v, want Mismatch", i, got)
+		}
+	}
+	v.Done()
+	for _, verdict := range []Verdict{OK, Mismatch, Absent} {
+		if seen[verdict] == 0 {
+			t.Fatalf("no sector got verdict %v: %v", verdict, seen)
+		}
+	}
+
+	// A one-sector span allocates nothing, like the per-sector calls.
+	one, got := [][]byte{data[21]}, Absent
+	allocs := testing.AllocsPerRun(200, func() {
+		span.UpdateSpan(0, 21, one)
+		v := span.VerifySpan(0)
+		got = v.Verify(21, data[21])
+		v.Done()
+	})
+	if allocs != 0 || got != OK {
+		t.Fatalf("one-sector UpdateSpan and span verify: %.1f allocations, verdict %v; want 0, OK", allocs, got)
+	}
+}

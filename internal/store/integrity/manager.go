@@ -153,6 +153,11 @@ func (m *Manager) Verify(col, sector int, data []byte) Verdict {
 	state := m.states[col][sector]
 	sum := m.sums[col][sector]
 	m.mu[col].RUnlock()
+	return m.verdict(state, sum, col, sector, data)
+}
+
+// verdict judges data against a record's pre-decoded state and digest.
+func (m *Manager) verdict(state byte, sum uint32, col, sector int, data []byte) Verdict {
 	switch state {
 	case stateAbsent:
 		return Absent
@@ -163,6 +168,62 @@ func (m *Manager) Verify(col, sector int, data []byte) Verdict {
 		return Mismatch
 	}
 	return OK
+}
+
+// SpanVerifier is the span form of Verify: it verifies sectors of one
+// column — a vectored read's run — under one hold of the column's record
+// lock instead of one per sector. The lock is a read lock, so span
+// verifiers of one column run side by side; a writer staging records on
+// the column waits for the span's digests, at most one vectored read's
+// sectors. Get one from VerifySpan and call Done when the span is checked.
+type SpanVerifier struct {
+	m   *Manager
+	col int
+}
+
+// VerifySpan takes col's record lock for reading and returns the span
+// verifier holding it.
+func (m *Manager) VerifySpan(col int) SpanVerifier {
+	m.mu[col].RLock()
+	return SpanVerifier{m, col}
+}
+
+// Verify is Manager.Verify for a sector of the span's column.
+func (v SpanVerifier) Verify(sector int, data []byte) Verdict {
+	m := v.m
+	return m.verdict(m.states[v.col][sector], m.sums[v.col][sector], v.col, sector, data)
+}
+
+// Done releases the column's record lock.
+func (v SpanVerifier) Done() { v.m.mu[v.col].RUnlock() }
+
+// spanChunk bounds how many sectors UpdateSpan digests per hold of the
+// column lock: its digest scratch is a fixed-size stack array, so a span
+// allocates nothing. Stripe spans are at most r rows, within it in
+// practice.
+const spanChunk = 64
+
+// UpdateSpan is Update for sectors start, start+1, … of col, skipping a
+// nil bufs[i]: the payloads are digested first, then the span's records
+// are staged under one hold of the column lock.
+func (m *Manager) UpdateSpan(col, start int, bufs [][]byte) {
+	var sums [spanChunk]uint32
+	for base := 0; base < len(bufs); base += spanChunk {
+		part := bufs[base:min(base+spanChunk, len(bufs))]
+		lo := start + base
+		for i, data := range part {
+			if data != nil {
+				sums[i] = Sum(m.epoch, col, lo+i, data)
+			}
+		}
+		m.mu[col].Lock()
+		for i, data := range part {
+			if data != nil {
+				m.stageLocked(col, lo+i, sums[i])
+			}
+		}
+		m.mu[col].Unlock()
+	}
 }
 
 // Has reports whether a valid record covers col/sector.
@@ -183,12 +244,18 @@ func (m *Manager) Update(col, sector int, data []byte) {
 // UpdateSum stages a record from an already-computed digest (e.g. one
 // carried in a journal intent).
 func (m *Manager) UpdateSum(col, sector int, sum uint32) {
-	off := m.offset(sector)
 	m.mu[col].Lock()
+	m.stageLocked(col, sector, sum)
+	m.mu[col].Unlock()
+}
+
+// stageLocked writes col/sector's record for sum into the region image
+// and the pre-decoded cache. Caller holds mu[col] for writing.
+func (m *Manager) stageLocked(col, sector int, sum uint32) {
+	off := m.offset(sector)
 	Encode(m.regions[col][off:off+RecordSize], Record{Epoch: m.epoch, Sum: sum})
 	m.states[col][sector] = stateValid
 	m.sums[col][sector] = sum
-	m.mu[col].Unlock()
 }
 
 // FlushRange writes back the sidecar sectors covering data sectors

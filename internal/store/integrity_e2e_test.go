@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"stair/internal/core"
+	"stair/internal/store/integrity"
 )
 
 // openIntegrityStore opens a MemDevice-backed store with the end-to-end
@@ -317,6 +319,85 @@ func TestIntegrityRecordsRefreshOnScrub(t *testing.T) {
 	}
 	if rep2.RecordsRefreshed != 0 {
 		t.Fatalf("second scrub refreshed %d records, want 0", rep2.RecordsRefreshed)
+	}
+}
+
+// TestCleanScrubWritesNothing: a scrub of a clean volume whose every
+// sector has its record writes nothing to any device. With one record
+// dropped out-of-band, the next scrub refreshes exactly that record, in
+// one sidecar write to its device.
+func TestCleanScrubWritesNothing(t *testing.T) {
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	stripes, sector := 3, 128
+	total := stripes*code.R() + IntegrityMetaSectors(stripes, code.R(), sector)
+	counters := make([]*countingDevice, code.N())
+	devs := make([]Device, code.N())
+	for i := range devs {
+		counters[i] = &countingDevice{MemDevice: NewMemDevice(total, sector)}
+		devs[i] = counters[i]
+	}
+	open := func() *Store {
+		s, err := Open(Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs,
+			Integrity: &IntegrityOptions{Epoch: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	scrub := func(s *Store) (ScrubReport, []int64) {
+		t.Helper()
+		for _, c := range counters {
+			c.writes.Store(0)
+		}
+		rep, err := s.Scrub(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.StripesChecked != stripes || rep.StripesDamaged+rep.StripesInconsistent != 0 {
+			t.Fatalf("scrub of a clean volume: %+v", rep)
+		}
+		writes := make([]int64, len(counters))
+		for i, c := range counters {
+			writes[i] = c.writes.Load()
+		}
+		return rep, writes
+	}
+
+	s := open()
+	fillStore(t, s)
+	if rep, writes := scrub(s); rep.RecordsRefreshed != 0 || slices.ContainsFunc(writes, func(n int64) bool { return n != 0 }) {
+		t.Fatalf("clean scrub: RecordsRefreshed=%d, device writes %v; want 0 and none", rep.RecordsRefreshed, writes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drop the record of column 2, device sector 5: with 8 records per
+	// 128-byte sidecar sector it is the sixth of the first one.
+	const col, sec = 2, 5
+	md := counters[col].MemDevice
+	off := (stripes*code.R()+sec/8)*sector + sec%8*integrity.RecordSize
+	clear(md.data[off : off+integrity.RecordSize])
+	s = open()
+	defer s.Close()
+	rep, writes := scrub(s)
+	if rep.RecordsRefreshed != 1 {
+		t.Fatalf("RecordsRefreshed=%d with one record dropped, want 1", rep.RecordsRefreshed)
+	}
+	for i, n := range writes {
+		want := int64(0)
+		if i == col {
+			want = 1
+		}
+		if n != want {
+			t.Fatalf("device writes %v, want one on device %d only", writes, col)
+		}
+	}
+	if _, ok := integrity.Decode(md.data[off : off+integrity.RecordSize]); !ok {
+		t.Fatal("the refreshed record did not reach the sidecar")
+	}
+	if rep, writes := scrub(s); rep.RecordsRefreshed != 0 || slices.ContainsFunc(writes, func(n int64) bool { return n != 0 }) {
+		t.Fatalf("scrub after the refresh: RecordsRefreshed=%d, device writes %v; want 0 and none", rep.RecordsRefreshed, writes)
 	}
 }
 

@@ -41,11 +41,12 @@ func (s *Store) loadIntegrityRegions(ctx context.Context) {
 	}
 }
 
-// stageRecord stages a fresh checksum record for one just-written
-// sector. No-op when the integrity layer is off.
-func (s *Store) stageRecord(col, sector int, data []byte) {
+// stageRecords stages fresh checksum records for a just-written run of
+// col's sectors from start, one per non-nil entry of bufs, under one hold
+// of the column's record lock. No-op when the integrity layer is off.
+func (s *Store) stageRecords(col, start int, bufs [][]byte) {
 	if s.integ != nil {
-		s.integ.Update(col, sector, data)
+		s.integ.UpdateSpan(col, start, bufs)
 	}
 }
 

@@ -134,6 +134,8 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 	if !ld.verify || whole {
 		return nil
 	}
+	// One hold of the column's record lock covers the span's verdicts.
+	v := s.integ.VerifySpan(col)
 	for i := range bufs {
 		// Lost, held by the torn update, or not needed: no verdict.
 		if torn.has(at+i) || !ld.need.Has(at+i) || ld.lost.Has(at+i) {
@@ -141,7 +143,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 		}
 		// A mismatch read fine and is not what was written: a located
 		// erasure. A sector without a record is unverifiable and passes.
-		switch s.integ.Verify(col, start+i, bufs[i]) {
+		switch v.Verify(start+i, bufs[i]) {
 		case integrity.OK:
 			ld.verified++
 		case integrity.Mismatch:
@@ -149,6 +151,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 			ld.mismatches++
 		}
 	}
+	v.Done()
 	return nil
 }
 

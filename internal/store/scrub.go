@@ -209,11 +209,14 @@ func (s *Store) scrubStripeLocked(ctx context.Context, sh *lockShard, stripe int
 			}
 			s.markUnrecoverableLocked(sh, stripe)
 			s.c.scrubHits.Add(1)
-		case s.integ != nil:
-			// Clean stripe: re-write any absent integrity records —
-			// the stripe's content is proven good by parity, so this
-			// is how a replaced device's sidecar (or a volume
-			// predating the integrity layer) heals over passes.
+		case s.integ != nil && int(ld.verified) < s.n*s.r:
+			// Clean stripe with a sector the load did not verify —
+			// no record, or held by a torn update: re-write any absent
+			// integrity records. The stripe's content is proven good
+			// by parity, so this is how a replaced device's sidecar (or
+			// a volume predating the integrity layer) heals over
+			// passes. A stripe whose every sector verified has every
+			// record, and skips the per-sector scan.
 			rep.RecordsRefreshed += s.refreshStripeRecordsLocked(ctx, sh, stripe, st)
 		}
 	}

@@ -238,10 +238,10 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	// peel pruned to the block reads, and decodes the block through the
 	// cached plan, straight into dst. The sector errors must outlast the
 	// reads, so the repairs they would queue are dropped at the queue.
-	// Measured 3: the codec's lost-index list (1) and the MemDevice's
-	// sector-error answer (2). The load's lists and plan are shard
-	// scratch, and a failed device's answer is not searched for sector
-	// errors.
+	// Measured 2, both the MemDevice's sector-error answer: its
+	// SectorErrors list and the error value boxing it. The load's lists
+	// and plan are shard scratch, and a failed device's answer is not
+	// searched for sector errors.
 	s.repairQ.mu.Lock()
 	s.repairQ.cap = 0
 	s.repairQ.mu.Unlock()
