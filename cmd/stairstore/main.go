@@ -520,7 +520,7 @@ func cmdStats(ctx context.Context, args []string) (err error) {
 	pi := s.Code().PlanInfo()
 	fmt.Printf("volume:   %s\n", s.Code().Config())
 	fmt.Printf("gf:       w=%d, region kernel %s\n", s.Code().Field().W(), s.Code().KernelName())
-	fmt.Printf("plan:     tile %d B, %d stages, %d fused calls, max fan-out %d per encode\n",
+	fmt.Printf("plan:     tile %d B, %d stages, %d kernel ops of up to %d destinations per encode tile\n",
 		pi.TileBytes, pi.Stages, pi.FusedCalls, pi.MaxFanout)
 	fmt.Printf("geometry: %d devices × %d stripes × %d sectors × %d B (%d blocks)\n",
 		n, stripes, r, sector, s.Blocks())

@@ -88,14 +88,16 @@ type Code struct {
 	// derived from the standard-encoding generator (§5.2 uneven parity
 	// relations). Used by Update and the update-penalty analysis.
 	dataDeps [][]parityRef
+	// updPlans[ord] is data cell ord's compiled parity patch (see
+	// compileUpdates).
+	updPlans []plan
 
-	// tempSlot maps canonical index → scratch slot (or -1 when the cell
-	// is backed by stripe memory or is a known-zero constant).
-	tempSlot  []int32
-	tempCount int
+	// slot maps canonical index → environment index, the cell numbering
+	// plans run over (see indexEnv); envLen is the environment's length.
+	slot   []int32
+	envLen int
 
 	envPool sync.Pool // *stripeEnv: cell mapping, temporaries and Verify's parity scratch
-	fanPool sync.Pool // *[][]byte fused-kernel destination vectors
 
 	decodeMu               sync.Mutex
 	decodeCache, decodeOld map[string]*plan // peel plans, young and old (see cachePlan)
@@ -142,10 +144,11 @@ func New(cfg Config) (*Code, error) {
 	}
 	c.buildStandardSchedule()
 	c.chooseMethod()
-	c.indexScratch()
+	c.indexEnv()
 	c.upPlan = c.compilePlan(c.upSched)
 	c.downPlan = c.compilePlan(c.downSched)
 	c.stdPlan = c.compilePlan(c.stdSched)
+	c.compileUpdates()
 	c.decodeCache = make(map[string]*plan)
 	c.rowSolves = make(map[string]*rowSolve)
 	return c, nil
@@ -304,31 +307,36 @@ func (c *Code) chooseMethod() {
 	}
 }
 
-// indexScratch assigns scratch slots to canonical cells not backed by
-// stripe memory: intermediate parities, virtual parities and dummy
-// globals (and, for Outside placement, nothing extra — the stored
-// globals live in the stripe's Globals).
-func (c *Code) indexScratch() {
-	c.tempSlot = make([]int32, c.rows*c.cols)
-	for i := range c.tempSlot {
-		c.tempSlot[i] = -1
+// indexEnv numbers the canonical cells in environment order, the order
+// of stripeEnv.cells: the n·r real cells chunk-major (col·r + row), as
+// Stripe.Cells holds them, then with Outside placement the stored
+// globals in Stripe.Globals order, then one scratch slot per cell not
+// backed by stripe memory (intermediate parities, virtual parities,
+// dummy globals). Inside placement's corner globals are known-zero
+// constants no op reads; they map to -1.
+func (c *Code) indexEnv() {
+	c.slot = make([]int32, c.rows*c.cols)
+	next := int32(c.n * c.r)
+	if c.placement == Outside {
+		next += int32(c.s)
 	}
-	slot := int32(0)
 	for row := 0; row < c.rows; row++ {
 		for col := 0; col < c.cols; col++ {
-			if c.isReal(row, col) {
-				continue // stripe memory
+			idx := c.cellIdx(row, col)
+			if l, h, ok := c.globalOf(row, col); ok {
+				c.slot[idx] = -1
+				if c.placement == Outside {
+					c.slot[idx] = int32(c.n*c.r + c.globalOrd(l, h))
+				}
+			} else if c.isReal(row, col) {
+				c.slot[idx] = int32(col*c.r + row)
+			} else {
+				c.slot[idx] = next
+				next++
 			}
-			if _, _, ok := c.globalOf(row, col); ok {
-				// Known-zero constant (Inside) or stripe Globals
-				// memory (Outside): either way not scratch.
-				continue
-			}
-			c.tempSlot[c.cellIdx(row, col)] = slot
-			slot++
 		}
 	}
-	c.tempCount = int(slot)
+	c.envLen = int(next)
 }
 
 // Config returns the normalized configuration.

@@ -46,11 +46,10 @@ func (c *Code) peelPlan(lost, want Pattern) (*plan, error) {
 			// and that is not lost is one of its sources.
 			pl = c.compilePlan(sch)
 			pl.sources = NewPattern(c.n, c.r)
-			for _, st := range pl.stages {
-				for _, g := range slices.Concat(st.inits, st.groups) {
-					if row, col := c.cellRC(int(g.src)); c.isReal(row, col) && !lost.Has(col*c.r+row) {
-						pl.sources.Set(col*c.r + row)
-					}
+			// Its environment indices below n·r are the stripe's cells.
+			for _, o := range pl.ops {
+				if src := int(o.Src); o.N > 0 && src < c.n*c.r && !lost.Has(src) {
+					pl.sources.Set(src)
 				}
 			}
 		}
@@ -232,20 +231,21 @@ func (c *Code) Decode(st *Stripe, rp *ReadPlan) error {
 	}
 	if rp.local && st != nil && len(st.Cells) == c.n*c.r {
 		// A row solve reads and writes its row only, which RepairRow
-		// checks.
-		var cbuf [16][]byte
-		cells := cbuf[:0]
-		for col := 0; col < c.n; col++ {
-			cells = append(cells, st.Cells[col*c.r+rp.row])
+		// checks. The row's cell vector is a pooled environment's: the
+		// kernel's RunOps would move one on the stack to the heap.
+		e := c.envScratch()
+		defer c.releaseEnv(e)
+		for col := range c.n {
+			e.cells[col] = st.Cells[col*c.r+rp.row]
 		}
-		return c.RepairRow(cells, rp.cols, rp.col)
+		return c.RepairRow(e.cells[:c.n], rp.cols, rp.col)
 	}
 	if err := c.validateStripe(st); err != nil || rp.pl == nil {
 		return err
 	}
 	e := c.env(st)
 	defer c.releaseEnv(e)
-	c.runPlan(rp.pl, e.cells)
+	c.runPlan(rp.pl, e.cells, st.SectorSize)
 	return nil
 }
 

@@ -2,46 +2,42 @@ package core
 
 import "bytes"
 
-// stripeEnv is the canonical-cell → sector mapping of one stripe under
-// encode, repair or Verify, with the scratch memory backing its
-// temporaries and, for Verify, the recomputed parity. Environments are
-// pooled whole, so building one allocates nothing in steady state.
+// stripeEnv is the cell vector a plan runs over for one stripe under
+// encode, repair or Verify, in environment order (see indexEnv), with the
+// scratch memory backing its temporaries and, for Verify, the recomputed
+// parity. Environments are pooled whole, so building one allocates
+// nothing in steady state.
 type stripeEnv struct {
-	cells  [][]byte // rows × cols, indexed by cellIdx
-	temps  []byte   // tempCount × sectorSize
+	cells  [][]byte // envLen cells: the stripe's, its Globals, temporaries
+	temps  []byte   // one sector per temporary
 	parity []byte   // len(parityCells) × sectorSize, Verify only
 }
 
 // env builds the environment for st; the caller hands it back with
-// releaseEnv once the plan has run.
+// releaseEnv once the plan has run. Plans number the stripe's cells as
+// st.Cells does, so the mapping is two copies and the temporaries.
 func (c *Code) env(st *Stripe) *stripeEnv {
-	e, _ := c.envPool.Get().(*stripeEnv)
-	if e == nil {
-		e = &stripeEnv{cells: make([][]byte, c.rows*c.cols)}
-	}
-	cells := e.cells
-	for col := 0; col < c.n; col++ {
-		for row := 0; row < c.r; row++ {
-			cells[c.cellIdx(row, col)] = st.Cells[col*c.r+row]
-		}
-	}
-	if c.placement == Outside {
-		for l := 0; l < c.mPrime; l++ {
-			for h := 0; h < c.e[l]; h++ {
-				cells[c.cellIdx(c.r+h, c.n+l)] = st.Globals[c.globalOrd(l, h)]
-			}
-		}
-	}
-	if need := c.tempCount * st.SectorSize; cap(e.temps) < need {
+	e := c.envScratch()
+	base := copy(e.cells, st.Cells)
+	base += copy(e.cells[base:], st.Globals)
+	size := st.SectorSize
+	if need := (c.envLen - base) * size; cap(e.temps) < need {
 		e.temps = make([]byte, need)
 	}
-	for idx, slot := range c.tempSlot {
-		if slot >= 0 {
-			off := int(slot) * st.SectorSize
-			cells[idx] = e.temps[off : off+st.SectorSize : off+st.SectorSize]
-		}
+	for i := range e.cells[base:] {
+		off := i * size
+		e.cells[base+i] = e.temps[off : off+size : off+size]
 	}
 	return e
+}
+
+// envScratch takes an environment from the pool without mapping a
+// stripe into it.
+func (c *Code) envScratch() *stripeEnv {
+	if e, ok := c.envPool.Get().(*stripeEnv); ok {
+		return e
+	}
+	return &stripeEnv{cells: make([][]byte, c.envLen)}
 }
 
 // releaseEnv clears the mapping (so pooled slabs are not pinned) and
@@ -68,7 +64,7 @@ func (c *Code) EncodeWith(st *Stripe, m Method) error {
 	}
 	e := c.env(st)
 	defer c.releaseEnv(e)
-	c.runPlan(p, e.cells)
+	c.runPlan(p, e.cells, st.SectorSize)
 	return nil
 }
 
@@ -94,11 +90,11 @@ func (c *Code) Verify(st *Stripe) (bool, error) {
 	}
 	for i, idx := range c.parityCells {
 		off := i * size
-		e.cells[idx] = e.parity[off : off+size : off+size]
+		e.cells[c.slot[idx]] = e.parity[off : off+size : off+size]
 	}
-	c.runPlan(p, e.cells)
+	c.runPlan(p, e.cells, size)
 	for _, idx := range c.parityCells {
-		if !bytes.Equal(c.stored(st, idx), e.cells[idx]) {
+		if !bytes.Equal(c.stored(st, idx), e.cells[c.slot[idx]]) {
 			return false, nil
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // ISA-L ec_encode_data shape. A schedule lists its Mult_XORs destination
 // by destination, which would stream every source region from memory once
 // per parity row; a plan regroups the same Mult_XORs by *source* and
-// executes one fused kernel call per source cell, updating all of its
+// executes fused kernel calls per source cell, updating up to four of its
 // destinations while the source tile is register/cache-resident. The
 // whole stripe is then swept tile-by-tile (an L1/L2-sized block of every
 // cell at the same byte range) so sources and destinations both stay
@@ -22,40 +22,30 @@ import (
 // cells written by earlier ops. Compilation levels the op DAG into
 // stages — an op's stage is one past the deepest stage producing any of
 // its sources (plan inputs are stage 0) — so within a stage no op reads
-// another's destination and the fused calls of a stage can run in any
-// order. Each destination's first term runs as an overwrite (init) call
-// and the rest accumulate, so fresh output regions are neither
-// zero-filled nor re-read.
+// another's destination. Each destination's first term runs as an
+// overwrite (init) call and the rest accumulate, so fresh output regions
+// are neither zero-filled nor re-read.
+//
+// The compiled form is a flat list of gf.Ops addressed by environment
+// index (see indexEnv), stage by stage: zero-fills, then overwrites,
+// then accumulations, each source's destinations split into the 4-, 2-
+// and 1-destination calls the SIMD kernels take. A run hands the whole
+// list to the field's kernel once per tile.
 //
 // The plan is the only executor, for every field: gf.Table hides the
-// symbol width behind the coefficient tables the fused calls take.
+// symbol width behind the coefficient tables the ops carry.
 
-// defaultPlanTile is the per-cell tile size the stripe sweep uses. One
-// fused call touches 1 source + up-to-maxFan destination tiles, so the
-// working set is (fanout+1)·tile bytes: 8 KiB keeps a typical 4-wide
-// group inside a 48 KiB L1 and even the widest schedules inside L2.
+// defaultPlanTile is the per-cell tile size the stripe sweep uses. One op
+// touches 1 source + up to 4 destination tiles, and a source's ops run
+// back to back, so 8 KiB keeps a typical group inside a 48 KiB L1 and
+// even the widest schedules inside L2.
 const defaultPlanTile = 8192
-
-// fusedGroup is one fused kernel call: every destination cell the plan
-// accumulates coeff·src into within one stage, with the coefficient
-// tables pre-resolved at compile time.
-type fusedGroup struct {
-	src  int32
-	dsts []int32
-	tabs []*gf.MulTable
-}
-
-type planStage struct {
-	zero   []int32      // destinations with no surviving terms (rare)
-	inits  []fusedGroup // overwrite calls: each destination's first term
-	groups []fusedGroup // accumulate calls for the remaining terms
-}
 
 type plan struct {
 	sch    *schedule // the schedule this plan executes (costs, traces)
-	stages []planStage
-	maxFan int // widest fused group, sizes the per-run dst scratch
-	calls  int // fused calls per full execution (observability)
+	ops    []gf.Op   // every stage's kernel calls, in execution order
+	cells  []int32   // every cell the ops read or write, checked per run
+	stages int
 	// sources holds, for a decode plan, the real cells it reads without
 	// having written them (see ReadPlan).
 	sources Pattern
@@ -71,7 +61,6 @@ type sourceTerms struct {
 
 // compilePlan lowers a schedule into its source-major plan.
 func (c *Code) compilePlan(sch *schedule) *plan {
-	p := &plan{sch: sch}
 	// Stage leveling: plan inputs sit at stage 0, an op lands one past
 	// the deepest producer it reads. Schedules are in execution order and
 	// write each cell exactly once, so one forward pass suffices.
@@ -92,10 +81,10 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			maxStage = s
 		}
 	}
-	p.stages = make([]planStage, maxStage)
 	// bySrc holds each stage's terms regrouped per source cell, in first-
 	// use order; srcIx maps a stage's source cell to its bySrc index.
 	bySrc := make([][]sourceTerms, maxStage)
+	outs := make([][]int32, maxStage)
 	srcIx := make([]map[int32]int, maxStage)
 	for i := range srcIx {
 		srcIx[i] = make(map[int32]int)
@@ -103,7 +92,7 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 	for i := range sch.ops {
 		o := &sch.ops[i]
 		si := opStage[i] - 1
-		p.stages[si].zero = append(p.stages[si].zero, o.dst)
+		outs[si] = append(outs[si], o.dst)
 		for _, t := range o.terms {
 			coeff := t.coeff & uint32(c.f.Size()-1)
 			if coeff == 0 {
@@ -117,8 +106,8 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			}
 			g := &bySrc[si][ix]
 			// Merge duplicate (src,dst) terms: c1·v ^ c2·v = (c1^c2)·v.
-			// The fused kernels forbid overlapping destinations, and a
-			// merged term is cheaper anyway.
+			// An op's destinations must not overlap, and a merged term is
+			// cheaper anyway.
 			merged := false
 			for di, d := range g.dsts {
 				if d == o.dst {
@@ -133,107 +122,83 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			}
 		}
 	}
-	// add appends a non-empty fused call to a stage list and counts it.
-	add := func(list *[]fusedGroup, g fusedGroup) {
-		if len(g.dsts) == 0 {
-			return
-		}
-		*list = append(*list, g)
-		p.calls++
-		if len(g.dsts) > p.maxFan {
-			p.maxFan = len(g.dsts)
-		}
-	}
-	// Drop terms merged down to coefficient zero, resolve the surviving
-	// coefficients to their kernel tables, and split each destination's
-	// first surviving term into an overwrite (init) group: outputs are
-	// written by their first term instead of zero-filled and accumulated,
-	// saving one write plus one read of every destination region per
-	// execution. st.zero keeps only destinations every term of which
-	// merged away — those still need the explicit clear.
-	for si := range p.stages {
-		st := &p.stages[si]
-		claimed := make(map[int32]bool, len(st.zero))
-		for _, g := range bySrc[si] {
-			first, rest := fusedGroup{src: g.src}, fusedGroup{src: g.src}
+	p := &plan{sch: sch, stages: int(maxStage)}
+	// Drop terms merged down to coefficient zero and split each
+	// destination's first surviving term into an overwrite (init) op:
+	// outputs are written by their first term instead of zero-filled and
+	// accumulated, saving one write plus one read of every destination
+	// region per execution. Only destinations every term of which merged
+	// away still need a zero-fill.
+	var dsts []int32
+	var tabs []*gf.MulTable
+	for si := range bySrc {
+		claimer := make(map[int32]int, len(outs[si]))
+		for gi, g := range bySrc[si] {
 			for i, d := range g.dsts {
-				if g.coeffs[i] == 0 {
-					continue
+				if _, ok := claimer[d]; !ok && g.coeffs[i] != 0 {
+					claimer[d] = gi
 				}
-				into := &rest
-				if !claimed[d] {
-					claimed[d] = true
-					into = &first
-				}
-				into.dsts = append(into.dsts, d)
-				into.tabs = append(into.tabs, c.f.Table(g.coeffs[i]))
-			}
-			add(&st.inits, first)
-			add(&st.groups, rest)
-		}
-		zero := st.zero[:0]
-		for _, d := range st.zero {
-			if !claimed[d] {
-				zero = append(zero, d)
 			}
 		}
-		st.zero = zero
+		for _, d := range outs[si] {
+			if _, ok := claimer[d]; !ok {
+				p.ops = append(p.ops, gf.Op{Dst: [4]int32{c.slotOf(d)}})
+			}
+		}
+		for _, acc := range []bool{false, true} {
+			for gi, g := range bySrc[si] {
+				dsts, tabs = dsts[:0], tabs[:0]
+				for i, d := range g.dsts {
+					if g.coeffs[i] != 0 && (claimer[d] != gi) == acc {
+						dsts = append(dsts, c.slotOf(d))
+						tabs = append(tabs, c.f.Table(g.coeffs[i]))
+					}
+				}
+				p.ops = gf.AppendOps(p.ops, acc, c.slotOf(g.src), dsts, tabs)
+			}
+		}
 	}
+	p.cells = touched(p.ops)
 	return p
 }
 
-// runPlan executes a plan over the environment, sweeping all stages over
-// one tile of every cell before advancing to the next tile.
-func (c *Code) runPlan(p *plan, cells [][]byte) {
-	size := 0
-	for _, s := range cells {
-		if s != nil {
-			size = len(s)
-			break
+// slotOf is a canonical cell's environment index.
+func (c *Code) slotOf(idx int32) int32 { return c.slot[idx] }
+
+// touched lists, once each, the cells an op list reads or writes.
+func touched(ops []gf.Op) []int32 {
+	var cells []int32
+	seen := make(map[int32]bool)
+	add := func(i int32) {
+		if !seen[i] {
+			seen[i] = true
+			cells = append(cells, i)
 		}
 	}
-	fan, _ := c.fanPool.Get().(*[][]byte)
-	if fan == nil || cap(*fan) < p.maxFan {
-		b := make([][]byte, p.maxFan)
-		fan = &b
+	for _, o := range ops {
+		if o.N > 0 {
+			add(o.Src)
+		}
+		for _, d := range o.Dst[:max(o.N, 1)] {
+			add(d)
+		}
 	}
-	dstbuf := (*fan)[:p.maxFan]
-	defer func() {
-		clear(dstbuf)
-		c.fanPool.Put(fan)
-	}()
-	// Compilation fixed every group's arity and the field, so the kernel
-	// is resolved once here rather than re-checked on each fused call:
-	// at 512-byte sectors a call moves a few vectors, and the package
-	// entry points' checks were a measurable share of it.
+	return cells
+}
+
+// runPlan executes a plan over size bytes of the environment's cells,
+// sweeping every op over one tile before advancing to the next. The
+// kernels write through raw pointers, so it first checks, before any
+// byte is written, that every cell the plan names holds size bytes.
+func (c *Code) runPlan(p *plan, cells [][]byte, size int) {
+	for _, i := range p.cells {
+		if len(cells[i]) < size {
+			panic(fmt.Sprintf("core: plan cell %d has %d bytes, want %d", i, len(cells[i]), size))
+		}
+	}
 	k := c.f.Kernel()
 	for lo := 0; lo < size; lo += defaultPlanTile {
-		hi := lo + defaultPlanTile
-		if hi > size {
-			hi = size
-		}
-		for si := range p.stages {
-			st := &p.stages[si]
-			for _, d := range st.zero {
-				gf.Zero(cells[d][lo:hi])
-			}
-			for gi := range st.inits {
-				g := &st.inits[gi]
-				dsts := dstbuf[:len(g.dsts)]
-				for i, d := range g.dsts {
-					dsts[i] = cells[d][lo:hi]
-				}
-				k.MulRegionFused(dsts, cells[g.src][lo:hi], g.tabs)
-			}
-			for gi := range st.groups {
-				g := &st.groups[gi]
-				dsts := dstbuf[:len(g.dsts)]
-				for i, d := range g.dsts {
-					dsts[i] = cells[d][lo:hi]
-				}
-				k.MultXORFused(dsts, cells[g.src][lo:hi], g.tabs)
-			}
-		}
+		k.RunOps(p.ops, cells, lo, min(lo+defaultPlanTile, size))
 	}
 }
 
@@ -255,7 +220,10 @@ func (c *Code) planFor(m Method) (*plan, error) {
 
 // PlanInfo describes the stripe data path for observability surfaces
 // (stairstore stats, the stairbench banner, staird metrics). Stages,
-// FusedCalls and MaxFanout describe the auto-method encode plan.
+// FusedCalls and MaxFanout describe the auto-method encode plan:
+// FusedCalls counts the kernel ops it runs per tile (zero-fills
+// included), MaxFanout the most destinations one op writes (at most 4,
+// the widest SIMD routine).
 type PlanInfo struct {
 	Kernel     string `json:"kernel"`
 	TileBytes  int    `json:"tile_bytes"`
@@ -267,7 +235,7 @@ type PlanInfo struct {
 // PlanDefaults reports the data-path configuration codes built in this
 // process will use — tile size and the dispatched kernel — without
 // needing a compiled Code. Banner/startup surfaces use it; per-code shape
-// (stages, fan-out) comes from Code.PlanInfo.
+// (stages, ops, fan-out) comes from Code.PlanInfo.
 func PlanDefaults() PlanInfo {
 	return PlanInfo{Kernel: gf.ActiveKernelName(), TileBytes: defaultPlanTile}
 }
@@ -277,11 +245,15 @@ func PlanDefaults() PlanInfo {
 // the auto-method encode plan.
 func (c *Code) PlanInfo() PlanInfo {
 	p, _ := c.planFor(MethodAuto)
+	fan := 0
+	for _, o := range p.ops {
+		fan = max(fan, int(o.N))
+	}
 	return PlanInfo{
 		Kernel:     c.KernelName(),
 		TileBytes:  defaultPlanTile,
-		Stages:     len(p.stages),
-		FusedCalls: p.calls,
-		MaxFanout:  p.maxFan,
+		Stages:     p.stages,
+		FusedCalls: len(p.ops),
+		MaxFanout:  fan,
 	}
 }

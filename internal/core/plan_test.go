@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,19 +17,20 @@ import (
 // to it, for every field width, at sector sizes below, at and ragged
 // past the plan tile.
 
-// run executes a schedule over the environment. Each op overwrites its
-// destination with a linear combination of its sources.
+// run executes a schedule, whose ops name canonical cells, over the
+// environment. Each op overwrites its destination with a linear
+// combination of its sources.
 func (c *Code) run(sch *schedule, cells [][]byte) {
 	for i := range sch.ops {
 		o := &sch.ops[i]
-		dst := cells[o.dst]
+		dst := cells[c.slot[o.dst]]
 		if len(o.terms) == 0 {
 			gf.Zero(dst)
 			continue
 		}
-		c.f.MultRegion(dst, cells[o.terms[0].src], o.terms[0].coeff)
+		c.f.MultRegion(dst, cells[c.slot[o.terms[0].src]], o.terms[0].coeff)
 		for _, t := range o.terms[1:] {
-			c.f.MultXOR(dst, cells[t.src], t.coeff)
+			c.f.MultXOR(dst, cells[c.slot[t.src]], t.coeff)
 		}
 	}
 }
@@ -255,14 +257,16 @@ func TestPlanMergesDuplicateTerms(t *testing.T) {
 			{dst: dstZero, terms: []term{{src: src, coeff: 9}, {src: src, coeff: 9}}},
 		}}
 		p := c.compilePlan(sch)
-		if p.calls != 1 || len(p.stages) != 1 || len(p.stages[0].zero) != 1 || p.stages[0].zero[0] != dstZero {
-			t.Fatalf("w=%d: plan = %+v, want one init call and %d zeroed", w, p.stages, dstZero)
+		zero, init := p.ops[0], p.ops[len(p.ops)-1]
+		if len(p.ops) != 2 || p.stages != 1 || zero.N != 0 || zero.Dst[0] != c.slotOf(dstZero) ||
+			init.N != 1 || init.Acc || init.Dst[0] != c.slotOf(dstSum) {
+			t.Fatalf("w=%d: plan ops = %+v, want a zero-fill of %d and one overwrite of %d", w, p.ops, dstZero, dstSum)
 		}
 		const sectorSize = 66
 		got := newFilledStripe(t, c, sectorSize, 21)
 		want := got.Clone()
 		e := c.env(got)
-		c.runPlan(p, e.cells)
+		c.runPlan(p, e.cells, sectorSize)
 		c.releaseEnv(e)
 		e = c.env(want)
 		c.run(sch, e.cells)
@@ -291,5 +295,137 @@ func TestPlanDecodeCacheReusesPlan(t *testing.T) {
 	}
 	if p1 == nil || p1 != p2 {
 		t.Fatalf("decode plan not cached: %p vs %p", p1, p2)
+	}
+}
+
+// randomCells returns n random cells of size bytes, and a copy.
+func randomCells(rng *rand.Rand, n, size int) (cells, clone [][]byte) {
+	cells, clone = make([][]byte, n), make([][]byte, n)
+	for i := range cells {
+		cells[i] = make([]byte, size)
+		rng.Read(cells[i])
+		clone[i] = append([]byte(nil), cells[i]...)
+	}
+	return cells, clone
+}
+
+// TestPlanKindsMatchTermByTerm holds every kind of compiled plan — the
+// three encode methods, decode plans, update patches and row-local
+// solves — to what it compiles, applied term by term: run over a vector
+// of random cells, every cell must come out byte-identical to the
+// schedule walk (encode, decode), the parity relations (update) or the
+// row solve's coefficients (row-local) applied one Mult_XOR at a time,
+// for w ∈ {4, 8, 16} at sizes inside one tile, exactly one, ragged past
+// it and over several.
+func TestPlanKindsMatchTermByTerm(t *testing.T) {
+	forEachPlanCase(t, func(t *testing.T, c *Code, size int) {
+		rng := rand.New(rand.NewSource(int64(size)))
+		check := func(what string, p *plan, ncells int, ref func(cells [][]byte)) {
+			t.Helper()
+			got, want := randomCells(rng, ncells, size)
+			c.runPlan(p, got, size)
+			ref(want)
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s: cell %d differs from the term-by-term reference", what, i)
+				}
+			}
+		}
+		for _, m := range []Method{MethodUpstairs, MethodDownstairs, MethodStandard} {
+			p, err := c.planFor(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(m.String(), p, c.envLen, func(cells [][]byte) { c.run(p.sch, cells) })
+		}
+		for _, lost := range [][]Cell{{{Col: 0, Row: 0}}, worstCaseLost(c)} {
+			pat := cellPattern(c, lost)
+			p, err := c.peelPlan(pat, pat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("decode %v", lost), p, c.envLen, func(cells [][]byte) { c.run(p.sch, cells) })
+		}
+		for _, ord := range []int{0, len(c.dataDeps) - 1} {
+			deps := c.dataDeps[ord]
+			check(fmt.Sprintf("update of data cell %d", ord), &c.updPlans[ord], len(deps)+1, func(cells [][]byte) {
+				for i, pr := range deps {
+					c.f.MultXOR(cells[i+1], cells[0], pr.coeff)
+				}
+			})
+		}
+		var sets [][]int // a row solve covers at most m lost columns
+		if c.M() >= 1 {
+			sets = append(sets, []int{0}, []int{c.N() - 1})
+		}
+		if c.M() >= 2 {
+			sets = append(sets, []int{0, c.N() - 1})
+		}
+		for _, set := range sets {
+			rs, err := c.rowSolveFor(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coeffs, err := c.crow.SolveCoeffs(rs.have, set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, col := range set {
+				check(fmt.Sprintf("row-local %v col %d", set, col), &rs.plans[i], c.N(), func(cells [][]byte) {
+					for j, src := range rs.have {
+						if j == 0 {
+							c.f.MultRegion(cells[col], cells[src], coeffs.At(i, j))
+						} else {
+							c.f.MultXOR(cells[col], cells[src], coeffs.At(i, j))
+						}
+					}
+				})
+			}
+		}
+	})
+}
+
+// TestPlanShortCellPanicsBeforeWriting: the kernels write through raw
+// pointers, so runPlan checks every cell a plan names before its first
+// op. A destination one byte short of the run, or a source left nil,
+// must panic with every cell as it was.
+func TestPlanShortCellPanicsBeforeWriting(t *testing.T) {
+	c, err := New(Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.planFor(MethodAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 512
+	last := p.ops[len(p.ops)-1]
+	for _, tc := range []struct {
+		what string
+		cell int32
+		keep int
+	}{
+		{"destination of the last op one byte short", last.Dst[0], size - 1},
+		{"source of the last op nil", last.Src, -1},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			cells, before := randomCells(rand.New(rand.NewSource(3)), c.envLen, size)
+			if tc.keep < 0 {
+				cells[tc.cell], before[tc.cell] = nil, nil
+			} else {
+				cells[tc.cell], before[tc.cell] = cells[tc.cell][:tc.keep], before[tc.cell][:tc.keep]
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("runPlan did not panic")
+				}
+				for i := range cells {
+					if !bytes.Equal(cells[i][:cap(cells[i])], before[i][:cap(before[i])]) {
+						t.Fatalf("cell %d changed before the panic", i)
+					}
+				}
+			}()
+			c.runPlan(p, cells, size)
+		})
 	}
 }

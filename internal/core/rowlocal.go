@@ -50,9 +50,9 @@ func (c *Code) rowHave(dst, lost []int) []int {
 
 // rowSolveFor returns (solving and compiling on first use) the row-local
 // repair of a sorted, duplicate-free set of 1..m lost columns. Each of
-// its plans is one op over a row's cells indexed by column, shaped for
-// runPlan: the first source overwrites the destination, the rest
-// accumulate into it.
+// its plans computes one lost column over a row's cells indexed by
+// column, one single-destination op per source: the first overwrites
+// the destination, the rest accumulate into it.
 func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	// The key is the set as a one-row pattern, on the stack for n ≤ 256.
 	var wbuf [4]uint64
@@ -78,28 +78,24 @@ func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: row-local solve of columns %v: %w", set, err)
 	}
-	dsts, stages := make([]int32, k), make([]planStage, k)
-	tabs, groups := make([]*gf.MulTable, k*kappa), make([]fusedGroup, 0, k*kappa)
+	ops, cells := make([]gf.Op, 0, k*kappa), make([]int32, 0, k*(kappa+1))
 	for i, col := range set {
-		dsts[i] = int32(col)
-		dst := dsts[i:][:1:1]
-		first := len(groups)
+		dst, first, from := int32(col), len(ops), len(cells)
 		for j, src := range rs.have {
 			// An MDS row solve has no zero coefficient (a cell would
 			// otherwise follow from n−m−1 others); skipping one keeps the
 			// plan right regardless.
 			if coeff := coeffs.At(i, j); coeff != 0 {
-				t := tabs[i*kappa+j:][:1:1]
-				t[0] = c.f.Table(coeff)
-				groups = append(groups, fusedGroup{src: int32(src), dsts: dst, tabs: t})
+				ops = append(ops, gf.Op{N: 1, Acc: len(ops) > first, Src: int32(src),
+					Dst: [4]int32{dst}, Tab: [4]*gf.MulTable{c.f.Table(coeff)}})
+				cells = append(cells, int32(src))
 			}
 		}
-		terms := groups[first:len(groups):len(groups)]
-		stages[i] = planStage{zero: dst}
-		if len(terms) > 0 {
-			stages[i] = planStage{inits: terms[:1], groups: terms[1:]}
+		if len(ops) == first {
+			ops = append(ops, gf.Op{Dst: [4]int32{dst}})
 		}
-		rs.plans[i] = plan{stages: stages[i:][:1:1], maxFan: 1, calls: len(terms)}
+		cells = append(cells, dst)
+		rs.plans[i] = plan{ops: ops[first:len(ops):len(ops)], cells: cells[from:len(cells):len(cells)], stages: 1}
 	}
 	c.rowMu.Lock()
 	c.rowSolves[string(key)] = rs
@@ -146,6 +142,6 @@ func (c *Code) RepairRow(cells [][]byte, lost []int, want int) error {
 		}
 	}
 	i, _ := slices.BinarySearch(cols, want)
-	c.runPlan(&rs.plans[i], cells)
+	c.runPlan(&rs.plans[i], cells, size)
 	return nil
 }

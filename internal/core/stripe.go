@@ -122,11 +122,12 @@ func (c *Code) globalOrd(l, h int) int {
 }
 
 // stored returns the stripe memory of a real cell or an Outside global
-// from its canonical index.
+// from its canonical index: its environment slot, past the n·r cells an
+// index into Globals.
 func (c *Code) stored(st *Stripe, idx int) []byte {
-	row, col := c.cellRC(idx)
-	if l, h, ok := c.globalOf(row, col); ok {
-		return st.Globals[c.globalOrd(l, h)]
+	j := int(c.slot[idx])
+	if j < len(st.Cells) {
+		return st.Cells[j]
 	}
-	return st.Sector(col, row)
+	return st.Globals[j-len(st.Cells)]
 }

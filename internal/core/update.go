@@ -17,14 +17,38 @@ func (c *Code) Update(st *Stripe, cell Cell, newData []byte) error {
 }
 
 // UpdateScratch is Update's working memory — the delta region and the
-// destination/table vectors of the fused parity patch. A caller that
-// updates in a loop keeps one and passes it to UpdateWith, which then
-// allocates nothing. The zero value is ready; a scratch must not be
-// shared between concurrent calls.
+// cell vector of the parity patch. A caller that updates in a loop keeps
+// one and passes it to UpdateWith, which then allocates nothing. The
+// zero value is ready; a scratch must not be shared between concurrent
+// calls.
 type UpdateScratch struct {
 	delta []byte
-	dsts  [][]byte
-	tabs  []*gf.MulTable
+	cells [][]byte
+}
+
+// compileUpdates compiles each data cell's parity patch (§5.2 uneven
+// parity relations, source-major) into a plan over the cell vector
+// [delta, dataDeps[ord]'s parity cells in order]: the delta region is
+// read once per four affected parity sectors. The plans share two
+// backing arrays.
+func (c *Code) compileUpdates() {
+	total := 0
+	for _, deps := range c.dataDeps {
+		total += len(deps)
+	}
+	c.updPlans = make([]plan, len(c.dataDeps))
+	ops, cells := make([]gf.Op, 0, total), make([]int32, 0, total+len(c.dataDeps))
+	var tabs []*gf.MulTable
+	for ord, deps := range c.dataDeps {
+		from, first := len(cells), len(ops)
+		cells, tabs = append(cells, 0), tabs[:0]
+		for i, pr := range deps {
+			cells = append(cells, int32(i+1))
+			tabs = append(tabs, c.f.Table(pr.coeff))
+		}
+		ops = gf.AppendOps(ops, true, 0, cells[from+1:], tabs)
+		c.updPlans[ord] = plan{ops: ops[first:len(ops):len(ops)], cells: cells[from:len(cells):len(cells)], stages: 1}
+	}
 }
 
 // UpdateWith is Update on caller-provided scratch.
@@ -51,21 +75,18 @@ func (c *Code) UpdateWith(st *Stripe, cell Cell, newData []byte, sc *UpdateScrat
 	copy(delta, old)
 	gf.XORRegion(delta, newData)
 	deps := c.dataDeps[ord]
-	if cap(sc.dsts) < len(deps) {
-		sc.dsts, sc.tabs = make([][]byte, 0, len(deps)), make([]*gf.MulTable, 0, len(deps))
+	if cap(sc.cells) <= len(deps) {
+		sc.cells = make([][]byte, 0, len(deps)+1)
 	}
-	dsts, tabs := sc.dsts[:0], sc.tabs[:0]
+	cells := append(sc.cells[:0], delta)
 	for _, pr := range deps {
-		dsts = append(dsts, c.stored(st, int(pr.cell)))
-		tabs = append(tabs, c.f.Table(pr.coeff))
+		cells = append(cells, c.stored(st, int(pr.cell)))
 	}
-	// One fused pass: the delta region is read once for all affected
-	// parity sectors (§5.2 uneven parity relations, source-major).
-	gf.MultXORFused(dsts, delta, tabs)
+	c.runPlan(&c.updPlans[ord], cells, st.SectorSize)
 	copy(old, newData)
-	// Keep the grown vectors, not the stripe memory they pointed into.
-	clear(dsts)
-	sc.dsts, sc.tabs = dsts, tabs
+	// Keep the grown vector, not the stripe memory it pointed into.
+	clear(cells)
+	sc.cells = cells
 	return nil
 }
 

@@ -61,7 +61,7 @@ func TestKernelsMatchReferenceFused(t *testing.T) {
 							wantSl[i] = want[i][off:]
 						}
 						refMultXORFused(wantSl, src, tabs)
-						k.MultXORFused(dsts, src, tabs)
+						runFusedOn(k, dsts, src, tabs, true)
 						for i := range dsts {
 							if !bytes.Equal(dsts[i], wantSl[i]) {
 								t.Fatalf("ndst=%d n=%d off=%d dst[%d]: fused kernel disagrees with composed reference",
@@ -91,7 +91,7 @@ func TestKernelsMatchReferenceFusedW4(t *testing.T) {
 						want[i] = append([]byte(nil), base[i]...)
 					}
 					refMultXORFused(want, src, tabs)
-					k.MultXORFused(dsts, src, tabs)
+					runFusedOn(k, dsts, src, tabs, true)
 					for i := range dsts {
 						if !bytes.Equal(dsts[i], want[i]) {
 							t.Fatalf("w=4 ndst=%d n=%d dst[%d]: fused kernel disagrees with composed reference", ndst, n, i)
@@ -123,7 +123,7 @@ func TestKernelsMatchReferenceMulRegionFused(t *testing.T) {
 								want[i] = append([]byte(nil), base[i]...)
 								refMulRegion(want[i][off:], src, tabs[i])
 							}
-							k.MulRegionFused(dsts, src, tabs)
+							runFusedOn(k, dsts, src, tabs, false)
 							for i := range dsts {
 								if !bytes.Equal(dsts[i], want[i][off:]) {
 									t.Fatalf("w=%d ndst=%d n=%d off=%d dst[%d]: MulRegionFused disagrees with composed reference",
@@ -303,7 +303,7 @@ func FuzzMultXORFused(f *testing.F) {
 			for i := range got {
 				got[i] = append([]byte(nil), dsts[i]...)
 			}
-			kern.MultXORFused(got, src, tabs)
+			runFusedOn(kern, got, src, tabs, true)
 			for i := range got {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("kernel %s MultXORFused(ndst=%d, n=%d, off=%d) dst[%d] diverges from composed portable",
@@ -311,7 +311,7 @@ func FuzzMultXORFused(f *testing.F) {
 				}
 				copy(got[i], dsts[i])
 			}
-			kern.MulRegionFused(got, src, tabs)
+			runFusedOn(kern, got, src, tabs, false)
 			for i := range got {
 				if !bytes.Equal(got[i], wantOver[i]) {
 					t.Fatalf("kernel %s MulRegionFused(ndst=%d, n=%d, off=%d) dst[%d] diverges from composed portable",
@@ -322,7 +322,8 @@ func FuzzMultXORFused(f *testing.F) {
 	})
 }
 
-// BenchmarkMultXORFusedKernels measures the fused op against its per-op
+// BenchmarkMultXORFusedKernels measures a fused op (one RunOps call, the
+// form a plan makes per tile) against its per-op
 // composition on every registered kernel: <kernel>/fused/<dsts>x<size> vs
 // <kernel>/perop/<dsts>x<size>. The fused/perop ratio is the win the
 // source-major planner banks on, and the CI bench smoke picks this up
@@ -337,15 +338,19 @@ func BenchmarkMultXORFusedKernels(b *testing.B) {
 				rng.Read(src)
 				dsts := make([][]byte, ndst)
 				tabs := make([]*MulTable, ndst)
+				idx := make([]int32, ndst)
 				for i := range dsts {
 					dsts[i] = make([]byte, size)
 					tabs[i] = &f.tables[0x35+i]
+					idx[i] = int32(i + 1)
 				}
+				cells := append([][]byte{src}, dsts...)
+				ops := AppendOps(nil, true, 0, idx, tabs)
 				name := fmt.Sprintf("%dx%s", ndst, byteSizeName(size))
 				b.Run(k.Name()+"/fused/"+name, func(b *testing.B) {
 					b.SetBytes(int64(size * ndst))
 					for i := 0; i < b.N; i++ {
-						k.MultXORFused(dsts, src, tabs)
+						k.RunOps(ops, cells, 0, size)
 					}
 				})
 				b.Run(k.Name()+"/perop/"+name, func(b *testing.B) {
@@ -358,5 +363,85 @@ func BenchmarkMultXORFusedKernels(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// randomOps draws an op list over ncells cells of field f: arities 1 to
+// 4, overwrite and accumulate, about one in eight a zero-fill, each op's
+// destinations distinct and apart from its source. coeffs[i][j] is the
+// coefficient of ops[i].Tab[j].
+func randomOps(rng *rand.Rand, f *Field, ncells, nops int) (ops []Op, coeffs [][4]uint32) {
+	for range nops {
+		perm := rng.Perm(ncells)
+		o := Op{Src: int32(perm[0]), Acc: rng.Intn(2) == 0, N: uint8(1 + rng.Intn(4))}
+		if rng.Intn(8) == 0 {
+			o.N = 0
+		}
+		var cs [4]uint32
+		for j := range max(o.N, 1) {
+			o.Dst[j] = int32(perm[1+j])
+			cs[j] = uint32(1 + rng.Int63n(int64(f.mask)))
+			o.Tab[j] = f.Table(cs[j])
+		}
+		ops, coeffs = append(ops, o), append(coeffs, cs)
+	}
+	return ops, coeffs
+}
+
+// TestRunOpsMatchesPerDestination differential-tests every kernel's op
+// runner, the wide loop's included: a random op list run tile by tile
+// over [lo, lo+n) of a cell vector must leave every cell byte-identical
+// to applying the ops in order, one Field.MultXOR or MultRegion per
+// destination, and must not touch a byte outside the range. Regions are
+// one vector, a 512-byte sector, a ragged 520 bytes and two 8 KiB plan
+// tiles, at lo = 0 and at a non-zero lo.
+func TestRunOpsMatchesPerDestination(t *testing.T) {
+	const ncells, tile = 9, 8192
+	type kcase struct {
+		k Kernel
+		f *Field
+	}
+	var cases []kcase
+	for _, k := range allKernels() {
+		cases = append(cases, kcase{k, Get(8)}, kcase{k, Get(4)})
+	}
+	cases = append(cases, kcase{wideKernel{}, Get(16)})
+	rng := rand.New(rand.NewSource(83))
+	for _, kc := range cases {
+		t.Run(fmt.Sprintf("w%d/%s", kc.f.W(), kc.k.Name()), func(t *testing.T) {
+			for _, n := range []int{64, 512, 520, 8256} {
+				for _, lo := range []int{0, 96} {
+					ops, coeffs := randomOps(rng, kc.f, ncells, 16)
+					got, want := make([][]byte, ncells), make([][]byte, ncells)
+					for i := range got {
+						got[i] = make([]byte, lo+n+32)
+						rng.Read(got[i])
+						want[i] = append([]byte(nil), got[i]...)
+					}
+					for at := lo; at < lo+n; at += tile {
+						kc.k.RunOps(ops, got, at, min(at+tile, lo+n))
+					}
+					for i, o := range ops {
+						if o.N == 0 {
+							clear(want[o.Dst[0]][lo : lo+n])
+							continue
+						}
+						src := want[o.Src][lo : lo+n]
+						for j, d := range o.Dst[:o.N] {
+							if o.Acc {
+								kc.f.MultXOR(want[d][lo:lo+n], src, coeffs[i][j])
+							} else {
+								kc.f.MultRegion(want[d][lo:lo+n], src, coeffs[i][j])
+							}
+						}
+					}
+					for i := range got {
+						if !bytes.Equal(got[i], want[i]) {
+							t.Fatalf("n=%d lo=%d: cell %d differs from the per-destination reference", n, lo, i)
+						}
+					}
+				}
+			}
+		})
 	}
 }

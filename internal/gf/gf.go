@@ -260,11 +260,9 @@ func (f *Field) KernelName() string { return f.Kernel().Name() }
 
 // Kernel returns the region kernel this field's tables run on: the
 // dispatched kernel for w == 4 and w == 8, the portable wide loop for
-// w == 16. A caller making many fused calls over one field's tables (a
-// plan run) resolves it once and calls it directly, skipping the per-call
-// arity, field-width and dispatch checks of the package-level MultXORFused
-// and MulRegionFused; it must then keep their contract itself — one table
-// per destination, at least one destination, a non-empty source.
+// w == 16. A plan run resolves it once and calls its RunOps per tile,
+// keeping RunOps' contract itself: every cell its ops name holds at
+// least hi bytes.
 func (f *Field) Kernel() Kernel {
 	if f.wide != nil {
 		return wideKernel{}
@@ -328,61 +326,107 @@ func (f *Field) wideTable(c uint32) *MulTable {
 // encode uses so each source region is read once instead of once per
 // parity row. Zero coefficients are skipped. Every dsts[i] must have
 // len(src) bytes. Callers that precompile coefficient columns should use
-// Field.Table plus the package-level MultXORFused instead to avoid the
-// per-call table slice.
+// Field.Table plus the package-level MultXORFused instead, skipping the
+// per-call table lookups.
 func (f *Field) MultXORFused(dsts [][]byte, src []byte, coeffs []uint32) {
 	if len(dsts) != len(coeffs) {
 		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d coeffs=%d", len(dsts), len(coeffs)))
 	}
-	live := make([][]byte, 0, len(dsts))
-	tabs := make([]*MulTable, 0, len(dsts))
+	s := getFused(src)
 	for i, d := range dsts {
 		f.checkRegions(d, src)
 		if c := coeffs[i] & f.mask; c != 0 {
-			live = append(live, d)
-			tabs = append(tabs, f.Table(c))
+			s.add(d, f.Table(c))
 		}
 	}
-	MultXORFused(live, src, tabs)
+	s.run(f.Kernel(), true)
 }
 
-// MultXORFused dispatches dsts[i] ^= tables[i]·src to the active region
-// kernel in one pass over src. It is the precompiled-plan entry point:
-// callers resolve coefficient tables once via Field.Table (dropping zero
-// coefficients) and reuse them across calls. Every dsts[i] must have at
-// least len(src) bytes, every tables[i] must be non-nil and all of them
-// must come from the same field. GF(2^16) tables take the portable wide
-// loop, one destination at a time.
+// MultXORFused computes dsts[i] ^= tables[i]·src on the active region
+// kernel in one pass over src. Callers resolve coefficient tables once
+// via Field.Table (dropping zero coefficients) and reuse them across
+// calls. Every dsts[i] must have at least len(src) bytes, every
+// tables[i] must be non-nil and all of them must come from the same
+// field. GF(2^16) tables take the portable wide loop, one destination at
+// a time. It adapts dsts to Kernel.RunOps for callers without a plan.
 func MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	if len(dsts) != len(tables) {
-		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d tables=%d", len(dsts), len(tables)))
-	}
-	if len(dsts) == 0 || len(src) == 0 {
-		return
-	}
-	if tables[0].wide != nil {
-		wideKernel{}.MultXORFused(dsts, src, tables)
-		return
-	}
-	activeKernel().MultXORFused(dsts, src, tables)
+	runFused(dsts, src, tables, true)
 }
 
 // MulRegionFused dispatches dsts[i] = tables[i]·src — the overwrite
-// form of MultXORFused. Plans route each destination's first term here
-// so output regions are never zero-filled or read before their first
-// accumulation. Same contract as MultXORFused.
+// form of MultXORFused. Same contract as MultXORFused.
 func MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
+	runFused(dsts, src, tables, false)
+}
+
+func runFused(dsts [][]byte, src []byte, tables []*MulTable, acc bool) {
 	if len(dsts) != len(tables) {
 		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d tables=%d", len(dsts), len(tables)))
 	}
 	if len(dsts) == 0 || len(src) == 0 {
 		return
 	}
+	k := activeKernel()
 	if tables[0].wide != nil {
-		wideKernel{}.MulRegionFused(dsts, src, tables)
-		return
+		k = wideKernel{}
 	}
-	activeKernel().MulRegionFused(dsts, src, tables)
+	runFusedOn(k, dsts, src, tables, acc)
+}
+
+// fusedTile is the source bytes one RunOps call of the adapters covers:
+// small enough that the source stays L1-resident across an op list
+// longer than one op (more than four destinations, or the per-destination
+// kernels), large enough to amortise the call.
+const fusedTile = 4096
+
+// fusedScratch is the cell vector [src, dsts...], tables and op list the
+// adapters hand RunOps, pooled so they allocate nothing in steady state.
+type fusedScratch struct {
+	cells [][]byte
+	idx   []int32
+	tabs  []*MulTable
+	ops   []Op
+}
+
+var fusedPool = sync.Pool{New: func() any { return new(fusedScratch) }}
+
+// getFused takes a scratch from the pool with src as its cell 0.
+func getFused(src []byte) *fusedScratch {
+	s := fusedPool.Get().(*fusedScratch)
+	s.cells, s.idx, s.tabs = append(s.cells[:0], src), s.idx[:0], s.tabs[:0]
+	return s
+}
+
+// add appends destination d, multiplied into by t.
+func (s *fusedScratch) add(d []byte, t *MulTable) {
+	if len(d) < len(s.cells[0]) {
+		panic(fmt.Sprintf("gf: fused destination %d has %d bytes, want at least %d", len(s.idx), len(d), len(s.cells[0])))
+	}
+	s.cells = append(s.cells, d)
+	s.idx = append(s.idx, int32(len(s.cells)-1))
+	s.tabs = append(s.tabs, t)
+}
+
+// run computes every destination (^)= its table·src on kernel k, one
+// RunOps call per fusedTile of src, and returns the scratch to the pool.
+func (s *fusedScratch) run(k Kernel, acc bool) {
+	n := len(s.cells[0])
+	s.ops = AppendOps(s.ops[:0], acc, 0, s.idx, s.tabs)
+	for lo := 0; lo < n; lo += fusedTile {
+		k.RunOps(s.ops, s.cells, lo, min(lo+fusedTile, n))
+	}
+	clear(s.cells) // pin no caller memory in the pool
+	clear(s.tabs)
+	fusedPool.Put(s)
+}
+
+// runFusedOn runs dsts[i] (^)= tables[i]·src on kernel k.
+func runFusedOn(k Kernel, dsts [][]byte, src []byte, tables []*MulTable, acc bool) {
+	s := getFused(src)
+	for i, d := range dsts {
+		s.add(d, tables[i])
+	}
+	s.run(k, acc)
 }
 
 // MultRegion computes dst = c·src (overwriting dst).
@@ -449,25 +493,15 @@ func (wideKernel) MulRegion(dst, src []byte, t *MulTable) { mulWide(dst, src, t.
 
 func (wideKernel) XORRegion(dst, src []byte) { activeKernel().XORRegion(dst, src) }
 
-func (wideKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	mulWideFused(dsts, src, tables, true)
-}
-
-func (wideKernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	mulWideFused(dsts, src, tables, false)
-}
-
-// mulWideFused routes a fused call carrying GF(2^16) tables through
-// mulWide, one destination at a time. A byte range that splits a symbol
-// (a plan tile or worker range starting on an odd byte) is a caller bug
-// that would silently corrupt the boundary symbols, so it panics.
-func mulWideFused(dsts [][]byte, src []byte, tables []*MulTable, acc bool) {
-	if len(src)%2 != 0 {
-		panic(fmt.Sprintf("gf: region length %d is not a multiple of the 2-byte symbol size", len(src)))
+// RunOps runs every op one destination at a time through mulWide. A
+// byte range that splits a symbol (a plan tile or worker range starting
+// on an odd byte) is a caller bug that would silently corrupt the
+// boundary symbols, so it panics.
+func (w wideKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	if (lo|hi)%2 != 0 {
+		panic(fmt.Sprintf("gf: region [%d, %d) splits a 2-byte symbol", lo, hi))
 	}
-	for i, d := range dsts {
-		mulWide(d[:len(src)], src, tables[i].wide, acc)
-	}
+	runOpsPerDest(w, ops, cells, lo, hi)
 }
 
 // ReadSymbol extracts the symbol at index i from a region, honouring the

@@ -90,22 +90,75 @@ type Kernel interface {
 	MulRegion(dst, src []byte, t *MulTable)
 	// XORRegion computes dst ^= src.
 	XORRegion(dst, src []byte)
-	// MultXORFused computes dsts[i] ^= c_i·src for every destination in
-	// one pass over src, c_i described by tables[i]. It is the ISA-L
-	// ec_encode_data shape: the SIMD implementations keep each source
-	// tile register-resident while updating all destinations, so a
-	// multi-parity encode reads its sources once instead of once per
-	// parity row. len(tables) must equal len(dsts) and every dst must be
-	// at least len(src) bytes; results are byte-identical to calling
-	// MultXOR(dsts[i], src, tables[i]) for each i in any order. dsts must
-	// not overlap src or each other.
-	MultXORFused(dsts [][]byte, src []byte, tables []*MulTable)
-	// MulRegionFused is the overwrite form of MultXORFused: dsts[i] =
-	// c_i·src, no read of the destinations' prior contents. The planner
-	// uses it for each destination's first term, saving the zero-fill
-	// write and the first accumulation's read of every output region.
-	// Same contract as MultXORFused otherwise.
-	MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable)
+	// RunOps runs a compiled op list over bytes [lo, hi) of cells, op
+	// after op: an op reads cells[Src][lo:hi] and writes
+	// cells[Dst[j]][lo:hi]. It is the one multi-destination entry point:
+	// plans call it once per tile, and the package-level MultXORFused and
+	// MulRegionFused adapt a destination list to it. The SIMD kernels
+	// keep each source block register-resident while updating all of an
+	// op's destinations (the ISA-L ec_encode_data shape), calling their
+	// assembly directly on &cells[i][lo]. Every cell an op names must
+	// hold at least hi bytes, since the assembly writes through raw
+	// pointers and does not re-check; callers check once per run. Within
+	// an op the destinations must not overlap the source or each other.
+	// Results are byte-identical to MultXOR (Acc) or MulRegion per
+	// destination, in op order.
+	RunOps(ops []Op, cells [][]byte, lo, hi int)
+}
+
+// Op is one kernel call of a compiled plan: Tab[j]·Src into Dst[j] for
+// the first N destinations, every cell named by its index in the cell
+// vector RunOps runs over. N is 1 to 4; AppendOps emits 4, 2 and 1, the
+// arities the SIMD kernels have routines for. N == 0 zero-fills Dst[0]
+// and reads no source. Acc accumulates (dst ^= c·src) instead of
+// overwriting (dst = c·src).
+type Op struct {
+	N   uint8
+	Acc bool
+	Src int32
+	Dst [4]int32
+	Tab [4]*MulTable
+}
+
+// AppendOps appends the ops computing dsts[i] (^)= tabs[i]·src, split
+// into fours, then a pair, then a single.
+func AppendOps(ops []Op, acc bool, src int32, dsts []int32, tabs []*MulTable) []Op {
+	for len(dsts) > 0 {
+		n := 1
+		if len(dsts) >= 4 {
+			n = 4
+		} else if len(dsts) >= 2 {
+			n = 2
+		}
+		ops = append(ops, Op{N: uint8(n), Acc: acc, Src: src})
+		o := &ops[len(ops)-1]
+		for j := range n {
+			o.Dst[j], o.Tab[j] = dsts[j], tabs[j]
+		}
+		dsts, tabs = dsts[n:], tabs[n:]
+	}
+	return ops
+}
+
+// runOpsPerDest runs ops one destination at a time through k's
+// single-destination methods: the whole runner of the portable and wide
+// kernels, and the ragged-tail path of the SIMD ones.
+func runOpsPerDest(k Kernel, ops []Op, cells [][]byte, lo, hi int) {
+	for i := range ops {
+		o := &ops[i]
+		if o.N == 0 {
+			clear(cells[o.Dst[0]][lo:hi])
+			continue
+		}
+		src := cells[o.Src][lo:hi]
+		for j, d := range o.Dst[:o.N] {
+			if o.Acc {
+				k.MultXOR(cells[d][lo:hi], src, o.Tab[j])
+			} else {
+				k.MulRegion(cells[d][lo:hi], src, o.Tab[j])
+			}
+		}
+	}
 }
 
 // registeredKernel pairs a kernel with its dispatch priority; higher wins.
@@ -344,52 +397,8 @@ func (portableKernel) MulRegion(dst, src []byte, t *MulTable) {
 
 func (portableKernel) XORRegion(dst, src []byte) { xorTail(dst, src) }
 
-// fusedChunk is the number of source bytes the portable fused op sweeps
-// per destination round. Small enough that the chunk stays L1-resident
-// while every destination consumes it, large enough to amortise the
-// per-destination loop setup.
-const fusedChunk = 4096
-
-// MultXORFused on the portable kernel is the reference the SIMD fused
-// paths are differential-tested against: the exact composition of the
-// per-destination MultXOR, swept in L1-sized source chunks so each chunk
-// is read from cache (not memory) for all but the first destination.
-func (p portableKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	for off := 0; off < len(src); off += fusedChunk {
-		end := off + fusedChunk
-		if end > len(src) {
-			end = len(src)
-		}
-		s := src[off:end]
-		for i, d := range dsts {
-			p.MultXOR(d[off:end], s, tables[i])
-		}
-	}
-}
-
-// MulRegionFused is the overwrite counterpart, composed from MulRegion
-// the same way.
-func (p portableKernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	mulRegionFusedByChunks(p, dsts, src, tables)
-}
-
-// mulRegionFusedByChunks composes a kernel's MulRegionFused from its own
-// per-destination MulRegion, sweeping L1-sized source chunks so the
-// source is read from cache for all but the first destination. The
-// overwrite form has no destination reads to fuse away, so this
-// composition already captures the op's traffic savings; kernels with a
-// register-resident fused form (GFNI) override it anyway.
-func mulRegionFusedByChunks(k Kernel, dsts [][]byte, src []byte, tables []*MulTable) {
-	for off := 0; off < len(src); off += fusedChunk {
-		end := off + fusedChunk
-		if end > len(src) {
-			end = len(src)
-		}
-		s := src[off:end]
-		for i, d := range dsts {
-			k.MulRegion(d[off:end], s, tables[i])
-		}
-	}
+func (p portableKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	runOpsPerDest(p, ops, cells, lo, hi)
 }
 
 func init() { registerKernel(portableKernel{}, 0) }

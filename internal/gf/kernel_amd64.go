@@ -48,8 +48,8 @@ func xorRegionAVX2(dst, src *byte, n int)
 //
 // The AVX2 forms are fixed-arity (4- and 2-destination) so all split
 // tables live in YMM registers for the whole region — no per-block table
-// broadcasts or pointer chasing; the wrapper chunks arbitrary fan-out
-// over them. n must be a positive multiple of 64.
+// broadcasts or pointer chasing; AppendOps splits any fan-out into ops
+// of these arities. n must be a positive multiple of 64.
 //
 //go:noescape
 func multXORFusedSSSE3(dsts [][]byte, tabs []*MulTable, src []byte)
@@ -141,21 +141,38 @@ func (ssse3Kernel) XORRegion(dst, src []byte) {
 	xorTail(dst[n:], src[n:])
 }
 
-func (k ssse3Kernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 31
-	if n > 0 && len(dsts) > 0 {
-		multXORFusedSSSE3(dsts, tables, src[:n])
+// RunOps hands accumulate ops of two or more destinations to the
+// slice-walking fused routine, on a destination vector built on the
+// stack, and the rest to the per-destination routines.
+func (k ssse3Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	n := (hi - lo) &^ 31
+	for i := range ops {
+		o := &ops[i]
+		if o.N == 0 {
+			clear(cells[o.Dst[0]][lo:hi])
+			continue
+		}
+		if n > 0 {
+			s := &cells[o.Src][lo]
+			switch {
+			case o.Acc && o.N > 1:
+				var dv [4][]byte
+				for j, d := range o.Dst[:o.N] {
+					dv[j] = cells[d][lo : lo+n]
+				}
+				multXORFusedSSSE3(dv[:o.N], o.Tab[:o.N], cells[o.Src][lo:lo+n])
+			case o.Acc:
+				multXORSSSE3(&cells[o.Dst[0]][lo], s, n, &o.Tab[0].Lo[0], &o.Tab[0].Hi[0])
+			default:
+				for j, d := range o.Dst[:o.N] {
+					mulRegionSSSE3(&cells[d][lo], s, n, &o.Tab[j].Lo[0], &o.Tab[j].Hi[0])
+				}
+			}
+		}
+		if n < hi-lo {
+			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
+		}
 	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.MultXOR(d[n:len(src)], src[n:], tables[i])
-	}
-}
-
-func (k ssse3Kernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	mulRegionFusedByChunks(k, dsts, src, tables)
 }
 
 type avx2Kernel struct{}
@@ -195,35 +212,37 @@ func (avx2Kernel) XORRegion(dst, src []byte) {
 	xorTail(dst[n:], src[n:])
 }
 
-func (k avx2Kernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		// Chunk the fan-out over the fixed-arity routines: fours, then a
-		// pair, then a single via the per-op kernel (tables hoisted in
-		// all three shapes).
-		i := 0
-		for ; i+4 <= len(dsts); i += 4 {
-			multXORFused4AVX2(&dsts[i][0], &dsts[i+1][0], &dsts[i+2][0], &dsts[i+3][0],
-				&src[0], n, tables[i], tables[i+1], tables[i+2], tables[i+3])
+func (k avx2Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	n := (hi - lo) &^ 63
+	for i := range ops {
+		o := &ops[i]
+		if o.N == 0 {
+			clear(cells[o.Dst[0]][lo:hi])
+			continue
 		}
-		if i+2 <= len(dsts) {
-			multXORFused2AVX2(&dsts[i][0], &dsts[i+1][0], &src[0], n, tables[i], tables[i+1])
-			i += 2
+		if n > 0 {
+			s, d, t := &cells[o.Src][lo], &o.Dst, &o.Tab
+			switch {
+			case o.Acc && o.N == 4:
+				multXORFused4AVX2(&cells[d[0]][lo], &cells[d[1]][lo], &cells[d[2]][lo], &cells[d[3]][lo],
+					s, n, t[0], t[1], t[2], t[3])
+			case o.Acc && o.N > 1:
+				multXORFused2AVX2(&cells[d[0]][lo], &cells[d[1]][lo], s, n, t[0], t[1])
+				if o.N == 3 {
+					multXORAVX2(&cells[d[2]][lo], s, n, &t[2].Lo[0], &t[2].Hi[0])
+				}
+			case o.Acc:
+				multXORAVX2(&cells[d[0]][lo], s, n, &t[0].Lo[0], &t[0].Hi[0])
+			default:
+				for j := range o.N {
+					mulRegionAVX2(&cells[d[j]][lo], s, n, &t[j].Lo[0], &t[j].Hi[0])
+				}
+			}
 		}
-		if i < len(dsts) {
-			multXORAVX2(&dsts[i][0], &src[0], n, &tables[i].Lo[0], &tables[i].Hi[0])
+		if n < hi-lo {
+			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
 		}
 	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.MultXOR(d[n:len(src)], src[n:], tables[i])
-	}
-}
-
-func (k avx2Kernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	mulRegionFusedByChunks(k, dsts, src, tables)
 }
 
 // gfniKernel multiplies through VGF2P8AFFINEQB against per-coefficient
@@ -257,47 +276,39 @@ func (gfniKernel) MulRegion(dst, src []byte, t *MulTable) {
 	mulRegionTail(dst[n:], src[n:], t)
 }
 
-func (k gfniKernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		i := 0
-		for ; i+4 <= len(dsts); i += 4 {
-			mulRegionFused4GFNI(&dsts[i][0], &dsts[i+1][0], &dsts[i+2][0], &dsts[i+3][0],
-				&src[0], n, tables[i].Gfni, tables[i+1].Gfni, tables[i+2].Gfni, tables[i+3].Gfni)
+func (k gfniKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	n := (hi - lo) &^ 63
+	for i := range ops {
+		o := &ops[i]
+		if o.N == 0 {
+			clear(cells[o.Dst[0]][lo:hi])
+			continue
 		}
-		for ; i < len(dsts); i++ {
-			mulRegionGFNI(&dsts[i][0], &src[0], n, tables[i].Gfni)
+		if n > 0 {
+			s, d, t := &cells[o.Src][lo], &o.Dst, &o.Tab
+			switch {
+			case o.Acc && o.N == 4:
+				multXORFused4GFNI(&cells[d[0]][lo], &cells[d[1]][lo], &cells[d[2]][lo], &cells[d[3]][lo],
+					s, n, t[0].Gfni, t[1].Gfni, t[2].Gfni, t[3].Gfni)
+			case o.Acc && o.N > 1:
+				multXORFused2GFNI(&cells[d[0]][lo], &cells[d[1]][lo], s, n, t[0].Gfni, t[1].Gfni)
+				if o.N == 3 {
+					multXORGFNI(&cells[d[2]][lo], s, n, t[2].Gfni)
+				}
+			case o.Acc:
+				multXORGFNI(&cells[d[0]][lo], s, n, t[0].Gfni)
+			case o.N == 4:
+				mulRegionFused4GFNI(&cells[d[0]][lo], &cells[d[1]][lo], &cells[d[2]][lo], &cells[d[3]][lo],
+					s, n, t[0].Gfni, t[1].Gfni, t[2].Gfni, t[3].Gfni)
+			default:
+				for j := range o.N {
+					mulRegionGFNI(&cells[d[j]][lo], s, n, t[j].Gfni)
+				}
+			}
 		}
-	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.MulRegion(d[n:len(src)], src[n:], tables[i])
-	}
-}
-
-func (k gfniKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		i := 0
-		for ; i+4 <= len(dsts); i += 4 {
-			multXORFused4GFNI(&dsts[i][0], &dsts[i+1][0], &dsts[i+2][0], &dsts[i+3][0],
-				&src[0], n, tables[i].Gfni, tables[i+1].Gfni, tables[i+2].Gfni, tables[i+3].Gfni)
+		if n < hi-lo {
+			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
 		}
-		if i+2 <= len(dsts) {
-			multXORFused2GFNI(&dsts[i][0], &dsts[i+1][0], &src[0], n, tables[i].Gfni, tables[i+1].Gfni)
-			i += 2
-		}
-		if i < len(dsts) {
-			multXORGFNI(&dsts[i][0], &src[0], n, tables[i].Gfni)
-		}
-	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.MultXOR(d[n:len(src)], src[n:], tables[i])
 	}
 }
 
@@ -331,47 +342,39 @@ func (k gfni512Kernel) MulRegion(dst, src []byte, t *MulTable) {
 	k.gfniKernel.MulRegion(dst[n:len(src)], src[n:], t)
 }
 
-func (k gfni512Kernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		i := 0
-		for ; i+4 <= len(dsts); i += 4 {
-			multXORFused4GFNI512(&dsts[i][0], &dsts[i+1][0], &dsts[i+2][0], &dsts[i+3][0],
-				&src[0], n, tables[i].Gfni, tables[i+1].Gfni, tables[i+2].Gfni, tables[i+3].Gfni)
+func (k gfni512Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	n := (hi - lo) &^ 63
+	for i := range ops {
+		o := &ops[i]
+		if o.N == 0 {
+			clear(cells[o.Dst[0]][lo:hi])
+			continue
 		}
-		if i+2 <= len(dsts) {
-			multXORFused2GFNI512(&dsts[i][0], &dsts[i+1][0], &src[0], n, tables[i].Gfni, tables[i+1].Gfni)
-			i += 2
+		if n > 0 {
+			s, d, t := &cells[o.Src][lo], &o.Dst, &o.Tab
+			switch {
+			case o.Acc && o.N == 4:
+				multXORFused4GFNI512(&cells[d[0]][lo], &cells[d[1]][lo], &cells[d[2]][lo], &cells[d[3]][lo],
+					s, n, t[0].Gfni, t[1].Gfni, t[2].Gfni, t[3].Gfni)
+			case o.Acc && o.N > 1:
+				multXORFused2GFNI512(&cells[d[0]][lo], &cells[d[1]][lo], s, n, t[0].Gfni, t[1].Gfni)
+				if o.N == 3 {
+					multXORGFNI512(&cells[d[2]][lo], s, n, t[2].Gfni)
+				}
+			case o.Acc:
+				multXORGFNI512(&cells[d[0]][lo], s, n, t[0].Gfni)
+			case o.N == 4:
+				mulRegionFused4GFNI512(&cells[d[0]][lo], &cells[d[1]][lo], &cells[d[2]][lo], &cells[d[3]][lo],
+					s, n, t[0].Gfni, t[1].Gfni, t[2].Gfni, t[3].Gfni)
+			default:
+				for j := range o.N {
+					mulRegionGFNI512(&cells[d[j]][lo], s, n, t[j].Gfni)
+				}
+			}
 		}
-		if i < len(dsts) {
-			multXORGFNI512(&dsts[i][0], &src[0], n, tables[i].Gfni)
+		if n < hi-lo {
+			runOpsPerDest(k.gfniKernel, ops[i:i+1], cells, lo+n, hi)
 		}
-	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.gfniKernel.MultXOR(d[n:len(src)], src[n:], tables[i])
-	}
-}
-
-func (k gfni512Kernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		i := 0
-		for ; i+4 <= len(dsts); i += 4 {
-			mulRegionFused4GFNI512(&dsts[i][0], &dsts[i+1][0], &dsts[i+2][0], &dsts[i+3][0],
-				&src[0], n, tables[i].Gfni, tables[i+1].Gfni, tables[i+2].Gfni, tables[i+3].Gfni)
-		}
-		for ; i < len(dsts); i++ {
-			mulRegionGFNI512(&dsts[i][0], &src[0], n, tables[i].Gfni)
-		}
-	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.gfniKernel.MulRegion(d[n:len(src)], src[n:], tables[i])
 	}
 }
 

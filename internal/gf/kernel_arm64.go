@@ -69,21 +69,38 @@ func (neonKernel) XORRegion(dst, src []byte) {
 	xorTail(dst[n:], src[n:])
 }
 
-func (k neonKernel) MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	n := len(src) &^ 31
-	if n > 0 && len(dsts) > 0 {
-		multXORFusedNEON(dsts, tables, src[:n])
+// RunOps hands accumulate ops of two or more destinations to the
+// slice-walking fused routine, on a destination vector built on the
+// stack, and the rest to the per-destination routines.
+func (k neonKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	n := (hi - lo) &^ 31
+	for i := range ops {
+		o := &ops[i]
+		if o.N == 0 {
+			clear(cells[o.Dst[0]][lo:hi])
+			continue
+		}
+		if n > 0 {
+			s := &cells[o.Src][lo]
+			switch {
+			case o.Acc && o.N > 1:
+				var dv [4][]byte
+				for j, d := range o.Dst[:o.N] {
+					dv[j] = cells[d][lo : lo+n]
+				}
+				multXORFusedNEON(dv[:o.N], o.Tab[:o.N], cells[o.Src][lo:lo+n])
+			case o.Acc:
+				multXORNEON(&cells[o.Dst[0]][lo], s, n, &o.Tab[0].Lo[0], &o.Tab[0].Hi[0])
+			default:
+				for j, d := range o.Dst[:o.N] {
+					mulRegionNEON(&cells[d][lo], s, n, &o.Tab[j].Lo[0], &o.Tab[j].Hi[0])
+				}
+			}
+		}
+		if n < hi-lo {
+			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
+		}
 	}
-	if n == len(src) {
-		return
-	}
-	for i, d := range dsts {
-		k.MultXOR(d[n:len(src)], src[n:], tables[i])
-	}
-}
-
-func (k neonKernel) MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	mulRegionFusedByChunks(k, dsts, src, tables)
 }
 
 func init() { registerKernel(neonKernel{}, 2) }

@@ -69,12 +69,12 @@ var haveVPCLMUL = func() bool {
 	return ebx7&cpuidAVX512F != 0 && ecx7&cpuidVPCLMULQDQ != 0
 }()
 
-// crcFoldThreshold is the payload size below which the stdlib path
-// wins: the kernel's fixed costs (ZMM warm-up, two merge stages,
-// residual handoff) only amortise on larger buffers. It also keeps
-// n&^63 >= 256, the assembly's minimum (the four accumulators load
-// 256 bytes up front).
-const crcFoldThreshold = 1024
+// crcFoldThreshold is the assembly's minimum, n&^63 >= 256 (the four
+// accumulators load 256 bytes up front): the fold's fixed costs already
+// amortise there. BenchmarkCRCUpdate, 2-vCPU Xeon, interleaved runs:
+// 512 B folded 32–35 ns vs stdlib 36–46 ns (5 of 5), 1 KiB 33–48 vs
+// 64–73 ns, 256–448 B 28–42 vs 37–67 ns.
+const crcFoldThreshold = 256
 
 func crcUpdate(crc uint32, p []byte) uint32 {
 	if !haveVPCLMUL || len(p) < crcFoldThreshold {

@@ -103,7 +103,7 @@ func FuzzCRCUpdate(f *testing.F) {
 }
 
 func BenchmarkCRCUpdate(b *testing.B) {
-	for _, n := range []int{512, 4096, 8192, 65536} {
+	for _, n := range []int{512, 1024, 4096, 8192, 65536} {
 		p := make([]byte, n)
 		rand.New(rand.NewSource(2)).Read(p)
 		b.Run(benchName("dispatched", n), func(b *testing.B) {
