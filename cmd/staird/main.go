@@ -1,6 +1,7 @@
 // Command staird runs the distributed STAIR volume service.
 //
-// Two roles share the binary. A device server exports one local
+// Two roles share the binary, and a third command writes the fleet file
+// they meet through. A device server exports one local
 // (memory- or file-backed) device over the NetDevice wire protocol,
 // optionally latency-shaped to emulate remote media:
 //
@@ -14,7 +15,7 @@
 //
 //	staird serve -listen :8080 -fleet fleet.json -volume myvol \
 //	    -n 6 -r 4 -m 2 -e 1,2 -stripes 64 -sector 4096 \
-//	    [-flush-workers 4] [-hedge] \
+//	    [-flush-workers 4] \
 //	    [-integrity -epoch 1] [-heartbeat 1s] [-fail-after 3]
 //
 // With -integrity, every device carries a per-sector checksum sidecar
@@ -22,13 +23,16 @@
 // with -sectors ≥ stripes×r + store.IntegrityMetaSectors(stripes, r,
 // sector) — serve prints the required figure at startup.
 //
-// With -hedge (on by default), a client's block read that outlives its
-// column's p90 latency is solved from n−m sectors of the block's own
-// row, checksum-verified with -integrity, and the slow answer is
-// dropped. Only client reads hedge: flushes, repairs, scrubs
-// and rebuilds see what the device servers answered.
+// A client's block read that outlives its column's p90 latency is
+// solved from n−m sectors of the block's own row, checksum-verified with
+// -integrity, and the slow answer is dropped. Only client reads hedge:
+// flushes, repairs, scrubs and rebuilds see what the device servers
+// answered.
 //
-// The fleet file lists servers and spares:
+// The fleet file lists servers and spares. fleet writes one for n
+// actives plus spares on consecutive ports of one host:
+//
+//	staird fleet -n 6 -spares 1 [-host 127.0.0.1] -base-port 9000 [-out fleet.json]
 //
 //	{"servers": [
 //	  {"name": "dev0", "url": "http://127.0.0.1:9000"},
@@ -44,6 +48,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -77,6 +82,8 @@ func main() {
 		err = cmdDevice(ctx, os.Args[2:])
 	case "serve":
 		err = cmdServe(ctx, os.Args[2:])
+	case "fleet":
+		err = cmdFleet(os.Args[2:])
 	default:
 		usage()
 	}
@@ -89,7 +96,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   staird device -listen :9000 -sectors N -sector S [-file dev.img] [-latency d -jitter d -spike d -spike-prob p -serial]
-  staird serve  -listen :8080 -fleet fleet.json -n 6 -r 4 -m 2 -e 1,2 -stripes N -sector S [flags]`)
+  staird serve  -listen :8080 -fleet fleet.json -n 6 -r 4 -m 2 -e 1,2 -stripes N -sector S [flags]
+  staird fleet  -n 6 -spares 1 [-host 127.0.0.1] -base-port 9000 [-out fleet.json]`)
 	os.Exit(2)
 }
 
@@ -180,7 +188,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	stripes := fs.Int("stripes", 64, "stripes in the volume")
 	sector := fs.Int("sector", 4096, "sector (= block) size in bytes")
 	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
-	hedge := fs.Bool("hedge", true, "hedge slow client block reads with a solve from the block's own row")
 	integ := fs.Bool("integrity", false, "per-sector checksum layer (device servers need -sectors sized for the sidecar region)")
 	epoch := fs.Uint("epoch", 1, "volume epoch salted into integrity checksums")
 	heartbeat := fs.Duration("heartbeat", time.Second, "health sweep interval")
@@ -210,10 +217,8 @@ func cmdServe(ctx context.Context, args []string) error {
 		SectorSize:   *sector,
 		Stripes:      *stripes,
 		FlushWorkers: *flushWorkers,
+		Hedge:        &cluster.HedgeConfig{},
 		Monitor:      cluster.MonitorConfig{Interval: *heartbeat, FailAfter: *failAfter},
-	}
-	if *hedge {
-		cfg.Hedge = &cluster.HedgeConfig{}
 	}
 	if *integ {
 		cfg.Integrity = &store.IntegrityOptions{Epoch: uint32(*epoch)}
@@ -244,4 +249,37 @@ func cmdServe(ctx context.Context, args []string) error {
 		return syncErr
 	}
 	return closeErr
+}
+
+// cmdFleet writes a fleet file for serve: n active device servers plus
+// the spares, on consecutive ports of one host.
+func cmdFleet(args []string) error {
+	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
+	n := fs.Int("n", 6, "active device servers")
+	spares := fs.Int("spares", 1, "spare device servers")
+	host := fs.String("host", "127.0.0.1", "device server host")
+	basePort := fs.Int("base-port", 9000, "first device server port")
+	out := fs.String("out", "", "output path (default: stdout)")
+	fs.Parse(args)
+	if *n < 1 || *spares < 0 {
+		return fmt.Errorf("fleet: need n ≥ 1 actives and spares ≥ 0 (got %d, %d)", *n, *spares)
+	}
+	var fleet cluster.Fleet
+	for i := 0; i < *n+*spares; i++ {
+		fleet.Servers = append(fleet.Servers, cluster.Server{
+			Name:  fmt.Sprintf("dev%d", i),
+			URL:   fmt.Sprintf("http://%s:%d", *host, *basePort+i),
+			Spare: i >= *n,
+		})
+	}
+	enc, err := json.MarshalIndent(fleet, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if *out == "" {
+		_, err = os.Stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(*out, enc, 0o644)
 }

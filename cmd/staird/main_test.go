@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -43,6 +45,45 @@ func testVolume(t *testing.T) *cluster.Volume {
 	}
 	t.Cleanup(func() { v.Close() })
 	return v
+}
+
+// TestFleet: fleet writes the golden six-plus-one fleet file byte for
+// byte, serve's parser reads it back as 6 actives and 1 spare on
+// consecutive ports, and a fleet with no actives or negative spares is
+// refused.
+func TestFleet(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "fleet.json")
+	if err := cmdFleet([]string{"-n", "6", "-spares", "1", "-base-port", "9000", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../internal/cluster/testdata/fleet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("fleet wrote\n%s\nwant\n%s", got, want)
+	}
+	fleet, err := cluster.ParseFleet(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet.Actives()) != 6 || len(fleet.Spares()) != 1 || !fleet.Servers[6].Spare {
+		t.Fatalf("fleet %+v: want 6 actives then 1 spare", fleet.Servers)
+	}
+	for i, s := range fleet.Servers {
+		if want := fmt.Sprintf("http://127.0.0.1:%d", 9000+i); s.URL != want {
+			t.Errorf("server %d at %s, want %s", i, s.URL, want)
+		}
+	}
+	for _, args := range [][]string{{"-n", "0"}, {"-spares", "-1"}} {
+		if err := cmdFleet(append(args, "-out", out)); err == nil {
+			t.Errorf("fleet %v accepted", args)
+		}
+	}
 }
 
 func TestAPIBlockRoundTrip(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,88 +20,112 @@ var bg = context.Background()
 
 // TestEndToEnd drives the CLI commands through a full lifecycle:
 // create → put → get → fail-device → degraded get → corrupt → scrub →
-// replace/rebuild → get.
+// replace/rebuild → get. Each case fails m=2 devices and puts one burst
+// and one single bad sector on two further chunks; the bytes must come
+// back equal after the degraded get, the scrub and the rebuild.
 func TestEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	vol := filepath.Join(dir, "vol")
-	in := filepath.Join(dir, "in.bin")
-	out := filepath.Join(dir, "out.bin")
+	for _, tc := range []struct {
+		name   string
+		create []string // geometry flags for create
+		size   int      // bytes put and got back
+		fail   []string // devices failed, then replaced
+		burst  []string // device, start:len
+		sector []string // device, sector
+	}{
+		{
+			name: "n6-e1,2",
+			create: []string{"-n", "6", "-r", "4", "-m", "2", "-e", "1,2", "-stripes", "8", "-sector", "512",
+				"-repair-workers", "2", "-shards", "8"},
+			size: 30000, fail: []string{"1", "4"}, burst: []string{"0", "5:2"}, sector: []string{"3", "9"},
+		},
+		{
+			name:   "n8-e1,1,2",
+			create: []string{"-n", "8", "-r", "4", "-m", "2", "-e", "1,1,2", "-stripes", "8", "-sector", "512"},
+			size:   50000, fail: []string{"3", "6"}, burst: []string{"0", "9:2"}, sector: []string{"1", "5"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			vol := filepath.Join(dir, "vol")
+			in := filepath.Join(dir, "in.bin")
+			out := filepath.Join(dir, "out.bin")
 
-	data := make([]byte, 30000)
-	rand.New(rand.NewSource(5)).Read(data)
-	if err := os.WriteFile(in, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			data := make([]byte, tc.size)
+			rand.New(rand.NewSource(5)).Read(data)
+			if err := os.WriteFile(in, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	if err := cmdCreate(bg, []string{"-dir", vol, "-n", "6", "-r", "4", "-m", "2", "-e", "1,2", "-stripes", "8", "-sector", "512",
-		"-repair-workers", "2", "-shards", "8"}); err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if err := cmdCreate(bg, []string{"-dir", vol}); err == nil {
-		t.Fatal("create over an existing volume accepted")
-	}
-	if err := cmdPut(bg, []string{"-dir", vol, "-in", in}); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	get := func(stage string) {
-		t.Helper()
-		if err := cmdGet(bg, []string{"-dir", vol, "-out", out, "-bytes", "30000"}); err != nil {
-			t.Fatalf("get %s: %v", stage, err)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("get %s: data corrupt", stage)
-		}
-	}
-	get("fresh")
+			if err := cmdCreate(bg, append([]string{"-dir", vol}, tc.create...)); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			if err := cmdCreate(bg, []string{"-dir", vol}); err == nil {
+				t.Fatal("create over an existing volume accepted")
+			}
+			if err := cmdPut(bg, []string{"-dir", vol, "-in", in}); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			get := func(stage string) {
+				t.Helper()
+				if err := cmdGet(bg, []string{"-dir", vol, "-out", out, "-bytes", strconv.Itoa(tc.size)}); err != nil {
+					t.Fatalf("get %s: %v", stage, err)
+				}
+				got, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatalf("get %s: data corrupt", stage)
+				}
+			}
+			get("fresh")
 
-	// Two device failures plus in-coverage latent errors: reads must
-	// stay correct (served degraded), scrub must heal the survivors.
-	if err := cmdFailDevice(bg, []string{"-dir", vol, "-device", "1"}); err != nil {
-		t.Fatalf("fail-device: %v", err)
-	}
-	if err := cmdFailDevice(bg, []string{"-dir", vol, "-device", "4"}); err != nil {
-		t.Fatalf("fail-device: %v", err)
-	}
-	if err := cmdCorrupt(bg, []string{"-dir", vol, "-device", "0", "-burst", "5:2"}); err != nil {
-		t.Fatalf("corrupt: %v", err)
-	}
-	if err := cmdCorrupt(bg, []string{"-dir", vol, "-device", "3", "-sector", "9"}); err != nil {
-		t.Fatalf("corrupt: %v", err)
-	}
-	get("degraded")
-	if err := cmdScrub(bg, []string{"-dir", vol}); err != nil {
-		t.Fatalf("scrub: %v", err)
-	}
-	get("after scrub")
+			// Two device failures plus in-coverage latent errors: reads
+			// must stay correct (served degraded), scrub must heal the
+			// survivors.
+			for _, dev := range tc.fail {
+				if err := cmdFailDevice(bg, []string{"-dir", vol, "-device", dev}); err != nil {
+					t.Fatalf("fail-device %s: %v", dev, err)
+				}
+			}
+			if err := cmdCorrupt(bg, []string{"-dir", vol, "-device", tc.burst[0], "-burst", tc.burst[1]}); err != nil {
+				t.Fatalf("corrupt: %v", err)
+			}
+			if err := cmdCorrupt(bg, []string{"-dir", vol, "-device", tc.sector[0], "-sector", tc.sector[1]}); err != nil {
+				t.Fatalf("corrupt: %v", err)
+			}
+			get("degraded")
+			if err := cmdScrub(bg, []string{"-dir", vol}); err != nil {
+				t.Fatalf("scrub: %v", err)
+			}
+			get("after scrub")
 
-	// Replace and rebuild the dead devices, then verify full health.
-	for _, dev := range []string{"1", "4"} {
-		if err := cmdReplace(bg, []string{"-dir", vol, "-device", dev}); err != nil {
-			t.Fatalf("replace %s: %v", dev, err)
-		}
-	}
-	if err := cmdStats(bg, []string{"-dir", vol}); err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	get("after rebuild")
+			// Replace and rebuild the dead devices, then verify full health.
+			for _, dev := range tc.fail {
+				if err := cmdReplace(bg, []string{"-dir", vol, "-device", dev}); err != nil {
+					t.Fatalf("replace %s: %v", dev, err)
+				}
+			}
+			if err := cmdStats(bg, []string{"-dir", vol}); err != nil {
+				t.Fatalf("stats: %v", err)
+			}
+			get("after rebuild")
 
-	// Persistent stats recorded the degraded reads and repairs.
-	meta, err := loadMeta(vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Stats.DegradedReads == 0 {
-		t.Error("persisted stats show no degraded reads")
-	}
-	if meta.Stats.RepairedSectors == 0 {
-		t.Error("persisted stats show no repairs")
-	}
-	if meta.Stats.UnrecoverableStripes != 0 {
-		t.Errorf("persisted stats show %d unrecoverable stripes within coverage", meta.Stats.UnrecoverableStripes)
+			// Persistent stats recorded the degraded reads and repairs.
+			meta, err := loadMeta(vol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.Stats.DegradedReads == 0 {
+				t.Error("persisted stats show no degraded reads")
+			}
+			if meta.Stats.RepairedSectors == 0 {
+				t.Error("persisted stats show no repairs")
+			}
+			if meta.Stats.UnrecoverableStripes != 0 {
+				t.Errorf("persisted stats show %d unrecoverable stripes within coverage", meta.Stats.UnrecoverableStripes)
+			}
+		})
 	}
 }
 

@@ -35,10 +35,10 @@ wait_for() { # wait_for <url> [tries]
 }
 
 echo "== building =="
-go build -o "$WORKDIR/bin/" ./cmd/staird ./cmd/stairtool
+go build -o "$WORKDIR/bin/" ./cmd/staird
 
 echo "== generating fleet (6 actives + 1 spare) =="
-"$WORKDIR/bin/stairtool" fleet -n 6 -spares 1 -base-port "$BASE_PORT" \
+"$WORKDIR/bin/staird" fleet -n 6 -spares 1 -base-port "$BASE_PORT" \
     -out "$WORKDIR/fleet.json"
 cat "$WORKDIR/fleet.json"
 

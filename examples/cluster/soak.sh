@@ -42,10 +42,10 @@ wait_for() { # wait_for <url> [tries]
 }
 
 echo "== building =="
-go build -o "$WORKDIR/bin/" ./cmd/staird ./cmd/stairtool
+go build -o "$WORKDIR/bin/" ./cmd/staird
 
 echo "== generating fleet (6 actives + 1 spare) =="
-"$WORKDIR/bin/stairtool" fleet -n 6 -spares 1 -base-port "$BASE_PORT" \
+"$WORKDIR/bin/staird" fleet -n 6 -spares 1 -base-port "$BASE_PORT" \
     -out "$WORKDIR/fleet.json"
 
 echo "== starting device servers (seeded latency profiles) =="
@@ -67,7 +67,7 @@ echo "== starting staird (integrity + hedged reads) =="
 "$WORKDIR/bin/staird" serve -listen "127.0.0.1:${STAIRD_PORT}" \
     -fleet "$WORKDIR/fleet.json" -volume soak \
     -n 6 -r 4 -m 2 -e 1,2 -stripes 16 -sector 4096 \
-    -integrity -epoch 7 -hedge \
+    -integrity -epoch 7 \
     -heartbeat 200ms -fail-after 2 \
     >"$WORKDIR/staird.log" 2>&1 &
 PIDS+=($!)

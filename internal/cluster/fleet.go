@@ -16,7 +16,7 @@ type Server struct {
 	// URL is the device server's base URL (http://host:port).
 	URL string `json:"url"`
 	// Spare marks a server held out of placement as a rebuild target.
-	Spare bool `json:"spare"`
+	Spare bool `json:"spare,omitempty"`
 }
 
 // Fleet is the set of device servers a volume can place columns on.
@@ -41,7 +41,9 @@ func ParseFleet(r io.Reader) (*Fleet, error) {
 	if len(f.Servers) == 0 {
 		return nil, fmt.Errorf("cluster: fleet has no servers")
 	}
-	seen := make(map[string]bool, len(f.Servers))
+	// Two entries with one URL would put two columns on one device.
+	names := make(map[string]bool, len(f.Servers))
+	urls := make(map[string]bool, len(f.Servers))
 	for i, s := range f.Servers {
 		if s.Name == "" {
 			return nil, fmt.Errorf("cluster: fleet server %d has no name", i)
@@ -49,10 +51,13 @@ func ParseFleet(r io.Reader) (*Fleet, error) {
 		if s.URL == "" {
 			return nil, fmt.Errorf("cluster: fleet server %q has no url", s.Name)
 		}
-		if seen[s.Name] {
+		if names[s.Name] {
 			return nil, fmt.Errorf("cluster: duplicate fleet server name %q", s.Name)
 		}
-		seen[s.Name] = true
+		if urls[s.URL] {
+			return nil, fmt.Errorf("cluster: duplicate fleet server url %q", s.URL)
+		}
+		names[s.Name], urls[s.URL] = true, true
 	}
 	return &f, nil
 }

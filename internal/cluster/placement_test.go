@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,17 +17,20 @@ func fleetOf(names ...string) []Server {
 	return out
 }
 
+// badFleets are fleet files ParseFleet must refuse.
+var badFleets = []struct {
+	name, body, wantErr string
+}{
+	{"empty", `{"servers":[]}`, "no servers"},
+	{"unnamed", `{"servers":[{"url":"http://x"}]}`, "no name"},
+	{"noURL", `{"servers":[{"name":"a"}]}`, "no url"},
+	{"dup", `{"servers":[{"name":"a","url":"http://x"},{"name":"a","url":"http://y"}]}`, "duplicate"},
+	{"dupURL", `{"servers":[{"name":"a","url":"http://x"},{"name":"b","url":"http://x"}]}`, "duplicate"},
+	{"unknownField", `{"servers":[],"extra":1}`, "parsing"},
+}
+
 func TestParseFleetValidation(t *testing.T) {
-	cases := []struct {
-		name, body, wantErr string
-	}{
-		{"empty", `{"servers":[]}`, "no servers"},
-		{"unnamed", `{"servers":[{"url":"http://x"}]}`, "no name"},
-		{"noURL", `{"servers":[{"name":"a"}]}`, "no url"},
-		{"dup", `{"servers":[{"name":"a","url":"http://x"},{"name":"a","url":"http://y"}]}`, "duplicate"},
-		{"unknownField", `{"servers":[],"extra":1}`, "parsing"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badFleets {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseFleet(strings.NewReader(tc.body))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -44,6 +51,44 @@ func TestParseFleetValidation(t *testing.T) {
 	if len(f.Spares()) != 1 || f.Spares()[0].Name != "b" {
 		t.Fatalf("Spares = %v", f.Spares())
 	}
+}
+
+// FuzzParseFleet: no input panics ParseFleet, and every fleet it
+// accepts has unique, non-empty names and URLs and survives a
+// marshal/parse round trip unchanged.
+func FuzzParseFleet(f *testing.F) {
+	golden, err := os.ReadFile("testdata/fleet.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, tc := range badFleets {
+		f.Add([]byte(tc.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fleet, err := ParseFleet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		names, urls := map[string]bool{}, map[string]bool{}
+		for _, s := range fleet.Servers {
+			if s.Name == "" || s.URL == "" || names[s.Name] || urls[s.URL] {
+				t.Fatalf("accepted server %+v in %+v", s, fleet.Servers)
+			}
+			names[s.Name], urls[s.URL] = true, true
+		}
+		enc, err := json.Marshal(fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseFleet(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(back, fleet) {
+			t.Fatalf("round trip changed the fleet: %+v → %+v", fleet.Servers, back.Servers)
+		}
+	})
 }
 
 func TestPlacementDistinctAndDeterministic(t *testing.T) {

@@ -67,7 +67,7 @@ func TestConfigNormalizationSortsE(t *testing.T) {
 // TestParseE pins the one command-line form of the coverage vector. The
 // empty string must parse to the empty vector and build the
 // Reed-Solomon degeneration: `staird serve -e ""` used to be rejected
-// while stairstore and stairtool accepted it.
+// while stairstore accepted it.
 func TestParseE(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
