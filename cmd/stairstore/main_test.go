@@ -168,6 +168,56 @@ func TestBeyondCoverage(t *testing.T) {
 	}
 }
 
+// TestRepairBeyondCoverageFails: with m+1 devices down, replacing and
+// rebuilding them must leave the stripes marked unrecoverable, and a
+// get afterwards must still fail — the rebuild must not write
+// reconstructed garbage that later reads back as data.
+func TestRepairBeyondCoverageFails(t *testing.T) {
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "vol")
+	in := filepath.Join(dir, "in.bin")
+
+	data := make([]byte, 10000)
+	rand.New(rand.NewSource(2)).Read(data)
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCreate(bg, []string{"-dir", vol, "-n", "6", "-r", "4", "-m", "1", "-e", "1", "-stripes", "4", "-sector", "512"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdPut(bg, []string{"-dir", vol, "-in", in}); err != nil {
+		t.Fatal(err)
+	}
+	devs := []string{"0", "1"}
+	for _, dev := range devs {
+		if err := cmdFailDevice(bg, []string{"-dir", vol, "-device", dev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dev := range devs {
+		if err := cmdReplace(bg, []string{"-dir", vol, "-device", dev}); err != nil {
+			t.Fatalf("replace %s: %v", dev, err)
+		}
+	}
+	if err := cmdScrub(bg, []string{"-dir", vol}); err != nil {
+		t.Fatalf("scrub: %v", err)
+	}
+	meta, err := loadMeta(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Stats.UnrecoverableStripes == 0 {
+		t.Error("persisted stats show no unrecoverable stripes after rebuilding m+1 devices")
+	}
+	err = cmdGet(bg, []string{"-dir", vol, "-out", filepath.Join(dir, "out.bin"), "-bytes", "10000"})
+	if err == nil {
+		t.Fatal("get after rebuilding m+1 failed devices succeeded")
+	}
+	if !strings.Contains(err.Error(), "unrecoverable") {
+		t.Fatalf("get error %q does not name the unrecoverable pattern", err)
+	}
+}
+
 // TestRecoverCommand fabricates the on-disk state a crash
 // mid-write-back leaves behind — a pending journal intent plus a parity
 // sector that disagrees with the stripe's data — and checks that
