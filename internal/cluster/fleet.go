@@ -38,6 +38,10 @@ func ParseFleet(r io.Reader) (*Fleet, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("cluster: parsing fleet: %w", err)
 	}
+	// A concatenated or half-edited file must not load its first value.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, fmt.Errorf("cluster: parsing fleet: trailing data after the fleet object")
+	}
 	if len(f.Servers) == 0 {
 		return nil, fmt.Errorf("cluster: fleet has no servers")
 	}

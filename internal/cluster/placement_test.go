@@ -27,6 +27,8 @@ var badFleets = []struct {
 	{"dup", `{"servers":[{"name":"a","url":"http://x"},{"name":"a","url":"http://y"}]}`, "duplicate"},
 	{"dupURL", `{"servers":[{"name":"a","url":"http://x"},{"name":"b","url":"http://x"}]}`, "duplicate"},
 	{"unknownField", `{"servers":[],"extra":1}`, "parsing"},
+	{"trailing", `{"servers":[{"name":"a","url":"http://a"}]} {"servers":[]} junk`, "trailing"},
+	{"trailingBrace", `{"servers":[{"name":"a","url":"http://a"}]}}`, "trailing"},
 }
 
 func TestParseFleetValidation(t *testing.T) {

@@ -83,17 +83,3 @@ func (s *schedule) prune(targets []int, totalCells int) {
 	s.ops = kept
 	s.recount()
 }
-
-// covers reports whether the schedule computes every target cell.
-func (s *schedule) covers(targets []int) bool {
-	done := make(map[int32]bool, len(s.ops))
-	for i := range s.ops {
-		done[s.ops[i].dst] = true
-	}
-	for _, t := range targets {
-		if !done[int32(t)] {
-			return false
-		}
-	}
-	return true
-}

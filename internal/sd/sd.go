@@ -58,11 +58,10 @@ const (
 
 // Code is a compiled SD code. Immutable and safe for concurrent use.
 type Code struct {
-	cfg       Config
-	n, r      int
-	m, s      int
-	f         *gf.Field
-	exhausted bool // coverage verified exhaustively
+	cfg  Config
+	n, r int
+	m, s int
+	f    *gf.Field
 
 	// H is the (m·r+s) × (n·r) parity-check matrix; cell (col,row) maps
 	// to variable row*n+col (row-major, matching the SD papers).
@@ -134,10 +133,6 @@ func New(cfg Config) (*Code, error) {
 	}
 	return nil, fmt.Errorf("sd: could not construct a verified instance for %+v", cfg)
 }
-
-// Exhaustive reports whether construction verified the full coverage
-// (every m-chunk + s-sector pattern) rather than a sample.
-func (c *Code) Exhaustive() bool { return c.exhausted }
 
 // W returns the Galois field word size the construction settled on.
 func (c *Code) W() int { return c.f.W() }
@@ -241,11 +236,7 @@ func (c *Code) buildDeps() {
 // case plus a seeded sample of random patterns.
 func (c *Code) verify() bool {
 	if count, ok := c.patternSpaceSize(); ok && count <= exhaustiveLimit {
-		if c.verifyExhaustive() {
-			c.exhausted = true
-			return true
-		}
-		return false
+		return c.verifyExhaustive()
 	}
 	var worst []ec.Cell
 	for col := 0; col < c.m; col++ {

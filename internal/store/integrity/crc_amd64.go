@@ -2,10 +2,7 @@
 
 package integrity
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "hash/crc32"
 
 // Wide CRC32C via VPCLMULQDQ folding. The stdlib's castagnoli path
 // (3-way interleaved CRC32 instructions) tops out around one 8-byte
@@ -15,39 +12,51 @@ import (
 // CRCs every sector on the read path — against an in-memory device
 // the digest is a third of the whole read cost.
 //
-// Scheme (the standard reflected-domain folding): 256 message bytes
-// live in four ZMM accumulators; each loop iteration multiplies every
-// 128-bit lane by x^(2048+64)/x^2048 mod P (low/high qword) and XORs
-// in the next 256 bytes — shifting each lane's polynomial
-// contribution forward over the data consumed. Four independent
-// accumulators keep the loop bound by the carry-less multiplier's
-// throughput, not one fold chain's latency. After the loop the
-// accumulators merge into one ZMM (per-ZMM distance constants), a
-// mop-up loop folds any remaining 64-byte blocks, the four lanes fold
-// into one 128-bit residual (48/32/16-byte distances), and the
-// residual block — whose raw CRC from zero equals the raw CRC of
-// everything folded — is finished on the stdlib's CRC32Q path, which
-// also absorbs the unaligned tail. No Barrett reduction in assembly,
-// and both paths agree bit-for-bit by construction
-// (TestCRCFoldConstants re-derives every constant; FuzzCRCUpdate
-// differentially guards the whole function).
+// Scheme (the standard reflected-domain folding): the 16-byte salt
+// goes through two CRC32Qs from 0xffffffff, and that state is XORed
+// into the first message dword. 256 message bytes then live in four
+// ZMM accumulators; each loop iteration multiplies every 128-bit lane
+// by x^(2048+64)/x^2048 mod P (low/high qword) and XORs in the next
+// 256 bytes — shifting each lane's polynomial contribution forward
+// over the data consumed. Four independent accumulators keep the loop
+// bound by the carry-less multiplier's throughput, not one fold
+// chain's latency. After the loop the accumulators merge into one ZMM
+// (per-ZMM distance constants), a mop-up loop folds any remaining
+// 64-byte blocks, the four lanes fold into one 128-bit residual
+// (48/32/16-byte distances), and the residual — whose raw CRC from
+// zero equals the raw CRC of everything folded — is finished with two
+// more CRC32Qs. A sector is one call; only a ragged tail (never a
+// sector's) goes on to crc32.Update. No Barrett reduction in assembly,
+// and the result agrees bit-for-bit with hash/crc32 by construction
+// (TestCRCFoldConstants re-derives every constant; FuzzSum and
+// TestSumMatchesStdlib differentially guard the whole digest).
 //
 // The fold constant for a qword sitting n bits before its target is
 // bitrev32(x^(n-32) mod P) << 1: the reflected-domain form of
 // multiplying by x^n, with the CRC's x^32 pre-multiplication folded
 // in and the shift compensating CLMUL's 127-bit product.
 
-// crcFoldVPCLMUL folds p[0:n] (n a multiple of 64, n >= 256) with
-// initial raw CRC state init into a 16-byte residual block written to
-// out. Defined in crc_amd64.s.
+// crcFoldVPCLMUL returns the raw CRC32C state after the salt words w0,
+// w1 and p[0:n] (n a multiple of 64, n >= 256). Defined in
+// crc_amd64.s.
 //
 //go:noescape
-func crcFoldVPCLMUL(p *byte, n int, init uint32, out *[16]byte)
+func crcFoldVPCLMUL(p *byte, n int, w0, w1 uint64) uint32
+
+// crcRecord returns CRC32C(p[0:12]) with two CRC32 instructions.
+// Defined in crc_amd64.s.
+//
+//go:noescape
+func crcRecord(p *byte) uint32
 
 // crcCpuid and crcXgetbv are defined in crc_amd64.s; the stdlib's
 // feature flags live in internal packages this module cannot import.
 func crcCpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func crcXgetbv() (eax, edx uint32)
+
+const cpuidSSE42 = 1 << 20 // leaf 1 ECX: the CRC32 instruction
+
+var haveSSE42 = func() bool { _, _, ecx1, _ := crcCpuid(1, 0); return ecx1&cpuidSSE42 != 0 }()
 
 var haveVPCLMUL = func() bool {
 	const (
@@ -56,9 +65,9 @@ var haveVPCLMUL = func() bool {
 		cpuidAVX        = 1 << 28
 		cpuidAVX512F    = 1 << 16 // leaf 7 EBX
 		cpuidVPCLMULQDQ = 1 << 10 // leaf 7 ECX
+		leaf1           = cpuidPCLMUL | cpuidSSE42 | cpuidOSXSAVE | cpuidAVX
 	)
-	_, _, ecx1, _ := crcCpuid(1, 0)
-	if ecx1&(cpuidPCLMUL|cpuidOSXSAVE|cpuidAVX) != cpuidPCLMUL|cpuidOSXSAVE|cpuidAVX {
+	if _, _, ecx1, _ := crcCpuid(1, 0); ecx1&leaf1 != leaf1 {
 		return false
 	}
 	// The OS must have enabled XMM+YMM and opmask+ZMM state in XCR0.
@@ -71,25 +80,28 @@ var haveVPCLMUL = func() bool {
 
 // crcFoldThreshold is the assembly's minimum, n&^63 >= 256 (the four
 // accumulators load 256 bytes up front): the fold's fixed costs already
-// amortise there. BenchmarkCRCUpdate, 2-vCPU Xeon, interleaved runs:
-// 512 B folded 32–35 ns vs stdlib 36–46 ns (5 of 5), 1 KiB 33–48 vs
-// 64–73 ns, 256–448 B 28–42 vs 37–67 ns.
+// amortise there. BenchmarkSum, 2-vCPU Xeon, 5 interleaved runs: 512 B
+// folded 22–30 ns vs 53–68 ns through crcWord and the stdlib.
 const crcFoldThreshold = 256
 
-func crcUpdate(crc uint32, p []byte) uint32 {
+func sum(w0, w1 uint64, p []byte) uint32 {
 	if !haveVPCLMUL || len(p) < crcFoldThreshold {
-		return crc32.Update(crc, castagnoli, p)
+		return sumStdlib(w0, w1, p)
 	}
 	n := len(p) &^ 63
-	var res [16]byte
-	crcFoldVPCLMUL(&p[0], n, ^crc, &res)
-	// The residual block carries the entire folded prefix: continuing
-	// the CRC over it (from a fresh state) and then the ragged tail
-	// yields the CRC of all of p. The block goes through crcWord: handed
-	// to crc32.Update, res would be moved to the heap on every call.
-	raw := crcWord(0, binary.LittleEndian.Uint64(res[0:8]))
-	raw = crcWord(raw, binary.LittleEndian.Uint64(res[8:16]))
+	raw := crcFoldVPCLMUL(&p[0], n, w0, w1)
+	if n == len(p) {
+		return ^raw
+	}
 	return crc32.Update(^raw, castagnoli, p[n:])
+}
+
+func recordCRC(raw []byte) uint32 {
+	if !haveSSE42 {
+		return crc32.Checksum(raw[0:12], castagnoli)
+	}
+	_ = raw[11]
+	return crcRecord(&raw[0])
 }
 
 func crcKernelName() string {

@@ -29,20 +29,23 @@ DATA crcfoldk<>+0x60(SB)/8, $0x000000006992cea2
 DATA crcfoldk<>+0x68(SB)/8, $0x000000000d3b6092
 GLOBL crcfoldk<>(SB), RODATA|NOPTR, $112
 
-// func crcFoldVPCLMUL(p *byte, n int, init uint32, out *[16]byte)
+// func crcFoldVPCLMUL(p *byte, n int, w0, w1 uint64) uint32
 //
-// Folds p[0:n] (n a multiple of 64, n >= 256) into the 16-byte
-// residual at out. init is the raw (already inverted) CRC state,
-// XORed into the first 4 message bytes. Four independent ZMM
+// Returns the raw (un-inverted) CRC32C state after the salt words w0,
+// w1 and p[0:n] (n a multiple of 64, n >= 256), starting from
+// 0xffffffff. The salt goes through CRC32Q into the state that is
+// XORed into the first 4 message bytes; the folded 16-byte residual is
+// finished with two more CRC32Qs from zero. Four independent ZMM
 // accumulators keep the main loop throughput-bound on the carry-less
 // multiplier instead of latency-bound on one fold chain.
-TEXT ·crcFoldVPCLMUL(SB), NOSPLIT, $0-32
+TEXT ·crcFoldVPCLMUL(SB), NOSPLIT, $0-36
 	MOVQ p+0(FP), SI
 	MOVQ n+8(FP), CX
-	MOVL init+16(FP), AX
-	MOVQ out+24(FP), DI
+	MOVL $0xffffffff, AX
+	CRC32Q w0+16(FP), AX
+	CRC32Q w1+24(FP), AX
 
-	// Accumulators Z10..Z13 = first 256 bytes, with the incoming CRC
+	// Accumulators Z10..Z13 = first 256 bytes, with the salted CRC
 	// state XORed into the low dword of the very first lane.
 	VMOVDQU64 (SI), Z10
 	VMOVDQU64 64(SI), Z11
@@ -148,8 +151,27 @@ lanes:
 	VPXOR      X3, X7, X7
 	VPXOR      X4, X7, X7
 
-	VMOVDQU X7, (DI)
+	// The residual's raw CRC from zero is the raw CRC of everything
+	// folded.
+	VMOVQ   X7, BX
+	VPEXTRQ $1, X7, DX
+	XORL    AX, AX
+	CRC32Q  BX, AX
+	CRC32Q  DX, AX
+	MOVL    AX, ret+32(FP)
 	VZEROUPPER
+	RET
+
+// func crcRecord(p *byte) uint32
+//
+// Returns CRC32C(p[0:12]), a record's self-check.
+TEXT ·crcRecord(SB), NOSPLIT, $0-12
+	MOVQ   p+0(FP), SI
+	MOVL   $0xffffffff, AX
+	CRC32Q (SI), AX
+	CRC32L 8(SI), AX
+	NOTL   AX
+	MOVL   AX, ret+8(FP)
 	RET
 
 // func crcCpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

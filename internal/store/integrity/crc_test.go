@@ -1,30 +1,53 @@
 package integrity
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// TestCRCUpdateMatchesStdlib holds the dispatched crcUpdate to the
-// stdlib across lengths (either side of the fold threshold and the
-// 64-byte block size), alignments and initial states. On amd64 this
-// differentially proves the VPCLMULQDQ kernel; elsewhere it is a
-// trivial identity.
-func TestCRCUpdateMatchesStdlib(t *testing.T) {
+// stdlibSum is Sum's definition computed the obvious way with the
+// standard library: crc32.Checksum(LE64(epoch|col<<32) ‖ LE64(sector)
+// ‖ data).
+func stdlibSum(epoch uint32, col, sector int, data []byte) uint32 {
+	msg := binary.LittleEndian.AppendUint64(nil, uint64(epoch)|uint64(uint32(col))<<32)
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(sector))
+	return crc32.Checksum(append(msg, data...), castagnoli)
+}
+
+// testSalts are the (epoch, column, sector) addresses the grid tests
+// digest under.
+var testSalts = [][3]int{{0, 0, 0}, {1, 2, 3}, {0xdeadbeef, 65535, 1 << 30}, {0xffffffff, 1<<31 - 1, 1<<63 - 1}}
+
+// TestSumMatchesStdlib holds Sum, and the portable sumStdlib it falls
+// back to, to the stdlib across lengths (either side of the fold
+// threshold and the 64-byte block size), alignments and salts. On
+// amd64 this differentially proves the VPCLMULQDQ kernel, salt and
+// residual included.
+func TestSumMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	backing := make([]byte, 1<<16+64)
 	rng.Read(backing)
 
+	check := func(epoch uint32, col, sector int, p []byte, off int) {
+		t.Helper()
+		want := stdlibSum(epoch, col, sector, p)
+		w0, w1 := uint64(epoch)|uint64(uint32(col))<<32, uint64(sector)
+		if got := Sum(epoch, col, sector, p); got != want {
+			t.Fatalf("Sum(%#x, %d, %d, len=%d off=%d) = %#x, stdlib %#x", epoch, col, sector, len(p), off, got, want)
+		}
+		if got := sumStdlib(w0, w1, p); got != want {
+			t.Fatalf("sumStdlib(%#x, %d, %d, len=%d off=%d) = %#x, stdlib %#x", epoch, col, sector, len(p), off, got, want)
+		}
+	}
 	lengths := []int{0, 1, 15, 16, 63, 64, 127, 128, 255, 256, 257, 320, 511, 512, 1023, 4096, 8192, 65536}
 	for _, n := range lengths {
 		for _, off := range []int{0, 1, 7, 32, 63} {
-			p := backing[off : off+n]
-			for _, crc := range []uint32{0, 1, 0xdeadbeef, ^uint32(0)} {
-				if got, want := crcUpdate(crc, p), crc32.Update(crc, castagnoli, p); got != want {
-					t.Fatalf("crcUpdate(%#x, len=%d off=%d) = %#x, stdlib %#x", crc, n, off, got, want)
-				}
+			for _, s := range testSalts {
+				check(uint32(s[0]), s[1], s[2], backing[off:off+n], off)
 			}
 		}
 	}
@@ -32,10 +55,69 @@ func TestCRCUpdateMatchesStdlib(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		off := rng.Intn(64)
 		n := rng.Intn(1 << 14)
-		crc := rng.Uint32()
-		p := backing[off : off+n]
-		if got, want := crcUpdate(crc, p), crc32.Update(crc, castagnoli, p); got != want {
-			t.Fatalf("crcUpdate(%#x, len=%d off=%d) = %#x, stdlib %#x", crc, n, off, got, want)
+		check(rng.Uint32(), rng.Int(), rng.Int(), backing[off:off+n], off)
+	}
+}
+
+// TestSumGolden pins the on-disk digest: these values were computed
+// by the implementation that wrote the first volumes, over a payload
+// of bytes i*31+7. A change here is a sidecar format change.
+func TestSumGolden(t *testing.T) {
+	for _, g := range []struct {
+		epoch       uint32
+		col, sector int
+		n           int
+		sum         uint32
+	}{
+		{0x0, 0, 0, 0, 0x42709aea},
+		{0x1, 0, 0, 1, 0x51c31b5d},
+		{0x7, 3, 41, 15, 0x060633bb},
+		{0xdeadbeef, 65535, 1 << 30, 255, 0xa23f342c},
+		{0x1, 0, 0, 256, 0x056d34d6},
+		{0x2, 5, 1000, 300, 0xcf6db7a9},
+		{0x3, 7, 123456, 512, 0x328a56f4},
+		{0xffffffff, 1, 0, 4096, 0xb868ed5c},
+		{0x2a, 2, 77, 4100, 0x3cf20833},
+		{0x9, 11, 1 << 20, 32768, 0xc3e69e4b},
+	} {
+		data := make([]byte, g.n)
+		for i := range data {
+			data[i] = byte(i*31 + 7)
+		}
+		if got := Sum(g.epoch, g.col, g.sector, data); got != g.sum {
+			t.Errorf("Sum(%#x, %d, %d, %d bytes) = %#08x, golden %#08x", g.epoch, g.col, g.sector, g.n, got, g.sum)
+		}
+	}
+	for _, g := range []struct {
+		rec Record
+		hex string
+	}{
+		{Record{Epoch: 1}, "0101000001000000000000008beb5cc4"},
+		{Record{Epoch: 3, Sum: 0x1234abcd}, "0101000003000000cdab341296c9bcb8"},
+		{Record{Epoch: 0xffffffff, Sum: 0xffffffff}, "01010000ffffffffffffffffe16f2f49"},
+	} {
+		var raw [RecordSize]byte
+		Encode(raw[:], g.rec)
+		if got := hex.EncodeToString(raw[:]); got != g.hex {
+			t.Errorf("Encode(%+v) = %s, golden %s", g.rec, got, g.hex)
+		}
+	}
+}
+
+// TestRecordSelfCheckMatchesStdlib: the record self-check that Encode
+// writes and Decode compares is CRC32C of the record's first 12 bytes,
+// whichever instructions compute it.
+func TestRecordSelfCheckMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var raw [RecordSize]byte
+	for i := 0; i < 5000; i++ {
+		Encode(raw[:], Record{Epoch: rng.Uint32(), Sum: rng.Uint32()})
+		if got, want := binary.LittleEndian.Uint32(raw[12:16]), crc32.Checksum(raw[0:12], castagnoli); got != want {
+			t.Fatalf("Encode(%x) self-check %#x, stdlib %#x", raw[0:12], got, want)
+		}
+		rng.Read(raw[:])
+		if got, want := recordCRC(raw[:]), crc32.Checksum(raw[0:12], castagnoli); got != want {
+			t.Fatalf("recordCRC(%x) = %#x, stdlib %#x", raw[0:12], got, want)
 		}
 	}
 }
@@ -86,36 +168,22 @@ func TestCRCFoldConstants(t *testing.T) {
 	}
 }
 
-// FuzzCRCUpdate differentially fuzzes the dispatched CRC against the
-// stdlib — any divergence in the folding kernel, however obscure the
-// length/state combination, is a checksum layer that silently lies.
-func FuzzCRCUpdate(f *testing.F) {
-	big := make([]byte, 4096)
-	rand.New(rand.NewSource(1)).Read(big)
-	f.Add(uint32(0), []byte("hello"))
-	f.Add(^uint32(0), big)
-	f.Add(uint32(0xdeadbeef), big[:257])
-	f.Fuzz(func(t *testing.T, crc uint32, p []byte) {
-		if got, want := crcUpdate(crc, p), crc32.Update(crc, castagnoli, p); got != want {
-			t.Fatalf("crcUpdate(%#x, len=%d) = %#x, stdlib %#x", crc, len(p), got, want)
-		}
-	})
-}
-
-func BenchmarkCRCUpdate(b *testing.B) {
-	for _, n := range []int{512, 1024, 4096, 8192, 65536} {
+// BenchmarkSum times a sector digest against the same digest through
+// crcWord and hash/crc32 (the path below the fold threshold).
+func BenchmarkSum(b *testing.B) {
+	for _, n := range []int{512, 1024, 4096, 8192, 32768, 65536} {
 		p := make([]byte, n)
 		rand.New(rand.NewSource(2)).Read(p)
-		b.Run(benchName("dispatched", n), func(b *testing.B) {
+		b.Run(benchName("", n), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				crcSink = crcUpdate(crcSink, p)
+				crcSink = Sum(crcSink, 3, i, p)
 			}
 		})
-		b.Run(benchName("stdlib", n), func(b *testing.B) {
+		b.Run(benchName("stdlib-", n), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				crcSink = crc32.Update(crcSink, castagnoli, p)
+				crcSink = sumStdlib(uint64(crcSink)|3<<32, uint64(i), p)
 			}
 		})
 	}
@@ -125,9 +193,9 @@ var crcSink uint32
 
 func benchName(kind string, n int) string {
 	if n >= 1024 {
-		return kind + "-" + itoa(n/1024) + "KiB"
+		return kind + itoa(n/1024) + "KiB"
 	}
-	return kind + "-" + itoa(n) + "B"
+	return kind + itoa(n) + "B"
 }
 
 func itoa(n int) string {

@@ -57,14 +57,18 @@ type Record struct {
 // payload. Identical payloads at different addresses — or written
 // under different epochs — produce different digests.
 //
-// The salt never exists as bytes: crc32.Update dispatches through a
-// function variable, so a stack array handed to it is moved to the
-// heap — one allocation per verified or staged sector. Its two
-// little-endian words go through crcWord instead.
+// The salt never exists as bytes: its two little-endian words are
+// CRC'd in registers, by the fold kernel's own CRC32 instructions on
+// amd64 and by crcWord on the portable path (sumStdlib).
 func Sum(epoch uint32, col, sector int, data []byte) uint32 {
-	raw := crcWord(^uint32(0), uint64(epoch)|uint64(uint32(col))<<32)
-	raw = crcWord(raw, uint64(sector))
-	return crcUpdate(^raw, data)
+	return sum(uint64(epoch)|uint64(uint32(col))<<32, uint64(sector), data)
+}
+
+// sumStdlib is Sum through crcWord and hash/crc32: the portable build,
+// payloads under the fold threshold and CPUs without the fold's
+// feature bits.
+func sumStdlib(w0, w1 uint64, data []byte) uint32 {
+	return crc32.Update(^crcWord(crcWord(^uint32(0), w0), w1), castagnoli, data)
 }
 
 // slicing8 is the slicing-by-8 expansion of the Castagnoli table:
@@ -84,9 +88,9 @@ var slicing8 = func() *[8][256]uint32 {
 
 // crcWord advances a raw (un-inverted) CRC32C state over the eight
 // little-endian bytes of w, entirely in registers and table lookups.
-// It is for the fixed 16-byte blocks this package digests around each
-// payload (the salt, the fold kernel's residual), where a call into
-// hash/crc32 would cost a heap allocation; payloads go to crcUpdate.
+// sumStdlib runs the salt through it: handed to crc32.Update, which
+// dispatches through a function variable, a salt array would be moved
+// to the heap, one allocation per verified or staged sector.
 func crcWord(raw uint32, w uint64) uint32 {
 	w ^= uint64(raw)
 	t := slicing8
@@ -107,7 +111,7 @@ func Encode(dst []byte, rec Record) {
 	dst[2], dst[3] = 0, 0
 	binary.LittleEndian.PutUint32(dst[4:8], rec.Epoch)
 	binary.LittleEndian.PutUint32(dst[8:12], rec.Sum)
-	binary.LittleEndian.PutUint32(dst[12:16], crc32.Checksum(dst[0:12], castagnoli))
+	binary.LittleEndian.PutUint32(dst[12:16], recordCRC(dst))
 }
 
 // Decode parses one record from raw. ok is false when the record
@@ -119,7 +123,7 @@ func Decode(raw []byte) (rec Record, ok bool) {
 	if len(raw) < RecordSize {
 		return Record{}, false
 	}
-	if crc32.Checksum(raw[0:12], castagnoli) != binary.LittleEndian.Uint32(raw[12:16]) {
+	if recordCRC(raw) != binary.LittleEndian.Uint32(raw[12:16]) {
 		return Record{}, false
 	}
 	if raw[0] != recordVersion || raw[1]&flagWritten == 0 || raw[2] != 0 || raw[3] != 0 {
