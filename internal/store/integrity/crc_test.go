@@ -170,6 +170,27 @@ func TestCRCFoldConstants(t *testing.T) {
 
 // BenchmarkSum times a sector digest against the same digest through
 // crcWord and hash/crc32 (the path below the fold threshold).
+// FuzzCRCUpdate differentially fuzzes the dispatched kernel sum against
+// the stdlib over arbitrary salt words — including ones no (epoch,
+// column, sector) address produces — so any divergence in the folding
+// kernel, its salt or its residual, however obscure the length/salt
+// combination, is caught below Sum's address packing.
+func FuzzCRCUpdate(f *testing.F) {
+	big := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(big)
+	f.Add(uint64(0), uint64(0), []byte("hello"))
+	f.Add(^uint64(0), ^uint64(0), big)
+	f.Add(uint64(0xdeadbeef), uint64(0x0123456789abcdef), big[:257])
+	f.Fuzz(func(t *testing.T, w0, w1 uint64, p []byte) {
+		msg := binary.LittleEndian.AppendUint64(nil, w0)
+		msg = binary.LittleEndian.AppendUint64(msg, w1)
+		want := crc32.Checksum(append(msg, p...), castagnoli)
+		if got := sum(w0, w1, p); got != want {
+			t.Fatalf("sum(%#x, %#x, len=%d) = %#x, stdlib %#x", w0, w1, len(p), got, want)
+		}
+	})
+}
+
 func BenchmarkSum(b *testing.B) {
 	for _, n := range []int{512, 1024, 4096, 8192, 32768, 65536} {
 		p := make([]byte, n)
