@@ -14,7 +14,7 @@ func init() {
 	register("idr", "§2 worked example: STAIR vs IDR redundant sectors (n=8, m=2, β=4)", runIDRExample)
 }
 
-func runFig9(options) error {
+func runFig9() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "r\te\tstandard\tupstairs\tdownstairs\tchosen\t(actual exec)")
 	for _, r := range []int{8, 16, 24, 32} {
@@ -31,7 +31,7 @@ func runFig9(options) error {
 	return w.Flush()
 }
 
-func runFig10(options) error {
+func runFig10() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "s\tm'\tr\tsaving(devices)")
 	for s := 1; s <= 4; s++ {
@@ -53,7 +53,7 @@ func runFig10(options) error {
 	return w.Flush()
 }
 
-func runIDRExample(options) error {
+func runIDRExample() error {
 	const n, m, beta = 8, 2, 4
 	idrSectors := beta * (n - m)
 	stairE := []int{1, beta}

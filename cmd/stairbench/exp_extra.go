@@ -20,7 +20,7 @@ func init() {
 // runAblation quantifies one implementation choice beyond the paper:
 // eliding Mult_XORs whose coefficient or source region is known to be
 // zero (actual vs model cost).
-func runAblation(options) error {
+func runAblation() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "config\tmethod\tmodel Mult_XOR\tactual\tsaved")
 	for _, cfg := range []core.Config{
@@ -47,7 +47,7 @@ func runAblation(options) error {
 // analytic Pstr — the same cross-check the reliability tests run, shown
 // here at experiment scale with an exaggerated Psec so events are
 // observable.
-func runMonteCarlo(options) error {
+func runMonteCarlo() error {
 	// Psec is exaggerated relative to real drives (~1e-10) so failures
 	// are observable, but kept small enough that the paper's
 	// first-order correlated model (one burst per chunk, no clipping)

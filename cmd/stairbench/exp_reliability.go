@@ -19,7 +19,7 @@ func init() {
 
 var pbitGrid = []float64{1e-14, 1e-13, 1e-12, 1e-11, 1e-10}
 
-func runNarr(options) error {
+func runNarr() error {
 	p := reliability.DefaultParams()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "s\tefficiency\tNarr")
@@ -63,14 +63,14 @@ func printMTTDLTable(model func(pbit float64) reliability.ChunkModel) error {
 	return w.Flush()
 }
 
-func runFig17(options) error {
+func runFig17() error {
 	p := reliability.DefaultParams()
 	return printMTTDLTable(func(pbit float64) reliability.ChunkModel {
 		return reliability.Independent{Psec: reliability.PsecFromPbit(pbit, p.SectorSize), Rval: p.R}
 	})
 }
 
-func runFig18(options) error {
+func runFig18() error {
 	p := reliability.DefaultParams()
 	dist, err := failures.NewBurstDist(0.98, 1.79, p.R)
 	if err != nil {
@@ -85,7 +85,7 @@ var burstPairs = []struct{ b1, alpha float64 }{
 	{0.9, 1}, {0.98, 1.79}, {0.99, 2}, {0.999, 3}, {0.9999, 4},
 }
 
-func runFig19a(options) error {
+func runFig19a() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "len")
 	for _, p := range burstPairs {
@@ -110,7 +110,7 @@ func runFig19a(options) error {
 	return w.Flush()
 }
 
-func runFig19b(options) error {
+func runFig19b() error {
 	p := reliability.DefaultParams()
 	pairs := []struct{ b1, alpha float64 }{
 		{0.9, 1}, {0.99, 2}, {0.999, 3}, {0.9999, 4},

@@ -75,7 +75,7 @@ type scenarioBenchReport struct {
 // out unless each completes with zero unrecoverable stripes and zero
 // integrity false alarms. The report is BENCH_scenario.json, written
 // whole: this experiment is the file's only writer.
-func runScenario(o options) error {
+func runScenario() error {
 	const seed = 1
 	ctx := context.Background()
 	opts := scenario.EnvOptions{Seed: seed}

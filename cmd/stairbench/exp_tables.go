@@ -23,7 +23,7 @@ func printSteps(steps []core.TraceStep) {
 	}
 }
 
-func runTable2(options) error {
+func runTable2() error {
 	c, err := exemplaryCode(core.Outside)
 	if err != nil {
 		return err
@@ -42,7 +42,7 @@ func runTable2(options) error {
 	return nil
 }
 
-func runTable3(options) error {
+func runTable3() error {
 	c, err := exemplaryCode(core.Inside)
 	if err != nil {
 		return err

@@ -14,7 +14,7 @@ func init() {
 	register("fig15", "update penalty: RS vs SD vs STAIR at n=r=16 (paper Fig. 15)", runFig15)
 }
 
-func runFig14(options) error {
+func runFig14() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "r\te\tm=1\tm=2\tm=3")
 	for _, r := range []int{8, 16, 24, 32} {
@@ -33,7 +33,7 @@ func runFig14(options) error {
 	return w.Flush()
 }
 
-func runFig15(options) error {
+func runFig15() error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "m\tcode\tavg\tmin\tmax")
 	for m := 1; m <= 3; m++ {

@@ -3,13 +3,15 @@ package main
 import "testing"
 
 // TestAnalyticExperimentsRun runs every experiment that computes its
-// table instead of timing something — the paper's tables and cost,
-// update and reliability figures — through the registry entry
+// table instead of timing or simulating something — the paper's tables
+// and cost, update and reliability figures — through the registry entry
 // `-experiment` dispatches to, so a dropped registration or a panic in a
-// table printer fails here. The timed runs (fig11*, fig12, fig13*,
-// monte, scenario) are deliberately not on the list.
+// table printer fails here. The simulated runs (monte, scenario) are
+// deliberately not on the list; the paper's speed figures are the root
+// package's BenchmarkFig11Encode, BenchmarkFig12StripeSize and
+// BenchmarkFig13* rows.
 func TestAnalyticExperimentsRun(t *testing.T) {
-	registered := map[string]func(options) error{}
+	registered := map[string]func() error{}
 	for _, e := range experiments {
 		registered[e.name] = e.run
 	}
@@ -22,7 +24,7 @@ func TestAnalyticExperimentsRun(t *testing.T) {
 			if !ok {
 				t.Fatal("not registered")
 			}
-			if err := run(options{stripeMiB: 4}); err != nil {
+			if err := run(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,27 +1,23 @@
-// Command stairbench regenerates every table and figure of the STAIR
-// paper's evaluation (FAST '14, §5-§7 and Appendix B) as text tables,
+// Command stairbench prints the STAIR paper's (FAST '14) tables and its
+// coding-cost, update-penalty and reliability figures as text tables,
 // and runs the correlated-failure scenarios (-experiment scenario, which
-// writes BENCH_scenario.json). It is not the store's performance
-// instrument: store- and cluster-layer throughput, latency and
-// allocation numbers come from bench/ (BENCHMARK.json, bash
-// bench/run.sh).
+// writes BENCH_scenario.json). The speed figures (§6.2, Figs. 11-13:
+// STAIR vs SD encoding and worst-case decoding) are the root package's
+// benchmarks, `go test -run '^$' -bench 'Fig1[123]' .`, not experiments
+// here. Neither is this the store's performance instrument: store- and
+// cluster-layer throughput, latency and allocation numbers come from
+// bench/ (BENCHMARK.json, bash bench/run.sh).
 //
 // Usage:
 //
-//	stairbench -experiment fig11a          # one experiment
+//	stairbench -experiment fig9            # one experiment
 //	stairbench -experiment all             # everything
-//	stairbench -experiment fig12 -full     # full paper-scale sweep
 //	stairbench -list                       # enumerate experiments
 //
-// Speed experiments default to a 4 MiB stripe so that a complete run
-// finishes in minutes on a laptop; -full switches to the paper's 32 MiB
-// stripes and denser parameter grids (and -stripe overrides directly).
-// Like the paper's implementation, the hot GF region loops run as SIMD
-// split-table kernels where the CPU allows (see internal/gf); every run
-// banners which kernel produced its numbers, and BENCH_scenario.json
-// records it, so speed figures are never compared across kernels
-// unawares. STAIR_GF_KERNEL=portable forces the scalar baseline for A/B
-// runs.
+// Every run banners which GF region kernel dispatch picked (see
+// internal/gf), and BENCH_scenario.json records it, so the timed
+// scenario rows are never compared across kernels unawares.
+// STAIR_GF_KERNEL=portable forces the scalar baseline for A/B runs.
 package main
 
 import (
@@ -35,29 +31,22 @@ import (
 	"stair/internal/gf"
 )
 
-type options struct {
-	full      bool
-	stripeMiB int
-}
-
 type experiment struct {
 	name string
 	desc string
-	run  func(o options) error
+	run  func() error
 }
 
 var experiments []experiment
 
-func register(name, desc string, run func(o options) error) {
+func register(name, desc string, run func() error) {
 	experiments = append(experiments, experiment{name, desc, run})
 }
 
 func main() {
 	var (
-		name   = flag.String("experiment", "", "experiment id (see -list), or 'all'")
-		list   = flag.Bool("list", false, "list experiments and exit")
-		full   = flag.Bool("full", false, "paper-scale sweeps (32 MiB stripes, dense grids)")
-		stripe = flag.Int("stripe", 0, "stripe size in MiB for speed experiments (overrides -full default)")
+		name = flag.String("experiment", "", "experiment id (see -list), or 'all'")
+		list = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -81,15 +70,6 @@ func main() {
 		return
 	}
 
-	o := options{full: *full, stripeMiB: *stripe}
-	if o.stripeMiB == 0 {
-		if o.full {
-			o.stripeMiB = 32
-		} else {
-			o.stripeMiB = 4
-		}
-	}
-
 	// Every speed number below depends on which GF region kernel
 	// dispatch picked; say so once, up front.
 	fmt.Printf("gf kernel: %s (%s/%s, available: %v)\n",
@@ -98,7 +78,7 @@ func main() {
 
 	run := func(e experiment) {
 		fmt.Printf("==== %s: %s ====\n", e.name, e.desc)
-		if err := e.run(o); err != nil {
+		if err := e.run(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}

@@ -44,63 +44,6 @@ func keyOf(p []int) string {
 	return s
 }
 
-func TestWorstE(t *testing.T) {
-	// For s=4 at n=8, r=16, m=2 the costliest configuration by chosen
-	// method should be a valid partition of 4.
-	e, err := worstE(8, 16, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, v := range e {
-		sum += v
-	}
-	if sum != 4 {
-		t.Errorf("worstE sums to %d: %v", sum, e)
-	}
-	if _, err := worstE(3, 2, 2, 9); err == nil {
-		t.Error("impossible shape accepted")
-	}
-}
-
-func TestSectorSizeFor(t *testing.T) {
-	if got := sectorSizeFor(1<<20, 16, 16, 2); got != 4096 {
-		t.Errorf("sectorSizeFor = %d", got)
-	}
-	if got := sectorSizeFor(100, 16, 16, 2); got != 2 {
-		t.Errorf("tiny budget should floor at align: %d", got)
-	}
-	if got := sectorSizeFor(1000, 8, 4, 16); got%16 != 0 {
-		t.Errorf("alignment violated: %d", got)
-	}
-}
-
-func TestSpeedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing smoke test")
-	}
-	sp, err := stairEncodeSpeed(6, 4, 1, 1, 64<<10)
-	if err != nil || sp <= 0 {
-		t.Fatalf("stairEncodeSpeed: %v %v", sp, err)
-	}
-	sp, err = stairDecodeSpeed(6, 4, 1, 1, 64<<10, false)
-	if err != nil || sp <= 0 {
-		t.Fatalf("stairDecodeSpeed: %v %v", sp, err)
-	}
-	sp, err = sdEncodeSpeed(6, 4, 1, 1, 64<<10)
-	if err != nil || sp <= 0 {
-		t.Fatalf("sdEncodeSpeed: %v %v", sp, err)
-	}
-	sp, err = sdDecodeSpeed(6, 4, 1, 1, 64<<10)
-	if err != nil || sp <= 0 {
-		t.Fatalf("sdDecodeSpeed: %v %v", sp, err)
-	}
-	e, err := worstE(6, 4, 1, 2)
-	if err != nil || len(e) == 0 {
-		t.Fatalf("worstE: %v %v", e, err)
-	}
-}
-
 func TestPartitionsAscending(t *testing.T) {
 	for _, p := range partitions(7, 7, 7) {
 		if !ascending(p) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -196,6 +197,64 @@ func TestClusterKillFailoverReplacesSpareFirst(t *testing.T) {
 	ops := spare.taken()
 	if len(ops) < 3 || ops[0] != "replace" || slices.Contains(ops[1:], "replace") {
 		t.Fatalf("the spare saw %v, want one Replace before any read or write", ops)
+	}
+}
+
+// TestClusterKillFailoverSkipsUnreachableSpare: a spare that fails to
+// dial goes back to the end of the pool, so the next sweep fails the
+// dead column over onto the healthy spare behind it instead of retrying
+// the unreachable one forever.
+func TestClusterKillFailoverSkipsUnreachableSpare(t *testing.T) {
+	code := testCode(t)
+	const sectorSize, stripes, col = 64, 4, 1
+	ctx := context.Background()
+	var servers []Server
+	for i := 0; i < code.N(); i++ {
+		servers = append(servers, Server{Name: fmt.Sprintf("s%d", i), URL: fmt.Sprintf("http://s%d", i)})
+	}
+	unreachable := Server{Name: "unreachable", URL: "http://unreachable", Spare: true}
+	healthy := Server{Name: "healthy", URL: "http://healthy", Spare: true}
+	servers = append(servers, unreachable, healthy)
+	v, err := Open(ctx, Config{
+		Fleet:      &Fleet{Servers: servers},
+		VolumeName: "spare-pool",
+		Code:       code,
+		SectorSize: sectorSize,
+		Stripes:    stripes,
+		Dial: func(ctx context.Context, server Server) (store.Device, error) {
+			if server.Name == unreachable.Name {
+				return nil, errors.New("connection refused")
+			}
+			return store.NewMemDevice(stripes*code.R(), sectorSize), nil
+		},
+		Monitor: MonitorConfig{Interval: time.Hour}, // failover is driven below
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	fillVolume(t, v)
+
+	v.mon.declareDead(col) // dials the unreachable spare and fails
+	v.mon.sweep()          // retries the failover
+	v.WaitRebuilds()
+	if st := v.Stats(); st.Failovers != 1 || st.Rebuilds != 1 || st.SparesLeft != 1 {
+		t.Fatalf("stats %+v, want one failover, one rebuild and one spare left", st)
+	}
+	if got := v.Placement()[col].Name; got != healthy.Name {
+		t.Fatalf("column %d failed over to %q, want %q", col, got, healthy.Name)
+	}
+	v.spareMu.Lock()
+	pooled := slices.Clone(v.spares)
+	v.spareMu.Unlock()
+	if len(pooled) != 1 || pooled[0].Name != unreachable.Name {
+		t.Fatalf("spare pool %v, want the unreachable spare still pooled", pooled)
+	}
+	for _, b := range colBlocks(t, v, col) {
+		want := bytes.Repeat([]byte{byte(b + 1)}, sectorSize)
+		if got, err := v.ReadBlock(ctx, b); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("block %d after the failover: %v, content right %t", b, err, bytes.Equal(got, want))
+		}
 	}
 }
 

@@ -275,11 +275,11 @@ func (v *Volume) takeSpare() (Server, bool) {
 	return s, true
 }
 
-// returnSpare puts a spare back after a failed dial, so the next sweep
-// retries it.
+// returnSpare puts a spare back after a failed dial, at the back of the
+// pool: the next sweep tries the other spares before retrying it.
 func (v *Volume) returnSpare(s Server) {
 	v.spareMu.Lock()
-	v.spares = append([]Server{s}, v.spares...)
+	v.spares = append(v.spares, s)
 	v.spareMu.Unlock()
 }
 

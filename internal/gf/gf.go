@@ -7,10 +7,11 @@
 // product into a target region. This package provides that primitive
 // (Field.MultXOR) plus plain region XOR and copy. Like the paper's
 // implementation (which leans on GF-Complete), the hot GF(2^8) and
-// GF(2^4) region loops run as SIMD 4-bit split-table kernels — PSHUFB on
-// amd64, TBL on arm64 — selected at runtime by CPU feature detection and
-// overridable with STAIR_GF_KERNEL; see kernel.go. GF(2^16) and the
-// `purego` build use a widened-word portable path.
+// GF(2^4) region loops run as SIMD kernels on amd64 (GFNI affine or
+// PSHUFB 4-bit split tables), selected at runtime by CPU feature
+// detection and overridable with STAIR_GF_KERNEL; see kernel.go.
+// GF(2^16), other architectures and the `purego` build use a
+// widened-word portable path.
 //
 // Field values are safe for concurrent use: everything is fixed at
 // construction except the GF(2^16) per-coefficient tables, which are

@@ -17,9 +17,9 @@ import (
 // Mult_XOR region ops, and GF-Complete computes them 16–32 bytes at a time
 // with PSHUFB/TBL nibble lookups. This port reproduces that design as a
 // small Kernel interface with runtime CPU dispatch: assembly kernels for
-// amd64 (SSSE3 and AVX2) and arm64 (NEON) where the build allows them, and
-// a portable widened-word fallback everywhere else (including the `purego`
-// build tag and GOARCH targets without an assembly kernel).
+// amd64 (GFNI, AVX2 and SSSE3) where the build allows them, and a
+// portable widened-word fallback everywhere else (every other GOARCH,
+// arm64 included, and the `purego` build tag).
 //
 // A kernel operates on GF(2^8) symbol regions through a MulTable — the
 // per-coefficient lookup state derived from the field's full product
@@ -45,7 +45,7 @@ type MulTable struct {
 	wide *wideTable // two-byte-symbol products; non-nil iff w == 16
 }
 
-// The fused assembly routines (amd64, arm64) address Lo at byte offset
+// The fused amd64 assembly routines address Lo at byte offset
 // 256 and Hi at 272 from a *MulTable; these constants refuse to compile
 // (negative shift into uint) if the struct layout ever drifts.
 const (
@@ -82,7 +82,7 @@ func gfniMatrix(row *[256]byte) uint64 {
 // safe for concurrent use (kernels are stateless).
 type Kernel interface {
 	// Name identifies the kernel in benchmarks, BENCH_*.json entries and
-	// the STAIR_GF_KERNEL override ("avx2", "ssse3", "neon", "portable").
+	// the STAIR_GF_KERNEL override ("avx2", "ssse3", "portable", ...).
 	Name() string
 	// MultXOR computes dst ^= c·src, c described by t.
 	MultXOR(dst, src []byte, t *MulTable)

@@ -50,7 +50,7 @@ func allKernels() []Kernel {
 }
 
 // kernelLengths exercises sub-vector regions, exact vector multiples,
-// and ragged tails across the SSE/NEON (16), AVX (32), ZMM and fused
+// and ragged tails across the SSE (16), AVX (32), ZMM and fused
 // (64) and word (8) widths: each of those widths at one, two or more
 // vectors, and one byte either side, so both the whole-vector early
 // return and the tail path run on every kernel.
@@ -134,7 +134,7 @@ func TestKernelsMatchReferenceW4(t *testing.T) {
 }
 
 // TestKernelDispatchOrder: the portable kernel is always registered, and
-// on amd64/arm64 default builds an assembly kernel must outrank it.
+// on amd64 default builds an assembly kernel must outrank it.
 func TestKernelDispatchOrder(t *testing.T) {
 	names := KernelNames()
 	found := false
@@ -149,7 +149,7 @@ func TestKernelDispatchOrder(t *testing.T) {
 	if len(names) != len(uniqueStrings(names)) {
 		t.Fatalf("duplicate kernel names registered: %v", names)
 	}
-	if (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64") && !testingPurego() {
+	if runtime.GOARCH == "amd64" && !testingPurego() {
 		if names[0] == "portable" {
 			t.Errorf("GOARCH=%s default build dispatched to portable; registry %v", runtime.GOARCH, names)
 		}

@@ -711,6 +711,112 @@ func TestAsyncPipelineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnqueueFlushRevertsHandOff: a hand-off sendFlush cannot make —
+// the store is closed, or the channel is full — is reverted: the
+// buffer's queued flag clears, the stripe's in-flight count is returned,
+// and a later Flush lands the stripe.
+func TestUnqueueFlushRevertsHandOff(t *testing.T) {
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	const target, parked = 1, 0
+	for _, arm := range []string{"closed", "full"} {
+		t.Run(arm, func(t *testing.T) {
+			s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 4, FlushWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if s.shard(target) == s.shard(parked) {
+				t.Fatal("target and parked stripes share a shard")
+			}
+			// Two blocks of the target stripe: a partial buffer is not
+			// handed to the pipeline on its own.
+			blocks := []int{target * s.perStripe, target*s.perStripe + 1}
+			for _, b := range blocks {
+				if err := s.WriteBlock(bg, b, blockData(b, s.BlockSize())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sh := s.shard(target)
+			sh.mu.Lock()
+			buf := sh.dirty[target]
+			queued := s.queueFlushLocked(buf)
+			sh.mu.Unlock()
+			if !queued {
+				t.Fatal("queueFlushLocked refused a fresh partial buffer")
+			}
+			inflight := func() int {
+				s.flushMu.Lock()
+				defer s.flushMu.Unlock()
+				return s.flushInflight
+			}
+
+			fillers := 0
+			switch arm {
+			case "closed":
+				s.closed.Store(true)
+				s.sendFlush(target)
+				s.closed.Store(false)
+			case "full":
+				// Park the one worker on the parked stripe's shard mutex,
+				// then fill the channel behind it. The parked stripe has
+				// no buffer, so each filler no-ops once the worker runs.
+				psh := s.shard(parked)
+				psh.mu.Lock()
+				fillers = cap(s.flushCh) + 1
+				s.flushMu.Lock()
+				s.flushInflight += fillers
+				s.flushMu.Unlock()
+				s.flushCh <- parked
+				for len(s.flushCh) > 0 {
+					time.Sleep(time.Millisecond)
+				}
+				for len(s.flushCh) < cap(s.flushCh) {
+					s.flushCh <- parked
+				}
+				s.sendFlush(target)
+				if got := inflight(); got != fillers {
+					t.Errorf("in-flight %d after the refused hand-off, want the %d fillers only", got, fillers)
+				}
+				psh.mu.Unlock()
+			}
+
+			sh.mu.Lock()
+			stillQueued := buf.queued
+			sh.mu.Unlock()
+			if stillQueued {
+				t.Fatal("buffer still marked queued after the hand-off was reverted")
+			}
+			// A leaked in-flight entry would park the drain, and Close's,
+			// for good.
+			ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+			defer cancel()
+			if err := s.drainFlushPipeline(ctx); err != nil {
+				leaked := inflight()
+				s.flushMu.Lock()
+				s.flushInflight = 0
+				s.flushMu.Unlock()
+				t.Fatalf("draining the pipeline: %v (in-flight %d)", err, leaked)
+			}
+			if got := inflight(); got != 0 {
+				t.Fatalf("in-flight %d after the pipeline drained, want 0", got)
+			}
+			if err := s.Flush(bg); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.dirtyCount.Load(); got != 0 {
+				t.Fatalf("dirtyCount=%d after Flush, want 0", got)
+			}
+			for _, b := range blocks {
+				got, err := s.ReadBlock(bg, b)
+				if err != nil || !bytes.Equal(got, blockData(b, s.BlockSize())) {
+					t.Fatalf("block %d after Flush: %v, content right %t", b, err, bytes.Equal(got, blockData(b, s.BlockSize())))
+				}
+			}
+			checkStripesConsistent(t, s)
+		})
+	}
+}
+
 // TestAsyncFlushErrorSurfaces: a background flush that fails (here: the
 // stripe is unrecoverably degraded) must not vanish — the next Flush
 // reports it and the buffer stays for a retry.

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -188,13 +189,17 @@ func parseRecord(b []byte) (rec Record, kind byte, n int, ok bool) {
 	if kind == kindIntentV2 {
 		entry = 16
 	}
-	rec.Seq = binary.LittleEndian.Uint64(payload[1:])
-	rec.Stripe = int(binary.LittleEndian.Uint64(payload[9:]))
-	nords := int(binary.LittleEndian.Uint32(payload[17:]))
-	if plen != 21+nords*entry {
+	// The stripe must fit an int and the entry count is checked in
+	// 64 bits: on 32-bit targets a huge count times the entry size would
+	// otherwise wrap to a plausible payload length.
+	stripe := binary.LittleEndian.Uint64(payload[9:])
+	nords := binary.LittleEndian.Uint32(payload[17:])
+	if stripe > math.MaxInt || uint64(plen) != 21+uint64(nords)*uint64(entry) {
 		return rec, 0, 0, false
 	}
-	for i := 0; i < nords; i++ {
+	rec.Seq = binary.LittleEndian.Uint64(payload[1:])
+	rec.Stripe = int(stripe)
+	for i := 0; i < int(nords); i++ {
 		rec.Ords = append(rec.Ords, int(binary.LittleEndian.Uint32(payload[21+i*entry:])))
 		rec.Sums = append(rec.Sums, binary.LittleEndian.Uint64(payload[25+i*entry:]))
 		if kind == kindIntentV2 {
