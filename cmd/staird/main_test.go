@@ -257,7 +257,6 @@ func TestServeShutdownClosesFrameConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 1})
 	buf := [][]byte{make([]byte, 64)}
 	if err := d.ReadSectors(context.Background(), 0, buf); err != nil {
 		t.Fatalf("framed read while serving: %v", err)

@@ -124,7 +124,6 @@ func TestColumnSuspicion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 1})
 	col := newColumn(0, Server{Name: "s0", URL: srv.URL}, dev)
 	suspects := make(chan int, 4)
 	col.onSuspect = func(c int, err error) { suspects <- c }

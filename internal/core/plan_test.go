@@ -24,12 +24,8 @@ func (c *Code) run(sch *schedule, cells [][]byte) {
 	for i := range sch.ops {
 		o := &sch.ops[i]
 		dst := cells[c.slot[o.dst]]
-		if len(o.terms) == 0 {
-			gf.Zero(dst)
-			continue
-		}
-		c.f.MultRegion(dst, cells[c.slot[o.terms[0].src]], o.terms[0].coeff)
-		for _, t := range o.terms[1:] {
+		clear(dst)
+		for _, t := range o.terms {
 			c.f.MultXOR(dst, cells[c.slot[t.src]], t.coeff)
 		}
 	}
@@ -372,12 +368,9 @@ func TestPlanKindsMatchTermByTerm(t *testing.T) {
 			}
 			for i, col := range set {
 				check(fmt.Sprintf("row-local %v col %d", set, col), &rs.plans[i], c.N(), func(cells [][]byte) {
+					clear(cells[col])
 					for j, src := range rs.have {
-						if j == 0 {
-							c.f.MultRegion(cells[col], cells[src], coeffs.At(i, j))
-						} else {
-							c.f.MultXOR(cells[col], cells[src], coeffs.At(i, j))
-						}
+						c.f.MultXOR(cells[col], cells[src], coeffs.At(i, j))
 					}
 				})
 			}

@@ -99,9 +99,6 @@ func (d *BurstDist) Sample(rng *rand.Rand) int {
 	return d.MaxLen
 }
 
-// Fractions returns the probability vector b_1..b_maxLen (Eq. 14's b_i).
-func (d *BurstDist) Fractions() []float64 { return append([]float64{}, d.probs...) }
-
 // SectorBurst is one injected failure event: Start sectors into a chunk,
 // Len consecutive sectors lost.
 type SectorBurst struct {

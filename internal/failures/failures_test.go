@@ -58,8 +58,8 @@ func TestBurstDistBoundaries(t *testing.T) {
 	if d.CDF(0) != 0 || d.CDF(100) != 1 {
 		t.Error("CDF boundaries wrong")
 	}
-	if len(d.Fractions()) != 8 {
-		t.Error("Fractions length wrong")
+	if len(d.probs) != 8 {
+		t.Error("probability vector length wrong")
 	}
 	one, err := NewBurstDist(0.5, 1, 1)
 	if err != nil {

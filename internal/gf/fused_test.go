@@ -13,7 +13,7 @@ import (
 // over random destination counts, ragged tails, and unaligned offsets.
 
 // refMultXORFused composes the per-destination byte-loop reference — the
-// semantics MultXORFused must reproduce exactly.
+// semantics a multi-destination op must reproduce exactly.
 func refMultXORFused(dsts [][]byte, src []byte, tabs []*MulTable) {
 	for i, d := range dsts {
 		refMultXOR(d, src, tabs[i])
@@ -39,7 +39,7 @@ func fusedCase(rng *rand.Rand, f *Field, ndst, n, off int) (dsts [][]byte, base 
 	return dsts, base, src, tabs
 }
 
-// TestKernelsMatchReferenceFused differential-tests MultXORFused on every
+// TestKernelsMatchReferenceFused differential-tests accumulate ops on every
 // registered kernel against the composed byte-loop reference for w=8,
 // across destination counts 1..6, all tail classes, and unaligned
 // offsets.
@@ -61,7 +61,7 @@ func TestKernelsMatchReferenceFused(t *testing.T) {
 							wantSl[i] = want[i][off:]
 						}
 						refMultXORFused(wantSl, src, tabs)
-						runFusedOn(k, dsts, src, tabs, true)
+						runOn(k, dsts, src, tabs, true)
 						for i := range dsts {
 							if !bytes.Equal(dsts[i], wantSl[i]) {
 								t.Fatalf("ndst=%d n=%d off=%d dst[%d]: fused kernel disagrees with composed reference",
@@ -91,7 +91,7 @@ func TestKernelsMatchReferenceFusedW4(t *testing.T) {
 						want[i] = append([]byte(nil), base[i]...)
 					}
 					refMultXORFused(want, src, tabs)
-					runFusedOn(k, dsts, src, tabs, true)
+					runOn(k, dsts, src, tabs, true)
 					for i := range dsts {
 						if !bytes.Equal(dsts[i], want[i]) {
 							t.Fatalf("w=4 ndst=%d n=%d dst[%d]: fused kernel disagrees with composed reference", ndst, n, i)
@@ -103,9 +103,9 @@ func TestKernelsMatchReferenceFusedW4(t *testing.T) {
 	}
 }
 
-// TestKernelsMatchReferenceMulRegionFused differential-tests the
-// overwrite form on every registered kernel against composed byte-loop
-// MulRegion, for w=8 and w=4, over destination counts, tail classes and
+// TestKernelsMatchReferenceMulRegionFused differential-tests overwrite
+// ops on every registered kernel against the composed byte-loop
+// reference, for w=8 and w=4, over destination counts, tail classes and
 // unaligned offsets. Destinations start with random garbage: the op must
 // fully overwrite, never accumulate.
 func TestKernelsMatchReferenceMulRegionFused(t *testing.T) {
@@ -123,10 +123,10 @@ func TestKernelsMatchReferenceMulRegionFused(t *testing.T) {
 								want[i] = append([]byte(nil), base[i]...)
 								refMulRegion(want[i][off:], src, tabs[i])
 							}
-							runFusedOn(k, dsts, src, tabs, false)
+							runOn(k, dsts, src, tabs, false)
 							for i := range dsts {
 								if !bytes.Equal(dsts[i], want[i][off:]) {
-									t.Fatalf("w=%d ndst=%d n=%d off=%d dst[%d]: MulRegionFused disagrees with composed reference",
+									t.Fatalf("w=%d ndst=%d n=%d off=%d dst[%d]: overwrite op disagrees with composed reference",
 										w, ndst, n, off, i)
 								}
 							}
@@ -174,9 +174,9 @@ func TestFieldMultXORFused(t *testing.T) {
 	Get(8).MultXORFused(make([][]byte, 2), make([]byte, 8), []uint32{1})
 }
 
-// TestWideFusedMatchesScalar holds the GF(2^16) route of the package-level
-// fused entry points — accumulate and overwrite — to a symbol-by-symbol
-// Field.Mul loop. Symbol counts cover the sub-word tail alone, the
+// TestWideFusedMatchesScalar holds the GF(2^16) kernel that Field.Kernel
+// routes wide tables to — accumulate and overwrite — to a
+// symbol-by-symbol Field.Mul loop. Symbol counts cover the sub-word tail alone, the
 // four-symbol word loop alone and both together; odd byte offsets put
 // every uint64 load and store off its natural boundary.
 func TestWideFusedMatchesScalar(t *testing.T) {
@@ -200,19 +200,19 @@ func TestWideFusedMatchesScalar(t *testing.T) {
 					wantAcc[i] = append([]byte(nil), acc[i]...)
 					wantOver[i] = make([]byte, n)
 					for s := 0; s < symbols; s++ {
-						prod := f.Mul(c, f.ReadSymbol(src, s))
-						f.WriteSymbol(wantOver[i], s, prod)
-						f.WriteSymbol(wantAcc[i], s, f.ReadSymbol(wantAcc[i], s)^prod)
+						prod := f.Mul(c, readSym(f, src, s))
+						writeSym(f, wantOver[i], s, prod)
+						writeSym(f, wantAcc[i], s, readSym(f, wantAcc[i], s)^prod)
 					}
 				}
-				MultXORFused(acc, src, tabs)
-				MulRegionFused(over, src, tabs)
+				runOn(f.Kernel(), acc, src, tabs, true)
+				runOn(f.Kernel(), over, src, tabs, false)
 				for i := range coeffs {
 					if !bytes.Equal(acc[i], wantAcc[i]) {
-						t.Fatalf("symbols=%d off=%d c=%#x: MultXORFused disagrees with scalar Mul", symbols, off, coeffs[i])
+						t.Fatalf("symbols=%d off=%d c=%#x: accumulate disagrees with scalar Mul", symbols, off, coeffs[i])
 					}
 					if !bytes.Equal(over[i], wantOver[i]) {
-						t.Fatalf("symbols=%d off=%d c=%#x: MulRegionFused disagrees with scalar Mul", symbols, off, coeffs[i])
+						t.Fatalf("symbols=%d off=%d c=%#x: overwrite disagrees with scalar Mul", symbols, off, coeffs[i])
 					}
 				}
 			}
@@ -224,7 +224,7 @@ func TestWideFusedMatchesScalar(t *testing.T) {
 			t.Error("odd-length w=16 fused call did not panic")
 		}
 	}()
-	MultXORFused([][]byte{make([]byte, 3)}, make([]byte, 3), []*MulTable{f.Table(2)})
+	mulOn(f.Kernel(), make([]byte, 3), make([]byte, 3), f.Table(2), true)
 }
 
 // TestTableNeverNil: every field hands out a table for every coefficient
@@ -294,27 +294,27 @@ func FuzzMultXORFused(f *testing.F) {
 		wantOver := make([][]byte, k)
 		for i := range want {
 			want[i] = append([]byte(nil), dsts[i]...)
-			portable.MultXOR(want[i], src, tabs[i])
+			mulOn(portable, want[i], src, tabs[i], true)
 			wantOver[i] = append([]byte(nil), dsts[i]...)
-			portable.MulRegion(wantOver[i], src, tabs[i])
+			mulOn(portable, wantOver[i], src, tabs[i], false)
 		}
 		for _, kern := range allKernels() {
 			got := make([][]byte, k)
 			for i := range got {
 				got[i] = append([]byte(nil), dsts[i]...)
 			}
-			runFusedOn(kern, got, src, tabs, true)
+			runOn(kern, got, src, tabs, true)
 			for i := range got {
 				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("kernel %s MultXORFused(ndst=%d, n=%d, off=%d) dst[%d] diverges from composed portable",
+					t.Fatalf("kernel %s accumulate op (ndst=%d, n=%d, off=%d) dst[%d] diverges from composed portable",
 						kern.Name(), k, n, o, i)
 				}
 				copy(got[i], dsts[i])
 			}
-			runFusedOn(kern, got, src, tabs, false)
+			runOn(kern, got, src, tabs, false)
 			for i := range got {
 				if !bytes.Equal(got[i], wantOver[i]) {
-					t.Fatalf("kernel %s MulRegionFused(ndst=%d, n=%d, off=%d) dst[%d] diverges from composed portable",
+					t.Fatalf("kernel %s overwrite op (ndst=%d, n=%d, off=%d) dst[%d] diverges from composed portable",
 						kern.Name(), k, n, o, i)
 				}
 			}
@@ -346,6 +346,10 @@ func BenchmarkMultXORFusedKernels(b *testing.B) {
 				}
 				cells := append([][]byte{src}, dsts...)
 				ops := AppendOps(nil, true, 0, idx, tabs)
+				var perop []Op
+				for j := range idx {
+					perop = AppendOps(perop, true, 0, idx[j:j+1], tabs[j:j+1])
+				}
 				name := fmt.Sprintf("%dx%s", ndst, byteSizeName(size))
 				b.Run(k.Name()+"/fused/"+name, func(b *testing.B) {
 					b.SetBytes(int64(size * ndst))
@@ -356,8 +360,8 @@ func BenchmarkMultXORFusedKernels(b *testing.B) {
 				b.Run(k.Name()+"/perop/"+name, func(b *testing.B) {
 					b.SetBytes(int64(size * ndst))
 					for i := 0; i < b.N; i++ {
-						for j := range dsts {
-							k.MultXOR(dsts[j], src, tabs[j])
+						for j := range perop {
+							k.RunOps(perop[j:j+1], cells, 0, size)
 						}
 					}
 				})
@@ -391,10 +395,10 @@ func randomOps(rng *rand.Rand, f *Field, ncells, nops int) (ops []Op, coeffs [][
 // TestRunOpsMatchesPerDestination differential-tests every kernel's op
 // runner, the wide loop's included: a random op list run tile by tile
 // over [lo, lo+n) of a cell vector must leave every cell byte-identical
-// to applying the ops in order, one Field.MultXOR or MultRegion per
-// destination, and must not touch a byte outside the range. Regions are
-// one vector, a 512-byte sector, a ragged 520 bytes and two 8 KiB plan
-// tiles, at lo = 0 and at a non-zero lo.
+// to applying the ops in order, one Field.MultXOR per destination (an
+// overwrite clears first), and must not touch a byte outside the range.
+// Regions are one vector, a 512-byte sector, a ragged 520 bytes and two
+// 8 KiB plan tiles, at lo = 0 and at a non-zero lo.
 func TestRunOpsMatchesPerDestination(t *testing.T) {
 	const ncells, tile = 9, 8192
 	type kcase struct {
@@ -428,11 +432,10 @@ func TestRunOpsMatchesPerDestination(t *testing.T) {
 						}
 						src := want[o.Src][lo : lo+n]
 						for j, d := range o.Dst[:o.N] {
-							if o.Acc {
-								kc.f.MultXOR(want[d][lo:lo+n], src, coeffs[i][j])
-							} else {
-								kc.f.MultRegion(want[d][lo:lo+n], src, coeffs[i][j])
+							if !o.Acc {
+								clear(want[d][lo : lo+n])
 							}
+							kc.f.MultXOR(want[d][lo:lo+n], src, coeffs[i][j])
 						}
 					}
 					for i := range got {

@@ -4,8 +4,11 @@
 //
 // The STAIR paper (§5.3) decomposes all encoding work into Mult_XOR
 // operations: multiply a region of bytes by a w-bit constant and XOR the
-// product into a target region. This package provides that primitive
-// (Field.MultXOR) plus plain region XOR and copy. Like the paper's
+// product into a target region. Plans compile their Mult_XORs into Op
+// lists once, with coefficients resolved to MulTables by Field.Table,
+// and run them through Kernel.RunOps, the one multiply entry of the
+// region kernels. Field.MultXOR and Field.MultXORFused adapt one source
+// region to a one-op list for callers without a plan. Like the paper's
 // implementation (which leans on GF-Complete), the hot GF(2^8) and
 // GF(2^4) region loops run as SIMD kernels on amd64 (GFNI affine or
 // PSHUFB 4-bit split tables), selected at runtime by CPU feature
@@ -209,20 +212,9 @@ func (f *Field) mulSlow(a, b uint32) uint32 {
 	return uint32(f.exp[int(f.log[a])+int(f.log[b])])
 }
 
-// Div returns a / b. It panics if b is zero: dividing by zero indicates a
-// programming error in matrix/code construction, never a data-dependent
-// condition.
-func (f *Field) Div(a, b uint32) uint32 {
-	if b&f.mask == 0 {
-		panic("gf: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return f.Mul(a, f.inv[b&f.mask])
-}
-
-// Inv returns the multiplicative inverse of a. It panics if a is zero.
+// Inv returns the multiplicative inverse of a, so a / b is Mul(a, Inv(b)).
+// It panics if a is zero: dividing by zero indicates a programming error
+// in matrix/code construction, never a data-dependent condition.
 func (f *Field) Inv(a uint32) uint32 {
 	if a&f.mask == 0 {
 		panic("gf: zero has no multiplicative inverse")
@@ -253,7 +245,7 @@ func (f *Field) checkRegions(dst, src []byte) {
 	}
 }
 
-// KernelName reports which region kernel this field's MultXOR/MultRegion
+// KernelName reports which region kernel this field's region ops
 // dispatch to: the CPU-selected (or STAIR_GF_KERNEL-forced) kernel for
 // the byte-symbol fields w == 4 and w == 8, and "portable" for w == 16,
 // whose two-byte symbols take the widened two-table path.
@@ -272,10 +264,9 @@ func (f *Field) Kernel() Kernel {
 }
 
 // MultXOR computes dst ^= c·src over the field, symbol by symbol. This is
-// the paper's Mult_XOR(src, dst, c) primitive (§5.3). dst and src must
-// have equal length, a multiple of SymbolBytes, and must not overlap
-// partially (dst == src exactly is allowed when c avoids aliasing issues;
-// callers in this module never alias).
+// the paper's Mult_XOR(src, dst, c) primitive (§5.3), run as a one-op
+// list on the field's kernel. dst and src must have equal length, a
+// multiple of SymbolBytes, and must not overlap.
 func (f *Field) MultXOR(dst, src []byte, c uint32) {
 	f.checkRegions(dst, src)
 	c &= f.mask
@@ -289,16 +280,14 @@ func (f *Field) MultXOR(dst, src []byte, c uint32) {
 		activeKernel().XORRegion(dst, src)
 		return
 	}
-	if f.wide != nil {
-		mulWide(dst, src, f.wideTable(c).wide, true)
-		return
-	}
-	activeKernel().MultXOR(dst, src, &f.tables[c])
+	s := getFused(src)
+	s.add(dst, f.Table(c))
+	s.run(f.Kernel())
 }
 
 // Table returns the region-kernel lookup state for multiplication by c,
-// for use with the package-level MultXORFused and MulRegionFused. Callers
-// resolve it once (at plan-compile time) and reuse it across calls.
+// for the Op lists Kernel.RunOps runs. Callers resolve it once (at
+// plan-compile time) and reuse it across calls.
 func (f *Field) Table(c uint32) *MulTable {
 	if f.wide != nil {
 		return f.wideTable(c & f.mask)
@@ -326,9 +315,9 @@ func (f *Field) wideTable(c uint32) *MulTable {
 // one pass over src — the fused form of MultXOR that a multi-parity
 // encode uses so each source region is read once instead of once per
 // parity row. Zero coefficients are skipped. Every dsts[i] must have
-// len(src) bytes. Callers that precompile coefficient columns should use
-// Field.Table plus the package-level MultXORFused instead, skipping the
-// per-call table lookups.
+// len(src) bytes. Callers that precompile coefficient columns should
+// compile Op lists from Field.Table instead, skipping the per-call table
+// lookups.
 func (f *Field) MultXORFused(dsts [][]byte, src []byte, coeffs []uint32) {
 	if len(dsts) != len(coeffs) {
 		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d coeffs=%d", len(dsts), len(coeffs)))
@@ -340,38 +329,7 @@ func (f *Field) MultXORFused(dsts [][]byte, src []byte, coeffs []uint32) {
 			s.add(d, f.Table(c))
 		}
 	}
-	s.run(f.Kernel(), true)
-}
-
-// MultXORFused computes dsts[i] ^= tables[i]·src on the active region
-// kernel in one pass over src. Callers resolve coefficient tables once
-// via Field.Table (dropping zero coefficients) and reuse them across
-// calls. Every dsts[i] must have at least len(src) bytes, every
-// tables[i] must be non-nil and all of them must come from the same
-// field. GF(2^16) tables take the portable wide loop, one destination at
-// a time. It adapts dsts to Kernel.RunOps for callers without a plan.
-func MultXORFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	runFused(dsts, src, tables, true)
-}
-
-// MulRegionFused dispatches dsts[i] = tables[i]·src — the overwrite
-// form of MultXORFused. Same contract as MultXORFused.
-func MulRegionFused(dsts [][]byte, src []byte, tables []*MulTable) {
-	runFused(dsts, src, tables, false)
-}
-
-func runFused(dsts [][]byte, src []byte, tables []*MulTable, acc bool) {
-	if len(dsts) != len(tables) {
-		panic(fmt.Sprintf("gf: fused arity mismatch: dsts=%d tables=%d", len(dsts), len(tables)))
-	}
-	if len(dsts) == 0 || len(src) == 0 {
-		return
-	}
-	k := activeKernel()
-	if tables[0].wide != nil {
-		k = wideKernel{}
-	}
-	runFusedOn(k, dsts, src, tables, acc)
+	s.run(f.Kernel())
 }
 
 // fusedTile is the source bytes one RunOps call of the adapters covers:
@@ -408,41 +366,17 @@ func (s *fusedScratch) add(d []byte, t *MulTable) {
 	s.tabs = append(s.tabs, t)
 }
 
-// run computes every destination (^)= its table·src on kernel k, one
+// run computes every destination ^= its table·src on kernel k, one
 // RunOps call per fusedTile of src, and returns the scratch to the pool.
-func (s *fusedScratch) run(k Kernel, acc bool) {
+func (s *fusedScratch) run(k Kernel) {
 	n := len(s.cells[0])
-	s.ops = AppendOps(s.ops[:0], acc, 0, s.idx, s.tabs)
+	s.ops = AppendOps(s.ops[:0], true, 0, s.idx, s.tabs)
 	for lo := 0; lo < n; lo += fusedTile {
 		k.RunOps(s.ops, s.cells, lo, min(lo+fusedTile, n))
 	}
 	clear(s.cells) // pin no caller memory in the pool
 	clear(s.tabs)
 	fusedPool.Put(s)
-}
-
-// runFusedOn runs dsts[i] (^)= tables[i]·src on kernel k.
-func runFusedOn(k Kernel, dsts [][]byte, src []byte, tables []*MulTable, acc bool) {
-	s := getFused(src)
-	for i, d := range dsts {
-		s.add(d, tables[i])
-	}
-	s.run(k, acc)
-}
-
-// MultRegion computes dst = c·src (overwriting dst).
-func (f *Field) MultRegion(dst, src []byte, c uint32) {
-	f.checkRegions(dst, src)
-	c &= f.mask
-	if c == 0 {
-		Zero(dst)
-		return
-	}
-	if f.wide != nil {
-		mulWide(dst, src, f.wideTable(c).wide, false)
-		return
-	}
-	activeKernel().MulRegion(dst, src, &f.tables[c])
 }
 
 // wideTable is the GF(2^16) per-coefficient lookup state: the products of
@@ -488,45 +422,18 @@ type wideKernel struct{}
 
 func (wideKernel) Name() string { return portableKernel{}.Name() }
 
-func (wideKernel) MultXOR(dst, src []byte, t *MulTable) { mulWide(dst, src, t.wide, true) }
-
-func (wideKernel) MulRegion(dst, src []byte, t *MulTable) { mulWide(dst, src, t.wide, false) }
-
 func (wideKernel) XORRegion(dst, src []byte) { activeKernel().XORRegion(dst, src) }
 
 // RunOps runs every op one destination at a time through mulWide. A
 // byte range that splits a symbol (a plan tile or worker range starting
 // on an odd byte) is a caller bug that would silently corrupt the
 // boundary symbols, so it panics.
-func (w wideKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+func (wideKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 	if (lo|hi)%2 != 0 {
 		panic(fmt.Sprintf("gf: region [%d, %d) splits a 2-byte symbol", lo, hi))
 	}
-	runOpsPerDest(w, ops, cells, lo, hi)
+	runOpsPerDest(ops, cells, lo, hi)
 }
-
-// ReadSymbol extracts the symbol at index i from a region, honouring the
-// field's symbol width (little-endian for w == 16).
-func (f *Field) ReadSymbol(region []byte, i int) uint32 {
-	if f.w == 16 {
-		return uint32(region[2*i]) | uint32(region[2*i+1])<<8
-	}
-	return uint32(region[i]) & f.mask
-}
-
-// WriteSymbol stores symbol v at index i in a region.
-func (f *Field) WriteSymbol(region []byte, i int, v uint32) {
-	if f.w == 16 {
-		region[2*i] = byte(v)
-		region[2*i+1] = byte(v >> 8)
-		return
-	}
-	region[i] = byte(v & f.mask)
-}
-
-// SymbolsPerRegion returns how many field symbols fit in a region of the
-// given byte length.
-func (f *Field) SymbolsPerRegion(n int) int { return n / f.SymbolBytes() }
 
 // XORRegion computes dst ^= src. It is field-independent, and it is
 // the hot inner loop of every encode: the schedules decompose all
@@ -540,11 +447,4 @@ func XORRegion(dst, src []byte) {
 		panic(fmt.Sprintf("gf: region length mismatch: dst=%d src=%d", len(dst), len(src)))
 	}
 	activeKernel().XORRegion(dst, src)
-}
-
-// Zero clears a region.
-func Zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }

@@ -16,7 +16,8 @@ import (
 // SIMD split-table multiplication: §5.3 reduces all encoding work to
 // Mult_XOR region ops, and GF-Complete computes them 16–32 bytes at a time
 // with PSHUFB/TBL nibble lookups. This port reproduces that design as a
-// small Kernel interface with runtime CPU dispatch: assembly kernels for
+// small Kernel interface whose one multiply entry, RunOps, runs compiled
+// Op lists, with runtime CPU dispatch: assembly kernels for
 // amd64 (GFNI, AVX2 and SSSE3) where the build allows them, and a
 // portable widened-word fallback everywhere else (every other GOARCH,
 // arm64 included, and the `purego` build tag).
@@ -26,8 +27,8 @@ import (
 // table: the 256-entry row for scalar/tail work plus the 16-entry low-
 // and high-nibble split tables the SIMD paths shuffle against. GF(2^4)
 // regions reuse the same kernels (its split table has an all-zero high
-// half, see buildTables); GF(2^16) tables never reach a Kernel — the
-// fused entry points in gf.go route them to the portable wide loop.
+// half, see buildTables); GF(2^16) tables never reach a dispatched
+// kernel — Field.Kernel hands w == 16 fields the wide kernel in gf.go.
 
 // MulTable is the per-coefficient lookup state the region ops multiply
 // through. For GF(2^8)/GF(2^4) it is the full multiply-by-c row plus its
@@ -75,34 +76,29 @@ func gfniMatrix(row *[256]byte) uint64 {
 	return m
 }
 
-// Kernel implements the region primitives every encode and decode
-// schedule in this module decomposes into. Implementations may assume
-// dst and src have equal length (the Field front ends validate), must
-// handle any length including zero and misaligned slices, and must be
-// safe for concurrent use (kernels are stateless).
+// Kernel is the one way into the region arithmetic: every encode and
+// decode schedule in this module compiles to an Op list that RunOps
+// executes. Implementations must handle any range, including empty and
+// misaligned ones, and must be safe for concurrent use (kernels are
+// stateless).
 type Kernel interface {
 	// Name identifies the kernel in benchmarks, BENCH_*.json entries and
 	// the STAIR_GF_KERNEL override ("avx2", "ssse3", "portable", ...).
 	Name() string
-	// MultXOR computes dst ^= c·src, c described by t.
-	MultXOR(dst, src []byte, t *MulTable)
-	// MulRegion computes dst = c·src, c described by t.
-	MulRegion(dst, src []byte, t *MulTable)
-	// XORRegion computes dst ^= src.
+	// XORRegion computes dst ^= src; dst and src have equal length.
 	XORRegion(dst, src []byte)
 	// RunOps runs a compiled op list over bytes [lo, hi) of cells, op
 	// after op: an op reads cells[Src][lo:hi] and writes
-	// cells[Dst[j]][lo:hi]. It is the one multi-destination entry point:
-	// plans call it once per tile, and the package-level MultXORFused and
-	// MulRegionFused adapt a destination list to it. The SIMD kernels
-	// keep each source block register-resident while updating all of an
-	// op's destinations (the ISA-L ec_encode_data shape), calling their
-	// assembly directly on &cells[i][lo]. Every cell an op names must
-	// hold at least hi bytes, since the assembly writes through raw
-	// pointers and does not re-check; callers check once per run. Within
-	// an op the destinations must not overlap the source or each other.
-	// Results are byte-identical to MultXOR (Acc) or MulRegion per
-	// destination, in op order.
+	// cells[Dst[j]][lo:hi]. Plans call it once per tile, and
+	// Field.MultXOR and MultXORFused adapt their regions to it. The SIMD
+	// kernels keep each source block register-resident while updating
+	// all of an op's destinations (the ISA-L ec_encode_data shape),
+	// calling their assembly directly on &cells[i][lo], and hand the
+	// ragged tail under one vector to the portable runner. Every cell an
+	// op names must hold at least hi bytes, since the assembly writes
+	// through raw pointers and does not re-check; callers check once per
+	// run. Within an op the destinations must not overlap the source or
+	// each other. Results are byte-identical to the portable runner.
 	RunOps(ops []Op, cells [][]byte, lo, hi int)
 }
 
@@ -140,10 +136,11 @@ func AppendOps(ops []Op, acc bool, src int32, dsts []int32, tabs []*MulTable) []
 	return ops
 }
 
-// runOpsPerDest runs ops one destination at a time through k's
-// single-destination methods: the whole runner of the portable and wide
+// runOpsPerDest runs ops one destination at a time through the
+// widened-word loops: mulBytes for byte-symbol tables, mulWide for
+// GF(2^16) ones. It is the whole runner of the portable and wide
 // kernels, and the ragged-tail path of the SIMD ones.
-func runOpsPerDest(k Kernel, ops []Op, cells [][]byte, lo, hi int) {
+func runOpsPerDest(ops []Op, cells [][]byte, lo, hi int) {
 	for i := range ops {
 		o := &ops[i]
 		if o.N == 0 {
@@ -152,10 +149,10 @@ func runOpsPerDest(k Kernel, ops []Op, cells [][]byte, lo, hi int) {
 		}
 		src := cells[o.Src][lo:hi]
 		for j, d := range o.Dst[:o.N] {
-			if o.Acc {
-				k.MultXOR(cells[d][lo:hi], src, o.Tab[j])
+			if t := o.Tab[j]; t.wide != nil {
+				mulWide(cells[d][lo:hi], src, t.wide, o.Acc)
 			} else {
-				k.MulRegion(cells[d][lo:hi], src, o.Tab[j])
+				mulBytes(cells[d][lo:hi], src, t, o.Acc)
 			}
 		}
 	}
@@ -331,8 +328,8 @@ func xorTail(dst, src []byte) {
 }
 
 // multXORTail computes dst ^= c·src through the table row, one byte at a
-// time. It is the tail helper behind every MultXOR kernel and the
-// reference the fuzz targets differential-test against.
+// time: the byte tail of mulBytes and the reference FuzzRunOps holds
+// every kernel to.
 func multXORTail(dst, src []byte, t *MulTable) {
 	for i, v := range src {
 		dst[i] ^= t.Row[v]
@@ -349,17 +346,20 @@ func mulRegionTail(dst, src []byte, t *MulTable) {
 // ---------------------------------------------------------------------------
 // Portable kernel.
 
-// portableKernel is the widened-word fallback: products are assembled
-// eight table lookups at a time into a uint64 so the read-modify-write
-// against dst happens once per word instead of once per byte. It is the
-// only kernel under the `purego` build tag and on architectures without
-// an assembly kernel, and the baseline the CI bench guard holds the
-// dispatched kernel against.
+// portableKernel is the widened-word fallback: mulBytes assembles
+// products eight table lookups at a time into a uint64 so the
+// read-modify-write against dst happens once per word instead of once
+// per byte. It is the only kernel under the `purego` build tag and on
+// architectures without an assembly kernel, and the baseline the CI
+// bench guard holds the dispatched kernel against.
 type portableKernel struct{}
 
 func (portableKernel) Name() string { return "portable" }
 
-func (portableKernel) MultXOR(dst, src []byte, t *MulTable) {
+// mulBytes is the one portable GF(2^8)/GF(2^4) region loop: dst ^= c·src
+// when acc is set, dst = c·src otherwise, eight row lookups assembled
+// into one uint64 per iteration.
+func mulBytes(dst, src []byte, t *MulTable, acc bool) {
 	row := &t.Row
 	n := len(src)
 	i := 0
@@ -372,33 +372,22 @@ func (portableKernel) MultXOR(dst, src []byte, t *MulTable) {
 			uint64(row[src[i+5]])<<40 |
 			uint64(row[src[i+6]])<<48 |
 			uint64(row[src[i+7]])<<56
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^p)
-	}
-	multXORTail(dst[i:], src[i:], t)
-}
-
-func (portableKernel) MulRegion(dst, src []byte, t *MulTable) {
-	row := &t.Row
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		p := uint64(row[src[i]]) |
-			uint64(row[src[i+1]])<<8 |
-			uint64(row[src[i+2]])<<16 |
-			uint64(row[src[i+3]])<<24 |
-			uint64(row[src[i+4]])<<32 |
-			uint64(row[src[i+5]])<<40 |
-			uint64(row[src[i+6]])<<48 |
-			uint64(row[src[i+7]])<<56
+		if acc {
+			p ^= binary.LittleEndian.Uint64(dst[i:])
+		}
 		binary.LittleEndian.PutUint64(dst[i:], p)
 	}
-	mulRegionTail(dst[i:], src[i:], t)
+	if acc {
+		multXORTail(dst[i:], src[i:], t)
+	} else {
+		mulRegionTail(dst[i:], src[i:], t)
+	}
 }
 
 func (portableKernel) XORRegion(dst, src []byte) { xorTail(dst, src) }
 
-func (p portableKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
-	runOpsPerDest(p, ops, cells, lo, hi)
+func (portableKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+	runOpsPerDest(ops, cells, lo, hi)
 }
 
 func init() { registerKernel(portableKernel{}, 0) }

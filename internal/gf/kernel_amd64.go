@@ -9,12 +9,12 @@ package gf
 // nibbles, both halves are shuffled through the tables and XORed
 // together, yielding 16/32 products per iteration of the inner loop.
 //
-// The assembly handles only whole vectors; every wrapper finishes the
-// ragged remainder through the shared scalar tails in kernel.go so all
-// kernels agree byte-for-byte on every length. A region of whole vectors
-// returns before the tail path: with 512-byte sectors a fused call is a
-// few vector iterations, and walking the empty tails for every
-// destination cost more than the arithmetic.
+// The assembly handles only whole vectors; every runner hands an op's
+// ragged remainder to the portable runner in kernel.go, so all kernels
+// agree byte-for-byte on every length. A range of whole vectors (every
+// 512 B, 4 KiB or 32 KiB sector) never takes that path: with 512-byte
+// sectors an op is a few vector iterations, and walking empty tails for
+// every destination cost more than the arithmetic.
 
 // Assembly routines (kernel_amd64.s). n must be a positive multiple of
 // the vector width: 16 for the SSSE3/SSE2 routines, 32 for AVX2.
@@ -108,28 +108,6 @@ type ssse3Kernel struct{}
 
 func (ssse3Kernel) Name() string { return "ssse3" }
 
-func (ssse3Kernel) MultXOR(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 15
-	if n > 0 {
-		multXORSSSE3(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
-	}
-	if n == len(src) {
-		return
-	}
-	multXORTail(dst[n:], src[n:], t)
-}
-
-func (ssse3Kernel) MulRegion(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 15
-	if n > 0 {
-		mulRegionSSSE3(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
-	}
-	if n == len(src) {
-		return
-	}
-	mulRegionTail(dst[n:], src[n:], t)
-}
-
 func (ssse3Kernel) XORRegion(dst, src []byte) {
 	n := len(src) &^ 15
 	if n > 0 {
@@ -144,7 +122,7 @@ func (ssse3Kernel) XORRegion(dst, src []byte) {
 // RunOps hands accumulate ops of two or more destinations to the
 // slice-walking fused routine, on a destination vector built on the
 // stack, and the rest to the per-destination routines.
-func (k ssse3Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+func (ssse3Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 	n := (hi - lo) &^ 31
 	for i := range ops {
 		o := &ops[i]
@@ -170,7 +148,7 @@ func (k ssse3Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 			}
 		}
 		if n < hi-lo {
-			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
+			runOpsPerDest(ops[i:i+1], cells, lo+n, hi)
 		}
 	}
 }
@@ -178,28 +156,6 @@ func (k ssse3Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 type avx2Kernel struct{}
 
 func (avx2Kernel) Name() string { return "avx2" }
-
-func (avx2Kernel) MultXOR(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 31
-	if n > 0 {
-		multXORAVX2(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
-	}
-	if n == len(src) {
-		return
-	}
-	multXORTail(dst[n:], src[n:], t)
-}
-
-func (avx2Kernel) MulRegion(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 31
-	if n > 0 {
-		mulRegionAVX2(&dst[0], &src[0], n, &t.Lo[0], &t.Hi[0])
-	}
-	if n == len(src) {
-		return
-	}
-	mulRegionTail(dst[n:], src[n:], t)
-}
 
 func (avx2Kernel) XORRegion(dst, src []byte) {
 	n := len(src) &^ 31
@@ -212,7 +168,7 @@ func (avx2Kernel) XORRegion(dst, src []byte) {
 	xorTail(dst[n:], src[n:])
 }
 
-func (k avx2Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+func (avx2Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 	n := (hi - lo) &^ 63
 	for i := range ops {
 		o := &ops[i]
@@ -240,7 +196,7 @@ func (k avx2Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 			}
 		}
 		if n < hi-lo {
-			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
+			runOpsPerDest(ops[i:i+1], cells, lo+n, hi)
 		}
 	}
 }
@@ -254,29 +210,7 @@ type gfniKernel struct{ avx2Kernel }
 
 func (gfniKernel) Name() string { return "gfni" }
 
-func (gfniKernel) MultXOR(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 31
-	if n > 0 {
-		multXORGFNI(&dst[0], &src[0], n, t.Gfni)
-	}
-	if n == len(src) {
-		return
-	}
-	multXORTail(dst[n:], src[n:], t)
-}
-
-func (gfniKernel) MulRegion(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 31
-	if n > 0 {
-		mulRegionGFNI(&dst[0], &src[0], n, t.Gfni)
-	}
-	if n == len(src) {
-		return
-	}
-	mulRegionTail(dst[n:], src[n:], t)
-}
-
-func (k gfniKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+func (gfniKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 	n := (hi - lo) &^ 63
 	for i := range ops {
 		o := &ops[i]
@@ -307,42 +241,21 @@ func (k gfniKernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 			}
 		}
 		if n < hi-lo {
-			runOpsPerDest(k, ops[i:i+1], cells, lo+n, hi)
+			runOpsPerDest(ops[i:i+1], cells, lo+n, hi)
 		}
 	}
 }
 
 // gfni512Kernel is the EVEX/ZMM form of the GFNI kernel: the same
 // per-coefficient affine matrices applied 64 bytes per instruction —
-// half the vector ops of the VEX form. Per-op and single/pair remainders
-// under 64 bytes fall through to the embedded YMM kernel's tails.
+// half the vector ops of the VEX form. Like every runner, it leaves
+// remainders under one vector to the portable runner; XORRegion is the
+// AVX2 kernel's.
 type gfni512Kernel struct{ gfniKernel }
 
 func (gfni512Kernel) Name() string { return "gfni512" }
 
-func (k gfni512Kernel) MultXOR(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		multXORGFNI512(&dst[0], &src[0], n, t.Gfni)
-	}
-	if n == len(src) {
-		return
-	}
-	k.gfniKernel.MultXOR(dst[n:len(src)], src[n:], t)
-}
-
-func (k gfni512Kernel) MulRegion(dst, src []byte, t *MulTable) {
-	n := len(src) &^ 63
-	if n > 0 {
-		mulRegionGFNI512(&dst[0], &src[0], n, t.Gfni)
-	}
-	if n == len(src) {
-		return
-	}
-	k.gfniKernel.MulRegion(dst[n:len(src)], src[n:], t)
-}
-
-func (k gfni512Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
+func (gfni512Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 	n := (hi - lo) &^ 63
 	for i := range ops {
 		o := &ops[i]
@@ -373,7 +286,7 @@ func (k gfni512Kernel) RunOps(ops []Op, cells [][]byte, lo, hi int) {
 			}
 		}
 		if n < hi-lo {
-			runOpsPerDest(k.gfniKernel, ops[i:i+1], cells, lo+n, hi)
+			runOpsPerDest(ops[i:i+1], cells, lo+n, hi)
 		}
 	}
 }

@@ -38,6 +38,21 @@ func refMulRegion(dst, src []byte, t *MulTable) {
 	}
 }
 
+// runOn runs dsts[i] (^)= tabs[i]·src on kernel k as the op list a plan
+// compiles: cell 0 is src, cells 1.. the destinations.
+func runOn(k Kernel, dsts [][]byte, src []byte, tabs []*MulTable, acc bool) {
+	idx := make([]int32, len(dsts))
+	for i := range idx {
+		idx[i] = int32(i + 1)
+	}
+	k.RunOps(AppendOps(nil, acc, 0, idx, tabs), append([][]byte{src}, dsts...), 0, len(src))
+}
+
+// mulOn is runOn for one destination: a one-op RunOps.
+func mulOn(k Kernel, dst, src []byte, t *MulTable, acc bool) {
+	runOn(k, [][]byte{dst}, src, []*MulTable{t}, acc)
+}
+
 // allKernels returns every registered kernel (dispatch order).
 func allKernels() []Kernel {
 	kernelMu.Lock()
@@ -78,7 +93,7 @@ func TestKernelsMatchReference(t *testing.T) {
 					want := append([]byte(nil), base...)
 					refMultXOR(want[off:], src[off:], tab)
 					got := append([]byte(nil), base...)
-					k.MultXOR(got[off:], src[off:], tab)
+					mulOn(k, got[off:], src[off:], tab, true)
 					if !bytes.Equal(got, want) {
 						t.Fatalf("MultXOR n=%d off=%d c=%d: kernel disagrees with reference", n, off, c)
 					}
@@ -86,7 +101,7 @@ func TestKernelsMatchReference(t *testing.T) {
 					want = append(want[:0:0], base...)
 					refMulRegion(want[off:], src[off:], tab)
 					got = append(got[:0:0], base...)
-					k.MulRegion(got[off:], src[off:], tab)
+					mulOn(k, got[off:], src[off:], tab, false)
 					if !bytes.Equal(got, want) {
 						t.Fatalf("MulRegion n=%d off=%d c=%d: kernel disagrees with reference", n, off, c)
 					}
@@ -124,7 +139,7 @@ func TestKernelsMatchReferenceW4(t *testing.T) {
 				want := append([]byte(nil), base...)
 				refMultXOR(want, src, tab)
 				got := append([]byte(nil), base...)
-				k.MultXOR(got, src, tab)
+				mulOn(k, got, src, tab, true)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("w=4 MultXOR n=%d c=%d: kernel disagrees with reference", n, c)
 				}
@@ -237,9 +252,10 @@ func TestKernelSpeedGuard(t *testing.T) {
 		dst := make([]byte, 4096)
 		src := make([]byte, 4096)
 		rand.New(rand.NewSource(3)).Read(src)
+		cells, ops := [][]byte{src, dst}, AppendOps(nil, true, 0, []int32{1}, []*MulTable{tab})
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k.MultXOR(dst, src, tab)
+				k.RunOps(ops, cells, 0, len(src))
 			}
 		})
 		return float64(res.T.Nanoseconds()) / float64(res.N)
@@ -263,8 +279,8 @@ func TestKernelSpeedGuard(t *testing.T) {
 		t.Errorf("amd64 SIMD kernel %s speedup %.1fx, want >= 4x (the committed claim)", active.Name(), speedup)
 	}
 
-	// Fused-path guard: one 4-destination op must not run
-	// slower than composing the per-op kernel — the whole point of the
+	// Fused-path guard: one 4-destination op must not run slower than
+	// four one-destination RunOps calls — the whole point of the
 	// source-major planner. 0.9 leaves noise headroom at 4 KiB, where a
 	// real regression (fused falling back to something dumb) shows up as
 	// far worse. At 512 bytes — the small-sector geometry — a call is a
@@ -289,13 +305,17 @@ func TestKernelSpeedGuard(t *testing.T) {
 		// call a plan makes per tile.
 		cells := append([][]byte{src}, dsts...)
 		ops := AppendOps(nil, true, 0, []int32{1, 2, 3, 4}, tabs)
+		var perop []Op
+		for j := range dsts {
+			perop = AppendOps(perop, true, 0, []int32{int32(j + 1)}, tabs[j:j+1])
+		}
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if fused {
 					k.RunOps(ops, cells, 0, size)
 				} else {
-					for j := range dsts {
-						k.MultXOR(dsts[j], src, tabs[j])
+					for j := range perop {
+						k.RunOps(perop[j:j+1], cells, 0, size)
 					}
 				}
 			}
@@ -321,17 +341,24 @@ func TestKernelSpeedGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkMultXORKernels measures the 4 KiB MultXOR region op on every
-// registered kernel, so one run shows the whole dispatch ladder
-// (CI runs this as its bench smoke; sub-benchmark names carry the
-// kernel, e.g. BenchmarkMultXORKernels/avx2/4KiB).
+// BenchmarkMultXORKernels measures a one-op RunOps (one Mult_XOR) at
+// every bench size on every registered kernel, so one run shows the
+// whole dispatch ladder (CI runs this as its bench smoke; sub-benchmark
+// names carry the kernel, e.g. BenchmarkMultXORKernels/avx2/4KiB).
 func BenchmarkMultXORKernels(b *testing.B) {
 	f := Get(8)
 	tab := &f.tables[0x53]
 	for _, k := range allKernels() {
 		for _, size := range benchSizes {
 			b.Run(k.Name()+"/"+byteSizeName(size), func(b *testing.B) {
-				benchXOR(b, size, func(dst, src []byte) { k.MultXOR(dst, src, tab) })
+				ops := AppendOps(nil, true, 0, []int32{1}, []*MulTable{tab})
+				var cells [][]byte
+				benchXOR(b, size, func(dst, src []byte) {
+					if cells == nil {
+						cells = [][]byte{src, dst}
+					}
+					k.RunOps(ops, cells, 0, len(src))
+				})
 			})
 		}
 	}

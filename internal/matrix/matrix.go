@@ -10,6 +10,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"stair/internal/gf"
 )
@@ -122,43 +123,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return r
 }
 
-// MulVec returns m·v for a column vector v (len = cols).
-func (m *Matrix) MulVec(v []uint32) []uint32 {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("matrix: vector length %d != cols %d", len(v), m.cols))
-	}
-	out := make([]uint32, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var acc uint32
-		for j, x := range v {
-			if a := m.At(i, j); a != 0 && x != 0 {
-				acc ^= m.f.Mul(a, x)
-			}
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-// VecMul returns v·m for a row vector v (len = rows).
-func (m *Matrix) VecMul(v []uint32) []uint32 {
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("matrix: vector length %d != rows %d", len(v), m.rows))
-	}
-	out := make([]uint32, m.cols)
-	for i, x := range v {
-		if x == 0 {
-			continue
-		}
-		for j := 0; j < m.cols; j++ {
-			if a := m.At(i, j); a != 0 {
-				out[j] ^= m.f.Mul(x, a)
-			}
-		}
-	}
-	return out
-}
-
 // Invert returns the inverse of a square matrix using Gauss-Jordan
 // elimination, or ErrSingular.
 func (m *Matrix) Invert() (*Matrix, error) {
@@ -233,33 +197,42 @@ func (m *Matrix) addScaledRow(dst, src int, c uint32) {
 	}
 }
 
-// Rank returns the rank of the matrix (row echelon reduction on a copy).
-func (m *Matrix) Rank() int {
+// IndependentRows returns, ascending, the rows of m that row echelon
+// reduction on a copy takes as pivots, each column's pivot being the
+// first candidate in row order: a maximal linearly independent set of
+// rows. SD decoding picks its constraint rows with it.
+func (m *Matrix) IndependentRows() []int {
 	a := m.Clone()
-	rank := 0
-	for col := 0; col < a.cols && rank < a.rows; col++ {
-		pivot := -1
-		for r := rank; r < a.rows; r++ {
-			if a.At(r, col) != 0 {
-				pivot = r
-				break
-			}
+	orig := make([]int, a.rows) // orig[i]: the row of m now at row i of a
+	for i := range orig {
+		orig[i] = i
+	}
+	var rows []int
+	for col := 0; col < a.cols && len(rows) < a.rows; col++ {
+		rank := len(rows)
+		pivot := rank
+		for pivot < a.rows && a.At(pivot, col) == 0 {
+			pivot++
 		}
-		if pivot < 0 {
+		if pivot == a.rows {
 			continue
 		}
 		a.swapRows(pivot, rank)
-		pinv := a.f.Inv(a.At(rank, col))
-		a.scaleRow(rank, pinv)
-		for r := 0; r < a.rows; r++ {
-			if r != rank && a.At(r, col) != 0 {
-				a.addScaledRow(r, rank, a.At(r, col))
+		orig[pivot], orig[rank] = orig[rank], orig[pivot]
+		a.scaleRow(rank, a.f.Inv(a.At(rank, col)))
+		for r := rank + 1; r < a.rows; r++ {
+			if f := a.At(r, col); f != 0 {
+				a.addScaledRow(r, rank, f)
 			}
 		}
-		rank++
+		rows = append(rows, orig[rank])
 	}
-	return rank
+	sort.Ints(rows)
+	return rows
 }
+
+// Rank returns the rank of the matrix.
+func (m *Matrix) Rank() int { return len(m.IndependentRows()) }
 
 // SelectRows returns a new matrix made of the given rows of m, in order.
 func (m *Matrix) SelectRows(rows []int) *Matrix {
@@ -277,19 +250,6 @@ func (m *Matrix) SelectCols(cols []int) *Matrix {
 		for j, src := range cols {
 			r.Set(i, j, m.At(i, src))
 		}
-	}
-	return r
-}
-
-// ConcatCols returns [m | o] (horizontal concatenation).
-func (m *Matrix) ConcatCols(o *Matrix) *Matrix {
-	if m.rows != o.rows {
-		panic("matrix: ConcatCols row mismatch")
-	}
-	r := New(m.f, m.rows, m.cols+o.cols)
-	for i := 0; i < m.rows; i++ {
-		copy(r.data[i*r.cols:], m.data[i*m.cols:(i+1)*m.cols])
-		copy(r.data[i*r.cols+m.cols:], o.data[i*o.cols:(i+1)*o.cols])
 	}
 	return r
 }

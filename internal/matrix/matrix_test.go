@@ -88,6 +88,8 @@ func TestMulAssociativity(t *testing.T) {
 	}
 }
 
+// TestMulVecMatchesMul holds Mul with a one-column operand to the
+// definition of m·v: entry i is Σ_j m[i][j]·v[j].
 func TestMulVecMatchesMul(t *testing.T) {
 	f := gf.Get(8)
 	rng := rand.New(rand.NewSource(7))
@@ -102,14 +104,19 @@ func TestMulVecMatchesMul(t *testing.T) {
 		vm.Set(i, 0, x)
 	}
 	want := m.Mul(vm)
-	got := m.MulVec(v)
-	for i := range got {
-		if got[i] != want.At(i, 0) {
-			t.Fatalf("MulVec[%d] = %d, want %d", i, got[i], want.At(i, 0))
+	for i := 0; i < m.Rows(); i++ {
+		var got uint32
+		for j, x := range v {
+			got ^= f.Mul(m.At(i, j), x)
+		}
+		if got != want.At(i, 0) {
+			t.Fatalf("(m·v)[%d] = %d by definition, Mul gives %d", i, got, want.At(i, 0))
 		}
 	}
 }
 
+// TestVecMulMatchesMul holds Mul with a one-row operand to the
+// definition of v·m: entry j is Σ_i v[i]·m[i][j].
 func TestVecMulMatchesMul(t *testing.T) {
 	f := gf.Get(8)
 	rng := rand.New(rand.NewSource(8))
@@ -123,10 +130,13 @@ func TestVecMulMatchesMul(t *testing.T) {
 		vm.Set(0, i, x)
 	}
 	want := vm.Mul(m)
-	got := m.VecMul(v)
-	for j := range got {
-		if got[j] != want.At(0, j) {
-			t.Fatalf("VecMul[%d] = %d, want %d", j, got[j], want.At(0, j))
+	for j := 0; j < m.Cols(); j++ {
+		var got uint32
+		for i, x := range v {
+			got ^= f.Mul(x, m.At(i, j))
+		}
+		if got != want.At(0, j) {
+			t.Fatalf("(v·m)[%d] = %d by definition, Mul gives %d", j, got, want.At(0, j))
 		}
 	}
 }
@@ -181,6 +191,9 @@ func TestRank(t *testing.T) {
 	if got := m.Rank(); got != 2 {
 		t.Errorf("rank = %d, want 2", got)
 	}
+	if got := m.IndependentRows(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("independent rows = %v, want [0 2]", got)
+	}
 }
 
 func TestSelectRowsCols(t *testing.T) {
@@ -198,18 +211,6 @@ func TestSelectRowsCols(t *testing.T) {
 	c := m.SelectCols([]int{1})
 	if c.Rows() != 3 || c.Cols() != 1 || c.At(2, 0) != 21 {
 		t.Error("SelectCols wrong content")
-	}
-}
-
-func TestConcatCols(t *testing.T) {
-	f := gf.Get(8)
-	a := Identity(f, 2)
-	b := New(f, 2, 1)
-	b.Set(0, 0, 7)
-	b.Set(1, 0, 9)
-	m := a.ConcatCols(b)
-	if m.Cols() != 3 || m.At(0, 2) != 7 || m.At(1, 2) != 9 || m.At(1, 1) != 1 {
-		t.Errorf("ConcatCols wrong content:\n%v", m)
 	}
 }
 

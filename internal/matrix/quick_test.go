@@ -59,8 +59,9 @@ func TestQuickMulDistributesOverXOR(t *testing.T) {
 	}
 }
 
-// TestQuickRankBounds: rank never exceeds min(rows, cols) and is
-// invariant under transpose-free row selection reorderings.
+// TestQuickRankBounds: rank never exceeds min(rows, cols), is
+// invariant under transpose-free row selection reorderings, and counts
+// rows that are independent on their own.
 func TestQuickRankBounds(t *testing.T) {
 	f := gf.Get(8)
 	property := func(rRaw, cRaw uint8, seed int64) bool {
@@ -77,7 +78,7 @@ func TestQuickRankBounds(t *testing.T) {
 		if m.SelectRows(perm).Rank() != rank {
 			return false
 		}
-		return true
+		return rank == 0 || m.SelectRows(m.IndependentRows()).Rank() == rank
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -40,7 +40,7 @@ func TestQuickRoundtrip(t *testing.T) {
 			present[p] = false
 			cw[p] = 0
 		}
-		if err := c.Reconstruct(cw, present); err != nil {
+		if err := reconstruct(c, cw, present); err != nil {
 			return false
 		}
 		for i := range cw {

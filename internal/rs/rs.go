@@ -104,17 +104,12 @@ func stack(top, bottom *matrix.Matrix) *matrix.Matrix {
 // Field returns the underlying Galois field.
 func (c *Code) Field() *gf.Field { return c.f }
 
-// Eta returns the codeword length.
-func (c *Code) Eta() int { return c.eta }
-
 // Kappa returns the number of data symbols.
 func (c *Code) Kappa() int { return c.kappa }
 
-// Generator returns a copy of the eta×kappa generator matrix.
-func (c *Code) Generator() *matrix.Matrix { return c.gen.Clone() }
-
 // EncodeSymbols returns the eta−kappa parity symbols for the given kappa
-// data symbols.
+// data symbols: the symbol-level reference EncodeRegions is tested
+// against.
 func (c *Code) EncodeSymbols(data []uint32) ([]uint32, error) {
 	if len(data) != c.kappa {
 		return nil, fmt.Errorf("rs: got %d data symbols, want %d", len(data), c.kappa)
@@ -146,7 +141,7 @@ func (c *Code) EncodeRegions(data, parity [][]byte) error {
 	// region, so each data region is read once rather than once per
 	// parity row (the ec_encode_data shape).
 	for _, out := range parity {
-		gf.Zero(out)
+		clear(out)
 	}
 	coeffs := make([]uint32, len(parity))
 	for j, in := range data {
@@ -187,38 +182,4 @@ func (c *Code) SolveCoeffs(have, want []int) (*matrix.Matrix, error) {
 	}
 	gw := c.gen.SelectRows(want)
 	return gw.Mul(ghInv), nil
-}
-
-// Reconstruct fills in the missing symbols of a codeword in place.
-// codeword has length eta; present[i] reports whether codeword[i] is
-// valid. At least kappa positions must be present.
-func (c *Code) Reconstruct(codeword []uint32, present []bool) error {
-	if len(codeword) != c.eta || len(present) != c.eta {
-		return fmt.Errorf("rs: codeword/present length must be %d", c.eta)
-	}
-	var have, want []int
-	for i, ok := range present {
-		if ok {
-			have = append(have, i)
-		} else {
-			want = append(want, i)
-		}
-	}
-	if len(want) == 0 {
-		return nil
-	}
-	k, err := c.SolveCoeffs(have, want)
-	if err != nil {
-		return err
-	}
-	for i, w := range want {
-		var acc uint32
-		for j := 0; j < c.kappa; j++ {
-			if a := k.At(i, j); a != 0 {
-				acc ^= c.f.Mul(a, codeword[have[j]])
-			}
-		}
-		codeword[w] = acc
-	}
-	return nil
 }

@@ -292,57 +292,34 @@ func binomial(n, k int) int {
 // verifyExhaustive checks every m-chunk subset combined with every
 // s-sector subset of the surviving cells.
 func (c *Code) verifyExhaustive() bool {
-	chunkSets := combinations(c.n, c.m)
-	for _, chunks := range chunkSets {
-		inFailed := make([]bool, c.n)
-		var base []ec.Cell
+	ok := true
+	var lost []ec.Cell
+	forEachCombination(c.n, c.m, func(chunks []int) bool {
+		failed := make([]bool, c.n)
 		for _, col := range chunks {
-			inFailed[col] = true
-			for row := 0; row < c.r; row++ {
-				base = append(base, ec.Cell{Col: col, Row: row})
-			}
+			failed[col] = true
 		}
-		var survivors []ec.Cell
+		var base, survivors []ec.Cell
 		for col := 0; col < c.n; col++ {
-			if inFailed[col] {
-				continue
-			}
 			for row := 0; row < c.r; row++ {
-				survivors = append(survivors, ec.Cell{Col: col, Row: row})
+				if failed[col] {
+					base = append(base, ec.Cell{Col: col, Row: row})
+				} else {
+					survivors = append(survivors, ec.Cell{Col: col, Row: row})
+				}
 			}
 		}
-		ok := true
 		forEachCombination(len(survivors), c.s, func(idx []int) bool {
-			lost := append(append([]ec.Cell{}, base...), pick(survivors, idx)...)
-			if !c.patternSolvable(lost) {
-				ok = false
-				return false
+			lost = append(lost[:0], base...)
+			for _, i := range idx {
+				lost = append(lost, survivors[i])
 			}
-			return true
+			ok = c.patternSolvable(lost)
+			return ok
 		})
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func pick(cells []ec.Cell, idx []int) []ec.Cell {
-	out := make([]ec.Cell, len(idx))
-	for i, j := range idx {
-		out[i] = cells[j]
-	}
-	return out
-}
-
-// combinations returns all k-subsets of 0..n-1.
-func combinations(n, k int) [][]int {
-	var out [][]int
-	forEachCombination(n, k, func(idx []int) bool {
-		out = append(out, append([]int{}, idx...))
-		return true
+		return ok
 	})
-	return out
+	return ok
 }
 
 // forEachCombination visits every k-subset of 0..n-1; the visitor returns
@@ -435,23 +412,6 @@ func (c *Code) S() int { return c.s }
 // DataCells returns the cells the caller fills before Encode.
 func (c *Code) DataCells() []ec.Cell { return append([]ec.Cell{}, c.dataCells...) }
 
-// ParityCells returns the cells Encode fills.
-func (c *Code) ParityCells() []ec.Cell { return append([]ec.Cell{}, c.parityCells...) }
-
-// EncodeCost returns the Mult_XOR count of the standard encoding (no
-// parity reuse): the number of nonzero generator coefficients.
-func (c *Code) EncodeCost() int {
-	nnz := 0
-	for p := 0; p < c.gen.Rows(); p++ {
-		for d := 0; d < c.gen.Cols(); d++ {
-			if c.gen.At(p, d) != 0 {
-				nnz++
-			}
-		}
-	}
-	return nnz
-}
-
 // MeanUpdatePenalty returns the average number of parity sectors touched
 // by a single data-sector update (Figure 15's quantity).
 func (c *Code) MeanUpdatePenalty() float64 {
@@ -498,7 +458,7 @@ func (c *Code) Encode(cells [][]byte) error {
 	outs := make([][]byte, len(c.parityCells))
 	for p, pc := range c.parityCells {
 		outs[p] = c.sector(cells, pc)
-		gf.Zero(outs[p])
+		clear(outs[p])
 	}
 	coeffs := make([]uint32, len(c.parityCells))
 	for d, dc := range c.dataCells {
@@ -536,7 +496,7 @@ func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error {
 	}
 	sub := c.h.SelectCols(lcols)
 	// Select |lost| independent constraint rows.
-	rows := independentRows(sub)
+	rows := sub.IndependentRows()
 	if len(rows) < len(lost) {
 		return fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(lost))
 	}
@@ -573,7 +533,7 @@ func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error {
 	outs := make([][]byte, len(lost))
 	for i, cell := range lost {
 		outs[i] = c.sector(cells, cell)
-		gf.Zero(outs[i])
+		clear(outs[i])
 	}
 	solve := make([]uint32, len(lost))
 	for k := range rhs {
@@ -614,59 +574,4 @@ func dedupe(cells []ec.Cell) []ec.Cell {
 		}
 	}
 	return out
-}
-
-// independentRows greedily selects a maximal independent row set of m.
-func independentRows(m *matrix.Matrix) []int {
-	work := m.Clone()
-	var rows []int
-	rank := 0
-	// Gaussian elimination tracking original row indices.
-	idx := make([]int, work.Rows())
-	for i := range idx {
-		idx[i] = i
-	}
-	for col := 0; col < work.Cols() && rank < work.Rows(); col++ {
-		pivot := -1
-		for r := rank; r < work.Rows(); r++ {
-			if work.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		if pivot != rank {
-			for j := 0; j < work.Cols(); j++ {
-				vp, vr := work.At(pivot, j), work.At(rank, j)
-				work.Set(pivot, j, vr)
-				work.Set(rank, j, vp)
-			}
-			idx[pivot], idx[rank] = idx[rank], idx[pivot]
-		}
-		pinv := work.Field().Inv(work.At(rank, col))
-		for j := 0; j < work.Cols(); j++ {
-			work.Set(rank, j, work.Field().Mul(work.At(rank, j), pinv))
-		}
-		for r := 0; r < work.Rows(); r++ {
-			if r == rank {
-				continue
-			}
-			f := work.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < work.Cols(); j++ {
-				v := work.At(rank, j)
-				if v != 0 {
-					work.Set(r, j, work.At(r, j)^work.Field().Mul(f, v))
-				}
-			}
-		}
-		rows = append(rows, idx[rank])
-		rank++
-	}
-	sort.Ints(rows)
-	return rows
 }

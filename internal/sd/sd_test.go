@@ -74,8 +74,8 @@ func TestGeometry(t *testing.T) {
 	if len(c.DataCells()) != 8*4-2*4-2 {
 		t.Errorf("data cells = %d, want %d", len(c.DataCells()), 8*4-2*4-2)
 	}
-	if len(c.ParityCells()) != 2*4+2 {
-		t.Errorf("parity cells = %d, want %d", len(c.ParityCells()), 2*4+2)
+	if len(c.parityCells) != 2*4+2 {
+		t.Errorf("parity cells = %d, want %d", len(c.parityCells), 2*4+2)
 	}
 }
 
@@ -204,10 +204,19 @@ func TestUpdatePenalty(t *testing.T) {
 
 func TestEncodeCostIsDense(t *testing.T) {
 	// Standard encoding touches nearly every (data, parity) pair; with
-	// no reuse the cost must be much larger than STAIR-style reuse
-	// costs (cf. Figure 9): at least data×s for the globals alone.
+	// no reuse the cost (a Mult_XOR per nonzero generator coefficient)
+	// must be much larger than STAIR-style reuse costs (cf. Figure 9):
+	// at least data×s for the globals alone.
 	c := newCode(t, 8, 8, 2, 3)
-	if got := c.EncodeCost(); got < len(c.DataCells())*c.S() {
+	got := 0
+	for p := 0; p < c.gen.Rows(); p++ {
+		for d := 0; d < c.gen.Cols(); d++ {
+			if c.gen.At(p, d) != 0 {
+				got++
+			}
+		}
+	}
+	if got < len(c.DataCells())*c.S() {
 		t.Errorf("encode cost %d suspiciously small", got)
 	}
 }

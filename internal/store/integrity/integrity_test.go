@@ -124,7 +124,7 @@ func TestManagerInstallRegion(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{0x11}, 512)
 	m.Update(0, 3, data)
-	region := m.Region(0)
+	region := bytes.Clone(m.regions[0])
 
 	// A second manager adopting the persisted region verifies the same
 	// sector.
@@ -289,8 +289,8 @@ func TestSpanFormsMatchPerSector(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		old.Update(0, i, data[i])
 	}
-	per.InstallRegion(0, old.Region(0))
-	span.InstallRegion(0, old.Region(0))
+	per.InstallRegion(0, bytes.Clone(old.regions[0]))
+	span.InstallRegion(0, bytes.Clone(old.regions[0]))
 
 	// Stage 20..119 (across the 32-, 64- and 96-record boundaries and
 	// past one snapshot), skipping every seventh sector.
@@ -303,7 +303,7 @@ func TestSpanFormsMatchPerSector(t *testing.T) {
 		}
 	}
 	span.UpdateSpan(0, lo, bufs)
-	if !bytes.Equal(per.Region(0), span.Region(0)) {
+	if !bytes.Equal(per.regions[0], span.regions[0]) {
 		t.Fatal("UpdateSpan staged different records than Update per sector")
 	}
 

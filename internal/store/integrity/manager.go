@@ -301,13 +301,3 @@ func (m *Manager) FlushRange(ctx context.Context, col, start, count int, write f
 	mem.Release(snap)
 	return err
 }
-
-// Region returns a copy of col's full cached sidecar image (for a
-// whole-region writeback, e.g. after rebuilding a replaced device).
-func (m *Manager) Region(col int) []byte {
-	m.mu[col].Lock()
-	defer m.mu[col].Unlock()
-	out := make([]byte, len(m.regions[col]))
-	copy(out, m.regions[col])
-	return out
-}

@@ -53,9 +53,6 @@ type Pool struct {
 	hdrs sync.Pool
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
-
 // tierFor returns the smallest tier holding n bytes, or -1 when n is
 // out of the pooled range.
 func tierFor(n int) int {

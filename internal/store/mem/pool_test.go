@@ -13,7 +13,7 @@ func TestTierSizing(t *testing.T) {
 		{1<<20 + 1, 1 << 21},
 		{1 << 26, 1 << 26},
 	}
-	p := NewPool()
+	p := new(Pool)
 	for _, c := range cases {
 		b := p.Acquire(c.n)
 		if len(b) != c.n {
@@ -27,7 +27,7 @@ func TestTierSizing(t *testing.T) {
 }
 
 func TestOversizeFallsBackToMake(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	n := 1<<maxBits + 1
 	b := p.Acquire(n)
 	if len(b) != n {
@@ -37,7 +37,7 @@ func TestOversizeFallsBackToMake(t *testing.T) {
 }
 
 func TestReuseSameTier(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	b1 := p.Acquire(1000)
 	b1[0] = 0x5A
 	addr := &b1[:cap(b1)][0]
@@ -55,7 +55,7 @@ func TestReuseSameTier(t *testing.T) {
 }
 
 func TestForeignReleaseDropped(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	// Not a tier capacity: must be silently dropped, not pooled.
 	p.Release(make([]byte, 700))
 	p.Release(nil)
@@ -65,7 +65,7 @@ func TestForeignReleaseDropped(t *testing.T) {
 }
 
 func TestZeroLength(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	b := p.Acquire(0)
 	if len(b) != 0 {
 		t.Fatalf("Acquire(0): len=%d", len(b))

@@ -57,14 +57,14 @@ type netFaultStatus struct {
 	BadSectors int  `json:"bad_sectors"`
 }
 
-// RetryPolicy bounds the NetDevice client's retries of transient
+// retryPolicy bounds the NetDevice client's retries of transient
 // failures: transport errors (connection reset, refused, EOF, a
 // malformed frame), server-error frames and 5xx control-plane
 // responses. Bad requests (the request itself is wrong),
 // ErrDeviceFailed (a state, not a blip) and context cancellation are
 // never retried. Sector reads and writes are idempotent, so re-issuing
 // a request whose response was lost is safe.
-type RetryPolicy struct {
+type retryPolicy struct {
 	// MaxAttempts is the total number of tries (first call included);
 	// values < 1 mean one attempt, i.e. no retries.
 	MaxAttempts int
@@ -76,13 +76,13 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-// DefaultRetryPolicy is what DialNetDevice installs: three attempts,
-// 5 ms base backoff, capped at 100 ms.
-var DefaultRetryPolicy = RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
+// defaultRetryPolicy is every NetDevice's policy: three attempts, 5 ms
+// base backoff, capped at 100 ms.
+var defaultRetryPolicy = retryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 
 // delay computes the backoff before retry attempt (1-based), with
 // jitter.
-func (p RetryPolicy) delay(attempt int) time.Duration {
+func (p retryPolicy) delay(attempt int) time.Duration {
 	d := p.BaseDelay << (attempt - 1)
 	if p.MaxDelay > 0 && d > p.MaxDelay {
 		d = p.MaxDelay
@@ -111,15 +111,14 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 // nothing touches them after it returns.
 //
 // Transport errors and server-error answers are retried on a fresh
-// connection with exponential backoff per the device's RetryPolicy
-// (SetRetryPolicy to tune; Retries() counts what happened).
+// connection with exponential backoff per defaultRetryPolicy.
 type NetDevice struct {
 	base       string
 	hc         *http.Client
 	sectors    int
 	sectorSize int
-	retry      RetryPolicy
-	retries    atomic.Uint64
+	retry      retryPolicy   // defaultRetryPolicy; tests shorten it
+	retries    atomic.Uint64 // retry attempts issued, first tries excluded
 	// scratchFlats counts vectored calls that fell back to a gather or
 	// scatter copy because the caller's buffers were not one contiguous
 	// region — the copy-elision tests assert it stays zero for
@@ -170,7 +169,7 @@ func DialNetDevice(ctx context.Context, baseURL string, client *http.Client) (*N
 	if client == nil {
 		client = http.DefaultClient
 	}
-	d := &NetDevice{base: strings.TrimSuffix(baseURL, "/"), hc: client, retry: DefaultRetryPolicy,
+	d := &NetDevice{base: strings.TrimSuffix(baseURL, "/"), hc: client, retry: defaultRetryPolicy,
 		conns: map[*frameConn]struct{}{}}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+"/v1/geometry", nil)
 	if err != nil {
@@ -202,15 +201,6 @@ func (d *NetDevice) Sectors() int { return d.sectors }
 
 // SectorSize returns the remote device's sector size.
 func (d *NetDevice) SectorSize() int { return d.sectorSize }
-
-// SetRetryPolicy replaces the device's retry policy (DefaultRetryPolicy
-// after dial). It must not race in-flight calls; configure the device
-// before handing it to a store.
-func (d *NetDevice) SetRetryPolicy(p RetryPolicy) { d.retry = p }
-
-// Retries counts retry attempts the client has issued (not the first
-// tries) since dial.
-func (d *NetDevice) Retries() uint64 { return d.retries.Load() }
 
 // backoff waits out the delay before retry attempt+1, counting the
 // retry; a caller cancelling mid-wait ends it at once.
@@ -298,7 +288,7 @@ func (d *NetDevice) upgrade(ctx context.Context) (c *frameConn, err error, trans
 }
 
 // call runs one frame round trip, retrying transient failures on a
-// fresh connection per the device's RetryPolicy: idle connections to a
+// fresh connection per the device's retry policy: idle connections to a
 // server that went away are as dead as the one that failed. body is a
 // write's payload; flat receives a read's.
 func (d *NetDevice) call(ctx context.Context, op byte, start, count int, body, flat []byte, cause error) error {
@@ -418,7 +408,7 @@ func (d *NetDevice) Sync(ctx context.Context) error {
 }
 
 // do runs one control-plane request, retrying transient failures per
-// the device's RetryPolicy.
+// the device's retry policy.
 func (d *NetDevice) do(req *http.Request) (*http.Response, error) {
 	for attempt := 1; ; attempt++ {
 		resp, err, transient := d.doOnce(req)

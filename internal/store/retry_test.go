@@ -1,4 +1,4 @@
-package store_test
+package store
 
 import (
 	"context"
@@ -8,34 +8,32 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"stair/internal/store"
 )
 
-// flakyDevice fails its first failN data-path calls with a plain error,
+// erringDevice fails its first failN data-path calls with a plain error,
 // which its DeviceServer answers as a server error, then serves them.
 // Geometry and the control plane always pass, so dialing is unaffected.
-type flakyDevice struct {
-	store.FaultDevice
+type erringDevice struct {
+	FaultDevice
 	failN int64
 	seen  atomic.Int64
 }
 
-func (f *flakyDevice) flake() error {
+func (f *erringDevice) flake() error {
 	if f.seen.Add(1) <= f.failN {
 		return errors.New("injected flake")
 	}
 	return nil
 }
 
-func (f *flakyDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+func (f *erringDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := f.flake(); err != nil {
 		return err
 	}
 	return f.FaultDevice.ReadSectors(ctx, start, bufs)
 }
 
-func (f *flakyDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
+func (f *erringDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
 	if err := f.flake(); err != nil {
 		return err
 	}
@@ -43,21 +41,21 @@ func (f *flakyDevice) WriteSectors(ctx context.Context, start int, data [][]byte
 }
 
 // dialServer dials a DeviceServer for dev with a fast retry policy.
-func dialServer(t *testing.T, dev store.Device) *store.NetDevice {
+func dialServer(t *testing.T, dev Device) *NetDevice {
 	t.Helper()
-	srv := httptest.NewServer(store.NewDeviceServer(dev))
+	srv := httptest.NewServer(NewDeviceServer(dev))
 	t.Cleanup(srv.Close)
-	d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
+	d, err := DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	d.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+	d.retry = retryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	return d
 }
 
-func dialFlaky(t *testing.T, failN int64) *store.NetDevice {
-	return dialServer(t, &flakyDevice{FaultDevice: store.NewMemDevice(8, 64), failN: failN})
+func dialFlaky(t *testing.T, failN int64) *NetDevice {
+	return dialServer(t, &erringDevice{FaultDevice: NewMemDevice(8, 64), failN: failN})
 }
 
 // A server that errs twice then recovers must be survived by the
@@ -68,7 +66,7 @@ func TestNetDeviceRetriesTransient5xx(t *testing.T) {
 	if err := d.ReadSectors(context.Background(), 0, [][]byte{buf}); err != nil {
 		t.Fatalf("read through recovering server: %v", err)
 	}
-	if got := d.Retries(); got != 2 {
+	if got := d.retries.Load(); got != 2 {
 		t.Fatalf("client issued %d retries, want 2", got)
 	}
 }
@@ -79,7 +77,7 @@ func TestNetDeviceRetriesWrite(t *testing.T) {
 	if err := d.WriteSectors(context.Background(), 0, [][]byte{make([]byte, 64)}); err != nil {
 		t.Fatalf("write through recovering server: %v", err)
 	}
-	if got := d.Retries(); got != 1 {
+	if got := d.retries.Load(); got != 1 {
 		t.Fatalf("client issued %d retries, want 1", got)
 	}
 }
@@ -88,7 +86,7 @@ func TestNetDeviceRetriesWrite(t *testing.T) {
 // refuses as a bad request every extent a client dialled before that
 // still believes valid; frames counts the requests it refused.
 type shrunkDevice struct {
-	store.FaultDevice
+	FaultDevice
 	shrunk atomic.Bool
 	frames atomic.Int64
 }
@@ -104,14 +102,14 @@ func (s *shrunkDevice) Sectors() int {
 // A bad request means the request itself is wrong; retrying it would
 // just repeat the mistake.
 func TestNetDeviceNeverRetries4xx(t *testing.T) {
-	dev := &shrunkDevice{FaultDevice: store.NewMemDevice(8, 64)}
+	dev := &shrunkDevice{FaultDevice: NewMemDevice(8, 64)}
 	d := dialServer(t, dev)
 	dev.shrunk.Store(true)
 	err := d.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)})
 	if err == nil {
 		t.Fatal("read against a refusing server succeeded")
 	}
-	if got := d.Retries(); got != 0 {
+	if got := d.retries.Load(); got != 0 {
 		t.Fatalf("client retried a bad request %d times", got)
 	}
 	if got := dev.frames.Load(); got != 1 {
@@ -123,9 +121,9 @@ func TestNetDeviceNeverRetries4xx(t *testing.T) {
 // surface immediately so the store can switch to degraded reads
 // instead of burning the backoff budget.
 func TestNetDeviceNeverRetriesDeviceFailed(t *testing.T) {
-	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
+	srv := httptest.NewServer(NewDeviceServer(NewMemDevice(8, 64)))
 	t.Cleanup(srv.Close)
-	d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
+	d, err := DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +133,11 @@ func TestNetDeviceNeverRetriesDeviceFailed(t *testing.T) {
 	}
 	begin := time.Now()
 	err = d.ReadSectors(context.Background(), 0, [][]byte{make([]byte, 64)})
-	if !errors.Is(err, store.ErrDeviceFailed) {
+	if !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("read of failed device: %v, want ErrDeviceFailed", err)
 	}
-	if d.Retries() != 0 {
-		t.Fatalf("client retried a failed device %d times", d.Retries())
+	if d.retries.Load() != 0 {
+		t.Fatalf("client retried a failed device %d times", d.retries.Load())
 	}
 	if took := time.Since(begin); took > time.Second {
 		t.Fatalf("failed-device answer took %v — did it back off?", took)
@@ -150,7 +148,7 @@ func TestNetDeviceNeverRetriesDeviceFailed(t *testing.T) {
 // immediately instead of sleeping out the schedule.
 func TestNetDeviceCancelDuringBackoff(t *testing.T) {
 	d := dialFlaky(t, 1<<30)
-	d.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Second})
+	d.retry = retryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Second}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -176,8 +174,8 @@ func TestNetDevicePing(t *testing.T) {
 		t.Fatalf("ping of live server: %v", err)
 	}
 
-	srv := httptest.NewServer(store.NewDeviceServer(store.NewMemDevice(8, 64)))
-	dead, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
+	srv := httptest.NewServer(NewDeviceServer(NewMemDevice(8, 64)))
+	dead, err := DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +187,11 @@ func TestNetDevicePing(t *testing.T) {
 
 // /v1/metrics must reflect the traffic the server actually served.
 func TestDeviceServerMetrics(t *testing.T) {
-	mem := store.NewMemDevice(8, 64)
-	ds := store.NewDeviceServer(mem)
+	mem := NewMemDevice(8, 64)
+	ds := NewDeviceServer(mem)
 	srv := httptest.NewServer(ds)
 	t.Cleanup(srv.Close)
-	d, err := store.DialNetDevice(context.Background(), srv.URL, srv.Client())
+	d, err := DialNetDevice(context.Background(), srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +210,7 @@ func TestDeviceServerMetrics(t *testing.T) {
 	if err := d.ReadSectors(ctx, 5, [][]byte{make([]byte, 64)}); err == nil {
 		t.Fatal("read of bad sector succeeded")
 	}
-	if err := store.SyncDevice(ctx, d); err != nil {
+	if err := SyncDevice(ctx, d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +219,7 @@ func TestDeviceServerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m store.DeviceServerMetrics
+	var m DeviceServerMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
