@@ -35,7 +35,7 @@ func TestEndToEnd(t *testing.T) {
 		{
 			name: "n6-e1,2",
 			create: []string{"-n", "6", "-r", "4", "-m", "2", "-e", "1,2", "-stripes", "8", "-sector", "512",
-				"-repair-workers", "2", "-shards", "8"},
+				"-repair-workers", "2"},
 			size: 30000, fail: []string{"1", "4"}, burst: []string{"0", "5:2"}, sector: []string{"3", "9"},
 		},
 		{
@@ -317,9 +317,17 @@ func TestRecoverCommand(t *testing.T) {
 }
 
 // TestRetiredCacheKeyIgnored: a volume.json written while the store had
-// a degraded-stripe cache carries a "degraded_cache" key; such a volume
-// still opens and serves get and stats, and the next save drops the key.
+// a degraded-stripe cache carries a "degraded_cache" key, and one written
+// while the lock-table width was a setting a "lock_shards" key; such a
+// volume still opens and serves get and stats, and the next save drops
+// the key.
 func TestRetiredCacheKeyIgnored(t *testing.T) {
+	for _, key := range []string{"degraded_cache", "lock_shards"} {
+		t.Run(key, func(t *testing.T) { testRetiredKeyIgnored(t, key) })
+	}
+}
+
+func testRetiredKeyIgnored(t *testing.T, key string) {
 	dir := t.TempDir()
 	vol := filepath.Join(dir, "vol")
 	in := filepath.Join(dir, "in.bin")
@@ -342,7 +350,7 @@ func TestRetiredCacheKeyIgnored(t *testing.T) {
 	if err := json.Unmarshal(raw, &desc); err != nil {
 		t.Fatal(err)
 	}
-	desc["degraded_cache"] = 4
+	desc[key] = 4
 	if raw, err = json.MarshalIndent(desc, "", "  "); err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +375,8 @@ func TestRetiredCacheKeyIgnored(t *testing.T) {
 	if raw, err = os.ReadFile(metaPath(vol)); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(raw, []byte(`"degraded_cache"`)) {
-		t.Error("re-saved volume.json still carries the retired degraded_cache key")
+	if bytes.Contains(raw, []byte(`"`+key+`"`)) {
+		t.Errorf("re-saved volume.json still carries the retired %s key", key)
 	}
 }
 

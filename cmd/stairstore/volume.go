@@ -22,11 +22,10 @@ type volumeMeta struct {
 	E          []int `json:"e"`
 	SectorSize int   `json:"sector_size"`
 	Stripes    int   `json:"stripes"`
-	// RepairWorkers, LockShards and FlushWorkers mirror the store.Config
-	// fields of the same names. (A retired "degraded_cache" key, left by
-	// older descriptors, is ignored.)
+	// RepairWorkers and FlushWorkers mirror the store.Config fields of
+	// the same names. (The retired "degraded_cache" and "lock_shards"
+	// keys, left by older descriptors, are ignored.)
 	RepairWorkers int `json:"repair_workers,omitempty"`
-	LockShards    int `json:"lock_shards,omitempty"`
 	FlushWorkers  int `json:"flush_workers,omitempty"`
 	// Integrity turns on the end-to-end per-sector checksum layer; each
 	// device image then carries a sidecar region of records past its
@@ -111,7 +110,6 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 		Stripes:       meta.Stripes,
 		Devices:       devs,
 		RepairWorkers: meta.RepairWorkers,
-		LockShards:    meta.LockShards,
 		FlushWorkers:  meta.FlushWorkers,
 		Journal:       j,
 		Integrity:     iopts,

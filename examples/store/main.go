@@ -51,8 +51,7 @@ func main() {
 	// stripes in the background.
 	s, err := store.Open(store.Config{
 		Code: code, SectorSize: 1024, Stripes: 32,
-		RepairWorkers: 4, LockShards: 16,
-		FlushWorkers: 2, Journal: j,
+		RepairWorkers: 4, FlushWorkers: 2, Journal: j,
 		// Per-sector end-to-end checksums: every data sector carries a
 		// self-describing record (sector address and volume epoch salted
 		// into the digest) in a sidecar region after the data, and every

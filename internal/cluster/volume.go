@@ -45,7 +45,7 @@ type Config struct {
 	// sectors.
 	Integrity *store.IntegrityOptions
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
-	// — parallelism is FlushWorkers / RepairWorkers / LockShards. Kept
+	// — parallelism is FlushWorkers / RepairWorkers. Kept
 	// until bench/ stops setting it.
 	Workers int
 	// Store tuning passthrough; see store.Config.

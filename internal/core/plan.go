@@ -64,7 +64,8 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 	// Stage leveling: plan inputs sit at stage 0, an op lands one past
 	// the deepest producer it reads. Schedules are in execution order and
 	// write each cell exactly once, so one forward pass suffices.
-	stageOf := make([]int32, c.rows*c.cols)
+	nCells := c.rows * c.cols
+	stageOf := make([]int32, nCells)
 	maxStage := int32(0)
 	opStage := make([]int32, len(sch.ops))
 	for i := range sch.ops {
@@ -82,13 +83,11 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 		}
 	}
 	// bySrc holds each stage's terms regrouped per source cell, in first-
-	// use order; srcIx maps a stage's source cell to its bySrc index.
+	// use order; srcIx[si·nCells+src] is one past stage si's bySrc index
+	// of source cell src, 0 while it has none.
 	bySrc := make([][]sourceTerms, maxStage)
 	outs := make([][]int32, maxStage)
-	srcIx := make([]map[int32]int, maxStage)
-	for i := range srcIx {
-		srcIx[i] = make(map[int32]int)
-	}
+	srcIx := make([]int32, int(maxStage)*nCells)
 	for i := range sch.ops {
 		o := &sch.ops[i]
 		si := opStage[i] - 1
@@ -98,13 +97,12 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			if coeff == 0 {
 				continue
 			}
-			ix, ok := srcIx[si][t.src]
-			if !ok {
-				ix = len(bySrc[si])
-				srcIx[si][t.src] = ix
+			ix := &srcIx[int(si)*nCells+int(t.src)]
+			if *ix == 0 {
 				bySrc[si] = append(bySrc[si], sourceTerms{src: t.src})
+				*ix = int32(len(bySrc[si]))
 			}
-			g := &bySrc[si][ix]
+			g := &bySrc[si][*ix-1]
 			// Merge duplicate (src,dst) terms: c1·v ^ c2·v = (c1^c2)·v.
 			// An op's destinations must not overlap, and a merged term is
 			// cheaper anyway.
@@ -129,19 +127,21 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 	// accumulated, saving one write plus one read of every destination
 	// region per execution. Only destinations every term of which merged
 	// away still need a zero-fill.
+	// claimer[d] is one past the bySrc index of the source whose term
+	// initialises destination d in the stage at hand, 0 while none does.
+	claimer := make([]int, nCells)
 	var dsts []int32
 	var tabs []*gf.MulTable
 	for si := range bySrc {
-		claimer := make(map[int32]int, len(outs[si]))
 		for gi, g := range bySrc[si] {
 			for i, d := range g.dsts {
-				if _, ok := claimer[d]; !ok && g.coeffs[i] != 0 {
-					claimer[d] = gi
+				if claimer[d] == 0 && g.coeffs[i] != 0 {
+					claimer[d] = gi + 1
 				}
 			}
 		}
 		for _, d := range outs[si] {
-			if _, ok := claimer[d]; !ok {
+			if claimer[d] == 0 {
 				p.ops = append(p.ops, gf.Op{Dst: [4]int32{c.slotOf(d)}})
 			}
 		}
@@ -149,7 +149,7 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			for gi, g := range bySrc[si] {
 				dsts, tabs = dsts[:0], tabs[:0]
 				for i, d := range g.dsts {
-					if g.coeffs[i] != 0 && (claimer[d] != gi) == acc {
+					if g.coeffs[i] != 0 && (claimer[d] != gi+1) == acc {
 						dsts = append(dsts, c.slotOf(d))
 						tabs = append(tabs, c.f.Table(g.coeffs[i]))
 					}
@@ -157,18 +157,22 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 				p.ops = gf.AppendOps(p.ops, acc, c.slotOf(g.src), dsts, tabs)
 			}
 		}
+		for _, d := range outs[si] {
+			claimer[d] = 0
+		}
 	}
-	p.cells = touched(p.ops)
+	p.cells = c.touched(p.ops)
 	return p
 }
 
 // slotOf is a canonical cell's environment index.
 func (c *Code) slotOf(idx int32) int32 { return c.slot[idx] }
 
-// touched lists, once each, the cells an op list reads or writes.
-func touched(ops []gf.Op) []int32 {
+// touched lists, once each, the environment cells an op list reads or
+// writes.
+func (c *Code) touched(ops []gf.Op) []int32 {
 	var cells []int32
-	seen := make(map[int32]bool)
+	seen := make([]bool, c.envLen)
 	add := func(i int32) {
 		if !seen[i] {
 			seen[i] = true

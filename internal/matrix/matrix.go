@@ -4,13 +4,14 @@
 //
 // Matrices are small (dimensions bounded by stripe geometry, at most a
 // few hundred), so the implementation favours clarity over blocking or
-// cache tricks: Gauss-Jordan inversion, naive multiplication.
+// cache tricks: one Gauss-Jordan elimination (Reduce) behind inversion,
+// rank and the parity-check solve, and naive multiplication.
 package matrix
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stair/internal/gf"
 )
@@ -123,60 +124,95 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	return r
 }
 
-// Invert returns the inverse of a square matrix using Gauss-Jordan
-// elimination, or ErrSingular.
+// Reduce runs Gauss–Jordan elimination on m in place over the columns
+// cols, in order, and returns each column's pivot row: the first row not
+// yet a pivot that is nonzero in the column. The pivot row is scaled to 1
+// there and the column cleared from every other row; rows do not move. A
+// column that depends on the columns before it gets no pivot, -1. Every
+// solve in this module is a view of it: Invert, Rank, Solve, and the SD
+// code's coverage check, which reads the rows left without a pivot.
+func (m *Matrix) Reduce(cols []int) []int {
+	pivots := make([]int, len(cols))
+	used := make([]bool, m.rows)
+	for k, col := range cols {
+		pivots[k] = -1
+		for r := 0; r < m.rows; r++ {
+			if !used[r] && m.At(r, col) != 0 {
+				pivots[k] = r
+				break
+			}
+		}
+		p := pivots[k]
+		if p < 0 {
+			continue
+		}
+		used[p] = true
+		m.scaleRow(p, m.f.Inv(m.At(p, col)))
+		for r := 0; r < m.rows; r++ {
+			if f := m.At(r, col); r != p && f != 0 {
+				m.addScaledRow(r, p, f)
+			}
+		}
+	}
+	return pivots
+}
+
+// Invert returns the inverse of a square matrix, or ErrSingular: it
+// reduces [m | I] over m's columns, and row k of the inverse is the right
+// half of column k's pivot row.
 func (m *Matrix) Invert() (*Matrix, error) {
 	if m.rows != m.cols {
 		return nil, fmt.Errorf("matrix: cannot invert non-square %dx%d matrix", m.rows, m.cols)
 	}
 	n := m.rows
-	a := m.Clone()
-	inv := Identity(m.f, n)
-	for col := 0; col < n; col++ {
-		// Find a pivot.
-		pivot := -1
-		for r := col; r < n; r++ {
-			if a.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
+	a := New(m.f, n, 2*n)
+	for i := 0; i < n; i++ {
+		copy(a.data[i*2*n:], m.data[i*n:(i+1)*n])
+		a.Set(i, n+i, 1)
+	}
+	inv := New(m.f, n, n)
+	for k, p := range a.Reduce(upTo(n)) {
+		if p < 0 {
 			return nil, ErrSingular
 		}
-		if pivot != col {
-			a.swapRows(pivot, col)
-			inv.swapRows(pivot, col)
-		}
-		// Scale pivot row to make the pivot 1.
-		p := a.At(col, col)
-		if p != 1 {
-			pinv := m.f.Inv(p)
-			a.scaleRow(col, pinv)
-			inv.scaleRow(col, pinv)
-		}
-		// Eliminate the column from all other rows.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			factor := a.At(r, col)
-			if factor == 0 {
-				continue
-			}
-			a.addScaledRow(r, col, factor)
-			inv.addScaledRow(r, col, factor)
-		}
+		copy(inv.data[k*n:(k+1)*n], a.data[p*2*n+n:(p+1)*2*n])
 	}
 	return inv, nil
 }
 
-func (m *Matrix) swapRows(i, j int) {
-	ri := m.data[i*m.cols : (i+1)*m.cols]
-	rj := m.data[j*m.cols : (j+1)*m.cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
+// Rank returns the rank of the matrix: the pivots of its reduction.
+func (m *Matrix) Rank() int {
+	pivots := m.Clone().Reduce(upTo(m.cols))
+	return len(slices.DeleteFunc(pivots, func(p int) bool { return p < 0 }))
+}
+
+// Solve treats m as a parity-check matrix and returns K, len(lost) ×
+// Cols() and zero in the lost columns, with x[lost[i]] = Σ_j K[i][j]·x[j]
+// for every x with m·x = 0: lost[i]'s pivot row after reducing m over
+// the lost columns. It returns ErrSingular when the lost columns, which
+// must be distinct and at least one, are dependent.
+func (m *Matrix) Solve(lost []int) (*Matrix, error) {
+	a := m.Clone()
+	k := New(m.f, len(lost), m.cols)
+	for i, p := range a.Reduce(lost) {
+		if p < 0 {
+			return nil, ErrSingular
+		}
+		copy(k.data[i*m.cols:(i+1)*m.cols], a.data[p*m.cols:(p+1)*m.cols])
+		for _, col := range lost {
+			k.Set(i, col, 0)
+		}
 	}
+	return k, nil
+}
+
+// upTo returns the columns 0..n-1.
+func upTo(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 func (m *Matrix) scaleRow(i int, c uint32) {
@@ -196,43 +232,6 @@ func (m *Matrix) addScaledRow(dst, src int, c uint32) {
 		}
 	}
 }
-
-// IndependentRows returns, ascending, the rows of m that row echelon
-// reduction on a copy takes as pivots, each column's pivot being the
-// first candidate in row order: a maximal linearly independent set of
-// rows. SD decoding picks its constraint rows with it.
-func (m *Matrix) IndependentRows() []int {
-	a := m.Clone()
-	orig := make([]int, a.rows) // orig[i]: the row of m now at row i of a
-	for i := range orig {
-		orig[i] = i
-	}
-	var rows []int
-	for col := 0; col < a.cols && len(rows) < a.rows; col++ {
-		rank := len(rows)
-		pivot := rank
-		for pivot < a.rows && a.At(pivot, col) == 0 {
-			pivot++
-		}
-		if pivot == a.rows {
-			continue
-		}
-		a.swapRows(pivot, rank)
-		orig[pivot], orig[rank] = orig[rank], orig[pivot]
-		a.scaleRow(rank, a.f.Inv(a.At(rank, col)))
-		for r := rank + 1; r < a.rows; r++ {
-			if f := a.At(r, col); f != 0 {
-				a.addScaledRow(r, rank, f)
-			}
-		}
-		rows = append(rows, orig[rank])
-	}
-	sort.Ints(rows)
-	return rows
-}
-
-// Rank returns the rank of the matrix.
-func (m *Matrix) Rank() int { return len(m.IndependentRows()) }
 
 // SelectRows returns a new matrix made of the given rows of m, in order.
 func (m *Matrix) SelectRows(rows []int) *Matrix {

@@ -191,8 +191,14 @@ func TestRank(t *testing.T) {
 	if got := m.Rank(); got != 2 {
 		t.Errorf("rank = %d, want 2", got)
 	}
-	if got := m.IndependentRows(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("independent rows = %v, want [0 2]", got)
+	// Columns 0 and 1 are proportional, so they solve only apart.
+	for _, tc := range []struct {
+		lost []int
+		ok   bool
+	}{{[]int{0, 2}, true}, {[]int{1, 2}, true}, {[]int{0, 1}, false}} {
+		if _, err := m.Solve(tc.lost); (err == nil) != tc.ok {
+			t.Errorf("Solve(%v): err = %v, want ok = %v", tc.lost, err, tc.ok)
+		}
 	}
 }
 
@@ -228,5 +234,68 @@ func TestStringSmoke(t *testing.T) {
 	f := gf.Get(8)
 	if s := Identity(f, 2).String(); s == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestSolveReproducesLostEntries: for random parity-check matrices
+// H = [A | I] with columns shuffled, whose codewords are (u, A·u), every
+// independent lost set's K recovers the lost entries of random codewords
+// from the known ones, and every dependent set, including any set of
+// more columns than H has rows, gets ErrSingular.
+func TestSolveReproducesLostEntries(t *testing.T) {
+	for _, w := range []int{4, 8, 16} {
+		f := gf.Get(w)
+		rng := rand.New(rand.NewSource(int64(w) + 40))
+		for trial := 0; trial < 60; trial++ {
+			q, k := 1+rng.Intn(6), 1+rng.Intn(8)
+			a := randMatrix(f, rng, q, k)
+			perm := rng.Perm(k + q) // perm[j]: the column of H holding column j of [A | I]
+			h := New(f, q, k+q)
+			for i := 0; i < q; i++ {
+				for j := 0; j < k; j++ {
+					h.Set(i, perm[j], a.At(i, j))
+				}
+				h.Set(i, perm[k+i], 1)
+			}
+			codeword := func() []uint32 {
+				x := make([]uint32, k+q)
+				u := make([]uint32, k)
+				for j := range u {
+					u[j] = uint32(rng.Intn(f.Size()))
+					x[perm[j]] = u[j]
+				}
+				for i := 0; i < q; i++ {
+					var p uint32
+					for j, v := range u {
+						p ^= f.Mul(a.At(i, j), v)
+					}
+					x[perm[k+i]] = p
+				}
+				return x
+			}
+			lost := rng.Perm(k + q)[:1+rng.Intn(k+q)]
+			sol, err := h.Solve(lost)
+			if independent := len(lost) <= q && h.SelectCols(lost).Rank() == len(lost); !independent {
+				if !errors.Is(err, ErrSingular) {
+					t.Fatalf("w=%d H=%dx%d lost=%v dependent: err = %v, want ErrSingular", w, q, k+q, lost, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("w=%d H=%dx%d lost=%v: %v", w, q, k+q, lost, err)
+			}
+			for c := 0; c < 4; c++ {
+				x := codeword()
+				for i, l := range lost {
+					var got uint32
+					for j, v := range x {
+						got ^= f.Mul(sol.At(i, j), v)
+					}
+					if got != x[l] || sol.At(i, l) != 0 {
+						t.Fatalf("w=%d lost=%v: K gives x[%d] = %d, want %d", w, lost, l, got, x[l])
+					}
+				}
+			}
+		}
 	}
 }

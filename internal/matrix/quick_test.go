@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,8 +61,8 @@ func TestQuickMulDistributesOverXOR(t *testing.T) {
 }
 
 // TestQuickRankBounds: rank never exceeds min(rows, cols), is
-// invariant under transpose-free row selection reorderings, and counts
-// rows that are independent on their own.
+// invariant under transpose-free row selection reorderings, and a set of
+// columns solves exactly when the columns are independent.
 func TestQuickRankBounds(t *testing.T) {
 	f := gf.Get(8)
 	property := func(rRaw, cRaw uint8, seed int64) bool {
@@ -78,7 +79,14 @@ func TestQuickRankBounds(t *testing.T) {
 		if m.SelectRows(perm).Rank() != rank {
 			return false
 		}
-		return rank == 0 || m.SelectRows(m.IndependentRows()).Rank() == rank
+		lost := perm[:1+rng.Intn(rows)]
+		for i := range lost {
+			lost[i] %= cols
+		}
+		slices.Sort(lost)
+		lost = slices.Compact(lost)
+		_, err := m.Solve(lost)
+		return (err == nil) == (m.SelectCols(lost).Rank() == len(lost))
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

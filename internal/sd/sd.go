@@ -7,23 +7,27 @@
 // plus any s additional sectors. Known constructions exist only for
 // s ≤ 3 and rely on published searches.
 //
-// Substitution note (see DESIGN.md): the paper benchmarks Plank's C
-// implementation whose coefficients come from those searches. This
-// package reproduces the same code shape — per-row parity constraints
-// plus s dense global constraints over the whole stripe, encoded by the
-// standard method with no parity reuse and decoded by a full linear
-// solve — and verifies each constructed instance against its claimed
-// coverage on the canonical worst case plus a sample of random failure
-// patterns, regenerating the global constraint rows (deterministically
-// seeded) if verification fails. This preserves both the computational
-// shape and the fault coverage that the paper's comparisons rely on.
+// Substitution note: the paper benchmarks Plank's C implementation,
+// whose coefficients come from those searches. This package reproduces
+// the same code shape — per-row parity constraints plus s dense global
+// constraints over the whole stripe — and verifies each instance against
+// its claimed coverage, regenerating the global rows (deterministically
+// seeded) if verification fails.
+//
+// Encode and Repair are one operation, the linear solve over the
+// parity-check matrix H (matrix.Solve) compiled into a gf.Op list over
+// the stripe's cells. Encode's solve is the standard method with no
+// parity reuse; Repair's reads every surviving sector and is cached per
+// loss pattern.
 package sd
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"stair/internal/ec"
 	"stair/internal/gf"
@@ -54,9 +58,16 @@ const (
 	// construction beyond the canonical worst case, when the pattern
 	// space is too large to enumerate.
 	verifySamples = 64
+	// maxSolveCacheEntries bounds the repair solve cache, as core bounds
+	// its decode plan cache; a full cache starts over.
+	maxSolveCacheEntries = 256
+	// solveTile is the per-cell byte range one RunOps call covers: a
+	// solve's destinations stay cache-resident while the sources stream.
+	solveTile = 4096
 )
 
-// Code is a compiled SD code. Immutable and safe for concurrent use.
+// Code is a compiled SD code, safe for concurrent use. Its one mutable
+// state is the repair solve cache, guarded by mu.
 type Code struct {
 	cfg  Config
 	n, r int
@@ -69,14 +80,21 @@ type Code struct {
 
 	dataCells   []ec.Cell
 	parityCells []ec.Cell
-	isParity    []bool // indexed row*n+col
 
-	// gen[p] holds the dense coefficients of parity p over data cells:
-	// parity[p] = Σ gen[p][d] · data[d] (standard encoding, no reuse).
-	gen *matrix.Matrix // (m·r+s) × len(dataCells)
+	encode *solve // the solve for the parity cells: K = H_P⁻¹·H_D
 
-	// dataDeps[d] counts/lists parity cells affected by data cell d.
-	dataDeps [][]int
+	mu     sync.Mutex
+	solves map[string]*solve // repair solves by lost cells' bitset; nil: unrecoverable
+}
+
+// solve is one compiled linear solve, x_lost = K·x (matrix.Solve): the
+// kernel ops that rewrite the lost cells from the others, source by
+// source in stripe order, over the stripe's own cells (index col·r+row).
+// Each lost cell's first term overwrites it, so it needs no zero-fill
+// and may hold anything before a run.
+type solve struct {
+	ops   []gf.Op
+	terms int // K's nonzero coefficients: the Mult_XORs one run makes
 }
 
 // New constructs and verifies an SD code.
@@ -118,15 +136,19 @@ func New(cfg Config) (*Code, error) {
 		if w == widths[len(widths)-1] {
 			attempts = 50
 		}
+		parity := make([]int, len(c.parityCells))
+		for i, cell := range c.parityCells {
+			parity[i] = cell.Col*c.r + cell.Row
+		}
 		for salt := 0; salt < attempts; salt++ {
-			if err := c.buildH(salt); err != nil {
-				continue
-			}
-			if err := c.buildGenerator(); err != nil {
+			c.buildH(salt)
+			k, err := c.h.Solve(c.vars(parity))
+			if err != nil {
 				continue
 			}
 			if c.verify() {
-				c.buildDeps()
+				c.encode = c.compile(k, parity)
+				c.solves = make(map[string]*solve)
 				return c, nil
 			}
 		}
@@ -138,11 +160,11 @@ func New(cfg Config) (*Code, error) {
 func (c *Code) W() int { return c.f.W() }
 
 func (c *Code) indexCells() {
-	c.isParity = make([]bool, c.n*c.r)
+	isParity := make([]bool, c.n*c.r) // indexed row*n+col
 	// Row parity chunks: the last m columns.
 	for col := c.n - c.m; col < c.n; col++ {
 		for row := 0; row < c.r; row++ {
-			c.isParity[row*c.n+col] = true
+			isParity[row*c.n+col] = true
 			c.parityCells = append(c.parityCells, ec.Cell{Col: col, Row: row})
 		}
 	}
@@ -150,12 +172,12 @@ func (c *Code) indexCells() {
 	gcol := c.n - c.m - 1
 	for k := 0; k < c.s; k++ {
 		row := c.r - 1 - k
-		c.isParity[row*c.n+gcol] = true
+		isParity[row*c.n+gcol] = true
 		c.parityCells = append(c.parityCells, ec.Cell{Col: gcol, Row: row})
 	}
 	for row := 0; row < c.r; row++ {
 		for col := 0; col < c.n; col++ {
-			if !c.isParity[row*c.n+col] {
+			if !isParity[row*c.n+col] {
 				c.dataCells = append(c.dataCells, ec.Cell{Col: col, Row: row})
 			}
 		}
@@ -166,7 +188,7 @@ func (c *Code) indexCells() {
 // per row plus s global constraints. Salt 0 uses Vandermonde-power
 // globals (coefficient α^{(m+t)·ℓ} for stripe position ℓ); other salts
 // draw seeded random coefficients.
-func (c *Code) buildH(salt int) error {
+func (c *Code) buildH(salt int) {
 	q := c.m*c.r + c.s
 	c.h = matrix.New(c.f, q, c.n*c.r)
 	row := 0
@@ -185,7 +207,7 @@ func (c *Code) buildH(salt int) error {
 			}
 			row++
 		}
-		return nil
+		return
 	}
 	rng := rand.New(rand.NewSource(int64(salt)*7919 + int64(c.n*1000+c.r*100+c.m*10+c.s)))
 	for t := 0; t < c.s; t++ {
@@ -194,48 +216,22 @@ func (c *Code) buildH(salt int) error {
 		}
 		row++
 	}
-	return nil
 }
 
-func (c *Code) varOf(cell ec.Cell) int { return cell.Row*c.n + cell.Col }
-
-// buildGenerator solves H for the parity positions: with H = [H_D|H_P]
-// (columns split by data/parity), parity = (H_P)^{-1}·H_D·data.
-func (c *Code) buildGenerator() error {
-	q := c.m*c.r + c.s
-	pcols := make([]int, q)
-	for i, cell := range c.parityCells {
-		pcols[i] = c.varOf(cell)
+// vars maps stripe cell indices (col·r+row) to H's columns (row·n+col).
+func (c *Code) vars(cells []int) []int {
+	vs := make([]int, len(cells))
+	for i, idx := range cells {
+		vs[i] = idx%c.r*c.n + idx/c.r
 	}
-	dcols := make([]int, len(c.dataCells))
-	for i, cell := range c.dataCells {
-		dcols[i] = c.varOf(cell)
-	}
-	hp := c.h.SelectCols(pcols)
-	hpInv, err := hp.Invert()
-	if err != nil {
-		return fmt.Errorf("sd: parity submatrix singular: %w", err)
-	}
-	c.gen = hpInv.Mul(c.h.SelectCols(dcols))
-	return nil
-}
-
-func (c *Code) buildDeps() {
-	c.dataDeps = make([][]int, len(c.dataCells))
-	for p := 0; p < c.gen.Rows(); p++ {
-		for d := 0; d < c.gen.Cols(); d++ {
-			if c.gen.At(p, d) != 0 {
-				c.dataDeps[d] = append(c.dataDeps[d], p)
-			}
-		}
-	}
+	return vs
 }
 
 // verify checks the claimed coverage: exhaustively when the pattern
 // space fits under exhaustiveLimit, otherwise on the canonical worst
 // case plus a seeded sample of random patterns.
 func (c *Code) verify() bool {
-	if count, ok := c.patternSpaceSize(); ok && count <= exhaustiveLimit {
+	if c.exhaustive() {
 		return c.verifyExhaustive()
 	}
 	var worst []ec.Cell
@@ -260,18 +256,11 @@ func (c *Code) verify() bool {
 	return true
 }
 
-// patternSpaceSize returns C(n, m) × C(n·r − m·r, s), guarding overflow.
-func (c *Code) patternSpaceSize() (int, bool) {
-	chunkSets := binomial(c.n, c.m)
-	sectorSets := binomial((c.n-c.m)*c.r, c.s)
-	if chunkSets < 0 || sectorSets < 0 {
-		return 0, false
-	}
-	total := chunkSets * sectorSets
-	if chunkSets != 0 && total/chunkSets != sectorSets {
-		return 0, false
-	}
-	return total, true
+// exhaustive reports whether the pattern space, C(n, m) × C(n·r − m·r,
+// s), fits under exhaustiveLimit, an overflow counting as too large.
+func (c *Code) exhaustive() bool {
+	a, b := binomial(c.n, c.m), binomial((c.n-c.m)*c.r, c.s)
+	return a >= 0 && b >= 0 && (a == 0 || a*b/a == b) && a*b <= exhaustiveLimit
 }
 
 func binomial(n, k int) int {
@@ -290,31 +279,48 @@ func binomial(n, k int) int {
 }
 
 // verifyExhaustive checks every m-chunk subset combined with every
-// s-sector subset of the surviving cells.
+// s-sector subset of the surviving cells. Per chunk subset it reduces H
+// over the subset's m·r cells once: they must all get pivots, and the s
+// rows left without one are Z = Y·H for a basis Y of the left null space
+// of those columns. A pattern adding sectors E is then solvable exactly
+// when Z's columns at E are independent: with X the pivot rows,
+// [X; Y]·H[:, base ∪ E] is block upper triangular with blocks I and
+// Z[:, E].
 func (c *Code) verifyExhaustive() bool {
 	ok := true
-	var lost []ec.Cell
+	var z *matrix.Matrix
+	if c.s > 0 {
+		z = matrix.New(c.f, c.s, c.s)
+	}
 	forEachCombination(c.n, c.m, func(chunks []int) bool {
-		failed := make([]bool, c.n)
-		for _, col := range chunks {
-			failed[col] = true
-		}
-		var base, survivors []ec.Cell
+		var base, survivors []int
 		for col := 0; col < c.n; col++ {
 			for row := 0; row < c.r; row++ {
-				if failed[col] {
-					base = append(base, ec.Cell{Col: col, Row: row})
+				if slices.Contains(chunks, col) {
+					base = append(base, row*c.n+col)
 				} else {
-					survivors = append(survivors, ec.Cell{Col: col, Row: row})
+					survivors = append(survivors, row*c.n+col)
 				}
 			}
 		}
-		forEachCombination(len(survivors), c.s, func(idx []int) bool {
-			lost = append(lost[:0], base...)
-			for _, i := range idx {
-				lost = append(lost, survivors[i])
+		a := c.h.Clone()
+		pivots := a.Reduce(base)
+		if ok = !slices.Contains(pivots, -1); !ok || c.s == 0 {
+			return ok
+		}
+		var free []int
+		for row := 0; row < a.Rows(); row++ {
+			if !slices.Contains(pivots, row) {
+				free = append(free, row)
 			}
-			ok = c.patternSolvable(lost)
+		}
+		forEachCombination(len(survivors), c.s, func(idx []int) bool {
+			for i, row := range free {
+				for j, e := range idx {
+					z.Set(i, j, a.At(row, survivors[e]))
+				}
+			}
+			ok = z.Rank() == c.s
 			return ok
 		})
 		return ok
@@ -322,37 +328,24 @@ func (c *Code) verifyExhaustive() bool {
 	return ok
 }
 
-// forEachCombination visits every k-subset of 0..n-1; the visitor returns
-// false to stop early.
+// forEachCombination visits every k-subset of 0..n-1 in lexicographic
+// order until the visitor returns false.
 func forEachCombination(n, k int, visit func([]int) bool) {
-	if k == 0 {
-		visit(nil)
-		return
-	}
-	if k > n {
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		if !visit(idx) {
-			return
+	idx := make([]int, 0, k)
+	var next func(from int) bool
+	next = func(from int) bool {
+		if len(idx) == k {
+			return visit(idx)
 		}
-		// Advance.
-		i := k - 1
-		for i >= 0 && idx[i] == n-k+i {
-			i--
+		for i := from; i <= n-k+len(idx); i++ {
+			if idx = append(idx, i); !next(i + 1) {
+				return false
+			}
+			idx = idx[:len(idx)-1]
 		}
-		if i < 0 {
-			return
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
+		return true
 	}
+	next(0)
 }
 
 func (c *Code) randomCoveredPattern(rng *rand.Rand) []ec.Cell {
@@ -377,18 +370,14 @@ func (c *Code) randomCoveredPattern(rng *rand.Rand) []ec.Cell {
 // patternSolvable reports whether the lost positions' parity-check
 // submatrix has full column rank.
 func (c *Code) patternSolvable(lost []ec.Cell) bool {
-	if len(lost) == 0 {
-		return true
-	}
-	if len(lost) > c.h.Rows() {
-		return false
+	if len(lost) == 0 || len(lost) > c.h.Rows() {
+		return len(lost) == 0
 	}
 	cols := make([]int, len(lost))
 	for i, cell := range lost {
-		cols[i] = c.varOf(cell)
+		cols[i] = cell.Row*c.n + cell.Col
 	}
-	sub := c.h.SelectCols(cols)
-	return sub.Rank() == len(lost)
+	return c.h.SelectCols(cols).Rank() == len(lost)
 }
 
 // N returns the number of chunks per stripe.
@@ -413,20 +402,14 @@ func (c *Code) S() int { return c.s }
 func (c *Code) DataCells() []ec.Cell { return append([]ec.Cell{}, c.dataCells...) }
 
 // MeanUpdatePenalty returns the average number of parity sectors touched
-// by a single data-sector update (Figure 15's quantity).
+// by a single data-sector update (Figure 15's quantity): the encode
+// solve's terms per data cell.
 func (c *Code) MeanUpdatePenalty() float64 {
-	if len(c.dataDeps) == 0 {
+	if len(c.dataCells) == 0 {
 		return 0
 	}
-	total := 0
-	for _, deps := range c.dataDeps {
-		total += len(deps)
-	}
-	return float64(total) / float64(len(c.dataDeps))
+	return float64(c.encode.terms) / float64(len(c.dataCells))
 }
-
-// sector returns cells[col*r+row]; stripes use internal/core's layout.
-func (c *Code) sector(cells [][]byte, cell ec.Cell) []byte { return cells[cell.Col*c.r+cell.Row] }
 
 func (c *Code) checkStripe(cells [][]byte) (int, error) {
 	if len(cells) != c.n*c.r {
@@ -449,100 +432,116 @@ func (c *Code) checkStripe(cells [][]byte) (int, error) {
 // sectors, with no intermediate reuse (the SD implementation the paper
 // compares against, §6.2).
 func (c *Code) Encode(cells [][]byte) error {
-	if _, err := c.checkStripe(cells); err != nil {
+	size, err := c.checkStripe(cells)
+	if err != nil {
 		return err
 	}
-	// Source-major: one fused pass per data sector updating every parity
-	// sector, so each data sector is read once rather than once per
-	// parity row.
-	outs := make([][]byte, len(c.parityCells))
-	for p, pc := range c.parityCells {
-		outs[p] = c.sector(cells, pc)
-		clear(outs[p])
-	}
-	coeffs := make([]uint32, len(c.parityCells))
-	for d, dc := range c.dataCells {
-		for p := range c.parityCells {
-			coeffs[p] = c.gen.At(p, d)
-		}
-		c.f.MultXORFused(outs, c.sector(cells, dc), coeffs)
-	}
+	c.run(c.encode, cells, size)
 	return nil
 }
 
 // Repair reconstructs the lost cells in place via a linear solve over the
 // parity-check constraints, reading every surviving sector (the
-// "decoding manner" of the SD implementation).
+// "decoding manner" of the SD implementation). The solve is compiled on
+// a pattern's first Repair and cached.
 func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error {
 	size, err := c.checkStripe(cells)
-	if err != nil {
-		return err
+	if err == nil && len(lost) > 0 {
+		var s *solve
+		if s, err = c.repairSolve(lost); err == nil {
+			c.run(s, cells, size)
+		}
 	}
-	lost = dedupe(lost)
+	return err
+}
+
+// repairSolve returns lost's solve, cached under lost's bitset: built on
+// the stack for stripes of up to 2 048 cells, so a hit allocates nothing.
+func (c *Code) repairSolve(lost []ec.Cell) (*solve, error) {
+	var kbuf [256]byte
+	key := kbuf[:]
+	if nb := (c.n*c.r + 7) / 8; nb <= len(kbuf) {
+		key = kbuf[:nb]
+	} else {
+		key = make([]byte, nb)
+	}
+	count := 0
 	for _, cell := range lost {
 		if cell.Col < 0 || cell.Col >= c.n || cell.Row < 0 || cell.Row >= c.r {
-			return fmt.Errorf("sd: lost cell %v out of range", cell)
+			return nil, fmt.Errorf("sd: lost cell %v out of range", cell)
+		}
+		i := cell.Col*c.r + cell.Row
+		if key[i>>3]&(1<<(i&7)) == 0 {
+			key[i>>3] |= 1 << (i & 7)
+			count++
 		}
 	}
-	if len(lost) == 0 {
-		return nil
+	c.mu.Lock()
+	s, hit := c.solves[string(key)]
+	c.mu.Unlock()
+	if !hit {
+		idx := make([]int, 0, count)
+		for i := 0; i < c.n*c.r; i++ {
+			if key[i>>3]&(1<<(i&7)) != 0 {
+				idx = append(idx, i)
+			}
+		}
+		if k, err := c.h.Solve(c.vars(idx)); err == nil {
+			s = c.compile(k, idx)
+		}
+		c.mu.Lock()
+		if len(c.solves) >= maxSolveCacheEntries {
+			clear(c.solves)
+		}
+		c.solves[string(key)] = s
+		c.mu.Unlock()
 	}
-	lostSet := make(map[int]bool, len(lost))
-	lcols := make([]int, len(lost))
-	for i, cell := range lost {
-		v := c.varOf(cell)
-		lostSet[v] = true
-		lcols[i] = v
+	if s == nil {
+		return nil, fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, count)
 	}
-	sub := c.h.SelectCols(lcols)
-	// Select |lost| independent constraint rows.
-	rows := sub.IndependentRows()
-	if len(rows) < len(lost) {
-		return fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(lost))
-	}
-	a := sub.SelectRows(rows)
-	aInv, err := a.Invert()
-	if err != nil {
-		return fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, len(lost))
-	}
-	// rhs[k] = Σ_{known j} H[rows[k]][j]·x_j (over regions), source-major:
-	// each surviving sector is read once and fans out into every
-	// constraint's accumulator in one fused pass.
-	rhs := make([][]byte, len(rows))
-	for k := range rhs {
-		rhs[k] = make([]byte, size)
-	}
-	coeffs := make([]uint32, len(rows))
-	for col := 0; col < c.n; col++ {
-		for row := 0; row < c.r; row++ {
-			v := row*c.n + col
-			if lostSet[v] {
+	return s, nil
+}
+
+// compile lowers K, whose row i solves stripe cell lost[i], into a solve.
+func (c *Code) compile(k *matrix.Matrix, lost []int) *solve {
+	s := &solve{}
+	terms := make([]int, len(lost)) // 0 until lost[i]'s first term, then 1
+	var dsts [2][]int32             // [0]: first terms (overwrite), [1]: the rest
+	var tabs [2][]*gf.MulTable
+	for src := 0; src < c.n*c.r; src++ {
+		v := src%c.r*c.n + src/c.r
+		for a := range dsts {
+			dsts[a], tabs[a] = dsts[a][:0], tabs[a][:0]
+		}
+		for i, dst := range lost {
+			coeff := k.At(i, v)
+			if coeff == 0 {
 				continue
 			}
-			any := false
-			for k, hr := range rows {
-				coeffs[k] = c.h.At(hr, v)
-				any = any || coeffs[k] != 0
-			}
-			if any {
-				c.f.MultXORFused(rhs, cells[col*c.r+row], coeffs)
-			}
+			a := terms[i]
+			terms[i] = 1
+			dsts[a] = append(dsts[a], int32(dst))
+			tabs[a] = append(tabs[a], c.f.Table(coeff))
+			s.terms++
+		}
+		s.ops = gf.AppendOps(s.ops, false, int32(src), dsts[0], tabs[0])
+		s.ops = gf.AppendOps(s.ops, true, int32(src), dsts[1], tabs[1])
+	}
+	// A lost cell no term reaches is zero in every codeword.
+	for i, dst := range lost {
+		if terms[i] == 0 {
+			s.ops = append([]gf.Op{{Dst: [4]int32{int32(dst)}}}, s.ops...)
 		}
 	}
-	// x_lost = A^{-1}·rhs, again source-major over the rhs regions.
-	outs := make([][]byte, len(lost))
-	for i, cell := range lost {
-		outs[i] = c.sector(cells, cell)
-		clear(outs[i])
+	return s
+}
+
+// run executes a solve over a checked stripe, one RunOps call per tile.
+func (c *Code) run(s *solve, cells [][]byte, size int) {
+	k := c.f.Kernel()
+	for lo := 0; lo < size; lo += solveTile {
+		k.RunOps(s.ops, cells, lo, min(lo+solveTile, size))
 	}
-	solve := make([]uint32, len(lost))
-	for k := range rhs {
-		for i := range lost {
-			solve[i] = aInv.At(i, k)
-		}
-		c.f.MultXORFused(outs, rhs[k], solve)
-	}
-	return nil
 }
 
 // CanRecover reports whether the pattern is repairable.

@@ -3,9 +3,12 @@ package sd
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"stair/internal/ec"
+	"stair/internal/gf"
 )
 
 func newCode(t *testing.T, n, r, m, s int) *Code {
@@ -139,6 +142,171 @@ func TestRepairRandomCoveredPatterns(t *testing.T) {
 	}
 }
 
+// worstPattern is the canonical worst case: the first m chunks plus s
+// sectors in row order across the surviving chunks.
+func worstPattern(c *Code) []ec.Cell {
+	var lost []ec.Cell
+	for col := 0; col < c.M(); col++ {
+		for row := 0; row < c.R(); row++ {
+			lost = append(lost, ec.Cell{Col: col, Row: row})
+		}
+	}
+	for k := 0; k < c.S(); k++ {
+		lost = append(lost, ec.Cell{Col: c.M() + k%(c.N()-c.M()), Row: k / (c.N() - c.M())})
+	}
+	return lost
+}
+
+// TestEncodeSatisfiesParityCheck: after Encode, every row of H sums to
+// zero over the stripe, symbol by symbol, in both field widths, at
+// sector sizes that leave a ragged kernel tail and cross a tile.
+func TestEncodeSatisfiesParityCheck(t *testing.T) {
+	for _, cfg := range []Config{{N: 8, R: 8, M: 2, S: 3, W: 8}, {N: 8, R: 4, M: 2, S: 2, W: 16}} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb := c.f.SymbolBytes()
+		for _, size := range []int{50, solveTile + 6} {
+			cells := newStripe(c, size, int64(size))
+			for _, p := range c.parityCells {
+				for i := range cells[p.Col*c.R()+p.Row] {
+					cells[p.Col*c.R()+p.Row][i] = 0xA5 // Encode must overwrite, not accumulate
+				}
+			}
+			if err := c.Encode(cells); err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < size; off += sb {
+				for row := 0; row < c.h.Rows(); row++ {
+					var sum uint32
+					for v := 0; v < c.h.Cols(); v++ {
+						cell := cells[v%c.N()*c.R()+v/c.N()]
+						x := uint32(cell[off])
+						if sb == 2 {
+							x |= uint32(cell[off+1]) << 8 // little-endian symbols
+						}
+						sum ^= c.f.Mul(c.h.At(row, v), x)
+					}
+					if sum != 0 {
+						t.Fatalf("%+v size %d: H row %d sums to %d at byte %d", cfg, size, row, sum, off)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRepairAllocs: once a pattern's solve is cached, Repair (and
+// Encode) allocate nothing.
+func TestRepairAllocs(t *testing.T) {
+	c := newCode(t, 16, 16, 2, 3)
+	cells := newStripe(c, 64, 1)
+	if err := c.Encode(cells); err != nil {
+		t.Fatal(err)
+	}
+	lost := worstPattern(c)
+	if err := c.Repair(cells, lost); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		if err := c.Repair(cells, lost); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("cached Repair makes %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		if err := c.Encode(cells); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Encode makes %v allocations, want 0", a)
+	}
+}
+
+// TestConcurrentRepair: goroutines repair the same pattern and different
+// patterns of one code at once, each on its own copy of the stripe,
+// starting from a cold solve cache; every repaired byte must be exact.
+func TestConcurrentRepair(t *testing.T) {
+	c := newCode(t, 8, 4, 2, 2)
+	want := newStripe(c, 64, 7)
+	if err := c.Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	patterns := [][]ec.Cell{worstPattern(c), c.randomCoveredPattern(rng), c.randomCoveredPattern(rng)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				lost := patterns[(g+i)%len(patterns)]
+				cells := cloneStripe(want)
+				for _, cell := range lost {
+					clear(cells[cell.Col*c.R()+cell.Row])
+				}
+				if err := c.Repair(cells, lost); err != nil {
+					t.Error(err)
+					return
+				}
+				if !stripesEqual(cells, want) {
+					t.Errorf("goroutine %d: wrong bytes after repairing %v", g, lost)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestVerifyExhaustiveMatchesRankCheck: the per-chunk-set reduction
+// gives the verdict a rank check of every covered pattern gives, on
+// parity-check matrices that verify and on ones that do not.
+func TestVerifyExhaustiveMatchesRankCheck(t *testing.T) {
+	verdicts := map[bool]int{}
+	for _, cfg := range []Config{
+		{N: 8, R: 4, M: 2, S: 2, W: 8}, {N: 6, R: 8, M: 1, S: 2, W: 8}, {N: 8, R: 4, M: 1, S: 1, W: 8},
+		{N: 8, R: 4, M: 3, S: 1, W: 8}, {N: 8, R: 4, M: 0, S: 2, W: 8}, {N: 8, R: 4, M: 2, S: 0, W: 8},
+	} {
+		c := &Code{cfg: cfg, n: cfg.N, r: cfg.R, m: cfg.M, s: cfg.S, f: gf.Get(cfg.W)}
+		c.indexCells()
+		for salt := 0; salt < 4; salt++ {
+			c.buildH(salt)
+			want := true
+			forEachCombination(c.n, c.m, func(chunks []int) bool {
+				var base, survivors []ec.Cell
+				for col := 0; col < c.n; col++ {
+					for row := 0; row < c.r; row++ {
+						if slices.Contains(chunks, col) {
+							base = append(base, ec.Cell{Col: col, Row: row})
+						} else {
+							survivors = append(survivors, ec.Cell{Col: col, Row: row})
+						}
+					}
+				}
+				forEachCombination(len(survivors), c.s, func(idx []int) bool {
+					lost := slices.Clone(base)
+					for _, i := range idx {
+						lost = append(lost, survivors[i])
+					}
+					want = c.patternSolvable(lost)
+					return want
+				})
+				return want
+			})
+			if got := c.verifyExhaustive(); got != want {
+				t.Errorf("%+v salt %d: verifyExhaustive = %v, rank checks say %v", cfg, salt, got, want)
+			}
+			verdicts[want]++
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: the cases must include both", verdicts)
+	}
+}
+
 func TestBeyondCoverageRejected(t *testing.T) {
 	c := newCode(t, 8, 4, 2, 2)
 	// m+1 full chunks.
@@ -204,18 +372,11 @@ func TestUpdatePenalty(t *testing.T) {
 
 func TestEncodeCostIsDense(t *testing.T) {
 	// Standard encoding touches nearly every (data, parity) pair; with
-	// no reuse the cost (a Mult_XOR per nonzero generator coefficient)
-	// must be much larger than STAIR-style reuse costs (cf. Figure 9):
-	// at least data×s for the globals alone.
+	// no reuse the cost (a Mult_XOR per nonzero coefficient of the
+	// encode solve) must be much larger than STAIR-style reuse costs
+	// (cf. Figure 9): at least data×s for the globals alone.
 	c := newCode(t, 8, 8, 2, 3)
-	got := 0
-	for p := 0; p < c.gen.Rows(); p++ {
-		for d := 0; d < c.gen.Cols(); d++ {
-			if c.gen.At(p, d) != 0 {
-				got++
-			}
-		}
-	}
+	got := c.encode.terms
 	if got < len(c.DataCells())*c.S() {
 		t.Errorf("encode cost %d suspiciously small", got)
 	}

@@ -20,8 +20,10 @@ import (
 // none of this traffic may lose an update or skew the counters.
 func TestConcurrentStripeOperations(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	// Twice as many stripes as lock shards: every shard owns two
+	// stripes, of different workers.
 	const (
-		stripes = 16
+		stripes = 2 * defaultLockShards
 		workers = 8
 		rounds  = 6
 	)
@@ -30,7 +32,6 @@ func TestConcurrentStripeOperations(t *testing.T) {
 		SectorSize:      64,
 		Stripes:         stripes,
 		RepairWorkers:   4,
-		LockShards:      8,
 		MaxDirtyStripes: 4, // small bound forces cross-shard evictions
 	})
 	if err != nil {

@@ -8,9 +8,13 @@ import (
 	"stair/internal/core"
 )
 
-// defaultLockShards is the lock-table width when Config.LockShards is 0.
-// Wide enough that a GOMAXPROCS-sized worker set rarely collides, small
-// enough that the per-shard maps stay negligible.
+// defaultLockShards is the lock-table width: stripes hash to shards, and
+// operations on stripes in different shards run in parallel. Wide enough
+// that a GOMAXPROCS-sized worker set rarely collides, small enough that
+// the per-shard maps stay negligible. A power of two, so the
+// stripe→shard map is a single mask and adjacent stripes land in
+// different shards, which sequential and range-partitioned workloads
+// want.
 const defaultLockShards = 32
 
 // lockShard owns the store-side state of every stripe that hashes to
@@ -99,21 +103,6 @@ func (s *Store) writable(sh *lockShard, p core.Pattern) []core.Cell {
 // it later, so the next operation must get a fresh one.
 func (sh *lockShard) dropScratchOnCancel() {
 	sh.rows = nil
-}
-
-// shardCount rounds the configured shard count up to a power of two so
-// the stripe→shard map is a single mask; with a power-of-two table,
-// adjacent stripes land in different shards, which is exactly what
-// sequential and range-partitioned workloads want.
-func shardCount(cfg int) int {
-	if cfg == 0 {
-		cfg = defaultLockShards
-	}
-	n := 1
-	for n < cfg {
-		n <<= 1
-	}
-	return n
 }
 
 // newShards allocates an initialised shard table, for stripes of n

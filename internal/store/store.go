@@ -85,8 +85,8 @@ type Config struct {
 	// into. Nil falls back to in-memory devices.
 	Devices []Device
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
-	// — parallelism is FlushWorkers / RepairWorkers / LockShards, and
-	// GOMAXPROCS stripes at once in RebuildDevice and Scrub. Kept until
+	// — parallelism is FlushWorkers / RepairWorkers, the lock table's
+	// 32 shards, and GOMAXPROCS stripes at once in RebuildDevice and Scrub. Kept until
 	// bench/ stops setting it.
 	Workers int
 	// MaxDirtyStripes bounds the write buffer: exceeding it flushes the
@@ -96,10 +96,6 @@ type Config struct {
 	// repair distinct stripes concurrently (each under its stripe's
 	// shard lock). 0 selects 1.
 	RepairWorkers int
-	// LockShards sizes the striped lock table: stripes hash to shards,
-	// and operations on stripes in different shards run in parallel.
-	// 0 selects 32; the value is rounded up to a power of two.
-	LockShards int
 	// FlushWorkers sizes the asynchronous flush pipeline: with workers,
 	// a filled or evicted stripe buffer is handed to a background pool
 	// that encodes and writes it back while the writer keeps going, and
@@ -340,13 +336,9 @@ func Open(cfg Config) (*Store, error) {
 	if repairWorkers < 1 {
 		return nil, fmt.Errorf("store: RepairWorkers=%d must be ≥ 0", cfg.RepairWorkers)
 	}
-	if cfg.LockShards < 0 {
-		return nil, fmt.Errorf("store: LockShards=%d must be ≥ 0", cfg.LockShards)
-	}
 	if cfg.FlushWorkers < 0 {
 		return nil, fmt.Errorf("store: FlushWorkers=%d must be ≥ 0", cfg.FlushWorkers)
 	}
-	nshards := shardCount(cfg.LockShards)
 	s := &Store{
 		code:       cfg.Code,
 		devs:       devs,
@@ -356,8 +348,8 @@ func Open(cfg Config) (*Store, error) {
 		sectorSize: cfg.SectorSize,
 		maxDirty:   maxDirty,
 		dataCells:  cfg.Code.DataCells(),
-		shards:     newShards(nshards, n, r),
-		shardMask:  nshards - 1,
+		shards:     newShards(defaultLockShards, n, r),
+		shardMask:  defaultLockShards - 1,
 		down:       make([]atomic.Bool, n),
 		repairQ:    newRepairQueue(repairQueueLen),
 		quit:       make(chan struct{}),

@@ -245,7 +245,6 @@ func TestOpenValidation(t *testing.T) {
 		{Code: code, SectorSize: 128, Stripes: 0},
 		{Code: code, SectorSize: 128, Stripes: 1, Devices: []Device{NewMemDevice(4, 128)}},
 		{Code: code, SectorSize: 128, Stripes: 1, RepairWorkers: -1},
-		{Code: code, SectorSize: 128, Stripes: 1, LockShards: -1},
 	} {
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("Open(%+v) accepted an invalid config", cfg)
