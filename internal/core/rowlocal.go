@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"slices"
 
+	"stair/internal/ec"
 	"stair/internal/gf"
+	"stair/internal/matrix"
 )
 
 // Row-local repair is the first step of the paper's practical decoding
@@ -51,8 +53,8 @@ func (c *Code) rowHave(dst, lost []int) []int {
 // rowSolveFor returns (solving and compiling on first use) the row-local
 // repair of a sorted, duplicate-free set of 1..m lost columns. Each of
 // its plans computes one lost column over a row's cells indexed by
-// column, one single-destination op per source: the first overwrites
-// the destination, the rest accumulate into it.
+// column: its row of the solve, lowered by ec.Solve.Lower, one
+// single-destination op per source.
 func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	// The key is the set as a one-row pattern, on the stack for n ≤ 256.
 	var wbuf [4]uint64
@@ -68,8 +70,6 @@ func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	if rs != nil {
 		return rs, nil
 	}
-	// Built once per column set, so out of as few allocations as the
-	// shapes allow: one backing array per kind, sliced per lost column.
 	k, kappa := len(lost), c.n-c.m
 	cols := append(c.rowHave(make([]int, 0, kappa+k), lost), lost...)
 	set := cols[kappa:]
@@ -78,24 +78,24 @@ func (c *Code) rowSolveFor(lost []int) (*rowSolve, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: row-local solve of columns %v: %w", set, err)
 	}
-	ops, cells := make([]gf.Op, 0, k*kappa), make([]int32, 0, k*(kappa+1))
+	// Built once per column set, so out of as few allocations as the
+	// shapes allow: one backing array per kind and one coefficient row.
+	sv := ec.Solve{Ops: make([]gf.Op, 0, k*kappa)}
+	cells := make([]int32, 0, k*(kappa+1))
+	krow := matrix.New(c.f, 1, kappa)
 	for i, col := range set {
-		dst, first, from := int32(col), len(ops), len(cells)
-		for j, src := range rs.have {
-			// An MDS row solve has no zero coefficient (a cell would
-			// otherwise follow from n−m−1 others); skipping one keeps the
-			// plan right regardless.
-			if coeff := coeffs.At(i, j); coeff != 0 {
-				ops = append(ops, gf.Op{N: 1, Acc: len(ops) > first, Src: int32(src),
-					Dst: [4]int32{dst}, Tab: [4]*gf.MulTable{c.f.Table(coeff)}})
-				cells = append(cells, int32(src))
+		for j := range kappa {
+			krow.Set(0, j, coeffs.At(i, j))
+		}
+		first, from := len(sv.Ops), len(cells)
+		sv.Lower(krow, rs.have, set[i:i+1])
+		for _, o := range sv.Ops[first:] {
+			if o.N > 0 {
+				cells = append(cells, o.Src)
 			}
 		}
-		if len(ops) == first {
-			ops = append(ops, gf.Op{Dst: [4]int32{dst}})
-		}
-		cells = append(cells, dst)
-		rs.plans[i] = plan{ops: ops[first:len(ops):len(ops)], cells: cells[from:len(cells):len(cells)], stages: 1}
+		cells = append(cells, int32(col))
+		rs.plans[i] = plan{ops: sv.Ops[first:len(sv.Ops):len(sv.Ops)], cells: cells[from:len(cells):len(cells)], stages: 1}
 	}
 	c.rowMu.Lock()
 	c.rowSolves[string(key)] = rs

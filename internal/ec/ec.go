@@ -7,7 +7,10 @@
 // handed either, the way the paper's §6 compares the codes over one
 // stripe shape with one methodology.
 //
-// It is a leaf: the code packages import it, it imports none of them.
+// Linear (linear.go) is the code-agnostic half of a linear code, SD's
+// included, and Solve.Lower the one lowering of a coefficient matrix to
+// a gf.Op list, which the RS baseline and STAIR's row solves share. It
+// imports gf and matrix, and still no code package.
 package ec
 
 import "fmt"
@@ -43,9 +46,10 @@ type Code interface {
 	// pattern inside the coverage the code is built for; they differ in
 	// what they promise outside it:
 	//
-	//   - SD is rank-exact: true iff the lost cells' columns of the
-	//     parity-check matrix are independent, so patterns beyond
-	//     m chunks + s sectors that happen to be solvable are true.
+	//   - SD (a Linear) is rank-exact: true iff the parity-check matrix
+	//     solves for the lost cells, so patterns beyond m chunks +
+	//     s sectors that happen to be solvable are true. The answer is
+	//     the cached solve a Repair of the pattern then runs.
 	//   - STAIR is peel-based: true iff its row/column peeling decoder
 	//     finds a repair schedule. That covers the (m, e) coverage and
 	//     the out-of-coverage patterns that peel by luck, but a pattern

@@ -30,7 +30,8 @@ func wholeChunks(k, r int) []ec.Cell {
 // zero a pattern at the edge of the code's coverage (m whole chunks plus
 // its full sector allowance), Repair, and compare every byte; then m+1
 // whole chunks, which every code must refuse in both CanRecover and
-// Repair.
+// Repair. The SD row forced to W=16 runs ec.Linear's solves on the
+// GF(2^16) kernel, whatever width the unforced construction settles on.
 func TestConformance(t *testing.T) {
 	const n, r, m = 8, 4, 2
 	stair := func(e []int) ec.Code {
@@ -40,9 +41,15 @@ func TestConformance(t *testing.T) {
 		}
 		return c.EC()
 	}
-	sdCode, err := sd.New(sd.Config{N: n, R: r, M: m, S: 2})
-	if err != nil {
-		t.Fatal(err)
+	sdCode := func(w int) ec.Code {
+		c, err := sd.New(sd.Config{N: n, R: r, M: m, S: 2, W: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w != 0 && c.W() != w {
+			t.Fatalf("SD W=%d built over GF(2^%d)", w, c.W())
+		}
+		return c
 	}
 	for _, tc := range []struct {
 		name    string
@@ -52,7 +59,8 @@ func TestConformance(t *testing.T) {
 		{"STAIR e=(1,1,2)", stair([]int{1, 1, 2}),
 			[]ec.Cell{{Col: 3, Row: 0}, {Col: 5, Row: 3}, {Col: 6, Row: 1}, {Col: 6, Row: 2}}},
 		{"STAIR e=∅ (Reed-Solomon)", stair(nil), nil},
-		{"SD s=2", sdCode, []ec.Cell{{Col: 2, Row: 0}, {Col: 7, Row: 3}}},
+		{"SD s=2", sdCode(0), []ec.Cell{{Col: 2, Row: 0}, {Col: 7, Row: 3}}},
+		{"SD s=2 W=16", sdCode(16), []ec.Cell{{Col: 2, Row: 0}, {Col: 7, Row: 3}}},
 	} {
 		code := tc.code
 		if code.N() != n || code.R() != r {

@@ -37,15 +37,6 @@ func New(f *gf.Field, rows, cols int) *Matrix {
 	return &Matrix{f: f, rows: rows, cols: cols, data: make([]uint32, rows*cols)}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(f *gf.Field, n int) *Matrix {
-	m := New(f, n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Cauchy builds the |ys|×|xs| Cauchy matrix A with A[i][j] = 1/(xs[j]+ys[i]).
 // All xs and ys values must be distinct field elements (xs[j] != ys[i] for
 // every pair), which guarantees every square submatrix is invertible — the
@@ -87,19 +78,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := New(m.f, m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Equal reports whether two matrices have identical dimensions and data.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if o.data[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Mul returns m·o. Panics on dimension mismatch (programming error).
@@ -238,17 +216,6 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 	r := New(m.f, len(rows), m.cols)
 	for i, src := range rows {
 		copy(r.data[i*m.cols:(i+1)*m.cols], m.data[src*m.cols:(src+1)*m.cols])
-	}
-	return r
-}
-
-// SelectCols returns a new matrix made of the given columns of m, in order.
-func (m *Matrix) SelectCols(cols []int) *Matrix {
-	r := New(m.f, m.rows, len(cols))
-	for i := 0; i < m.rows; i++ {
-		for j, src := range cols {
-			r.Set(i, j, m.At(i, src))
-		}
 	}
 	return r
 }

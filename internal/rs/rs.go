@@ -11,7 +11,9 @@ package rs
 
 import (
 	"fmt"
+	"sync"
 
+	"stair/internal/ec"
 	"stair/internal/gf"
 	"stair/internal/matrix"
 )
@@ -34,7 +36,7 @@ func (k Kind) String() string {
 
 // Code is a systematic (eta, kappa) MDS code. Codewords are indexed
 // 0..eta-1; positions 0..kappa-1 are data, kappa..eta-1 are parity.
-// A Code is immutable and safe for concurrent use.
+// A Code is safe for concurrent use.
 type Code struct {
 	f     *gf.Field
 	eta   int
@@ -42,6 +44,12 @@ type Code struct {
 	// gen is the eta×kappa generator: codeword = gen · data (column
 	// vector), with the top kappa×kappa block the identity.
 	gen *matrix.Matrix
+
+	// encode is gen's parity block lowered over the cell vector [data,
+	// parity], built on EncodeRegions' first call: core builds two codes
+	// per STAIR code and encodes through its own plans.
+	encodeOnce sync.Once
+	encode     ec.Solve
 }
 
 // New constructs an (eta, kappa) systematic Cauchy MDS code. kind must
@@ -59,13 +67,14 @@ func New(f *gf.Field, eta, kappa int, kind Kind) (*Code, error) {
 	if eta > f.Size() {
 		return nil, fmt.Errorf("rs: eta=%d exceeds field size 2^%d=%d; use a wider field", eta, f.W(), f.Size())
 	}
-	c := &Code{f: f, eta: eta, kappa: kappa}
+	c := &Code{f: f, eta: eta, kappa: kappa, gen: matrix.New(f, eta, kappa)}
+	for j := 0; j < kappa; j++ {
+		c.gen.Set(j, j, 1)
+	}
 	if eta == kappa {
-		c.gen = matrix.Identity(f, kappa)
 		return c, nil
 	}
-	xs := make([]uint32, eta-kappa)
-	ys := make([]uint32, kappa)
+	xs, ys := make([]uint32, eta-kappa), make([]uint32, kappa)
 	for i := range xs {
 		xs[i] = uint32(kappa + i)
 	}
@@ -78,31 +87,13 @@ func New(f *gf.Field, eta, kappa int, kind Kind) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rs: building Cauchy parity block: %w", err)
 	}
-	c.gen = stack(matrix.Identity(f, kappa), a)
+	for i := 0; i < eta-kappa; i++ {
+		for j := 0; j < kappa; j++ {
+			c.gen.Set(kappa+i, j, a.At(i, j))
+		}
+	}
 	return c, nil
 }
-
-// stack returns the vertical concatenation [top; bottom].
-func stack(top, bottom *matrix.Matrix) *matrix.Matrix {
-	if top.Cols() != bottom.Cols() {
-		panic("rs: stack column mismatch")
-	}
-	m := matrix.New(top.Field(), top.Rows()+bottom.Rows(), top.Cols())
-	for i := 0; i < top.Rows(); i++ {
-		for j := 0; j < top.Cols(); j++ {
-			m.Set(i, j, top.At(i, j))
-		}
-	}
-	for i := 0; i < bottom.Rows(); i++ {
-		for j := 0; j < bottom.Cols(); j++ {
-			m.Set(top.Rows()+i, j, bottom.At(i, j))
-		}
-	}
-	return m
-}
-
-// Field returns the underlying Galois field.
-func (c *Code) Field() *gf.Field { return c.f }
 
 // Kappa returns the number of data symbols.
 func (c *Code) Kappa() int { return c.kappa }
@@ -129,7 +120,9 @@ func (c *Code) EncodeSymbols(data []uint32) ([]uint32, error) {
 
 // EncodeRegions computes parity regions from data regions. data must hold
 // kappa equal-length regions; parity must hold eta−kappa regions of the
-// same length, which are overwritten.
+// same length, which are overwritten. It runs the parity block as one
+// compiled solve, source-major: each data region is read once, not once
+// per parity row (the ec_encode_data shape).
 func (c *Code) EncodeRegions(data, parity [][]byte) error {
 	if len(data) != c.kappa {
 		return fmt.Errorf("rs: got %d data regions, want %d", len(data), c.kappa)
@@ -137,19 +130,24 @@ func (c *Code) EncodeRegions(data, parity [][]byte) error {
 	if len(parity) != c.eta-c.kappa {
 		return fmt.Errorf("rs: got %d parity regions, want %d", len(parity), c.eta-c.kappa)
 	}
-	// Source-major: one fused pass per data region updating every parity
-	// region, so each data region is read once rather than once per
-	// parity row (the ec_encode_data shape).
-	for _, out := range parity {
-		clear(out)
-	}
-	coeffs := make([]uint32, len(parity))
-	for j, in := range data {
-		for p := range parity {
-			coeffs[p] = c.gen.At(c.kappa+p, j)
+	size, sb := len(data[0]), c.f.SymbolBytes()
+	cells := append(append(make([][]byte, 0, c.eta), data...), parity...)
+	for i, region := range cells {
+		if len(region) != size || size%sb != 0 {
+			return fmt.Errorf("rs: region %d has %d bytes, want %d, a multiple of %d", i, len(region), size, sb)
 		}
-		c.f.MultXORFused(parity, in, coeffs)
 	}
+	if len(parity) == 0 {
+		return nil
+	}
+	c.encodeOnce.Do(func() {
+		rows := make([]int, c.eta-c.kappa) // the parity rows, and cells
+		for i := range rows {
+			rows[i] = c.kappa + i
+		}
+		c.encode.Lower(c.gen.SelectRows(rows), nil, rows)
+	})
+	c.encode.Run(c.f, cells, size)
 	return nil
 }
 

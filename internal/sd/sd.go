@@ -14,20 +14,19 @@
 // its claimed coverage, regenerating the global rows (deterministically
 // seeded) if verification fails.
 //
-// Encode and Repair are one operation, the linear solve over the
-// parity-check matrix H (matrix.Solve) compiled into a gf.Op list over
-// the stripe's cells. Encode's solve is the standard method with no
-// parity reuse; Repair's reads every surviving sector and is cached per
-// loss pattern.
+// What is SD's own here is H (its construction with salted retries) and
+// the coverage verification. Encode, Repair and CanRecover are an
+// ec.Linear over H: each is one linear solve of H compiled into a gf.Op
+// list over the stripe's cells. Encode's solve is the standard method
+// with no parity reuse; Repair's reads every surviving sector and is
+// cached per loss pattern, and CanRecover asks the same cached solve.
 package sd
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 
 	"stair/internal/ec"
 	"stair/internal/gf"
@@ -35,7 +34,7 @@ import (
 )
 
 // ErrUnrecoverable reports a failure pattern the code cannot repair.
-var ErrUnrecoverable = errors.New("sd: failure pattern is unrecoverable")
+var ErrUnrecoverable = ec.ErrUnrecoverable
 
 // Config describes an SD code instance.
 type Config struct {
@@ -58,43 +57,23 @@ const (
 	// construction beyond the canonical worst case, when the pattern
 	// space is too large to enumerate.
 	verifySamples = 64
-	// maxSolveCacheEntries bounds the repair solve cache, as core bounds
-	// its decode plan cache; a full cache starts over.
-	maxSolveCacheEntries = 256
-	// solveTile is the per-cell byte range one RunOps call covers: a
-	// solve's destinations stay cache-resident while the sources stream.
-	solveTile = 4096
 )
 
-// Code is a compiled SD code, safe for concurrent use. Its one mutable
-// state is the repair solve cache, guarded by mu.
+// Code is a compiled SD code, safe for concurrent use (its one mutable
+// state is lin's solve cache).
 type Code struct {
-	cfg  Config
 	n, r int
 	m, s int
 	f    *gf.Field
 
-	// H is the (m·r+s) × (n·r) parity-check matrix; cell (col,row) maps
-	// to variable row*n+col (row-major, matching the SD papers).
+	// H is the (m·r+s) × (n·r) parity-check matrix over the stripe's
+	// cells, column col·r+row.
 	h *matrix.Matrix
 
 	dataCells   []ec.Cell
 	parityCells []ec.Cell
 
-	encode *solve // the solve for the parity cells: K = H_P⁻¹·H_D
-
-	mu     sync.Mutex
-	solves map[string]*solve // repair solves by lost cells' bitset; nil: unrecoverable
-}
-
-// solve is one compiled linear solve, x_lost = K·x (matrix.Solve): the
-// kernel ops that rewrite the lost cells from the others, source by
-// source in stripe order, over the stripe's own cells (index col·r+row).
-// Each lost cell's first term overwrites it, so it needs no zero-fill
-// and may hold anything before a run.
-type solve struct {
-	ops   []gf.Op
-	terms int // K's nonzero coefficients: the Mult_XORs one run makes
+	lin *ec.Linear // H's solves: Encode's is K = H_P⁻¹·H_D
 }
 
 // New constructs and verifies an SD code.
@@ -127,7 +106,7 @@ func New(cfg Config) (*Code, error) {
 		if cfg.N*cfg.R > 1<<w {
 			continue
 		}
-		c := &Code{cfg: cfg, n: cfg.N, r: cfg.R, m: cfg.M, s: cfg.S, f: gf.Get(w)}
+		c := &Code{n: cfg.N, r: cfg.R, m: cfg.M, s: cfg.S, f: gf.Get(w)}
 		c.indexCells()
 		// Try the Vandermonde-style global rows first (the published
 		// construction shape), then salted random rows until the
@@ -136,19 +115,11 @@ func New(cfg Config) (*Code, error) {
 		if w == widths[len(widths)-1] {
 			attempts = 50
 		}
-		parity := make([]int, len(c.parityCells))
-		for i, cell := range c.parityCells {
-			parity[i] = cell.Col*c.r + cell.Row
-		}
 		for salt := 0; salt < attempts; salt++ {
 			c.buildH(salt)
-			k, err := c.h.Solve(c.vars(parity))
-			if err != nil {
-				continue
-			}
-			if c.verify() {
-				c.encode = c.compile(k, parity)
-				c.solves = make(map[string]*solve)
+			lin, err := ec.NewLinear(c.h, c.n, c.r, c.parityCells)
+			if err == nil && c.verify() {
+				c.lin = lin
 				return c, nil
 			}
 		}
@@ -159,25 +130,22 @@ func New(cfg Config) (*Code, error) {
 // W returns the Galois field word size the construction settled on.
 func (c *Code) W() int { return c.f.W() }
 
+// indexCells lists the parity cells, the last m chunks and then the
+// bottom s sectors of the last data chunk (the globals), and the data
+// cells, every other cell in row-major order.
 func (c *Code) indexCells() {
-	isParity := make([]bool, c.n*c.r) // indexed row*n+col
-	// Row parity chunks: the last m columns.
 	for col := c.n - c.m; col < c.n; col++ {
 		for row := 0; row < c.r; row++ {
-			isParity[row*c.n+col] = true
 			c.parityCells = append(c.parityCells, ec.Cell{Col: col, Row: row})
 		}
 	}
-	// Global parities: the bottom s sectors of the last data chunk.
 	gcol := c.n - c.m - 1
 	for k := 0; k < c.s; k++ {
-		row := c.r - 1 - k
-		isParity[row*c.n+gcol] = true
-		c.parityCells = append(c.parityCells, ec.Cell{Col: gcol, Row: row})
+		c.parityCells = append(c.parityCells, ec.Cell{Col: gcol, Row: c.r - 1 - k})
 	}
 	for row := 0; row < c.r; row++ {
-		for col := 0; col < c.n; col++ {
-			if !isParity[row*c.n+col] {
+		for col := 0; col < c.n-c.m; col++ {
+			if col != gcol || row < c.r-c.s {
 				c.dataCells = append(c.dataCells, ec.Cell{Col: col, Row: row})
 			}
 		}
@@ -186,8 +154,9 @@ func (c *Code) indexCells() {
 
 // buildH assembles the parity-check matrix: m Reed-Solomon constraints
 // per row plus s global constraints. Salt 0 uses Vandermonde-power
-// globals (coefficient α^{(m+t)·ℓ} for stripe position ℓ); other salts
-// draw seeded random coefficients.
+// globals (coefficient α^{(m+t)·ℓ} for row-major stripe position
+// ℓ = row·n+col, as in the SD papers); other salts draw seeded random
+// coefficients in that order.
 func (c *Code) buildH(salt int) {
 	q := c.m*c.r + c.s
 	c.h = matrix.New(c.f, q, c.n*c.r)
@@ -195,36 +164,25 @@ func (c *Code) buildH(salt int) {
 	for i := 0; i < c.r; i++ {
 		for z := 0; z < c.m; z++ {
 			for j := 0; j < c.n; j++ {
-				c.h.Set(row, i*c.n+j, c.f.Exp(2, z*j))
+				c.h.Set(row, j*c.r+i, c.f.Exp(2, z*j))
 			}
 			row++
 		}
 	}
-	if salt == 0 {
-		for t := 0; t < c.s; t++ {
-			for l := 0; l < c.n*c.r; l++ {
-				c.h.Set(row, l, c.f.Exp(2, (c.m+t)*l%(c.f.Size()-1)))
-			}
-			row++
-		}
-		return
+	var rng *rand.Rand
+	if salt != 0 {
+		rng = rand.New(rand.NewSource(int64(salt)*7919 + int64(c.n*1000+c.r*100+c.m*10+c.s)))
 	}
-	rng := rand.New(rand.NewSource(int64(salt)*7919 + int64(c.n*1000+c.r*100+c.m*10+c.s)))
 	for t := 0; t < c.s; t++ {
 		for l := 0; l < c.n*c.r; l++ {
-			c.h.Set(row, l, uint32(1+rng.Intn(c.f.Size()-1)))
+			v := c.f.Exp(2, (c.m+t)*l%(c.f.Size()-1)) // salt 0's coefficient
+			if rng != nil {
+				v = uint32(1 + rng.Intn(c.f.Size()-1))
+			}
+			c.h.Set(row, l%c.n*c.r+l/c.n, v)
 		}
 		row++
 	}
-}
-
-// vars maps stripe cell indices (col·r+row) to H's columns (row·n+col).
-func (c *Code) vars(cells []int) []int {
-	vs := make([]int, len(cells))
-	for i, idx := range cells {
-		vs[i] = idx%c.r*c.n + idx/c.r
-	}
-	return vs
 }
 
 // verify checks the claimed coverage: exhaustively when the pattern
@@ -243,37 +201,40 @@ func (c *Code) verify() bool {
 	for k := 0; k < c.s; k++ {
 		worst = append(worst, ec.Cell{Col: c.m % c.n, Row: k})
 	}
-	if c.m+c.s > 0 && !c.patternSolvable(worst) {
-		return false
-	}
 	rng := rand.New(rand.NewSource(int64(c.n*7 + c.r*11 + c.m*13 + c.s*17)))
-	for trial := 0; trial < verifySamples; trial++ {
-		lost := c.randomCoveredPattern(rng)
-		if !c.patternSolvable(lost) {
+	for trial, lost := 0, worst; trial <= verifySamples; trial++ {
+		if !c.solvable(lost) {
 			return false
 		}
+		lost = c.randomCoveredPattern(rng)
 	}
 	return true
 }
 
-// exhaustive reports whether the pattern space, C(n, m) × C(n·r − m·r,
-// s), fits under exhaustiveLimit, an overflow counting as too large.
-func (c *Code) exhaustive() bool {
-	a, b := binomial(c.n, c.m), binomial((c.n-c.m)*c.r, c.s)
-	return a >= 0 && b >= 0 && (a == 0 || a*b/a == b) && a*b <= exhaustiveLimit
+// solvable reports whether H determines a pattern's cells, which must be
+// distinct and at least one. It solves without compiling: the patterns
+// verification samples never reach Repair.
+func (c *Code) solvable(lost []ec.Cell) bool {
+	idx := make([]int, len(lost))
+	for i, cell := range lost {
+		idx[i] = cell.Col*c.r + cell.Row
+	}
+	_, err := c.h.Solve(idx)
+	return err == nil
 }
 
-func binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	res := 1
+// exhaustive reports whether the pattern space, C(n, m) × C(n·r − m·r,
+// s), fits under exhaustiveLimit.
+func (c *Code) exhaustive() bool {
+	return binomial(c.n, c.m)*binomial((c.n-c.m)*c.r, c.s) <= exhaustiveLimit
+}
+
+// binomial returns C(n, k) in float64: exact while it fits 53 bits, and
+// an overflow is +Inf, never a wrapped count.
+func binomial(n, k int) float64 {
+	res := 1.0
 	for i := 0; i < k; i++ {
-		res = res * (n - i)
-		if res < 0 {
-			return -1
-		}
-		res /= i + 1
+		res = res * float64(n-i) / float64(i+1)
 	}
 	return res
 }
@@ -297,9 +258,9 @@ func (c *Code) verifyExhaustive() bool {
 		for col := 0; col < c.n; col++ {
 			for row := 0; row < c.r; row++ {
 				if slices.Contains(chunks, col) {
-					base = append(base, row*c.n+col)
+					base = append(base, col*c.r+row)
 				} else {
-					survivors = append(survivors, row*c.n+col)
+					survivors = append(survivors, col*c.r+row)
 				}
 			}
 		}
@@ -367,26 +328,11 @@ func (c *Code) randomCoveredPattern(rng *rand.Rand) []ec.Cell {
 	return lost
 }
 
-// patternSolvable reports whether the lost positions' parity-check
-// submatrix has full column rank.
-func (c *Code) patternSolvable(lost []ec.Cell) bool {
-	if len(lost) == 0 || len(lost) > c.h.Rows() {
-		return len(lost) == 0
-	}
-	cols := make([]int, len(lost))
-	for i, cell := range lost {
-		cols[i] = cell.Row*c.n + cell.Col
-	}
-	return c.h.SelectCols(cols).Rank() == len(lost)
-}
-
 // N returns the number of chunks per stripe.
 func (c *Code) N() int { return c.n }
 
-// KernelName reports which GF region kernel this code's Mult_XOR region
-// ops dispatch to (internal/gf runtime CPU dispatch, overridable with
-// STAIR_GF_KERNEL). SD codes picked over GF(2^8)/GF(2^4) ride the SIMD
-// kernels; instances forced to GF(2^16) take the portable widened path.
+// KernelName reports the GF region kernel this code's solves run on:
+// the dispatched SIMD kernel at w=8, the widened portable one at w=16.
 func (c *Code) KernelName() string { return c.f.KernelName() }
 
 // R returns the number of sectors per chunk.
@@ -408,152 +354,35 @@ func (c *Code) MeanUpdatePenalty() float64 {
 	if len(c.dataCells) == 0 {
 		return 0
 	}
-	return float64(c.encode.terms) / float64(len(c.dataCells))
-}
-
-func (c *Code) checkStripe(cells [][]byte) (int, error) {
-	if len(cells) != c.n*c.r {
-		return 0, fmt.Errorf("sd: stripe has %d cells, want %d", len(cells), c.n*c.r)
-	}
-	size := len(cells[0])
-	if size == 0 || size%c.f.SymbolBytes() != 0 {
-		return 0, fmt.Errorf("sd: sector size %d must be a positive multiple of %d", size, c.f.SymbolBytes())
-	}
-	for i, s := range cells {
-		if len(s) != size {
-			return 0, fmt.Errorf("sd: cell %d has %d bytes, want %d", i, len(s), size)
-		}
-	}
-	return size, nil
+	return float64(c.lin.EncodeSolve().Terms) / float64(len(c.dataCells))
 }
 
 // Encode fills the parity cells from the data cells using the standard
 // method: every parity sector is a dense linear combination of all data
 // sectors, with no intermediate reuse (the SD implementation the paper
 // compares against, §6.2).
-func (c *Code) Encode(cells [][]byte) error {
-	size, err := c.checkStripe(cells)
-	if err != nil {
-		return err
-	}
-	c.run(c.encode, cells, size)
-	return nil
-}
+func (c *Code) Encode(cells [][]byte) error { return c.lin.Encode(cells) }
 
 // Repair reconstructs the lost cells in place via a linear solve over the
 // parity-check constraints, reading every surviving sector (the
 // "decoding manner" of the SD implementation). The solve is compiled on
 // a pattern's first Repair and cached.
-func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error {
-	size, err := c.checkStripe(cells)
-	if err == nil && len(lost) > 0 {
-		var s *solve
-		if s, err = c.repairSolve(lost); err == nil {
-			c.run(s, cells, size)
-		}
-	}
-	return err
-}
+func (c *Code) Repair(cells [][]byte, lost []ec.Cell) error { return c.lin.Repair(cells, lost) }
 
-// repairSolve returns lost's solve, cached under lost's bitset: built on
-// the stack for stripes of up to 2 048 cells, so a hit allocates nothing.
-func (c *Code) repairSolve(lost []ec.Cell) (*solve, error) {
-	var kbuf [256]byte
-	key := kbuf[:]
-	if nb := (c.n*c.r + 7) / 8; nb <= len(kbuf) {
-		key = kbuf[:nb]
-	} else {
-		key = make([]byte, nb)
-	}
-	count := 0
-	for _, cell := range lost {
-		if cell.Col < 0 || cell.Col >= c.n || cell.Row < 0 || cell.Row >= c.r {
-			return nil, fmt.Errorf("sd: lost cell %v out of range", cell)
-		}
-		i := cell.Col*c.r + cell.Row
-		if key[i>>3]&(1<<(i&7)) == 0 {
-			key[i>>3] |= 1 << (i & 7)
-			count++
-		}
-	}
-	c.mu.Lock()
-	s, hit := c.solves[string(key)]
-	c.mu.Unlock()
-	if !hit {
-		idx := make([]int, 0, count)
-		for i := 0; i < c.n*c.r; i++ {
-			if key[i>>3]&(1<<(i&7)) != 0 {
-				idx = append(idx, i)
-			}
-		}
-		if k, err := c.h.Solve(c.vars(idx)); err == nil {
-			s = c.compile(k, idx)
-		}
-		c.mu.Lock()
-		if len(c.solves) >= maxSolveCacheEntries {
-			clear(c.solves)
-		}
-		c.solves[string(key)] = s
-		c.mu.Unlock()
-	}
-	if s == nil {
-		return nil, fmt.Errorf("%w: %d lost cells", ErrUnrecoverable, count)
-	}
-	return s, nil
-}
-
-// compile lowers K, whose row i solves stripe cell lost[i], into a solve.
-func (c *Code) compile(k *matrix.Matrix, lost []int) *solve {
-	s := &solve{}
-	terms := make([]int, len(lost)) // 0 until lost[i]'s first term, then 1
-	var dsts [2][]int32             // [0]: first terms (overwrite), [1]: the rest
-	var tabs [2][]*gf.MulTable
-	for src := 0; src < c.n*c.r; src++ {
-		v := src%c.r*c.n + src/c.r
-		for a := range dsts {
-			dsts[a], tabs[a] = dsts[a][:0], tabs[a][:0]
-		}
-		for i, dst := range lost {
-			coeff := k.At(i, v)
-			if coeff == 0 {
-				continue
-			}
-			a := terms[i]
-			terms[i] = 1
-			dsts[a] = append(dsts[a], int32(dst))
-			tabs[a] = append(tabs[a], c.f.Table(coeff))
-			s.terms++
-		}
-		s.ops = gf.AppendOps(s.ops, false, int32(src), dsts[0], tabs[0])
-		s.ops = gf.AppendOps(s.ops, true, int32(src), dsts[1], tabs[1])
-	}
-	// A lost cell no term reaches is zero in every codeword.
-	for i, dst := range lost {
-		if terms[i] == 0 {
-			s.ops = append([]gf.Op{{Dst: [4]int32{int32(dst)}}}, s.ops...)
-		}
-	}
-	return s
-}
-
-// run executes a solve over a checked stripe, one RunOps call per tile.
-func (c *Code) run(s *solve, cells [][]byte, size int) {
-	k := c.f.Kernel()
-	for lo := 0; lo < size; lo += solveTile {
-		k.RunOps(s.ops, cells, lo, min(lo+solveTile, size))
-	}
-}
-
-// CanRecover reports whether the pattern is repairable.
-func (c *Code) CanRecover(lost []ec.Cell) bool { return c.patternSolvable(dedupe(lost)) }
+// CanRecover reports whether the pattern is repairable: whether the
+// cached solve Repair runs exists.
+func (c *Code) CanRecover(lost []ec.Cell) bool { return c.lin.CanRecover(lost) }
 
 // CoverageContains reports whether a pattern lies within the SD coverage:
 // after absorbing the m most-affected chunks, at most s sectors remain.
 func (c *Code) CoverageContains(lost []ec.Cell) bool {
-	lost = dedupe(lost)
+	seen := make(map[ec.Cell]bool, len(lost))
 	perChunk := make([]int, c.n)
 	for _, cell := range lost {
-		perChunk[cell.Col]++
+		if !seen[cell] {
+			seen[cell] = true
+			perChunk[cell.Col]++
+		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(perChunk)))
 	rest := 0
@@ -561,16 +390,4 @@ func (c *Code) CoverageContains(lost []ec.Cell) bool {
 		rest += perChunk[i]
 	}
 	return rest <= c.s
-}
-
-func dedupe(cells []ec.Cell) []ec.Cell {
-	seen := make(map[ec.Cell]bool, len(cells))
-	out := cells[:0:0]
-	for _, c := range cells {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -167,7 +167,7 @@ func TestEncodeSatisfiesParityCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb := c.f.SymbolBytes()
-		for _, size := range []int{50, solveTile + 6} {
+		for _, size := range []int{50, 4096 + 6} {
 			cells := newStripe(c, size, int64(size))
 			for _, p := range c.parityCells {
 				for i := range cells[p.Col*c.R()+p.Row] {
@@ -181,7 +181,7 @@ func TestEncodeSatisfiesParityCheck(t *testing.T) {
 				for row := 0; row < c.h.Rows(); row++ {
 					var sum uint32
 					for v := 0; v < c.h.Cols(); v++ {
-						cell := cells[v%c.N()*c.R()+v/c.N()]
+						cell := cells[v]
 						x := uint32(cell[off])
 						if sb == 2 {
 							x |= uint32(cell[off+1]) << 8 // little-endian symbols
@@ -270,7 +270,7 @@ func TestVerifyExhaustiveMatchesRankCheck(t *testing.T) {
 		{N: 8, R: 4, M: 2, S: 2, W: 8}, {N: 6, R: 8, M: 1, S: 2, W: 8}, {N: 8, R: 4, M: 1, S: 1, W: 8},
 		{N: 8, R: 4, M: 3, S: 1, W: 8}, {N: 8, R: 4, M: 0, S: 2, W: 8}, {N: 8, R: 4, M: 2, S: 0, W: 8},
 	} {
-		c := &Code{cfg: cfg, n: cfg.N, r: cfg.R, m: cfg.M, s: cfg.S, f: gf.Get(cfg.W)}
+		c := &Code{n: cfg.N, r: cfg.R, m: cfg.M, s: cfg.S, f: gf.Get(cfg.W)}
 		c.indexCells()
 		for salt := 0; salt < 4; salt++ {
 			c.buildH(salt)
@@ -291,7 +291,7 @@ func TestVerifyExhaustiveMatchesRankCheck(t *testing.T) {
 					for _, i := range idx {
 						lost = append(lost, survivors[i])
 					}
-					want = c.patternSolvable(lost)
+					want = c.solvable(lost)
 					return want
 				})
 				return want
@@ -376,7 +376,7 @@ func TestEncodeCostIsDense(t *testing.T) {
 	// encode solve) must be much larger than STAIR-style reuse costs
 	// (cf. Figure 9): at least data×s for the globals alone.
 	c := newCode(t, 8, 8, 2, 3)
-	got := c.encode.terms
+	got := c.lin.EncodeSolve().Terms
 	if got < len(c.DataCells())*c.S() {
 		t.Errorf("encode cost %d suspiciously small", got)
 	}

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"math"
 	"math/bits"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -18,9 +20,21 @@ func stdlibSum(epoch uint32, col, sector int, data []byte) uint32 {
 	return crc32.Checksum(append(msg, data...), castagnoli)
 }
 
-// testSalts are the (epoch, column, sector) addresses the grid tests
-// digest under.
-var testSalts = [][3]int{{0, 0, 0}, {1, 2, 3}, {0xdeadbeef, 65535, 1 << 30}, {0xffffffff, 1<<31 - 1, 1<<63 - 1}}
+// testSalt is an (epoch, column, sector) address, in the types Sum takes.
+type testSalt struct {
+	epoch       uint32
+	col, sector int
+}
+
+// testSalts are the addresses the grid tests digest under. The sector
+// 2^63−1 is an int only where int has 64 bits.
+var testSalts = func() []testSalt {
+	salts := []testSalt{{0, 0, 0}, {1, 2, 3}, {0xdeadbeef, 65535, 1 << 30}}
+	if strconv.IntSize == 64 {
+		salts = append(salts, testSalt{0xffffffff, 1<<31 - 1, math.MaxInt})
+	}
+	return salts
+}()
 
 // TestSumMatchesStdlib holds Sum, and the portable sumStdlib it falls
 // back to, to the stdlib across lengths (either side of the fold
@@ -47,7 +61,7 @@ func TestSumMatchesStdlib(t *testing.T) {
 	for _, n := range lengths {
 		for _, off := range []int{0, 1, 7, 32, 63} {
 			for _, s := range testSalts {
-				check(uint32(s[0]), s[1], s[2], backing[off:off+n], off)
+				check(s.epoch, s.col, s.sector, backing[off:off+n], off)
 			}
 		}
 	}
