@@ -21,7 +21,9 @@ var update = flag.Bool("update", false, "rewrite the golden digests under intern
 // GF(2^16)), the benchmark ledger's geometry and its Reed-Solomon
 // degeneration, the row-local solve of
 // every set of 1..m lost columns (sources, each plan's ops, cells and
-// stages) and the parity bytes C_row's and C_col's EncodeRegions write,
+// stages), the compiled plan of each encode method and the peel's decode
+// plan of every set of 1..m lost columns (ops, cells, stages and
+// sources), and the parity bytes C_row's and C_col's EncodeRegions write,
 // as FNV-64 digests.
 func TestGoldenRowSolvesAndRS(t *testing.T) {
 	var lines []string
@@ -53,6 +55,26 @@ func TestGoldenRowSolvesAndRS(t *testing.T) {
 				line += fmt.Sprintf(" ops=%016x cells=%v stages=%d", opsDigest(c.f, p.ops), p.cells, p.stages)
 			}
 			lines = append(lines, line)
+		}
+		for _, m := range []Method{MethodUpstairs, MethodDownstairs, MethodStandard} {
+			p, err := c.planFor(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("%s plan %v: %s", name, m, planDigest(c.f, p)))
+		}
+		for _, set := range sets {
+			lost := NewPattern(c.n, c.r)
+			for _, col := range set {
+				for row := 0; row < c.r; row++ {
+					lost.Set(col*c.r + row)
+				}
+			}
+			p, err := c.peelPlan(lost, lost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("%s decode %v: %s", name, set, planDigest(c.f, p)))
 		}
 		for _, rc := range []struct {
 			name string
@@ -113,6 +135,21 @@ func opsDigest(f *gf.Field, ops []gf.Op) uint64 {
 	}
 	h.Write(b)
 	return h.Sum64()
+}
+
+// planDigest describes a compiled plan: its op list's digest, a digest of
+// its cells, its stage count and a digest of its sources.
+func planDigest(f *gf.Field, p *plan) string {
+	h := fnv.New64a()
+	for _, i := range p.cells {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(i)))
+	}
+	cells := h.Sum64()
+	h.Reset()
+	for _, cell := range p.sources.AppendCells(nil) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(cell.Col)<<32|uint64(cell.Row)))
+	}
+	return fmt.Sprintf("ops=%016x cells=%016x stages=%d sources=%016x", opsDigest(f, p.ops), cells, p.stages, h.Sum64())
 }
 
 // tableCoeff recovers a table's coefficient as its product with the
