@@ -59,7 +59,9 @@ type sourceTerms struct {
 	coeffs []uint32
 }
 
-// compilePlan lowers a schedule into its source-major plan.
+// compilePlan lowers a schedule into its source-major plan. Count passes
+// size every slice it builds before the pass that fills it, so a build
+// makes a fixed number of allocations whatever the schedule's size.
 func (c *Code) compilePlan(sch *schedule) *plan {
 	// Stage leveling: plan inputs sit at stage 0, an op lands one past
 	// the deepest producer it reads. Schedules are in execution order and
@@ -82,27 +84,69 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			maxStage = s
 		}
 	}
-	// bySrc holds each stage's terms regrouped per source cell, in first-
-	// use order; srcIx[si·nCells+src] is one past stage si's bySrc index
-	// of source cell src, 0 while it has none.
-	bySrc := make([][]sourceTerms, maxStage)
-	outs := make([][]int32, maxStage)
+	// Each stage's terms are regrouped per source cell, in first-use
+	// order: srcIx[si·nCells+src] is one past stage si's group index of
+	// source cell src, 0 while it has none, and terms[si·nCells+src]
+	// bounds that group's terms (merging only shrinks it). The count
+	// pass fills both and counts each stage's groups and outputs.
 	srcIx := make([]int32, int(maxStage)*nCells)
+	terms := make([]int32, int(maxStage)*nCells)
+	stageGroups := make([]int, maxStage+1)
+	stageOuts := make([]int, maxStage+1)
+	nTerms := 0
 	for i := range sch.ops {
 		o := &sch.ops[i]
-		si := opStage[i] - 1
-		outs[si] = append(outs[si], o.dst)
+		si := int(opStage[i] - 1)
+		stageOuts[si+1]++
+		for _, t := range o.terms {
+			if t.coeff&uint32(c.f.Size()-1) == 0 {
+				continue
+			}
+			at := si*nCells + int(t.src)
+			if srcIx[at] == 0 {
+				stageGroups[si+1]++
+				srcIx[at] = int32(stageGroups[si+1])
+			}
+			terms[at]++
+			nTerms++
+		}
+	}
+	// Prefix sums turn the counts into each stage's offsets in the flat
+	// group and output lists; every group's terms get their own run of
+	// the flat term lists.
+	for si := 1; si <= int(maxStage); si++ {
+		stageGroups[si] += stageGroups[si-1]
+		stageOuts[si] += stageOuts[si-1]
+	}
+	groups := make([]sourceTerms, stageGroups[maxStage])
+	dstTerms, coeffTerms := make([]int32, nTerms), make([]uint32, nTerms)
+	off := 0
+	for at, ix := range srcIx {
+		if ix != 0 {
+			n := off + int(terms[at])
+			groups[stageGroups[at/nCells]+int(ix)-1] = sourceTerms{src: int32(at % nCells),
+				dsts: dstTerms[off:off:n], coeffs: coeffTerms[off:off:n]}
+			off = n
+		}
+	}
+	outs := make([]int32, 0, len(sch.ops))
+	for si := range maxStage {
+		for i := range sch.ops {
+			if opStage[i]-1 == si {
+				outs = append(outs, sch.ops[i].dst)
+			}
+		}
+	}
+	for i := range sch.ops {
+		o := &sch.ops[i]
+		si := int(opStage[i] - 1)
 		for _, t := range o.terms {
 			coeff := t.coeff & uint32(c.f.Size()-1)
 			if coeff == 0 {
 				continue
 			}
-			ix := &srcIx[int(si)*nCells+int(t.src)]
-			if *ix == 0 {
-				bySrc[si] = append(bySrc[si], sourceTerms{src: t.src})
-				*ix = int32(len(bySrc[si]))
-			}
-			g := &bySrc[si][*ix-1]
+			at := si*nCells + int(t.src)
+			g := &groups[stageGroups[si]+int(srcIx[at])-1]
 			// Merge duplicate (src,dst) terms: c1·v ^ c2·v = (c1^c2)·v.
 			// An op's destinations must not overlap, and a merged term is
 			// cheaper anyway.
@@ -127,38 +171,55 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 	// accumulated, saving one write plus one read of every destination
 	// region per execution. Only destinations every term of which merged
 	// away still need a zero-fill.
-	// claimer[d] is one past the bySrc index of the source whose term
-	// initialises destination d in the stage at hand, 0 while none does.
-	claimer := make([]int, nCells)
-	var dsts []int32
-	var tabs []*gf.MulTable
-	for si := range bySrc {
-		for gi, g := range bySrc[si] {
+	// claimer[si·nCells+d] is one past the group index of the source
+	// whose term initialises destination d in stage si, 0 while none
+	// does. Claiming counts the ops each stage emits, and the widest
+	// group, before the pass that emits them.
+	claimer := make([]int32, int(maxStage)*nCells)
+	nOps, widest := 0, 0
+	for si := range int(maxStage) {
+		cl := claimer[si*nCells : (si+1)*nCells]
+		for gi, g := range groups[stageGroups[si]:stageGroups[si+1]] {
+			init, live := 0, 0
 			for i, d := range g.dsts {
-				if claimer[d] == 0 && g.coeffs[i] != 0 {
-					claimer[d] = gi + 1
+				if g.coeffs[i] != 0 {
+					live++
+					if cl[d] == 0 {
+						cl[d] = int32(gi + 1)
+						init++
+					}
 				}
 			}
+			nOps += gf.OpsFor(init) + gf.OpsFor(live-init)
+			widest = max(widest, live)
 		}
-		for _, d := range outs[si] {
-			if claimer[d] == 0 {
+		for _, d := range outs[stageOuts[si]:stageOuts[si+1]] {
+			if cl[d] == 0 {
+				nOps++
+			}
+		}
+	}
+	p.ops = make([]gf.Op, 0, nOps)
+	dsts, tabs := make([]int32, 0, widest), make([]*gf.MulTable, 0, widest)
+	for si := range int(maxStage) {
+		cl := claimer[si*nCells : (si+1)*nCells]
+		stage := groups[stageGroups[si]:stageGroups[si+1]]
+		for _, d := range outs[stageOuts[si]:stageOuts[si+1]] {
+			if cl[d] == 0 {
 				p.ops = append(p.ops, gf.Op{Dst: [4]int32{c.slotOf(d)}})
 			}
 		}
 		for _, acc := range []bool{false, true} {
-			for gi, g := range bySrc[si] {
+			for gi, g := range stage {
 				dsts, tabs = dsts[:0], tabs[:0]
 				for i, d := range g.dsts {
-					if g.coeffs[i] != 0 && (claimer[d] != gi+1) == acc {
+					if g.coeffs[i] != 0 && (cl[d] != int32(gi+1)) == acc {
 						dsts = append(dsts, c.slotOf(d))
 						tabs = append(tabs, c.f.Table(g.coeffs[i]))
 					}
 				}
 				p.ops = gf.AppendOps(p.ops, acc, c.slotOf(g.src), dsts, tabs)
 			}
-		}
-		for _, d := range outs[si] {
-			claimer[d] = 0
 		}
 	}
 	p.cells = c.touched(p.ops)
@@ -168,25 +229,35 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 // slotOf is a canonical cell's environment index.
 func (c *Code) slotOf(idx int32) int32 { return c.slot[idx] }
 
-// touched lists, once each, the environment cells an op list reads or
-// writes.
+// touched lists, once each in first-use order, the environment cells an
+// op list reads or writes: a first pass marks and counts them, a second
+// lists each at its first use.
 func (c *Code) touched(ops []gf.Op) []int32 {
-	var cells []int32
-	seen := make([]bool, c.envLen)
-	add := func(i int32) {
-		if !seen[i] {
-			seen[i] = true
+	mark := make([]bool, c.envLen)
+	n := 0
+	walk := func(visit func(int32)) {
+		for _, o := range ops {
+			if o.N > 0 {
+				visit(o.Src)
+			}
+			for _, d := range o.Dst[:max(o.N, 1)] {
+				visit(d)
+			}
+		}
+	}
+	walk(func(i int32) {
+		if !mark[i] {
+			mark[i] = true
+			n++
+		}
+	})
+	cells := make([]int32, 0, n)
+	walk(func(i int32) {
+		if mark[i] {
+			mark[i] = false
 			cells = append(cells, i)
 		}
-	}
-	for _, o := range ops {
-		if o.N > 0 {
-			add(o.Src)
-		}
-		for _, d := range o.Dst[:max(o.N, 1)] {
-			add(d)
-		}
-	}
+	})
 	return cells
 }
 
