@@ -32,27 +32,25 @@ import (
 // returns that region. It relies on the convention that slab-backed
 // buffers are sliced without capacity caps, so the first buffer's
 // capacity reaches to the end of its slab; per-buffer base pointers are
-// then verified exactly, so a false positive is impossible.
+// then verified exactly, so a false positive is impossible. A vector
+// with an empty entry — a read's hole — is never flat.
 func flatSpan(bufs [][]byte) ([]byte, bool) {
-	if len(bufs) == 0 {
-		return nil, false
-	}
 	if len(bufs) == 1 {
-		return bufs[0], true
+		return bufs[0], len(bufs[0]) > 0
 	}
 	total := 0
 	for _, b := range bufs {
+		if len(b) == 0 {
+			return nil, false
+		}
 		total += len(b)
 	}
-	if cap(bufs[0]) < total {
+	if len(bufs) == 0 || cap(bufs[0]) < total {
 		return nil, false
 	}
 	flat := bufs[0][:total]
 	off := len(bufs[0])
 	for _, b := range bufs[1:] {
-		if len(b) == 0 {
-			continue
-		}
 		if &flat[off] != &b[0] {
 			return nil, false
 		}

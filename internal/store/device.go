@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,13 +116,17 @@ func AsSectorErrors(err error) (SectorErrors, bool) {
 // conformance suite:
 //
 //   - ReadSectors fills bufs[i] (each SectorSize bytes) with sector
-//     start+i. Individually lost sectors are reported as SectorErrors
-//     while every readable buffer is still filled; whole-call failures
-//     (ctx cancelled, device wholly failed, transport down) return any
-//     other error and leave the buffers unspecified.
-//   - WriteSectors stores data[i] at sector start+i. A successful write
-//     heals a previously bad sector. Sectors that individually fail to
-//     land are reported as SectorErrors; the rest are durably written.
+//     start+i. A nil bufs[i] is a hole: the caller does not want sector
+//     start+i, and the device neither writes it nor reports it lost, so
+//     one call can land a column's scattered rows. Individually lost
+//     sectors are reported as SectorErrors while every readable buffer
+//     is still filled; whole-call failures (ctx cancelled, device wholly
+//     failed, transport down) return any other error, holes or not, and
+//     leave the buffers unspecified.
+//   - WriteSectors stores data[i] at sector start+i; no entry may be nil.
+//     A successful write heals a previously bad sector. Sectors that
+//     individually fail to land are reported as SectorErrors; the rest
+//     are durably written.
 //   - Both honor ctx cancellation and deadlines: a cancelled context
 //     aborts the call promptly with ctx.Err() (possibly wrapped).
 //   - Implementations must be safe for concurrent use: the store's
@@ -219,14 +224,22 @@ func checkExtent(sectors, start, count int) error {
 }
 
 // checkBufs validates that every buffer of a vectored call holds
-// exactly one sector.
-func checkBufs(sectorSize int, bufs [][]byte) error {
+// exactly one sector; with holes (a read's), a nil buffer passes too.
+func checkBufs(sectorSize int, bufs [][]byte, holes bool) error {
 	for i, b := range bufs {
-		if len(b) != sectorSize {
+		if len(b) != sectorSize && !(holes && b == nil) {
 			return fmt.Errorf("store: buffer %d is %d bytes, want sector size %d", i, len(b), sectorSize)
 		}
 	}
 	return nil
+}
+
+// holeFree reports whether a read's buffers have no hole. Only then is a
+// read that a backend stages, rather than taking it in place as one
+// region, a copy-elision fallback (see ScratchFlats): a holed read
+// stages by design.
+func holeFree(bufs [][]byte) bool {
+	return !slices.ContainsFunc(bufs, func(b []byte) bool { return b == nil })
 }
 
 // faultState is the failure metadata shared by the built-in backends.
@@ -243,13 +256,23 @@ func newFaultState(sectors int) *faultState {
 	return &faultState{bad: make([]bool, sectors)}
 }
 
-// lostLocked collects the bad sectors of extent [start, start+count) as
-// the SectorErrors a vectored read reports. Callers hold mu.
-func (f *faultState) lostLocked(start, count int) SectorErrors {
-	var lost SectorErrors
-	for i := start; i < start+count; i++ {
-		if f.bad[i] {
-			lost = append(lost, SectorError{Index: i, Err: ErrBadSector})
+// lostLocked collects the bad sectors a vectored read of bufs at start
+// reports, holes skipped, as SectorErrors allocated once: nil when there
+// are none. Callers hold mu.
+func (f *faultState) lostLocked(start int, bufs [][]byte) SectorErrors {
+	n := 0
+	for i, b := range bufs {
+		if f.bad[start+i] && b != nil {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	lost := make(SectorErrors, 0, n)
+	for i, b := range bufs {
+		if f.bad[start+i] && b != nil {
+			lost = append(lost, SectorError{Index: start + i, Err: ErrBadSector})
 		}
 	}
 	return lost

@@ -467,3 +467,26 @@ func TestAsSectorErrorsSuccessPathDoesNotAllocate(t *testing.T) {
 		t.Fatal("whole-call failure reported as partial")
 	}
 }
+
+// TestBlankChunkReadAllocations: a rebuild's first read of a replaced
+// device finds every sector of its chunk bad. The read lists them in one
+// allocation, and boxing the list as the call's error is the other.
+func TestBlankChunkReadAllocations(t *testing.T) {
+	const chunk = 16
+	d := NewMemDevice(4*chunk, 512)
+	if err := d.Replace(); err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([][]byte, chunk)
+	for i := range bufs {
+		bufs[i] = make([]byte, 512)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if se, ok := AsSectorErrors(d.ReadSectors(bg, chunk, bufs)); !ok || len(se) != chunk {
+			t.Fatalf("blank chunk read: %d sectors lost, want %d", len(se), chunk)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("blank chunk read: %.1f allocations, want at most 2", allocs)
+	}
+}

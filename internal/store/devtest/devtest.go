@@ -178,6 +178,85 @@ func Run(t *testing.T, factory Factory) {
 		}
 	})
 
+	t.Run("Holes", func(t *testing.T) {
+		// A nil read buffer is a hole: the device neither writes it nor
+		// reports it lost. Both shapes run: carved out of one backing
+		// (holes leave it untouched) and scattered.
+		d := factory(t, sectors, sectorSize)
+		defer d.Close()
+		fillAll(t, d)
+		for _, idx := range []int{4, 7} {
+			if err := d.InjectSectorError(idx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const sentinel = 0xEE
+		read := func(shape string, start int, holes ...int) ([][]byte, []byte, error) {
+			t.Helper()
+			flat := make([]byte, 8*sectorSize)
+			for i := range flat {
+				flat[i] = sentinel
+			}
+			bufs := make([][]byte, 8)
+			for i := range bufs {
+				if shape == "contiguous" {
+					bufs[i] = flat[i*sectorSize : (i+1)*sectorSize]
+				} else {
+					bufs[i] = make([]byte, sectorSize)
+				}
+			}
+			for _, h := range holes {
+				bufs[h-start] = nil
+			}
+			return bufs, flat, d.ReadSectors(ctx, start, bufs)
+		}
+		for _, shape := range []string{"contiguous", "scattered"} {
+			// Extent [2,10): a leading hole (2), a bad sector under a hole
+			// (4), a good one (6) and a trailing hole (9); bad sector 7 is
+			// present.
+			holes := []int{2, 4, 6, 9}
+			bufs, flat, err := read(shape, 2, holes...)
+			se, ok := store.AsSectorErrors(err)
+			if !ok || len(se) != 1 || se[0].Index != 7 {
+				t.Fatalf("%s: read with holes: %v, want exactly sector 7 lost", shape, err)
+			}
+			for i, buf := range bufs {
+				if idx := 2 + i; buf != nil && idx != 7 && !bytes.Equal(buf, payload(idx)) {
+					t.Fatalf("%s: present sector %d not filled beside holes", shape, idx)
+				}
+			}
+			untouched := bytes.Repeat([]byte{sentinel}, sectorSize)
+			for _, h := range holes {
+				if shape == "contiguous" && !bytes.Equal(flat[(h-2)*sectorSize:(h-1)*sectorSize], untouched) {
+					t.Fatalf("hole at sector %d was written", h)
+				}
+			}
+			// The only bad sectors of [3,11) but 7 sit under holes.
+			if _, _, err := read(shape, 3, 4, 7); err != nil {
+				t.Fatalf("%s: read whose bad sectors are all holes: %v, want nil", shape, err)
+			}
+		}
+		// Writes take no holes.
+		if err := d.WriteSectors(ctx, 0, [][]byte{payload(100), nil}); err == nil {
+			t.Fatal("write with a nil buffer accepted")
+		}
+		buf := make([]byte, sectorSize)
+		if err := store.ReadSector(ctx, d, 0, buf); err != nil || !bytes.Equal(buf, payload(0)) {
+			t.Fatalf("sector 0 after a refused write: %v", err)
+		}
+		// A wholly failed device fails the call, holes or not.
+		if err := d.Fail(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := read("scattered", 2, 2, 4)
+		if !errors.Is(err, store.ErrDeviceFailed) {
+			t.Fatalf("read with holes on a failed device: %v, want ErrDeviceFailed", err)
+		}
+		if _, ok := store.AsSectorErrors(err); ok {
+			t.Fatal("whole-device failure reported as per-sector SectorErrors")
+		}
+	})
+
 	t.Run("HealOnWrite", func(t *testing.T) {
 		d := factory(t, sectors, sectorSize)
 		defer d.Close()

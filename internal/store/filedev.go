@@ -29,9 +29,11 @@ type FileDevice struct {
 	// payload of an injected bad sector — allocated once at open
 	// instead of per injection.
 	zero []byte
-	// scratchFlats counts vectored calls that could not use the
-	// zero-copy contiguous path and fell back to a scratch flat; the
-	// copy-elision tests assert it stays zero for slab-backed extents.
+	// scratchFlats counts vectored calls without holes that could not
+	// use the zero-copy contiguous path and fell back to a scratch flat;
+	// the copy-elision tests assert it stays zero for slab-backed
+	// extents. A read with holes takes the scratch flat by design and is
+	// not counted.
 	scratchFlats atomic.Uint64
 	*faultState
 }
@@ -153,7 +155,9 @@ func (d *FileDevice) SectorSize() int { return d.sectorSize }
 // the whole extent; bad sectors are reported as SectorErrors while the
 // readable ones are still returned. When bufs tiles one contiguous
 // region and the extent has no bad sectors, the pread lands directly in
-// the caller's memory with no intermediate copy.
+// the caller's memory with no intermediate copy; otherwise it lands in
+// a pooled scratch flat and only the present, readable sectors are
+// copied out, so holes stay untouched.
 func (d *FileDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -161,7 +165,7 @@ func (d *FileDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) 
 	if err := checkExtent(d.sectors, start, len(bufs)); err != nil {
 		return err
 	}
-	if err := checkBufs(d.sectorSize, bufs); err != nil {
+	if err := checkBufs(d.sectorSize, bufs, true); err != nil {
 		return err
 	}
 	if len(bufs) == 0 {
@@ -172,21 +176,23 @@ func (d *FileDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) 
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	lost := d.lostLocked(start, len(bufs))
+	lost := d.lostLocked(start, bufs)
 	if flat, ok := flatSpan(bufs); ok && len(lost) == 0 {
 		// Zero-copy path: the contract requires lost buffers to be left
 		// untouched, so it applies only when the extent is wholly good.
 		_, err := d.f.ReadAt(flat, int64(start)*int64(d.sectorSize))
 		return err
 	}
-	d.scratchFlats.Add(1)
+	if holeFree(bufs) {
+		d.scratchFlats.Add(1)
+	}
 	scratch := mem.Acquire(len(bufs) * d.sectorSize)
 	defer mem.Release(scratch)
 	if _, err := d.f.ReadAt(scratch, int64(start)*int64(d.sectorSize)); err != nil {
 		return err
 	}
 	for i, buf := range bufs {
-		if d.bad[start+i] {
+		if buf == nil || d.bad[start+i] {
 			continue
 		}
 		copy(buf, scratch[i*d.sectorSize:(i+1)*d.sectorSize])
@@ -207,7 +213,7 @@ func (d *FileDevice) WriteSectors(ctx context.Context, start int, data [][]byte)
 	if err := checkExtent(d.sectors, start, len(data)); err != nil {
 		return err
 	}
-	if err := checkBufs(d.sectorSize, data); err != nil {
+	if err := checkBufs(d.sectorSize, data, false); err != nil {
 		return err
 	}
 	if len(data) == 0 {

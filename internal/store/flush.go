@@ -129,10 +129,11 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 // about ten of the stripe's cells — so that is what the flush wants of
 // the stripe (every cell, if it is marked unrecoverable): loadPlanned
 // reads and verifies them, one loadChunk per touched column from its
-// first to its last needed row; a sector between needed rows is scratch,
-// never verified or written back. Every loss the load finds joins want,
-// so the load's final plan decodes it from cells the load read, and the
-// flush writes it back, healing it in passing. The incremental parity
+// first to its last needed row; a sector between needed rows is a hole
+// of that call, never read, verified or written back. Every loss the
+// load finds joins want, so the load's final plan decodes it from cells
+// the load read, and the flush writes it back, healing it in passing.
+// A latent error under a hole is left to the scrub. The incremental parity
 // relations, which touch the update set only, are applied in place.
 func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe int, buf *stripeBuf) error {
 	u := &sh.upd

@@ -12,8 +12,10 @@ import (
 // This file is the store's read seam. Every stripe read but a client's
 // read of its own block and the rebuild's first read of its chunk is a
 // planned load: loadPlanned reads what core.PlanRead says a want needs —
-// one cell, an update set, or every cell — and decodes it. A load's cell
-// sets are core.Patterns (indexed by cellIdx), the form PlanRead takes.
+// one cell, an update set, or every cell — and decodes it, landing only
+// the plan's sources: a column's run of them is one vectored call whose
+// rows in between are holes (see Device). A load's cell sets are
+// core.Patterns (indexed by cellIdx), the form PlanRead takes.
 
 // stripeLoad is a load of cells of one stripe in progress, filled one row
 // span of one column at a time by loadChunk. It is shard scratch
@@ -23,7 +25,7 @@ type stripeLoad struct {
 	stripe int
 	// need holds the cells read or found lost so far, and so the cells
 	// that get a checksum verdict: a row of a span that is not in it is
-	// still read, and lost when its read fails.
+	// a hole, not read, and lost only when the whole call fails.
 	need core.Pattern
 	// lost holds the cells found unreadable or checksum-mismatched, and
 	// any the caller knew of; mismatches counts the second kind.
@@ -82,11 +84,12 @@ func (sh *lockShard) chunkVec(st *core.Stripe, col, lo, hi int) [][]byte {
 }
 
 // loadChunk reads rows lo, lo+1, … of column col of ld's stripe into
-// bufs, one sector each, in one vectored call, and adds what it finds to
-// ld: the lost and checksum-mismatched cells and the torn update's cells
-// taken from memory; the answer goes to s.down (noteRead). The error is
-// non-nil only for context cancellation, which ends the load; the
-// verdicts found so far are counted.
+// bufs, one sector each, in one vectored call (a nil buffer is a hole,
+// not read), and adds what it finds to ld: the lost and
+// checksum-mismatched cells and the torn update's cells taken from
+// memory; the answer goes to s.down (noteRead). The error is non-nil
+// only for context cancellation, which ends the load; the verdicts found
+// so far are counted.
 func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs [][]byte) error {
 	sh, torn, at := s.shard(ld.stripe), ld.torn, col*s.r+lo
 	start := s.devSector(ld.stripe, lo)
@@ -115,7 +118,7 @@ func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs
 			return cerr
 		} else {
 			// Whole-call failure (failed device, transport down): every
-			// cell of this span is lost.
+			// cell of this span is lost, holes too.
 			whole = true
 			for i := range bufs {
 				if !torn.has(at + i) {
@@ -168,10 +171,11 @@ func (s *Store) noteRead(ctx context.Context, col int, err error) bool {
 // loadPlanned loads into st what ld.want needs of ld's stripe, the cells
 // in ld.lost being lost, as core.PlanRead says: each source not read yet,
 // a column's run of them in one loadChunk call (rows between two sources
-// read along, unverified), then the same again with the losses those
-// reads found, until a plan meets none. That plan, ld.plan, then decodes
-// want into st from what was read: the store's one decode. With ld.heal
-// every loss found joins want. Only sources get checksum verdicts.
+// holes, neither read nor written), then the same again with the losses
+// those reads found, until a plan meets none. That plan, ld.plan, then
+// decodes want into st from what was read: the store's one decode. With
+// ld.heal every loss found joins want. Only sources are read and get
+// checksum verdicts.
 //
 // A plan that cannot reach want ends the load with ErrUnrecoverable and
 // marks the stripe — sound, since a peel that stalls on a loss set stalls
@@ -221,7 +225,13 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 				ld.need.Set(at)
 				hi = at + 1
 			}
-			if err := s.loadChunk(ctx, ld, src.Col, src.Row, sh.chunkVec(st, src.Col, src.Row, src.Row+hi-lo)); err != nil {
+			bufs := sh.chunkVec(st, src.Col, src.Row, src.Row+hi-lo)
+			for i := range bufs {
+				if !ld.need.Has(lo + i) {
+					bufs[i] = nil
+				}
+			}
+			if err := s.loadChunk(ctx, ld, src.Col, src.Row, bufs); err != nil {
 				return err
 			}
 			i = j

@@ -27,9 +27,9 @@ func (d *MemDevice) Sectors() int { return d.sectors }
 // SectorSize returns the sector payload size.
 func (d *MemDevice) SectorSize() int { return d.sectorSize }
 
-// ReadSectors fills bufs with the extent starting at start. Bad sectors
-// are reported as SectorErrors while the readable ones are still
-// copied out.
+// ReadSectors fills bufs with the extent starting at start, holes
+// skipped. Bad sectors are reported as SectorErrors while the readable
+// ones are still copied out.
 func (d *MemDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -37,7 +37,7 @@ func (d *MemDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) e
 	if err := checkExtent(d.sectors, start, len(bufs)); err != nil {
 		return err
 	}
-	if err := checkBufs(d.sectorSize, bufs); err != nil {
+	if err := checkBufs(d.sectorSize, bufs, true); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -45,7 +45,7 @@ func (d *MemDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) e
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	lost := d.lostLocked(start, len(bufs))
+	lost := d.lostLocked(start, bufs)
 	if flat, ok := flatSpan(bufs); ok && len(lost) == 0 {
 		// Single memmove for a contiguous destination over a wholly
 		// good extent (lost buffers must stay untouched).
@@ -54,7 +54,7 @@ func (d *MemDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) e
 	}
 	for i, buf := range bufs {
 		idx := start + i
-		if d.bad[idx] {
+		if buf == nil || d.bad[idx] {
 			continue
 		}
 		copy(buf, d.data[idx*d.sectorSize:(idx+1)*d.sectorSize])
@@ -74,7 +74,7 @@ func (d *MemDevice) WriteSectors(ctx context.Context, start int, data [][]byte) 
 	if err := checkExtent(d.sectors, start, len(data)); err != nil {
 		return err
 	}
-	if err := checkBufs(d.sectorSize, data); err != nil {
+	if err := checkBufs(d.sectorSize, data, false); err != nil {
 		return err
 	}
 	d.mu.Lock()

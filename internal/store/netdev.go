@@ -119,10 +119,11 @@ type NetDevice struct {
 	sectorSize int
 	retry      retryPolicy   // defaultRetryPolicy; tests shorten it
 	retries    atomic.Uint64 // retry attempts issued, first tries excluded
-	// scratchFlats counts vectored calls that fell back to a gather or
-	// scatter copy because the caller's buffers were not one contiguous
-	// region — the copy-elision tests assert it stays zero for
-	// slab-backed extents.
+	// scratchFlats counts calls without holes that fell back to a gather
+	// or scatter copy because the caller's buffers were not one
+	// contiguous region — the copy-elision tests assert it stays zero for
+	// slab-backed extents. A read with holes is copied out of the spill
+	// buffer by design and is not counted.
 	scratchFlats atomic.Uint64
 
 	mu    sync.Mutex
@@ -136,11 +137,16 @@ type frameConn struct {
 	br   *bufio.Reader
 	req  [reqHeaderLen]byte
 	resp [respHeaderLen]byte
-	kill func() // closes rwc; run by a call whose context ends
+	size int // the device's sector size, a read body's unit
+	// spill receives a read's body when the buffers do not tile one
+	// region (see readResponse). It grows to the largest such body and
+	// lives as long as the connection.
+	spill []byte
+	kill  func() // closes rwc; run by a call whose context ends
 }
 
 // roundTrip sends one request frame and reads its response.
-func (c *frameConn) roundTrip(op byte, start, count int, body, flat []byte, cause error) (byte, error) {
+func (c *frameConn) roundTrip(op byte, start, count int, body []byte, bufs [][]byte, cause error) (byte, error) {
 	putRequest(&c.req, op, start, count, len(body))
 	if _, err := c.rwc.Write(c.req[:]); err != nil {
 		return statusBroken, err
@@ -150,11 +156,11 @@ func (c *frameConn) roundTrip(op byte, start, count int, body, flat []byte, caus
 			return statusBroken, err
 		}
 	}
-	return readResponse(c.br, &c.resp, start, count, flat, cause)
+	return c.readResponse(start, count, bufs, cause)
 }
 
-// ScratchFlats reports how many vectored calls fell back to an
-// intermediate flat copy instead of using the caller's contiguous
+// ScratchFlats reports how many vectored calls without holes fell back
+// to an intermediate flat copy instead of using the caller's contiguous
 // memory directly.
 func (d *NetDevice) ScratchFlats() uint64 { return d.scratchFlats.Load() }
 
@@ -282,7 +288,7 @@ func (d *NetDevice) upgrade(ctx context.Context) (c *frameConn, err error, trans
 		resp.Body.Close()
 		return nil, fmt.Errorf("store: the HTTP client hands the upgraded connection over as %T, not an io.ReadWriteCloser (an http.Client with Timeout set does this; leave Timeout zero and bound calls with their contexts)", resp.Body), false
 	}
-	c = &frameConn{rwc: rwc, br: bufio.NewReader(rwc)}
+	c = &frameConn{rwc: rwc, br: bufio.NewReader(rwc), size: d.sectorSize}
 	c.kill = func() { rwc.Close() }
 	return c, nil, false
 }
@@ -290,10 +296,10 @@ func (d *NetDevice) upgrade(ctx context.Context) (c *frameConn, err error, trans
 // call runs one frame round trip, retrying transient failures on a
 // fresh connection per the device's retry policy: idle connections to a
 // server that went away are as dead as the one that failed. body is a
-// write's payload; flat receives a read's.
-func (d *NetDevice) call(ctx context.Context, op byte, start, count int, body, flat []byte, cause error) error {
+// write's payload; bufs receives a read's.
+func (d *NetDevice) call(ctx context.Context, op byte, start, count int, body []byte, bufs [][]byte, cause error) error {
 	for attempt := 1; ; attempt++ {
-		err, transient := d.callOnce(ctx, attempt > 1, op, start, count, body, flat, cause)
+		err, transient := d.callOnce(ctx, attempt > 1, op, start, count, body, bufs, cause)
 		if !transient || attempt >= d.retry.MaxAttempts {
 			return err
 		}
@@ -305,7 +311,7 @@ func (d *NetDevice) call(ctx context.Context, op byte, start, count int, body, f
 
 // callOnce makes one attempt; transient reports whether a retry on a
 // fresh connection could help.
-func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, count int, body, flat []byte, cause error) (err error, transient bool) {
+func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, count int, body []byte, bufs [][]byte, cause error) (err error, transient bool) {
 	if err := ctx.Err(); err != nil {
 		return err, false
 	}
@@ -320,7 +326,7 @@ func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, co
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, c.kill)
 	}
-	status, err := c.roundTrip(op, start, count, body, flat, cause)
+	status, err := c.roundTrip(op, start, count, body, bufs, cause)
 	if stop != nil && !stop() {
 		// The context ended during the call and closed the connection.
 		d.drop(c)
@@ -338,35 +344,25 @@ func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, co
 	return err, true
 }
 
-// ReadSectors fetches the extent in one round trip. Remotely lost
-// sectors come back as SectorErrors wrapping ErrBadSector, with every
-// readable buffer filled.
+// ReadSectors fetches the extent in one round trip. The body lands in
+// the caller's buffers in place when they tile one region, else in the
+// connection's spill buffer, from which the present sectors are copied;
+// remotely lost sectors come back as SectorErrors wrapping ErrBadSector,
+// those under holes dropped, with every readable buffer filled.
 func (d *NetDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := checkExtent(d.sectors, start, len(bufs)); err != nil {
 		return err
 	}
-	if err := checkBufs(d.sectorSize, bufs); err != nil {
+	if err := checkBufs(d.sectorSize, bufs, true); err != nil {
 		return err
 	}
 	if len(bufs) == 0 {
 		return ctx.Err()
 	}
-	// A contiguous buffer vector receives the body directly; the
-	// protocol fills every sector (lost ones zeroed), so this is
-	// byte-identical to the scatter path.
-	flat, contiguous := flatSpan(bufs)
-	if !contiguous {
+	if _, flat := flatSpan(bufs); !flat && holeFree(bufs) {
 		d.scratchFlats.Add(1)
-		flat = mem.Acquire(len(bufs) * d.sectorSize)
-		defer mem.Release(flat)
 	}
-	err := d.call(ctx, opRead, start, len(bufs), nil, flat, ErrBadSector)
-	if _, lost := AsSectorErrors(err); !contiguous && (err == nil || lost) {
-		for i, buf := range bufs {
-			copy(buf, flat[i*d.sectorSize:(i+1)*d.sectorSize])
-		}
-	}
-	return err
+	return d.call(ctx, opRead, start, len(bufs), nil, bufs, ErrBadSector)
 }
 
 // errRemoteWrite is the cause of a sector a remote write did not land.
@@ -378,7 +374,7 @@ func (d *NetDevice) WriteSectors(ctx context.Context, start int, data [][]byte) 
 	if err := checkExtent(d.sectors, start, len(data)); err != nil {
 		return err
 	}
-	if err := checkBufs(d.sectorSize, data); err != nil {
+	if err := checkBufs(d.sectorSize, data, false); err != nil {
 		return err
 	}
 	if len(data) == 0 {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,6 +18,10 @@ const (
 	// maxFrameMsg caps an error frame's message, so a response header
 	// cannot make the client allocate more than this for one.
 	maxFrameMsg = 512
+	// minSpill is the least a connection's spill buffer is allocated
+	// at, so that it does not grow call by call through a column's
+	// span lengths: 16 sectors of 4 KiB.
+	minSpill = 64 << 10
 )
 
 // Request ops.
@@ -92,12 +95,19 @@ func parseRequest(h *[reqHeaderLen]byte, sectors, size int) (frameRequest, error
 }
 
 // readResponse reads the response frame of a call on the extent
-// [start, start+count); a read's body lands in flat, which is nil for
-// writes and syncs. A sectors frame comes back as SectorErrors wrapping
-// cause, and only after every index is checked against the extent: a
-// server cannot report a loss outside the call. Any malformed frame or
-// read failure is statusBroken.
-func readResponse(br *bufio.Reader, h *[respHeaderLen]byte, start, count int, flat []byte, cause error) (byte, error) {
+// [start, start+count); a read's body of count sectors lands in bufs,
+// which is nil for writes and syncs. A contiguous vector takes the body
+// in place. Any other — scattered, or with holes — takes it in c.spill,
+// one read, and its present sectors are copied out: reading it in place
+// would cost a socket read per run of holes or sectors, which on
+// loopback is dearer than the copy. A sectors frame comes back as
+// SectorErrors wrapping cause, and only after every index is checked
+// against the extent: a server cannot report a loss outside the call. A
+// read's lost sectors under holes are dropped, and a frame that lists
+// only those reads as ok. Any malformed frame or read failure is
+// statusBroken.
+func (c *frameConn) readResponse(start, count int, bufs [][]byte, cause error) (byte, error) {
+	br, h := c.br, &c.resp
 	if _, err := io.ReadFull(br, h[:]); err != nil {
 		return statusBroken, err
 	}
@@ -115,9 +125,8 @@ func readResponse(br *bufio.Reader, h *[respHeaderLen]byte, start, count int, fl
 		if n == 0 || uint64(n) > uint64(count) {
 			return statusBroken, fmt.Errorf("store: device server listed %d sectors for a %d-sector call", n, count)
 		}
-		lost = make(SectorErrors, n)
 		var b [8]byte
-		for i := range lost {
+		for i := range int(n) {
 			if _, err := io.ReadFull(br, b[:]); err != nil {
 				return statusBroken, err
 			}
@@ -125,7 +134,13 @@ func readResponse(br *bufio.Reader, h *[respHeaderLen]byte, start, count int, fl
 			if idx < uint64(start) || idx-uint64(start) >= uint64(count) {
 				return statusBroken, fmt.Errorf("store: device server listed sector %d outside the call's extent [%d,%d)", idx, start, start+count)
 			}
-			lost[i] = SectorError{Index: int(idx), Err: cause}
+			if bufs != nil && bufs[idx-uint64(start)] == nil {
+				continue
+			}
+			if lost == nil {
+				lost = make(SectorErrors, 0, int(n)-i)
+			}
+			lost = append(lost, SectorError{Index: int(idx), Err: cause})
 		}
 	case statusDeviceFailed, statusBadRequest, statusServerError:
 		if n > maxFrameMsg {
@@ -147,15 +162,36 @@ func readResponse(br *bufio.Reader, h *[respHeaderLen]byte, start, count int, fl
 	default:
 		return statusBroken, fmt.Errorf("store: unknown status %d from device server", status)
 	}
-	if flat != nil {
-		if _, err := io.ReadFull(br, flat); err != nil {
-			return statusBroken, fmt.Errorf("store: short read from device server: %w", err)
-		}
+	if err := c.readBody(bufs); err != nil {
+		return statusBroken, fmt.Errorf("store: short read from device server: %w", err)
 	}
 	if lost != nil {
 		return statusSectors, lost
 	}
 	return statusOK, nil
+}
+
+// readBody reads a read's body into bufs (see readResponse).
+func (c *frameConn) readBody(bufs [][]byte) error {
+	if bufs == nil {
+		return nil
+	}
+	if flat, ok := flatSpan(bufs); ok {
+		_, err := io.ReadFull(c.br, flat)
+		return err
+	}
+	n := len(bufs) * c.size
+	if cap(c.spill) < n {
+		c.spill = make([]byte, max(n, minSpill))
+	}
+	body := c.spill[:n]
+	if _, err := io.ReadFull(c.br, body); err != nil {
+		return err
+	}
+	for i, b := range bufs {
+		copy(b, body[i*c.size:])
+	}
+	return nil
 }
 
 // frameWriter writes a server connection's response frames, each as one

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 )
@@ -60,13 +61,72 @@ func TestDeviceServerHostileExtents(t *testing.T) {
 		if _, err := c.rwc.Write(tc.frame); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		status, err := readResponse(c.br, &c.resp, 0, 1, nil, nil)
+		status, err := c.readResponse(0, 1, nil, nil)
 		if status != statusBadRequest {
 			t.Errorf("%s: status %d (%v), want bad request", tc.name, status, err)
 		}
 		// A refused request ends its connection.
 		if _, err := c.br.ReadByte(); err != io.EOF {
 			t.Errorf("%s: connection still open after a bad request (%v)", tc.name, err)
+		}
+	}
+}
+
+// TestReadResponseHoles: a read body whose buffers have holes lands in
+// the connection's spill buffer, grown past its first size when a body
+// needs it, and only the present sectors are copied out — a trailing
+// hole after buffers that tile one region included; a lost sector under
+// a hole is dropped, and one in a present buffer is reported. The whole
+// frame is consumed either way.
+func TestReadResponseHoles(t *testing.T) {
+	const size, count, start = 32 << 10, 3, 10 // a 96 KiB body outgrows minSpill
+	frame := func(lost ...uint64) []byte {
+		b := []byte{statusOK, 0, 0, 0, 0, 0, 0, 0}
+		if len(lost) > 0 {
+			b[0] = statusSectors
+			binary.BigEndian.PutUint32(b[4:], uint32(len(lost)))
+		}
+		for _, idx := range lost {
+			b = binary.BigEndian.AppendUint64(b, idx)
+		}
+		for i := range count {
+			b = append(b, bytes.Repeat([]byte{byte(i + 1)}, size)...)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		hole int
+		lost []uint64
+		want []int
+	}{
+		{1, nil, nil},
+		{1, []uint64{start + 1}, nil},
+		{1, []uint64{start + 1, start + 2}, []int{start + 2}},
+		{2, []uint64{start + 2}, nil},
+	} {
+		c := &frameConn{br: bufio.NewReader(bytes.NewReader(frame(tc.lost...))), size: size}
+		flat := make([]byte, count*size)
+		bufs := [][]byte{flat[:size], flat[size : 2*size], flat[2*size:]}
+		bufs[tc.hole] = nil
+		status, err := c.readResponse(start, count, bufs, ErrBadSector)
+		var got []int
+		if se, ok := AsSectorErrors(err); ok {
+			for _, e := range se {
+				got = append(got, e.Index)
+			}
+		} else if err != nil {
+			t.Fatalf("hole %d, lost %v: %v", tc.hole, tc.lost, err)
+		}
+		if !slices.Equal(got, tc.want) || (status == statusSectors) != (len(tc.want) > 0) {
+			t.Fatalf("hole %d, lost %v: status %d, reported %v, want %v", tc.hole, tc.lost, status, got, tc.want)
+		}
+		for i, b := range bufs {
+			if b != nil && !bytes.Equal(b, bytes.Repeat([]byte{byte(i + 1)}, size)) {
+				t.Fatalf("hole %d, lost %v: sector %d not copied out of the spill", tc.hole, tc.lost, i)
+			}
+		}
+		if _, err := c.br.ReadByte(); err != io.EOF {
+			t.Fatalf("hole %d, lost %v: frame not consumed whole (%v)", tc.hole, tc.lost, err)
 		}
 	}
 }
@@ -134,9 +194,10 @@ func FuzzFrameRequest(f *testing.F) {
 
 // FuzzFrameResponse feeds arbitrary server bytes to the client's
 // response reader. SectorErrors come back only from a well-formed
-// sectors frame, never more than the call's count of them and never
-// outside its extent; anything else a hostile server can send is a
-// whole-call error.
+// sectors frame, never more than the call's count of them, never
+// outside its extent and never under a read's hole (holes has bit i set
+// when sector start+i is one); anything else a hostile server can send
+// is a whole-call error.
 func FuzzFrameResponse(f *testing.F) {
 	resp := func(status byte, n uint32, rest ...uint64) []byte {
 		b := []byte{status, 0, 0, 0}
@@ -146,22 +207,30 @@ func FuzzFrameResponse(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(resp(statusOK, 0), uint16(0), uint16(1), false)
-	f.Add(append(resp(statusOK, 0), make([]byte, 16)...), uint16(3), uint16(2), true)
-	f.Add(append(resp(statusSectors, 1, 4), make([]byte, 16)...), uint16(3), uint16(2), true)
-	f.Add(resp(statusSectors, 2, 3, 3), uint16(3), uint16(1), false)
-	f.Add(resp(statusSectors, 1, 9), uint16(3), uint16(2), false)
-	f.Add(resp(statusSectors, 1, math.MaxUint64), uint16(3), uint16(2), false)
-	f.Add(append(resp(statusServerError, 4), "boom"...), uint16(0), uint16(1), false)
-	f.Add(resp(statusDeviceFailed, 1<<31), uint16(0), uint16(1), false)
-	f.Fuzz(func(t *testing.T, data []byte, start, count uint16, read bool) {
+	f.Add(resp(statusOK, 0), uint16(0), uint16(1), false, uint64(0))
+	f.Add(append(resp(statusOK, 0), make([]byte, 16)...), uint16(3), uint16(2), true, uint64(0))
+	f.Add(append(resp(statusSectors, 1, 4), make([]byte, 16)...), uint16(3), uint16(2), true, uint64(0))
+	f.Add(append(resp(statusSectors, 1, 4), make([]byte, 16)...), uint16(3), uint16(2), true, uint64(2))
+	f.Add(append(resp(statusSectors, 2, 3, 5), make([]byte, 24)...), uint16(3), uint16(3), true, uint64(5))
+	f.Add(resp(statusSectors, 2, 3, 3), uint16(3), uint16(1), false, uint64(0))
+	f.Add(resp(statusSectors, 1, 9), uint16(3), uint16(2), false, uint64(0))
+	f.Add(resp(statusSectors, 1, math.MaxUint64), uint16(3), uint16(2), false, uint64(0))
+	f.Add(append(resp(statusServerError, 4), "boom"...), uint16(0), uint16(1), false, uint64(0))
+	f.Add(resp(statusDeviceFailed, 1<<31), uint16(0), uint16(1), false, uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, start, count uint16, read bool, holes uint64) {
 		const size = 8
-		var flat []byte
+		hole := func(i int) bool { return i < 64 && holes&(1<<i) != 0 }
+		var bufs [][]byte
 		if read {
-			flat = make([]byte, int(count)*size)
+			bufs = make([][]byte, count)
+			for i := range bufs {
+				if !hole(i) {
+					bufs[i] = make([]byte, size)
+				}
+			}
 		}
-		var h [respHeaderLen]byte
-		status, err := readResponse(bufio.NewReader(bytes.NewReader(data)), &h, int(start), int(count), flat, ErrBadSector)
+		c := &frameConn{br: bufio.NewReader(bytes.NewReader(data)), size: size}
+		status, err := c.readResponse(int(start), int(count), bufs, ErrBadSector)
 		lost, isLost := AsSectorErrors(err)
 		switch status {
 		case statusOK:
@@ -175,6 +244,9 @@ func FuzzFrameResponse(f *testing.F) {
 			for _, se := range lost {
 				if se.Index < int(start) || se.Index >= int(start)+int(count) || !errors.Is(se, ErrBadSector) {
 					t.Fatalf("sector error %v outside the call's extent [%d,%d)", se, start, int(start)+int(count))
+				}
+				if read && hole(se.Index-int(start)) {
+					t.Fatalf("sector error %v under a hole", se)
 				}
 			}
 		case statusDeviceFailed:
