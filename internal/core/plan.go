@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"stair/internal/gf"
 )
@@ -59,9 +60,10 @@ type sourceTerms struct {
 	coeffs []uint32
 }
 
-// compilePlan lowers a schedule into its source-major plan. Count passes
-// size every slice it builds before the pass that fills it, so a build
-// makes a fixed number of allocations whatever the schedule's size.
+// compilePlan lowers a schedule into its source-major plan. A count pass
+// sizes the per-source term lists and the stage outputs before the pass
+// that fills them, so their number of allocations does not grow with the
+// schedule.
 func (c *Code) compilePlan(sch *schedule) *plan {
 	// Stage leveling: plan inputs sit at stage 0, an op lands one past
 	// the deepest producer it reads. Schedules are in execution order and
@@ -129,17 +131,14 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			off = n
 		}
 	}
-	outs := make([]int32, 0, len(sch.ops))
-	for si := range maxStage {
-		for i := range sch.ops {
-			if opStage[i]-1 == si {
-				outs = append(outs, sch.ops[i].dst)
-			}
-		}
-	}
+	// outs lists each stage's outputs, in schedule order, from the
+	// stage's offset on; next is where the stage's next one goes.
+	outs, next := make([]int32, len(sch.ops)), slices.Clone(stageOuts)
 	for i := range sch.ops {
 		o := &sch.ops[i]
 		si := int(opStage[i] - 1)
+		outs[next[si]] = o.dst
+		next[si]++
 		for _, t := range o.terms {
 			coeff := t.coeff & uint32(c.f.Size()-1)
 			if coeff == 0 {
@@ -171,41 +170,22 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 	// accumulated, saving one write plus one read of every destination
 	// region per execution. Only destinations every term of which merged
 	// away still need a zero-fill.
-	// claimer[si·nCells+d] is one past the group index of the source
-	// whose term initialises destination d in stage si, 0 while none
-	// does. Claiming counts the ops each stage emits, and the widest
-	// group, before the pass that emits them.
-	claimer := make([]int32, int(maxStage)*nCells)
-	nOps, widest := 0, 0
+	// claimer[d] is one past the group index of the source whose term
+	// initialises destination d in the stage at hand, 0 while none does.
+	claimer := make([]int, nCells)
+	var dsts []int32
+	var tabs []*gf.MulTable
 	for si := range int(maxStage) {
-		cl := claimer[si*nCells : (si+1)*nCells]
-		for gi, g := range groups[stageGroups[si]:stageGroups[si+1]] {
-			init, live := 0, 0
+		stage, out := groups[stageGroups[si]:stageGroups[si+1]], outs[stageOuts[si]:stageOuts[si+1]]
+		for gi, g := range stage {
 			for i, d := range g.dsts {
-				if g.coeffs[i] != 0 {
-					live++
-					if cl[d] == 0 {
-						cl[d] = int32(gi + 1)
-						init++
-					}
+				if claimer[d] == 0 && g.coeffs[i] != 0 {
+					claimer[d] = gi + 1
 				}
 			}
-			nOps += gf.OpsFor(init) + gf.OpsFor(live-init)
-			widest = max(widest, live)
 		}
-		for _, d := range outs[stageOuts[si]:stageOuts[si+1]] {
-			if cl[d] == 0 {
-				nOps++
-			}
-		}
-	}
-	p.ops = make([]gf.Op, 0, nOps)
-	dsts, tabs := make([]int32, 0, widest), make([]*gf.MulTable, 0, widest)
-	for si := range int(maxStage) {
-		cl := claimer[si*nCells : (si+1)*nCells]
-		stage := groups[stageGroups[si]:stageGroups[si+1]]
-		for _, d := range outs[stageOuts[si]:stageOuts[si+1]] {
-			if cl[d] == 0 {
+		for _, d := range out {
+			if claimer[d] == 0 {
 				p.ops = append(p.ops, gf.Op{Dst: [4]int32{c.slotOf(d)}})
 			}
 		}
@@ -213,13 +193,16 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 			for gi, g := range stage {
 				dsts, tabs = dsts[:0], tabs[:0]
 				for i, d := range g.dsts {
-					if g.coeffs[i] != 0 && (cl[d] != int32(gi+1)) == acc {
+					if g.coeffs[i] != 0 && (claimer[d] != gi+1) == acc {
 						dsts = append(dsts, c.slotOf(d))
 						tabs = append(tabs, c.f.Table(g.coeffs[i]))
 					}
 				}
 				p.ops = gf.AppendOps(p.ops, acc, c.slotOf(g.src), dsts, tabs)
 			}
+		}
+		for _, d := range out {
+			claimer[d] = 0
 		}
 	}
 	p.cells = c.touched(p.ops)
@@ -229,35 +212,25 @@ func (c *Code) compilePlan(sch *schedule) *plan {
 // slotOf is a canonical cell's environment index.
 func (c *Code) slotOf(idx int32) int32 { return c.slot[idx] }
 
-// touched lists, once each in first-use order, the environment cells an
-// op list reads or writes: a first pass marks and counts them, a second
-// lists each at its first use.
+// touched lists, once each, the environment cells an op list reads or
+// writes.
 func (c *Code) touched(ops []gf.Op) []int32 {
-	mark := make([]bool, c.envLen)
-	n := 0
-	walk := func(visit func(int32)) {
-		for _, o := range ops {
-			if o.N > 0 {
-				visit(o.Src)
-			}
-			for _, d := range o.Dst[:max(o.N, 1)] {
-				visit(d)
-			}
-		}
-	}
-	walk(func(i int32) {
-		if !mark[i] {
-			mark[i] = true
-			n++
-		}
-	})
-	cells := make([]int32, 0, n)
-	walk(func(i int32) {
-		if mark[i] {
-			mark[i] = false
+	cells := make([]int32, 0, c.envLen)
+	seen := make([]bool, c.envLen)
+	add := func(i int32) {
+		if !seen[i] {
+			seen[i] = true
 			cells = append(cells, i)
 		}
-	})
+	}
+	for _, o := range ops {
+		if o.N > 0 {
+			add(o.Src)
+		}
+		for _, d := range o.Dst[:max(o.N, 1)] {
+			add(d)
+		}
+	}
 	return cells
 }
 

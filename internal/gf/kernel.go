@@ -116,9 +116,6 @@ type Op struct {
 	Tab [4]*MulTable
 }
 
-// OpsFor is the number of ops AppendOps appends for n destinations.
-func OpsFor(n int) int { return n/4 + n%4/2 + n%2 }
-
 // AppendOps appends the ops computing dsts[i] (^)= tabs[i]·src, split
 // into fours, then a pair, then a single.
 func AppendOps(ops []Op, acc bool, src int32, dsts []int32, tabs []*MulTable) []Op {
