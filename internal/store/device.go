@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -232,14 +231,6 @@ func checkBufs(sectorSize int, bufs [][]byte, holes bool) error {
 		}
 	}
 	return nil
-}
-
-// holeFree reports whether a read's buffers have no hole. Only then is a
-// read that a backend stages, rather than taking it in place as one
-// region, a copy-elision fallback (see ScratchFlats): a holed read
-// stages by design.
-func holeFree(bufs [][]byte) bool {
-	return !slices.ContainsFunc(bufs, func(b []byte) bool { return b == nil })
 }
 
 // faultState is the failure metadata shared by the built-in backends.

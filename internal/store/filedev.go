@@ -29,11 +29,9 @@ type FileDevice struct {
 	// payload of an injected bad sector — allocated once at open
 	// instead of per injection.
 	zero []byte
-	// scratchFlats counts vectored calls without holes that could not
-	// use the zero-copy contiguous path and fell back to a scratch flat;
-	// the copy-elision tests assert it stays zero for slab-backed
-	// extents. A read with holes takes the scratch flat by design and is
-	// not counted.
+	// scratchFlats counts vectored calls that could not use the
+	// zero-copy contiguous path and fell back to a scratch flat; the
+	// copy-elision tests assert it stays zero for slab-backed extents.
 	scratchFlats atomic.Uint64
 	*faultState
 }
@@ -151,13 +149,11 @@ func (d *FileDevice) Sectors() int { return d.sectors }
 // SectorSize returns the sector payload size.
 func (d *FileDevice) SectorSize() int { return d.sectorSize }
 
-// ReadSectors fills bufs from the backing file with one pread covering
-// the whole extent; bad sectors are reported as SectorErrors while the
-// readable ones are still returned. When bufs tiles one contiguous
-// region and the extent has no bad sectors, the pread lands directly in
-// the caller's memory with no intermediate copy; otherwise it lands in
-// a pooled scratch flat and only the present, readable sectors are
-// copied out, so holes stay untouched.
+// ReadSectors fills bufs from the backing file with one pread per run
+// of present, readable sectors; holes and bad sectors are skipped, and
+// the bad ones reported as SectorErrors. A run whose buffers tile one
+// region — every run of a slab-backed extent — lands directly in the
+// caller's memory; any other run goes through a pooled scratch flat.
 func (d *FileDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -176,29 +172,48 @@ func (d *FileDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) 
 	if d.failed {
 		return ErrDeviceFailed
 	}
-	lost := d.lostLocked(start, bufs)
-	if flat, ok := flatSpan(bufs); ok && len(lost) == 0 {
-		// Zero-copy path: the contract requires lost buffers to be left
-		// untouched, so it applies only when the extent is wholly good.
-		_, err := d.f.ReadAt(flat, int64(start)*int64(d.sectorSize))
-		return err
+	staged := false
+	for i := 0; i < len(bufs); {
+		if bufs[i] == nil || d.bad[start+i] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(bufs) && bufs[j] != nil && !d.bad[start+j] {
+			j++
+		}
+		run, at := bufs[i:j], int64(start+i)*int64(d.sectorSize)
+		var err error
+		if flat, ok := flatSpan(run); ok {
+			_, err = d.f.ReadAt(flat, at)
+		} else {
+			if !staged {
+				staged = true
+				d.scratchFlats.Add(1)
+			}
+			err = d.readScattered(run, at)
+		}
+		if err != nil {
+			return err
+		}
+		i = j
 	}
-	if holeFree(bufs) {
-		d.scratchFlats.Add(1)
+	if lost := d.lostLocked(start, bufs); len(lost) > 0 {
+		return lost
 	}
+	return nil
+}
+
+// readScattered reads the sectors at byte offset at into bufs, which do
+// not tile one region, through a pooled scratch flat. Callers hold mu.
+func (d *FileDevice) readScattered(bufs [][]byte, at int64) error {
 	scratch := mem.Acquire(len(bufs) * d.sectorSize)
 	defer mem.Release(scratch)
-	if _, err := d.f.ReadAt(scratch, int64(start)*int64(d.sectorSize)); err != nil {
+	if _, err := d.f.ReadAt(scratch, at); err != nil {
 		return err
 	}
 	for i, buf := range bufs {
-		if buf == nil || d.bad[start+i] {
-			continue
-		}
-		copy(buf, scratch[i*d.sectorSize:(i+1)*d.sectorSize])
-	}
-	if len(lost) > 0 {
-		return lost
+		copy(buf, scratch[i*d.sectorSize:])
 	}
 	return nil
 }

@@ -119,11 +119,10 @@ type NetDevice struct {
 	sectorSize int
 	retry      retryPolicy   // defaultRetryPolicy; tests shorten it
 	retries    atomic.Uint64 // retry attempts issued, first tries excluded
-	// scratchFlats counts calls without holes that fell back to a gather
-	// or scatter copy because the caller's buffers were not one
-	// contiguous region — the copy-elision tests assert it stays zero for
-	// slab-backed extents. A read with holes is copied out of the spill
-	// buffer by design and is not counted.
+	// scratchFlats counts calls that fell back to a gather copy because
+	// the caller's buffers were not one contiguous region — the
+	// copy-elision tests assert it stays zero for slab-backed extents.
+	// Reads never stage: a response body lands in the caller's buffers.
 	scratchFlats atomic.Uint64
 
 	mu    sync.Mutex
@@ -137,12 +136,8 @@ type frameConn struct {
 	br   *bufio.Reader
 	req  [reqHeaderLen]byte
 	resp [respHeaderLen]byte
-	size int // the device's sector size, a read body's unit
-	// spill receives a read's body when the buffers do not tile one
-	// region (see readResponse). It grows to the largest such body and
-	// lives as long as the connection.
-	spill []byte
-	kill  func() // closes rwc; run by a call whose context ends
+	size int    // the device's sector size, a read body's unit
+	kill func() // closes rwc; run by a call whose context ends
 }
 
 // roundTrip sends one request frame and reads its response.
@@ -159,8 +154,8 @@ func (c *frameConn) roundTrip(op byte, start, count int, body []byte, bufs [][]b
 	return c.readResponse(start, count, bufs, cause)
 }
 
-// ScratchFlats reports how many vectored calls without holes fell back
-// to an intermediate flat copy instead of using the caller's contiguous
+// ScratchFlats reports how many vectored calls fell back to an
+// intermediate flat copy instead of using the caller's contiguous
 // memory directly.
 func (d *NetDevice) ScratchFlats() uint64 { return d.scratchFlats.Load() }
 
@@ -345,10 +340,9 @@ func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, co
 }
 
 // ReadSectors fetches the extent in one round trip. The body lands in
-// the caller's buffers in place when they tile one region, else in the
-// connection's spill buffer, from which the present sectors are copied;
-// remotely lost sectors come back as SectorErrors wrapping ErrBadSector,
-// those under holes dropped, with every readable buffer filled.
+// the caller's buffers in place, holes' sectors dropped; remotely lost
+// sectors come back as SectorErrors wrapping ErrBadSector, those under
+// holes dropped, with every readable buffer filled.
 func (d *NetDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
 	if err := checkExtent(d.sectors, start, len(bufs)); err != nil {
 		return err
@@ -358,9 +352,6 @@ func (d *NetDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) e
 	}
 	if len(bufs) == 0 {
 		return ctx.Err()
-	}
-	if _, flat := flatSpan(bufs); !flat && holeFree(bufs) {
-		d.scratchFlats.Add(1)
 	}
 	return d.call(ctx, opRead, start, len(bufs), nil, bufs, ErrBadSector)
 }

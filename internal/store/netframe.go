@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"stair/internal/store/mem"
 )
 
 // The frame format of the NetDevice data plane; the protocol comment in
@@ -18,10 +20,6 @@ const (
 	// maxFrameMsg caps an error frame's message, so a response header
 	// cannot make the client allocate more than this for one.
 	maxFrameMsg = 512
-	// minSpill is the least a connection's spill buffer is allocated
-	// at, so that it does not grow call by call through a column's
-	// span lengths: 16 sectors of 4 KiB.
-	minSpill = 64 << 10
 )
 
 // Request ops.
@@ -95,17 +93,13 @@ func parseRequest(h *[reqHeaderLen]byte, sectors, size int) (frameRequest, error
 }
 
 // readResponse reads the response frame of a call on the extent
-// [start, start+count); a read's body of count sectors lands in bufs,
-// which is nil for writes and syncs. A contiguous vector takes the body
-// in place. Any other — scattered, or with holes — takes it in c.spill,
-// one read, and its present sectors are copied out: reading it in place
-// would cost a socket read per run of holes or sectors, which on
-// loopback is dearer than the copy. A sectors frame comes back as
-// SectorErrors wrapping cause, and only after every index is checked
-// against the extent: a server cannot report a loss outside the call. A
-// read's lost sectors under holes are dropped, and a frame that lists
-// only those reads as ok. Any malformed frame or read failure is
-// statusBroken.
+// [start, start+count); a read's body of count sectors lands in bufs
+// (see readBody), which is nil for writes and syncs. A sectors frame
+// comes back as SectorErrors wrapping cause, and only after every index
+// is checked against the extent: a server cannot report a loss outside
+// the call. A read's lost sectors under holes are dropped, and a frame
+// that lists only those reads as ok. Any malformed frame or read failure
+// is statusBroken.
 func (c *frameConn) readResponse(start, count int, bufs [][]byte, cause error) (byte, error) {
 	br, h := c.br, &c.resp
 	if _, err := io.ReadFull(br, h[:]); err != nil {
@@ -171,25 +165,40 @@ func (c *frameConn) readResponse(start, count int, bufs [][]byte, cause error) (
 	return statusOK, nil
 }
 
-// readBody reads a read's body into bufs (see readResponse).
+// readBody reads a read's body, every sector of the extent, into bufs in
+// place: a run of buffers that tile one region in one read, a scattered
+// buffer on its own. A run of holes is read into a pooled sink and
+// dropped.
 func (c *frameConn) readBody(bufs [][]byte) error {
-	if bufs == nil {
-		return nil
-	}
-	if flat, ok := flatSpan(bufs); ok {
-		_, err := io.ReadFull(c.br, flat)
-		return err
-	}
-	n := len(bufs) * c.size
-	if cap(c.spill) < n {
-		c.spill = make([]byte, max(n, minSpill))
-	}
-	body := c.spill[:n]
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		return err
-	}
-	for i, b := range bufs {
-		copy(b, body[i*c.size:])
+	var sink []byte
+	defer func() { mem.Release(sink) }()
+	for i := 0; i < len(bufs); {
+		j := i + 1
+		for j < len(bufs) && (bufs[j] == nil) == (bufs[i] == nil) {
+			j++
+		}
+		run := bufs[i:j]
+		var err error
+		if run[0] == nil {
+			n := len(run) * c.size
+			if cap(sink) < n {
+				mem.Release(sink)
+				sink = mem.Acquire(n)
+			}
+			_, err = io.ReadFull(c.br, sink[:n])
+		} else if flat, ok := flatSpan(run); ok {
+			_, err = io.ReadFull(c.br, flat)
+		} else {
+			for _, b := range run {
+				if _, err = io.ReadFull(c.br, b); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			return err
+		}
+		i = j
 	}
 	return nil
 }

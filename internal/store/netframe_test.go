@@ -72,14 +72,14 @@ func TestDeviceServerHostileExtents(t *testing.T) {
 	}
 }
 
-// TestReadResponseHoles: a read body whose buffers have holes lands in
-// the connection's spill buffer, grown past its first size when a body
-// needs it, and only the present sectors are copied out — a trailing
-// hole after buffers that tile one region included; a lost sector under
-// a hole is dropped, and one in a present buffer is reported. The whole
-// frame is consumed either way.
+// TestReadResponseHoles: a read body lands in the caller's buffers in
+// place, a run of holes read into the pooled sink and dropped — leading,
+// inside and trailing holes, runs of them, and scattered present buffers
+// alike, with sectors larger than the connection's read buffer. Holes
+// stay untouched; a lost sector under a hole is dropped, and one in a
+// present buffer is reported. The whole frame is consumed either way.
 func TestReadResponseHoles(t *testing.T) {
-	const size, count, start = 32 << 10, 3, 10 // a 96 KiB body outgrows minSpill
+	const size, count, start = 32 << 10, 4, 10
 	frame := func(lost ...uint64) []byte {
 		b := []byte{statusOK, 0, 0, 0, 0, 0, 0, 0}
 		if len(lost) > 0 {
@@ -94,41 +94,84 @@ func TestReadResponseHoles(t *testing.T) {
 		}
 		return b
 	}
-	for _, tc := range []struct {
-		hole int
-		lost []uint64
-		want []int
-	}{
-		{1, nil, nil},
-		{1, []uint64{start + 1}, nil},
-		{1, []uint64{start + 1, start + 2}, []int{start + 2}},
-		{2, []uint64{start + 2}, nil},
-	} {
-		c := &frameConn{br: bufio.NewReader(bytes.NewReader(frame(tc.lost...))), size: size}
-		flat := make([]byte, count*size)
-		bufs := [][]byte{flat[:size], flat[size : 2*size], flat[2*size:]}
-		bufs[tc.hole] = nil
+	const sentinel = 0xEE
+	read := func(r *bytes.Reader, c *frameConn, scattered bool, holes []int) ([][]byte, []byte, byte, error) {
+		flat := bytes.Repeat([]byte{sentinel}, count*size)
+		bufs := make([][]byte, count)
+		for i := range bufs {
+			if bufs[i] = flat[i*size : (i+1)*size]; scattered {
+				bufs[i] = bytes.Clone(bufs[i])
+			}
+		}
+		for _, h := range holes {
+			bufs[h] = nil
+		}
+		c.br.Reset(r)
 		status, err := c.readResponse(start, count, bufs, ErrBadSector)
-		var got []int
-		if se, ok := AsSectorErrors(err); ok {
-			for _, e := range se {
-				got = append(got, e.Index)
+		return bufs, flat, status, err
+	}
+	for _, tc := range []struct {
+		holes []int
+		lost  []uint64
+		want  []int
+	}{
+		{[]int{0}, nil, nil},
+		{[]int{1}, []uint64{start + 1}, nil},
+		{[]int{1, 2}, []uint64{start + 1, start + 3}, []int{start + 3}},
+		{[]int{3}, []uint64{start + 3}, nil},
+		{[]int{0, 3}, []uint64{start, start + 2}, []int{start + 2}},
+	} {
+		for _, scattered := range []bool{false, true} {
+			r := bytes.NewReader(frame(tc.lost...))
+			c := &frameConn{br: bufio.NewReader(r), size: size}
+			bufs, flat, status, err := read(r, c, scattered, tc.holes)
+			var got []int
+			if se, ok := AsSectorErrors(err); ok {
+				for _, e := range se {
+					got = append(got, e.Index)
+				}
+			} else if err != nil {
+				t.Fatalf("holes %v, lost %v: %v", tc.holes, tc.lost, err)
 			}
-		} else if err != nil {
-			t.Fatalf("hole %d, lost %v: %v", tc.hole, tc.lost, err)
-		}
-		if !slices.Equal(got, tc.want) || (status == statusSectors) != (len(tc.want) > 0) {
-			t.Fatalf("hole %d, lost %v: status %d, reported %v, want %v", tc.hole, tc.lost, status, got, tc.want)
-		}
-		for i, b := range bufs {
-			if b != nil && !bytes.Equal(b, bytes.Repeat([]byte{byte(i + 1)}, size)) {
-				t.Fatalf("hole %d, lost %v: sector %d not copied out of the spill", tc.hole, tc.lost, i)
+			if !slices.Equal(got, tc.want) || (status == statusSectors) != (len(tc.want) > 0) {
+				t.Fatalf("holes %v, lost %v: status %d, reported %v, want %v", tc.holes, tc.lost, status, got, tc.want)
 			}
-		}
-		if _, err := c.br.ReadByte(); err != io.EOF {
-			t.Fatalf("hole %d, lost %v: frame not consumed whole (%v)", tc.hole, tc.lost, err)
+			for i, b := range bufs {
+				if b != nil && !bytes.Equal(b, bytes.Repeat([]byte{byte(i + 1)}, size)) {
+					t.Fatalf("holes %v, scattered %t: sector %d not read in place", tc.holes, scattered, i)
+				}
+			}
+			for _, h := range tc.holes {
+				if !scattered && !bytes.Equal(flat[h*size:(h+1)*size], bytes.Repeat([]byte{sentinel}, size)) {
+					t.Fatalf("holes %v: hole %d was written", tc.holes, h)
+				}
+			}
+			if _, err := c.br.ReadByte(); err != io.EOF {
+				t.Fatalf("holes %v, lost %v: frame not consumed whole (%v)", tc.holes, tc.lost, err)
+			}
 		}
 	}
+}
+
+// holedFrameReadAllocs is how many allocations a read of a frame whose
+// buffers have a run of holes makes: the sink comes from the mem pool.
+func holedFrameReadAllocs(t *testing.T) float64 {
+	const size, count = 32 << 10, 4
+	body := append([]byte{statusOK, 0, 0, 0, 0, 0, 0, 0}, make([]byte, count*size)...)
+	r := bytes.NewReader(body)
+	c := &frameConn{br: bufio.NewReader(r), size: size}
+	bufs := make([][]byte, count)
+	for i := range bufs {
+		bufs[i] = make([]byte, size)
+	}
+	bufs[1], bufs[2] = nil, nil
+	return testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		c.br.Reset(r)
+		if _, err := c.readResponse(0, count, bufs, ErrBadSector); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // fuzzConn is a server-side connection whose client sent in and then

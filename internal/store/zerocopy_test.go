@@ -45,12 +45,32 @@ func TestZeroCopyFileDevices(t *testing.T) {
 			t.Errorf("device %d: %d scratch flats on healthy slab-contiguous traffic, want 0", i, got)
 		}
 	}
-	// The counter is live: a genuinely scattered vector must fall back.
 	fd, err := OpenFileDevice(filepath.Join(dir, "scattered.img"), 8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fd.Close()
+	// Holes and bad sectors split a contiguous vector into runs, each
+	// preaded in place.
+	flat := make([]byte, 8*64)
+	vec := make([][]byte, 8)
+	for i := range vec {
+		vec[i] = flat[i*64 : (i+1)*64]
+	}
+	if err := fd.WriteSectors(bg, 0, vec); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.InjectSectorError(5); err != nil {
+		t.Fatal(err)
+	}
+	vec[2], vec[3] = nil, nil
+	if se, ok := AsSectorErrors(fd.ReadSectors(bg, 0, vec)); !ok || len(se) != 1 || se[0].Index != 5 {
+		t.Fatalf("read with holes and a bad sector: %v, want sector 5 lost", se)
+	}
+	if got := fd.ScratchFlats(); got != 0 {
+		t.Errorf("ScratchFlats=%d after contiguous reads with holes and a bad sector, want 0", got)
+	}
+	// The counter is live: a genuinely scattered vector must fall back.
 	scattered := [][]byte{make([]byte, 64), make([]byte, 64)}
 	if err := fd.WriteSectors(bg, 0, scattered); err != nil {
 		t.Fatal(err)
@@ -114,6 +134,10 @@ func TestAllocRegressionGuard(t *testing.T) {
 		t.Run(fmt.Sprintf("integrity=%t", integ != nil), func(t *testing.T) {
 			allocGuard(t, integ)
 		})
+	}
+	// A NetDevice read with holes reads them into a pooled sink.
+	if allocs := holedFrameReadAllocs(t); allocs != 0 {
+		t.Errorf("frame read with holes: %.1f allocs, want 0", allocs)
 	}
 }
 
