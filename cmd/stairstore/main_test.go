@@ -249,6 +249,10 @@ func TestRecoverCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, devSectors, err := meta.geometry()
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := journal.Open(journalPath(vol))
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +263,7 @@ func TestRecoverCommand(t *testing.T) {
 	var sums []uint64
 	buf := make([]byte, meta.SectorSize)
 	for ord, cell := range code.DataCells() {
-		d, err := store.OpenFileDevice(devicePath(vol, cell.Col), meta.Stripes*meta.R, meta.SectorSize)
+		d, err := store.OpenFileDevice(devicePath(vol, cell.Col), devSectors, meta.SectorSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +279,7 @@ func TestRecoverCommand(t *testing.T) {
 	}
 	j.Close()
 	parity := code.ParityCells()[0]
-	pd, err := store.OpenFileDevice(devicePath(vol, parity.Col), meta.Stripes*meta.R, meta.SectorSize)
+	pd, err := store.OpenFileDevice(devicePath(vol, parity.Col), devSectors, meta.SectorSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,12 +321,13 @@ func TestRecoverCommand(t *testing.T) {
 }
 
 // TestRetiredCacheKeyIgnored: a volume.json written while the store had
-// a degraded-stripe cache carries a "degraded_cache" key, and one written
-// while the lock-table width was a setting a "lock_shards" key; such a
-// volume still opens and serves get and stats, and the next save drops
-// the key.
+// a degraded-stripe cache carries a "degraded_cache" key, one written
+// while the lock-table width was a setting a "lock_shards" key, and one
+// written while the flush pipeline's width was a setting a
+// "flush_workers" key; such a volume still opens and serves get and
+// stats, and the next save drops the key.
 func TestRetiredCacheKeyIgnored(t *testing.T) {
-	for _, key := range []string{"degraded_cache", "lock_shards"} {
+	for _, key := range []string{"degraded_cache", "lock_shards", "flush_workers"} {
 		t.Run(key, func(t *testing.T) { testRetiredKeyIgnored(t, key) })
 	}
 }
@@ -380,40 +385,73 @@ func testRetiredKeyIgnored(t *testing.T, key string) {
 	}
 }
 
-// TestCreateWithFlushWorkers: the pipeline width persists in
-// volume.json and the volume stays usable.
-func TestCreateWithFlushWorkers(t *testing.T) {
+// TestMismatchedDescriptorLeavesImagesAlone: a volume.json edited to
+// fewer stripes must not mount — at the wrong geometry the device images
+// would be cut to size, data and integrity records with them, and a
+// later mount at the right geometry would serve zeros as data. Once the
+// descriptor is restored, every byte reads back.
+func TestMismatchedDescriptorLeavesImagesAlone(t *testing.T) {
 	dir := t.TempDir()
 	vol := filepath.Join(dir, "vol")
 	in := filepath.Join(dir, "in.bin")
-	data := make([]byte, 4000)
-	rand.New(rand.NewSource(8)).Read(data)
+	out := filepath.Join(dir, "out.bin")
+	data := make([]byte, 80<<10)
+	rand.New(rand.NewSource(11)).Read(data)
 	if err := os.WriteFile(in, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdCreate(bg, []string{"-dir", vol, "-n", "6", "-r", "4", "-m", "1", "-e", "1", "-stripes", "4", "-sector", "512",
-		"-flush-workers", "2"}); err != nil {
+	if err := cmdCreate(bg, []string{"-dir", vol, "-stripes", "8", "-sector", "512"}); err != nil {
 		t.Fatal(err)
-	}
-	meta, err := loadMeta(vol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.FlushWorkers != 2 {
-		t.Fatalf("FlushWorkers=%d persisted, want 2", meta.FlushWorkers)
 	}
 	if err := cmdPut(bg, []string{"-dir", vol, "-in", in}); err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(dir, "out.bin")
-	if err := cmdGet(bg, []string{"-dir", vol, "-out", out, "-bytes", "4000"}); err != nil {
+	info, err := os.Stat(devicePath(vol, 0))
+	if err != nil {
 		t.Fatal(err)
+	}
+	size := info.Size()
+
+	editStripes := func(stripes int) {
+		t.Helper()
+		raw, err := os.ReadFile(metaPath(vol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var desc map[string]any
+		if err := json.Unmarshal(raw, &desc); err != nil {
+			t.Fatal(err)
+		}
+		desc["stripes"] = stripes
+		if raw, err = json.MarshalIndent(desc, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metaPath(vol), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	editStripes(2)
+	if err := cmdStats(bg, []string{"-dir", vol}); err == nil {
+		t.Error("stats mounted a descriptor with fewer stripes than the images hold")
+	}
+	for i := 0; i < 8; i++ {
+		info, err := os.Stat(devicePath(vol, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != size {
+			t.Fatalf("dev %d image went %d → %d bytes under the wrong descriptor", i, size, info.Size())
+		}
+	}
+	editStripes(8)
+	if err := cmdGet(bg, []string{"-dir", vol, "-out", out, "-bytes", strconv.Itoa(len(data))}); err != nil {
+		t.Fatalf("get: %v", err)
 	}
 	got, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("pipelined volume round trip corrupt")
+		t.Fatal("get after restoring the descriptor returned different bytes")
 	}
 }

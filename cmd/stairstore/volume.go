@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -22,11 +23,10 @@ type volumeMeta struct {
 	E          []int `json:"e"`
 	SectorSize int   `json:"sector_size"`
 	Stripes    int   `json:"stripes"`
-	// RepairWorkers and FlushWorkers mirror the store.Config fields of
-	// the same names. (The retired "degraded_cache" and "lock_shards"
+	// RepairWorkers mirrors the store.Config field of the same name.
+	// (The retired "degraded_cache", "lock_shards" and "flush_workers"
 	// keys, left by older descriptors, are ignored.)
 	RepairWorkers int `json:"repair_workers,omitempty"`
-	FlushWorkers  int `json:"flush_workers,omitempty"`
 	// Integrity turns on the end-to-end per-sector checksum layer; each
 	// device image then carries a sidecar region of records past its
 	// data sectors, and IntegrityEpoch is salted into every digest.
@@ -54,6 +54,38 @@ func loadMeta(dir string) (*volumeMeta, error) {
 	return &meta, nil
 }
 
+// maxDevices and maxCells bound a stripe so that a damaged volume.json
+// cannot make a mount compile a code for seconds; the paper's largest
+// stripes (n = r = 32) fit, and compile in milliseconds.
+const maxDevices, maxCells = 64, 1024
+
+// geometry checks the descriptor's shape before anything touches a
+// device file, and returns its code and the sectors each device image
+// holds.
+func (m *volumeMeta) geometry() (*core.Code, int, error) {
+	if m.N < 1 || m.R < 1 || m.N > maxDevices || m.R > maxCells/m.N {
+		return nil, 0, fmt.Errorf("geometry n=%d r=%d outside n ≤ %d, n·r ≤ %d", m.N, m.R, maxDevices, maxCells)
+	}
+	if m.Stripes < 1 || m.SectorSize < 1 {
+		return nil, 0, fmt.Errorf("stripes=%d and sector_size=%d must be positive", m.Stripes, m.SectorSize)
+	}
+	code, err := core.New(core.Config{N: m.N, R: m.R, M: m.M, E: m.E})
+	if err != nil {
+		return nil, 0, err
+	}
+	if m.Stripes > math.MaxInt/m.R {
+		return nil, 0, fmt.Errorf("stripes=%d × r=%d overflows", m.Stripes, m.R)
+	}
+	devSectors := m.Stripes * m.R
+	if m.Integrity {
+		devSectors += store.IntegrityMetaSectors(m.Stripes, m.R, m.SectorSize)
+	}
+	if devSectors < m.Stripes*m.R || int64(devSectors) > math.MaxInt64/int64(m.SectorSize) {
+		return nil, 0, fmt.Errorf("device images of %d sectors of %d bytes overflow", devSectors, m.SectorSize)
+	}
+	return code, devSectors, nil
+}
+
 func (m *volumeMeta) save(dir string) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -78,18 +110,16 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	code, err := core.New(core.Config{N: meta.N, R: meta.R, M: meta.M, E: meta.E})
+	code, devSectors, err := meta.geometry()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("volume descriptor %s: %w", metaPath(dir), err)
 	}
 	j, err := journal.Open(journalPath(dir))
 	if err != nil {
 		return nil, nil, err
 	}
-	devSectors := meta.Stripes * meta.R
 	var iopts *store.IntegrityOptions
 	if meta.Integrity {
-		devSectors += store.IntegrityMetaSectors(meta.Stripes, meta.R, meta.SectorSize)
 		iopts = &store.IntegrityOptions{Epoch: meta.IntegrityEpoch}
 	}
 	devs := make([]store.Device, meta.N)
@@ -110,7 +140,6 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 		Stripes:       meta.Stripes,
 		Devices:       devs,
 		RepairWorkers: meta.RepairWorkers,
-		FlushWorkers:  meta.FlushWorkers,
 		Journal:       j,
 		Integrity:     iopts,
 	})

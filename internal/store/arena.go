@@ -97,26 +97,33 @@ func (s *Store) releaseStripeUnlessCancelled(ctx context.Context, st *core.Strip
 }
 
 // acquireStripeBuf returns a write buffer whose rows are the data cells
-// of a pooled stripe, filled as blocks arrive (see WriteBlock).
+// of a stripe, filled as blocks arrive (see WriteBlock). Buffers recycle
+// through the store's free list with their stripes attached. A
+// sync.Pool would not serve here: a flush worker releases a buffer on
+// its P, where the writer's Get on another P cannot reach it.
 func (s *Store) acquireStripeBuf() *stripeBuf {
-	buf, _ := s.bufPool.Get().(*stripeBuf)
-	if buf == nil {
-		buf = &stripeBuf{data: make([][]byte, s.perStripe)}
+	select {
+	case buf := <-s.bufs:
+		return buf
+	default:
+		return &stripeBuf{data: make([][]byte, s.perStripe), st: s.acquireStripe()}
 	}
-	buf.st = s.acquireStripe()
-	return buf
 }
 
-// releaseStripeBuf recycles a flushed buffer. The caller must already
-// have removed it from the shard's dirty map, and must not call this
-// when the flush ended by cancellation (the buffer stays dirty for
-// retry in that case anyway).
+// releaseStripeBuf recycles a flushed buffer, its slab poisoned as
+// releaseStripe's are; past the free list's capacity the stripe goes
+// to the stripe pool. The caller must already have removed it from the
+// shard's dirty map, and must not call this when the flush ended by
+// cancellation (the buffer stays dirty for retry in that case anyway).
 func (s *Store) releaseStripeBuf(buf *stripeBuf) {
-	s.releaseStripe(buf.st)
-	buf.st = nil
 	clear(buf.data)
 	buf.count = 0
 	buf.stuck, buf.queued = false, false
 	buf.torn = nil
-	s.bufPool.Put(buf)
+	mem.Poison(buf.st.Cells[0][:s.slabLen])
+	select {
+	case s.bufs <- buf:
+	default:
+		s.stripePool.Put(buf.st)
+	}
 }

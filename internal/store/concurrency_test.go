@@ -5,11 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"stair/internal/core"
+	"stair/internal/store/journal"
 )
 
 // TestConcurrentStripeOperations is the sharded-lock stress test (run
@@ -289,5 +293,78 @@ func TestConcurrentDegradedReadsSameStripe(t *testing.T) {
 	s.Quiesce()
 	if bad := s.TotalBadSectors(); bad != 0 {
 		t.Errorf("%d bad sectors left on live devices after the repair", bad)
+	}
+}
+
+// storeGoroutines returns the stacks of the goroutines running a Store
+// method.
+func storeGoroutines() string {
+	buf := make([]byte, 1<<20)
+	var left []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "stair/internal/store.(*Store)") {
+			left = append(left, g)
+		}
+	}
+	return strings.Join(left, "\n\n")
+}
+
+// TestCloseLeavesNoGoroutines: Close returns only once every goroutine
+// Open started — the flush workers, the repair workers — has exited, so
+// an Open/Close cycle leaves runtime.NumGoroutine at its baseline. It
+// holds with and without a journal, and when a background flush failed
+// and Close reports it. The count is taken the moment Close returns,
+// over several cycles: a worker still on its way out is a leak.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	for _, tc := range []struct {
+		name    string
+		journal bool
+		fail    bool
+	}{{"plain", false, false}, {"journal", true, false}, {"flush-error", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for cycle := range 10 {
+				baseline := runtime.NumGoroutine()
+				cfg := Config{Code: code, SectorSize: 128, Stripes: 4, RepairWorkers: 2}
+				var j *journal.Journal
+				if tc.journal {
+					var err error
+					if j, err = journal.Open(filepath.Join(t.TempDir(), "journal.wal")); err != nil {
+						t.Fatal(err)
+					}
+					cfg.Journal = j
+				}
+				s, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillStore(t, s)
+				if tc.fail {
+					// m+1 devices down: the next stripe's RMW cannot load.
+					for _, dev := range []int{0, 1, 2} {
+						if err := s.FailDevice(dev); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := s.WriteBlock(bg, 1, blockData(7, s.BlockSize())); err != nil {
+					t.Fatal(err)
+				}
+				err = s.Close()
+				got := runtime.NumGoroutine()
+				if tc.fail != (err != nil) {
+					t.Fatalf("cycle %d: Close returned %v", cycle, err)
+				}
+				// An extra goroutine may be the runtime's finalizer
+				// goroutine, counted while it runs a finalizer; only one
+				// of the store's own is a leak.
+				if left := storeGoroutines(); got > baseline && left != "" {
+					t.Fatalf("cycle %d: %d goroutines after Close, %d before Open:\n%s", cycle, got, baseline, left)
+				}
+				if j != nil {
+					j.Close()
+				}
+			}
+		})
 	}
 }

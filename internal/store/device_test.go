@@ -51,11 +51,15 @@ func TestVectoredCallsPerDevice(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Filling stripe 0 triggers the full-stripe flush on the last write.
+	// Filling stripe 0 hands it to the flush pipeline on the last write;
+	// Flush waits for its full-stripe flush.
 	for b := 0; b < s.perStripe; b++ {
 		if err := s.WriteBlock(bg, b, blockData(b, s.BlockSize())); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Flush(bg); err != nil {
+		t.Fatal(err)
 	}
 	if got := s.Stats().FullStripeFlushes; got != 1 {
 		t.Fatalf("FullStripeFlushes=%d, want 1", got)
@@ -392,6 +396,52 @@ func TestScrubberOptionValidation(t *testing.T) {
 	}
 	if err := s.StartScrubber(ScrubberOptions{Interval: time.Millisecond, StripesPerSec: -1}); err == nil {
 		t.Error("negative rate accepted")
+	}
+}
+
+// TestFileDeviceRefusesOtherSize: an existing image is opened only at
+// its own size — a mistaken geometry is refused, and the image keeps
+// its bytes — while an absent or empty file is created and sized.
+func TestFileDeviceRefusesOtherSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dev.img")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenFileDevice(path, 8, 64)
+	if err != nil {
+		t.Fatalf("open an empty file: %v", err)
+	}
+	want := bytes.Repeat([]byte{0x5A}, 64)
+	if err := WriteSector(context.Background(), d, 7, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, geo := range [][2]int{{4, 64}, {16, 64}, {8, 32}} {
+		if d, err := OpenFileDevice(path, geo[0], geo[1]); err == nil {
+			d.Close()
+			t.Errorf("an 8×64 image opened as %d×%d", geo[0], geo[1])
+		}
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != 8*64 {
+		t.Fatalf("refused opens resized the image to %d bytes", info.Size())
+	}
+	d, err = OpenFileDevice(path, 8, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	got := make([]byte, 64)
+	if err := ReadSector(context.Background(), d, 7, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("last sector lost across the refused opens")
 	}
 }
 

@@ -41,8 +41,11 @@ type faultSidecar struct {
 	Bad    []int `json:"bad,omitempty"`
 }
 
-// OpenFileDevice opens (creating and sizing if absent) a file-backed
-// device and loads its fault sidecar.
+// OpenFileDevice opens a file-backed device and loads its fault
+// sidecar. An absent or empty file is created and sized; an existing
+// image of any other size is refused, never resized — truncating it to
+// a mistaken geometry would cut off the data and the integrity records
+// alike.
 func OpenFileDevice(path string, sectors, sectorSize int) (*FileDevice, error) {
 	if sectors < 1 || sectorSize < 1 {
 		return nil, fmt.Errorf("store: device geometry %d×%d must be positive", sectors, sectorSize)
@@ -57,11 +60,17 @@ func OpenFileDevice(path string, sectors, sectorSize int) (*FileDevice, error) {
 		f.Close()
 		return nil, err
 	}
-	if info.Size() != size {
+	switch info.Size() {
+	case size:
+	case 0:
 		if err := f.Truncate(size); err != nil {
 			f.Close()
 			return nil, err
 		}
+	default:
+		f.Close()
+		return nil, fmt.Errorf("store: device image %s holds %d bytes, want %d×%d = %d",
+			path, info.Size(), sectors, sectorSize, size)
 	}
 	d := &FileDevice{path: path, f: f, sectors: sectors, sectorSize: sectorSize,
 		zero: make([]byte, sectorSize), faultState: newFaultState(sectors)}

@@ -12,8 +12,8 @@ import (
 // This file is the store's write-back engine: the per-stripe flush
 // (full-stripe encode or §5.2 incremental read–modify–write), the
 // optional write-ahead journaling that makes a flush crash-consistent,
-// and the asynchronous flush pipeline that overlaps stripe encodes with
-// device write-back.
+// and the flush pipeline that overlaps stripe encodes with device
+// write-back.
 //
 // The journaled write-back protocol per stripe is
 //
@@ -388,26 +388,23 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 	return wrote, failed, nil
 }
 
-// --- The asynchronous flush pipeline -------------------------------
+// --- The flush pipeline ------------------------------------------
 //
-// With Config.FlushWorkers > 0, a filled or evicted stripe buffer is
-// handed to a pool of background workers instead of being flushed
-// inline: the writer keeps going while workers encode and write back
-// concurrently, one stripe per worker. On high-latency media this
-// pipelines one stripe's device round trips under another's encode —
-// the write-path analogue of what vectored I/O did for the per-call
-// count. Flush drains the pipeline; Sync adds the durability barrier
-// on top.
-
-// asyncFlush reports whether the background pipeline is on.
-func (s *Store) asyncFlush() bool { return s.flushCh != nil }
+// A filled or evicted stripe buffer is handed to a pool of background
+// workers, min(GOMAXPROCS, stripes) wide, the sweep's rule: the writer
+// keeps going while workers encode and write back concurrently, one
+// stripe per worker. On high-latency media this pipelines one stripe's
+// device round trips under another's encode — the write-path analogue
+// of what vectored I/O did for the per-call count. Flush drains the
+// pipeline and lands the partial buffers in the caller; Sync adds the
+// durability barrier on top.
 
 // queueFlushLocked marks a buffer as handed to the pipeline and
 // accounts it in flight; the caller holds the shard mutex and must call
 // sendFlush (after unlocking) iff this returns true. Stuck buffers stay
-// out of the pipeline — like eviction, the background engine does not
-// re-report a known-failing stripe on every write; explicit Flush still
-// retries them.
+// out of the pipeline — the background engine does not re-report a
+// known-failing stripe on every write; explicit Flush still retries
+// them.
 func (s *Store) queueFlushLocked(buf *stripeBuf) bool {
 	if buf.queued || buf.stuck {
 		return false
@@ -424,9 +421,11 @@ func (s *Store) queueFlushLocked(buf *stripeBuf) bool {
 // deadlock against workers waiting for that same shard. The channel
 // has one slot per stripe and the queued flag dedupes, so the send
 // cannot actually block; the default arm is a safety net that undoes
-// the queueing rather than wedging a writer. A send racing Close is
-// reverted the same way — the workers may already be gone, and Close's
-// own sweep handles the buffer.
+// the queueing rather than wedging a writer. A hand-off that finds the
+// store closed is reverted the same way — Close may have closed the
+// channel, and its own sweep handles the buffer; one that found it open
+// is in flight, so Close's drain waits for it before closing the
+// channel.
 func (s *Store) sendFlush(stripe int) {
 	if s.closed.Load() {
 		s.unqueueFlush(stripe)
@@ -452,37 +451,23 @@ func (s *Store) unqueueFlush(stripe int) {
 }
 
 // flushLoop is one pipeline worker: it drains queued stripes until
-// Close. Workers on stripes in different shards proceed in parallel;
-// background flushes run under the store's own context, not any
-// caller's deadline.
+// Close closes the channel. Workers on stripes in different shards
+// proceed in parallel; background flushes run under the store's own
+// context, not any caller's deadline. Close drains the pipeline before
+// it closes the channel, and a hand-off after the drain sees closed, so
+// nothing is left in the channel to retire.
 func (s *Store) flushLoop() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			// Retire entries that raced Close into the channel — their
-			// buffers are swept by Close's flushAll; only the in-flight
-			// accounting must not leak (a backpressure waiter keys off
-			// it).
-			for {
-				select {
-				case stripe := <-s.flushCh:
-					s.finishFlush(stripe, nil)
-				default:
-					return
-				}
-			}
-		case stripe := <-s.flushCh:
-			sh := s.shard(stripe)
-			sh.mu.Lock()
-			var err error
-			if buf := sh.dirty[stripe]; buf != nil && buf.queued {
-				buf.queued = false
-				err = s.flushStripeLocked(context.Background(), sh, stripe)
-			}
-			sh.mu.Unlock()
-			s.finishFlush(stripe, err)
+	for stripe := range s.flushCh {
+		sh := s.shard(stripe)
+		sh.mu.Lock()
+		var err error
+		if buf := sh.dirty[stripe]; buf != nil && buf.queued {
+			buf.queued = false
+			err = s.flushStripeLocked(context.Background(), sh, stripe)
 		}
+		sh.mu.Unlock()
+		s.finishFlush(stripe, err)
 	}
 }
 
@@ -500,23 +485,24 @@ func (s *Store) finishFlush(stripe int, err error) {
 	s.flushMu.Unlock()
 }
 
-// flushBackpressure blocks a writer while the buffered-stripe count
-// exceeds the MaxDirtyStripes bound and the pipeline still has flushes
-// in flight that can bring it back down — without it, a writer
-// outpacing the flush workers would buffer the whole volume in memory.
-// Stuck buffers are exempt: nothing in the pipeline can drain them, so
-// once only they remain over the bound the wait ends (as the
-// synchronous path's "nothing to evict" case does).
-func (s *Store) flushBackpressure(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		s.flushMu.Lock()
-		s.flushIdle.Broadcast()
-		s.flushMu.Unlock()
-	})
-	defer stop()
+// awaitFlushes blocks while the pipeline has flushes queued or
+// running and, if over is non-nil, over() holds: with nil it drains the
+// pipeline (Flush, Close); with overDirtyBound it is a writer's
+// backpressure. A cancelled ctx abandons the wait (the pipeline keeps
+// draining in the background). A context that cannot end registers no
+// wake-up, so a wait on context.Background() allocates nothing.
+func (s *Store) awaitFlushes(ctx context.Context, over func() bool) error {
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			s.flushMu.Lock()
+			s.flushIdle.Broadcast()
+			s.flushMu.Unlock()
+		})
+		defer stop()
+	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	for s.dirtyCount.Load() > int64(s.maxDirty) && s.flushInflight > 0 {
+	for s.flushInflight > 0 && (over == nil || over()) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -525,29 +511,13 @@ func (s *Store) flushBackpressure(ctx context.Context) error {
 	return nil
 }
 
-// drainFlushPipeline blocks until no flush is queued or running. A
-// cancelled ctx abandons the wait (the pipeline keeps draining in the
-// background).
-func (s *Store) drainFlushPipeline(ctx context.Context) error {
-	if !s.asyncFlush() {
-		return nil
-	}
-	stop := context.AfterFunc(ctx, func() {
-		s.flushMu.Lock()
-		s.flushIdle.Broadcast()
-		s.flushMu.Unlock()
-	})
-	defer stop()
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	for s.flushInflight > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.flushIdle.Wait()
-	}
-	return nil
-}
+// overDirtyBound reports whether more stripes are buffered than the
+// MaxDirtyStripes bound allows. Stuck buffers count, but nothing in the
+// pipeline can drain them, so once only they remain over the bound the
+// in-flight count reaches 0 and a backpressure wait ends: without the
+// wait, a writer outpacing the flush workers would buffer the whole
+// volume in memory.
+func (s *Store) overDirtyBound() bool { return s.dirtyCount.Load() > int64(s.maxDirty) }
 
 // takeAsyncFlushErr returns and clears the sticky background-flush
 // error.

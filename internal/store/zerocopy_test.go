@@ -167,6 +167,26 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if err := s.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
+	// Full stripes through the flush pipeline, then a Flush that waits
+	// for it: write buffers recycle through the store's free list across
+	// the writer's and the workers' goroutines, and neither the
+	// backpressure wait nor the drain registers a wake-up for a context
+	// that cannot end. Measured 0.
+	i += s.perStripe - i%s.perStripe
+	pipelined := testing.AllocsPerRun(200, func() {
+		for range 2 * s.perStripe {
+			if err := s.WriteBlock(bg, i%s.Blocks(), buf); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		if err := s.Flush(bg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pipelined != 0 {
+		t.Errorf("pipelined full-stripe writes + Flush: %.2f allocs/op, want 0", pipelined)
+	}
 
 	dst := make([]byte, s.BlockSize())
 	reads := testing.AllocsPerRun(2000, func() {
