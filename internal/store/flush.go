@@ -489,10 +489,14 @@ func (s *Store) finishFlush(stripe int, err error) {
 // running and, if over is non-nil, over() holds: with nil it drains the
 // pipeline (Flush, Close); with overDirtyBound it is a writer's
 // backpressure. A cancelled ctx abandons the wait (the pipeline keeps
-// draining in the background). A context that cannot end registers no
-// wake-up, so a wait on context.Background() allocates nothing.
+// draining in the background). A wait with nothing in flight, or on a
+// context that cannot end, registers no wake-up and allocates nothing.
 func (s *Store) awaitFlushes(ctx context.Context, over func() bool) error {
-	if ctx.Done() != nil {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	if s.flushInflight > 0 && ctx.Done() != nil {
+		// The wake-up runs on its own goroutine, so it may wait for
+		// flushMu; stop does not wait for it.
 		stop := context.AfterFunc(ctx, func() {
 			s.flushMu.Lock()
 			s.flushIdle.Broadcast()
@@ -500,8 +504,6 @@ func (s *Store) awaitFlushes(ctx context.Context, over func() bool) error {
 		})
 		defer stop()
 	}
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
 	for s.flushInflight > 0 && (over == nil || over()) {
 		if err := ctx.Err(); err != nil {
 			return err
