@@ -8,7 +8,8 @@ import (
 )
 
 // This file is the store's zero-copy stripe memory: slab-backed stripes,
-// pooled with their slabs for loads and write buffers alike, plus the
+// pooled with their slabs for loads and kept on a free list for write
+// buffers, plus the
 // flat-span detection that lets devices serve a vectored call over one
 // contiguous region without a scratch flat.
 //
