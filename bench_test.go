@@ -12,13 +12,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
+	"stair/internal/cluster"
 	"stair/internal/core"
 	"stair/internal/failures"
 	"stair/internal/reliability"
 	"stair/internal/sd"
 	"stair/internal/store"
+	"stair/internal/store/devtest"
 )
 
 const benchStripeBytes = 1 << 20
@@ -493,6 +497,69 @@ func BenchmarkStoreWriteSeq(b *testing.B) {
 		}
 		if err := s.Flush(benchCtx); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterWriteBack: full stripes written over 8 loopback device
+// servers by one writer, or by eight on disjoint stripes, with the
+// write-back in the caller (workers=0) or in 2 or 4 flush workers, on
+// devices without added latency and with 200 µs per call. One op writes
+// every block of the volume and flushes; subflushes/op counts stripes
+// evicted half-filled and written back by read–modify–write. No flush
+// width wins every row, which is why FlushWorkers is a setting (README,
+// "Async flush pipeline").
+func BenchmarkClusterWriteBack(b *testing.B) {
+	code := benchCode(b, core.Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	const sector, stripes = 4096, 64
+	for _, latUS := range []int{0, 200} {
+		for _, writers := range []int{1, 8} {
+			for _, workers := range []int{0, 2, 4} {
+				b.Run(fmt.Sprintf("latency_us=%d/writers=%d/workers=%d", latUS, writers, workers), func(b *testing.B) {
+					var servers []cluster.Server
+					for i := range code.N() {
+						var d store.Device = store.NewMemDevice(stripes*code.R(), sector)
+						if latUS > 0 {
+							d = store.NewLatencyDeviceProfile(d, store.LatencyProfile{Latency: time.Duration(latUS) * time.Microsecond})
+						}
+						hs := devtest.NewServer(b, store.NewDeviceServer(d))
+						servers = append(servers, cluster.Server{Name: fmt.Sprintf("s%d", i), URL: hs.URL})
+					}
+					v, err := cluster.Open(benchCtx, cluster.Config{
+						Fleet: &cluster.Fleet{Servers: servers}, Code: code, SectorSize: sector, Stripes: stripes,
+						FlushWorkers: workers, Monitor: cluster.MonitorConfig{Interval: time.Hour},
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { v.Close() })
+					buf := make([]byte, sector)
+					per := v.Blocks() / writers
+					b.SetBytes(int64(v.Blocks() * sector))
+					before := v.Store().Stats().SubStripeFlushes
+					b.ResetTimer()
+					for range b.N {
+						var wg sync.WaitGroup
+						for w := range writers {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								for blk := w * per; blk < (w+1)*per; blk++ {
+									if err := v.WriteBlock(benchCtx, blk, buf); err != nil {
+										b.Error(err)
+										return
+									}
+								}
+							}()
+						}
+						wg.Wait()
+						if err := v.Flush(benchCtx); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(v.Store().Stats().SubStripeFlushes-before)/float64(b.N), "subflushes/op")
+				})
+			}
 		}
 	}
 }

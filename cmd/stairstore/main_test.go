@@ -321,13 +321,12 @@ func TestRecoverCommand(t *testing.T) {
 }
 
 // TestRetiredCacheKeyIgnored: a volume.json written while the store had
-// a degraded-stripe cache carries a "degraded_cache" key, one written
-// while the lock-table width was a setting a "lock_shards" key, and one
-// written while the flush pipeline's width was a setting a
-// "flush_workers" key; such a volume still opens and serves get and
-// stats, and the next save drops the key.
+// a degraded-stripe cache carries a "degraded_cache" key, and one written
+// while the lock-table width was a setting a "lock_shards" key; such a
+// volume still opens and serves get and stats, and the next save drops
+// the key.
 func TestRetiredCacheKeyIgnored(t *testing.T) {
-	for _, key := range []string{"degraded_cache", "lock_shards", "flush_workers"} {
+	for _, key := range []string{"degraded_cache", "lock_shards"} {
 		t.Run(key, func(t *testing.T) { testRetiredKeyIgnored(t, key) })
 	}
 }
@@ -382,6 +381,44 @@ func testRetiredKeyIgnored(t *testing.T, key string) {
 	}
 	if bytes.Contains(raw, []byte(`"`+key+`"`)) {
 		t.Errorf("re-saved volume.json still carries the retired %s key", key)
+	}
+}
+
+// TestCreateWithFlushWorkers: the pipeline width persists in
+// volume.json and the volume stays usable.
+func TestCreateWithFlushWorkers(t *testing.T) {
+	dir := t.TempDir()
+	vol := filepath.Join(dir, "vol")
+	in := filepath.Join(dir, "in.bin")
+	data := make([]byte, 4000)
+	rand.New(rand.NewSource(8)).Read(data)
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdCreate(bg, []string{"-dir", vol, "-n", "6", "-r", "4", "-m", "1", "-e", "1", "-stripes", "4", "-sector", "512",
+		"-flush-workers", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := loadMeta(vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.FlushWorkers != 2 {
+		t.Fatalf("FlushWorkers=%d persisted, want 2", meta.FlushWorkers)
+	}
+	if err := cmdPut(bg, []string{"-dir", vol, "-in", in}); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.bin")
+	if err := cmdGet(bg, []string{"-dir", vol, "-out", out, "-bytes", "4000"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("pipelined volume round trip corrupt")
 	}
 }
 

@@ -23,10 +23,11 @@ type volumeMeta struct {
 	E          []int `json:"e"`
 	SectorSize int   `json:"sector_size"`
 	Stripes    int   `json:"stripes"`
-	// RepairWorkers mirrors the store.Config field of the same name.
-	// (The retired "degraded_cache", "lock_shards" and "flush_workers"
+	// RepairWorkers and FlushWorkers mirror the store.Config fields of
+	// the same names. (The retired "degraded_cache" and "lock_shards"
 	// keys, left by older descriptors, are ignored.)
 	RepairWorkers int `json:"repair_workers,omitempty"`
+	FlushWorkers  int `json:"flush_workers,omitempty"`
 	// Integrity turns on the end-to-end per-sector checksum layer; each
 	// device image then carries a sidecar region of records past its
 	// data sectors, and IntegrityEpoch is salted into every digest.
@@ -140,6 +141,7 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 		Stripes:       meta.Stripes,
 		Devices:       devs,
 		RepairWorkers: meta.RepairWorkers,
+		FlushWorkers:  meta.FlushWorkers,
 		Journal:       j,
 		Integrity:     iopts,
 	})

@@ -46,12 +46,12 @@ func main() {
 	}
 	defer j.Close()
 	// Stripes are independent recovery units, so the store runs them in
-	// parallel: a sharded lock table, a pool of repair workers — and a
-	// flush pipeline, one stripe per core, that encodes and writes back
-	// filled stripes in the background.
+	// parallel: a sharded lock table, a pool of repair workers — and an
+	// asynchronous flush pipeline that encodes and writes back filled
+	// stripes in the background.
 	s, err := store.Open(store.Config{
 		Code: code, SectorSize: 1024, Stripes: 32,
-		RepairWorkers: 4, Journal: j,
+		RepairWorkers: 4, FlushWorkers: 2, Journal: j,
 		// Per-sector end-to-end checksums: every data sector carries a
 		// self-describing record (sector address and volume epoch salted
 		// into the digest) in a sidecar region after the data, and every

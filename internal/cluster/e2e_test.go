@@ -32,12 +32,13 @@ func TestClusterKillFailoverRebuild(t *testing.T) {
 	}
 
 	v, err := Open(context.Background(), Config{
-		Fleet:      &Fleet{Servers: servers},
-		VolumeName: "e2e",
-		Code:       code,
-		SectorSize: sectorSize,
-		Stripes:    stripes,
-		Monitor:    MonitorConfig{Interval: 50 * time.Millisecond, Timeout: 40 * time.Millisecond, FailAfter: 2},
+		Fleet:        &Fleet{Servers: servers},
+		VolumeName:   "e2e",
+		Code:         code,
+		SectorSize:   sectorSize,
+		Stripes:      stripes,
+		FlushWorkers: 2,
+		Monitor:      MonitorConfig{Interval: 50 * time.Millisecond, Timeout: 40 * time.Millisecond, FailAfter: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,11 +45,12 @@ type Config struct {
 	// sectors.
 	Integrity *store.IntegrityOptions
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
-	// — parallelism is the store's flush pipeline and RepairWorkers.
-	// Kept until bench/ stops setting it.
+	// — parallelism is FlushWorkers / RepairWorkers. Kept
+	// until bench/ stops setting it.
 	Workers int
 	// Store tuning passthrough; see store.Config.
 	MaxDirtyStripes int
+	FlushWorkers    int
 	RepairWorkers   int
 	Journal         *journal.Journal
 }
@@ -156,6 +157,7 @@ func Open(ctx context.Context, cfg Config) (*Volume, error) {
 		// columns.
 		Devices:         devs,
 		MaxDirtyStripes: cfg.MaxDirtyStripes,
+		FlushWorkers:    cfg.FlushWorkers,
 		RepairWorkers:   cfg.RepairWorkers,
 		Journal:         cfg.Journal,
 		Integrity:       cfg.Integrity,

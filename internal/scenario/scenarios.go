@@ -69,7 +69,7 @@ func scenarioCode() (*core.Code, error) {
 
 // NewStoreEnv builds a store-backed env: latency-shaped in-memory
 // devices (per-device seeded RNGs), end-to-end integrity on, bounded
-// repair queue with two workers.
+// repair queue with two workers, asynchronous flush pipeline.
 func NewStoreEnv(opts EnvOptions) (*Env, error) {
 	opts = opts.withDefaults()
 	code, err := scenarioCode()
@@ -91,6 +91,7 @@ func NewStoreEnv(opts EnvOptions) (*Env, error) {
 		Devices:         devs,
 		MaxDirtyStripes: opts.MaxDirtyStripes,
 		RepairWorkers:   2,
+		FlushWorkers:    2,
 		Integrity:       &store.IntegrityOptions{Epoch: 1},
 	})
 	if err != nil {
@@ -148,6 +149,7 @@ func NewClusterEnv(opts EnvOptions) (*Env, error) {
 		Monitor:         cluster.MonitorConfig{Interval: 40 * time.Millisecond, Timeout: 20 * time.Millisecond, FailAfter: 5},
 		Integrity:       &store.IntegrityOptions{Epoch: 1},
 		MaxDirtyStripes: opts.MaxDirtyStripes,
+		FlushWorkers:    2,
 		RepairWorkers:   2,
 	})
 	if err != nil {

@@ -9,9 +9,8 @@ import (
 
 // This file is the store's zero-copy stripe memory: slab-backed stripes,
 // pooled with their slabs for loads and kept on a free list for write
-// buffers, plus the
-// flat-span detection that lets devices serve a vectored call over one
-// contiguous region without a scratch flat.
+// buffers, plus the flat-span detection that lets devices serve a
+// vectored call over one contiguous region without a scratch flat.
 //
 // Layout: a stripe slab is core.SlabSize bytes, chunk-major — cell
 // (col, row) lives at offset (col·r+row)·sectorSize — so the r sectors

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,7 +50,7 @@ func newCrashVolume(t *testing.T, code *core.Code, stripes, sector int) *crashVo
 
 // open mounts the volume; recovery runs automatically when the journal
 // holds pending intents.
-func (v *crashVolume) open(t *testing.T) (*Store, *journal.Journal) {
+func (v *crashVolume) open(t *testing.T, flushWorkers int) (*Store, *journal.Journal) {
 	t.Helper()
 	j, err := journal.Open(v.journalPath)
 	if err != nil {
@@ -59,7 +58,7 @@ func (v *crashVolume) open(t *testing.T) (*Store, *journal.Journal) {
 	}
 	s, err := Open(Config{
 		Code: v.code, SectorSize: v.sector, Stripes: v.stripes,
-		Devices: v.devs, Journal: j,
+		Devices: v.devs, Journal: j, FlushWorkers: flushWorkers,
 	})
 	if err != nil {
 		j.Close()
@@ -75,7 +74,9 @@ func abandonStore(s *Store, j *journal.Journal) {
 	s.closed.Store(true)
 	close(s.quit)
 	s.repairQ.close()
-	close(s.flushCh)
+	if s.asyncFlush() {
+		close(s.flushCh)
+	}
 	s.wg.Wait()
 	j.Close()
 }
@@ -93,14 +94,13 @@ var killPoints = []killPoint{
 // protocol point, reopens the volume, and asserts the crash-consistency
 // property: recovery leaves zero parity-inconsistent stripes, and the
 // surviving content is either wholly old or wholly new per the kill
-// point. The kills happen inside the flush workers, where every filled
-// stripe is written back.
+// point.
 func TestCrashRecoveryFullStripeMatrix(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	for _, kp := range killPoints {
 		t.Run(string(kp), func(t *testing.T) {
 			v := newCrashVolume(t, code, 3, 128)
-			s, j := v.open(t)
+			s, j := v.open(t, 0)
 			fillStore(t, s) // round 0, cleanly committed
 			if got := j.PendingCount(); got != 0 {
 				t.Fatalf("%d pending intents after a clean flush, want 0", got)
@@ -112,35 +112,31 @@ func TestCrashRecoveryFullStripeMatrix(t *testing.T) {
 			}
 
 			// Round 1 overwrites every block; with the kill armed, each
-			// stripe's background flush dies at the target point, and the
-			// first kill surfaces at the drain.
-			var kills atomic.Int32
+			// stripe's flush dies at the target point.
 			s.testKill = func(p killPoint) error {
 				if p == kp {
-					kills.Add(1)
 					return errKilled
 				}
 				return nil
 			}
+			kills := 0
 			for b := 0; b < s.Blocks(); b++ {
-				if err := s.WriteBlock(bg, b, blockData(b+1000, s.BlockSize())); err != nil {
-					t.Fatalf("write block %d: %v", b, err)
+				err := s.WriteBlock(bg, b, blockData(b+1000, s.BlockSize()))
+				if err != nil {
+					if !errors.Is(err, errKilled) {
+						t.Fatalf("write block %d: %v", b, err)
+					}
+					kills++
 				}
 			}
-			if err := s.awaitFlushes(bg, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.takeAsyncFlushErr(); !errors.Is(err, errKilled) {
-				t.Fatalf("pipeline error %v, want errKilled", err)
-			}
-			if got := int(kills.Load()); got != v.stripes {
-				t.Fatalf("%d flushes killed, want one per stripe (%d)", got, v.stripes)
+			if kills != v.stripes {
+				t.Fatalf("%d flushes killed, want one per stripe (%d)", kills, v.stripes)
 			}
 			abandonStore(s, j)
 
 			// Reboot. Open replays the journal; the store must come back
 			// with every stripe parity-consistent.
-			s2, j2 := v.open(t)
+			s2, j2 := v.open(t, 0)
 			defer func() { s2.Close(); j2.Close() }()
 			checkStripesConsistent(t, s2)
 			rep := s2.Recovery()
@@ -209,7 +205,7 @@ func TestCrashRecoverySubStripeMatrix(t *testing.T) {
 	for _, kp := range killPoints {
 		t.Run(string(kp), func(t *testing.T) {
 			v := newCrashVolume(t, code, 3, 128)
-			s, j := v.open(t)
+			s, j := v.open(t, 0)
 			fillStore(t, s)
 			// Checkpoint the fill so the crash's replay set is exactly
 			// the interrupted RMW.
@@ -235,7 +231,7 @@ func TestCrashRecoverySubStripeMatrix(t *testing.T) {
 			}
 			abandonStore(s, j)
 
-			s2, j2 := v.open(t)
+			s2, j2 := v.open(t, 0)
 			defer func() { s2.Close(); j2.Close() }()
 			// The property under test: no kill point leaves any stripe
 			// parity-inconsistent after recovery.
@@ -285,7 +281,7 @@ func TestCrashRecoverySubStripeMatrix(t *testing.T) {
 func TestCrashRecoveryAsyncPipeline(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	v := newCrashVolume(t, code, 4, 128)
-	s, j := v.open(t)
+	s, j := v.open(t, 2)
 	fillStore(t, s)
 	if err := s.Sync(bg); err != nil {
 		t.Fatal(err)
@@ -312,7 +308,7 @@ func TestCrashRecoveryAsyncPipeline(t *testing.T) {
 	}
 	abandonStore(s, j)
 
-	s2, j2 := v.open(t)
+	s2, j2 := v.open(t, 2)
 	defer func() { s2.Close(); j2.Close() }()
 	checkStripesConsistent(t, s2)
 	rep := s2.Recovery()
@@ -327,7 +323,7 @@ func TestCrashRecoveryAsyncPipeline(t *testing.T) {
 // ids. The caller owns the reopen.
 func crashSubStripe(t *testing.T, v *crashVolume, kp killPoint) []int {
 	t.Helper()
-	s, j := v.open(t)
+	s, j := v.open(t, 0)
 	fillStore(t, s)
 	// The barrier checkpoints the fill's intents, so the crash leaves
 	// exactly the interrupted RMW pending.
@@ -375,7 +371,7 @@ func TestRecoveryRefusesUntrustedRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, j2 := v.open(t)
+	s2, j2 := v.open(t, 0)
 	defer func() { s2.Close(); j2.Close() }()
 	rep := s2.Recovery()
 	if rep.Unrecoverable != 1 || rep.RolledForward != 0 {
@@ -408,7 +404,7 @@ func TestRecoveryLostParityRollsForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, j2 := v.open(t)
+	s2, j2 := v.open(t, 0)
 	defer func() { s2.Close(); j2.Close() }()
 	rep := s2.Recovery()
 	if rep.RolledForward != 1 || rep.Unrecoverable != 0 {
@@ -445,7 +441,7 @@ func TestRecoveryAcceptsVerifiedRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, j2 := v.open(t)
+	s2, j2 := v.open(t, 0)
 	defer func() { s2.Close(); j2.Close() }()
 	rep := s2.Recovery()
 	if rep.RolledForward != 1 || rep.Unrecoverable != 0 {
@@ -478,7 +474,7 @@ func TestRecoveryRetainsJournalOnWriteFailure(t *testing.T) {
 	flaky := &flakyDevice{MemDevice: v.devs[2].(*MemDevice)}
 	v.devs[2] = flaky
 	flaky.failWrites.Store(1)
-	s2, j2 := v.open(t)
+	s2, j2 := v.open(t, 0)
 	rep := s2.Recovery()
 	if rep.Unrecoverable != 1 || rep.RolledForward != 0 {
 		t.Fatalf("recovery %+v, want the failed roll-forward reported unrecoverable", rep)
@@ -493,7 +489,7 @@ func TestRecoveryRetainsJournalOnWriteFailure(t *testing.T) {
 
 	// Second reboot: the device behaves, the retained intent replays,
 	// and the stripe converges on the rolled-forward content.
-	s3, j3 := v.open(t)
+	s3, j3 := v.open(t, 0)
 	defer func() { s3.Close(); j3.Close() }()
 	rep = s3.Recovery()
 	if rep.RolledForward != 1 || rep.Unrecoverable != 0 {
@@ -540,7 +536,7 @@ func TestAsyncEvictionBackpressure(t *testing.T) {
 	}
 	s, err := Open(Config{
 		Code: code, SectorSize: 128, Stripes: stripes, Devices: devs,
-		MaxDirtyStripes: maxDirty,
+		MaxDirtyStripes: maxDirty, FlushWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -597,7 +593,7 @@ func TestAsyncEvictionBackpressure(t *testing.T) {
 func TestJournaledFlushBookkeeping(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	v := newCrashVolume(t, code, 3, 128)
-	s, j := v.open(t)
+	s, j := v.open(t, 0)
 	fillStore(t, s)
 	if err := s.WriteBlock(bg, 1, blockData(2001, s.BlockSize())); err != nil {
 		t.Fatal(err)
@@ -628,7 +624,7 @@ func TestJournaledFlushBookkeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	s2, j2 := v.open(t)
+	s2, j2 := v.open(t, 0)
 	defer func() { s2.Close(); j2.Close() }()
 	if s2.Recovery().Replayed() {
 		t.Errorf("recovery %+v ran on a cleanly closed volume", s2.Recovery())
@@ -655,7 +651,7 @@ func TestSyncDurabilityBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(Config{Code: code, SectorSize: 64, Stripes: 4, Devices: devs, Journal: j})
+		s, err := Open(Config{Code: code, SectorSize: 64, Stripes: 4, Devices: devs, Journal: j, FlushWorkers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -684,12 +680,12 @@ func TestSyncDurabilityBarrier(t *testing.T) {
 	checkStripesConsistent(t, s2)
 }
 
-// TestAsyncPipelineRoundTrip: through the pipeline, a sequential fill
+// TestAsyncPipelineRoundTrip: with the pipeline on, a sequential fill
 // still lands every stripe through full-stripe encodes, reads see
 // buffered writes throughout, and Flush drains to a consistent volume.
 func TestAsyncPipelineRoundTrip(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 5})
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 5, FlushWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,7 +723,7 @@ func TestUnqueueFlushRevertsHandOff(t *testing.T) {
 	const target, parked = 1, 0
 	for _, arm := range []string{"closed", "full"} {
 		t.Run(arm, func(t *testing.T) {
-			s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 4})
+			s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 4, FlushWorkers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -764,20 +760,16 @@ func TestUnqueueFlushRevertsHandOff(t *testing.T) {
 				s.sendFlush(target)
 				s.closed.Store(false)
 			case "full":
-				// Park every worker — Open starts min(GOMAXPROCS,
-				// stripes) — on the parked stripe's shard mutex, then
-				// fill the channel behind them. The parked stripe has no
-				// buffer, so each filler no-ops once a worker runs.
+				// Park the one worker on the parked stripe's shard mutex,
+				// then fill the channel behind it. The parked stripe has
+				// no buffer, so each filler no-ops once the worker runs.
 				psh := s.shard(parked)
 				psh.mu.Lock()
-				workers := min(runtime.GOMAXPROCS(0), s.stripes)
-				fillers = workers + cap(s.flushCh)
+				fillers = cap(s.flushCh) + 1
 				s.flushMu.Lock()
 				s.flushInflight += fillers
 				s.flushMu.Unlock()
-				for range workers {
-					s.flushCh <- parked
-				}
+				s.flushCh <- parked
 				for len(s.flushCh) > 0 {
 					time.Sleep(time.Millisecond)
 				}
@@ -833,7 +825,7 @@ func TestUnqueueFlushRevertsHandOff(t *testing.T) {
 // reports it and the buffer stays for a retry.
 func TestAsyncFlushErrorSurfaces(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2})
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2, FlushWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,9 +226,6 @@ func TestUnrecoverablePattern(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(bg); err != nil {
-		t.Fatal(err)
-	}
 	if got := s.UnrecoverableStripes(); len(got) != s.stripes-1 {
 		t.Errorf("after full-stripe rewrite: unrecoverable=%v, want %d stripes", got, s.stripes-1)
 	}

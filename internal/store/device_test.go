@@ -51,15 +51,11 @@ func TestVectoredCallsPerDevice(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Filling stripe 0 hands it to the flush pipeline on the last write;
-	// Flush waits for its full-stripe flush.
+	// Filling stripe 0 triggers the full-stripe flush on the last write.
 	for b := 0; b < s.perStripe; b++ {
 		if err := s.WriteBlock(bg, b, blockData(b, s.BlockSize())); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Flush(bg); err != nil {
-		t.Fatal(err)
 	}
 	if got := s.Stats().FullStripeFlushes; got != 1 {
 		t.Fatalf("FullStripeFlushes=%d, want 1", got)

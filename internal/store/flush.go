@@ -12,8 +12,8 @@ import (
 // This file is the store's write-back engine: the per-stripe flush
 // (full-stripe encode or §5.2 incremental read–modify–write), the
 // optional write-ahead journaling that makes a flush crash-consistent,
-// and the flush pipeline that overlaps stripe encodes with device
-// write-back.
+// and the asynchronous flush pipeline that overlaps stripe encodes with
+// device write-back.
 //
 // The journaled write-back protocol per stripe is
 //
@@ -388,23 +388,26 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 	return wrote, failed, nil
 }
 
-// --- The flush pipeline ------------------------------------------
+// --- The asynchronous flush pipeline -------------------------------
 //
-// A filled or evicted stripe buffer is handed to a pool of background
-// workers, min(GOMAXPROCS, stripes) wide, the sweep's rule: the writer
-// keeps going while workers encode and write back concurrently, one
-// stripe per worker. On high-latency media this pipelines one stripe's
-// device round trips under another's encode — the write-path analogue
-// of what vectored I/O did for the per-call count. Flush drains the
-// pipeline and lands the partial buffers in the caller; Sync adds the
-// durability barrier on top.
+// With Config.FlushWorkers > 0, a filled or evicted stripe buffer is
+// handed to a pool of background workers instead of being flushed
+// inline: the writer keeps going while workers encode and write back
+// concurrently, one stripe per worker. On high-latency media this
+// pipelines one stripe's device round trips under another's encode —
+// the write-path analogue of what vectored I/O did for the per-call
+// count. Flush drains the pipeline; Sync adds the durability barrier
+// on top.
+
+// asyncFlush reports whether the background pipeline is on.
+func (s *Store) asyncFlush() bool { return s.flushCh != nil }
 
 // queueFlushLocked marks a buffer as handed to the pipeline and
 // accounts it in flight; the caller holds the shard mutex and must call
 // sendFlush (after unlocking) iff this returns true. Stuck buffers stay
-// out of the pipeline — the background engine does not re-report a
-// known-failing stripe on every write; explicit Flush still retries
-// them.
+// out of the pipeline — like eviction, the background engine does not
+// re-report a known-failing stripe on every write; explicit Flush still
+// retries them.
 func (s *Store) queueFlushLocked(buf *stripeBuf) bool {
 	if buf.queued || buf.stuck {
 		return false

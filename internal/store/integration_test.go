@@ -48,9 +48,9 @@ func checkVolume(t *testing.T, s *store.Store, blocks [][]byte) {
 	}
 }
 
-// The flush pipeline over slow single-queue backends: its workers'
-// stripes queue behind each other on every device, and every one of
-// them must land whole.
+// A wide flush pipeline over slow single-queue backends: 16 flush
+// workers' stripes queue behind each other on every device, and every
+// one of them must land whole.
 func TestFlushPipelineOverSerialDevices(t *testing.T) {
 	code, err := core.New(core.Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestFlushPipelineOverSerialDevices(t *testing.T) {
 		devs[i] = store.NewLatencyDeviceProfile(mems[i],
 			store.LatencyProfile{Latency: 2 * time.Millisecond, Serial: true})
 	}
-	cfg := store.Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs}
+	cfg := store.Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs, FlushWorkers: 16}
 	s, err := store.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestFlushPipelineOverSerialDevices(t *testing.T) {
 	}
 	// Read everything back from the bare devices: 640 lone reads at 2ms
 	// each would only slow the test down.
-	cfg.Devices = mems
+	cfg.Devices, cfg.FlushWorkers = mems, 0
 	bare, err := store.Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -127,9 +127,6 @@ func TestRebuildSkipsStripeRewrittenSinceReplace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(bg); err != nil {
-		t.Fatal(err)
-	}
 	if got := s.Stats().FullStripeFlushes; got != rebuildStripes+1 {
 		t.Fatalf("FullStripeFlushes=%d, want the rewrite as one more than the fill's %d", got, rebuildStripes)
 	}

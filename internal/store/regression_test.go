@@ -170,33 +170,36 @@ func TestPartialRepairRequeuedAndCountedOnce(t *testing.T) {
 	checkStripesConsistent(t, s)
 }
 
-// failReadsDevice fails every read while its shared switch is on — a
-// device that stops answering just as an eviction's read–modify–write
-// loads its stripe.
-type failReadsDevice struct {
+// writeCanceller, shared by a set of cancelOnWriteDevice wrappers,
+// cancels an armed context on the next device write anywhere in the
+// store — simulating a caller whose deadline expires exactly as an
+// eviction's write-back begins.
+type writeCanceller struct {
+	armed atomic.Pointer[context.CancelFunc]
+}
+
+type cancelOnWriteDevice struct {
 	*MemDevice
-	failing *atomic.Bool
+	c *writeCanceller
 }
 
-var errReadsFail = errors.New("injected read failure")
-
-func (d *failReadsDevice) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
-	if d.failing.Load() {
-		return errReadsFail
+func (d *cancelOnWriteDevice) WriteSectors(ctx context.Context, start int, data [][]byte) error {
+	if fn := d.c.armed.Swap(nil); fn != nil {
+		(*fn)()
 	}
-	return d.MemDevice.ReadSectors(ctx, start, bufs)
+	return d.MemDevice.WriteSectors(ctx, start, data)
 }
 
-// TestEvictionFlushErrorKeepsAccounting: an eviction whose background
-// flush fails must leave dirtyCount consistent with the per-shard dirty
-// maps, surface its error at the next Flush and keep the victim's
-// buffer retryable — a later Flush lands everything.
+// TestEvictionFlushErrorKeepsAccounting: a flushStripeLocked failure on
+// the maxDirty eviction path must leave dirtyCount consistent with the
+// per-shard dirty maps and keep the victim's buffer retryable — a later
+// Flush with a live context lands everything.
 func TestEvictionFlushErrorKeepsAccounting(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	var failing atomic.Bool
+	canceller := &writeCanceller{}
 	devs := make([]Device, code.N())
 	for i := range devs {
-		devs[i] = &failReadsDevice{MemDevice: NewMemDevice(4*code.R(), 128), failing: &failing}
+		devs[i] = &cancelOnWriteDevice{MemDevice: NewMemDevice(4*code.R(), 128), c: canceller}
 	}
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 4, Devices: devs, MaxDirtyStripes: 2})
 	if err != nil {
@@ -220,33 +223,31 @@ func TestEvictionFlushErrorKeepsAccounting(t *testing.T) {
 	}
 
 	// Two partial buffers under the bound, then a third write that
-	// overflows it — with every device failing reads, the evicted
-	// stripe's read–modify–write cannot load it. The write itself
-	// succeeds: the eviction's error belongs to the background flush.
+	// overflows it — with the canceller armed, the eviction's
+	// write-back dies on a cancelled context.
 	for stripe := 0; stripe < 2; stripe++ {
 		if err := s.WriteBlock(bg, stripe*s.perStripe, blockData(stripe, s.BlockSize())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	failing.Store(true)
-	if err := s.WriteBlock(bg, 2*s.perStripe, blockData(2, s.BlockSize())); err != nil {
-		t.Fatalf("write that evicts: %v", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceller.armed.Store(&cancel)
+	err = s.WriteBlock(ctx, 2*s.perStripe, blockData(2, s.BlockSize()))
+	if err == nil {
+		t.Fatal("eviction under a dying context reported success")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("eviction error %v, want context.Canceled", err)
 	}
 	// The requested write is buffered, the victim's buffer survives,
 	// and the aggregate matches the maps exactly.
 	if got := checkAccounting("after failed eviction"); got != 3 {
 		t.Fatalf("%d stripes buffered after failed eviction, want 3 (nothing lost)", got)
 	}
-	if err := s.Flush(bg); !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("Flush after the failed eviction returned %v, want its ErrUnrecoverable", err)
-	}
-	if got := checkAccounting("after the failure surfaced"); got != 3 {
-		t.Fatalf("%d stripes buffered after the failure surfaced, want 3", got)
-	}
-	failing.Store(false)
 
-	// Retry with the devices answering: every buffer — including the
-	// stuck victim — lands.
+	// Retry with a live context: every buffer — including the stuck
+	// victim — lands.
 	if err := s.Flush(bg); err != nil {
 		t.Fatalf("retry flush: %v", err)
 	}

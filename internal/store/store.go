@@ -50,7 +50,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -86,18 +85,23 @@ type Config struct {
 	// into. Nil falls back to in-memory devices.
 	Devices []Device
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
-	// — parallelism is RepairWorkers, the lock table's 32 shards, and
-	// GOMAXPROCS stripes at once in the flush pipeline, RebuildDevice and
-	// Scrub. Kept until bench/ stops setting it.
+	// — parallelism is FlushWorkers / RepairWorkers, the lock table's
+	// 32 shards, and GOMAXPROCS stripes at once in RebuildDevice and Scrub. Kept until
+	// bench/ stops setting it.
 	Workers int
-	// MaxDirtyStripes bounds the write buffer: exceeding it hands the
-	// fullest buffered stripe to the flush pipeline and holds the writer
-	// until the count is back under the bound. 0 selects 8.
+	// MaxDirtyStripes bounds the write buffer: exceeding it flushes the
+	// fullest buffered stripe. 0 selects 8.
 	MaxDirtyStripes int
 	// RepairWorkers sizes the pool draining the repair queue; workers
 	// repair distinct stripes concurrently (each under its stripe's
 	// shard lock). 0 selects 1.
 	RepairWorkers int
+	// FlushWorkers sizes the asynchronous flush pipeline: with workers,
+	// a filled or evicted stripe buffer is handed to a background pool
+	// that encodes and writes it back while the writer keeps going, and
+	// Flush becomes "drain the pipeline". 0 keeps the write path
+	// synchronous (a filled buffer flushes inline, as before).
+	FlushWorkers int
 	// Integrity, when non-nil, enables the end-to-end per-sector
 	// checksum layer (internal/store/integrity): every data and parity
 	// sector gets a CRC32C record — salted with its device address and
@@ -148,9 +152,9 @@ func IntegrityMetaSectors(stripes, r, sectorSize int) int {
 // stripeBuf accumulates dirty data blocks of one stripe, indexed by data
 // cell ordinal (the code's DataCells order). stuck marks a buffer whose
 // flush failed (e.g. its stripe is unrecoverably degraded, or the
-// flush's context was cancelled mid-write-back): eviction and the flush
-// pipeline skip it so the same error is not re-reported on every
-// unrelated write, but explicit Flush still retries it.
+// flush's context was cancelled mid-write-back): eviction skips it so
+// the same error is not re-reported on every unrelated write, but
+// explicit Flush (and the filling-to-full fast path) still retry it.
 type stripeBuf struct {
 	// data[ord] is nil until block ord is written, then the cell of st
 	// the block maps to — so a full buffer is a stripe whose data cells
@@ -160,8 +164,8 @@ type stripeBuf struct {
 	st    *core.Stripe
 	count int
 	stuck bool
-	// queued marks a buffer handed to the flush pipeline and not yet
-	// picked up by a worker; it dedupes pipeline entries.
+	// queued marks a buffer handed to the asynchronous flush pipeline
+	// and not yet picked up by a worker; it dedupes pipeline entries.
 	queued bool
 	// torn is non-nil from an interrupted sub-stripe write-back of this
 	// buffer until the retry that rewrites the stripe whole; every load
@@ -253,9 +257,9 @@ type Store struct {
 	journal  *journal.Journal
 	recovery RecoveryReport
 
-	// The flush pipeline (see flush.go): flushCh feeds the workers;
-	// flushMu/flushIdle guard the in-flight count and the sticky
-	// background-flush error.
+	// The asynchronous flush pipeline (see flush.go). flushCh is nil
+	// when the pipeline is off; flushMu/flushIdle guard the in-flight
+	// count and the sticky background-flush error.
 	flushCh       chan int
 	flushMu       sync.Mutex
 	flushIdle     *sync.Cond
@@ -332,6 +336,9 @@ func Open(cfg Config) (*Store, error) {
 	if repairWorkers < 1 {
 		return nil, fmt.Errorf("store: RepairWorkers=%d must be ≥ 0", cfg.RepairWorkers)
 	}
+	if cfg.FlushWorkers < 0 {
+		return nil, fmt.Errorf("store: FlushWorkers=%d must be ≥ 0", cfg.FlushWorkers)
+	}
 	s := &Store{
 		code:       cfg.Code,
 		devs:       devs,
@@ -392,15 +399,15 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: journal replay: %w", err)
 		}
 	}
-	// The flush pipeline is as wide as a sweep: one stripe per core.
-	// One channel slot per stripe: the queued flag dedupes entries, so
-	// sendFlush can never block (see flush.go).
-	flushWorkers := min(runtime.GOMAXPROCS(0), cfg.Stripes)
-	s.flushCh = make(chan int, cfg.Stripes)
-	s.bufs = make(chan *stripeBuf, maxDirty+flushWorkers)
-	s.wg.Add(flushWorkers)
-	for range flushWorkers {
-		go s.flushLoop()
+	s.bufs = make(chan *stripeBuf, maxDirty+cfg.FlushWorkers)
+	if cfg.FlushWorkers > 0 {
+		// One channel slot per stripe: the queued flag dedupes entries,
+		// so sendFlush can never block (see flush.go).
+		s.flushCh = make(chan int, cfg.Stripes)
+		s.wg.Add(cfg.FlushWorkers)
+		for i := 0; i < cfg.FlushWorkers; i++ {
+			go s.flushLoop()
+		}
 	}
 	s.wg.Add(repairWorkers)
 	for i := 0; i < repairWorkers; i++ {
@@ -444,13 +451,10 @@ func (s *Store) cellIdx(cell core.Cell) int { return cell.Col*s.r + cell.Row }
 // devSector maps (stripe, row) to the device sector index.
 func (s *Store) devSector(stripe, row int) int { return stripe*s.r + row }
 
-// WriteBlock buffers one block write. A stripe buffer that fills, or
-// that the buffer bound evicts, is handed to the flush pipeline, which
-// encodes and writes it back in the background (full-stripe encode, or
-// incremental parity read–modify–write for an evicted partial stripe);
-// the rest land at Flush/Sync/Close. A background flush's error
-// surfaces at the next Flush, Sync or Close, not here. ctx bounds only
-// the wait for the pipeline when the buffer bound is exceeded.
+// WriteBlock buffers one block write. The write lands on devices when
+// its stripe buffer fills (full-stripe encode), when the buffer bound
+// evicts it, or at Flush/Close (incremental parity read–modify–write).
+// ctx bounds any device I/O a triggered flush performs.
 func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	if len(data) != s.sectorSize {
 		return fmt.Errorf("store: write of %d bytes, want block size %d", len(data), s.sectorSize)
@@ -485,30 +489,58 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	}
 	copy(buf.data[ord], data)
 	s.c.writes.Add(1)
-	queued := buf.count == s.perStripe && s.queueFlushLocked(buf)
-	sh.mu.Unlock()
-	if queued {
-		s.sendFlush(stripe)
-		return nil
-	}
-	if s.overDirtyBound() {
-		// Hand the victim (if any) to the pipeline, then hold the writer
-		// until the buffer count is back under the bound — MaxDirtyStripes
-		// stays a real memory bound even when the flush workers lag the
-		// writer.
-		if victim := s.fullestDirty(stripe); victim >= 0 {
-			vsh := s.shard(victim)
-			vsh.mu.Lock()
-			vbuf := vsh.dirty[victim]
-			queued = vbuf != nil && s.queueFlushLocked(vbuf)
-			vsh.mu.Unlock()
+	if buf.count == s.perStripe {
+		// A filled buffer flushes: inline in synchronous mode, handed
+		// to the background pipeline otherwise (the writer keeps going;
+		// errors surface at the next Flush/Sync/Close).
+		if s.asyncFlush() {
+			queued := s.queueFlushLocked(buf)
+			sh.mu.Unlock()
 			if queued {
-				s.sendFlush(victim)
+				s.sendFlush(stripe)
 			}
+			return nil
 		}
-		if err := s.awaitFlushes(ctx, s.overDirtyBound); err != nil {
-			// The requested write IS buffered; only the wait died.
-			return fmt.Errorf("store: block %d buffered, but awaiting the flush pipeline: %w", b, err)
+		err := s.flushStripeLocked(ctx, sh, stripe)
+		sh.mu.Unlock()
+		return err
+	}
+	sh.mu.Unlock()
+	if s.overDirtyBound() {
+		victim := s.fullestDirty(stripe)
+		if s.asyncFlush() {
+			// Hand the victim (if any) to the pipeline, then hold the
+			// writer until the buffer count is back under the bound —
+			// MaxDirtyStripes stays a real memory bound even when the
+			// flush workers lag the writer.
+			if victim >= 0 {
+				vsh := s.shard(victim)
+				vsh.mu.Lock()
+				var queued bool
+				if vbuf := vsh.dirty[victim]; vbuf != nil {
+					queued = s.queueFlushLocked(vbuf)
+				}
+				vsh.mu.Unlock()
+				if queued {
+					s.sendFlush(victim)
+				}
+			}
+			if err := s.awaitFlushes(ctx, s.overDirtyBound); err != nil {
+				// The requested write IS buffered; only the wait died.
+				return fmt.Errorf("store: block %d buffered, but awaiting the flush pipeline: %w", b, err)
+			}
+			return nil
+		}
+		if victim < 0 {
+			return nil // every other buffer is stuck; nothing to evict
+		}
+		vsh := s.shard(victim)
+		vsh.mu.Lock()
+		err := s.flushStripeLocked(ctx, vsh, victim)
+		vsh.mu.Unlock()
+		if err != nil {
+			// The requested write IS buffered; only the eviction failed.
+			return fmt.Errorf("store: block %d buffered, but evicting stripe %d failed: %w", b, victim, err)
 		}
 	}
 	return nil
@@ -539,8 +571,8 @@ func (s *Store) fullestDirty(except int) int {
 	return best
 }
 
-// Flush drains the write path: it first waits out every queued or
-// in-flight background flush, reports any background
+// Flush drains the write path: with the pipeline on it first waits out
+// every queued or in-flight background flush, reports any background
 // failure recorded since the last drain, then lands every remaining
 // buffered stripe synchronously. A cancelled ctx aborts promptly —
 // including any in-flight device wait — leaving the unflushed buffers
@@ -928,7 +960,9 @@ func (s *Store) Close() error {
 	s.stateMu.Unlock()
 	close(s.quit)
 	s.repairQ.close()
-	close(s.flushCh)
+	if s.asyncFlush() {
+		close(s.flushCh)
+	}
 	s.wg.Wait()
 	// The drain left no pending repairs; one last broadcast wakes any
 	// Quiesce waiter so its loop re-checks closed. A backpressure waiter

@@ -141,6 +141,33 @@ func TestAllocRegressionGuard(t *testing.T) {
 	}
 }
 
+// pipelinedWriteAllocs measures two full stripes through the flush
+// pipeline and a Flush that waits for them: write buffers recycle through
+// the store's free list across the writer's and the workers' goroutines,
+// and neither the backpressure wait nor the drain registers a wake-up for
+// a context that cannot end. Measured 0.
+func pipelinedWriteAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions) float64 {
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ, FlushWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillStore(t, s)
+	buf := blockData(1, s.BlockSize())
+	i := 0
+	return testing.AllocsPerRun(200, func() {
+		for range 2 * s.perStripe {
+			if err := s.WriteBlock(bg, i%s.Blocks(), buf); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		if err := s.Flush(bg); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ})
@@ -167,24 +194,7 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if err := s.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	// Full stripes through the flush pipeline, then a Flush that waits
-	// for it: write buffers recycle through the store's free list across
-	// the writer's and the workers' goroutines, and neither the
-	// backpressure wait nor the drain registers a wake-up for a context
-	// that cannot end. Measured 0.
-	i += s.perStripe - i%s.perStripe
-	pipelined := testing.AllocsPerRun(200, func() {
-		for range 2 * s.perStripe {
-			if err := s.WriteBlock(bg, i%s.Blocks(), buf); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if err := s.Flush(bg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if pipelined != 0 {
+	if pipelined := pipelinedWriteAllocs(t, code, integ); pipelined != 0 {
 		t.Errorf("pipelined full-stripe writes + Flush: %.2f allocs/op, want 0", pipelined)
 	}
 
