@@ -516,23 +516,7 @@ func BenchmarkClusterWriteBack(b *testing.B) {
 		for _, writers := range []int{1, 8} {
 			for _, workers := range []int{0, 2, 4} {
 				b.Run(fmt.Sprintf("latency_us=%d/writers=%d/workers=%d", latUS, writers, workers), func(b *testing.B) {
-					var servers []cluster.Server
-					for i := range code.N() {
-						var d store.Device = store.NewMemDevice(stripes*code.R(), sector)
-						if latUS > 0 {
-							d = store.NewLatencyDeviceProfile(d, store.LatencyProfile{Latency: time.Duration(latUS) * time.Microsecond})
-						}
-						hs := devtest.NewServer(b, store.NewDeviceServer(d))
-						servers = append(servers, cluster.Server{Name: fmt.Sprintf("s%d", i), URL: hs.URL})
-					}
-					v, err := cluster.Open(benchCtx, cluster.Config{
-						Fleet: &cluster.Fleet{Servers: servers}, Code: code, SectorSize: sector, Stripes: stripes,
-						FlushWorkers: workers, Monitor: cluster.MonitorConfig{Interval: time.Hour},
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { v.Close() })
+					v := benchCluster(b, code, stripes, sector, latUS, workers)
 					buf := make([]byte, sector)
 					per := v.Blocks() / writers
 					b.SetBytes(int64(v.Blocks() * sector))
@@ -561,6 +545,77 @@ func BenchmarkClusterWriteBack(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// benchCluster opens a volume over n loopback device servers, each a
+// MemDevice answering every call latUS µs late, with the given number of
+// flush workers.
+func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS, workers int) *cluster.Volume {
+	var servers []cluster.Server
+	for i := range code.N() {
+		var d store.Device = store.NewMemDevice(stripes*code.R(), sector)
+		if latUS > 0 {
+			d = store.NewLatencyDeviceProfile(d, store.LatencyProfile{Latency: time.Duration(latUS) * time.Microsecond})
+		}
+		hs := devtest.NewServer(b, store.NewDeviceServer(d))
+		servers = append(servers, cluster.Server{Name: fmt.Sprintf("s%d", i), URL: hs.URL})
+	}
+	v, err := cluster.Open(benchCtx, cluster.Config{
+		Fleet: &cluster.Fleet{Servers: servers}, Code: code, SectorSize: sector, Stripes: stripes,
+		FlushWorkers: workers, Monitor: cluster.MonitorConfig{Interval: time.Hour},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { v.Close() })
+	return v
+}
+
+// BenchmarkClusterDegradedRead: one block on a dead column read over 8
+// loopback device servers, on devices without added latency and with
+// 200 µs per call. With a column known down, each read is row-local: one
+// wave of n−m sector reads from the block's row and a row solve (§4.3).
+func BenchmarkClusterDegradedRead(b *testing.B) {
+	code := benchCode(b, core.Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	const sector, stripes, dead = 4096, 16, 0
+	for _, latUS := range []int{0, 200} {
+		b.Run(fmt.Sprintf("latency_us=%d", latUS), func(b *testing.B) {
+			v := benchCluster(b, code, stripes, sector, latUS, 0)
+			buf := make([]byte, sector)
+			for blk := range v.Blocks() {
+				if err := v.WriteBlock(benchCtx, blk, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := v.Flush(benchCtx); err != nil {
+				b.Fatal(err)
+			}
+			if err := v.Store().FailDevice(dead); err != nil {
+				b.Fatal(err)
+			}
+			var lost []int
+			for ord, cell := range code.DataCells() {
+				if cell.Col == dead {
+					for stripe := range stripes {
+						lost = append(lost, stripe*len(code.DataCells())+ord)
+					}
+				}
+			}
+			before := v.Store().Stats().DegradedReads
+			b.SetBytes(sector)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				if err := v.Store().ReadBlockInto(benchCtx, lost[i%len(lost)], buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := v.Store().Stats().DegradedReads - before; got != uint64(b.N) {
+				b.Fatalf("%d reads, %d degraded", b.N, got)
+			}
+		})
 	}
 }
 

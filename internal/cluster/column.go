@@ -18,8 +18,8 @@ import (
 // once the spare's sectors are marked lost; RebuildDevice then runs its
 // usual course.
 //
-// column implements store.FaultDevice and store.Syncer; fault-plane
-// calls forward to the current device (over the wire for NetDevice).
+// column implements store.FaultDevice, store.Syncer and store.Remoter;
+// fault-plane calls forward to the current device (over the wire).
 type column struct {
 	idx int
 	// onSuspect reports a transport-level error on live I/O to the
@@ -108,6 +108,9 @@ func (c *column) observe(ctx context.Context, err error) {
 	}
 	c.onSuspect(c.idx, err)
 }
+
+// Remote reports true, whatever wrapper the dial put around the client.
+func (c *column) Remote() bool { return true }
 
 // Sectors returns the column's capacity (stable across swaps: every
 // fleet member serves the same geometry).

@@ -310,7 +310,8 @@ func storeGoroutines() []string {
 }
 
 // TestCloseLeavesNoGoroutines: Close returns only once every goroutine
-// Open started — the flush workers, the repair workers — has exited, so
+// the store started — the flush workers, the repair workers, the I/O
+// helpers of a store over remote columns — has exited, so
 // an Open/Close cycle leaves no more goroutines running Store methods
 // than there were before Open. It holds with and without a journal, and
 // when a flush failed and Close reports it. The count is taken the
@@ -323,11 +324,18 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		name    string
 		journal bool
 		fail    bool
-	}{{"plain", false, false}, {"journal", true, false}, {"flush-error", false, true}} {
+		remote  bool
+	}{{"plain", false, false, false}, {"journal", true, false, false}, {"flush-error", false, true, false},
+		{"remote", true, false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for cycle := range 10 {
 				baseline := len(storeGoroutines())
 				cfg := Config{Code: code, SectorSize: 128, Stripes: 4, RepairWorkers: 2, FlushWorkers: 2}
+				if tc.remote {
+					// Every wave's calls go to the I/O helpers.
+					cfg.Integrity = &IntegrityOptions{}
+					cfg.Devices = barrierDevs(code.N(), 4, code.R(), 128, true, true, nil)
+				}
 				var j *journal.Journal
 				if tc.journal {
 					var err error
@@ -351,6 +359,9 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				}
 				if err := s.WriteBlock(bg, 1, blockData(7, s.BlockSize())); err != nil {
 					t.Fatal(err)
+				}
+				if tc.remote && !strings.Contains(strings.Join(storeGoroutines(), ""), ".ioHelper(") {
+					t.Fatalf("cycle %d: no I/O helper running before Close", cycle)
 				}
 				err = s.Close()
 				left := storeGoroutines()

@@ -109,7 +109,8 @@ func AsSectorErrors(err error) (SectorErrors, bool) {
 // sectors of SectorSize() bytes each, accessed through vectored,
 // context-aware calls over contiguous extents — one call per device per
 // stripe on the store's hot paths, which is what makes remote backends
-// (one round trip per extent, not per sector) viable.
+// (one round trip per extent, not per sector) viable. Its optional
+// capabilities are Syncer, Remoter, Corrupter and FaultDevice.
 //
 // Contract, shared by every implementation and enforced by the devtest
 // conformance suite:
@@ -155,6 +156,14 @@ type Device interface {
 // to offer may answer nil instead, having nothing to lose.
 type Syncer interface {
 	Sync(ctx context.Context) error
+}
+
+// Remoter is an optional Device capability: Remote reports true when the
+// device's calls wait on a round trip, as a network client's do. Open
+// asks it once; the store overlaps a stripe phase's calls to such devices
+// (see wave.go) and runs others inline. A wrapper answers for itself.
+type Remoter interface {
+	Remote() bool
 }
 
 // SyncDevice syncs d when it implements Syncer, and is a no-op

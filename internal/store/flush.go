@@ -15,19 +15,22 @@ import (
 // and the asynchronous flush pipeline that overlaps stripe encodes with
 // device write-back.
 //
-// The journaled write-back protocol per stripe is
+// A write-back's calls go out in waves (see wave.go), each started once
+// the one before has returned: unjournaled, the cells, then the sidecar
+// records. The journaled write-back protocol per stripe is
 //
 //	1. append an intent (stripe, dirty ords, checksums) — fsynced;
-//	2. write the stripe's data sectors;
-//	3. write its parity sectors;
-//	4. commit the intent.
+//	2. write the stripe's data sectors, one wave;
+//	3. write its parity sectors, the next wave;
+//	4. write its sidecar records, with integrity on, the last wave;
+//	5. commit the intent.
 //
-// A crash between 1 and 4 leaves the intent pending; Open replays it,
-// re-verifying the stripe's parity and rolling forward if the
-// write-back was interrupted (see recovery.go). Data sectors go first
-// so that recovery's roll-forward — re-encoding parity from on-device
-// data — converges on the *new* content whenever the data phase
-// completed, and on a consistent mix otherwise.
+// with a kill point between each two. A crash between 1 and 5 leaves the
+// intent pending; Open replays it, re-verifying the stripe's parity and
+// rolling forward if the write-back was interrupted (see recovery.go).
+// Data sectors go first so that recovery's roll-forward — re-encoding
+// parity from on-device data — converges on the *new* content whenever
+// the data phase completed, and on a consistent mix otherwise.
 
 // killPoint names a crash-injection site inside the journaled
 // write-back. The crash tests arm testKill to abort a flush at each
@@ -128,7 +131,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 // data cell changes that cell and the parity cells that depend on it —
 // about ten of the stripe's cells — so that is what the flush wants of
 // the stripe (every cell, if it is marked unrecoverable): loadPlanned
-// reads and verifies them, one loadChunk per touched column from its
+// reads and verifies them, one vectored read per touched column from its
 // first to its last needed row; a sector between needed rows is a hole
 // of that call, never read, verified or written back. Every loss the
 // load finds joins want, so the load's final plan decodes it from cells
@@ -343,25 +346,39 @@ func (s *Store) promoteToFullLocked(buf *stripeBuf, st *core.Stripe) {
 }
 
 // writeStripeCells writes the given cells (sorted by Col, Row) of one
-// stripe back to their devices, grouped into one vectored call per
-// contiguous per-device run. It reports how many sectors landed and how
-// many failed; a run whose device answers ErrDeviceFailed is neither
-// but skipped, since a wholly failed device has no write to retry until
-// it is replaced. Only context cancellation aborts the sweep with an
-// error.
+// stripe back, one vectored call per contiguous per-device run, those on
+// remote columns one wave (see wave.go). It reports how many sectors
+// landed and how many failed; a run whose device answers ErrDeviceFailed
+// is neither but skipped, since a wholly failed device has no write to
+// retry until it is replaced. Only context cancellation aborts with an error.
 func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Stripe, cells []core.Cell) (wrote, failed int, err error) {
 	sh := s.shard(stripe)
+	for i, j := 0, 1; s.anyRemote && i < len(cells); i, j = j, j+1 {
+		for j < len(cells) && cells[j].Col == cells[i].Col && cells[j].Row == cells[j-1].Row+1 {
+			j++
+		}
+		if at := s.cellIdx(cells[i]); s.remote[cells[i].Col] {
+			bufs := s.vecFor(sh, cells[i].Col, at, at+j-i)
+			copy(bufs, st.Cells[at:]) // a run's cells are consecutive there
+			s.issue(ctx, sh, callWrite, cells[i].Col, s.devSector(stripe, cells[i].Row), bufs)
+		}
+	}
+	calls := s.finishWave(sh)
 	for i := 0; i < len(cells); {
 		j := i + 1
 		for j < len(cells) && cells[j].Col == cells[i].Col && cells[j].Row == cells[j-1].Row+1 {
 			j++
 		}
 		run := cells[i:j]
-		bufs := sh.rowvec(len(run))
-		for k, cell := range run {
-			bufs[k] = st.Sector(cell.Col, cell.Row)
+		werr, bufs := error(nil), sh.rowvec(len(run))
+		if s.remote[run[0].Col] {
+			werr, bufs, calls = calls[0].err, calls[0].bufs, calls[1:]
+		} else {
+			for k, cell := range run {
+				bufs[k] = st.Sector(cell.Col, cell.Row)
+			}
+			werr = s.devs[run[0].Col].WriteSectors(ctx, s.devSector(stripe, run[0].Row), bufs)
 		}
-		werr := s.devs[run[0].Col].WriteSectors(ctx, s.devSector(stripe, run[0].Row), bufs)
 		if cerr := ctx.Err(); cerr != nil {
 			sh.dropScratchOnCancel()
 			return wrote, failed, cerr

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"stair/internal/store/mem"
 )
 
 // Verdict is the outcome of verifying one sector against its record.
@@ -47,8 +45,10 @@ type Manager struct {
 	mu      []sync.RWMutex
 	flushMu []sync.Mutex
 	// flushVec[col] is FlushRange's reusable buffer vector, guarded by
-	// flushMu[col].
+	// flushMu[col]; snaps are its spare snapshots, the latest last.
 	flushVec [][][]byte
+	snapMu   sync.Mutex
+	snaps    [][]byte
 
 	// states/sums[col] cache each sector's record pre-decoded, so the
 	// read path's Verify is a flag check plus a digest compare instead
@@ -265,7 +265,7 @@ func (m *Manager) stageLocked(col, sector int, sum uint32) {
 // actual vectored device write. The per-col flush lock guarantees
 // that when two flushes race on a shared meta sector, each write's
 // snapshot includes everything staged before it — the last writer
-// persists a superset. The snapshot is pooled and bufs is reused by the
+// persists a superset. The snapshot is recycled and bufs is reused by the
 // next flush of col: write must not retain either past its return —
 // unless it returns with ctx cancelled, in which case both are dropped
 // to the GC for whatever abandoned operation may still hold them.
@@ -280,7 +280,15 @@ func (m *Manager) FlushRange(ctx context.Context, col, start, count int, write f
 	m.flushMu[col].Lock()
 	defer m.flushMu[col].Unlock()
 
-	snap := mem.Acquire(n * m.sectorSize)
+	var snap []byte
+	m.snapMu.Lock()
+	if k := len(m.snaps) - 1; k >= 0 && cap(m.snaps[k]) >= n*m.sectorSize {
+		snap, m.snaps = m.snaps[k][:n*m.sectorSize], m.snaps[:k]
+	}
+	m.snapMu.Unlock()
+	if snap == nil {
+		snap = make([]byte, n*m.sectorSize)
+	}
 	m.mu[col].RLock()
 	copy(snap, m.regions[col][first*m.sectorSize:(last+1)*m.sectorSize])
 	m.mu[col].RUnlock()
@@ -297,7 +305,8 @@ func (m *Manager) FlushRange(ctx context.Context, col, start, count int, write f
 		m.flushVec[col] = nil
 		return err
 	}
-	clear(bufs)
-	mem.Release(snap)
+	m.snapMu.Lock()
+	m.snaps = append(m.snaps, snap)
+	m.snapMu.Unlock()
 	return err
 }

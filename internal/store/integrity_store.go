@@ -51,30 +51,41 @@ func (s *Store) stageRecords(col, start int, bufs [][]byte) {
 }
 
 // flushStripeMeta persists the staged records covering one stripe's
-// rows on the given columns — one vectored sidecar write per column.
-// Device write errors other than context cancellation are swallowed: a
-// wholly failed device answers ErrDeviceFailed, and its records refresh
-// on rebuild like its data; on a live device a record that failed to
-// land simply stays stale on disk and resolves as a located mismatch →
-// repair on a later verified read, which is strictly safer than failing
-// the caller's flush over sidecar bytes.
+// rows on the given columns — one vectored sidecar write per column, the
+// columns' writes one wave (see wave.go). Device write errors other than
+// context cancellation are swallowed: a wholly failed device answers
+// ErrDeviceFailed, and its records refresh on rebuild like its data; on a
+// live device a record that failed to land simply stays stale on disk and
+// resolves as a located mismatch → repair on a later verified read, which
+// is strictly safer than failing the caller's flush over sidecar bytes.
 func (s *Store) flushStripeMeta(ctx context.Context, stripe int, cols []int) error {
 	if s.integ == nil {
 		return nil
 	}
-	start := s.devSector(stripe, 0)
+	sh, start := s.shard(stripe), s.devSector(stripe, 0)
+	var err error
 	for _, col := range cols {
-		dev := s.devs[col]
-		err := s.integ.FlushRange(ctx, col, start, s.r, func(ctx context.Context, metaStart int, bufs [][]byte) error {
-			return dev.WriteSectors(ctx, s.dataSectors+metaStart, bufs)
-		})
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
+		if s.remote[col] {
+			s.issue(ctx, sh, callMeta, col, start, nil)
+		} else if s.flushColumnMeta(ctx, col, start) != nil && ctx.Err() != nil {
+			err = ctx.Err()
+			break
 		}
 	}
-	return nil
+	for _, c := range s.finishWave(sh) {
+		if c.err != nil && err == nil {
+			err = ctx.Err()
+		}
+	}
+	return err
+}
+
+// flushColumnMeta persists col's records of the stripe starting at start.
+func (s *Store) flushColumnMeta(ctx context.Context, col, start int) error {
+	dev := s.devs[col]
+	return s.integ.FlushRange(ctx, col, start, s.r, func(ctx context.Context, metaStart int, bufs [][]byte) error {
+		return dev.WriteSectors(ctx, s.dataSectors+metaStart, bufs)
+	})
 }
 
 // appendCols appends to dst the distinct columns of a cell set sorted by

@@ -18,7 +18,7 @@ import (
 // core.Patterns (indexed by cellIdx), the form PlanRead takes.
 
 // stripeLoad is a load of cells of one stripe in progress, filled one row
-// span of one column at a time by loadChunk. It is shard scratch
+// span of one column at a time by landChunk. It is shard scratch
 // (lockShard.load), reset by startLoad, so that a load allocates nothing;
 // it stays valid under the shard mutex until the next load.
 type stripeLoad struct {
@@ -73,27 +73,14 @@ func (s *Store) startLoad(stripe int, verify bool) *stripeLoad {
 	return ld
 }
 
-// chunkVec points the shard's buffer-vector scratch at rows [lo, hi) of
-// column col of st.
-func (sh *lockShard) chunkVec(st *core.Stripe, col, lo, hi int) [][]byte {
-	bufs := sh.rowvec(hi - lo)
-	for i := range bufs {
-		bufs[i] = st.Sector(col, lo+i)
-	}
-	return bufs
-}
-
-// loadChunk reads rows lo, lo+1, … of column col of ld's stripe into
-// bufs, one sector each, in one vectored call (a nil buffer is a hole,
-// not read), and adds what it finds to ld: the lost and
-// checksum-mismatched cells and the torn update's cells taken from
-// memory; the answer goes to s.down (noteRead). The error is non-nil
-// only for context cancellation, which ends the load; the verdicts found
-// so far are counted.
-func (s *Store) loadChunk(ctx context.Context, ld *stripeLoad, col, lo int, bufs [][]byte) error {
+// landChunk adds to ld what rerr, col's answer to a read of bufs from
+// sector start (a nil buffer a hole), found: the lost and checksum-failed
+// cells, and the torn update's cells from memory; s.down gets the answer.
+// The error is non-nil only for context cancellation, which ends the
+// load; the verdicts found so far are counted.
+func (s *Store) landChunk(ctx context.Context, ld *stripeLoad, col, start int, bufs [][]byte, rerr error) error {
+	lo := start - s.devSector(ld.stripe, 0)
 	sh, torn, at := s.shard(ld.stripe), ld.torn, col*s.r+lo
-	start := s.devSector(ld.stripe, lo)
-	rerr := s.devs[col].ReadSectors(ctx, start, bufs)
 	down := s.noteRead(ctx, col, rerr)
 	// A cell the torn update holds is never lost.
 	whole := false
@@ -170,7 +157,7 @@ func (s *Store) noteRead(ctx context.Context, col int, err error) bool {
 
 // loadPlanned loads into st what ld.want needs of ld's stripe, the cells
 // in ld.lost being lost, as core.PlanRead says: each source not read yet,
-// a column's run of them in one loadChunk call (rows between two sources
+// a column's run of them in one vectored read (rows between two sources
 // holes, neither read nor written), then the same again with the losses
 // those reads found, until a plan meets none. That plan, ld.plan, then
 // decodes want into st from what was read: the store's one decode. With
@@ -225,16 +212,24 @@ func (s *Store) loadPlanned(ctx context.Context, ld *stripeLoad, st *core.Stripe
 				ld.need.Set(at)
 				hi = at + 1
 			}
-			bufs := sh.chunkVec(st, src.Col, src.Row, src.Row+hi-lo)
+			bufs := s.vecFor(sh, src.Col, lo, hi)
 			for i := range bufs {
-				if !ld.need.Has(lo + i) {
+				if bufs[i] = st.Cells[lo+i]; !ld.need.Has(lo + i) {
 					bufs[i] = nil
 				}
 			}
-			if err := s.loadChunk(ctx, ld, src.Col, src.Row, bufs); err != nil {
+			if start := s.devSector(ld.stripe, src.Row); s.remote[src.Col] {
+				s.issue(ctx, sh, callRead, src.Col, start, bufs)
+			} else if err := s.landChunk(ctx, ld, src.Col, start, bufs, s.devs[src.Col].ReadSectors(ctx, start, bufs)); err != nil {
+				s.finishWave(sh)
 				return err
 			}
 			i = j
+		}
+		for _, c := range s.finishWave(sh) {
+			if err := s.landChunk(ctx, ld, c.col, c.start, c.bufs, c.err); err != nil {
+				return err
+			}
 		}
 		if ld.lost.Count() == had {
 			s.c.addVerdicts(ld.verified, uint64(ld.mismatches))

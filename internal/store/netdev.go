@@ -119,6 +119,7 @@ type NetDevice struct {
 	sectorSize int
 	retry      retryPolicy   // defaultRetryPolicy; tests shorten it
 	retries    atomic.Uint64 // retry attempts issued, first tries excluded
+	upgrades   atomic.Uint64 // frame connections opened, the dial's included
 	// scratchFlats counts calls that fell back to a gather copy because
 	// the caller's buffers were not one contiguous region — the
 	// copy-elision tests assert it stays zero for slab-backed extents.
@@ -196,6 +197,9 @@ func DialNetDevice(ctx context.Context, baseURL string, client *http.Client) (*N
 	d.put(c)
 	return d, nil
 }
+
+// Remote reports true: every call is a round trip (see Remoter).
+func (d *NetDevice) Remote() bool { return true }
 
 // Sectors returns the remote device's capacity.
 func (d *NetDevice) Sectors() int { return d.sectors }
@@ -283,6 +287,7 @@ func (d *NetDevice) upgrade(ctx context.Context) (c *frameConn, err error, trans
 		resp.Body.Close()
 		return nil, fmt.Errorf("store: the HTTP client hands the upgraded connection over as %T, not an io.ReadWriteCloser (an http.Client with Timeout set does this; leave Timeout zero and bound calls with their contexts)", resp.Body), false
 	}
+	d.upgrades.Add(1)
 	c = &frameConn{rwc: rwc, br: bufio.NewReader(rwc), size: d.sectorSize}
 	c.kill = func() { rwc.Close() }
 	return c, nil, false

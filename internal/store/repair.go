@@ -178,7 +178,8 @@ func (s *Store) rebuildStripeLocked(ctx context.Context, sh *lockShard, stripe, 
 	for row := range s.r {
 		ld.need.Set(dev*s.r + row)
 	}
-	if s.loadChunk(ctx, ld, dev, 0, sh.chunkVec(st, dev, 0, s.r)) != nil {
+	start, chunk := s.devSector(stripe, 0), st.Cells[dev*s.r:(dev+1)*s.r]
+	if s.landChunk(ctx, ld, dev, start, chunk, s.devs[dev].ReadSectors(ctx, start, chunk)) != nil {
 		return
 	}
 	if ld.lost.Count() == 0 {

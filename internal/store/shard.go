@@ -55,7 +55,8 @@ type lockShard struct {
 	cols  []int
 
 	// upd is the working set of the sub-stripe flush running under mu.
-	upd updateSet
+	upd  updateSet
+	wave wave // the device-call wave in progress under mu (see wave.go)
 }
 
 // updateSet is a sub-stripe flush's working set, reused from one flush
@@ -102,7 +103,7 @@ func (s *Store) writable(sh *lockShard, p core.Pattern) []core.Cell {
 // (e.g. a hedged read's primary) may still hold the vector and iterate
 // it later, so the next operation must get a fresh one.
 func (sh *lockShard) dropScratchOnCancel() {
-	sh.rows = nil
+	sh.rows, sh.wave.vecs = nil, nil
 }
 
 // newShards allocates an initialised shard table, for stripes of n

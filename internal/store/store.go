@@ -280,6 +280,12 @@ type Store struct {
 	testRepairObserve func(stripe int)
 
 	c counters
+
+	// Remote columns and the I/O helpers' hand-off and join (see wave.go).
+	remote    []bool
+	anyRemote bool
+	ioq       chan *ioCall
+	ioWG      sync.WaitGroup
 }
 
 // Open builds a store over cfg. When cfg.Devices is nil it allocates
@@ -351,12 +357,19 @@ func Open(cfg Config) (*Store, error) {
 		shards:     newShards(defaultLockShards, n, r),
 		shardMask:  defaultLockShards - 1,
 		down:       make([]atomic.Bool, n),
+		remote:     make([]bool, n),
+		ioq:        make(chan *ioCall),
 		repairQ:    newRepairQueue(repairQueueLen),
 		quit:       make(chan struct{}),
 		journal:    cfg.Journal,
 	}
 	if cfg.Hedge {
 		s.hedge = make([]latencyTracker, n)
+	}
+	for i, d := range devs {
+		if rd, ok := d.(Remoter); ok && rd.Remote() {
+			s.remote[i], s.anyRemote = true, true
+		}
 	}
 	s.dataSectors = cfg.Stripes * r
 	s.perStripe = len(s.dataCells)
@@ -396,6 +409,8 @@ func Open(cfg Config) (*Store, error) {
 	// exists — so the replay never races a concurrent flush.
 	if s.journal != nil {
 		if err := s.recoverJournal(); err != nil {
+			close(s.ioq)
+			s.ioWG.Wait()
 			return nil, fmt.Errorf("store: journal replay: %w", err)
 		}
 	}
@@ -507,30 +522,33 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	}
 	sh.mu.Unlock()
 	if s.overDirtyBound() {
-		victim := s.fullestDirty(stripe)
 		if s.asyncFlush() {
-			// Hand the victim (if any) to the pipeline, then hold the
-			// writer until the buffer count is back under the bound —
-			// MaxDirtyStripes stays a real memory bound even when the
-			// flush workers lag the writer.
-			if victim >= 0 {
-				vsh := s.shard(victim)
-				vsh.mu.Lock()
-				var queued bool
-				if vbuf := vsh.dirty[victim]; vbuf != nil {
-					queued = s.queueFlushLocked(vbuf)
+			// Queued stripes count against the bound until they land: a
+			// partial one is evicted only if nothing is in flight. The
+			// writer waits until under it: MaxDirtyStripes bounds memory.
+			err := s.awaitFlushes(ctx, s.overDirtyBound)
+			s.flushMu.Lock()
+			evict := err == nil && s.flushInflight == 0 && s.overDirtyBound()
+			s.flushMu.Unlock()
+			if evict {
+				if victim := s.fullestDirty(stripe); victim >= 0 {
+					vsh := s.shard(victim)
+					vsh.mu.Lock()
+					queued := vsh.dirty[victim] != nil && s.queueFlushLocked(vsh.dirty[victim])
+					vsh.mu.Unlock()
+					if queued {
+						s.sendFlush(victim)
+					}
 				}
-				vsh.mu.Unlock()
-				if queued {
-					s.sendFlush(victim)
-				}
+				err = s.awaitFlushes(ctx, s.overDirtyBound)
 			}
-			if err := s.awaitFlushes(ctx, s.overDirtyBound); err != nil {
+			if err != nil {
 				// The requested write IS buffered; only the wait died.
 				return fmt.Errorf("store: block %d buffered, but awaiting the flush pipeline: %w", b, err)
 			}
 			return nil
 		}
+		victim := s.fullestDirty(stripe)
 		if victim < 0 {
 			return nil // every other buffer is stuck; nothing to evict
 		}
@@ -964,6 +982,13 @@ func (s *Store) Close() error {
 		close(s.flushCh)
 	}
 	s.wg.Wait()
+	// Waves run under a shard mutex: past each one, none is left to run.
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+		s.shards[i].mu.Unlock()
+	}
+	close(s.ioq)
+	s.ioWG.Wait()
 	// The drain left no pending repairs; one last broadcast wakes any
 	// Quiesce waiter so its loop re-checks closed. A backpressure waiter
 	// needs none: the drain's last finishFlush woke it.

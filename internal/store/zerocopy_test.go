@@ -168,6 +168,45 @@ func pipelinedWriteAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions
 	})
 }
 
+// overlappedAllocs measures a full-stripe write-back and a row-local
+// degraded read, one column failed, over columns that answer Remote:
+// every wave hands its calls to the I/O helpers, whose call records and
+// vectors are shard scratch. Measured 0 and 0.
+func overlappedAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions) (writeBack, degraded float64) {
+	const stripes, sector = 16, 128
+	s, err := Open(Config{Code: code, SectorSize: sector, Stripes: stripes, Integrity: integ,
+		Devices: barrierDevs(code.N(), stripes, code.R(), sector, integ != nil, true, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillStore(t, s)
+	buf := blockData(1, s.BlockSize())
+	i := 0
+	writeBack = testing.AllocsPerRun(200, func() {
+		for range s.perStripe {
+			if err := s.WriteBlock(bg, i%s.Blocks(), buf); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	})
+	if err := s.FailDevice(0); err != nil {
+		t.Fatal(err)
+	}
+	lostOrd, dst := firstOrdOn(t, s, 0), make([]byte, sector)
+	degraded = testing.AllocsPerRun(2000, func() {
+		if err := s.ReadBlockInto(bg, (i%stripes)*s.perStripe+lostOrd, dst); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if st := s.Stats(); st.DegradedReads == 0 || st.SubStripeFlushes != 0 {
+		t.Errorf("%d degraded reads, %d sub-stripe flushes; the guard must measure full stripes and degraded reads", st.DegradedReads, st.SubStripeFlushes)
+	}
+	return writeBack, degraded
+}
+
 func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ})
@@ -196,6 +235,11 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	}
 	if pipelined := pipelinedWriteAllocs(t, code, integ); pipelined != 0 {
 		t.Errorf("pipelined full-stripe writes + Flush: %.2f allocs/op, want 0", pipelined)
+	}
+
+	overWrite, overRead := overlappedAllocs(t, code, integ)
+	if overWrite != 0 || overRead != 0 {
+		t.Errorf("over remote columns: full-stripe write-back %.2f, degraded read %.2f allocs/op; want 0 and 0", overWrite, overRead)
 	}
 
 	dst := make([]byte, s.BlockSize())
@@ -365,6 +409,6 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if scrub > 0.6 {
 		t.Errorf("clean Scrub: %.2f allocs per stripe, want ≤ 0.6", scrub)
 	}
-	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged), update %.2f, scrub %.2f and rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f re-planned",
-		writes, reads, hedged, updates, scrub, rebuild, rowLocal, cold, degraded)
+	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged), update %.2f, scrub %.2f and rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f re-planned; over remote columns write-back %.2f per stripe, degraded read %.2f",
+		writes, reads, hedged, updates, scrub, rebuild, rowLocal, cold, degraded, overWrite, overRead)
 }
