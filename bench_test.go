@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"stair/internal/sd"
 	"stair/internal/store"
 	"stair/internal/store/devtest"
+	"stair/internal/store/journal"
 )
 
 const benchStripeBytes = 1 << 20
@@ -451,17 +453,19 @@ func BenchmarkDecodeScheduleBuild(b *testing.B) {
 
 func benchStore(b *testing.B, stripes int) *store.Store {
 	b.Helper()
-	return benchStoreWith(b, stripes, nil)
+	return benchStoreWith(b, stripes, store.Config{})
 }
 
-// benchStoreWith is benchStore with the end-to-end integrity layer on
-// when integ is non-nil.
-func benchStoreWith(b *testing.B, stripes int, integ *store.IntegrityOptions) *store.Store {
+// benchStoreWith is benchStore with cfg's options on (the end-to-end
+// integrity layer, a journal); it sets the code, sector size and
+// stripe count itself.
+func benchStoreWith(b *testing.B, stripes int, cfg store.Config) *store.Store {
 	b.Helper()
 	c := benchCode(b, core.Config{N: 8, R: 16, M: 2, E: []int{1, 1, 2}})
 	sector := benchStripeBytes / (c.N() * c.R())
 	sector -= sector % c.Field().SymbolBytes()
-	s, err := store.Open(store.Config{Code: c, SectorSize: sector, Stripes: stripes, Integrity: integ})
+	cfg.Code, cfg.SectorSize, cfg.Stripes = c, sector, stripes
+	s, err := store.Open(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,24 +484,39 @@ func benchStoreWith(b *testing.B, stripes int, integ *store.IntegrityOptions) *s
 	return s
 }
 
-// BenchmarkStoreWriteSeq: sequential volume fill — batched parallel
-// full-stripe encodes plus device writes.
+// BenchmarkStoreWriteSeq: sequential volume fill — full-stripe encodes
+// plus device writes. With journal=true every stripe's write-back is
+// journaled: its intent, one digest per block, is appended and fsynced
+// to a file in the benchmark's temporary directory first.
 func BenchmarkStoreWriteSeq(b *testing.B) {
-	s := benchStore(b, 4)
-	buf := make([]byte, s.BlockSize())
-	rand.New(rand.NewSource(10)).Read(buf)
-	b.SetBytes(int64(s.Blocks() * s.BlockSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for blk := 0; blk < s.Blocks(); blk++ {
-			if err := s.WriteBlock(benchCtx, blk, buf); err != nil {
-				b.Fatal(err)
+	for _, journaled := range []bool{false, true} {
+		b.Run(fmt.Sprintf("journal=%v", journaled), func(b *testing.B) {
+			var cfg store.Config
+			if journaled {
+				j, err := journal.Open(filepath.Join(b.TempDir(), "journal.wal"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { j.Close() })
+				cfg.Journal = j
 			}
-		}
-		if err := s.Flush(benchCtx); err != nil {
-			b.Fatal(err)
-		}
+			s := benchStoreWith(b, 4, cfg)
+			buf := make([]byte, s.BlockSize())
+			rand.New(rand.NewSource(10)).Read(buf)
+			b.SetBytes(int64(s.Blocks() * s.BlockSize()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for blk := 0; blk < s.Blocks(); blk++ {
+					if err := s.WriteBlock(benchCtx, blk, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.Flush(benchCtx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -626,7 +645,7 @@ func BenchmarkClusterDegradedRead(b *testing.B) {
 func BenchmarkStoreSubStripeWrite(b *testing.B) {
 	for _, integ := range []*store.IntegrityOptions{nil, {Epoch: 1}} {
 		b.Run(fmt.Sprintf("integrity=%t", integ != nil), func(b *testing.B) {
-			s := benchStoreWith(b, 4, integ)
+			s := benchStoreWith(b, 4, store.Config{Integrity: integ})
 			buf := make([]byte, s.BlockSize())
 			rand.New(rand.NewSource(11)).Read(buf)
 			b.SetBytes(int64(s.BlockSize()))

@@ -13,6 +13,7 @@ import (
 
 	"stair/internal/core"
 	"stair/internal/store"
+	"stair/internal/store/integrity"
 	"stair/internal/store/journal"
 )
 
@@ -257,10 +258,11 @@ func TestRecoverCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The intent's checksums describe the data already on the devices
-	// (the data phase completed).
+	// The intent's digests describe the data already on the devices
+	// (the data phase completed): each block's salted CRC32C under the
+	// volume's integrity epoch, as its sidecar record holds it.
 	var ords []int
-	var sums []uint64
+	var digests []uint32
 	buf := make([]byte, meta.SectorSize)
 	for ord, cell := range code.DataCells() {
 		d, err := store.OpenFileDevice(devicePath(vol, cell.Col), devSectors, meta.SectorSize)
@@ -272,9 +274,9 @@ func TestRecoverCommand(t *testing.T) {
 		}
 		d.Close()
 		ords = append(ords, ord)
-		sums = append(sums, journal.Checksum(buf))
+		digests = append(digests, integrity.Sum(meta.IntegrityEpoch, cell.Col, cell.Row, buf))
 	}
-	if _, err := j.Append(0, ords, sums, nil); err != nil {
+	if _, err := j.Append(0, ords, nil, digests); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -309,15 +309,35 @@ func storeGoroutines() []string {
 	return stacks
 }
 
+// exiting reports whether a goroutine's stack shows it past the work
+// it was started for: inside its deferred WaitGroup.Done, in the
+// runtime's goexit, or in no call at all — its one frame at the return
+// that runs the deferred Done. A worker still in its loop is parked in a
+// call (a channel receive, a condition wait) or making one.
+func exiting(stack string) bool {
+	if strings.Contains(stack, "sync.(*WaitGroup).Done(") || strings.Contains(stack, "runtime.goexit1(") {
+		return true
+	}
+	frames := 0
+	for _, line := range strings.Split(strings.TrimSpace(stack), "\n")[1:] {
+		if !strings.HasPrefix(line, "\t") && !strings.HasPrefix(line, "created by ") {
+			frames++
+		}
+	}
+	return frames == 1
+}
+
 // TestCloseLeavesNoGoroutines: Close returns only once every goroutine
 // the store started — the flush workers, the repair workers, the I/O
 // helpers of a store over remote columns — has exited, so
 // an Open/Close cycle leaves no more goroutines running Store methods
 // than there were before Open. It holds with and without a journal, and
-// when a flush failed and Close reports it. The count is taken the
-// moment Close returns, over several cycles: a worker still on its way
-// out is a leak. Goroutines that other code runs, such as the runtime's
-// finalizer goroutine, are not counted.
+// when a flush failed and Close reports it. The goroutines are looked at
+// the moment Close returns, over several cycles: any but a worker inside
+// its deferred wg.Done — past the point that releases Close, on its way
+// out — is a leak, and those must be gone within 2 s. Goroutines that
+// other code runs, such as the runtime's finalizer goroutine, are not
+// counted.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	for _, tc := range []struct {
@@ -368,8 +388,22 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				if tc.fail != (err != nil) {
 					t.Fatalf("cycle %d: Close returned %v", cycle, err)
 				}
+				var working []string
+				for _, g := range left {
+					if !exiting(g) {
+						working = append(working, g)
+					}
+				}
+				if len(working) > baseline {
+					t.Fatalf("cycle %d: %d goroutines in Store methods after Close, not exiting; %d before Open:\n%s",
+						cycle, len(working), baseline, strings.Join(working, "\n\n"))
+				}
+				for deadline := time.Now().Add(2 * time.Second); len(left) > baseline && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+					left = storeGoroutines()
+				}
 				if len(left) > baseline {
-					t.Fatalf("cycle %d: %d goroutines in Store methods after Close, %d before Open:\n%s",
+					t.Fatalf("cycle %d: %d goroutines in Store methods 2 s after Close, %d before Open:\n%s",
 						cycle, len(left), baseline, strings.Join(left, "\n\n"))
 				}
 				if j != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"stair/internal/core"
-	"stair/internal/store/integrity"
 	"stair/internal/store/journal"
 )
 
@@ -19,7 +18,7 @@ import (
 // the one before has returned: unjournaled, the cells, then the sidecar
 // records. The journaled write-back protocol per stripe is
 //
-//	1. append an intent (stripe, dirty ords, checksums) — fsynced;
+//	1. append an intent (stripe, dirty ords, digests) — fsynced;
 //	2. write the stripe's data sectors, one wave;
 //	3. write its parity sectors, the next wave;
 //	4. write its sidecar records, with integrity on, the last wave;
@@ -108,7 +107,7 @@ func (s *Store) flushFullLocked(ctx context.Context, sh *lockShard, stripe int, 
 		// per-device write failures are dropped — the stripe stays
 		// degraded there until repair or replacement, which is exactly
 		// what the code tolerates.
-		if _, _, err := s.writeStripeCells(ctx, stripe, st, s.allCells); err != nil {
+		if _, _, err := s.writeStripeCells(ctx, stripe, st, s.allCells, nil); err != nil {
 			return err
 		}
 		if err := s.flushStripeMeta(ctx, stripe, s.allCols); err != nil {
@@ -171,7 +170,7 @@ func (s *Store) flushPartialLocked(ctx context.Context, sh *lockShard, stripe in
 	if s.journal != nil {
 		err = s.journaledWriteback(ctx, stripe, st, buf, u.cells, u.cols)
 	} else {
-		_, _, err = s.writeStripeCells(ctx, stripe, st, u.cells)
+		_, _, err = s.writeStripeCells(ctx, stripe, st, u.cells, nil)
 		if err == nil {
 			err = s.flushStripeMeta(ctx, stripe, u.cols)
 		}
@@ -271,9 +270,9 @@ func (s *Store) completeTornLocked(ctx context.Context, stripe int, buf *stripeB
 // intent's on-disk record
 // outlives the commit until the next Checkpoint barrier (see the
 // journal package): the device writes made here are not yet durable.
-// With integrity on, the intent also carries each dirty block's salted
-// payload digest, so replay can re-stage the records the crash
-// interrupted instead of mistaking a lagging sidecar for corruption.
+// Each data cell written is digested once, with the salted CRC32C the
+// sidecar keeps (epoch 0 with integrity off): the intent carries the
+// dirty blocks' digests, and the sidecar stages the same values.
 func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Stripe, buf *stripeBuf, cells []core.Cell, cols []int) error {
 	u := &s.shard(stripe).upd
 	data, parity := u.data[:0], u.parity[:0]
@@ -284,20 +283,21 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 			parity = append(parity, cell)
 		}
 	}
-	ords, sums, isums := u.ords[:0], u.sums[:0], u.isums[:0]
+	if u.sums == nil {
+		u.sums = make([]uint32, s.n*s.r)
+	}
+	for _, cell := range data {
+		u.sums[s.cellIdx(cell)] = s.digest(stripe, cell, st.Sector(cell.Col, cell.Row))
+	}
+	ords, digests := u.ords[:0], u.digests[:0]
 	for ord, block := range buf.data {
-		if block == nil {
-			continue
-		}
-		ords = append(ords, ord)
-		sums = append(sums, journal.Checksum(block))
-		if s.integ != nil {
-			cell := s.dataCells[ord]
-			isums = append(isums, integrity.Sum(s.integ.Epoch(), cell.Col, s.devSector(stripe, cell.Row), block))
+		if block != nil {
+			ords = append(ords, ord)
+			digests = append(digests, u.sums[s.cellIdx(s.dataCells[ord])])
 		}
 	}
-	u.data, u.parity, u.ords, u.sums, u.isums = data, parity, ords, sums, isums
-	seq, err := s.journal.Append(stripe, ords, sums, isums)
+	u.data, u.parity, u.ords, u.digests = data, parity, ords, digests
+	seq, err := s.journal.Append(stripe, ords, nil, digests)
 	if err != nil {
 		return fmt.Errorf("store: journaling intent for stripe %d: %w", stripe, err)
 	}
@@ -305,13 +305,13 @@ func (s *Store) journaledWriteback(ctx context.Context, stripe int, st *core.Str
 	if err := s.kill(killAfterJournalAppend); err != nil {
 		return err
 	}
-	if _, _, err := s.writeStripeCells(ctx, stripe, st, data); err != nil {
+	if _, _, err := s.writeStripeCells(ctx, stripe, st, data, u.sums); err != nil {
 		return err
 	}
 	if err := s.kill(killAfterDataWrite); err != nil {
 		return err
 	}
-	if _, _, err := s.writeStripeCells(ctx, stripe, st, parity); err != nil {
+	if _, _, err := s.writeStripeCells(ctx, stripe, st, parity, nil); err != nil {
 		return err
 	}
 	if err := s.kill(killAfterParityWrite); err != nil {
@@ -351,7 +351,9 @@ func (s *Store) promoteToFullLocked(buf *stripeBuf, st *core.Stripe) {
 // landed and how many failed; a run whose device answers ErrDeviceFailed
 // is neither but skipped, since a wholly failed device has no write to
 // retry until it is replaced. Only context cancellation aborts with an error.
-func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Stripe, cells []core.Cell) (wrote, failed int, err error) {
+// sums, when non-nil, holds the cells' digests by chunk-major index, and
+// the sidecar stages those instead of digesting the cells again.
+func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Stripe, cells []core.Cell, sums []uint32) (wrote, failed int, err error) {
 	sh := s.shard(stripe)
 	for i, j := 0, 1; s.anyRemote && i < len(cells); i, j = j, j+1 {
 		for j < len(cells) && cells[j].Col == cells[i].Col && cells[j].Row == cells[j-1].Row+1 {
@@ -386,7 +388,7 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 		switch se, ok := AsSectorErrors(werr); {
 		case werr == nil:
 			wrote += len(run)
-			s.stageRecords(run[0].Col, s.devSector(stripe, run[0].Row), bufs)
+			s.stageRecords(stripe, run, bufs, sums)
 		case ok:
 			failed += len(se)
 			wrote += len(run) - len(se)
@@ -396,7 +398,7 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 					bufs[k] = nil
 				}
 			}
-			s.stageRecords(run[0].Col, s.devSector(stripe, run[0].Row), bufs)
+			s.stageRecords(stripe, run, bufs, sums)
 		case !isDown(werr):
 			failed += len(run)
 		}

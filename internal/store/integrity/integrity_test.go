@@ -264,7 +264,8 @@ func TestDigestPathsDoNotAllocate(t *testing.T) {
 // by sector — over OK, mismatched, absent and stale-epoch records,
 // skipped (nil) entries, spans that cross sidecar-sector boundaries (32
 // records per 512-byte sector) and a span longer than UpdateSpan's
-// digest scratch.
+// digest scratch. Handing UpdateSpan the digests already computed
+// stages the same records as letting it digest the payloads.
 func TestSpanFormsMatchPerSector(t *testing.T) {
 	const sectors, size, epoch = 200, 512, 7
 	per, err := NewManager(1, sectors, size, epoch)
@@ -302,9 +303,24 @@ func TestSpanFormsMatchPerSector(t *testing.T) {
 			per.Update(0, lo+i, data[lo+i])
 		}
 	}
-	span.UpdateSpan(0, lo, bufs)
+	span.UpdateSpan(0, lo, bufs, nil)
 	if !bytes.Equal(per.regions[0], span.regions[0]) {
 		t.Fatal("UpdateSpan staged different records than Update per sector")
+	}
+	known, err := NewManager(1, sectors, size, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known.InstallRegion(0, bytes.Clone(old.regions[0]))
+	sums := make([]uint32, len(bufs))
+	for i, b := range bufs {
+		if b != nil {
+			sums[i] = Sum(epoch, 0, lo+i, b)
+		}
+	}
+	known.UpdateSpan(0, lo, bufs, sums)
+	if !bytes.Equal(per.regions[0], known.regions[0]) {
+		t.Fatal("UpdateSpan with known digests staged different records than Update per sector")
 	}
 
 	// Corrupt every fifth payload, then verify the whole column as one
@@ -338,7 +354,7 @@ func TestSpanFormsMatchPerSector(t *testing.T) {
 	// A one-sector span allocates nothing, like the per-sector calls.
 	one, got := [][]byte{data[21]}, Absent
 	allocs := testing.AllocsPerRun(200, func() {
-		span.UpdateSpan(0, 21, one)
+		span.UpdateSpan(0, 21, one, nil)
 		v := span.VerifySpan(0)
 		got = v.Verify(21, data[21])
 		v.Done()

@@ -55,7 +55,7 @@ type Manager struct {
 	// of re-parsing (and re-self-checksumming) the 16-byte record on
 	// every sector read. The byte image in regions stays the flush
 	// source of truth; the cache is rebuilt on InstallRegion and kept
-	// in step by UpdateSum, both under mu[col].
+	// in step by stageLocked, both under mu[col].
 	states [][]byte // one of stateAbsent/stateStale/stateValid
 	sums   [][]uint32
 }
@@ -205,14 +205,17 @@ const spanChunk = 64
 
 // UpdateSpan is Update for sectors start, start+1, … of col, skipping a
 // nil bufs[i]: the payloads are digested first, then the span's records
-// are staged under one hold of the column lock.
-func (m *Manager) UpdateSpan(col, start int, bufs [][]byte) {
+// are staged under one hold of the column lock. known, when non-nil,
+// holds the payloads' digests already computed, aligned with bufs.
+func (m *Manager) UpdateSpan(col, start int, bufs [][]byte, known []uint32) {
 	var sums [spanChunk]uint32
 	for base := 0; base < len(bufs); base += spanChunk {
 		part := bufs[base:min(base+spanChunk, len(bufs))]
 		lo := start + base
 		for i, data := range part {
-			if data != nil {
+			if data != nil && known != nil {
+				sums[i] = known[base+i]
+			} else if data != nil {
 				sums[i] = Sum(m.epoch, col, lo+i, data)
 			}
 		}
@@ -238,12 +241,7 @@ func (m *Manager) Has(col, sector int) bool {
 // record lives in the cached region until a FlushRange writes the
 // covering sidecar sectors back to the device.
 func (m *Manager) Update(col, sector int, data []byte) {
-	m.UpdateSum(col, sector, Sum(m.epoch, col, sector, data))
-}
-
-// UpdateSum stages a record from an already-computed digest (e.g. one
-// carried in a journal intent).
-func (m *Manager) UpdateSum(col, sector int, sum uint32) {
+	sum := Sum(m.epoch, col, sector, data)
 	m.mu[col].Lock()
 	m.stageLocked(col, sector, sum)
 	m.mu[col].Unlock()

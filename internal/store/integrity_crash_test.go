@@ -2,11 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"stair/internal/core"
+	"stair/internal/store/integrity"
 	"stair/internal/store/journal"
 )
 
@@ -257,4 +262,154 @@ func TestIntegrityCrashSurvivesWithLatentLoss(t *testing.T) {
 	}
 	checkStripesConsistent(t, s2)
 	assertNoFalseAlarms(t, s2)
+}
+
+// TestIntentCarriesSidecarDigest: a journaled flush's intent carries,
+// for each dirty block, the salted CRC32C its sidecar record holds —
+// under the volume's epoch with integrity on, under epoch 0 without —
+// for a sub-stripe and a full-stripe flush alike. Killed after the
+// parity phase, both replay with their data credited as landed.
+func TestIntentCarriesSidecarDigest(t *testing.T) {
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	for _, integ := range []bool{false, true} {
+		t.Run(fmt.Sprintf("integrity=%v", integ), func(t *testing.T) {
+			v, epoch := newCrashVolume(t, code, 3, 128), uint32(0)
+			open := func() (*Store, *journal.Journal) { return v.open(t, 0) }
+			if integ {
+				v, epoch = newIntegrityCrashVolume(t, code, 3, 128), 3
+				open = func() (*Store, *journal.Journal) { return v.openIntegrity(t) }
+			}
+			s, j := open()
+			fillStore(t, s)
+			if err := s.Sync(bg); err != nil {
+				t.Fatal(err)
+			}
+			s.testKill = func(p killPoint) error {
+				if p == killAfterParityWrite {
+					return errKilled
+				}
+				return nil
+			}
+			// Block 1 alone (read–modify–write), then all of stripe 2.
+			if err := s.WriteBlock(bg, 1, blockData(1001, s.BlockSize())); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(bg); !errors.Is(err, errKilled) {
+				t.Fatalf("killed sub-stripe flush returned %v", err)
+			}
+			for b := 2 * s.perStripe; b < 3*s.perStripe; b++ {
+				if err := s.WriteBlock(bg, b, blockData(b+1000, s.BlockSize())); err != nil && !errors.Is(err, errKilled) {
+					t.Fatal(err)
+				}
+			}
+			pending := j.Pending()
+			if len(pending) != 2 || len(pending[0].Ords) != 1 || len(pending[1].Ords) != s.perStripe {
+				t.Fatalf("pending intents %+v, want one for block 1 and one for all of stripe 2", pending)
+			}
+			for _, rec := range pending {
+				for i, ord := range rec.Ords {
+					cell, sec := s.dataCells[ord], s.devSector(rec.Stripe, s.dataCells[ord].Row)
+					data := blockData(rec.Stripe*s.perStripe+ord+1000, s.BlockSize())
+					if want := integrity.Sum(epoch, cell.Col, sec, data); rec.Digests[i] != want {
+						t.Fatalf("stripe %d ord %d: intent digest %08x, want %08x", rec.Stripe, ord, rec.Digests[i], want)
+					}
+					if integ && s.integ.Verify(cell.Col, sec, data) != integrity.OK {
+						t.Fatalf("stripe %d ord %d: the sidecar record does not verify the block", rec.Stripe, ord)
+					}
+				}
+			}
+			abandonStore(s, j)
+			s2, j2 := open()
+			defer func() { s2.Close(); j2.Close() }()
+			if rep := s2.Recovery(); rep.Stripes != 2 || rep.DataComplete != 2 || rep.Unrecoverable != 0 {
+				t.Fatalf("recovery %+v, want both stripes replayed with their data landed", rep)
+			}
+		})
+	}
+}
+
+// parentIntent frames an intent in a layout the journal wrote before
+// kind 3: kind 1 (per entry: ord u32, FNV-1a content sum u64) or, with
+// digests, kind 2 (ord, sum, integrity digest u32). The sums are left
+// zero, since replay no longer reads them.
+func parentIntent(seq uint64, stripe int, ords []int, digests []uint32) []byte {
+	kind := byte(1)
+	if digests != nil {
+		kind = 2
+	}
+	payload := binary.LittleEndian.AppendUint64([]byte{kind}, seq)
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(stripe))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ords)))
+	for i, ord := range ords {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(ord))
+		payload = binary.LittleEndian.AppendUint64(payload, 0)
+		if digests != nil {
+			payload = binary.LittleEndian.AppendUint32(payload, digests[i])
+		}
+	}
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// TestParentLayoutIntentReplays: a journal written before kind 3 still
+// drives recovery. Stripe 0 holds new data whose parity write was torn —
+// one parity sector holds neither old nor new parity — and its sidecar
+// still holds the old data's records. A pending V2 intent rolls the
+// stripe forward to parity-consistent with fresh records that verify,
+// crediting DataComplete from the record's integrity digests; a V1
+// intent, which carries none, does the same without the credit.
+func TestParentLayoutIntentReplays(t *testing.T) {
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	for _, v2 := range []bool{false, true} {
+		t.Run(fmt.Sprintf("v2=%v", v2), func(t *testing.T) {
+			v := newIntegrityCrashVolume(t, code, 3, 128)
+			s, j := v.openIntegrity(t)
+			fillStore(t, s)
+			if err := s.Sync(bg); err != nil {
+				t.Fatal(err)
+			}
+			abandonStore(s, j)
+			var ords []int
+			var digests []uint32
+			for ord, cell := range code.DataCells() {
+				data := blockData(ord+1000, v.sector)
+				if err := v.devs[cell.Col].WriteSectors(bg, cell.Row, [][]byte{data}); err != nil {
+					t.Fatal(err)
+				}
+				ords = append(ords, ord)
+				digests = append(digests, integrity.Sum(3, cell.Col, cell.Row, data))
+			}
+			parity := code.ParityCells()[0]
+			if err := v.devs[parity.Col].WriteSectors(bg, parity.Row, [][]byte{bytes.Repeat([]byte{0xa5}, v.sector)}); err != nil {
+				t.Fatal(err)
+			}
+			want := RecoveryReport{Intents: 1, Stripes: 1, RolledForward: 1, DataComplete: 1}
+			if !v2 {
+				digests, want.DataComplete = nil, 0
+			}
+			if err := os.WriteFile(v.journalPath, parentIntent(1, 0, ords, digests), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, j2 := v.openIntegrity(t)
+			defer func() { s2.Close(); j2.Close() }()
+			if rep := s2.Recovery(); rep != want {
+				t.Fatalf("recovery %+v, want %+v", rep, want)
+			}
+			checkStripesConsistent(t, s2)
+			for b := 0; b < s2.perStripe; b++ {
+				got, err := s2.ReadBlock(bg, b)
+				if err != nil {
+					t.Fatalf("read block %d: %v", b, err)
+				}
+				if !bytes.Equal(got, blockData(b+1000, s2.BlockSize())) {
+					t.Fatalf("block %d does not hold the landed data", b)
+				}
+			}
+			assertNoFalseAlarms(t, s2)
+			if got := j2.PendingCount(); got != 0 {
+				t.Fatalf("%d intents still pending after recovery", got)
+			}
+		})
+	}
 }

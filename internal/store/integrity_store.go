@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"stair/internal/core"
+	"stair/internal/store/integrity"
 )
 
 // This file is the store side of the end-to-end checksum layer: sidecar
@@ -42,12 +43,30 @@ func (s *Store) loadIntegrityRegions(ctx context.Context) {
 }
 
 // stageRecords stages fresh checksum records for a just-written run of
-// col's sectors from start, one per non-nil entry of bufs, under one hold
-// of the column's record lock. No-op when the integrity layer is off.
-func (s *Store) stageRecords(col, start int, bufs [][]byte) {
-	if s.integ != nil {
-		s.integ.UpdateSpan(col, start, bufs)
+// one column's cells, one per non-nil entry of bufs, under one hold of
+// the column's record lock; sums, when non-nil, holds the digests by
+// chunk-major cell index (see writeStripeCells). No-op when the
+// integrity layer is off.
+func (s *Store) stageRecords(stripe int, run []core.Cell, bufs [][]byte, sums []uint32) {
+	if s.integ == nil {
+		return
 	}
+	if sums != nil {
+		at := s.cellIdx(run[0])
+		sums = sums[at : at+len(run)]
+	}
+	s.integ.UpdateSpan(run[0].Col, s.devSector(stripe, run[0].Row), bufs, sums)
+}
+
+// digest is a cell's salted CRC32C as its sidecar record holds it, with
+// epoch 0 when the integrity layer is off: the digest a journal intent
+// carries.
+func (s *Store) digest(stripe int, cell core.Cell, data []byte) uint32 {
+	var epoch uint32
+	if s.integ != nil {
+		epoch = s.integ.Epoch()
+	}
+	return integrity.Sum(epoch, cell.Col, s.devSector(stripe, cell.Row), data)
 }
 
 // flushStripeMeta persists the staged records covering one stripe's

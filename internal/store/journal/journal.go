@@ -9,8 +9,8 @@
 // The protocol is the classic WAL discipline with checkpointing:
 //
 //  1. before any device write-back of a stripe, append an intent record
-//     (stripe id, dirty block ordinals, checksums of the new data) and
-//     fsync it;
+//     (stripe id, dirty block ordinals, each new block's salted CRC32C —
+//     the digest the integrity sidecar stores for it) and fsync it;
 //  2. write the stripe's data sectors, then its parity sectors;
 //  3. Commit the intent — in memory only. Nothing about the commit
 //     touches the disk, because the device writes it covers may still
@@ -28,6 +28,11 @@
 //
 // Records are length-prefixed and CRC-framed; a torn append (crash
 // mid-write) invalidates only the tail, which is discarded on open.
+// Append writes kind-3 records, whose one digest per block is the same
+// salted CRC32C the integrity sidecar stores. Kinds 1 and 2, written by
+// earlier versions, are parse-only: a V2 record's integrity digests
+// become its Digests, and a V1 record carries none, so replay never
+// counts a V1 intent's data write-back as complete.
 // All methods are safe for concurrent use.
 package journal
 
@@ -35,34 +40,41 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
 
 const (
-	// kindIntent is the original intent record: per dirty block, an
-	// ordinal and a 64-bit content checksum (12 bytes per entry).
-	kindIntent = 1
-	// kindIntentV2 additionally carries each dirty block's end-to-end
-	// integrity digest (16 bytes per entry) — appended when the store's
-	// checksum layer is on, so replay can re-stage sidecar records a
-	// crash interrupted. Both kinds parse; a V1 log keeps working.
+	// kindIntent and kindIntentV2 are the record kinds earlier versions
+	// wrote, kept parse-only so their logs stay mountable. Their 12- and
+	// 16-byte entries hold the ordinal, a 64-bit FNV-1a content sum
+	// (skipped) and, in V2, the block's integrity digest, which becomes
+	// the record's digest. A V1 record carries no digest.
+	kindIntent   = 1
 	kindIntentV2 = 2
+	// kindIntentV3 is the record Append writes: per dirty block, the
+	// ordinal and the block's digest (8 bytes per entry).
+	kindIntentV3 = 3
 
 	// maxRecordBytes bounds a record's declared payload size on scan, so
 	// a corrupt length prefix cannot make Open allocate gigabytes.
 	maxRecordBytes = 1 << 20
 )
 
+// entryBytes and digestAt give each record kind's entry size and the
+// offset of the digest within an entry (0: the kind carries none).
+var (
+	entryBytes = [...]int{kindIntent: 12, kindIntentV2: 16, kindIntentV3: 8}
+	digestAt   = [...]int{kindIntentV2: 12, kindIntentV3: 4}
+)
+
 // Record is one stripe-flush intent: the stripe about to be written
-// back, which data block ordinals the flush dirties, and a checksum of
-// each dirty block's new content. Recovery uses the checksums to tell a
-// completed data write-back (roll the parity forward) from one that
-// never started (the on-device stripe is still the old, consistent
-// one).
+// back, which data block ordinals the flush dirties, and a digest of
+// each dirty block's new content. Recovery uses the digests to tell a
+// completed data write-back from one that did not finish.
 type Record struct {
 	// Seq is the journal-assigned sequence number; Commit takes it.
 	Seq uint64
@@ -70,23 +82,10 @@ type Record struct {
 	Stripe int
 	// Ords lists the dirty data-cell ordinals of the flush.
 	Ords []int
-	// Sums holds Checksum() of each dirty block's new content, aligned
-	// with Ords.
-	Sums []uint64
-	// ISums, when non-nil (V2 records), holds each dirty block's salted
-	// end-to-end integrity digest (integrity.Sum), aligned with Ords —
-	// the checksum-update half of the intent, letting recovery re-stage
-	// sidecar records without recomputing trust from scratch.
-	ISums []uint32
-}
-
-// Checksum is the block-content checksum recorded in intents (FNV-1a,
-// 64-bit — collision-resistant enough to distinguish "old content" from
-// "intended content", which is all recovery asks of it).
-func Checksum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	// Digests holds each dirty block's salted CRC32C, the value the
+	// store's sidecar keeps for it (integrity.Sum, epoch 0 with the
+	// checksum layer off), aligned with Ords. Nil for a V1 record.
+	Digests []uint32
 }
 
 // Journal is an append-only intent log backed by one file.
@@ -182,13 +181,10 @@ func parseRecord(b []byte) (rec Record, kind byte, n int, ok bool) {
 		return rec, 0, 0, false
 	}
 	kind = payload[0]
-	if kind != kindIntent && kind != kindIntentV2 {
+	if kind < kindIntent || kind > kindIntentV3 {
 		return rec, 0, 0, false
 	}
-	entry := 12
-	if kind == kindIntentV2 {
-		entry = 16
-	}
+	entry, at := entryBytes[kind], digestAt[kind]
 	// The stripe must fit an int and the entry count is checked in
 	// 64 bits: on 32-bit targets a huge count times the entry size would
 	// otherwise wrap to a plausible payload length.
@@ -200,36 +196,28 @@ func parseRecord(b []byte) (rec Record, kind byte, n int, ok bool) {
 	rec.Seq = binary.LittleEndian.Uint64(payload[1:])
 	rec.Stripe = int(stripe)
 	for i := 0; i < int(nords); i++ {
-		rec.Ords = append(rec.Ords, int(binary.LittleEndian.Uint32(payload[21+i*entry:])))
-		rec.Sums = append(rec.Sums, binary.LittleEndian.Uint64(payload[25+i*entry:]))
-		if kind == kindIntentV2 {
-			rec.ISums = append(rec.ISums, binary.LittleEndian.Uint32(payload[33+i*entry:]))
+		e := payload[21+i*entry:]
+		rec.Ords = append(rec.Ords, int(binary.LittleEndian.Uint32(e)))
+		if at > 0 {
+			rec.Digests = append(rec.Digests, binary.LittleEndian.Uint32(e[at:]))
 		}
 	}
 	return rec, kind, 4 + plen + 4, true
 }
 
-// encodeRecord frames one record for appending. isums non-nil selects
-// the V2 layout (16-byte entries carrying the integrity digest).
-func encodeRecord(kind byte, seq uint64, stripe int, ords []int, sums []uint64, isums []uint32) []byte {
-	entry := 12
-	if kind == kindIntentV2 {
-		entry = 16
-	}
-	plen := 21 + len(ords)*entry
+// encodeRecord frames one V3 record for appending.
+func encodeRecord(seq uint64, stripe int, ords []int, digests []uint32) []byte {
+	plen := 21 + len(ords)*entryBytes[kindIntentV3]
 	out := make([]byte, 4+plen+4)
 	binary.LittleEndian.PutUint32(out, uint32(plen))
 	payload := out[4 : 4+plen]
-	payload[0] = kind
+	payload[0] = kindIntentV3
 	binary.LittleEndian.PutUint64(payload[1:], seq)
 	binary.LittleEndian.PutUint64(payload[9:], uint64(stripe))
 	binary.LittleEndian.PutUint32(payload[17:], uint32(len(ords)))
 	for i, ord := range ords {
-		binary.LittleEndian.PutUint32(payload[21+i*entry:], uint32(ord))
-		binary.LittleEndian.PutUint64(payload[25+i*entry:], sums[i])
-		if kind == kindIntentV2 {
-			binary.LittleEndian.PutUint32(payload[33+i*entry:], isums[i])
-		}
+		binary.LittleEndian.PutUint32(payload[21+i*8:], uint32(ord))
+		binary.LittleEndian.PutUint32(payload[25+i*8:], digests[i])
 	}
 	binary.LittleEndian.PutUint32(out[4+plen:], crc32.ChecksumIEEE(payload))
 	return out
@@ -238,19 +226,13 @@ func encodeRecord(kind byte, seq uint64, stripe int, ords []int, sums []uint64, 
 // Append records one flush intent durably (the record is on stable
 // storage before Append returns — the WAL invariant: the intent
 // outlives a crash that interrupts any device write-back it covers).
-// isums, when non-nil, must align with ords and selects the V2 record
-// carrying each block's end-to-end integrity digest; nil appends the
-// original V1 record. It returns the sequence number Commit takes.
-func (j *Journal) Append(stripe int, ords []int, sums []uint64, isums []uint32) (uint64, error) {
-	if len(ords) != len(sums) {
-		return 0, fmt.Errorf("journal: %d ords but %d sums", len(ords), len(sums))
-	}
-	kind := byte(kindIntent)
-	if isums != nil {
-		if len(isums) != len(ords) {
-			return 0, fmt.Errorf("journal: %d ords but %d isums", len(ords), len(isums))
-		}
-		kind = kindIntentV2
+// digests must align with ords. The third parameter is ignored: it
+// held the content sums of the V1/V2 records and stays until the
+// benchmark module stops passing it. It returns the sequence number
+// Commit takes.
+func (j *Journal) Append(stripe int, ords []int, _ []uint64, digests []uint32) (uint64, error) {
+	if len(digests) != len(ords) {
+		return 0, fmt.Errorf("journal: %d ords but %d digests", len(ords), len(digests))
 	}
 	j.mu.Lock()
 	if j.f == nil {
@@ -258,7 +240,7 @@ func (j *Journal) Append(stripe int, ords []int, sums []uint64, isums []uint32) 
 		return 0, fmt.Errorf("journal: closed")
 	}
 	seq := j.nextSeq
-	rec := encodeRecord(kind, seq, stripe, ords, sums, isums)
+	rec := encodeRecord(seq, stripe, ords, digests)
 	if _, err := j.f.WriteAt(rec, j.off); err != nil {
 		j.mu.Unlock()
 		return 0, err
@@ -266,9 +248,7 @@ func (j *Journal) Append(stripe int, ords []int, sums []uint64, isums []uint32) 
 	j.off += int64(len(rec))
 	target, tgen := j.off, j.gen
 	j.nextSeq = seq + 1
-	j.pending[seq] = Record{Seq: seq, Stripe: stripe,
-		Ords: append([]int(nil), ords...), Sums: append([]uint64(nil), sums...),
-		ISums: append([]uint32(nil), isums...)}
+	j.pending[seq] = Record{Seq: seq, Stripe: stripe, Ords: slices.Clone(ords), Digests: slices.Clone(digests)}
 	j.mu.Unlock()
 	if err := j.groupSync(tgen, target); err != nil {
 		return 0, err

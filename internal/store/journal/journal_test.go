@@ -19,11 +19,11 @@ func openTemp(t *testing.T) (*Journal, string) {
 
 func TestAppendCommitRoundTrip(t *testing.T) {
 	j, path := openTemp(t)
-	seq1, err := j.Append(3, []int{0, 2}, []uint64{11, 22}, nil)
+	seq1, err := j.Append(3, []int{0, 2}, nil, []uint32{11, 22})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq2, err := j.Append(7, []int{5}, []uint64{33}, nil)
+	seq2, err := j.Append(7, []int{5}, nil, []uint32{33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAppendCommitRoundTrip(t *testing.T) {
 		t.Fatalf("%d pending after reopen without checkpoint, want both intents", len(pending))
 	}
 	rec := pending[1]
-	if rec.Seq != seq2 || rec.Stripe != 7 || len(rec.Ords) != 1 || rec.Ords[0] != 5 || rec.Sums[0] != 33 {
+	if rec.Seq != seq2 || rec.Stripe != 7 || len(rec.Ords) != 1 || rec.Ords[0] != 5 || rec.Digests[0] != 33 {
 		t.Fatalf("pending record corrupted across reopen: %+v", rec)
 	}
 	// New appends must not collide with replayed sequence numbers.
@@ -76,8 +76,8 @@ func TestAppendCommitRoundTrip(t *testing.T) {
 func TestCheckpointReclaimsLog(t *testing.T) {
 	j, path := openTemp(t)
 	defer j.Close()
-	seq1, _ := j.Append(1, []int{0}, []uint64{1}, nil)
-	seq2, _ := j.Append(2, []int{1}, []uint64{2}, nil)
+	seq1, _ := j.Append(1, []int{0}, nil, []uint32{1})
+	seq2, _ := j.Append(2, []int{1}, nil, []uint32{2})
 	if err := j.Commit(seq1); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCheckpointReclaimsLog(t *testing.T) {
 		t.Fatal("commits alone truncated the journal (before any durability barrier)")
 	}
 	// A checkpoint with an intent outstanding must leave the log alone.
-	seq3, _ := j.Append(3, []int{2}, []uint64{3}, nil)
+	seq3, _ := j.Append(3, []int{2}, nil, []uint32{3})
 	mark := j.Mark()
 	if err := j.Checkpoint(mark); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestCheckpointReclaimsLog(t *testing.T) {
 	}
 	// Post-checkpoint appends start a fresh log that must fsync again
 	// (generation guard) and replay on reopen.
-	if _, err := j.Append(4, []int{3}, []uint64{4}, nil); err != nil {
+	if _, err := j.Append(4, []int{3}, nil, []uint32{4}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -137,11 +137,11 @@ func TestCheckpointReclaimsLog(t *testing.T) {
 // open must keep the valid prefix and drop only the tail.
 func TestTornTailDiscarded(t *testing.T) {
 	j, path := openTemp(t)
-	seqGood, err := j.Append(4, []int{1}, []uint64{44}, nil)
+	seqGood, err := j.Append(4, []int{1}, nil, []uint32{44})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(5, []int{2}, []uint64{55}, nil); err != nil {
+	if _, err := j.Append(5, []int{2}, nil, []uint32{55}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -183,7 +183,7 @@ func TestTornTailDiscarded(t *testing.T) {
 // its CRC; the scan keeps everything before it and discards the rest.
 func TestCorruptRecordStopsScan(t *testing.T) {
 	j, path := openTemp(t)
-	if _, err := j.Append(1, []int{0}, []uint64{1}, nil); err != nil {
+	if _, err := j.Append(1, []int{0}, nil, []uint32{1}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -191,7 +191,7 @@ func TestCorruptRecordStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstLen := len(raw)
-	if _, err = j.Append(2, []int{1}, []uint64{2}, nil); err != nil {
+	if _, err = j.Append(2, []int{1}, nil, []uint32{2}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -218,13 +218,13 @@ func TestCorruptRecordStopsScan(t *testing.T) {
 func TestCommitSupersedesAbortedIntent(t *testing.T) {
 	j, _ := openTemp(t)
 	defer j.Close()
-	if _, err := j.Append(5, []int{0}, []uint64{1}, nil); err != nil { // aborted: never committed
+	if _, err := j.Append(5, []int{0}, nil, []uint32{1}); err != nil { // aborted: never committed
 		t.Fatal(err)
 	}
-	if _, err := j.Append(6, []int{0}, []uint64{2}, nil); err != nil { // unrelated stripe, aborted too
+	if _, err := j.Append(6, []int{0}, nil, []uint32{2}); err != nil { // unrelated stripe, aborted too
 		t.Fatal(err)
 	}
-	seq3, err := j.Append(5, []int{0, 1}, []uint64{3, 4}, nil) // the retry
+	seq3, err := j.Append(5, []int{0, 1}, nil, []uint32{3, 4}) // the retry
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestConcurrentAppendCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				seq, err := j.Append(w*rounds+i, []int{i}, []uint64{uint64(i)}, nil)
+				seq, err := j.Append(w*rounds+i, []int{i}, nil, []uint32{uint32(i)})
 				if err != nil {
 					errs <- err
 					return
@@ -304,16 +304,5 @@ func TestConcurrentAppendCommit(t *testing.T) {
 	defer j2.Close()
 	if got := j2.PendingCount(); got != 0 {
 		t.Fatalf("%d intents pending after reopen of a checkpointed log", got)
-	}
-}
-
-func TestChecksumDistinguishesContent(t *testing.T) {
-	a := Checksum([]byte("old content"))
-	b := Checksum([]byte("new content"))
-	if a == b {
-		t.Fatal("checksums collide on different content")
-	}
-	if a != Checksum([]byte("old content")) {
-		t.Fatal("checksum not deterministic")
 	}
 }

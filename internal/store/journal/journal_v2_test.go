@@ -19,62 +19,55 @@ func tear(t *testing.T, path string, n int64) {
 	}
 }
 
-// TestAppendV2CarriesISums: intents appended with integrity digests
-// survive a reopen with the digests intact and aligned, while plain V1
-// intents keep parsing with ISums nil — the two kinds coexist in one
-// log.
+// writeLegacyLog writes the committed records named (see
+// testdata/records.golden) back to back as a log file at path.
+func writeLegacyLog(t *testing.T, path string, names ...string) {
+	t.Helper()
+	golden := goldenRecords(t)
+	var raw []byte
+	for _, name := range names {
+		raw = append(raw, golden[name]...)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendV2CarriesISums: a log written before kind 3 — a V1 and a V2
+// record — stays mountable, and Append extends it with kind-3 records.
+// After a reopen the V2 record's integrity digests are its Digests, the
+// V1 record has none, and the appended intent's digests come back
+// intact and aligned with its ords.
 func TestAppendV2CarriesISums(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
+	writeLegacyLog(t, path, "v1", "v2")
 	j, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ords := []int{2, 5, 11}
-	sums := []uint64{0xdead, 0xbeef, 0xcafe}
-	isums := []uint32{0x11, 0x22, 0x33}
-	seqV2, err := j.Append(7, ords, sums, isums)
+	ords, digests := []int{2, 5, 11}, []uint32{0x11, 0x22, 0x33}
+	seq, err := j.Append(7, ords, nil, digests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqV1, err := j.Append(8, ords[:1], sums[:1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In-memory pending set, before any reopen.
-	for _, rec := range j.Pending() {
-		switch rec.Seq {
-		case seqV2:
-			if !reflect.DeepEqual(rec.ISums, isums) {
-				t.Fatalf("pending V2 ISums=%v, want %v", rec.ISums, isums)
-			}
-		case seqV1:
-			if rec.ISums != nil {
-				t.Fatalf("pending V1 ISums=%v, want nil", rec.ISums)
-			}
-		}
+	if seq != 3 {
+		t.Fatalf("Append after the old records took seq %d, want 3", seq)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen: the scan must reproduce both kinds exactly.
 	j2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	pending := j2.Pending()
-	if len(pending) != 2 {
-		t.Fatalf("%d pending after reopen, want 2", len(pending))
+	want := []Record{
+		{Seq: 1, Stripe: 3, Ords: []int{0, 2}},
+		{Seq: 2, Stripe: 5, Ords: []int{1, 4, 6}, Digests: []uint32{0xdeadbeef, 0x01020304, 0xcafef00d}},
+		{Seq: 3, Stripe: 7, Ords: ords, Digests: digests},
 	}
-	v2 := pending[0]
-	if v2.Stripe != 7 || !reflect.DeepEqual(v2.Ords, ords) ||
-		!reflect.DeepEqual(v2.Sums, sums) || !reflect.DeepEqual(v2.ISums, isums) {
-		t.Fatalf("replayed V2 record %+v, want stripe 7 with ords/sums/isums intact", v2)
-	}
-	v1 := pending[1]
-	if v1.Stripe != 8 || v1.ISums != nil {
-		t.Fatalf("replayed V1 record %+v, want stripe 8 with nil ISums", v1)
+	if got := j2.Pending(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending after reopen:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -87,24 +80,25 @@ func TestAppendV2RejectsMisalignedISums(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if _, err := j.Append(0, []int{1, 2}, []uint64{3, 4}, []uint32{5}); err == nil {
-		t.Fatal("Append accepted 2 ords with 1 isum")
+	if _, err := j.Append(0, []int{1, 2}, nil, []uint32{5}); err == nil {
+		t.Fatal("Append accepted 2 ords with 1 digest")
+	}
+	if _, err := j.Append(0, []int{1}, nil, nil); err == nil {
+		t.Fatal("Append accepted an ord without a digest")
 	}
 }
 
-// TestV2TornTailDiscarded: a V2 record with a torn tail is discarded on
-// open exactly like a V1 one — the entry-size change must not confuse
-// the framing.
+// TestV2TornTailDiscarded: a kind-3 record torn after a V2 record of an
+// earlier version is discarded on open and the V2 record kept whole —
+// the mix of entry sizes must not confuse the framing.
 func TestV2TornTailDiscarded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
+	writeLegacyLog(t, path, "v2")
 	j, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(1, []int{0}, []uint64{9}, []uint32{7}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append(2, []int{1, 2}, []uint64{10, 11}, []uint32{8, 9}); err != nil {
+	if _, err := j.Append(2, []int{1, 2}, nil, []uint32{8, 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -119,10 +113,10 @@ func TestV2TornTailDiscarded(t *testing.T) {
 	}
 	defer j2.Close()
 	pending := j2.Pending()
-	if len(pending) != 1 || pending[0].Stripe != 1 {
-		t.Fatalf("pending after torn tail: %+v, want only the first intent", pending)
+	if len(pending) != 1 || pending[0].Stripe != 5 {
+		t.Fatalf("pending after torn tail: %+v, want only the V2 intent", pending)
 	}
-	if !reflect.DeepEqual(pending[0].ISums, []uint32{7}) {
-		t.Fatalf("surviving record ISums=%v, want [7]", pending[0].ISums)
+	if !reflect.DeepEqual(pending[0].Digests, []uint32{0xdeadbeef, 0x01020304, 0xcafef00d}) {
+		t.Fatalf("surviving record Digests=%x, want the V2 integrity digests", pending[0].Digests)
 	}
 }

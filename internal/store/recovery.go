@@ -22,8 +22,10 @@ type RecoveryReport struct {
 	// commit record) or never touched the devices.
 	Consistent int
 	// DataComplete counts replayed stripes where every intended block's
-	// checksum matched the on-device content — the data phase of the
-	// interrupted write-back had fully landed.
+	// digest matched the on-device content — the data phase of the
+	// interrupted write-back had fully landed. An intent in the V1
+	// layout of earlier versions carries no digests and is never
+	// counted; its replay is otherwise the same.
 	DataComplete int
 	// RolledForward counts stripes whose parity was re-encoded from the
 	// on-device data and rewritten (including healing any latent sector
@@ -58,7 +60,7 @@ func (s *Store) recoverJournal() error {
 		return nil
 	}
 	rep := RecoveryReport{Intents: len(pending)}
-	// The newest intent per stripe wins: its ords/checksums describe
+	// The newest intent per stripe wins: its ords/digests describe
 	// the last write-back attempt. An intent naming a stripe this
 	// volume does not have (a stale or foreign journal mounted by
 	// mistake, or a volume re-created smaller) cannot be re-verified;
@@ -147,7 +149,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		// runs answer ErrDeviceFailed, which writeStripeCells counts as
 		// skipped. Any other write failure keeps the intent pending for
 		// the next mount and marks the stripe so degraded reads refuse it.
-		_, failed, err := s.writeStripeCells(ctx, stripe, st, s.allCells)
+		_, failed, err := s.writeStripeCells(ctx, stripe, st, s.allCells, nil)
 		if err != nil || failed > 0 {
 			s.markUnrecoverableLocked(sh, stripe)
 			rep.Unrecoverable++
@@ -156,7 +158,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 		rep.RolledForward++
 		s.c.recoveredStripes.Add(1)
 		s.clearUnrecoverableLocked(sh, stripe)
-		s.restageStripeMeta(ctx, stripe, st, rec)
+		s.restageStripeMeta(ctx, stripe, st)
 	}
 	if lostData > 0 {
 		// Lost data can only come back through the (possibly broken)
@@ -188,7 +190,7 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 			// may still predate the final (landed) writes — e.g. a crash
 			// right after the parity phase. Refresh them so the first
 			// verified read after reopen sees no false mismatch.
-			s.restageStripeMeta(ctx, stripe, st, rec)
+			s.restageStripeMeta(ctx, stripe, st)
 			return
 		}
 	}
@@ -203,40 +205,22 @@ func (s *Store) recoverStripeLocked(ctx context.Context, sh *lockShard, stripe i
 }
 
 // restageStripeMeta re-stages fresh sidecar records for every cell of
-// a stripe that replay just proved (or made) consistent, and persists
-// them. Blocks the intent covered whose content provably landed reuse
-// the digest the V2 intent carried; everything else is recomputed from
-// the stripe's (now authoritative) content. Cells on the devices the
-// stripe's load found wholly failed (Store.down) are skipped — their
-// records refresh on rebuild, like their data. The caller holds the
-// stripe's shard mutex.
-func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stripe, rec journal.Record) {
+// a stripe that replay just proved (or made) consistent, computed from
+// the stripe's (now authoritative) content — for a block whose write
+// landed, the digest its intent carried — and persists them. Cells on
+// the devices the stripe's load found wholly failed (Store.down) are
+// skipped — their records refresh on rebuild, like their data. The
+// caller holds the stripe's shard mutex.
+func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stripe) {
 	if s.integ == nil {
 		return
-	}
-	fromIntent := map[core.Cell]uint32{}
-	if rec.ISums != nil {
-		for i, ord := range rec.Ords {
-			if ord < 0 || ord >= s.perStripe {
-				continue
-			}
-			cell := s.dataCells[ord]
-			if journal.Checksum(st.Sector(cell.Col, cell.Row)) == rec.Sums[i] {
-				fromIntent[cell] = rec.ISums[i]
-			}
-		}
 	}
 	for col := 0; col < s.n; col++ {
 		if s.down[col].Load() {
 			continue
 		}
 		for row := 0; row < s.r; row++ {
-			sec := s.devSector(stripe, row)
-			if isum, ok := fromIntent[core.Cell{Col: col, Row: row}]; ok {
-				s.integ.UpdateSum(col, sec, isum)
-			} else {
-				s.integ.Update(col, sec, st.Sector(col, row))
-			}
+			s.integ.Update(col, s.devSector(stripe, row), st.Sector(col, row))
 		}
 	}
 	_ = s.flushStripeMeta(ctx, stripe, s.allCols)
@@ -244,9 +228,10 @@ func (s *Store) restageStripeMeta(ctx context.Context, stripe int, st *core.Stri
 
 // intentDataLanded reports whether every block the intent meant to
 // write matches the stripe's current content — i.e. the interrupted
-// write-back's data phase had fully completed.
+// write-back's data phase had fully completed. An intent without
+// digests (V1) proves nothing.
 func (s *Store) intentDataLanded(st *core.Stripe, rec journal.Record) bool {
-	if len(rec.Ords) == 0 {
+	if len(rec.Ords) == 0 || len(rec.Digests) != len(rec.Ords) {
 		return false
 	}
 	for i, ord := range rec.Ords {
@@ -254,7 +239,7 @@ func (s *Store) intentDataLanded(st *core.Stripe, rec journal.Record) bool {
 			return false
 		}
 		cell := s.dataCells[ord]
-		if journal.Checksum(st.Sector(cell.Col, cell.Row)) != rec.Sums[i] {
+		if s.digest(rec.Stripe, cell, st.Sector(cell.Col, cell.Row)) != rec.Digests[i] {
 			return false
 		}
 	}

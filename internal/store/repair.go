@@ -112,7 +112,7 @@ func (s *Store) healLoadedLocked(ctx context.Context, sh *lockShard, st *core.St
 	if err != nil || len(writable) == 0 {
 		return false
 	}
-	wrote, failed, err := s.writeStripeCells(ctx, stripe, st, writable)
+	wrote, failed, err := s.writeStripeCells(ctx, stripe, st, writable, nil)
 	if wrote > 0 {
 		s.c.repairedSectors.Add(uint64(wrote))
 		// The repaired sectors' fresh records (staged by the write) go

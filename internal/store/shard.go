@@ -71,12 +71,13 @@ type updateSet struct {
 	// columns, both rebuilt from need by collectUpdate.
 	cells []core.Cell
 	cols  []int
-	// codec is core.UpdateWith's scratch; ords, sums and isums build the
-	// journal intent.
-	codec core.UpdateScratch
-	ords  []int
-	sums  []uint64
-	isums []uint32
+	// codec is core.UpdateWith's scratch; ords and digests build the
+	// journal intent, from sums, the written data cells' digests by
+	// chunk-major index.
+	codec   core.UpdateScratch
+	ords    []int
+	digests []uint32
+	sums    []uint32
 	// data and parity are the journaled write-back's two phases.
 	data, parity []core.Cell
 }

@@ -114,10 +114,10 @@ type Config struct {
 	Integrity *IntegrityOptions
 	// Journal, when non-nil, makes stripe write-back crash-consistent:
 	// every flush durably records an intent (stripe, dirty block
-	// ordinals, data checksums) before any device write, writes data
-	// then parity, and commits after — and Open replays pending
-	// intents, re-verifying parity and rolling interrupted
-	// read–modify–writes forward (see Recovery). The store uses the
+	// ordinals, each dirty block's salted CRC32C) before any device
+	// write, writes data then parity, and commits after — and Open
+	// replays pending intents, re-verifying parity and rolling
+	// interrupted read–modify–writes forward (see Recovery). The store uses the
 	// journal but does not close it; the caller owns its lifecycle and
 	// must close it only after Close returns.
 	Journal *journal.Journal

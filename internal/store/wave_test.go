@@ -203,7 +203,7 @@ func TestWaveCancelWaitsForHandedCalls(t *testing.T) {
 			sh.mu.Lock()
 			st := s.acquireStripe()
 			if write {
-				_, _, err = s.writeStripeCells(ctx, 0, st, s.allCells)
+				_, _, err = s.writeStripeCells(ctx, 0, st, s.allCells, nil)
 			} else {
 				ld := s.startLoad(0, true)
 				ld.want.Union(s.every)
