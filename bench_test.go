@@ -521,56 +521,51 @@ func BenchmarkStoreWriteSeq(b *testing.B) {
 }
 
 // BenchmarkClusterWriteBack: full stripes written over 8 loopback device
-// servers by one writer, or by eight on disjoint stripes, with the
-// write-back in the caller (workers=0) or in 2 or 4 flush workers, on
-// devices without added latency and with 200 µs per call. One op writes
-// every block of the volume and flushes; subflushes/op counts stripes
-// evicted half-filled and written back by read–modify–write. No flush
-// width wins every row, which is why FlushWorkers is a setting (README,
-// "Async flush pipeline").
+// servers by one writer, or by eight on disjoint stripes, each writer
+// flushing the stripes it fills, on devices without added latency and
+// with 200 µs per call. One op writes every block of the volume and
+// flushes; subflushes/op counts stripes evicted half-filled and written
+// back by read–modify–write.
 func BenchmarkClusterWriteBack(b *testing.B) {
 	code := benchCode(b, core.Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
 	const sector, stripes = 4096, 64
 	for _, latUS := range []int{0, 200} {
 		for _, writers := range []int{1, 8} {
-			for _, workers := range []int{0, 2, 4} {
-				b.Run(fmt.Sprintf("latency_us=%d/writers=%d/workers=%d", latUS, writers, workers), func(b *testing.B) {
-					v := benchCluster(b, code, stripes, sector, latUS, workers)
-					buf := make([]byte, sector)
-					per := v.Blocks() / writers
-					b.SetBytes(int64(v.Blocks() * sector))
-					before := v.Store().Stats().SubStripeFlushes
-					b.ResetTimer()
-					for range b.N {
-						var wg sync.WaitGroup
-						for w := range writers {
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								for blk := w * per; blk < (w+1)*per; blk++ {
-									if err := v.WriteBlock(benchCtx, blk, buf); err != nil {
-										b.Error(err)
-										return
-									}
+			b.Run(fmt.Sprintf("latency_us=%d/writers=%d", latUS, writers), func(b *testing.B) {
+				v := benchCluster(b, code, stripes, sector, latUS)
+				buf := make([]byte, sector)
+				per := v.Blocks() / writers
+				b.SetBytes(int64(v.Blocks() * sector))
+				before := v.Store().Stats().SubStripeFlushes
+				b.ResetTimer()
+				for range b.N {
+					var wg sync.WaitGroup
+					for w := range writers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for blk := w * per; blk < (w+1)*per; blk++ {
+								if err := v.WriteBlock(benchCtx, blk, buf); err != nil {
+									b.Error(err)
+									return
 								}
-							}()
-						}
-						wg.Wait()
-						if err := v.Flush(benchCtx); err != nil {
-							b.Fatal(err)
-						}
+							}
+						}()
 					}
-					b.ReportMetric(float64(v.Store().Stats().SubStripeFlushes-before)/float64(b.N), "subflushes/op")
-				})
-			}
+					wg.Wait()
+					if err := v.Flush(benchCtx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(v.Store().Stats().SubStripeFlushes-before)/float64(b.N), "subflushes/op")
+			})
 		}
 	}
 }
 
 // benchCluster opens a volume over n loopback device servers, each a
-// MemDevice answering every call latUS µs late, with the given number of
-// flush workers.
-func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS, workers int) *cluster.Volume {
+// MemDevice answering every call latUS µs late.
+func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS int) *cluster.Volume {
 	var servers []cluster.Server
 	for i := range code.N() {
 		var d store.Device = store.NewMemDevice(stripes*code.R(), sector)
@@ -582,7 +577,7 @@ func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS, workers
 	}
 	v, err := cluster.Open(benchCtx, cluster.Config{
 		Fleet: &cluster.Fleet{Servers: servers}, Code: code, SectorSize: sector, Stripes: stripes,
-		FlushWorkers: workers, Monitor: cluster.MonitorConfig{Interval: time.Hour},
+		Monitor: cluster.MonitorConfig{Interval: time.Hour},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -600,7 +595,7 @@ func BenchmarkClusterDegradedRead(b *testing.B) {
 	const sector, stripes, dead = 4096, 16, 0
 	for _, latUS := range []int{0, 200} {
 		b.Run(fmt.Sprintf("latency_us=%d", latUS), func(b *testing.B) {
-			v := benchCluster(b, code, stripes, sector, latUS, 0)
+			v := benchCluster(b, code, stripes, sector, latUS)
 			buf := make([]byte, sector)
 			for blk := range v.Blocks() {
 				if err := v.WriteBlock(benchCtx, blk, buf); err != nil {

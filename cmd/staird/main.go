@@ -15,7 +15,6 @@
 //
 //	staird serve -listen :8080 -fleet fleet.json -volume myvol \
 //	    -n 6 -r 4 -m 2 -e 1,2 -stripes 64 -sector 4096 \
-//	    [-flush-workers 4] \
 //	    [-integrity -epoch 1] [-heartbeat 1s] [-fail-after 3]
 //
 // With -integrity, every device carries a per-sector checksum sidecar
@@ -187,7 +186,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	eStr := fs.String("e", "1,2", "sector-failure vector, comma separated")
 	stripes := fs.Int("stripes", 64, "stripes in the volume")
 	sector := fs.Int("sector", 4096, "sector (= block) size in bytes")
-	flushWorkers := fs.Int("flush-workers", 4, "asynchronous flush pipeline width (0 = synchronous)")
 	integ := fs.Bool("integrity", false, "per-sector checksum layer (device servers need -sectors sized for the sidecar region)")
 	epoch := fs.Uint("epoch", 1, "volume epoch salted into integrity checksums")
 	heartbeat := fs.Duration("heartbeat", time.Second, "health sweep interval")
@@ -211,14 +209,13 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 
 	cfg := cluster.Config{
-		Fleet:        fleet,
-		VolumeName:   *volume,
-		Code:         code,
-		SectorSize:   *sector,
-		Stripes:      *stripes,
-		FlushWorkers: *flushWorkers,
-		Hedge:        &cluster.HedgeConfig{},
-		Monitor:      cluster.MonitorConfig{Interval: *heartbeat, FailAfter: *failAfter},
+		Fleet:      fleet,
+		VolumeName: *volume,
+		Code:       code,
+		SectorSize: *sector,
+		Stripes:    *stripes,
+		Hedge:      &cluster.HedgeConfig{},
+		Monitor:    cluster.MonitorConfig{Interval: *heartbeat, FailAfter: *failAfter},
 	}
 	if *integ {
 		cfg.Integrity = &store.IntegrityOptions{Epoch: uint32(*epoch)}

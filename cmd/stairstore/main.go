@@ -3,7 +3,7 @@
 // fault injection, degraded reads, scrub/repair and persistent
 // operation counters.
 //
-//	stairstore create      -dir vol -n 8 -r 4 -m 2 -e 1,1,2 -stripes 64 -sector 4096 [-integrity=false -epoch 1 -repair-workers 4 -flush-workers 4]
+//	stairstore create      -dir vol -n 8 -r 4 -m 2 -e 1,1,2 -stripes 64 -sector 4096 [-integrity=false -epoch 1 -repair-workers 4]
 //	stairstore put         -dir vol -in data.bin [-block 0]
 //	stairstore get         -dir vol -out copy.bin [-block 0] [-count 8] [-bytes 30000]
 //	stairstore fail-device -dir vol -device 3
@@ -114,7 +114,6 @@ func cmdCreate(ctx context.Context, args []string) (err error) {
 		stripes = fs.Int("stripes", 64, "stripes in the volume")
 		sector  = fs.Int("sector", 4096, "sector (logical block) size in bytes")
 		repair  = fs.Int("repair-workers", 0, "background repair worker pool size (0 = store default)")
-		flush   = fs.Int("flush-workers", 0, "async flush pipeline workers (0 = synchronous flushes)")
 		integ   = fs.Bool("integrity", true, "end-to-end per-sector checksums (sidecar region per device)")
 		epoch   = fs.Uint("epoch", 1, "volume epoch salted into integrity digests")
 	)
@@ -128,8 +127,7 @@ func cmdCreate(ctx context.Context, args []string) (err error) {
 	}
 	meta := volumeMeta{
 		N: *n, R: *r, M: *m, E: ev, SectorSize: *sector, Stripes: *stripes,
-		RepairWorkers: *repair, FlushWorkers: *flush,
-		Integrity: *integ, IntegrityEpoch: uint32(*epoch),
+		RepairWorkers: *repair, Integrity: *integ, IntegrityEpoch: uint32(*epoch),
 	}
 	if _, _, err := meta.geometry(); err != nil {
 		return err

@@ -23,11 +23,10 @@ type volumeMeta struct {
 	E          []int `json:"e"`
 	SectorSize int   `json:"sector_size"`
 	Stripes    int   `json:"stripes"`
-	// RepairWorkers and FlushWorkers mirror the store.Config fields of
-	// the same names. (The retired "degraded_cache" and "lock_shards"
+	// RepairWorkers mirrors the store.Config field of the same name.
+	// (The retired "degraded_cache", "lock_shards" and "flush_workers"
 	// keys, left by older descriptors, are ignored.)
 	RepairWorkers int `json:"repair_workers,omitempty"`
-	FlushWorkers  int `json:"flush_workers,omitempty"`
 	// Integrity turns on the end-to-end per-sector checksum layer; each
 	// device image then carries a sidecar region of records past its
 	// data sectors, and IntegrityEpoch is salted into every digest.
@@ -141,7 +140,6 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 		Stripes:       meta.Stripes,
 		Devices:       devs,
 		RepairWorkers: meta.RepairWorkers,
-		FlushWorkers:  meta.FlushWorkers,
 		Journal:       j,
 		Integrity:     iopts,
 	})
@@ -156,7 +154,7 @@ func openVolume(dir string) (*store.Store, *volumeMeta, error) {
 	return s, meta, nil
 }
 
-// closeVolume closes the store (draining its flush pipeline and
+// closeVolume closes the store (flushing its buffered stripes and
 // committing outstanding intents), then the journal, and folds this
 // invocation's counters into the persistent totals.
 func closeVolume(dir string, s *store.Store, meta *volumeMeta) error {

@@ -46,12 +46,12 @@ func main() {
 	}
 	defer j.Close()
 	// Stripes are independent recovery units, so the store runs them in
-	// parallel: a sharded lock table, a pool of repair workers — and an
-	// asynchronous flush pipeline that encodes and writes back filled
-	// stripes in the background.
+	// parallel: a sharded lock table lets writers on different stripes
+	// flush at once, and a pool of repair workers heals in the
+	// background.
 	s, err := store.Open(store.Config{
 		Code: code, SectorSize: 1024, Stripes: 32,
-		RepairWorkers: 4, FlushWorkers: 2, Journal: j,
+		RepairWorkers: 4, Journal: j,
 		// Per-sector end-to-end checksums: every data sector carries a
 		// self-describing record (sector address and volume epoch salted
 		// into the digest) in a sidecar region after the data, and every
@@ -66,11 +66,11 @@ func main() {
 	fmt.Printf("volume: %d devices × %d stripes × %d sectors × %d B = %d blocks (%d KiB user data)\n",
 		n, stripes, r, sector, s.Blocks(), s.Blocks()*sector>>10)
 
-	// Fill the volume. Sequential writes batch into whole stripes; each
-	// filled stripe is handed to the flush pipeline, which journals an
-	// intent and encodes+writes it back while the fill continues. Sync
-	// is the durability barrier: pipeline drained, devices fsynced
-	// (where the backend can), journal settled.
+	// Fill the volume. Sequential writes batch into whole stripes; the
+	// write that fills a stripe journals an intent and encodes and
+	// writes the stripe back before it returns. Sync is the durability
+	// barrier: buffered stripes flushed, devices fsynced (where the
+	// backend can), journal settled.
 	rng := rand.New(rand.NewSource(7))
 	blocks := make([][]byte, s.Blocks())
 	for b := range blocks {

@@ -32,7 +32,7 @@ type EnvOptions struct {
 	Profile store.LatencyProfile
 	// MaxDirtyStripes bounds the write buffer (flush backpressure);
 	// zero selects 8 — tight enough that the failure scenarios exercise
-	// writers blocking on the flush pipeline. The latency guard raises
+	// writers evicting other stripes. The latency guard raises
 	// it to the stripe count so it measures the write path, not an
 	// artificially small buffer.
 	MaxDirtyStripes int
@@ -69,7 +69,7 @@ func scenarioCode() (*core.Code, error) {
 
 // NewStoreEnv builds a store-backed env: latency-shaped in-memory
 // devices (per-device seeded RNGs), end-to-end integrity on, bounded
-// repair queue with two workers, asynchronous flush pipeline.
+// repair queue with two workers.
 func NewStoreEnv(opts EnvOptions) (*Env, error) {
 	opts = opts.withDefaults()
 	code, err := scenarioCode()
@@ -91,7 +91,6 @@ func NewStoreEnv(opts EnvOptions) (*Env, error) {
 		Devices:         devs,
 		MaxDirtyStripes: opts.MaxDirtyStripes,
 		RepairWorkers:   2,
-		FlushWorkers:    2,
 		Integrity:       &store.IntegrityOptions{Epoch: 1},
 	})
 	if err != nil {
@@ -149,7 +148,6 @@ func NewClusterEnv(opts EnvOptions) (*Env, error) {
 		Monitor:         cluster.MonitorConfig{Interval: 40 * time.Millisecond, Timeout: 20 * time.Millisecond, FailAfter: 5},
 		Integrity:       &store.IntegrityOptions{Epoch: 1},
 		MaxDirtyStripes: opts.MaxDirtyStripes,
-		FlushWorkers:    2,
 		RepairWorkers:   2,
 	})
 	if err != nil {

@@ -99,8 +99,9 @@ func (s *Store) releaseStripeUnlessCancelled(ctx context.Context, st *core.Strip
 // acquireStripeBuf returns a write buffer whose rows are the data cells
 // of a stripe, filled as blocks arrive (see WriteBlock). Buffers recycle
 // through the store's free list with their stripes attached. A
-// sync.Pool would not serve here: a flush worker releases a buffer on
-// its P, where the writer's Get on another P cannot reach it.
+// sync.Pool would not serve here: an eviction releases another
+// writer's buffer, often on another P, where that writer's Get cannot
+// reach it.
 func (s *Store) acquireStripeBuf() *stripeBuf {
 	select {
 	case buf := <-s.bufs:
@@ -118,7 +119,7 @@ func (s *Store) acquireStripeBuf() *stripeBuf {
 func (s *Store) releaseStripeBuf(buf *stripeBuf) {
 	clear(buf.data)
 	buf.count = 0
-	buf.stuck, buf.queued = false, false
+	buf.stuck = false
 	buf.torn = nil
 	mem.Poison(buf.st.Cells[0][:s.slabLen])
 	select {

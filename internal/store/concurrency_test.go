@@ -328,8 +328,8 @@ func exiting(stack string) bool {
 }
 
 // TestCloseLeavesNoGoroutines: Close returns only once every goroutine
-// the store started — the flush workers, the repair workers, the I/O
-// helpers of a store over remote columns — has exited, so
+// the store started — the repair workers, the I/O helpers of a store
+// over remote columns — has exited, so
 // an Open/Close cycle leaves no more goroutines running Store methods
 // than there were before Open. It holds with and without a journal, and
 // when a flush failed and Close reports it. The goroutines are looked at
@@ -350,7 +350,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for cycle := range 10 {
 				baseline := len(storeGoroutines())
-				cfg := Config{Code: code, SectorSize: 128, Stripes: 4, RepairWorkers: 2, FlushWorkers: 2}
+				cfg := Config{Code: code, SectorSize: 128, Stripes: 4, RepairWorkers: 2}
 				if tc.remote {
 					// Every wave's calls go to the I/O helpers.
 					cfg.Integrity = &IntegrityOptions{}

@@ -50,7 +50,7 @@ func newCrashVolume(t *testing.T, code *core.Code, stripes, sector int) *crashVo
 
 // open mounts the volume; recovery runs automatically when the journal
 // holds pending intents.
-func (v *crashVolume) open(t *testing.T, flushWorkers int) (*Store, *journal.Journal) {
+func (v *crashVolume) open(t *testing.T) (*Store, *journal.Journal) {
 	t.Helper()
 	j, err := journal.Open(v.journalPath)
 	if err != nil {
@@ -58,7 +58,7 @@ func (v *crashVolume) open(t *testing.T, flushWorkers int) (*Store, *journal.Jou
 	}
 	s, err := Open(Config{
 		Code: v.code, SectorSize: v.sector, Stripes: v.stripes,
-		Devices: v.devs, Journal: j, FlushWorkers: flushWorkers,
+		Devices: v.devs, Journal: j,
 	})
 	if err != nil {
 		j.Close()
@@ -74,9 +74,6 @@ func abandonStore(s *Store, j *journal.Journal) {
 	s.closed.Store(true)
 	close(s.quit)
 	s.repairQ.close()
-	if s.asyncFlush() {
-		close(s.flushCh)
-	}
 	s.wg.Wait()
 	j.Close()
 }
@@ -100,7 +97,7 @@ func TestCrashRecoveryFullStripeMatrix(t *testing.T) {
 	for _, kp := range killPoints {
 		t.Run(string(kp), func(t *testing.T) {
 			v := newCrashVolume(t, code, 3, 128)
-			s, j := v.open(t, 0)
+			s, j := v.open(t)
 			fillStore(t, s) // round 0, cleanly committed
 			if got := j.PendingCount(); got != 0 {
 				t.Fatalf("%d pending intents after a clean flush, want 0", got)
@@ -136,7 +133,7 @@ func TestCrashRecoveryFullStripeMatrix(t *testing.T) {
 
 			// Reboot. Open replays the journal; the store must come back
 			// with every stripe parity-consistent.
-			s2, j2 := v.open(t, 0)
+			s2, j2 := v.open(t)
 			defer func() { s2.Close(); j2.Close() }()
 			checkStripesConsistent(t, s2)
 			rep := s2.Recovery()
@@ -205,7 +202,7 @@ func TestCrashRecoverySubStripeMatrix(t *testing.T) {
 	for _, kp := range killPoints {
 		t.Run(string(kp), func(t *testing.T) {
 			v := newCrashVolume(t, code, 3, 128)
-			s, j := v.open(t, 0)
+			s, j := v.open(t)
 			fillStore(t, s)
 			// Checkpoint the fill so the crash's replay set is exactly
 			// the interrupted RMW.
@@ -231,7 +228,7 @@ func TestCrashRecoverySubStripeMatrix(t *testing.T) {
 			}
 			abandonStore(s, j)
 
-			s2, j2 := v.open(t, 0)
+			s2, j2 := v.open(t)
 			defer func() { s2.Close(); j2.Close() }()
 			// The property under test: no kill point leaves any stripe
 			// parity-inconsistent after recovery.
@@ -275,55 +272,12 @@ func TestCrashRecoverySubStripeMatrix(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryAsyncPipeline crashes a volume whose flushes run
-// through the background pipeline: several stripes die mid-write-back
-// concurrently, and recovery must still converge every one of them.
-func TestCrashRecoveryAsyncPipeline(t *testing.T) {
-	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	v := newCrashVolume(t, code, 4, 128)
-	s, j := v.open(t, 2)
-	fillStore(t, s)
-	if err := s.Sync(bg); err != nil {
-		t.Fatal(err)
-	}
-
-	s.testKill = func(p killPoint) error {
-		if p == killAfterDataWrite {
-			return errKilled
-		}
-		return nil
-	}
-	for b := 0; b < s.Blocks(); b++ {
-		// Background flushes swallow the kill into the sticky error;
-		// writes themselves keep succeeding.
-		if err := s.WriteBlock(bg, b, blockData(b+1000, s.BlockSize())); err != nil {
-			t.Fatalf("write block %d: %v", b, err)
-		}
-	}
-	if err := s.awaitFlushes(bg, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.takeAsyncFlushErr(); !errors.Is(err, errKilled) {
-		t.Fatalf("pipeline error %v, want errKilled", err)
-	}
-	abandonStore(s, j)
-
-	s2, j2 := v.open(t, 2)
-	defer func() { s2.Close(); j2.Close() }()
-	checkStripesConsistent(t, s2)
-	rep := s2.Recovery()
-	if rep.RolledForward != v.stripes {
-		t.Fatalf("recovery %+v, want all %d stripes rolled forward", rep, v.stripes)
-	}
-	checkRound1(t, s2)
-}
-
 // crashSubStripe fills a journaled volume, dirties two blocks of
 // stripe 1 and kills the RMW flush at kp, returning the dirty block
 // ids. The caller owns the reopen.
 func crashSubStripe(t *testing.T, v *crashVolume, kp killPoint) []int {
 	t.Helper()
-	s, j := v.open(t, 0)
+	s, j := v.open(t)
 	fillStore(t, s)
 	// The barrier checkpoints the fill's intents, so the crash leaves
 	// exactly the interrupted RMW pending.
@@ -371,7 +325,7 @@ func TestRecoveryRefusesUntrustedRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, j2 := v.open(t, 0)
+	s2, j2 := v.open(t)
 	defer func() { s2.Close(); j2.Close() }()
 	rep := s2.Recovery()
 	if rep.Unrecoverable != 1 || rep.RolledForward != 0 {
@@ -404,7 +358,7 @@ func TestRecoveryLostParityRollsForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, j2 := v.open(t, 0)
+	s2, j2 := v.open(t)
 	defer func() { s2.Close(); j2.Close() }()
 	rep := s2.Recovery()
 	if rep.RolledForward != 1 || rep.Unrecoverable != 0 {
@@ -441,7 +395,7 @@ func TestRecoveryAcceptsVerifiedRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, j2 := v.open(t, 0)
+	s2, j2 := v.open(t)
 	defer func() { s2.Close(); j2.Close() }()
 	rep := s2.Recovery()
 	if rep.RolledForward != 1 || rep.Unrecoverable != 0 {
@@ -474,7 +428,7 @@ func TestRecoveryRetainsJournalOnWriteFailure(t *testing.T) {
 	flaky := &flakyDevice{MemDevice: v.devs[2].(*MemDevice)}
 	v.devs[2] = flaky
 	flaky.failWrites.Store(1)
-	s2, j2 := v.open(t, 0)
+	s2, j2 := v.open(t)
 	rep := s2.Recovery()
 	if rep.Unrecoverable != 1 || rep.RolledForward != 0 {
 		t.Fatalf("recovery %+v, want the failed roll-forward reported unrecoverable", rep)
@@ -489,7 +443,7 @@ func TestRecoveryRetainsJournalOnWriteFailure(t *testing.T) {
 
 	// Second reboot: the device behaves, the retained intent replays,
 	// and the stripe converges on the rolled-forward content.
-	s3, j3 := v.open(t, 0)
+	s3, j3 := v.open(t)
 	defer func() { s3.Close(); j3.Close() }()
 	rep = s3.Recovery()
 	if rep.RolledForward != 1 || rep.Unrecoverable != 0 {
@@ -508,7 +462,7 @@ func TestRecoveryRetainsJournalOnWriteFailure(t *testing.T) {
 }
 
 // gatedWriteDevice blocks every WriteSectors call until release closes
-// — it wedges the flush pipeline so the backpressure path is
+// — it wedges the writer's own eviction so the backpressure path is
 // observable.
 type gatedWriteDevice struct {
 	*MemDevice
@@ -520,9 +474,9 @@ func (d *gatedWriteDevice) WriteSectors(ctx context.Context, start int, data [][
 	return d.MemDevice.WriteSectors(ctx, start, data)
 }
 
-// TestAsyncEvictionBackpressure: with the pipeline wedged, a writer
-// spraying partial stripes must block once MaxDirtyStripes is
-// exceeded instead of buffering the whole volume.
+// TestAsyncEvictionBackpressure: with write-back wedged, a writer
+// spraying partial stripes must block in its eviction once
+// MaxDirtyStripes is exceeded instead of buffering the whole volume.
 func TestAsyncEvictionBackpressure(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	const (
@@ -536,7 +490,7 @@ func TestAsyncEvictionBackpressure(t *testing.T) {
 	}
 	s, err := Open(Config{
 		Code: code, SectorSize: 128, Stripes: stripes, Devices: devs,
-		MaxDirtyStripes: maxDirty, FlushWorkers: 1,
+		MaxDirtyStripes: maxDirty,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -555,18 +509,18 @@ func TestAsyncEvictionBackpressure(t *testing.T) {
 		}
 		done <- nil
 	}()
-	// The writer must stall against the wedged pipeline with the buffer
-	// bound held — not race ahead buffering all 8 stripes.
+	// The writer must stall in the wedged eviction with the buffer bound
+	// held — not race ahead buffering all 8 stripes.
 	deadline := time.Now().Add(2 * time.Second)
 	for progress.Load() < maxDirty+1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond) // give an unbounded writer time to misbehave
 	if got := progress.Load(); got > maxDirty+1 {
-		t.Fatalf("writer completed %d writes against a wedged pipeline, want ≤ %d (backpressure)", got, maxDirty+1)
+		t.Fatalf("writer completed %d writes against a wedged eviction, want ≤ %d (backpressure)", got, maxDirty+1)
 	}
 	if got := int(s.dirtyCount.Load()); got > maxDirty+1 {
-		t.Fatalf("dirtyCount=%d with the pipeline wedged, bound is %d(+1 hot)", got, maxDirty)
+		t.Fatalf("dirtyCount=%d with the eviction wedged, bound is %d(+1 hot)", got, maxDirty)
 	}
 	close(release)
 	if err := <-done; err != nil {
@@ -593,7 +547,7 @@ func TestAsyncEvictionBackpressure(t *testing.T) {
 func TestJournaledFlushBookkeeping(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	v := newCrashVolume(t, code, 3, 128)
-	s, j := v.open(t, 0)
+	s, j := v.open(t)
 	fillStore(t, s)
 	if err := s.WriteBlock(bg, 1, blockData(2001, s.BlockSize())); err != nil {
 		t.Fatal(err)
@@ -624,7 +578,7 @@ func TestJournaledFlushBookkeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	s2, j2 := v.open(t, 0)
+	s2, j2 := v.open(t)
 	defer func() { s2.Close(); j2.Close() }()
 	if s2.Recovery().Replayed() {
 		t.Errorf("recovery %+v ran on a cleanly closed volume", s2.Recovery())
@@ -651,7 +605,7 @@ func TestSyncDurabilityBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(Config{Code: code, SectorSize: 64, Stripes: 4, Devices: devs, Journal: j, FlushWorkers: 2})
+		s, err := Open(Config{Code: code, SectorSize: 64, Stripes: 4, Devices: devs, Journal: j})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -678,193 +632,4 @@ func TestSyncDurabilityBarrier(t *testing.T) {
 	defer func() { s2.Close(); j2.Close() }()
 	checkAllBlocks(t, s2)
 	checkStripesConsistent(t, s2)
-}
-
-// TestAsyncPipelineRoundTrip: with the pipeline on, a sequential fill
-// still lands every stripe through full-stripe encodes, reads see
-// buffered writes throughout, and Flush drains to a consistent volume.
-func TestAsyncPipelineRoundTrip(t *testing.T) {
-	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 5, FlushWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for b := 0; b < s.Blocks(); b++ {
-		if err := s.WriteBlock(bg, b, blockData(b, s.BlockSize())); err != nil {
-			t.Fatal(err)
-		}
-		// Read-your-writes must hold while flushes are in flight.
-		got, err := s.ReadBlock(bg, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, blockData(b, s.BlockSize())) {
-			t.Fatalf("block %d stale during pipelined fill", b)
-		}
-	}
-	if err := s.Flush(bg); err != nil {
-		t.Fatal(err)
-	}
-	checkAllBlocks(t, s)
-	checkStripesConsistent(t, s)
-	st := s.Stats()
-	if st.FullStripeFlushes != uint64(s.stripes) {
-		t.Errorf("FullStripeFlushes=%d, want %d", st.FullStripeFlushes, s.stripes)
-	}
-}
-
-// TestUnqueueFlushRevertsHandOff: a hand-off sendFlush cannot make —
-// the store is closed, or the channel is full — is reverted: the
-// buffer's queued flag clears, the stripe's in-flight count is returned,
-// and a later Flush lands the stripe.
-func TestUnqueueFlushRevertsHandOff(t *testing.T) {
-	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	const target, parked = 1, 0
-	for _, arm := range []string{"closed", "full"} {
-		t.Run(arm, func(t *testing.T) {
-			s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 4, FlushWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if s.shard(target) == s.shard(parked) {
-				t.Fatal("target and parked stripes share a shard")
-			}
-			// Two blocks of the target stripe: a partial buffer is not
-			// handed to the pipeline on its own.
-			blocks := []int{target * s.perStripe, target*s.perStripe + 1}
-			for _, b := range blocks {
-				if err := s.WriteBlock(bg, b, blockData(b, s.BlockSize())); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sh := s.shard(target)
-			sh.mu.Lock()
-			buf := sh.dirty[target]
-			queued := s.queueFlushLocked(buf)
-			sh.mu.Unlock()
-			if !queued {
-				t.Fatal("queueFlushLocked refused a fresh partial buffer")
-			}
-			inflight := func() int {
-				s.flushMu.Lock()
-				defer s.flushMu.Unlock()
-				return s.flushInflight
-			}
-
-			fillers := 0
-			switch arm {
-			case "closed":
-				s.closed.Store(true)
-				s.sendFlush(target)
-				s.closed.Store(false)
-			case "full":
-				// Park the one worker on the parked stripe's shard mutex,
-				// then fill the channel behind it. The parked stripe has
-				// no buffer, so each filler no-ops once the worker runs.
-				psh := s.shard(parked)
-				psh.mu.Lock()
-				fillers = cap(s.flushCh) + 1
-				s.flushMu.Lock()
-				s.flushInflight += fillers
-				s.flushMu.Unlock()
-				s.flushCh <- parked
-				for len(s.flushCh) > 0 {
-					time.Sleep(time.Millisecond)
-				}
-				for len(s.flushCh) < cap(s.flushCh) {
-					s.flushCh <- parked
-				}
-				s.sendFlush(target)
-				if got := inflight(); got != fillers {
-					t.Errorf("in-flight %d after the refused hand-off, want the %d fillers only", got, fillers)
-				}
-				psh.mu.Unlock()
-			}
-
-			sh.mu.Lock()
-			stillQueued := buf.queued
-			sh.mu.Unlock()
-			if stillQueued {
-				t.Fatal("buffer still marked queued after the hand-off was reverted")
-			}
-			// A leaked in-flight entry would park the drain, and Close's,
-			// for good.
-			ctx, cancel := context.WithTimeout(bg, 10*time.Second)
-			defer cancel()
-			if err := s.awaitFlushes(ctx, nil); err != nil {
-				leaked := inflight()
-				s.flushMu.Lock()
-				s.flushInflight = 0
-				s.flushMu.Unlock()
-				t.Fatalf("draining the pipeline: %v (in-flight %d)", err, leaked)
-			}
-			if got := inflight(); got != 0 {
-				t.Fatalf("in-flight %d after the pipeline drained, want 0", got)
-			}
-			if err := s.Flush(bg); err != nil {
-				t.Fatal(err)
-			}
-			if got := s.dirtyCount.Load(); got != 0 {
-				t.Fatalf("dirtyCount=%d after Flush, want 0", got)
-			}
-			for _, b := range blocks {
-				got, err := s.ReadBlock(bg, b)
-				if err != nil || !bytes.Equal(got, blockData(b, s.BlockSize())) {
-					t.Fatalf("block %d after Flush: %v, content right %t", b, err, bytes.Equal(got, blockData(b, s.BlockSize())))
-				}
-			}
-			checkStripesConsistent(t, s)
-		})
-	}
-}
-
-// TestAsyncFlushErrorSurfaces: a background flush that fails (here: the
-// stripe is unrecoverably degraded) must not vanish — the next Flush
-// reports it and the buffer stays for a retry.
-func TestAsyncFlushErrorSurfaces(t *testing.T) {
-	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 2, FlushWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	fillStore(t, s)
-	// m+1 failures: every stripe is outside coverage, so an RMW flush
-	// cannot load-and-repair.
-	for _, dev := range []int{0, 1, 2} {
-		if err := s.FailDevice(dev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.WriteBlock(bg, 0, blockData(9000, s.BlockSize())); err != nil {
-		t.Fatal(err)
-	}
-	// Force the partial buffer through the pipeline via Flush's sweep…
-	err = s.Flush(bg)
-	if err == nil {
-		t.Fatal("Flush succeeded on an unrecoverable stripe")
-	}
-	if !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("Flush error %v, want ErrUnrecoverable", err)
-	}
-	// …and the buffer must still be there, retryable.
-	if got := int(s.dirtyCount.Load()); got != 1 {
-		t.Fatalf("dirtyCount=%d after failed flush, want 1 (buffer retained)", got)
-	}
-	// Filling the stripe promotes the retry to a full-stripe rewrite,
-	// which reads nothing — it lands even though the stripe's old
-	// content is beyond coverage.
-	for ord := 0; ord < s.perStripe; ord++ {
-		if err := s.WriteBlock(bg, ord, blockData(9000+ord, s.BlockSize())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(bg); err != nil {
-		t.Fatalf("retry flush as a full stripe: %v", err)
-	}
-	if got := int(s.dirtyCount.Load()); got != 0 {
-		t.Fatalf("dirtyCount=%d after successful retry, want 0", got)
-	}
 }

@@ -9,10 +9,12 @@ import (
 )
 
 // This file is the store's write-back engine: the per-stripe flush
-// (full-stripe encode or §5.2 incremental read–modify–write), the
-// optional write-ahead journaling that makes a flush crash-consistent,
-// and the asynchronous flush pipeline that overlaps stripe encodes with
-// device write-back.
+// (full-stripe encode or §5.2 incremental read–modify–write) and the
+// optional write-ahead journaling that makes a flush crash-consistent.
+// A flush runs in the goroutine that asks for it — the writer that fills
+// or evicts a stripe, or the caller of Flush, Sync or Close — so writers
+// on different stripes flush in parallel, and a flush's error is
+// returned to the call that triggered it.
 //
 // A write-back's calls go out in waves (see wave.go), each started once
 // the one before has returned: unjournaled, the cells, then the sidecar
@@ -407,154 +409,14 @@ func (s *Store) writeStripeCells(ctx context.Context, stripe int, st *core.Strip
 	return wrote, failed, nil
 }
 
-// --- The asynchronous flush pipeline -------------------------------
-//
-// With Config.FlushWorkers > 0, a filled or evicted stripe buffer is
-// handed to a pool of background workers instead of being flushed
-// inline: the writer keeps going while workers encode and write back
-// concurrently, one stripe per worker. On high-latency media this
-// pipelines one stripe's device round trips under another's encode —
-// the write-path analogue of what vectored I/O did for the per-call
-// count. Flush drains the pipeline; Sync adds the durability barrier
-// on top.
-
-// asyncFlush reports whether the background pipeline is on.
-func (s *Store) asyncFlush() bool { return s.flushCh != nil }
-
-// queueFlushLocked marks a buffer as handed to the pipeline and
-// accounts it in flight; the caller holds the shard mutex and must call
-// sendFlush (after unlocking) iff this returns true. Stuck buffers stay
-// out of the pipeline — like eviction, the background engine does not
-// re-report a known-failing stripe on every write; explicit Flush still
-// retries them.
-func (s *Store) queueFlushLocked(buf *stripeBuf) bool {
-	if buf.queued || buf.stuck {
-		return false
-	}
-	buf.queued = true
-	s.flushMu.Lock()
-	s.flushInflight++
-	s.flushMu.Unlock()
-	return true
-}
-
-// sendFlush hands a queued stripe to the workers. It must be called
-// without the shard mutex: a blocked send while holding it could
-// deadlock against workers waiting for that same shard. The channel
-// has one slot per stripe and the queued flag dedupes, so the send
-// cannot actually block; the default arm is a safety net that undoes
-// the queueing rather than wedging a writer. A hand-off that finds the
-// store closed is reverted the same way — Close may have closed the
-// channel, and its own sweep handles the buffer; one that found it open
-// is in flight, so Close's drain waits for it before closing the
-// channel.
-func (s *Store) sendFlush(stripe int) {
-	if s.closed.Load() {
-		s.unqueueFlush(stripe)
-		return
-	}
-	select {
-	case s.flushCh <- stripe:
-	default:
-		s.unqueueFlush(stripe)
-	}
-}
-
-// unqueueFlush reverts a queueFlushLocked whose channel hand-off did
-// not happen.
-func (s *Store) unqueueFlush(stripe int) {
-	sh := s.shard(stripe)
-	sh.mu.Lock()
-	if buf := sh.dirty[stripe]; buf != nil {
-		buf.queued = false
-	}
-	sh.mu.Unlock()
-	s.finishFlush(stripe, nil)
-}
-
-// flushLoop is one pipeline worker: it drains queued stripes until
-// Close closes the channel. Workers on stripes in different shards
-// proceed in parallel; background flushes run under the store's own
-// context, not any caller's deadline. Close drains the pipeline before
-// it closes the channel, and a hand-off after the drain sees closed, so
-// nothing is left in the channel to retire.
-func (s *Store) flushLoop() {
-	defer s.wg.Done()
-	for stripe := range s.flushCh {
-		sh := s.shard(stripe)
-		sh.mu.Lock()
-		var err error
-		if buf := sh.dirty[stripe]; buf != nil && buf.queued {
-			buf.queued = false
-			err = s.flushStripeLocked(context.Background(), sh, stripe)
-		}
-		sh.mu.Unlock()
-		s.finishFlush(stripe, err)
-	}
-}
-
-// finishFlush retires one in-flight pipeline entry, recording the first
-// unreported failure for the next Flush/Sync/Close caller (a background
-// flush has nobody to return an error to; the buffer itself stays
-// dirty-and-stuck, so no acknowledged write is lost).
-func (s *Store) finishFlush(stripe int, err error) {
-	s.flushMu.Lock()
-	s.flushInflight--
-	if err != nil && s.asyncFlushErr == nil {
-		s.asyncFlushErr = fmt.Errorf("store: background flush of stripe %d: %w", stripe, err)
-	}
-	s.flushIdle.Broadcast()
-	s.flushMu.Unlock()
-}
-
-// awaitFlushes blocks while the pipeline has flushes queued or
-// running and, if over is non-nil, over() holds: with nil it drains the
-// pipeline (Flush, Close); with overDirtyBound it is a writer's
-// backpressure. A cancelled ctx abandons the wait (the pipeline keeps
-// draining in the background). A wait with nothing in flight, or on a
-// context that cannot end, registers no wake-up and allocates nothing.
-func (s *Store) awaitFlushes(ctx context.Context, over func() bool) error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	if s.flushInflight > 0 && ctx.Done() != nil {
-		// The wake-up runs on its own goroutine, so it may wait for
-		// flushMu; stop does not wait for it.
-		stop := context.AfterFunc(ctx, func() {
-			s.flushMu.Lock()
-			s.flushIdle.Broadcast()
-			s.flushMu.Unlock()
-		})
-		defer stop()
-	}
-	for s.flushInflight > 0 && (over == nil || over()) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.flushIdle.Wait()
-	}
-	return nil
-}
-
 // overDirtyBound reports whether more stripes are buffered than the
-// MaxDirtyStripes bound allows. Stuck buffers count, but nothing in the
-// pipeline can drain them, so once only they remain over the bound the
-// in-flight count reaches 0 and a backpressure wait ends: without the
-// wait, a writer outpacing the flush workers would buffer the whole
-// volume in memory.
+// MaxDirtyStripes bound allows. Stuck buffers count, but eviction skips
+// them, so a writer over the bound with only stuck buffers besides its
+// own evicts nothing.
 func (s *Store) overDirtyBound() bool { return s.dirtyCount.Load() > int64(s.maxDirty) }
 
-// takeAsyncFlushErr returns and clears the sticky background-flush
-// error.
-func (s *Store) takeAsyncFlushErr() error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	err := s.asyncFlushErr
-	s.asyncFlushErr = nil
-	return err
-}
-
-// Sync is the store's durability barrier: it drains the flush pipeline,
-// lands every buffered stripe, syncs every device offering the Syncer
+// Sync is the store's durability barrier: it lands every buffered
+// stripe (Flush), syncs every device offering the Syncer
 // capability, and then — only then — checkpoints the journal,
 // reclaiming the intents whose device writes the barrier provably
 // covered (the pre-barrier Mark keeps a flush racing the barrier from

@@ -274,7 +274,7 @@ func TestIntentCarriesSidecarDigest(t *testing.T) {
 	for _, integ := range []bool{false, true} {
 		t.Run(fmt.Sprintf("integrity=%v", integ), func(t *testing.T) {
 			v, epoch := newCrashVolume(t, code, 3, 128), uint32(0)
-			open := func() (*Store, *journal.Journal) { return v.open(t, 0) }
+			open := func() (*Store, *journal.Journal) { return v.open(t) }
 			if integ {
 				v, epoch = newIntegrityCrashVolume(t, code, 3, 128), 3
 				open = func() (*Store, *journal.Journal) { return v.openIntegrity(t) }

@@ -94,8 +94,8 @@ type Record struct {
 // joins a sync cohort — the first writer in fsyncs the file for
 // everyone whose record is already on it, and the rest observe
 // syncedTo covering their offset and return without their own fsync.
-// Concurrent flush-pipeline workers therefore share fsyncs instead of
-// serialising one per stripe.
+// Writers flushing different stripes at once therefore share fsyncs
+// instead of serialising one per stripe.
 type Journal struct {
 	mu      sync.Mutex
 	path    string

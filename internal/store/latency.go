@@ -24,9 +24,9 @@ type LatencyProfile struct {
 	SpikeProb float64
 	// Serial queues calls behind each other, like a single-spindle disk
 	// or a one-connection transport: two concurrent calls cost two
-	// latencies of wall clock, not one, so a wide flush pipeline over
-	// such devices is bounded by its calls per device, not by how many
-	// it overlaps.
+	// latencies of wall clock, not one, so many writers flushing over
+	// such devices are bounded by their calls per device, not by how
+	// many they overlap.
 	Serial bool
 	// Seed, when non-zero, seeds the device's private jitter/spike RNG,
 	// making the simulated timing sequence reproducible run to run —

@@ -85,23 +85,18 @@ type Config struct {
 	// into. Nil falls back to in-memory devices.
 	Devices []Device
 	// Deprecated: has no effect; the codec runs one stripe per goroutine
-	// — parallelism is FlushWorkers / RepairWorkers, the lock table's
-	// 32 shards, and GOMAXPROCS stripes at once in RebuildDevice and Scrub. Kept until
-	// bench/ stops setting it.
+	// — parallelism is the writers' own goroutines, RepairWorkers, the
+	// lock table's 32 shards, and GOMAXPROCS stripes at once in
+	// RebuildDevice and Scrub. Kept until bench/ stops setting it.
 	Workers int
-	// MaxDirtyStripes bounds the write buffer: exceeding it flushes the
-	// fullest buffered stripe. 0 selects 8.
+	// MaxDirtyStripes bounds the write buffer: a write that exceeds it
+	// flushes the fullest other buffered stripe before it returns. 0
+	// selects 8.
 	MaxDirtyStripes int
 	// RepairWorkers sizes the pool draining the repair queue; workers
 	// repair distinct stripes concurrently (each under its stripe's
 	// shard lock). 0 selects 1.
 	RepairWorkers int
-	// FlushWorkers sizes the asynchronous flush pipeline: with workers,
-	// a filled or evicted stripe buffer is handed to a background pool
-	// that encodes and writes it back while the writer keeps going, and
-	// Flush becomes "drain the pipeline". 0 keeps the write path
-	// synchronous (a filled buffer flushes inline, as before).
-	FlushWorkers int
 	// Integrity, when non-nil, enables the end-to-end per-sector
 	// checksum layer (internal/store/integrity): every data and parity
 	// sector gets a CRC32C record — salted with its device address and
@@ -164,9 +159,6 @@ type stripeBuf struct {
 	st    *core.Stripe
 	count int
 	stuck bool
-	// queued marks a buffer handed to the asynchronous flush pipeline
-	// and not yet picked up by a worker; it dedupes pipeline entries.
-	queued bool
 	// torn is non-nil from an interrupted sub-stripe write-back of this
 	// buffer until the retry that rewrites the stripe whole; every load
 	// of the stripe in between goes through it (see tornUpdate).
@@ -257,15 +249,6 @@ type Store struct {
 	journal  *journal.Journal
 	recovery RecoveryReport
 
-	// The asynchronous flush pipeline (see flush.go). flushCh is nil
-	// when the pipeline is off; flushMu/flushIdle guard the in-flight
-	// count and the sticky background-flush error.
-	flushCh       chan int
-	flushMu       sync.Mutex
-	flushIdle     *sync.Cond
-	flushInflight int
-	asyncFlushErr error
-
 	// testScrubErr, when set (by in-package tests, before any scrubber
 	// starts), can fail a Scrub pass on demand — the only way to
 	// exercise the scrubber's error exit, which has no organic trigger
@@ -342,9 +325,6 @@ func Open(cfg Config) (*Store, error) {
 	if repairWorkers < 1 {
 		return nil, fmt.Errorf("store: RepairWorkers=%d must be ≥ 0", cfg.RepairWorkers)
 	}
-	if cfg.FlushWorkers < 0 {
-		return nil, fmt.Errorf("store: FlushWorkers=%d must be ≥ 0", cfg.FlushWorkers)
-	}
 	s := &Store{
 		code:       cfg.Code,
 		devs:       devs,
@@ -375,7 +355,6 @@ func Open(cfg Config) (*Store, error) {
 	s.perStripe = len(s.dataCells)
 	s.slabLen = cfg.Code.SlabSize(cfg.SectorSize)
 	s.idle = sync.NewCond(&s.stateMu)
-	s.flushIdle = sync.NewCond(&s.flushMu)
 	s.isData, s.every = core.NewPattern(n, r), core.NewPattern(n, r)
 	s.updCells = make([]core.Pattern, s.perStripe)
 	for ord, cell := range s.dataCells {
@@ -405,8 +384,8 @@ func Open(cfg Config) (*Store, error) {
 		s.integ = integ
 		s.loadIntegrityRegions(context.Background())
 	}
-	// Recovery runs before any traffic — and before the flush pipeline
-	// exists — so the replay never races a concurrent flush.
+	// Recovery runs before any traffic, so the replay never races a
+	// flush.
 	if s.journal != nil {
 		if err := s.recoverJournal(); err != nil {
 			close(s.ioq)
@@ -414,16 +393,7 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: journal replay: %w", err)
 		}
 	}
-	s.bufs = make(chan *stripeBuf, maxDirty+cfg.FlushWorkers)
-	if cfg.FlushWorkers > 0 {
-		// One channel slot per stripe: the queued flag dedupes entries,
-		// so sendFlush can never block (see flush.go).
-		s.flushCh = make(chan int, cfg.Stripes)
-		s.wg.Add(cfg.FlushWorkers)
-		for i := 0; i < cfg.FlushWorkers; i++ {
-			go s.flushLoop()
-		}
-	}
+	s.bufs = make(chan *stripeBuf, maxDirty)
 	s.wg.Add(repairWorkers)
 	for i := 0; i < repairWorkers; i++ {
 		go s.repairLoop()
@@ -469,7 +439,9 @@ func (s *Store) devSector(stripe, row int) int { return stripe*s.r + row }
 // WriteBlock buffers one block write. The write lands on devices when
 // its stripe buffer fills (full-stripe encode), when the buffer bound
 // evicts it, or at Flush/Close (incremental parity read–modify–write).
-// ctx bounds any device I/O a triggered flush performs.
+// A fill or an eviction flushes in the calling goroutine before
+// WriteBlock returns, and its error is WriteBlock's; ctx bounds the
+// device I/O of that flush.
 func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	if len(data) != s.sectorSize {
 		return fmt.Errorf("store: write of %d bytes, want block size %d", len(data), s.sectorSize)
@@ -505,49 +477,12 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 	copy(buf.data[ord], data)
 	s.c.writes.Add(1)
 	if buf.count == s.perStripe {
-		// A filled buffer flushes: inline in synchronous mode, handed
-		// to the background pipeline otherwise (the writer keeps going;
-		// errors surface at the next Flush/Sync/Close).
-		if s.asyncFlush() {
-			queued := s.queueFlushLocked(buf)
-			sh.mu.Unlock()
-			if queued {
-				s.sendFlush(stripe)
-			}
-			return nil
-		}
 		err := s.flushStripeLocked(ctx, sh, stripe)
 		sh.mu.Unlock()
 		return err
 	}
 	sh.mu.Unlock()
 	if s.overDirtyBound() {
-		if s.asyncFlush() {
-			// Queued stripes count against the bound until they land: a
-			// partial one is evicted only if nothing is in flight. The
-			// writer waits until under it: MaxDirtyStripes bounds memory.
-			err := s.awaitFlushes(ctx, s.overDirtyBound)
-			s.flushMu.Lock()
-			evict := err == nil && s.flushInflight == 0 && s.overDirtyBound()
-			s.flushMu.Unlock()
-			if evict {
-				if victim := s.fullestDirty(stripe); victim >= 0 {
-					vsh := s.shard(victim)
-					vsh.mu.Lock()
-					queued := vsh.dirty[victim] != nil && s.queueFlushLocked(vsh.dirty[victim])
-					vsh.mu.Unlock()
-					if queued {
-						s.sendFlush(victim)
-					}
-				}
-				err = s.awaitFlushes(ctx, s.overDirtyBound)
-			}
-			if err != nil {
-				// The requested write IS buffered; only the wait died.
-				return fmt.Errorf("store: block %d buffered, but awaiting the flush pipeline: %w", b, err)
-			}
-			return nil
-		}
 		victim := s.fullestDirty(stripe)
 		if victim < 0 {
 			return nil // every other buffer is stuck; nothing to evict
@@ -565,8 +500,8 @@ func (s *Store) WriteBlock(ctx context.Context, b int, data []byte) error {
 }
 
 // fullestDirty picks the buffered stripe with the most dirty blocks,
-// excluding the one just written to (it is the hottest), any stuck
-// buffers, and buffers already handed to the flush pipeline. It scans
+// excluding the one just written to (it is the hottest) and any stuck
+// buffers. It scans
 // shard by shard, never holding more than one shard mutex; the result
 // is advisory — a concurrent flush of the victim is harmless,
 // flushStripeLocked no-ops on a missing buffer. Returns -1 when nothing
@@ -577,7 +512,7 @@ func (s *Store) fullestDirty(except int) int {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for stripe, buf := range sh.dirty {
-			if stripe == except || buf.stuck || buf.queued {
+			if stripe == except || buf.stuck {
 				continue
 			}
 			if buf.count > bestCount || (buf.count == bestCount && stripe < best) {
@@ -589,21 +524,13 @@ func (s *Store) fullestDirty(except int) int {
 	return best
 }
 
-// Flush drains the write path: with the pipeline on it first waits out
-// every queued or in-flight background flush, reports any background
-// failure recorded since the last drain, then lands every remaining
-// buffered stripe synchronously. A cancelled ctx aborts promptly —
-// including any in-flight device wait — leaving the unflushed buffers
-// intact for a retry.
+// Flush lands every buffered stripe, stuck ones included, in the
+// calling goroutine, and returns the first error. A cancelled ctx aborts
+// promptly — including any in-flight device wait — leaving the unflushed
+// buffers intact for a retry.
 func (s *Store) Flush(ctx context.Context) error {
 	if s.closed.Load() {
 		return ErrClosed
-	}
-	if err := s.awaitFlushes(ctx, nil); err != nil {
-		return err
-	}
-	if err := s.takeAsyncFlushErr(); err != nil {
-		return err
 	}
 	return s.flushAll(ctx)
 }
@@ -611,8 +538,6 @@ func (s *Store) Flush(ctx context.Context) error {
 // flushAll lands every buffered stripe, shard by shard (Close uses it
 // after marking the store closed, so it does not re-check closed).
 // Context cancellation stops the sweep at the first unflushed stripe.
-// Buffers queued to the pipeline are swept too (the worker that later
-// dequeues a flushed stripe finds no buffer and no-ops).
 func (s *Store) flushAll(ctx context.Context) error {
 	// A flush mostly finds a stripe or two buffered: it locks only the
 	// shards that hold one, and lists them on the stack.
@@ -944,9 +869,9 @@ func (s *Store) faultDevice(dev int) (FaultDevice, error) {
 	return fd, nil
 }
 
-// Close drains the flush pipeline, flushes buffered writes, drains the
-// outstanding background repairs, stops the scrubber, flush and repair
-// workers, and closes the devices. New reads and writes are refused
+// Close flushes buffered writes, drains the outstanding background
+// repairs, stops the scrubber and the repair workers, and closes the
+// devices. New reads and writes are refused
 // before the final flush, so nothing can slip into the buffer and be
 // lost; repairs already queued (e.g. by a final scrub pass) complete
 // before the workers shut down, so a close does not strand a volume
@@ -962,13 +887,7 @@ func (s *Store) Close() error {
 	}
 	s.closed.Store(true)
 	s.stateMu.Unlock()
-	// Let in-flight background flushes finish, then sweep what remains;
-	// a background failure recorded since the last Flush surfaces here.
-	_ = s.awaitFlushes(context.Background(), nil)
-	flushErr := s.takeAsyncFlushErr()
-	if err := s.flushAll(context.Background()); err != nil && flushErr == nil {
-		flushErr = err
-	}
+	flushErr := s.flushAll(context.Background())
 	// Nothing can enqueue past closed, so the pending count only drains
 	// from here; wait for the workers to finish what was queued.
 	s.stateMu.Lock()
@@ -978,9 +897,6 @@ func (s *Store) Close() error {
 	s.stateMu.Unlock()
 	close(s.quit)
 	s.repairQ.close()
-	if s.asyncFlush() {
-		close(s.flushCh)
-	}
 	s.wg.Wait()
 	// Waves run under a shard mutex: past each one, none is left to run.
 	for i := range s.shards {
@@ -990,8 +906,7 @@ func (s *Store) Close() error {
 	close(s.ioq)
 	s.ioWG.Wait()
 	// The drain left no pending repairs; one last broadcast wakes any
-	// Quiesce waiter so its loop re-checks closed. A backpressure waiter
-	// needs none: the drain's last finishFlush woke it.
+	// Quiesce waiter so its loop re-checks closed.
 	s.stateMu.Lock()
 	s.idle.Broadcast()
 	s.stateMu.Unlock()

@@ -276,15 +276,15 @@ func TestWaveConnectionsPerColumn(t *testing.T) {
 	}
 }
 
-// TestPipelineDisjointWritersMakeNoSubFlushes: writers filling disjoint
-// stripes, no more of them than MaxDirtyStripes, never have a half-filled
-// stripe evicted: the stripes queued for the flush workers leave the
-// buffer bound before a partial one is picked, so every flush is a
-// full-stripe encode.
-func TestPipelineDisjointWritersMakeNoSubFlushes(t *testing.T) {
+// TestDisjointWritersMakeNoSubFlushes: writers filling disjoint stripes,
+// no more of them than MaxDirtyStripes, never have a half-filled stripe
+// evicted: each writer flushes the stripe it fills before its next
+// write, so it holds at most one buffered stripe, the bound is never
+// exceeded, and every flush is a full-stripe encode.
+func TestDisjointWritersMakeNoSubFlushes(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	const writers, stripes = 4, 32
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: stripes, MaxDirtyStripes: writers, FlushWorkers: 2})
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: stripes, MaxDirtyStripes: writers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,13 +141,11 @@ func TestAllocRegressionGuard(t *testing.T) {
 	}
 }
 
-// pipelinedWriteAllocs measures two full stripes through the flush
-// pipeline and a Flush that waits for them: write buffers recycle through
-// the store's free list across the writer's and the workers' goroutines,
-// and neither the backpressure wait nor the drain registers a wake-up for
-// a context that cannot end. Measured 0.
-func pipelinedWriteAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions) float64 {
-	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ, FlushWorkers: 2})
+// fullStripeWriteAllocs measures two full stripes, each flushed by the
+// write that fills it, and a Flush: write buffers recycle through the
+// store's free list. Measured 0.
+func fullStripeWriteAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions) float64 {
+	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +231,8 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if err := s.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	if pipelined := pipelinedWriteAllocs(t, code, integ); pipelined != 0 {
-		t.Errorf("pipelined full-stripe writes + Flush: %.2f allocs/op, want 0", pipelined)
+	if full := fullStripeWriteAllocs(t, code, integ); full != 0 {
+		t.Errorf("full-stripe writes + Flush: %.2f allocs/op, want 0", full)
 	}
 
 	overWrite, overRead := overlappedAllocs(t, code, integ)
