@@ -532,7 +532,7 @@ func BenchmarkClusterWriteBack(b *testing.B) {
 	for _, latUS := range []int{0, 200} {
 		for _, writers := range []int{1, 8} {
 			b.Run(fmt.Sprintf("latency_us=%d/writers=%d", latUS, writers), func(b *testing.B) {
-				v := benchCluster(b, code, stripes, sector, latUS)
+				v := benchCluster(b, code, stripes, sector, latUS, false)
 				buf := make([]byte, sector)
 				per := v.Blocks() / writers
 				b.SetBytes(int64(v.Blocks() * sector))
@@ -564,8 +564,9 @@ func BenchmarkClusterWriteBack(b *testing.B) {
 }
 
 // benchCluster opens a volume over n loopback device servers, each a
-// MemDevice answering every call latUS µs late.
-func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS int) *cluster.Volume {
+// MemDevice answering every call latUS µs late, hedging client reads
+// when hedge is set.
+func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS int, hedge bool) *cluster.Volume {
 	var servers []cluster.Server
 	for i := range code.N() {
 		var d store.Device = store.NewMemDevice(stripes*code.R(), sector)
@@ -575,15 +576,68 @@ func benchCluster(b *testing.B, code *core.Code, stripes, sector, latUS int) *cl
 		hs := devtest.NewServer(b, store.NewDeviceServer(d))
 		servers = append(servers, cluster.Server{Name: fmt.Sprintf("s%d", i), URL: hs.URL})
 	}
-	v, err := cluster.Open(benchCtx, cluster.Config{
+	cfg := cluster.Config{
 		Fleet: &cluster.Fleet{Servers: servers}, Code: code, SectorSize: sector, Stripes: stripes,
 		Monitor: cluster.MonitorConfig{Interval: time.Hour},
-	})
+	}
+	if hedge {
+		cfg.Hedge = &cluster.HedgeConfig{}
+	}
+	v, err := cluster.Open(benchCtx, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { v.Close() })
 	return v
+}
+
+// BenchmarkClusterRead: a healthy read of one of column 0's blocks over
+// 8 loopback device servers, without and with hedging. The column's
+// tracker is warmed with 64 reads first, so that every hedged read's
+// primary runs on the store's I/O helpers and, answering inside the
+// hedge delay, serves the read.
+func BenchmarkClusterRead(b *testing.B) {
+	code := benchCode(b, core.Config{N: 8, R: 4, M: 2, E: []int{1, 1, 2}})
+	const sector, stripes = 4096, 16
+	var blocks []int
+	for stripe := range stripes {
+		for ord, cell := range code.DataCells() {
+			if cell.Col == 0 {
+				blocks = append(blocks, stripe*len(code.DataCells())+ord)
+			}
+		}
+	}
+	for _, hedge := range []bool{false, true} {
+		b.Run(fmt.Sprintf("hedge=%t/latency_us=0", hedge), func(b *testing.B) {
+			v := benchCluster(b, code, stripes, sector, 0, hedge)
+			buf := make([]byte, sector)
+			for blk := range v.Blocks() {
+				if err := v.WriteBlock(benchCtx, blk, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := v.Flush(benchCtx); err != nil {
+				b.Fatal(err)
+			}
+			read := func(i int) {
+				if err := v.Store().ReadBlockInto(benchCtx, blocks[i%len(blocks)], buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range 64 {
+				read(i)
+			}
+			before := v.Store().Stats().HedgesLaunched
+			b.SetBytes(sector)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				read(i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(v.Store().Stats().HedgesLaunched-before)/float64(b.N), "hedges/op")
+		})
+	}
 }
 
 // BenchmarkClusterDegradedRead: one block on a dead column read over 8
@@ -595,7 +649,7 @@ func BenchmarkClusterDegradedRead(b *testing.B) {
 	const sector, stripes, dead = 4096, 16, 0
 	for _, latUS := range []int{0, 200} {
 		b.Run(fmt.Sprintf("latency_us=%d", latUS), func(b *testing.B) {
-			v := benchCluster(b, code, stripes, sector, latUS)
+			v := benchCluster(b, code, stripes, sector, latUS, false)
 			buf := make([]byte, sector)
 			for blk := range v.Blocks() {
 				if err := v.WriteBlock(benchCtx, blk, buf); err != nil {

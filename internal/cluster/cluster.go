@@ -9,10 +9,10 @@
 // store.RebuildDevice reconstructs the column in the background.
 //
 // One latency defence rides along. Hedged reads (Config.Hedge) bound
-// tail latency the "Tail at Scale" way inside the store: when a client's
-// block read outlives its column's tracked latency percentile, the block
-// is solved from n−m sectors of its own row (checksum-verified with
-// Config.Integrity) and the slow answer is dropped. Only client reads
-// hedge, so rebuilds, scrubs and repairs see exactly what the columns
-// answered.
+// tail latency the "Tail at Scale" way inside the store: a client's block
+// read that outlives its column's latency percentile is solved from n−m
+// sectors of its own row (checksum-verified with Config.Integrity), its
+// primary left on the store's I/O helpers, bounded per column, which
+// Close joins. Only client reads hedge, so rebuilds, scrubs and repairs
+// see exactly what the columns answered.
 package cluster

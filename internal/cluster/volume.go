@@ -32,8 +32,8 @@ type Config struct {
 	// Deprecated: has no effect; every column is its dialled device. Kept
 	// until bench/ stops setting it.
 	Coalesce *store.CoalesceOptions
-	// Hedge, when non-nil, hedges client block reads in the wrapped store
-	// (see store.Config.Hedge).
+	// Hedge, when non-nil, hedges client reads (store.Config.Hedge); their
+	// primaries run on I/O helpers, bounded per column, that Close joins.
 	Hedge *HedgeConfig
 	// Monitor tunes the failure detector (zero values select defaults).
 	Monitor MonitorConfig

@@ -329,15 +329,16 @@ func exiting(stack string) bool {
 
 // TestCloseLeavesNoGoroutines: Close returns only once every goroutine
 // the store started — the repair workers, the I/O helpers of a store
-// over remote columns — has exited, so
+// over remote columns or of hedged reads' primaries — has exited, so
 // an Open/Close cycle leaves no more goroutines running Store methods
-// than there were before Open. It holds with and without a journal, and
-// when a flush failed and Close reports it. The goroutines are looked at
-// the moment Close returns, over several cycles: any but a worker inside
-// its deferred wg.Done — past the point that releases Close, on its way
-// out — is a leak, and those must be gone within 2 s. Goroutines that
-// other code runs, such as the runtime's finalizer goroutine, are not
-// counted.
+// than there were before Open. It holds with and without a journal,
+// when a flush failed and Close reports it, and, within 1 s, when hedged
+// reads left their primaries stalled on a column until it is closed.
+// The goroutines are looked at the moment Close returns, over several
+// cycles: any but a worker inside its deferred wg.Done — past the point
+// that releases Close, on its way out — is a leak, and those must be
+// gone within 2 s. Goroutines that other code runs, such as the
+// runtime's finalizer goroutine, are not counted.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	for _, tc := range []struct {
@@ -345,8 +346,9 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		journal bool
 		fail    bool
 		remote  bool
-	}{{"plain", false, false, false}, {"journal", true, false, false}, {"flush-error", false, true, false},
-		{"remote", true, false, true}} {
+		hedge   bool
+	}{{"plain", false, false, false, false}, {"journal", true, false, false, false}, {"flush-error", false, true, false, false},
+		{"remote", true, false, true, false}, {"hedge", false, false, false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for cycle := range 10 {
 				baseline := len(storeGoroutines())
@@ -355,6 +357,11 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 					// Every wave's calls go to the I/O helpers.
 					cfg.Integrity = &IntegrityOptions{}
 					cfg.Devices = barrierDevs(code.N(), 4, code.R(), 128, true, true, nil)
+				}
+				var stall *stallDev
+				if tc.hedge {
+					cfg.Hedge = true
+					cfg.Devices, stall = stallDevs(code.N(), 4, code.R(), 128)
 				}
 				var j *journal.Journal
 				if tc.journal {
@@ -380,10 +387,28 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				if err := s.WriteBlock(bg, 1, blockData(7, s.BlockSize())); err != nil {
 					t.Fatal(err)
 				}
-				if tc.remote && !strings.Contains(strings.Join(storeGoroutines(), ""), ".ioHelper(") {
+				if tc.hedge {
+					// Column 0 stalls every read until it is closed: each
+					// hedged read of it leaves its primary on an I/O helper.
+					if err := s.Flush(bg); err != nil {
+						t.Fatal(err)
+					}
+					blocks := col0Blocks(t, s)
+					stall.until.Store(time.Now().Add(time.Hour).UnixNano())
+					for _, b := range blocks {
+						if _, err := s.ReadBlock(bg, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if (tc.remote || tc.hedge) && !strings.Contains(strings.Join(storeGoroutines(), ""), ".ioHelper(") {
 					t.Fatalf("cycle %d: no I/O helper running before Close", cycle)
 				}
+				begin := time.Now()
 				err = s.Close()
+				if took := time.Since(begin); tc.hedge && took > time.Second {
+					t.Fatalf("cycle %d: Close took %v with primaries stalled, want ≤ 1 s", cycle, took)
+				}
 				left := storeGoroutines()
 				if tc.fail != (err != nil) {
 					t.Fatalf("cycle %d: Close returned %v", cycle, err)

@@ -474,10 +474,10 @@ func (d *gatedWriteDevice) WriteSectors(ctx context.Context, start int, data [][
 	return d.MemDevice.WriteSectors(ctx, start, data)
 }
 
-// TestAsyncEvictionBackpressure: with write-back wedged, a writer
+// TestEvictionBackpressure: with write-back wedged, a writer
 // spraying partial stripes must block in its eviction once
 // MaxDirtyStripes is exceeded instead of buffering the whole volume.
-func TestAsyncEvictionBackpressure(t *testing.T) {
+func TestEvictionBackpressure(t *testing.T) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	const (
 		stripes  = 8

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"stair/internal/core"
-	"stair/internal/store/mem"
 )
 
 // Hedged client reads (Config.Hedge) are the "Tail at Scale" defence
@@ -17,7 +16,8 @@ import (
 // from its own row instead (§4.3), as a degraded read would be, and the
 // slow answer is dropped. Only ReadBlock and ReadBlockInto hedge;
 // flushes, repairs, scrubs, rebuilds and journal replay always see what
-// the devices answered.
+// the devices answered. Primaries run on the store's I/O helpers
+// (wave.go), hedgeMaxPrimaries at most per column, and Close joins them.
 
 const (
 	// hedgePercentile of the column's recent read latencies launches the
@@ -34,25 +34,30 @@ const (
 	// before its first hedge — below it there is no trustworthy
 	// percentile — and how many more between two recomputations of it.
 	hedgeMinSamples = 16
+	// hedgeMaxPrimaries bounds a column's primaries on the I/O helpers.
+	hedgeMaxPrimaries = 16
 )
 
-// latencyTracker keeps one column's recent primary-read latencies and
-// the hedge delay derived from them. The read path only loads delay;
-// recording a sample sorts the window once every hedgeMinSamples samples,
-// into a buffer the tracker owns.
+// latencyTracker keeps one column's recent primary-read latencies, the
+// hedge delay derived from them and its primaries' free list (a sync.Pool
+// would drop them at each GC). The read path only loads delay; recording
+// a sample sorts the window once every hedgeMinSamples samples.
 type latencyTracker struct {
-	delay atomic.Int64 // the clamped percentile in ns; 0 until warm
+	delay    atomic.Int64 // the clamped percentile in ns; 0 until warm
+	inflight atomic.Int32 // primaries on I/O helpers (hedgeMaxPrimaries)
 
 	mu             sync.Mutex
 	samples        [hedgeWindow]time.Duration
 	sorted         [hedgeWindow]time.Duration
 	next, count, n int // n counts samples since the last recomputation
+	free           []*ioCall
 }
 
-// observe records a primary read that began at begin. Only usable
-// answers are samples — data, or a typed partial loss: a column failing
-// hard and slowly must not teach itself out of being hedged.
+// observe records the answer of a primary read that began at begin. Only
+// usable answers are samples — data, or a typed partial loss: a column
+// failing hard and slowly must not teach itself out of being hedged.
 func (t *latencyTracker) observe(begin time.Time, err error) {
+	t.inflight.Add(-1)
 	if _, partial := AsSectorErrors(err); err != nil && !partial {
 		return
 	}
@@ -77,106 +82,104 @@ func (t *latencyTracker) record(d time.Duration) {
 }
 
 // hedgedReadLocked is ReadBlockInto's device read of cell with a hedge.
-// The primary reads into pooled scratch on its own goroutine; once it
-// outlives its column's delay, the caller's goroutine solves the cell
-// from its own row straight into dst (solveLocked, seeded with the
-// known-down columns). won reports that the solve served dst; otherwise
-// err is the primary's answer, and dst holds its bytes when err is nil.
-// A primary that loses is not waited for: its answer is dropped and its
-// scratch left to the GC, as after a cancelled call, but its latency is
-// still a sample — the percentile is of what the column answers, slow
-// answers included, and a column that keeps stalling hedges fewer reads
-// into its siblings. While the column's tracker is cold the read goes
-// straight into dst and teaches the tracker. The caller holds the shard
-// mutex.
+// The primary reads into its record's scratch on an I/O helper; once it
+// outlives its column's delay, or at once past hedgeMaxPrimaries, the
+// caller solves the cell from its own row straight into dst (solveLocked,
+// seeded with the known-down columns). won reports that the solve served
+// dst; otherwise err is the primary's answer, and dst holds its bytes
+// when err is nil. A primary that loses is not waited for, but is still
+// a sample — the percentile is of what the column answers, slow answers
+// included, and a column that keeps stalling hedges fewer reads into its
+// siblings. A cold tracker waits for the primary. The caller holds the
+// shard mutex.
 func (s *Store) hedgedReadLocked(ctx context.Context, sh *lockShard, stripe int, cell core.Cell, dst []byte) (won bool, err error) {
 	t := &s.hedge[cell.Col]
-	sector := s.devSector(stripe, cell.Row)
 	delay := time.Duration(t.delay.Load())
-	begin := time.Now()
-	if delay == 0 {
-		vec := sh.rowvec(1)
-		vec[0] = dst
-		err = s.devs[cell.Col].ReadSectors(ctx, sector, vec)
-		vec[0] = nil
-		s.noteRead(ctx, cell.Col, err)
-		t.observe(begin, err)
-		return false, err
-	}
-	p := primaryReads.Get().(*primaryRead)
-	p.vec[0] = mem.Acquire(s.sectorSize)
-	go p.read(ctx, s, cell.Col, sector, t, begin)
-	p.timer.Reset(delay)
-	select {
-	case err = <-p.done:
-		p.timer.Stop()
-		return false, p.take(ctx, err, dst)
-	case <-ctx.Done():
-		p.timer.Stop()
-		return false, ctx.Err()
-	case <-p.timer.C:
+	var p *ioCall
+	if t.inflight.Add(1) <= hedgeMaxPrimaries || delay == 0 {
+		p = s.startPrimary(ctx, cell.Col, s.devSector(stripe, cell.Row))
+		var tick <-chan time.Time
+		if delay > 0 {
+			sh.timer.Reset(delay) // leaves no stale tick (go 1.23)
+			tick = sh.timer.C
+		}
+		if answered, err := s.await(p, dst, tick); answered {
+			return false, err
+		}
+	} else {
+		t.inflight.Add(-1) // the column is known slow: hedge at once
 	}
 	s.c.hedgesLaunched.Add(1)
 	_, err = s.solveLocked(ctx, sh, stripe, cell, dst, true, true)
-	if err == nil {
-		// No repair is queued: the column is slow, not lost, and a repair
-		// worker would wait on it under the shard lock. The next scrub
-		// owns whatever the primary would have found.
-		s.c.hedgeWins.Add(1)
-		return true, nil
-	}
 	if err != errBeyondRow {
-		return false, err
+		s.release(p)
+		// A win queues no repair: the column is slow, not lost, and a
+		// repair worker would wait on it under the shard lock. The next
+		// scrub owns whatever the primary would have found.
+		if err == nil {
+			s.c.hedgeWins.Add(1)
+		}
+		return err == nil, err
 	}
-	// The row cannot decide the cell: the primary's answer stands.
-	select {
-	case err = <-p.done:
-	case <-ctx.Done():
-		return false, ctx.Err()
+	// The row cannot decide the cell: a primary's answer stands, past the bound too.
+	if p == nil {
+		t.inflight.Add(1)
+		p = s.startPrimary(ctx, cell.Col, s.devSector(stripe, cell.Row))
 	}
-	if err == nil {
+	if _, err = s.await(p, dst, nil); err == nil {
 		s.c.hedgeLosses.Add(1)
 	} else {
 		s.c.hedgeFails.Add(1)
 	}
-	return false, p.take(ctx, err, dst)
+	return false, err
 }
 
-// primaryRead is a hedged read's call to the block's own device. It is
-// pooled, and goes back to the pool only when its answer was taken over
-// a live context: a call abandoned in flight keeps it, scratch and all.
-// Its timer is reused across reads, which go 1.23's timers allow: after
-// Stop or Reset no stale tick is left in the channel.
-type primaryRead struct {
-	vec   [][]byte // the one scratch sector
-	done  chan error
-	timer *time.Timer
+// startPrimary hands a read of col's sector to an I/O helper, in a record
+// off the column's free list that owns its scratch sector and channel.
+func (s *Store) startPrimary(ctx context.Context, col, sector int) *ioCall {
+	var p *ioCall
+	t := &s.hedge[col]
+	t.mu.Lock()
+	if n := len(t.free); n > 0 {
+		p, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		p = &ioCall{op: callRead, bufs: [][]byte{make([]byte, s.sectorSize)}, done: make(chan error, 1)}
+	}
+	t.mu.Unlock()
+	p.handed.Store(false)
+	p.ctx, p.col, p.start, p.begin = ctx, col, sector, time.Now()
+	s.handOff(p)
+	return p
 }
 
-var primaryReads = sync.Pool{New: func() any {
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	return &primaryRead{vec: make([][]byte, 1), done: make(chan error, 1), timer: timer}
-}}
-
-func (p *primaryRead) read(ctx context.Context, s *Store, col, sector int, t *latencyTracker, begin time.Time) {
-	err := s.devs[col].ReadSectors(ctx, sector, p.vec)
-	s.noteRead(ctx, col, err)
-	t.observe(begin, err)
-	p.done <- err
-}
-
-// take hands the primary's answer to the caller: its bytes into dst
-// when it has any, and the call back to the pool unless the device may
-// still hold its scratch.
-func (p *primaryRead) take(ctx context.Context, err error, dst []byte) error {
+// await waits for p's answer, copied into dst when it is data, or for
+// tick. The call ends with its context, as the caller's own read would.
+func (s *Store) await(p *ioCall, dst []byte, tick <-chan time.Time) (answered bool, err error) {
+	select {
+	case err = <-p.done:
+	case <-tick:
+		return false, nil
+	}
 	if err == nil {
-		copy(dst, p.vec[0])
+		copy(dst, p.bufs[0])
 	}
-	if ctx.Err() == nil {
-		mem.Release(p.vec[0])
-		p.vec[0] = nil
-		primaryReads.Put(p)
+	s.release(p)
+	return true, err
+}
+
+// release is the caller's and the helper's last touch of a primary p: the
+// second puts it back, its answer drained, unless its context ended — the
+// device may then still hold its scratch, and p goes to the GC.
+func (s *Store) release(p *ioCall) {
+	if p == nil || p.handed.CompareAndSwap(false, true) || p.ctx.Err() != nil {
+		return
 	}
-	return err
+	select {
+	case <-p.done: // the answer of a call its caller left
+	default:
+	}
+	t := &s.hedge[p.col]
+	t.mu.Lock()
+	t.free = append(t.free, p)
+	t.mu.Unlock()
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -220,4 +222,123 @@ func TestHedgeCancelledWhileParked(t *testing.T) {
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("cancelled hedged read: %v, want context.Canceled", err)
 	}
+}
+
+// stallDev is a MemDevice whose reads, while it stalls, wait for the
+// stall's end, the device's Close or the read's context.
+type stallDev struct {
+	*MemDevice
+	until  atomic.Int64 // unix ns; a read before it stalls
+	closed chan struct{}
+}
+
+func (d *stallDev) ReadSectors(ctx context.Context, start int, bufs [][]byte) error {
+	if wait := time.Until(time.Unix(0, d.until.Load())); wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-d.closed:
+			return ErrDeviceFailed
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return d.MemDevice.ReadSectors(ctx, start, bufs)
+}
+
+func (d *stallDev) Close() error {
+	close(d.closed)
+	return d.MemDevice.Close()
+}
+
+// stallDevs returns MemDevices for a store of the given geometry, column
+// 0's a stallDev, which it returns too.
+func stallDevs(n, stripes, r, sector int) ([]Device, *stallDev) {
+	devs := make([]Device, n)
+	for i := range devs {
+		devs[i] = NewMemDevice(stripes*r, sector)
+	}
+	stall := &stallDev{MemDevice: devs[0].(*MemDevice), closed: make(chan struct{})}
+	devs[0] = stall
+	return devs, stall
+}
+
+// col0Blocks returns the blocks column 0 holds in a filled store, one a
+// stripe, after warming column 0's tracker with reads of them.
+func col0Blocks(t *testing.T, s *Store) []int {
+	t.Helper()
+	ord := firstOrdOn(t, s, 0)
+	blocks := make([]int, s.stripes)
+	for stripe := range blocks {
+		blocks[stripe] = stripe*s.perStripe + ord
+	}
+	for i := range hedgeMinSamples {
+		if _, err := s.ReadBlock(bg, blocks[i%len(blocks)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.hedge[0].delay.Load() == 0 {
+		t.Fatal("column 0's tracker is cold after its warm-up reads")
+	}
+	return blocks
+}
+
+// A column that stalls for 200 ms under 1 000 hedged reads of its
+// blocks, from 4 readers on distinct shards, holds at most
+// hedgeMaxPrimaries primaries in flight, and so as many I/O helpers: past
+// the bound its reads hedge at once. Helpers live until Close, so their
+// count once the stall is over is the most there ever were. The stated
+// bound adds one helper a reader: a primary handed off while a helper is
+// between its answer and its next call starts another.
+func TestHedgeBoundsStalledColumnPrimaries(t *testing.T) {
+	const readers, reads, stall = 4, 1000, 200 * time.Millisecond
+	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
+	const stripes, sector = 16, 128
+	devs, dev := stallDevs(code.N(), stripes, code.R(), sector)
+	s, err := Open(Config{Code: code, SectorSize: sector, Stripes: stripes, Devices: devs, Hedge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillStore(t, s)
+	blocks := col0Blocks(t, s)
+	end := time.Now().Add(stall)
+	dev.until.Store(end.UnixNano())
+	var wg sync.WaitGroup
+	for w := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]byte, sector)
+			for i := w; i < reads; i += readers {
+				b := blocks[i%len(blocks)]
+				if err := s.ReadBlockInto(bg, b, dst); err != nil {
+					t.Errorf("read block %d: %v", b, err)
+					return
+				}
+				if !bytes.Equal(dst, blockData(b, sector)) {
+					t.Errorf("block %d: wrong bytes", b)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	time.Sleep(time.Until(end))
+	for deadline := time.Now().Add(5 * time.Second); s.hedge[0].inflight.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d primaries still in flight 5 s after the stall", s.hedge[0].inflight.Load())
+		}
+	}
+	const bound = hedgeMaxPrimaries + readers
+	helpers := strings.Count(strings.Join(storeGoroutines(), "\n\n"), ".ioHelper(")
+	if helpers > bound {
+		t.Errorf("%d I/O helpers after %d reads of a stalled column, want ≤ %d", helpers, reads, bound)
+	}
+	st := s.Stats()
+	if st.HedgeWins <= hedgeMaxPrimaries {
+		t.Errorf("%d hedge wins: the reads never went past the bound", st.HedgeWins)
+	}
+	t.Logf("%d I/O helpers, %d hedges launched, %d won", helpers, st.HedgesLaunched, st.HedgeWins)
 }

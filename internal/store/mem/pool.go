@@ -1,8 +1,8 @@
 // Package mem is the store's tiered, sync.Pool-backed buffer pool. It
 // backs the zero-copy stripe memory design: stripe slabs, device
-// scratch (a hedged read's included) and network bodies are acquired
-// here, used, and released back, so the steady-state hot paths recycle
-// a small working set instead of allocating per operation.
+// scratch and network bodies are acquired here, used, and released
+// back, so the steady-state hot paths recycle a small working set
+// instead of allocating per operation.
 //
 // Ownership contract:
 //
@@ -18,7 +18,7 @@
 //     a foreign buffer is always safe, never wrong.
 //   - A buffer handed to an operation that returned a context
 //     cancellation error may still be referenced by an abandoned inner
-//     operation (a hedged read's primary, an in-flight HTTP body). Such
+//     operation (an in-flight HTTP body). Such
 //     buffers must be dropped, not Released: the GC keeps them alive
 //     for the straggler, whereas recycling would let it scribble over
 //     an unrelated operation's data.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"stair/internal/core"
 )
@@ -55,8 +56,9 @@ type lockShard struct {
 	cols  []int
 
 	// upd is the working set of the sub-stripe flush running under mu.
-	upd  updateSet
-	wave wave // the device-call wave in progress under mu (see wave.go)
+	upd   updateSet
+	wave  wave        // the device-call wave in progress under mu (see wave.go)
+	timer *time.Timer // a hedged read's delay (see hedge.go)
 }
 
 // updateSet is a sub-stripe flush's working set, reused from one flush
@@ -117,6 +119,7 @@ func newShards(count, n, r int) []lockShard {
 		shards[i].unrecoverable = map[int]bool{}
 		shards[i].load = stripeLoad{need: core.NewPattern(n, r), lost: core.NewPattern(n, r), want: core.NewPattern(n, r)}
 		shards[i].upd.need = core.NewPattern(n, r)
+		shards[i].timer = time.NewTimer(time.Hour)
 	}
 	return shards
 }

@@ -117,7 +117,8 @@ type Config struct {
 	// must close it only after Close returns.
 	Journal *journal.Journal
 	// Hedge hedges client block reads against a slow column with a solve
-	// from the block's own row (see hedge.go).
+	// from the block's own row; their primaries run on the I/O helpers,
+	// a bounded number per column, which Close joins (see hedge.go).
 	Hedge bool
 }
 
@@ -898,13 +899,11 @@ func (s *Store) Close() error {
 	close(s.quit)
 	s.repairQ.close()
 	s.wg.Wait()
-	// Waves run under a shard mutex: past each one, none is left to run.
+	// Waves and hedged reads run under a shard mutex: past each, none starts.
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 		s.shards[i].mu.Unlock()
 	}
-	close(s.ioq)
-	s.ioWG.Wait()
 	// The drain left no pending repairs; one last broadcast wakes any
 	// Quiesce waiter so its loop re-checks closed.
 	s.stateMu.Lock()
@@ -932,5 +931,8 @@ func (s *Store) Close() error {
 			firstErr = err
 		}
 	}
+	// Left are the primaries hedged reads gave up on: closing ends a stall.
+	close(s.ioq)
+	s.ioWG.Wait()
 	return firstErr
 }

@@ -3,6 +3,8 @@ package store
 import (
 	"context"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // A wave is a stripe phase's calls to remote columns (see Remoter) — a
@@ -19,7 +21,8 @@ const (
 	callMeta         // the sidecar records of the stripe starting at start
 )
 
-// ioCall is a call of a wave, its answer, and the column's next call.
+// ioCall is a call of a wave, its answer, and the column's next call —
+// or a hedged read's primary, answered on done (see hedge.go).
 type ioCall struct {
 	ctx        context.Context
 	op         int
@@ -28,6 +31,9 @@ type ioCall struct {
 	err        error
 	next       *ioCall
 	wg         *sync.WaitGroup
+	begin      time.Time
+	done       chan error
+	handed     atomic.Bool // a primary's caller or helper released it
 }
 
 // wave is a shard's calls[:n], the last column's held, and their vectors.
@@ -64,6 +70,7 @@ func (s *Store) issue(ctx context.Context, sh *lockShard, op, col, start int, bu
 		w.calls[w.n-2].next = c // a column's calls are issued in a row
 		return
 	case w.held != nil:
+		w.wg.Add(1)
 		s.handOff(w.held)
 	}
 	w.held = c
@@ -89,7 +96,6 @@ func (s *Store) endWave(w *wave) []*ioCall {
 
 // handOff gives c to an idle helper, starting one when none is idle.
 func (s *Store) handOff(c *ioCall) {
-	c.wg.Add(1)
 	select {
 	case s.ioq <- c:
 		return
@@ -104,8 +110,14 @@ func (s *Store) handOff(c *ioCall) {
 func (s *Store) ioHelper() {
 	defer s.ioWG.Done()
 	for c := range s.ioq {
-		s.callChain(c)
-		c.wg.Done()
+		if s.callChain(c); c.done == nil { // a wave's, not a hedged read's primary
+			c.wg.Done()
+			continue
+		}
+		s.noteRead(c.ctx, c.col, c.err)
+		s.hedge[c.col].observe(c.begin, c.err)
+		c.done <- c.err
+		s.release(c)
 	}
 }
 

@@ -205,6 +205,38 @@ func overlappedAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions) (w
 	return writeBack, degraded
 }
 
+// hedgedReadAllocs measures warm hedged reads of every block, the
+// devices answering inside the hedge delay, over barrier devices that
+// answer Remote as told: the primary is a record off its column's free
+// list, with its own channel and scratch, run by an I/O helper, and the
+// delay is the shard's timer. Measured 0.
+func hedgedReadAllocs(t *testing.T, code *core.Code, integ *IntegrityOptions, remote bool) float64 {
+	const stripes, sector = 16, 128
+	s, err := Open(Config{Code: code, SectorSize: sector, Stripes: stripes, Integrity: integ, Hedge: true,
+		Devices: barrierDevs(code.N(), stripes, code.R(), sector, integ != nil, remote, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillStore(t, s)
+	dst, i := make([]byte, sector), 0
+	read := func() {
+		if err := s.ReadBlockInto(bg, i%s.Blocks(), dst); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range hedgeMinSamples * s.Blocks() {
+		read() // every block hedgeMinSamples times: every tracker warm
+	}
+	for _, cell := range s.dataCells {
+		if s.hedge[cell.Col].delay.Load() == 0 {
+			t.Fatalf("column %d's tracker is cold", cell.Col)
+		}
+	}
+	return testing.AllocsPerRun(2000, read)
+}
+
 func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	code := testCode(t, core.Config{N: 6, R: 4, M: 2, E: []int{1, 2}})
 	s, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ})
@@ -251,28 +283,11 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 		t.Errorf("ReadBlockInto steady state: %.2f allocs/op, want < 0.5", reads)
 	}
 
-	// The same read with hedging on and the column's tracker warm: the
-	// device answers inside the hedge delay. The primary's channel, vector,
-	// timer and scratch are pooled; what is left is the closure of the
-	// goroutine it runs on. Measured 1.
-	hs, err := Open(Config{Code: code, SectorSize: 128, Stripes: 16, Integrity: integ, Hedge: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hs.Close()
-	fillStore(t, hs)
-	readHedged := func() {
-		if err := hs.ReadBlockInto(bg, i%hs.Blocks(), dst); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}
-	for range hedgeMinSamples * hs.Blocks() {
-		readHedged() // every block hedgeMinSamples times: every tracker warm
-	}
-	hedged := testing.AllocsPerRun(2000, readHedged)
-	if hedged > 1 {
-		t.Errorf("hedged ReadBlockInto steady state: %.2f allocs/op, want ≤ 1", hedged)
+	// The same read with hedging on and every column's tracker warm,
+	// over local and over remote columns.
+	hedged, hedgedRemote := hedgedReadAllocs(t, code, integ, false), hedgedReadAllocs(t, code, integ, true)
+	if hedged != 0 || hedgedRemote != 0 {
+		t.Errorf("hedged ReadBlockInto steady state: %.2f allocs/op over local columns, %.2f over remote ones; want 0 and 0", hedged, hedgedRemote)
 	}
 
 	// A single-block update made durable to the devices: the §5.2
@@ -407,6 +422,6 @@ func allocGuard(t *testing.T, integ *IntegrityOptions) {
 	if scrub > 0.6 {
 		t.Errorf("clean Scrub: %.2f allocs per stripe, want ≤ 0.6", scrub)
 	}
-	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged), update %.2f, scrub %.2f and rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f re-planned; over remote columns write-back %.2f per stripe, degraded read %.2f",
-		writes, reads, hedged, updates, scrub, rebuild, rowLocal, cold, degraded, overWrite, overRead)
+	t.Logf("allocs/op: write %.2f, read %.2f (%.2f hedged, %.2f over remote columns), update %.2f, scrub %.2f and rebuild %.2f per stripe, degraded read %.2f row-local (%d cold), %.2f re-planned; over remote columns write-back %.2f per stripe, degraded read %.2f",
+		writes, reads, hedged, hedgedRemote, updates, scrub, rebuild, rowLocal, cold, degraded, overWrite, overRead)
 }
