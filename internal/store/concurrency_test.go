@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -333,7 +334,8 @@ func exiting(stack string) bool {
 // an Open/Close cycle leaves no more goroutines running Store methods
 // than there were before Open. It holds with and without a journal,
 // when a flush failed and Close reports it, and, within 1 s, when hedged
-// reads left their primaries stalled on a column until it is closed.
+// reads left their primaries stalled on a column until it is closed —
+// a local device, or a NetDevice whose server's device stalls.
 // The goroutines are looked at the moment Close returns, over several
 // cycles: any but a worker inside its deferred wg.Done — past the point
 // that releases Close, on its way out — is a leak, and those must be
@@ -348,12 +350,12 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		remote  bool
 		hedge   bool
 	}{{"plain", false, false, false, false}, {"journal", true, false, false, false}, {"flush-error", false, true, false, false},
-		{"remote", true, false, true, false}, {"hedge", false, false, false, true}} {
+		{"remote", true, false, true, false}, {"hedge", false, false, false, true}, {"hedge-remote", false, false, true, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for cycle := range 10 {
 				baseline := len(storeGoroutines())
 				cfg := Config{Code: code, SectorSize: 128, Stripes: 4, RepairWorkers: 2}
-				if tc.remote {
+				if tc.remote && !tc.hedge {
 					// Every wave's calls go to the I/O helpers.
 					cfg.Integrity = &IntegrityOptions{}
 					cfg.Devices = barrierDevs(code.N(), 4, code.R(), 128, true, true, nil)
@@ -362,6 +364,18 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				if tc.hedge {
 					cfg.Hedge = true
 					cfg.Devices, stall = stallDevs(code.N(), 4, code.R(), 128)
+				}
+				var srv *httptest.Server
+				if tc.remote && tc.hedge {
+					// Column 0 is a client of a loopback server over the
+					// stalling device: its Close must end the stalled calls
+					// without re-dialling the server.
+					srv = httptest.NewServer(NewDeviceServer(stall))
+					nd, err := DialNetDevice(bg, srv.URL, srv.Client())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Devices[0] = nd
 				}
 				var j *journal.Journal
 				if tc.journal {
@@ -405,7 +419,13 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 					t.Fatalf("cycle %d: no I/O helper running before Close", cycle)
 				}
 				begin := time.Now()
-				err = s.Close()
+				closed := make(chan error, 1)
+				go func() { closed <- s.Close() }()
+				select {
+				case err = <-closed:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("cycle %d: Close has not returned in 10 s", cycle)
+				}
 				if took := time.Since(begin); tc.hedge && took > time.Second {
 					t.Fatalf("cycle %d: Close took %v with primaries stalled, want ≤ 1 s", cycle, took)
 				}
@@ -433,6 +453,9 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 				}
 				if j != nil {
 					j.Close()
+				}
+				if srv != nil {
+					srv.Close()
 				}
 			}
 		})

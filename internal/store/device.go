@@ -141,7 +141,10 @@ type Device interface {
 	ReadSectors(ctx context.Context, start int, bufs [][]byte) error
 	// WriteSectors stores data at the extent [start, start+len(data)).
 	WriteSectors(ctx context.Context, start int, data [][]byte) error
-	// Close releases backing resources.
+	// Close releases backing resources and ends the device's calls: one
+	// in flight or made after it returns without waiting on a peer that
+	// stalls. The store's Close closes its devices and then waits out the
+	// primaries its hedged reads left on them.
 	Close() error
 }
 

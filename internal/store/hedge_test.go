@@ -284,6 +284,18 @@ func col0Blocks(t *testing.T, s *Store) []int {
 	return blocks
 }
 
+// primariesOut counts a column's parked primaries whose answer is not in.
+func primariesOut(t *latencyTracker) (n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, p := range t.parked {
+		if len(p.done) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // A column that stalls for 200 ms under 1 000 hedged reads of its
 // blocks, from 4 readers on distinct shards, holds at most
 // hedgeMaxPrimaries primaries in flight, and so as many I/O helpers: past
@@ -326,9 +338,9 @@ func TestHedgeBoundsStalledColumnPrimaries(t *testing.T) {
 	}
 	wg.Wait()
 	time.Sleep(time.Until(end))
-	for deadline := time.Now().Add(5 * time.Second); s.hedge[0].inflight.Load() != 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); primariesOut(&s.hedge[0]) != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d primaries still in flight 5 s after the stall", s.hedge[0].inflight.Load())
+			t.Fatalf("%d primaries still in flight 5 s after the stall", primariesOut(&s.hedge[0]))
 		}
 	}
 	const bound = hedgeMaxPrimaries + readers

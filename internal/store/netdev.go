@@ -129,7 +129,12 @@ type NetDevice struct {
 	mu    sync.Mutex
 	idle  []*frameConn            // LIFO
 	conns map[*frameConn]struct{} // every open connection, idle or busy
+	live  context.Context         // ends at Close, and so do upgrades in flight
+	end   context.CancelFunc
 }
+
+// errNetClosed answers a frame call that Close ended or that came after it.
+var errNetClosed = fmt.Errorf("%w: NetDevice closed", ErrDeviceFailed)
 
 // frameConn is one upgraded connection.
 type frameConn struct {
@@ -173,6 +178,7 @@ func DialNetDevice(ctx context.Context, baseURL string, client *http.Client) (*N
 	}
 	d := &NetDevice{base: strings.TrimSuffix(baseURL, "/"), hc: client, retry: defaultRetryPolicy,
 		conns: map[*frameConn]struct{}{}}
+	d.live, d.end = context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+"/v1/geometry", nil)
 	if err != nil {
 		return nil, err
@@ -227,7 +233,7 @@ func (d *NetDevice) backoff(ctx context.Context, attempt int) error {
 
 // get takes the most recently idle connection, or upgrades a new one
 // when all are busy or fresh is set; transient reports whether a failed
-// upgrade is worth retrying.
+// upgrade is worth retrying. Past Close it fails with errNetClosed.
 func (d *NetDevice) get(ctx context.Context, fresh bool) (c *frameConn, err error, transient bool) {
 	d.mu.Lock()
 	if n := len(d.idle); n > 0 && !fresh {
@@ -238,13 +244,19 @@ func (d *NetDevice) get(ctx context.Context, fresh bool) (c *frameConn, err erro
 		return c, nil, false
 	}
 	d.mu.Unlock()
-	if c, err, transient = d.upgrade(ctx); err != nil {
-		return nil, err, transient
-	}
+	c, err, transient = d.upgrade(ctx)
 	d.mu.Lock()
-	d.conns[c] = struct{}{}
-	d.mu.Unlock()
-	return c, nil, false
+	defer d.mu.Unlock()
+	if d.live.Err() != nil { // Close ended the upgrade or came after it
+		if c != nil {
+			c.rwc.Close()
+		}
+		return nil, errNetClosed, false
+	}
+	if err == nil {
+		d.conns[c] = struct{}{}
+	}
+	return c, err, transient
 }
 
 // put returns a connection to the idle stack, unless Close closed it
@@ -265,8 +277,12 @@ func (d *NetDevice) drop(c *frameConn) {
 	d.mu.Unlock()
 }
 
-// upgrade opens a frame connection through the device's HTTP client.
+// upgrade opens a frame connection through the device's HTTP client,
+// ending with ctx or at Close.
 func (d *NetDevice) upgrade(ctx context.Context) (c *frameConn, err error, transient bool) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(d.live, cancel)()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.base+framePath, nil)
 	if err != nil {
 		return nil, err, false
@@ -341,6 +357,9 @@ func (d *NetDevice) callOnce(ctx context.Context, fresh bool, op byte, start, co
 		return err, false
 	}
 	d.drop(c)
+	if d.live.Err() != nil {
+		return errNetClosed, false // Close broke the connection
+	}
 	return err, true
 }
 
@@ -508,10 +527,13 @@ func (d *NetDevice) Failed() bool { return d.faultStatus().Failed }
 // BadSectors returns the remote latent-sector-error count.
 func (d *NetDevice) BadSectors() int { return d.faultStatus().BadSectors }
 
-// Close closes every frame connection, busy ones included, and the
-// client's idle HTTP connections. A later call opens a new one.
+// Close closes every frame connection, busy ones included, ends the
+// upgrades in flight and closes the client's idle HTTP connections. A
+// frame call it broke, or made after it, fails with ErrDeviceFailed;
+// the control plane (Ping, the fault calls) still answers.
 func (d *NetDevice) Close() error {
 	d.mu.Lock()
+	d.end()
 	for c := range d.conns {
 		c.rwc.Close()
 	}

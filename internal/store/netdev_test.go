@@ -273,6 +273,67 @@ func TestNetDeviceDroppedConnectionCancelsServerCall(t *testing.T) {
 	}
 }
 
+// Close ends a NetDevice's frame calls: one parked on the server, one
+// whose connection upgrade the server never answers, and one made after
+// Close all fail with ErrDeviceFailed at once, and none dials again.
+func TestNetDeviceCloseEndsCalls(t *testing.T) {
+	dev := ctxDevice{FaultDevice: store.NewMemDevice(8, 64), entered: make(chan struct{}, 1), ended: make(chan error, 1)}
+	ds := store.NewDeviceServer(dev)
+	var hang atomic.Bool
+	var upgrades atomic.Int64
+	unhang := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/frames" {
+			upgrades.Add(1)
+			if hang.Load() {
+				select {
+				case <-r.Context().Done():
+				case <-unhang:
+				}
+				return
+			}
+		}
+		ds.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { close(unhang) }) // runs first
+	d, err := store.DialNetDevice(bg, srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	read := func() { done <- d.ReadSectors(bg, 0, [][]byte{make([]byte, 64)}) }
+	go read() // on the dial's connection, parked by the server's device
+	<-dev.entered
+	hang.Store(true)
+	go read() // on a second connection, whose upgrade hangs
+	for upgrades.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	hang.Store(false) // a dial after Close would now succeed
+	begin := time.Now()
+	d.Close()
+	for range 2 {
+		select {
+		case err := <-done:
+			if !errors.Is(err, store.ErrDeviceFailed) {
+				t.Fatalf("call ended by Close: %v, want ErrDeviceFailed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call outlived Close by 5 s")
+		}
+	}
+	if took := time.Since(begin); took > time.Second {
+		t.Fatalf("Close took %v to end the calls", took)
+	}
+	if err := d.ReadSectors(bg, 0, [][]byte{make([]byte, 64)}); !errors.Is(err, store.ErrDeviceFailed) {
+		t.Fatalf("read after Close: %v, want ErrDeviceFailed", err)
+	}
+	if n := upgrades.Load(); n != 2 {
+		t.Fatalf("%d connection upgrades, want 2: a closed device dialled again", n)
+	}
+}
+
 // A client with Timeout set cannot hand over an upgraded connection;
 // dialling with one fails at once and names the cause.
 func TestDialNetDeviceRefusesClientTimeout(t *testing.T) {

@@ -19,12 +19,15 @@ import (
 // arbitrary request frames on.
 func rawFrameConn(t *testing.T, srv *httptest.Server) *frameConn {
 	t.Helper()
-	d := &NetDevice{base: srv.URL, hc: srv.Client()}
+	d, err := DialNetDevice(context.Background(), srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err, _ := d.upgrade(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.rwc.Close() })
+	t.Cleanup(func() { c.rwc.Close(); d.Close() })
 	return c
 }
 

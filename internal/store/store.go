@@ -931,7 +931,8 @@ func (s *Store) Close() error {
 			firstErr = err
 		}
 	}
-	// Left are the primaries hedged reads gave up on: closing ends a stall.
+	// Left are the primaries hedged reads gave up on: a closed device ends
+	// its calls (see Device.Close).
 	close(s.ioq)
 	s.ioWG.Wait()
 	return firstErr

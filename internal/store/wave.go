@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,7 +32,6 @@ type ioCall struct {
 	wg         *sync.WaitGroup
 	begin      time.Time
 	done       chan error
-	handed     atomic.Bool // a primary's caller or helper released it
 }
 
 // wave is a shard's calls[:n], the last column's held, and their vectors.
@@ -116,8 +114,8 @@ func (s *Store) ioHelper() {
 		}
 		s.noteRead(c.ctx, c.col, c.err)
 		s.hedge[c.col].observe(c.begin, c.err)
+		c.ctx = nil // a parked primary keeps no caller's context
 		c.done <- c.err
-		s.release(c)
 	}
 }
 
